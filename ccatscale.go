@@ -141,27 +141,14 @@ type Usage = budget.Usage
 // Footprint is the estimator's predicted cost of one configuration.
 type Footprint = budget.Footprint
 
-// SweepOptions configures RunManyCtx: parallelism, a shared Budget
-// applied to configs that carry none, and the reduced-fidelity retry
-// allowance for budget breaches.
+// SweepOptions is the whole option set of RunMany (see
+// WithSweepOptions): parallelism, a shared Budget applied to configs
+// that carry none, and the reduced-fidelity retry allowance for budget
+// breaches.
 type SweepOptions = core.SweepOptions
 
-// RunManyCtx executes several runs concurrently under a context and
-// sweep-level resource governance: configurations whose estimated
-// footprint exceeds the budget are rejected with an admission-stage
-// BudgetError (degraded and retried up to Retries tiers first), runs
-// that breach in flight are retried at reduced fidelity with
-// deterministic backoff, and a cancelled context stops scheduling new
-// runs. Per-config errors are tagged with the config's index.
-//
-// Deprecated: use RunMany with WithSweepOptions — same behavior,
-// options-based surface.
-func RunManyCtx(ctx context.Context, cfgs []RunConfig, opt SweepOptions) ([]RunResult, error) {
-	return core.RunManyCtx(ctx, cfgs, opt)
-}
-
 // EstimateConfig predicts a configuration's resource footprint — the
-// same model RunManyCtx's admission control uses.
+// same model RunMany's admission control uses.
 func EstimateConfig(cfg RunConfig) Footprint { return core.EstimateConfig(cfg) }
 
 // DegradeTier returns cfg degraded to the given fidelity tier: a

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"ccatscale/internal/sim"
+	"ccatscale/internal/telemetry"
 	"ccatscale/internal/units"
 )
 
@@ -193,21 +194,25 @@ func TestAuditCleanAcrossConfigurations(t *testing.T) {
 // requires bit-identical results. The auditor is an observer: turning
 // it on must not consume randomness, reorder events, or perturb a
 // single flow statistic, even with every forward-path impairment
-// stacked.
+// stacked. Nor may it hide anything from the observers beside it: the
+// queue high-water marks and their telemetry events are read through
+// the audit shadow around the queue and must come out the same.
 func TestComposedImpairmentsAuditBitIdentity(t *testing.T) {
-	compose := func(audit string) RunConfig {
+	plainColl, strictColl := newCountingCollector(), newCountingCollector()
+	compose := func(audit string, coll telemetry.Collector) RunConfig {
 		cfg := auditedTinyConfig(17)
 		cfg.Audit = audit
+		cfg.Collector = coll
 		cfg.RandomLoss = 0.005
 		cfg.BurstLoss = &BurstLossSpec{MeanLoss: 0.01, MeanBurstLen: 4}
 		cfg.Outage = &OutageSpec{Start: 3 * sim.Second, Down: 200 * sim.Millisecond, Period: 2 * sim.Second, Count: 2, Hold: true}
 		return cfg
 	}
-	plain, err := Run(compose(""))
+	plain, err := Run(compose("", plainColl))
 	if err != nil {
 		t.Fatal(err)
 	}
-	strict, err := Run(compose("strict"))
+	strict, err := Run(compose("strict", strictColl))
 	if err != nil {
 		t.Fatalf("strict composed run failed: %v", err)
 	}
@@ -223,5 +228,18 @@ func TestComposedImpairmentsAuditBitIdentity(t *testing.T) {
 	}
 	if strict.AuditViolations != 0 {
 		t.Fatalf("composed chain raised %d audit violations", strict.AuditViolations)
+	}
+	if plain.Usage.PeakQueueBytes == 0 {
+		t.Fatal("plain run reports no queue high-water mark")
+	}
+	if plain.Usage.PeakQueueBytes != strict.Usage.PeakQueueBytes ||
+		plain.Usage.PeakQueuePackets != strict.Usage.PeakQueuePackets {
+		t.Fatalf("queue high-water marks differ: plain %d B / %d pkts, strict %d B / %d pkts",
+			plain.Usage.PeakQueueBytes, plain.Usage.PeakQueuePackets,
+			strict.Usage.PeakQueueBytes, strict.Usage.PeakQueuePackets)
+	}
+	pw, sw := plainColl.counts[telemetry.KindQueueWatermark], strictColl.counts[telemetry.KindQueueWatermark]
+	if pw == 0 || pw != sw {
+		t.Fatalf("queue-watermark events: plain %d, strict %d; want equal and non-zero", pw, sw)
 	}
 }

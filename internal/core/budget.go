@@ -41,21 +41,17 @@ func EstimateConfig(cfg RunConfig) budget.Footprint {
 	if c.SeriesInterval > 0 {
 		width = len(ccas)
 	}
-	rate, buffer := c.Rate, c.Buffer
+	// A run's event cost is governed by its slowest link (the primary
+	// bottleneck paces every path through it), while memory scales with
+	// the sum of all queues: each link owns a ring sized for its own
+	// buffer.
+	spec, _ := c.fabricSpec(nil)
+	rate, _ := spec.MinRate()
+	var buffer units.ByteCount
 	var slots int64
-	if c.Topology != nil {
-		// A topology run's event cost is governed by its slowest link
-		// (the primary bottleneck paces every path through it), while
-		// memory scales with the sum of all queues: each link owns a
-		// ring sized for its own buffer.
-		rate, _ = c.Topology.MinRate()
-		buffer = 0
-		for _, l := range c.Topology.Links {
-			buffer += l.Buffer
-			slots += int64(netem.RingSlotsFor(l.Buffer))
-		}
-	} else if c.Buffer > 0 {
-		slots = int64(netem.RingSlotsFor(c.Buffer))
+	for _, l := range spec.Links {
+		buffer += l.Buffer
+		slots += int64(netem.RingSlotsFor(l.Buffer))
 	}
 	return budget.Estimate(budget.Input{
 		Flows:             len(c.Flows),

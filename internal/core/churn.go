@@ -67,8 +67,16 @@ func (c *ChurnConfig) withDefaults() ChurnConfig {
 }
 
 func (c *ChurnConfig) validate() error {
-	if c.Rate <= 0 || c.Buffer <= 0 || c.RTT <= 0 || c.Duration <= 0 {
-		return fmt.Errorf("core: churn config with non-positive parameters")
+	// The netem layer owns the bottleneck checks (rate, queue capacity,
+	// base RTT), as it does for RunConfig.
+	if err := (netem.DumbbellConfig{Rate: c.Rate, Buffer: c.Buffer, RTT: []sim.Time{c.RTT}}).Validate(); err != nil {
+		return err
+	}
+	if _, err := parseAQM(c.AQM); err != nil {
+		return err
+	}
+	if c.Duration <= 0 {
+		return fmt.Errorf("core: churn config with non-positive duration")
 	}
 	if c.ArrivalRate <= 0 {
 		return fmt.Errorf("core: churn needs a positive arrival rate")
@@ -134,10 +142,7 @@ func RunChurn(cfg ChurnConfig) (ChurnResult, error) {
 	for i, f := range cfg.Background {
 		rtts[cfg.MaxFlows+i] = f.RTT
 	}
-	discipline := netem.DropTail
-	if cfg.AQM == "codel" {
-		discipline = netem.CoDel
-	}
+	discipline, _ := parseAQM(cfg.AQM)
 	db := netem.NewDumbbell(eng, netem.DumbbellConfig{
 		Rate:       cfg.Rate,
 		Buffer:     cfg.Buffer,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"ccatscale/internal/sim"
@@ -20,22 +21,30 @@ func churnBase() ChurnConfig {
 }
 
 func TestChurnValidation(t *testing.T) {
-	bad := churnBase()
-	bad.ArrivalRate = 0
-	if _, err := RunChurn(bad); err == nil {
-		t.Fatal("zero arrival rate accepted")
+	cases := []struct {
+		name string
+		mut  func(*ChurnConfig)
+		want string
+	}{
+		{"zero arrival rate", func(c *ChurnConfig) { c.ArrivalRate = 0 }, "positive arrival rate"},
+		{"unknown CCA", func(c *ChurnConfig) { c.CCA = "quic" }, "unknown CCA"},
+		{"zero size", func(c *ChurnConfig) { c.TransferBytes = 0 }, "positive transfer size"},
+		{"sub-frame buffer", func(c *ChurnConfig) { c.Buffer = 1000 }, "cannot hold one full-size frame"},
+		{"unknown AQM", func(c *ChurnConfig) { c.AQM = "red" }, "unknown AQM"},
 	}
-	bad = churnBase()
-	bad.ArrivalRate = 1
-	bad.CCA = "quic"
-	if _, err := RunChurn(bad); err == nil {
-		t.Fatal("unknown CCA accepted")
-	}
-	bad = churnBase()
-	bad.ArrivalRate = 1
-	bad.TransferBytes = 0
-	if _, err := RunChurn(bad); err == nil {
-		t.Fatal("zero size accepted")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := churnBase()
+			bad.ArrivalRate = 1
+			tc.mut(&bad)
+			_, err := RunChurn(bad)
+			if err == nil {
+				t.Fatal("invalid config accepted")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not mention %q", err, tc.want)
+			}
+		})
 	}
 }
 

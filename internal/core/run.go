@@ -1,10 +1,15 @@
 // Package core is the paper's contribution rebuilt as a library: the
 // at-scale congestion-control evaluation harness. It wires the netem
-// substrate, tcp transport, and cca algorithms into the dumbbell
-// methodology of §3.2 — N infinite flows with staggered starts over one
-// drop-tail bottleneck, a warm-up exclusion window, an optional
-// convergence-based early stop — and computes every metric the paper's
-// tables and figures report.
+// substrate, tcp transport, and cca algorithms into the methodology of
+// §3.2 — N infinite flows with staggered starts over one drop-tail
+// bottleneck, a warm-up exclusion window, an optional convergence-based
+// early stop — and computes every metric the paper's tables and figures
+// report.
+//
+// There is one fabric, netem.Topology. The paper's dumbbell is its
+// one-link case (RunConfig.fabricSpec); a declared RunConfig.Topology
+// runs through the same code. RunCtx is a sequence of named phases over
+// one run struct: build, wire, instrument, finish.
 package core
 
 import (
@@ -190,10 +195,7 @@ func (c *RunConfig) validate() error {
 	// degenerate queue capacity, bad RTTs) so the same descriptive
 	// errors surface whether a dumbbell is built through core or
 	// directly.
-	rtts := make([]sim.Time, len(c.Flows))
-	for i, f := range c.Flows {
-		rtts[i] = f.RTT
-	}
+	rtts := c.rtts()
 	if c.Topology != nil {
 		if len(c.Topology.Paths) != len(c.Flows) {
 			return fmt.Errorf("core: topology declares %d flow paths but config has %d flows",
@@ -222,10 +224,8 @@ func (c *RunConfig) validate() error {
 			return fmt.Errorf("core: audit drill requires -audit warn or strict (the drill corrupts queue accounting; without the auditor it would silently poison results)")
 		}
 	}
-	switch c.AQM {
-	case "", "droptail", "codel":
-	default:
-		return fmt.Errorf("core: unknown AQM %q", c.AQM)
+	if _, err := parseAQM(c.AQM); err != nil {
+		return err
 	}
 	if c.BurstLoss != nil {
 		if err := c.BurstLoss.validate(); err != nil {
@@ -249,6 +249,18 @@ func (c *RunConfig) validate() error {
 		}
 	}
 	return nil
+}
+
+// parseAQM resolves a bottleneck discipline name ("" or "droptail" is the
+// paper's drop-tail, "codel" is RFC 8289 CoDel).
+func parseAQM(name string) (netem.AQM, error) {
+	switch name {
+	case "", "droptail":
+		return netem.DropTail, nil
+	case "codel":
+		return netem.CoDel, nil
+	}
+	return netem.DropTail, fmt.Errorf("core: unknown AQM %q", name)
 }
 
 // FlowResult holds one flow's measurement-window metrics.
@@ -390,6 +402,32 @@ func fidelityLabel(tier int) string {
 	return fmt.Sprintf("tier-%d", tier)
 }
 
+// rtts lists the flows' base round-trip times, indexed by flow ID.
+func (c *RunConfig) rtts() []sim.Time {
+	out := make([]sim.Time, len(c.Flows))
+	for i, f := range c.Flows {
+		out[i] = f.RTT
+	}
+	return out
+}
+
+// fabricSpec yields the graph the run executes and whether the config
+// declared it. It is the one place that knows the paper's dumbbell is a
+// one-link topology: without a declared Topology, Rate, Buffer, AQM, ECN
+// and ECNMarkBytes describe its single bottleneck link, which each of
+// the rtts' flows crosses. The footprint estimator reads only the links
+// and passes no rtts.
+func (c *RunConfig) fabricSpec(rtts []sim.Time) (spec netem.TopologySpec, declared bool) {
+	if c.Topology != nil {
+		return *c.Topology, true
+	}
+	discipline, _ := parseAQM(c.AQM) // validate has rejected unknown names
+	return netem.DumbbellConfig{
+		Rate: c.Rate, Buffer: c.Buffer, RTT: rtts,
+		Discipline: discipline, ECN: c.ECN, ECNMarkBytes: c.ECNMarkBytes,
+	}.Spec(), false
+}
+
 // RunCtx is Run with cooperative cancellation: ctx is polled from the
 // engine's interrupt hook (the same supervisor channel the watchdogs
 // and budgets use), so cancellation stops the run within one interrupt
@@ -433,121 +471,185 @@ func RunCtx(ctx context.Context, cfg RunConfig) (res RunResult, err error) {
 		}
 	}
 
-	eng := sim.NewEngine()
-	rng := sim.NewRNG(cfg.Seed)
+	// The phases below draw from r.rng and schedule on r.eng in a fixed
+	// order; that order is the run's identity, so it must not change.
+	r := newRun(ctx, cfg)
+	defer r.rescue(&res, &err)
+	r.build()
+	r.wire()
+	r.instrument()
+	return r.finish(r.eng.Run(r.end))
+}
 
-	coll := cfg.Collector
-	if coll != nil {
-		coll.Emit(telemetry.Event{
+// run is one experiment in flight: the state its phases hand to each
+// other, from construction to the assembled result.
+type run struct {
+	ctx  context.Context
+	done <-chan struct{}
+	cfg  RunConfig
+
+	eng  *sim.Engine
+	rng  *sim.RNG
+	coll telemetry.Collector
+	// aud is the invariant auditor (nil when the policy is off). It
+	// observes the run — every hook is read-only with respect to
+	// simulation state — so enabling it never perturbs the deterministic
+	// trace.
+	aud       *audit.Auditor
+	wallStart time.Time
+	end       sim.Time
+
+	// build
+	qlog *trace.QueueLog
+	fab  *netem.Topology
+	// ecn is whether the transport negotiates ECN: whenever anything in
+	// the fabric can mark. Queues only ever mark ECT traffic, so a
+	// topology with an ECN link but non-ECT senders would silently never
+	// mark.
+	ecn bool
+
+	// wire
+	senders   []*tcp.Sender
+	receivers []*tcp.Receiver
+	imp       *netem.Impairment
+	ge        *netem.GilbertElliott
+	outg      *netem.Outage
+	// End-to-end ledger terms, maintained only while auditing (forward
+	// data path only; ACKs ride the uncongested reverse path and never
+	// enter a queue).
+	injectedWire, arrivedWire            units.ByteCount
+	randomDrops, burstDrops, outageDrops uint64
+
+	// instrument
+	series      *trace.ThroughputSeries
+	seriesNames []string
+	snaps       []flowSnap
+	converged   bool
+
+	// supervise
+	watchdogReason string
+	breach         *budget.BudgetError
+	peakEventCap   int
+	peakHeap       int64
+	lastNow        sim.Time
+	lastAdvance    uint64
+	ticks          uint64
+	mem            runtime.MemStats
+	lastPeakBytes  units.ByteCount
+	nextSample     sim.Time
+}
+
+// newRun creates the engine, the RNG and the auditor, and announces the
+// run to telemetry.
+func newRun(ctx context.Context, cfg RunConfig) *run {
+	r := &run{
+		ctx:     ctx,
+		done:    ctx.Done(),
+		cfg:     cfg,
+		eng:     sim.NewEngine(),
+		rng:     sim.NewRNG(cfg.Seed),
+		coll:    cfg.Collector,
+		end:     cfg.Warmup + cfg.Duration,
+		lastNow: -1,
+	}
+	if r.coll != nil {
+		r.coll.Emit(telemetry.Event{
 			Kind: telemetry.KindRunStart, Flow: -1,
 			Label: fidelityLabel(cfg.Fidelity),
 			A:     int64(len(cfg.Flows)), B: int64(cfg.Seed),
 		})
 	}
-	done := ctx.Done()
-
-	// The invariant auditor (nil when the policy is off). It observes
-	// the run — every hook below is read-only with respect to simulation
-	// state — so enabling it never perturbs the deterministic trace.
 	pol, _ := audit.ParsePolicy(cfg.Audit)
-	aud := audit.New(pol, eng.Now)
-	if aud != nil {
-		eng.SetAudit(func(check, detail string) {
-			aud.Reportf(check, -1, "%s", detail)
+	r.aud = audit.New(pol, r.eng.Now)
+	if r.aud != nil {
+		r.eng.SetAudit(func(check, detail string) {
+			r.aud.Reportf(check, -1, "%s", detail)
 		})
 	}
+	r.wallStart = time.Now()
+	return r
+}
 
-	wallStart := time.Now()
-	defer func() {
-		if r := recover(); r != nil {
-			res = RunResult{}
-			re := &RunError{
-				Reason:      "panic",
-				Seed:        cfg.Seed,
-				VirtualTime: eng.Now(),
-				Events:      eng.Processed(),
-				Wall:        time.Since(wallStart),
-				PanicMsg:    fmt.Sprint(r),
-				Stack:       string(debug.Stack()),
-				Config:      cfg,
-			}
-			if v, ok := r.(*audit.InvariantViolation); ok {
-				// A strict-policy audit failure: keep the structured
-				// violation so batch drivers can report which check
-				// fired and where without parsing the panic string.
-				re.Reason = "invariant violation"
-				re.Violation = v
-			}
-			err = re
-		}
-	}()
+// rescue, deferred by RunCtx, turns a panic anywhere in the simulation
+// stack into a replayable *RunError.
+func (r *run) rescue(res *RunResult, err *error) {
+	v := recover()
+	if v == nil {
+		return
+	}
+	*res = RunResult{}
+	re := &RunError{
+		Reason:      "panic",
+		Seed:        r.cfg.Seed,
+		VirtualTime: r.eng.Now(),
+		Events:      r.eng.Processed(),
+		Wall:        time.Since(r.wallStart),
+		PanicMsg:    fmt.Sprint(v),
+		Stack:       string(debug.Stack()),
+		Config:      r.cfg,
+	}
+	if viol, ok := v.(*audit.InvariantViolation); ok {
+		// A strict-policy audit failure: keep the structured
+		// violation so batch drivers can report which check
+		// fired and where without parsing the panic string.
+		re.Reason = "invariant violation"
+		re.Violation = viol
+	}
+	*err = re
+}
 
+// build creates the drop log and the fabric, and schedules the two
+// drills that act on them.
+func (r *run) build() {
+	cfg, eng := &r.cfg, r.eng
 	if cfg.FaultPanicAt > 0 {
-		eng.Schedule(cfg.FaultPanicAt, func() {
-			panic(fmt.Sprintf("core: injected fault at %v (FaultPanicAt)", cfg.FaultPanicAt))
+		at := cfg.FaultPanicAt
+		eng.Schedule(at, func() {
+			panic(fmt.Sprintf("core: injected fault at %v (FaultPanicAt)", at))
 		})
 	}
 
-	qlog := trace.NewQueueLog(cfg.MaxDropTimestamps)
-	qlog.SetWindowStart(cfg.Warmup)
+	r.qlog = trace.NewQueueLog(cfg.MaxDropTimestamps)
+	r.qlog.SetWindowStart(cfg.Warmup)
 
-	rtts := make([]sim.Time, len(cfg.Flows))
-	for i, f := range cfg.Flows {
-		rtts[i] = f.RTT
+	// A declared topology has always drawn one rng.Split() for its
+	// per-link loss stages, whether or not a link declares loss, and
+	// the dumbbell never did. Both sets of published fingerprints depend
+	// on the draws that follow, so the implicit dumbbell (which has no
+	// loss stage to seed) gets a nil RNG and the declared graph keeps
+	// its split.
+	rtts := cfg.rtts()
+	spec, declared := cfg.fabricSpec(rtts)
+	var linkRNG *sim.RNG
+	if declared {
+		linkRNG = r.rng.Split()
 	}
-	// The fabric: the paper's dumbbell, or — when a topology is declared
-	// — the general multi-bottleneck graph. The dumbbell branch is built
-	// exactly as before (same constructor, same RNG consumption), so
-	// dumbbell runs stay bit-identical to earlier releases.
-	//
-	// The transport negotiates ECN whenever anything in the fabric can
-	// mark: queues only ever mark ECT traffic, so a topology with an
-	// ECN link but non-ECT senders would silently never mark.
-	ecn := cfg.ECN
-	var fab netem.Fabric
-	if cfg.Topology != nil {
-		for _, l := range cfg.Topology.Links {
-			if l.ECN {
-				ecn = true
-				break
-			}
-		}
-		fab = netem.NewTopology(eng, rng.Split(), netem.TopologyConfig{
-			Spec:   *cfg.Topology,
-			RTT:    rtts,
-			OnDrop: qlog.OnDrop,
-			Audit:  aud,
-		})
-	} else {
-		discipline := netem.DropTail
-		if cfg.AQM == "codel" {
-			discipline = netem.CoDel
-		}
-		fab = netem.NewDumbbell(eng, netem.DumbbellConfig{
-			Rate:         cfg.Rate,
-			Buffer:       cfg.Buffer,
-			RTT:          rtts,
-			OnDrop:       qlog.OnDrop,
-			Discipline:   discipline,
-			ECN:          cfg.ECN,
-			ECNMarkBytes: cfg.ECNMarkBytes,
-			Audit:        aud,
-		})
+	r.fab = netem.NewTopology(eng, linkRNG, netem.TopologyConfig{
+		Spec:   spec,
+		RTT:    rtts,
+		OnDrop: r.qlog.OnDrop,
+		Audit:  r.aud,
+	})
+	r.ecn = cfg.ECN
+	for _, l := range spec.Links {
+		r.ecn = r.ecn || l.ECN
 	}
 	if cfg.AuditDrillAt > 0 {
 		// The seeded accounting bug: corrupt the queue's byte counter at
 		// the requested time. The conservation ledger must catch it on
 		// the next queue operation.
-		eng.Schedule(cfg.AuditDrillAt, func() { fab.DrillCorruptQueue() })
+		eng.Schedule(cfg.AuditDrillAt, func() { r.fab.DrillCorruptQueue() })
 	}
+}
 
-	// End-to-end ledger terms (forward data path only; ACKs ride the
-	// uncongested reverse path and never enter the bottleneck).
-	var injectedWire, arrivedWire units.ByteCount
+// wire creates the endpoints, chains the forward-path impairments
+// between the fabric and the receivers, and schedules the flow starts.
+func (r *run) wire() {
+	cfg, eng, fab, aud, coll := &r.cfg, r.eng, r.fab, r.aud, r.coll
 	output := fab.SendData
 	if aud != nil {
 		output = func(p packet.Packet) {
-			injectedWire += p.WireBytes()
+			r.injectedWire += p.WireBytes()
 			fab.SendData(p)
 		}
 	}
@@ -556,7 +658,7 @@ func RunCtx(ctx context.Context, cfg RunConfig) (res RunResult, err error) {
 	receivers := make([]*tcp.Receiver, len(cfg.Flows))
 	for i, f := range cfg.Flows {
 		factory, _ := cca.ByName(f.CCA)
-		ctrl := factory(cfg.MSS, rng.Split())
+		ctrl := factory(cfg.MSS, r.rng.Split())
 		// Telemetry observes outermost so the audit wrapper keeps its
 		// direct view of the controller's checking interfaces; the
 		// observer walks the Unwrap chain to find the state machine.
@@ -565,7 +667,7 @@ func RunCtx(ctx context.Context, cfg RunConfig) (res RunResult, err error) {
 			MSS:       cfg.MSS,
 			CCA:       wrapped,
 			Output:    output,
-			ECN:       ecn,
+			ECN:       r.ecn,
 			Audit:     aud,
 			Telemetry: coll,
 		})
@@ -575,6 +677,8 @@ func RunCtx(ctx context.Context, cfg RunConfig) (res RunResult, err error) {
 			Audit:       aud,
 		}, fab.SendAck)
 	}
+	r.senders, r.receivers = senders, receivers
+
 	// Forward-path impairment chain, innermost first: the receiver,
 	// then netem-style iid loss/jitter, then Gilbert–Elliott burst
 	// loss, then the link outage schedule outermost (a dark link is
@@ -583,130 +687,65 @@ func RunCtx(ctx context.Context, cfg RunConfig) (res RunResult, err error) {
 	if aud != nil {
 		inner := toReceiver
 		toReceiver = func(p packet.Packet) {
-			arrivedWire += p.WireBytes()
+			r.arrivedWire += p.WireBytes()
 			inner(p)
 		}
 	}
-	var randomDrops, burstDrops, outageDrops uint64
-	var imp *netem.Impairment
-	var ge *netem.GilbertElliott
-	var outg *netem.Outage
 	if cfg.RandomLoss > 0 || cfg.Jitter > 0 {
-		imp = netem.NewImpairment(eng, rng.Split(), netem.ImpairmentConfig{
+		r.imp = netem.NewImpairment(eng, r.rng.Split(), netem.ImpairmentConfig{
 			LossProb: cfg.RandomLoss,
 			Jitter:   cfg.Jitter,
-			OnDrop:   func(sim.Time, packet.Packet) { randomDrops++ },
+			OnDrop:   func(sim.Time, packet.Packet) { r.randomDrops++ },
 		}, toReceiver)
-		toReceiver = imp.Send
+		toReceiver = r.imp.Send
 	}
 	if cfg.BurstLoss != nil {
 		geCfg := cfg.BurstLoss.gilbert()
-		geCfg.OnDrop = func(sim.Time, packet.Packet) { burstDrops++ }
-		ge = netem.NewGilbertElliott(eng, rng.Split(), geCfg, toReceiver)
-		toReceiver = ge.Send
+		geCfg.OnDrop = func(sim.Time, packet.Packet) { r.burstDrops++ }
+		r.ge = netem.NewGilbertElliott(eng, r.rng.Split(), geCfg, toReceiver)
+		toReceiver = r.ge.Send
 	}
 	if cfg.Outage != nil {
 		policy := netem.OutageDrop
 		if cfg.Outage.Hold {
 			policy = netem.OutageHold
 		}
-		outg = netem.NewOutage(eng, netem.OutageConfig{
+		r.outg = netem.NewOutage(eng, netem.OutageConfig{
 			Windows:   cfg.Outage.windows(),
 			Policy:    policy,
-			OnDrop:    func(sim.Time, packet.Packet) { outageDrops++ },
+			OnDrop:    func(sim.Time, packet.Packet) { r.outageDrops++ },
 			Telemetry: coll,
 		}, toReceiver)
-		toReceiver = outg.Send
+		toReceiver = r.outg.Send
 	}
 	fab.SetEndpoints(
 		toReceiver,
 		func(p packet.Packet) { senders[p.Flow].OnAck(p) },
 	)
 	for _, s := range senders {
-		s.Start(rng.Dur(cfg.Stagger))
+		s.Start(r.rng.Dur(cfg.Stagger))
 	}
+}
 
-	// Optional per-CCA goodput time series. The sample buffer is reused
-	// across ticks (the series copies what it retains) and the retained
-	// points are preallocated from the horizon, so sampling stays off
-	// the allocator for the whole run.
-	var series *trace.ThroughputSeries
-	var seriesNames []string
+// instrument attaches everything that measures or supervises the run:
+// the goodput series, the warm-up snapshot, the convergence rule and the
+// interrupt hook.
+func (r *run) instrument() {
+	cfg, eng := &r.cfg, r.eng
 	if cfg.SeriesInterval > 0 {
-		seen := map[string]int{}
-		for _, f := range cfg.Flows {
-			if _, ok := seen[f.CCA]; !ok {
-				seen[f.CCA] = len(seriesNames)
-				seriesNames = append(seriesNames, f.CCA)
-			}
-		}
-		sample := make([]units.ByteCount, len(seriesNames))
-		series = trace.NewThroughputSeries(eng, cfg.SeriesInterval, seriesNames,
-			func() []units.ByteCount {
-				for i := range sample {
-					sample[i] = 0
-				}
-				for i, f := range cfg.Flows {
-					sample[seen[f.CCA]] += receivers[i].Stats().Delivered
-				}
-				return sample
-			}, true, nil)
-		series.Preallocate(cfg.Warmup + cfg.Duration)
-		// Under a trace-point budget the series degrades gracefully
-		// instead of breaching: its share of the cap — what remains
-		// after reserving the bounded drop log — triggers adaptive
-		// decimation, and the factor is reported in Usage.MaxDecimation.
-		// An unbounded drop log reserves nothing; if drops alone exceed
-		// the budget, the in-flight check correctly breaches.
-		if b := cfg.Budget; !b.Unlimited() && b.TracePoints > 0 {
-			maxPts := (int(b.TracePoints) - cfg.MaxDropTimestamps) / max(len(seriesNames), 1)
-			if maxPts < 4 {
-				maxPts = 4
-			}
-			series.SetMaxPoints(maxPts)
-		}
-		series.Start(0)
+		r.startSeries()
 	}
 
 	// Warm-up boundary snapshot.
-	snaps := make([]flowSnap, len(cfg.Flows))
+	r.snaps = make([]flowSnap, len(cfg.Flows))
 	eng.Schedule(cfg.Warmup, func() {
-		for i := range cfg.Flows {
-			snaps[i] = snapshot(senders[i], receivers[i], qlog, int32(i))
+		for i := range r.snaps {
+			r.snaps[i] = snapshot(r.senders[i], r.receivers[i], r.qlog, int32(i))
 		}
 	})
 
-	// Convergence early stop on aggregate goodput.
-	end := cfg.Warmup + cfg.Duration
-	converged := false
 	if cfg.Converge > 0 {
-		var prevRate float64
-		var prevDelivered units.ByteCount
-		var check func()
-		check = func() {
-			var total units.ByteCount
-			for _, r := range receivers {
-				total += r.Stats().Delivered
-			}
-			rate := float64(total-prevDelivered) / cfg.Converge.Seconds()
-			if prevRate > 0 {
-				diff := rate - prevRate
-				if diff < 0 {
-					diff = -diff
-				}
-				if diff/prevRate < cfg.ConvergeTolerance {
-					converged = true
-					eng.Stop()
-					return
-				}
-			}
-			prevRate = rate
-			prevDelivered = total
-			if eng.Now()+cfg.Converge <= end {
-				eng.After(cfg.Converge, check)
-			}
-		}
-		eng.Schedule(cfg.Warmup+cfg.Converge, check)
+		r.watchConvergence()
 	}
 
 	// Watchdogs, budget enforcement, cancellation, and telemetry
@@ -716,146 +755,219 @@ func RunCtx(ctx context.Context, cfg RunConfig) (res RunResult, err error) {
 	// into replayable errors carrying a checkpoint. The hook is
 	// installed only when something is configured, so an unbudgeted,
 	// unguarded, uninstrumented run keeps an untouched hot path.
-	bud := cfg.Budget
-	var watchdogReason string
-	var breach *budget.BudgetError
-	var peakEventCap int
-	var peakHeap int64
-	if cfg.WallLimit > 0 || cfg.StallEvents > 0 || !bud.Unlimited() || coll != nil || done != nil {
+	if cfg.WallLimit > 0 || cfg.StallEvents > 0 || !cfg.Budget.Unlimited() || r.coll != nil || r.done != nil {
 		const wallCheckEvery = 1 << 13
 		every := uint64(wallCheckEvery)
 		if cfg.StallEvents > 0 && cfg.StallEvents < every {
 			every = cfg.StallEvents
 		}
-		lastNow := sim.Time(-1)
-		var lastAdvance uint64
-		var ticks uint64
-		var mem runtime.MemStats
-		stopBudget := func(kind budget.Kind, limit, observed int64, detail string) {
-			watchdogReason = "budget breach"
-			breach = &budget.BudgetError{
-				Kind: kind, Stage: budget.StageInFlight,
-				Limit: limit, Observed: observed, Detail: detail,
-				Checkpoint: &budget.Checkpoint{
-					VirtualTime: eng.Now(),
-					Events:      eng.Processed(),
-					Wall:        time.Since(wallStart),
-				},
-			}
-			eng.Stop()
+		eng.SetInterrupt(every, r.supervise)
+	}
+}
+
+// startSeries samples per-CCA aggregate goodput. The sample buffer is
+// reused across ticks (the series copies what it retains) and the
+// retained points are preallocated from the horizon, so sampling stays
+// off the allocator for the whole run.
+func (r *run) startSeries() {
+	cfg, receivers := &r.cfg, r.receivers
+	seen := map[string]int{}
+	for _, f := range cfg.Flows {
+		if _, ok := seen[f.CCA]; !ok {
+			seen[f.CCA] = len(r.seriesNames)
+			r.seriesNames = append(r.seriesNames, f.CCA)
 		}
-		// Telemetry sampling state: the queue high-water mark is emitted
-		// on every new peak, engine progress about once per virtual
-		// second. Both are pure observations of already-committed state.
-		var occ netem.OccupancyStats
-		if coll != nil {
-			occ, _ = fab.Port().Queue().(netem.OccupancyStats)
+	}
+	sample := make([]units.ByteCount, len(r.seriesNames))
+	r.series = trace.NewThroughputSeries(r.eng, cfg.SeriesInterval, r.seriesNames,
+		func() []units.ByteCount {
+			for i := range sample {
+				sample[i] = 0
+			}
+			for i, f := range cfg.Flows {
+				sample[seen[f.CCA]] += receivers[i].Stats().Delivered
+			}
+			return sample
+		}, true, nil)
+	r.series.Preallocate(r.end)
+	// Under a trace-point budget the series degrades gracefully
+	// instead of breaching: its share of the cap — what remains
+	// after reserving the bounded drop log — triggers adaptive
+	// decimation, and the factor is reported in Usage.MaxDecimation.
+	// An unbounded drop log reserves nothing; if drops alone exceed
+	// the budget, the in-flight check correctly breaches.
+	if b := cfg.Budget; !b.Unlimited() && b.TracePoints > 0 {
+		maxPts := (int(b.TracePoints) - cfg.MaxDropTimestamps) / max(len(r.seriesNames), 1)
+		if maxPts < 4 {
+			maxPts = 4
 		}
-		var lastPeakBytes units.ByteCount
-		var nextSample sim.Time
-		eng.SetInterrupt(every, func() {
-			if coll != nil {
-				if occ != nil {
-					if peak := occ.MaxBytes(); peak > lastPeakBytes {
-						lastPeakBytes = peak
-						coll.Emit(telemetry.Event{
-							Time: eng.Now(), Kind: telemetry.KindQueueWatermark,
-							Flow: -1, A: int64(peak), B: int64(occ.MaxLen()),
-						})
-					}
-				}
-				if now := eng.Now(); now >= nextSample {
-					nextSample = now + sim.Second
-					coll.Emit(telemetry.Event{
-						Time: now, Kind: telemetry.KindEngineSample,
-						Flow: -1, A: int64(eng.Processed()), B: int64(eng.Len()),
-					})
-				}
+		r.series.SetMaxPoints(maxPts)
+	}
+	r.series.Start(0)
+}
+
+// watchConvergence schedules the paper's early-stop rule on aggregate
+// goodput.
+func (r *run) watchConvergence() {
+	cfg, eng := &r.cfg, r.eng
+	var prevRate float64
+	var prevDelivered units.ByteCount
+	var check func()
+	check = func() {
+		var total units.ByteCount
+		for _, rcv := range r.receivers {
+			total += rcv.Stats().Delivered
+		}
+		rate := float64(total-prevDelivered) / cfg.Converge.Seconds()
+		if prevRate > 0 {
+			diff := rate - prevRate
+			if diff < 0 {
+				diff = -diff
 			}
-			if watchdogReason != "" {
-				return
-			}
-			if done != nil {
-				select {
-				case <-done:
-					watchdogReason = fmt.Sprintf("run canceled: %v", context.Cause(ctx))
-					eng.Stop()
-					return
-				default:
-				}
-			}
-			if cfg.WallLimit > 0 && time.Since(wallStart) > cfg.WallLimit {
-				watchdogReason = fmt.Sprintf("wall-clock limit exceeded (%v)", cfg.WallLimit)
+			if diff/prevRate < cfg.ConvergeTolerance {
+				r.converged = true
 				eng.Stop()
 				return
 			}
-			if cfg.StallEvents > 0 {
-				if eng.Now() > lastNow {
-					lastNow = eng.Now()
-					lastAdvance = eng.Processed()
-				} else if eng.Processed()-lastAdvance >= cfg.StallEvents {
-					watchdogReason = fmt.Sprintf("virtual-time stall (%d events at %v)",
-						eng.Processed()-lastAdvance, eng.Now())
-					eng.Stop()
-					return
-				}
-			}
-			if bud.Unlimited() {
-				return
-			}
-			ticks++
-			if c := eng.Cap(); c > peakEventCap {
-				peakEventCap = c
-			}
-			if bud.Events > 0 && int64(eng.Cap()) > bud.Events {
-				stopBudget(budget.KindEvents, bud.Events, int64(eng.Cap()),
-					"live events + lazily-cancelled heap capacity")
-				return
-			}
-			if bud.Wall > 0 && time.Since(wallStart) > bud.Wall {
-				stopBudget(budget.KindWallClock, int64(bud.Wall), int64(time.Since(wallStart)), "")
-				return
-			}
-			if bud.TracePoints > 0 {
-				pts := int64(qlog.TimesLen())
-				if series != nil {
-					pts += int64(len(series.Points()) * len(seriesNames))
-				}
-				if pts > bud.TracePoints {
-					stopBudget(budget.KindTracePoints, bud.TracePoints, pts,
-						"retained series samples + drop timestamps")
-					return
-				}
-			}
-			// ReadMemStats stops the world, so the heap ceiling is
-			// sampled at a fraction of the interrupt cadence. The check
-			// is process-wide: under a parallel sweep it is a shared
-			// ceiling, and whichever run observes the breach stops first.
-			if bud.HeapBytes > 0 && ticks%16 == 1 {
-				runtime.ReadMemStats(&mem)
-				if h := int64(mem.HeapAlloc); h > peakHeap {
-					peakHeap = h
-				}
-				if int64(mem.HeapAlloc) > bud.HeapBytes {
-					stopBudget(budget.KindHeapBytes, bud.HeapBytes, int64(mem.HeapAlloc),
-						"sampled process heap (shared across parallel runs)")
-				}
-			}
-		})
+		}
+		prevRate = rate
+		prevDelivered = total
+		if eng.Now()+cfg.Converge <= r.end {
+			eng.After(cfg.Converge, check)
+		}
 	}
+	eng.Schedule(cfg.Warmup+cfg.Converge, check)
+}
 
-	stopAt := eng.Run(end)
-	if aud != nil && watchdogReason == "" {
-		checkEndToEnd(aud, injectedWire, arrivedWire, fab, imp, ge, outg)
+// stopBudget stops the run on an in-flight budget breach, recording the
+// checkpoint the error will carry.
+func (r *run) stopBudget(kind budget.Kind, limit, observed int64, detail string) {
+	r.watchdogReason = "budget breach"
+	r.breach = &budget.BudgetError{
+		Kind: kind, Stage: budget.StageInFlight,
+		Limit: limit, Observed: observed, Detail: detail,
+		Checkpoint: &budget.Checkpoint{
+			VirtualTime: r.eng.Now(),
+			Events:      r.eng.Processed(),
+			Wall:        time.Since(r.wallStart),
+		},
 	}
-	if watchdogReason != "" {
+	r.eng.Stop()
+}
+
+// supervise is the engine's interrupt hook.
+func (r *run) supervise() {
+	cfg, eng, bud := &r.cfg, r.eng, r.cfg.Budget
+	// Telemetry sampling: the queue high-water mark is emitted on every
+	// new peak, engine progress about once per virtual second. Both are
+	// pure observations of already-committed state.
+	if r.coll != nil {
+		if peak, n := r.fab.QueuePeak(); peak > r.lastPeakBytes {
+			r.lastPeakBytes = peak
+			r.coll.Emit(telemetry.Event{
+				Time: eng.Now(), Kind: telemetry.KindQueueWatermark,
+				Flow: -1, A: int64(peak), B: int64(n),
+			})
+		}
+		if now := eng.Now(); now >= r.nextSample {
+			r.nextSample = now + sim.Second
+			r.coll.Emit(telemetry.Event{
+				Time: now, Kind: telemetry.KindEngineSample,
+				Flow: -1, A: int64(eng.Processed()), B: int64(eng.Len()),
+			})
+		}
+	}
+	if r.watchdogReason != "" {
+		return
+	}
+	if r.done != nil {
+		select {
+		case <-r.done:
+			r.watchdogReason = fmt.Sprintf("run canceled: %v", context.Cause(r.ctx))
+			eng.Stop()
+			return
+		default:
+		}
+	}
+	if cfg.WallLimit > 0 && time.Since(r.wallStart) > cfg.WallLimit {
+		r.watchdogReason = fmt.Sprintf("wall-clock limit exceeded (%v)", cfg.WallLimit)
+		eng.Stop()
+		return
+	}
+	if cfg.StallEvents > 0 {
+		if eng.Now() > r.lastNow {
+			r.lastNow = eng.Now()
+			r.lastAdvance = eng.Processed()
+		} else if eng.Processed()-r.lastAdvance >= cfg.StallEvents {
+			r.watchdogReason = fmt.Sprintf("virtual-time stall (%d events at %v)",
+				eng.Processed()-r.lastAdvance, eng.Now())
+			eng.Stop()
+			return
+		}
+	}
+	if bud.Unlimited() {
+		return
+	}
+	r.ticks++
+	if c := eng.Cap(); c > r.peakEventCap {
+		r.peakEventCap = c
+	}
+	if bud.Events > 0 && int64(eng.Cap()) > bud.Events {
+		r.stopBudget(budget.KindEvents, bud.Events, int64(eng.Cap()),
+			"live events + lazily-cancelled heap capacity")
+		return
+	}
+	if bud.Wall > 0 && time.Since(r.wallStart) > bud.Wall {
+		r.stopBudget(budget.KindWallClock, int64(bud.Wall), int64(time.Since(r.wallStart)), "")
+		return
+	}
+	if bud.TracePoints > 0 {
+		if pts := r.tracePoints(); pts > bud.TracePoints {
+			r.stopBudget(budget.KindTracePoints, bud.TracePoints, pts,
+				"retained series samples + drop timestamps")
+			return
+		}
+	}
+	// ReadMemStats stops the world, so the heap ceiling is
+	// sampled at a fraction of the interrupt cadence. The check
+	// is process-wide: under a parallel sweep it is a shared
+	// ceiling, and whichever run observes the breach stops first.
+	if bud.HeapBytes > 0 && r.ticks%16 == 1 {
+		runtime.ReadMemStats(&r.mem)
+		if h := int64(r.mem.HeapAlloc); h > r.peakHeap {
+			r.peakHeap = h
+		}
+		if int64(r.mem.HeapAlloc) > bud.HeapBytes {
+			r.stopBudget(budget.KindHeapBytes, bud.HeapBytes, int64(r.mem.HeapAlloc),
+				"sampled process heap (shared across parallel runs)")
+		}
+	}
+}
+
+// tracePoints counts the retained drop timestamps and series samples.
+func (r *run) tracePoints() int64 {
+	pts := int64(r.qlog.TimesLen())
+	if r.series != nil {
+		pts += int64(len(r.series.Points()) * len(r.seriesNames))
+	}
+	return pts
+}
+
+// finish closes the audit ledgers and assembles the result of a run the
+// engine stopped at stopAt.
+func (r *run) finish(stopAt sim.Time) (RunResult, error) {
+	cfg, eng, fab, coll := r.cfg, r.eng, r.fab, r.coll
+	if r.aud != nil && r.watchdogReason == "" {
+		r.checkEndToEnd()
+	}
+	if r.watchdogReason != "" {
 		return RunResult{}, &RunError{
-			Reason:      watchdogReason,
+			Reason:      r.watchdogReason,
 			Seed:        cfg.Seed,
 			VirtualTime: eng.Now(),
 			Events:      eng.Processed(),
-			Wall:        time.Since(wallStart),
-			Budget:      breach,
+			Wall:        time.Since(r.wallStart),
+			Budget:      r.breach,
 			Config:      cfg,
 		}
 	}
@@ -864,15 +976,15 @@ func RunCtx(ctx context.Context, cfg RunConfig) (res RunResult, err error) {
 		return RunResult{}, fmt.Errorf("core: run ended before warm-up completed")
 	}
 
-	res = RunResult{
+	res := RunResult{
 		Config:      cfg,
 		Window:      window,
-		Converged:   converged,
+		Converged:   r.converged,
 		Utilization: fab.Port().Utilization(),
 		Events:      eng.Processed(),
 	}
 	for i := range cfg.Flows {
-		fr := flowResult(cfg, senders[i], receivers[i], qlog, int32(i), snaps[i], window)
+		fr := flowResult(cfg, r.senders[i], r.receivers[i], r.qlog, int32(i), r.snaps[i], window)
 		res.Flows = append(res.Flows, fr)
 		res.AggregateGoodput += fr.Goodput
 		res.TotalDrops += fr.Drops
@@ -884,40 +996,35 @@ func RunCtx(ctx context.Context, cfg RunConfig) (res RunResult, err error) {
 			})
 		}
 	}
-	res.DropBurstiness = metrics.Burstiness(qlog.TimesSeconds())
-	res.RandomDrops = randomDrops
-	res.BurstDrops = burstDrops
-	res.OutageDrops = outageDrops
-	if series != nil {
-		res.SeriesNames = seriesNames
-		res.Series = series.Points()
-	}
-	if aud != nil {
-		res.AuditViolations = aud.Total()
-		res.AuditViolationSample = aud.Violations()
+	res.DropBurstiness = metrics.Burstiness(r.qlog.TimesSeconds())
+	res.RandomDrops = r.randomDrops
+	res.BurstDrops = r.burstDrops
+	res.OutageDrops = r.outageDrops
+	if r.aud != nil {
+		res.AuditViolations = r.aud.Total()
+		res.AuditViolationSample = r.aud.Violations()
 	}
 	res.Usage = budget.Usage{
 		Runs:          1,
 		Events:        eng.Processed(),
-		PeakEventCap:  int64(max(peakEventCap, eng.Cap())),
-		TracePoints:   int64(qlog.TimesLen()),
-		PeakHeapBytes: peakHeap,
-		Wall:          time.Since(wallStart),
+		PeakEventCap:  int64(max(r.peakEventCap, eng.Cap())),
+		TracePoints:   r.tracePoints(),
+		PeakHeapBytes: r.peakHeap,
+		Wall:          time.Since(r.wallStart),
 		MaxFidelity:   cfg.Fidelity,
 		MaxDecimation: 1,
 	}
-	if series != nil {
-		res.Usage.TracePoints += int64(len(series.Points()) * len(seriesNames))
-		res.Usage.MaxDecimation = series.Decimation()
+	if r.series != nil {
+		res.SeriesNames = r.seriesNames
+		res.Series = r.series.Points()
+		res.Usage.MaxDecimation = r.series.Decimation()
 	}
-	if st, ok := fab.Port().Queue().(netem.OccupancyStats); ok {
-		res.Usage.PeakQueueBytes = int64(st.MaxBytes())
-		res.Usage.PeakQueuePackets = int64(st.MaxLen())
-	}
-	// Per-link counters: every fabric reports them; the result retains
-	// the list for topology runs (the dumbbell's single bottleneck is
-	// already covered by the top-level fields) and the fabric-wide CE
-	// mark count either way.
+	peakBytes, peakPackets := fab.QueuePeak()
+	res.Usage.PeakQueueBytes = int64(peakBytes)
+	res.Usage.PeakQueuePackets = int64(peakPackets)
+	// Per-link counters: the result retains the list for declared
+	// topologies (the dumbbell's single bottleneck is already covered by
+	// the top-level fields) and the fabric-wide CE mark count either way.
 	linkStats := fab.LinkStats()
 	for _, l := range linkStats {
 		res.CEMarks += l.CEMarks
@@ -948,29 +1055,30 @@ func RunCtx(ctx context.Context, cfg RunConfig) (res RunResult, err error) {
 // byte CE-marked by a fabric queue is delivered, dropped after
 // marking, or still inside the fabric — marks never vanish and never
 // multiply.
-func checkEndToEnd(aud *audit.Auditor, injected, arrived units.ByteCount, fab netem.Fabric, imp *netem.Impairment, ge *netem.GilbertElliott, outg *netem.Outage) {
-	inNetwork := fab.InNetworkBytes()
+func (r *run) checkEndToEnd() {
+	injected, arrived := r.injectedWire, r.arrivedWire
+	inNetwork, fabricDropped := r.fab.InNetworkBytes(), r.fab.DropWire()
 	impaired := units.ByteCount(0)
-	if imp != nil {
-		impaired += imp.DropBytes() + imp.ParkedBytes()
+	if r.imp != nil {
+		impaired += r.imp.DropBytes() + r.imp.ParkedBytes()
 	}
-	if ge != nil {
-		impaired += ge.DropBytes()
+	if r.ge != nil {
+		impaired += r.ge.DropBytes()
 	}
-	if outg != nil {
-		impaired += outg.DropBytes() + outg.HeldBytes()
+	if r.outg != nil {
+		impaired += r.outg.DropBytes() + r.outg.HeldBytes()
 	}
-	accounted := arrived + fab.DropWire() + inNetwork + impaired
+	accounted := arrived + fabricDropped + inNetwork + impaired
 	if injected != accounted {
-		aud.Reportf("netem/end-to-end-conservation", -1,
+		r.aud.Reportf("netem/end-to-end-conservation", -1,
 			"at run end: injected %d wire bytes != arrived %d + fabric dropped %d + in network %d + impaired %d (missing %d)",
-			injected, arrived, fab.DropWire(), inNetwork, impaired,
+			injected, arrived, fabricDropped, inNetwork, impaired,
 			int64(injected)-int64(accounted))
 	}
-	marked, delivered, dropped, ceInNetwork := fab.ECNLedger()
+	marked, delivered, dropped, ceInNetwork := r.fab.ECNLedger()
 	ceAccounted := delivered + dropped + ceInNetwork
 	if marked != ceAccounted {
-		aud.Reportf("netem/ecn-conservation", -1,
+		r.aud.Reportf("netem/ecn-conservation", -1,
 			"at run end: CE-marked %d wire bytes != delivered %d + dropped after mark %d + in network %d (missing %d)",
 			marked, delivered, dropped, ceInNetwork,
 			int64(marked)-int64(ceAccounted))

@@ -213,12 +213,3 @@ func (s Setting) Build(flows []FlowSpec, opts ...ConfigOption) RunConfig {
 	}
 	return cfg
 }
-
-// Config builds a RunConfig for this setting with the given flows and
-// seed.
-//
-// Deprecated: use Build with WithSeed — the positional uint64 here is
-// transposable with flow counts at call sites.
-func (s Setting) Config(flows []FlowSpec, seed uint64) RunConfig {
-	return s.Build(flows, WithSeed(Seed(seed)))
-}

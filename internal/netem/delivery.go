@@ -22,8 +22,8 @@ type delivery struct {
 }
 
 // deliveryPool recycles delivery structs. Pools are per-element (pipe,
-// dumbbell, impairment) and the simulation is single-threaded, so there
-// is no locking.
+// topology link, impairment) and the simulation is single-threaded, so
+// there is no locking.
 type deliveryPool struct {
 	free []*delivery
 }

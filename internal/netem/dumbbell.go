@@ -16,46 +16,6 @@ import (
 // immaterial to the sender, which only ever observes the sum.
 const fwdPropDelay = 5 * sim.Microsecond
 
-// Dumbbell is the experiment topology (paper Figure 1): all senders feed
-// one bottleneck port; delivered segments reach per-flow receivers after
-// a short forward propagation delay; ACKs return over an uncongested
-// reverse path that carries the per-flow base RTT.
-//
-// The 25 Gbps edge links of the physical testbed exist to guarantee that
-// congestion happens only at the switch; the simulation gets that
-// guarantee by construction, so edge serialization is not modeled (its
-// per-segment contribution at 25 Gbps, ~0.5 µs, is three orders of
-// magnitude below the base RTTs studied).
-type Dumbbell struct {
-	eng  *sim.Engine
-	port *Port
-
-	revDelay []sim.Time
-
-	toReceiver Sink
-	toSender   Sink
-
-	// Delivery pools and once-constructed sink adapters: the forward
-	// propagation hop and the reverse ACK path each schedule one event
-	// per packet, reusing pooled bound-method events instead of
-	// allocating a closure per packet.
-	fwdPool *deliveryPool
-	revPool *deliveryPool
-	recvFn  Sink // delivers into toReceiver (audited variant tracks propBytes)
-	ackFn   Sink // delivers into toSender
-
-	// Audit state (nil/zero when auditing is off).
-	aud       *audit.Auditor
-	aq        *AuditedQueue
-	dropWire  units.ByteCount // all bottleneck drops (tail + AQM), wire bytes
-	propBytes units.ByteCount // data bytes in forward propagation flight
-
-	// CE slices of the audit ledger: wire bytes of CE-marked packets in
-	// propagation flight and delivered to the endpoint sink.
-	cePropBytes     units.ByteCount
-	ceDeliveredWire units.ByteCount
-}
-
 // AQM selects the bottleneck queue discipline.
 type AQM int
 
@@ -67,7 +27,16 @@ const (
 	CoDel
 )
 
-// DumbbellConfig describes a dumbbell instance.
+// DumbbellConfig describes the experiment topology (paper Figure 1): all
+// senders feed one bottleneck port; delivered segments reach per-flow
+// receivers after a short forward propagation delay; ACKs return over an
+// uncongested reverse path that carries the per-flow base RTT.
+//
+// The 25 Gbps edge links of the physical testbed exist to guarantee that
+// congestion happens only at the switch; the simulation gets that
+// guarantee by construction, so edge serialization is not modeled (its
+// per-segment contribution at 25 Gbps, ~0.5 µs, is three orders of
+// magnitude below the base RTTs studied).
 type DumbbellConfig struct {
 	// Rate is the bottleneck line rate.
 	Rate units.Bandwidth
@@ -122,187 +91,36 @@ func (cfg DumbbellConfig) Validate() error {
 	return nil
 }
 
-// NewDumbbell wires the topology, panicking on an invalid configuration
-// (call Validate first to get the error instead). Endpoint sinks must
-// be attached with SetEndpoints before traffic flows.
-func NewDumbbell(eng *sim.Engine, cfg DumbbellConfig) *Dumbbell {
+// Spec derives the graph a dumbbell is: one link named "bottleneck"
+// between the node "senders" and the node "receivers", carrying every
+// flow.
+func (cfg DumbbellConfig) Spec() TopologySpec {
+	only := []int{0}
+	paths := make([][]int, len(cfg.RTT))
+	for i := range paths {
+		paths[i] = only
+	}
+	return TopologySpec{
+		Nodes: []string{"senders", "receivers"},
+		Links: []LinkSpec{{
+			Name: "bottleneck", From: "senders", To: "receivers",
+			Rate: cfg.Rate, Delay: fwdPropDelay, Buffer: cfg.Buffer,
+			Discipline: cfg.Discipline, ECN: cfg.ECN, ECNMarkBytes: cfg.ECNMarkBytes,
+		}},
+		Paths: paths,
+	}
+}
+
+// NewDumbbell wires the one-link topology, panicking on an invalid
+// configuration (call Validate first to get the error instead).
+// Endpoint sinks must be attached with SetEndpoints before traffic
+// flows.
+func NewDumbbell(eng *sim.Engine, cfg DumbbellConfig) *Topology {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	d := &Dumbbell{
-		eng:      eng,
-		aud:      cfg.Audit,
-		revDelay: make([]sim.Time, len(cfg.RTT)),
-		fwdPool:  newDeliveryPool(),
-		revPool:  newDeliveryPool(),
-	}
-	if cfg.Audit != nil {
-		d.recvFn = func(p packet.Packet) {
-			d.propBytes -= p.WireBytes()
-			if p.CE {
-				d.cePropBytes -= p.WireBytes()
-				d.ceDeliveredWire += p.WireBytes()
-			}
-			d.toReceiver(p)
-		}
-	} else {
-		d.recvFn = func(p packet.Packet) { d.toReceiver(p) }
-	}
-	d.ackFn = func(p packet.Packet) { d.toSender(p) }
-	for i, rtt := range cfg.RTT {
-		rev := rtt - fwdPropDelay
-		if rev < 0 {
-			rev = 0
-		}
-		d.revDelay[i] = rev
-	}
-	onDrop := cfg.OnDrop
-	if d.aud != nil {
-		// Interpose on the drop callback so the dumbbell's ledger sees
-		// every bottleneck drop (tail and AQM) in wire bytes, and the
-		// audited queue learns about dequeue-side drops of admitted
-		// packets.
-		user := cfg.OnDrop
-		onDrop = func(now sim.Time, p packet.Packet) {
-			d.dropWire += p.WireBytes()
-			if d.aq != nil {
-				d.aq.NoteDrop(p)
-			}
-			if user != nil {
-				user(now, p)
-			}
-		}
-	}
-	switch cfg.Discipline {
-	case CoDel:
-		// The CoDel queue reports its own drops (both tail and AQM), so
-		// the port's tail-drop callback stays unset to avoid double
-		// counting.
-		cq := NewCoDelQueue(eng.Now, cfg.Buffer, onDrop)
-		if cfg.ECN {
-			cq.SetECN(true)
-		}
-		var queue Queue = cq
-		if d.aud != nil {
-			d.aq = NewAuditedQueue(queue, d.aud)
-			queue = d.aq
-		}
-		d.port = NewPort(eng, cfg.Rate, queue, d.deliverData, nil)
-	default:
-		dt := NewDropTailQueue(cfg.Buffer)
-		if cfg.ECN {
-			dt.SetCEThreshold(ceThreshold(cfg.ECNMarkBytes, cfg.Buffer))
-		}
-		var queue Queue = dt
-		if d.aud != nil {
-			d.aq = NewAuditedQueue(queue, d.aud)
-			queue = d.aq
-		}
-		d.port = NewPort(eng, cfg.Rate, queue, d.deliverData, onDrop)
-	}
-	if d.aud != nil {
-		d.port.SetAuditCheck(d.checkConservation)
-	}
-	return d
-}
-
-// checkConservation verifies the bottleneck conservation equation after
-// every port operation: every wire byte offered is transmitted,
-// dropped, queued, or serializing — nothing else.
-func (d *Dumbbell) checkConservation(op string) {
-	p := d.port
-	accounted := p.TxBytes() + d.dropWire + p.Queue().Bytes() + p.SerializingBytes()
-	if offered := p.OfferedBytes(); offered != accounted {
-		d.aud.Reportf("netem/port-conservation", -1,
-			"after %s: offered %d bytes != tx %d + dropped %d + queued %d + serializing %d (missing %d)",
-			op, offered, p.TxBytes(), d.dropWire, p.Queue().Bytes(), p.SerializingBytes(),
-			int64(offered)-int64(accounted))
-	}
-}
-
-// SetEndpoints attaches the demultiplexed delivery sinks: toReceiver
-// gets data segments at their receiver-arrival times, toSender gets ACKs
-// at their sender-arrival times. Both dispatch on Packet.Flow.
-func (d *Dumbbell) SetEndpoints(toReceiver, toSender Sink) {
-	d.toReceiver = toReceiver
-	d.toSender = toSender
-}
-
-// Port exposes the bottleneck port for statistics.
-func (d *Dumbbell) Port() *Port { return d.port }
-
-// Flows returns the number of configured flows.
-func (d *Dumbbell) Flows() int { return len(d.revDelay) }
-
-// SendData is the sender-side entry point: the segment heads into the
-// bottleneck.
-func (d *Dumbbell) SendData(p packet.Packet) {
-	d.port.Send(p)
-}
-
-// deliverData is invoked by the port when a segment finishes
-// serialization; it completes the forward path.
-func (d *Dumbbell) deliverData(p packet.Packet) {
-	if d.aud != nil {
-		d.propBytes += p.WireBytes()
-		if p.CE {
-			d.cePropBytes += p.WireBytes()
-		}
-	}
-	d.eng.After(fwdPropDelay, d.fwdPool.get(d.recvFn, p).fn)
-}
-
-// PropagatingBytes returns the wire bytes currently in forward
-// propagation flight (maintained only while auditing).
-func (d *Dumbbell) PropagatingBytes() units.ByteCount { return d.propBytes }
-
-// BottleneckDropWire returns cumulative wire bytes dropped at the
-// bottleneck, tail and AQM combined (maintained only while auditing).
-func (d *Dumbbell) BottleneckDropWire() units.ByteCount { return d.dropWire }
-
-// DropWire implements Fabric: total fabric drops in wire bytes
-// (maintained only while auditing, like the end-to-end ledger it feeds).
-func (d *Dumbbell) DropWire() units.ByteCount { return d.dropWire }
-
-// InNetworkBytes implements Fabric: wire bytes queued, serializing, or
-// in propagation flight inside the fabric.
-func (d *Dumbbell) InNetworkBytes() units.ByteCount {
-	return d.port.Queue().Bytes() + d.port.SerializingBytes() + d.propBytes
-}
-
-// ECNLedger implements Fabric. Delivered and in-flight terms are
-// maintained only while auditing.
-func (d *Dumbbell) ECNLedger() (marked, delivered, dropped, inNetwork units.ByteCount) {
-	marked, dropped, ceQueued := portECNTerms(d.port)
-	inNetwork = ceQueued + d.port.CESerializingBytes() + d.cePropBytes
-	return marked, d.ceDeliveredWire, dropped, inNetwork
-}
-
-// LinkStats implements Fabric: the dumbbell is one bottleneck link.
-func (d *Dumbbell) LinkStats() []LinkStat {
-	return []LinkStat{linkStat("bottleneck", d.port)}
-}
-
-// DrillCorruptQueue corrupts the bottleneck drop-tail queue's byte
-// counter by one full-size frame, simulating a double decrement — the
-// seeded accounting bug behind -audit-drill. It reports whether the
-// corruption was applied (false for AQM disciplines, which have no
-// drill hook).
-func (d *Dumbbell) DrillCorruptQueue() bool {
-	q := d.port.Queue()
-	if aq, ok := q.(*AuditedQueue); ok {
-		q = aq.Inner()
-	}
-	if dt, ok := q.(*DropTailQueue); ok {
-		dt.DrillCorrupt(units.MSS + packet.HeaderBytes)
-		return true
-	}
-	return false
-}
-
-// SendAck is the receiver-side entry point: the ACK returns to the
-// sender over the uncongested reverse path after the flow's base-RTT
-// delay.
-func (d *Dumbbell) SendAck(p packet.Packet) {
-	d.eng.After(d.revDelay[p.Flow], d.revPool.get(d.ackFn, p).fn)
+	// No RNG: the bottleneck declares no loss stage.
+	return NewTopology(eng, nil, TopologyConfig{
+		Spec: cfg.Spec(), RTT: cfg.RTT, OnDrop: cfg.OnDrop, Audit: cfg.Audit,
+	})
 }

@@ -5,11 +5,9 @@ import (
 	"ccatscale/internal/units"
 )
 
-// Fabric is the network substrate a run drives: the paper's dumbbell or
-// the general Topology graph. Both move data sender→receiver through
-// rate-limited serializing ports and return ACKs over an uncongested
-// reverse path, and both maintain the conservation-ledger terms the
-// auditor closes the run against.
+// Fabric is the traffic surface of a *Topology. Its only consumer is the
+// closed-loop driver in bench/layers.go, which is frozen with the
+// benchmark; everything in this module holds the concrete *Topology.
 type Fabric interface {
 	// SendData injects a data segment at its flow's source.
 	SendData(p packet.Packet)
@@ -18,29 +16,6 @@ type Fabric interface {
 	SendAck(p packet.Packet)
 	// SetEndpoints attaches the demultiplexed delivery sinks.
 	SetEndpoints(toReceiver, toSender Sink)
-	// Port exposes the primary bottleneck port (the lowest-rate link)
-	// for utilization and queue-occupancy statistics.
-	Port() *Port
-	// Flows returns the number of configured flows.
-	Flows() int
-	// InNetworkBytes returns wire bytes queued, serializing, or in
-	// propagation flight inside the fabric (propagation terms are
-	// maintained only while auditing).
-	InNetworkBytes() units.ByteCount
-	// DropWire returns cumulative fabric drops in wire bytes
-	// (maintained only while auditing).
-	DropWire() units.ByteCount
-	// ECNLedger returns the marking-conservation terms at the fabric
-	// boundary: wire bytes CE-marked by queues, delivered to the
-	// endpoint sink, dropped after marking, and still inside the
-	// fabric. Every marked byte must be exactly one of the other three.
-	ECNLedger() (marked, delivered, dropped, inNetwork units.ByteCount)
-	// LinkStats reports per-link counters, primary bottleneck first for
-	// the dumbbell and in declaration order for topologies.
-	LinkStats() []LinkStat
-	// DrillCorruptQueue corrupts a drop-tail byte counter for the audit
-	// drill, reporting whether a drill hook existed.
-	DrillCorruptQueue() bool
 }
 
 // LinkStat is one link's externally visible counters.
@@ -118,9 +93,16 @@ func linkStat(name string, p *Port) LinkStat {
 		st.CEMarks = e.CEMarks()
 		st.CEMarkWire = e.CEMarkWire()
 	}
-	if occ, ok := q.(OccupancyStats); ok {
-		st.QueueMaxBytes = occ.MaxBytes()
-		st.QueueMaxLen = occ.MaxLen()
-	}
+	st.QueueMaxBytes, st.QueueMaxLen = queuePeak(p)
 	return st
+}
+
+// queuePeak reads a port's queue occupancy high-water marks (zero for a
+// queue that keeps none). It looks through the audit shadow, which
+// forwards the Queue methods only.
+func queuePeak(p *Port) (units.ByteCount, int) {
+	if occ, ok := innerQueue(p.Queue()).(OccupancyStats); ok {
+		return occ.MaxBytes(), occ.MaxLen()
+	}
+	return 0, 0
 }

@@ -189,8 +189,37 @@ func TestDumbbellEndToEndRTT(t *testing.T) {
 	if ackAt != serialization+rtt {
 		t.Fatalf("ack arrived at %v, want %v", ackAt, serialization+rtt)
 	}
-	if d.Flows() != 1 {
-		t.Fatalf("Flows = %d", d.Flows())
+}
+
+// TestNewDumbbellIsOneLinkTopology pins the derivation the rest of the
+// repository relies on: a dumbbell is one link named "bottleneck" that
+// every flow crosses, and all of a flow's base RTT beyond the fixed
+// forward delay rides the ACK path.
+func TestNewDumbbellIsOneLinkTopology(t *testing.T) {
+	rtts := []sim.Time{20 * sim.Millisecond, 200 * sim.Millisecond, 2 * sim.Microsecond}
+	d := NewDumbbell(sim.NewEngine(), DumbbellConfig{
+		Rate:   100 * units.MbitPerSec,
+		Buffer: units.MB,
+		RTT:    rtts,
+	})
+	links := d.LinkStats()
+	if len(links) != 1 || links[0].Name != "bottleneck" || links[0].Rate != 100*units.MbitPerSec {
+		t.Fatalf("links = %+v, want one 100 Mbps link named bottleneck", links)
+	}
+	if d.Flows() != len(rtts) {
+		t.Fatalf("Flows = %d, want %d", d.Flows(), len(rtts))
+	}
+	for f, rtt := range rtts {
+		want := rtt - fwdPropDelay
+		if want < 0 {
+			want = 0
+		}
+		if d.revDelay[f] != want {
+			t.Fatalf("flow %d reverse delay = %v, want %v", f, d.revDelay[f], want)
+		}
+		if d.entry[f] != 0 || d.next[0][f] != -1 {
+			t.Fatalf("flow %d is not routed over the bottleneck alone", f)
+		}
 	}
 }
 

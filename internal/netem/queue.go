@@ -1,8 +1,8 @@
 // Package netem is the network-emulation substrate standing in for the
 // paper's BESS software switch and netem delay configuration: a byte-
 // capacity drop-tail FIFO, a rate-limited serializing port, and fixed
-// propagation-delay pipes, composable into the dumbbell topology every
-// experiment uses.
+// propagation-delay pipes, composed into the link-graph Topology every
+// experiment runs on (the paper's dumbbell is its one-link case).
 package netem
 
 import (

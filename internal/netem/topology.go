@@ -42,12 +42,11 @@ type LinkSpec struct {
 // named nodes, directed links between them, and each flow's forward
 // path as a chain of link indices. Parking-lot and other
 // multi-bottleneck shapes are expressed directly; the dumbbell is the
-// one-link special case.
+// one-link case (DumbbellConfig.Spec).
 //
-// ACKs return over an uncongested reverse path, as in the dumbbell:
-// each flow's base RTT minus its forward propagation delays rides the
-// return trip, so the sender observes exactly the configured RTT plus
-// queueing.
+// ACKs return over an uncongested reverse path: each flow's base RTT
+// minus its forward propagation delays rides the return trip, so the
+// sender observes exactly the configured RTT plus queueing.
 type TopologySpec struct {
 	// Nodes declares the vertex names.
 	Nodes []string `json:"nodes"`
@@ -266,7 +265,7 @@ type topoLink struct {
 
 	// queueDropWire accumulates tail + AQM drops at this link (wire
 	// bytes), the per-bottleneck ledger's drop term. Maintained only
-	// while auditing, like the dumbbell's.
+	// while auditing.
 	queueDropWire units.ByteCount
 }
 
@@ -360,8 +359,9 @@ func NewTopology(eng *sim.Engine, rng *sim.RNG, cfg TopologyConfig) *Topology {
 }
 
 // linkOnDrop interposes the per-bottleneck ledger on a link's drop
-// callback, mirroring the dumbbell's audit interposition, and forwards
-// to the user's observer.
+// callback — so it sees every queue drop (tail and AQM) in wire bytes and
+// the audited queue learns about dequeue-side drops of admitted packets —
+// and forwards to the user's observer.
 func (t *Topology) linkOnDrop(l *topoLink) DropFunc {
 	if t.aud == nil {
 		return t.onDrop
@@ -436,35 +436,42 @@ func (l *topoLink) arriveFn(p packet.Packet) {
 	t.toReceiver(p)
 }
 
-// SetEndpoints implements Fabric.
+// SetEndpoints attaches the demultiplexed delivery sinks: toReceiver
+// gets data segments at their receiver-arrival times, toSender gets ACKs
+// at their sender-arrival times. Both dispatch on Packet.Flow.
 func (t *Topology) SetEndpoints(toReceiver, toSender Sink) {
 	t.toReceiver = toReceiver
 	t.toSender = toSender
 }
 
-// Port implements Fabric: the lowest-rate link's port, the primary
-// bottleneck reported in run statistics.
+// Port exposes the lowest-rate link's port, the primary bottleneck
+// reported in run statistics.
 func (t *Topology) Port() *Port { return t.links[t.bottleneck].port }
 
-// Link returns the runtime port of the i'th declared link.
-func (t *Topology) Link(i int) *Port { return t.links[i].port }
+// QueuePeak returns the primary bottleneck queue's occupancy high-water
+// marks, with or without the audit shadow around it.
+func (t *Topology) QueuePeak() (bytes units.ByteCount, packets int) {
+	return queuePeak(t.Port())
+}
 
-// Flows implements Fabric.
+// Flows returns the number of configured flows.
 func (t *Topology) Flows() int { return len(t.revDelay) }
 
-// SendData implements Fabric: the segment enters the first link of its
-// flow's path.
+// SendData is the sender-side entry point: the segment enters the first
+// link of its flow's path.
 func (t *Topology) SendData(p packet.Packet) {
 	t.links[t.entry[p.Flow]].port.Send(p)
 }
 
-// SendAck implements Fabric: the ACK returns over the uncongested
-// reverse path after the flow's residual base-RTT delay.
+// SendAck is the receiver-side entry point: the ACK returns over the
+// uncongested reverse path after the flow's residual base-RTT delay.
 func (t *Topology) SendAck(p packet.Packet) {
 	t.eng.After(t.revDelay[p.Flow], t.revPool.get(t.ackFn, p).fn)
 }
 
-// InNetworkBytes implements Fabric.
+// InNetworkBytes returns wire bytes queued, serializing, or in
+// propagation flight inside the fabric (propagation terms are maintained
+// only while auditing).
 func (t *Topology) InNetworkBytes() units.ByteCount {
 	total := t.propBytes
 	for _, l := range t.links {
@@ -473,8 +480,9 @@ func (t *Topology) InNetworkBytes() units.ByteCount {
 	return total
 }
 
-// DropWire implements Fabric: queue drops across all links plus
-// impairment losses (queue terms maintained only while auditing).
+// DropWire returns cumulative fabric drops in wire bytes: queue drops
+// across all links plus impairment losses (queue terms maintained only
+// while auditing).
 func (t *Topology) DropWire() units.ByteCount {
 	total := t.lossWire
 	for _, l := range t.links {
@@ -483,7 +491,11 @@ func (t *Topology) DropWire() units.ByteCount {
 	return total
 }
 
-// ECNLedger implements Fabric.
+// ECNLedger returns the marking-conservation terms at the fabric
+// boundary: wire bytes CE-marked by queues, delivered to the endpoint
+// sink, dropped after marking, and still inside the fabric. Every marked
+// byte must be exactly one of the other three. Delivered and in-flight
+// terms are maintained only while auditing.
 func (t *Topology) ECNLedger() (marked, delivered, dropped, inNetwork units.ByteCount) {
 	dropped = t.ceLossWire
 	inNetwork = t.cePropBytes
@@ -496,7 +508,7 @@ func (t *Topology) ECNLedger() (marked, delivered, dropped, inNetwork units.Byte
 	return marked, t.ceDeliveredWire, dropped, inNetwork
 }
 
-// LinkStats implements Fabric: one entry per declared link, in
+// LinkStats reports per-link counters, one entry per declared link in
 // declaration order.
 func (t *Topology) LinkStats() []LinkStat {
 	out := make([]LinkStat, len(t.links))
@@ -506,8 +518,11 @@ func (t *Topology) LinkStats() []LinkStat {
 	return out
 }
 
-// DrillCorruptQueue implements Fabric: corrupts the primary
-// bottleneck's drop-tail byte counter (false when it runs an AQM).
+// DrillCorruptQueue corrupts the primary bottleneck's drop-tail byte
+// counter by one full-size frame, simulating a double decrement — the
+// seeded accounting bug behind -audit-drill. It reports whether the
+// corruption was applied (false for AQM disciplines, which have no drill
+// hook).
 func (t *Topology) DrillCorruptQueue() bool {
 	if dt, ok := innerQueue(t.Port().Queue()).(*DropTailQueue); ok {
 		dt.DrillCorrupt(units.MSS + packet.HeaderBytes)

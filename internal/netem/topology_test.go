@@ -135,7 +135,7 @@ func TestTopologyRoutingAndConservation(t *testing.T) {
 	if h.delivered[0] != perFlow || h.delivered[1] != perFlow {
 		t.Fatalf("delivery counts = %v, want %d per flow", h.delivered, perFlow)
 	}
-	// Fabric-wide byte conservation after quiescence.
+	// Byte conservation across the whole graph after quiescence.
 	if got := h.topo.InNetworkBytes(); got != 0 {
 		t.Fatalf("%d bytes still in-network after drain", got)
 	}

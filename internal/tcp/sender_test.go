@@ -14,7 +14,7 @@ import (
 // a miniature version of the experiment harness.
 type testNet struct {
 	eng       *sim.Engine
-	db        *netem.Dumbbell
+	db        *netem.Topology
 	senders   []*Sender
 	receivers []*Receiver
 	drops     int

@@ -43,8 +43,7 @@ func WithParallelism(n int) RunOption {
 }
 
 // WithSweepOptions replaces the whole option set at once — the escape
-// hatch for retry tuning and for callers migrating from RunManyCtx.
-// Later options still override its fields.
+// hatch for retry tuning. Later options still override its fields.
 func WithSweepOptions(opt SweepOptions) RunOption {
 	return func(o *SweepOptions) { *o = opt }
 }
