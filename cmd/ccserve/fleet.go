@@ -7,13 +7,11 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
 
-	"ccatscale/internal/budget"
 	"ccatscale/internal/schema"
 	"ccatscale/internal/store"
 )
@@ -22,8 +20,9 @@ import (
 // a worker subprocess (this binary re-exec'd with -worker) under an
 // estimator-derived RLIMIT_AS ceiling, supervised with crash-loop
 // backoff, poison quarantine, and straggler hedging. A nil fleetConfig
-// on serverConfig keeps the original in-process goroutine execution —
-// which is also the benchmark baseline the fleet is measured against.
+// on serverConfig (-inprocess) runs the same attempt on the server's
+// own goroutines, minus fork/exec and the isolation it buys — the
+// reference the fleet is tested and benchmarked against.
 type fleetConfig struct {
 	// poisonAfter is the number of worker deaths (per job) that poisons
 	// the config: it is refused from then on, even across reboots, until
@@ -270,152 +269,6 @@ func (s *server) fleetAttempt(j *job, deadline time.Duration, memLimit int64) sp
 			outstanding++
 		}
 	}
-}
-
-// runJobFleet is runJob for fleet mode: same journal protocol, same
-// cache fast-path, same terminal bookkeeping — but the execution is a
-// supervised worker subprocess, and a new failure domain (the process
-// dying without a verdict) feeds crash-loop backoff and, past the
-// strike limit, poison quarantine.
-func (s *server) runJobFleet(j *job) {
-	defer func() {
-		if r := recover(); r != nil {
-			fmt.Fprintf(s.cfg.stderr, "ccserve: job %s: supervisor panic: %v\n%s", j.spec.Name, r, debug.Stack())
-			s.mu.Lock()
-			s.jobFailed(j, fmt.Sprintf("supervisor panic: %v", r))
-			s.mu.Unlock()
-		}
-	}()
-	f := s.fleet
-
-	// A poisoned config never spawns a process — the strikes already
-	// cost three of them.
-	if rec, ok := f.poisons.Get(j.key); ok {
-		s.mu.Lock()
-		s.jobPoisoned(j, fmt.Sprintf("config poisoned after %d worker crashes: %s", rec.Strikes, rec.Reason))
-		s.mu.Unlock()
-		return
-	}
-
-	// Serve from the store before spawning; same exactly-once reasoning
-	// as runJob's fast path.
-	if s.st.Has(j.key) {
-		s.mu.Lock()
-		j.status.Cached = true
-		detail, _ := json.Marshal(terminalDetail{Status: statusFor(j, schema.JobDone, "")})
-		s.journalTerminal(store.OpCached, j, detail)
-		s.pool.Release(j.fp)
-		s.transition(j, schema.JobDone, "")
-		s.mu.Unlock()
-		return
-	}
-
-	s.mu.Lock()
-	j.attempts++
-	detail, _ := json.Marshal(queuedDetail{Spec: j.spec})
-	if err := s.jnl.Append(store.JournalRecord{
-		Op: store.OpClaimed, Job: j.spec.Name, Key: j.key,
-		Owner: s.owner, Gen: j.gen, Detail: detail,
-	}); err != nil {
-		s.jobFailed(j, "journal: "+err.Error())
-		s.mu.Unlock()
-		return
-	}
-	s.transition(j, schema.JobRunning, "")
-	s.mu.Unlock()
-
-	deadline := j.deadline(s.cfg.deadlineFactor, s.cfg.minDeadline)
-	memLimit := budget.WorkerMemLimit(j.fp, f.cfg.memCap)
-
-	checkpoint := func() {
-		s.mu.Lock()
-		j.status.State = schema.JobQueued
-		s.mu.Unlock()
-	}
-
-	crashes := 0
-	for {
-		res := s.fleetAttempt(j, deadline, memLimit)
-		if res.outcome != nil {
-			o := res.outcome
-			switch o.State {
-			case schema.WorkerDone:
-				s.mu.Lock()
-				j.failures = 0
-				j.status.WallMs = o.WallMs
-				j.status.Cached = o.Cached
-				op := store.OpDone
-				if o.Cached {
-					op = store.OpCached
-				}
-				detail, _ := json.Marshal(terminalDetail{Status: statusFor(j, schema.JobDone, "")})
-				s.journalTerminal(op, j, detail)
-				s.pool.Release(j.fp)
-				s.transition(j, schema.JobDone, "")
-				s.mu.Unlock()
-				return
-			case schema.WorkerCheckpoint:
-				if s.isDraining() || s.runCtx.Err() != nil {
-					// Drain: the pending journal records stand and the job
-					// re-runs at next boot, same as in-process.
-					checkpoint()
-					return
-				}
-				// A checkpoint outside a drain means something external
-				// terminated the worker (or the hang guard fired). The run
-				// committed nothing; treat it as a crash and respawn.
-				res.err = fmt.Errorf("worker checkpointed outside a drain")
-			default:
-				s.mu.Lock()
-				s.jobFailed(j, o.Error)
-				s.mu.Unlock()
-				return
-			}
-		}
-
-		crashes++
-		reason := "worker crashed"
-		if res.err != nil {
-			reason = res.err.Error()
-		}
-		if crashes >= f.cfg.poisonAfter {
-			rec := store.PoisonRecord{Key: j.key, Job: j.spec.Name, Reason: reason, Strikes: crashes}
-			if err := f.poisons.Mark(rec); err != nil {
-				fmt.Fprintf(s.cfg.stderr, "ccserve: marking poison %s: %v\n", j.key, err)
-			}
-			s.reg.Counter("fleet_poisoned").Inc()
-			s.mu.Lock()
-			s.jobPoisoned(j, fmt.Sprintf("poisoned after %d worker crashes: %s", crashes, reason))
-			s.mu.Unlock()
-			return
-		}
-		s.reg.Counter("fleet_restarts").Inc()
-		fmt.Fprintf(s.cfg.stderr, "ccserve: job %s: %s (strike %d/%d), backing off\n",
-			j.spec.Name, reason, crashes, f.cfg.poisonAfter)
-		wait := f.cfg.backoffBase << (crashes - 1)
-		if wait <= 0 || wait > f.cfg.backoffMax {
-			wait = f.cfg.backoffMax
-		}
-		select {
-		case <-s.drainCh:
-			checkpoint()
-			return
-		case <-s.runCtx.Done():
-			checkpoint()
-			return
-		case <-time.After(wait):
-		}
-	}
-}
-
-// jobPoisoned records the poison terminal: journal, pool release,
-// transition. The caller holds s.mu and has already persisted the
-// poison record when one is owed.
-func (s *server) jobPoisoned(j *job, msg string) {
-	detail, _ := json.Marshal(terminalDetail{Status: statusFor(j, schema.JobPoisoned, msg)})
-	s.journalTerminal(store.OpPoisoned, j, detail)
-	s.pool.Release(j.fp)
-	s.transition(j, schema.JobPoisoned, msg)
 }
 
 // isDraining reports the drain flag under the lock.

@@ -157,7 +157,8 @@ func journalOpsForKey(t *testing.T, dir, key string) map[string]int {
 // byte-identical to in-process execution, reports its fleet through
 // /healthz, and serves resubmissions from the store without spawning.
 func TestFleetRunsBatchMatchesInprocess(t *testing.T) {
-	ref := cleanCycle(t, t.TempDir(), store.OSFS())
+	refDir := t.TempDir()
+	ref := cleanCycle(t, refDir, store.OSFS())
 
 	dir := t.TempDir()
 	s, err := newServer(fleetTestConfig(dir))
@@ -178,9 +179,23 @@ func TestFleetRunsBatchMatchesInprocess(t *testing.T) {
 		if j.Cached {
 			t.Fatalf("job %s reported cached on a pristine store", j.Name)
 		}
+		// Microsecond resolution: even a sub-millisecond run reports its wall.
+		if j.WallMs <= 0 {
+			t.Fatalf("job %s ran but reports wallMs %v", j.Name, j.WallMs)
+		}
 	}
 	if got := storeFingerprint(t, dir); got != ref {
 		t.Fatalf("fleet results diverge from in-process:\n fleet      %s\n in-process %s", got, ref)
+	}
+	// One attempt, one protocol: a fresh job leaves the same journal
+	// trail whichever side of fork/exec ran it.
+	for _, j := range final.Jobs {
+		for mode, d := range map[string]string{"fleet": dir, "in-process": refDir} {
+			ops := journalOpsForKey(t, d, j.Key)
+			if len(ops) != 3 || ops[store.OpQueued] != 1 || ops[store.OpClaimed] != 1 || ops[store.OpDone] != 1 {
+				t.Fatalf("%s journal for %s = %v, want queued/claimed/done once each", mode, j.Name, ops)
+			}
+		}
 	}
 
 	h := getHealth(t, s)

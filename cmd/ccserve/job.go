@@ -2,7 +2,6 @@ package main
 
 import (
 	"crypto/sha256"
-	"encoding/json"
 	"fmt"
 	"sort"
 	"time"
@@ -49,54 +48,28 @@ type job struct {
 // buildJob converts a validated JobSpec into the simulator's terms and
 // computes its content address and estimated footprint. Compilation
 // runs through core.CompileSpec — the same path cmd/reproduce
-// -scenario takes — so a scenario's key is the same no matter which
-// front end ran it. It can fail past schema validation: topology
-// graph errors (unreachable nodes, broken paths) only surface when the
-// graph compiles.
+// -scenario takes — and the address is core.ResultKey's. It can fail
+// past schema validation: topology graph errors (unreachable nodes,
+// broken paths) only surface when the graph compiles.
 func buildJob(spec schema.JobSpec) (*job, error) {
 	setting, flows, err := core.CompileSpec(spec)
 	if err != nil {
 		return nil, err
 	}
-	j := &job{
-		spec:    spec,
-		setting: setting,
-		flows:   flows,
-		key:     jobKey(spec.Name, spec.Seed, setting),
+	key, err := core.ResultKey(spec.Name, spec.Seed, setting)
+	if err != nil {
+		return nil, err
 	}
+	j := &job{spec: spec, setting: setting, flows: flows, key: key}
 	j.fp = core.EstimateConfig(j.config())
 	j.status = schema.JobStatus{Name: spec.Name, Key: j.key, State: schema.JobQueued}
 	return j, nil
 }
 
 // config builds the job's RunConfig. Live attachments (Ctx, Telemetry)
-// are layered on by the worker per attempt.
+// are layered on per attempt.
 func (j *job) config() core.RunConfig {
 	return j.setting.Build(j.flows, core.WithSeed(core.Seed(j.spec.Seed)))
-}
-
-// jobKey is the content address of a job's result: name and seed in the
-// clear plus a hash of the governance-zeroed setting — the same scheme
-// cmd/reproduce uses, so a scenario always commits to the same key no
-// matter which front end ran it.
-func jobKey(name string, seed uint64, s core.Setting) string {
-	s.Budget = nil
-	s.Retries = 0
-	s.Fidelity = 0
-	s.WallLimit = 0
-	s.Telemetry = nil
-	s.Ctx = nil
-	s.UsageSink = nil
-	data, err := json.Marshal(struct {
-		Name    string
-		Seed    uint64
-		Setting core.Setting
-	}{name, seed, s})
-	if err != nil {
-		data = []byte(name)
-	}
-	sum := sha256.Sum256(data)
-	return fmt.Sprintf("%s-%d-%x", name, seed, sum[:8])
 }
 
 // batchID names a batch by its membership: a hash of the sorted member

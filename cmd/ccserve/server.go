@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -16,7 +15,6 @@ import (
 	"time"
 
 	"ccatscale/internal/budget"
-	"ccatscale/internal/core"
 	"ccatscale/internal/schema"
 	"ccatscale/internal/store"
 	"ccatscale/internal/telemetry"
@@ -50,7 +48,7 @@ type serverConfig struct {
 	// before cancelling their contexts and checkpointing them as queued.
 	drainTimeout time.Duration
 	// fleet selects process-isolated execution (see fleetConfig); nil
-	// runs jobs on in-process goroutines as before.
+	// runs each attempt on the worker-loop goroutine itself.
 	fleet *fleetConfig
 	// bootCtx, when set, lets a shutdown signal interrupt boot recovery:
 	// newServer checkpoints between boot phases and returns
@@ -113,16 +111,16 @@ var errBootCanceled = errors.New("ccserve: boot interrupted by shutdown signal; 
 
 // server is the simulation-as-a-service process state.
 type server struct {
-	cfg    serverConfig
-	fsys   store.FS
-	st     *store.Store
-	jnl    *store.Journal
-	leases *store.Leases
-	lease  *store.Lease // the singleton
-	pool   *budget.Pool
-	reg    *telemetry.Registry
-	owner  string
-	fleet  *fleetState // nil in in-process mode
+	cfg serverConfig
+	// attemptEnv is the server's own store and lease handles — what
+	// admission consults, and what an -inprocess attempt runs on.
+	attemptEnv
+	jnl   *store.Journal
+	lease *store.Lease // the singleton
+	pool  *budget.Pool
+	reg   *telemetry.Registry
+	owner string
+	fleet *fleetState // nil in in-process mode
 
 	mu       sync.Mutex
 	jobs     map[string]*job     // by result key
@@ -135,8 +133,9 @@ type server struct {
 	runCtx    context.Context
 	cancel    context.CancelFunc // cancels in-flight runs past the drain grace
 	wg        sync.WaitGroup     // worker loops
-	hbStop    chan struct{}      // singleton heartbeat
-	hbDone    sync.WaitGroup
+	// stopBeat ends the singleton lease's keep-alive (a no-op until boot
+	// has come far enough to start it).
+	stopBeat func()
 }
 
 // newServer opens the output directory, compacts and replays the
@@ -152,7 +151,7 @@ func newServer(cfg serverConfig) (*server, error) {
 	if err != nil {
 		return nil, err
 	}
-	owner := fmt.Sprintf("%s-%d", hostname(), os.Getpid())
+	owner := store.ProcessOwner()
 	leases, err := store.NewLeasesFS(fsys, cfg.out, owner, cfg.leaseTTL)
 	if err != nil {
 		return nil, err
@@ -166,18 +165,19 @@ func newServer(cfg serverConfig) (*server, error) {
 	}
 
 	s := &server{
-		cfg:     cfg,
-		fsys:    fsys,
-		st:      st,
-		leases:  leases,
-		lease:   single,
-		pool:    budget.NewPool(cfg.queueBudget, cfg.slots, cfg.workers),
-		reg:     telemetry.NewRegistry(),
-		owner:   owner,
-		jobs:    map[string]*job{},
-		batches: map[string][]string{},
-		drainCh: make(chan struct{}),
-		hbStop:  make(chan struct{}),
+		cfg: cfg,
+		attemptEnv: attemptEnv{
+			out: cfg.out, fsys: fsys, leases: leases, st: st, stderr: cfg.stderr,
+			retries: cfg.retries, heartbeat: cfg.leaseHeartbeat,
+		},
+		lease:    single,
+		pool:     budget.NewPool(cfg.queueBudget, cfg.slots, cfg.workers),
+		reg:      telemetry.NewRegistry(),
+		owner:    owner,
+		jobs:     map[string]*job{},
+		batches:  map[string][]string{},
+		drainCh:  make(chan struct{}),
+		stopBeat: func() {},
 	}
 	s.runCtx, s.cancel = context.WithCancel(context.Background())
 	// bootCanceled checks the shutdown signal between boot phases: a
@@ -279,29 +279,10 @@ func newServer(cfg serverConfig) (*server, error) {
 		return nil, errBootCanceled
 	}
 
-	// Heartbeat the singleton for the server's lifetime. The stop
-	// channel is captured here: releaseSingleton nils the struct field
-	// to stay idempotent, and a select on a nil channel never fires.
-	s.hbDone.Add(1)
-	go func(stop <-chan struct{}) {
-		defer s.hbDone.Done()
-		tick := time.NewTicker(cfg.leaseHeartbeat)
-		defer tick.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-tick.C:
-				if s.lease.Heartbeat() != nil || !s.lease.Confirm() {
-					// Lost the directory (or the disk): stop taking new
-					// work; in-flight jobs commit through the idempotent
-					// store, which stays safe under a usurper.
-					s.setDraining()
-					return
-				}
-			}
-		}
-	}(s.hbStop)
+	// Keep the singleton alive for the server's lifetime. Losing the
+	// directory (or the disk) stops new work; in-flight jobs commit
+	// through the idempotent store, which stays safe under a usurper.
+	s.stopBeat = single.KeepAlive(cfg.leaseHeartbeat, s.setDraining)
 
 	for w := 0; w < cfg.workers; w++ {
 		s.wg.Add(1)
@@ -314,48 +295,25 @@ func newServer(cfg serverConfig) (*server, error) {
 // predecessor for up to ttl plus a margin. A shutdown signal during
 // the wait aborts boot cleanly instead of finishing the claim.
 func acquireSingleton(leases *store.Leases, ttl time.Duration, bootCtx context.Context) (*store.Lease, error) {
-	deadline := time.Now().Add(ttl + 2*time.Second)
-	var cancel <-chan struct{}
-	if bootCtx != nil {
-		cancel = bootCtx.Done()
+	if bootCtx == nil {
+		bootCtx = context.Background()
 	}
-	for {
-		l, err := leases.Acquire(singletonJob)
-		if err == nil {
-			return l, nil
-		}
-		if !errors.Is(err, store.ErrLeaseHeld) {
-			return nil, err
-		}
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("ccserve: output directory already served: %w", err)
-		}
-		select {
-		case <-cancel:
-			return nil, errBootCanceled
-		case <-time.After(200 * time.Millisecond):
-		}
+	ctx, cancel := context.WithTimeout(bootCtx, ttl+2*time.Second)
+	defer cancel()
+	l, err := leases.AcquireWait(ctx, singletonJob, 200*time.Millisecond)
+	if err == nil || !errors.Is(err, store.ErrLeaseHeld) {
+		return l, err
 	}
+	if bootCtx.Err() != nil {
+		return nil, errBootCanceled
+	}
+	return nil, fmt.Errorf("ccserve: output directory already served: %w", err)
 }
 
+// releaseSingleton gives the directory up; idempotent.
 func (s *server) releaseSingleton() {
-	close(s.hbStopIfOpen())
-	s.hbDone.Wait()
+	s.stopBeat()
 	s.lease.Release()
-}
-
-// hbStopIfOpen returns hbStop exactly once for closing; subsequent
-// calls return a fresh dead channel so releaseSingleton is idempotent.
-func (s *server) hbStopIfOpen() chan struct{} {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ch := s.hbStop
-	if ch == nil {
-		ch = make(chan struct{})
-	} else {
-		s.hbStop = nil
-	}
-	return ch
 }
 
 // replay folds one journal record into the boot state. Pending ops
@@ -872,26 +830,20 @@ func (s *server) workerLoop() {
 				return
 			default:
 			}
-			s.execute(j)
+			s.runJob(j)
 		}
 	}
 }
 
-// execute dispatches a claimed job to whichever execution engine this
-// server was built with: the process-isolated fleet when one is
-// configured, the in-process path otherwise (-inprocess, and the
-// workers' own recursion guard).
-func (s *server) execute(j *job) {
-	if s.fleet != nil {
-		s.runJobFleet(j)
-		return
-	}
-	s.runJob(j)
-}
-
-// runJob executes one job end to end: lease, claim record, deadline,
-// run, commit. Its panic net mirrors cmd/reproduce's — the supervisor
-// catches simulation panics, this catches everything around them.
+// runJob executes one claimed job end to end, the same way in both
+// modes: poison and cache checks, the claimed record, then attempts
+// until one delivers a verdict. An attempt is a supervised worker
+// subprocess (hedged against stragglers) when a fleet is configured and
+// a direct call otherwise; only a subprocess can die without a verdict,
+// and that failure domain feeds crash-loop backoff and, past the strike
+// limit, poison quarantine. Its panic net mirrors cmd/reproduce's — the
+// simulation supervisor catches simulation panics, this catches
+// everything around them.
 func (s *server) runJob(j *job) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -901,15 +853,18 @@ func (s *server) runJob(j *job) {
 			s.mu.Unlock()
 		}
 	}()
+	f := s.fleet
 
-	lease, err := s.acquireJobLease(j)
-	if err != nil {
-		s.mu.Lock()
-		s.jobFailed(j, "lease: "+err.Error())
-		s.mu.Unlock()
-		return
+	// A poisoned config never spawns a process — the strikes already
+	// cost three of them.
+	if f != nil {
+		if rec, ok := f.poisons.Get(j.key); ok {
+			s.mu.Lock()
+			s.jobPoisoned(j, fmt.Sprintf("config poisoned after %d worker crashes: %s", rec.Strikes, rec.Reason))
+			s.mu.Unlock()
+			return
+		}
 	}
-	defer lease.Release()
 
 	// Serve from the store before computing: after a crash between
 	// store commit and journal commit, the recomputation would be
@@ -917,11 +872,7 @@ func (s *server) runJob(j *job) {
 	// "at most one OpDone per key" an invariant instead of a hope.
 	if s.st.Has(j.key) {
 		s.mu.Lock()
-		j.status.Cached = true
-		detail, _ := json.Marshal(terminalDetail{Status: statusFor(j, schema.JobDone, "")})
-		s.journalTerminal(store.OpCached, j, detail)
-		s.pool.Release(j.fp)
-		s.transition(j, schema.JobDone, "")
+		s.jobDone(j, schema.WorkerOutcome{Cached: true})
 		s.mu.Unlock()
 		return
 	}
@@ -940,108 +891,117 @@ func (s *server) runJob(j *job) {
 	s.transition(j, schema.JobRunning, "")
 	s.mu.Unlock()
 
-	// Deadline from the estimator; lease heartbeat cancels on loss.
-	jobCtx, cancelJob := context.WithTimeout(s.runCtx, j.deadline(s.cfg.deadlineFactor, s.cfg.minDeadline))
-	defer cancelJob()
-	hbStop := make(chan struct{})
-	var hbDone sync.WaitGroup
-	hbDone.Add(1)
-	go func() {
-		defer hbDone.Done()
-		tick := time.NewTicker(s.cfg.leaseHeartbeat)
-		defer tick.Stop()
-		for {
-			select {
-			case <-hbStop:
+	deadline := j.deadline(s.cfg.deadlineFactor, s.cfg.minDeadline)
+	// A drain (or server-wide cancel) interrupting the job is a
+	// checkpoint, not a failure: the journaled OpQueued/OpClaimed stands,
+	// no terminal is written, and the next boot re-runs the job. The
+	// store stayed untouched, so the re-run commits the same bytes the
+	// uninterrupted run would have.
+	checkpoint := func() {
+		s.mu.Lock()
+		j.status.State = schema.JobQueued
+		s.mu.Unlock()
+	}
+
+	for crashes := 1; ; crashes++ {
+		var res spawnRes
+		if f != nil {
+			res = s.fleetAttempt(j, deadline, budget.WorkerMemLimit(j.fp, f.cfg.memCap))
+		} else {
+			o := attempt(s.runCtx, s.attemptEnv, j, 0, deadline,
+				telemetry.Multi(s.reg.Instrument(), s.subscriberCollector(j)))
+			res.outcome = &o
+		}
+		if o := res.outcome; o != nil {
+			switch o.State {
+			case schema.WorkerDone:
+				s.mu.Lock()
+				s.jobDone(j, *o)
+				s.mu.Unlock()
 				return
-			case <-tick.C:
-				if lease.Heartbeat() != nil || !lease.Confirm() {
-					cancelJob()
+			case schema.WorkerCheckpoint:
+				if s.isDraining() || s.runCtx.Err() != nil {
+					checkpoint()
 					return
 				}
+				// A checkpoint outside a drain means something external
+				// terminated the worker (or the hang guard fired). The run
+				// committed nothing; treat it as a crash and respawn.
+				res.err = fmt.Errorf("worker checkpointed outside a drain")
+			default:
+				s.mu.Lock()
+				s.jobFailed(j, o.Error)
+				s.mu.Unlock()
+				return
 			}
 		}
-	}()
 
-	cfg := j.config()
-	cfg.Collector = telemetry.Multi(s.reg.Instrument(), s.subscriberCollector(j))
-	start := time.Now()
-	results, err := core.RunManyCtx(jobCtx, []core.RunConfig{cfg}, core.SweepOptions{
-		Parallelism: 1,
-		Retries:     s.cfg.retries,
-	})
-	close(hbStop)
-	hbDone.Wait()
-	wall := time.Since(start)
-
-	if err == nil {
-		var buf bytes.Buffer
-		tab := renderResult(j.spec, results[0])
-		if werr := tab.WriteJSON(&buf); werr != nil {
-			err = werr
-		} else if perr := s.st.Put(j.key, buf.Bytes()); perr != nil {
-			err = perr
+		reason := "worker crashed"
+		if res.err != nil {
+			reason = res.err.Error()
 		}
-	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err == nil {
-		j.failures = 0
-		j.status.WallMs = float64(wall.Milliseconds())
-		detail, _ := json.Marshal(terminalDetail{Status: statusFor(j, schema.JobDone, "")})
-		s.journalTerminal(store.OpDone, j, detail)
-		s.pool.Release(j.fp)
-		s.transition(j, schema.JobDone, "")
-		return
-	}
-	// A drain (or server-wide cancel) interrupting the run is a
-	// checkpoint, not a failure: the journaled OpQueued/OpClaimed
-	// stands, no terminal is written, and the next boot re-runs the
-	// job. The store stayed untouched, so the re-run commits the same
-	// bytes the uninterrupted run would have.
-	if s.runCtx.Err() != nil && isCancellation(err) {
-		j.status.State = schema.JobQueued
-		return
-	}
-	s.jobFailed(j, err.Error())
-	var re *core.RunError
-	if errors.As(err, &re) && j.status.State == schema.JobQuarantined {
-		// Park a replayable record beside the store so the quarantine
-		// can be debugged offline (`ccatscale replay -in`).
-		path := filepath.Join(s.cfg.out, j.key+".failed.json")
-		var buf bytes.Buffer
-		if werr := re.WriteJSON(&buf); werr == nil {
-			if werr := store.WriteFileAtomicFS(s.fsys, path, buf.Bytes()); werr != nil {
-				fmt.Fprintf(s.cfg.stderr, "ccserve: writing %s: %v\n", path, werr)
+		if crashes >= f.cfg.poisonAfter {
+			rec := store.PoisonRecord{Key: j.key, Job: j.spec.Name, Reason: reason, Strikes: crashes}
+			if err := f.poisons.Mark(rec); err != nil {
+				fmt.Fprintf(s.cfg.stderr, "ccserve: marking poison %s: %v\n", j.key, err)
 			}
+			s.reg.Counter("fleet_poisoned").Inc()
+			s.mu.Lock()
+			s.jobPoisoned(j, fmt.Sprintf("poisoned after %d worker crashes: %s", crashes, reason))
+			s.mu.Unlock()
+			return
+		}
+		s.reg.Counter("fleet_restarts").Inc()
+		fmt.Fprintf(s.cfg.stderr, "ccserve: job %s: %s (strike %d/%d), backing off\n",
+			j.spec.Name, reason, crashes, f.cfg.poisonAfter)
+		wait := f.cfg.backoffBase << (crashes - 1)
+		if wait <= 0 || wait > f.cfg.backoffMax {
+			wait = f.cfg.backoffMax
+		}
+		select {
+		case <-s.drainCh:
+			checkpoint()
+			return
+		case <-s.runCtx.Done():
+			checkpoint()
+			return
+		case <-time.After(wait):
 		}
 	}
 }
 
-// statusFor previews a job's status in a target state without mutating
-// it; used to serialize the terminal detail before transition runs.
-func statusFor(j *job, state, errMsg string) schema.JobStatus {
+// resolve moves a job to a terminal state: journal the record, release
+// pool capacity, notify. A journal error is logged, not fatal: the
+// in-memory state and the idempotent store still advance, and the next
+// boot re-derives whatever the journal missed. The caller holds s.mu.
+func (s *server) resolve(j *job, op, state, msg string) {
 	st := j.status
-	st.State = state
-	st.Error = errMsg
-	st.Attempts = j.attempts
-	return st
-}
-
-// isCancellation reports whether err is context-cancellation fallout
-// (directly, or a RunError whose reason records the cancel).
-func isCancellation(err error) bool {
-	if errors.Is(err, context.Canceled) {
-		return true
+	st.State, st.Error, st.Attempts = state, msg, j.attempts
+	detail, _ := json.Marshal(terminalDetail{Status: st})
+	if err := s.jnl.Append(store.JournalRecord{
+		Op: op, Job: j.spec.Name, Key: j.key, Owner: s.owner, Gen: j.gen, Detail: detail,
+	}); err != nil {
+		fmt.Fprintf(s.cfg.stderr, "ccserve: journal %s %s: %v\n", op, j.key, err)
 	}
-	var re *core.RunError
-	return errors.As(err, &re) && (len(re.Reason) >= 12 && re.Reason[:12] == "run canceled")
+	s.pool.Release(j.fp)
+	s.transition(j, state, msg)
 }
 
-// jobFailed records a failure, trips the breaker past the threshold,
-// journals the terminal op, and releases pool capacity; the caller
-// holds s.mu.
+// jobDone records a delivered result — computed by the attempt that
+// reported o, or found already in the store; the caller holds s.mu.
+func (s *server) jobDone(j *job, o schema.WorkerOutcome) {
+	j.failures = 0
+	j.status.WallMs = o.WallMs
+	j.status.Cached = o.Cached
+	op := store.OpDone
+	if o.Cached {
+		op = store.OpCached
+	}
+	s.resolve(j, op, schema.JobDone, "")
+}
+
+// jobFailed records a failure and trips the breaker past the
+// threshold; the caller holds s.mu.
 func (s *server) jobFailed(j *job, msg string) {
 	j.failures++
 	op, state := store.OpFailed, schema.JobFailed
@@ -1049,41 +1009,13 @@ func (s *server) jobFailed(j *job, msg string) {
 		op, state = store.OpQuarantined, schema.JobQuarantined
 		msg = fmt.Sprintf("quarantined after %d failures: %s", j.failures, msg)
 	}
-	detail, _ := json.Marshal(terminalDetail{Status: statusFor(j, state, msg)})
-	s.journalTerminal(op, j, detail)
-	s.pool.Release(j.fp)
-	s.transition(j, state, msg)
+	s.resolve(j, op, state, msg)
 }
 
-// journalTerminal appends a terminal record, logging (not failing) on
-// error: the in-memory state and the idempotent store still advance,
-// and the next boot re-derives whatever the journal missed. The caller
-// holds s.mu.
-func (s *server) journalTerminal(op string, j *job, detail []byte) {
-	if err := s.jnl.Append(store.JournalRecord{
-		Op: op, Job: j.spec.Name, Key: j.key, Owner: s.owner, Gen: j.gen, Detail: detail,
-	}); err != nil {
-		fmt.Fprintf(s.cfg.stderr, "ccserve: journal %s %s: %v\n", op, j.key, err)
-	}
-}
-
-// acquireJobLease claims a job's lease, waiting out a stale holder (a
-// crashed predecessor's claim) but giving up at drain.
-func (s *server) acquireJobLease(j *job) (*store.Lease, error) {
-	for {
-		lease, err := s.leases.Acquire(j.spec.Name)
-		if err == nil {
-			return lease, nil
-		}
-		if !errors.Is(err, store.ErrLeaseHeld) {
-			return nil, err
-		}
-		select {
-		case <-s.drainCh:
-			return nil, err
-		case <-time.After(s.cfg.leaseHeartbeat):
-		}
-	}
+// jobPoisoned records the poison terminal; the caller holds s.mu and
+// has already persisted the poison record when one is owed.
+func (s *server) jobPoisoned(j *job, msg string) {
+	s.resolve(j, store.OpPoisoned, schema.JobPoisoned, msg)
 }
 
 // subscriberCollector forwards a thin slice of run telemetry to the
@@ -1143,14 +1075,4 @@ func (s *server) drain() {
 	if err := s.jnl.Close(); err != nil {
 		fmt.Fprintf(s.cfg.stderr, "ccserve: closing journal: %v\n", err)
 	}
-}
-
-// hostname names this machine for lease ownership and journal segment
-// names, degrading to a constant when the kernel will not say.
-func hostname() string {
-	h, err := os.Hostname()
-	if err != nil || h == "" {
-		return "host"
-	}
-	return h
 }

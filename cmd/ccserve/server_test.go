@@ -637,3 +637,63 @@ func TestSingletonLeaseRefusesSecondServer(t *testing.T) {
 		t.Fatalf("second server on a live directory should refuse: %v", err)
 	}
 }
+
+// TestDrainDuringLeaseWaitCheckpoints pins what an interrupted lease
+// wait is: a checkpoint. The job's lease is held by another live owner
+// when the server claims it, and the drain lands while the attempt is
+// still polling — nothing ran, so nothing may be journaled as failed
+// or charged to the breaker, and the next boot runs the job.
+func TestDrainDuringLeaseWaitCheckpoints(t *testing.T) {
+	cfg := testServerConfig(t, 1)
+	cfg.leaseTTL = time.Minute // the other owner stays live without heartbeating
+	cfg.drainTimeout = 50 * time.Millisecond
+	spec := testSpec("x", 1)
+	key := mustBuildJob(t, spec).key
+
+	other, err := store.NewLeases(cfg.out, "someone-else", cfg.leaseTTL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held, err := other.Acquire(spec.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s := startServer(t, cfg)
+	resp, rr := submit(t, s, spec)
+	if rr.Code != http.StatusCreated {
+		t.Fatalf("submit: %d: %s", rr.Code, rr.Body.String())
+	}
+	// The claimed record is the last thing before the lease wait.
+	deadline := time.Now().Add(10 * time.Second)
+	for journalOpsForKey(t, cfg.out, key)[store.OpClaimed] == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("job was never claimed")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	s.Drain()
+
+	ops := journalOpsForKey(t, cfg.out, key)
+	for _, op := range []string{store.OpFailed, store.OpQuarantined, store.OpDone} {
+		if ops[op] != 0 {
+			t.Fatalf("a job interrupted while waiting for its lease has %d %s records (ops %v)", ops[op], op, ops)
+		}
+	}
+
+	if err := held.Release(); err != nil {
+		t.Fatal(err)
+	}
+	s2 := startServer(t, cfg)
+	defer s2.Drain()
+	s2.mu.Lock()
+	failures := s2.jobs[key].failures
+	s2.mu.Unlock()
+	if failures != 0 {
+		t.Fatalf("replay charged %d breaker strikes for an interrupted lease wait", failures)
+	}
+	final := waitBatch(t, s2, resp.Batch, 30*time.Second)
+	if len(final.Jobs) != 1 || final.Jobs[0].State != schema.JobDone {
+		t.Fatalf("after reboot with the lease free: %+v, want done", final.Jobs)
+	}
+}

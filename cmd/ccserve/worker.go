@@ -9,29 +9,27 @@ import (
 	"io"
 	"os/signal"
 	"path/filepath"
-	"sync"
 	"syscall"
 	"time"
 
 	"ccatscale/internal/core"
 	"ccatscale/internal/schema"
 	"ccatscale/internal/store"
+	"ccatscale/internal/telemetry"
 )
 
-// workerRun is the hidden -worker entrypoint: one execution attempt in
-// its own process. The supervisor re-execs this binary, writes a
+// workerRun is the hidden -worker entrypoint: the process shell around
+// one attempt. The supervisor re-execs this binary, writes a
 // schema.WorkerJob to its stdin, and reads back a single-line
 // schema.WorkerOutcome on stdout; a worker that dies without one
 // crashed, and the supervisor's crash-loop machinery takes over.
 //
-// The worker speaks the same store + lease + journal-adjacent protocol
-// any process would: it claims its hedge-slot lease, heartbeats it,
-// serves from the store when the result already exists, and commits
-// through the store's idempotent Put — so a SIGKILL at any instant
-// leaves nothing a reboot (or a hedge twin) cannot reconcile. The only
-// thing it does NOT touch is the journal: journaling is the
-// supervisor's job, keeping the single-writer-per-segment discipline
-// intact.
+// The shell owns what only a process has — the payload, the RLIMIT_AS
+// ceiling, the SIGTERM context, its own lease identity and store handle
+// — and hands the rest to attempt, the same code an -inprocess server
+// calls directly. The one thing neither touches is the journal:
+// journaling is the supervisor's job, keeping the
+// single-writer-per-segment discipline intact.
 //
 // Exit codes: 0 = an outcome line was written (whatever it says);
 // 3 = the payload itself was unreadable (a supervisor bug, not a job
@@ -51,11 +49,7 @@ func workerRun(fsys store.FS, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "ccserve worker: payload missing out/owner")
 		return 3
 	}
-	outcome := func(state string, mut func(*schema.WorkerOutcome)) int {
-		o := schema.WorkerOutcome{SchemaVersion: schema.Version, State: state}
-		if mut != nil {
-			mut(&o)
-		}
+	report := func(o schema.WorkerOutcome) int {
 		line, err := json.Marshal(o)
 		if err != nil {
 			fmt.Fprintf(stderr, "ccserve worker: encoding outcome: %v\n", err)
@@ -64,12 +58,9 @@ func workerRun(fsys store.FS, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "%s\n", line)
 		return 0
 	}
-	failed := func(msg string) int {
-		return outcome(schema.WorkerFailed, func(o *schema.WorkerOutcome) { o.Error = msg })
-	}
 
 	if err := wj.Spec.Validate(); err != nil {
-		return failed("spec: " + err.Error())
+		return report(failedOutcome("spec: " + err.Error()))
 	}
 	// The memory ceiling goes on before the first big allocation: from
 	// here, a config whose appetite outgrows its estimate dies *here*,
@@ -81,126 +72,134 @@ func workerRun(fsys store.FS, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 	j, err := buildJob(wj.Spec)
 	if err != nil {
-		return failed("spec: " + err.Error())
+		return report(failedOutcome("spec: " + err.Error()))
 	}
 	if wj.Key != "" && j.key != wj.Key {
 		// Supervisor and worker disagree on the job's identity (version
 		// skew across a re-exec?): running would commit under the wrong
 		// address. Refuse as a failure, not a crash — respawning cannot
 		// fix a disagreement.
-		return failed(fmt.Sprintf("key mismatch: supervisor says %s, spec hashes to %s", wj.Key, j.key))
+		return report(failedOutcome(fmt.Sprintf("key mismatch: supervisor says %s, spec hashes to %s", wj.Key, j.key)))
 	}
 
 	ttl := msToDuration(wj.LeaseTTLMs, 30*time.Second)
-	hb := msToDuration(wj.HeartbeatMs, store.DefaultHeartbeat(ttl))
-	deadline := msToDuration(wj.DeadlineMs, 15*time.Second)
-
 	sigCtx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()
 
 	leases, err := store.NewLeasesFS(fsys, wj.Out, wj.Owner, ttl)
 	if err != nil {
-		return failed("leases: " + err.Error())
+		return report(failedOutcome("leases: " + err.Error()))
 	}
+	st, err := store.OpenFS(filepath.Join(wj.Out, "store"), fsys)
+	if err != nil {
+		return report(failedOutcome("store: " + err.Error()))
+	}
+	env := attemptEnv{
+		out: wj.Out, fsys: fsys, leases: leases, st: st, stderr: stderr,
+		retries:   wj.Retries,
+		heartbeat: msToDuration(wj.HeartbeatMs, store.DefaultHeartbeat(ttl)),
+	}
+	return report(attempt(sigCtx, env, j, wj.Slot, msToDuration(wj.DeadlineMs, 15*time.Second), nil))
+}
+
+// attemptEnv is where an attempt runs: the open handles and lease
+// cadence of the process it is in — a worker's own, or the server's.
+type attemptEnv struct {
+	// out is the output directory; <key>.failed.json is parked there.
+	out       string
+	fsys      store.FS
+	leases    *store.Leases
+	st        *store.Store
+	retries   int
+	heartbeat time.Duration
+	stderr    io.Writer
+}
+
+func failedOutcome(msg string) schema.WorkerOutcome {
+	return schema.WorkerOutcome{SchemaVersion: schema.Version, State: schema.WorkerFailed, Error: msg}
+}
+
+// attempt is one execution of a job, the same in a worker subprocess
+// and in an -inprocess server: claim the hedge slot's lease, serve from
+// the store when the result already exists, otherwise run under the
+// deadline with the lease kept alive and commit through the store's
+// idempotent Put — so a SIGKILL at any instant leaves nothing a reboot
+// (or a hedge twin) cannot reconcile. ctx is the stop signal (SIGTERM
+// in a worker, the server's run context in-process): when it ends the
+// attempt checkpoints, whether it was running or still waiting for the
+// lease. coll, when non-nil, observes the run.
+func attempt(ctx context.Context, env attemptEnv, j *job, slot int, deadline time.Duration, coll telemetry.Collector) schema.WorkerOutcome {
+	done := schema.WorkerOutcome{SchemaVersion: schema.Version, State: schema.WorkerDone}
+	checkpoint := schema.WorkerOutcome{SchemaVersion: schema.Version, State: schema.WorkerCheckpoint}
+
 	// Claim this attempt's hedge slot, waiting out a stale predecessor
 	// (the supervisor usually cleans those up first, but a whole-fleet
 	// crash can leave young leases only the TTL clears).
-	slot := store.SlotName(wj.Spec.Name, wj.Slot)
-	waitUntil := time.Now().Add(deadline)
-	var lease *store.Lease
-	for {
-		lease, err = leases.Acquire(slot)
-		if err == nil {
-			break
+	waitCtx, cancelWait := context.WithTimeout(ctx, deadline)
+	lease, err := env.leases.AcquireWait(waitCtx, store.SlotName(j.spec.Name, slot), env.heartbeat)
+	cancelWait()
+	if err != nil {
+		if ctx.Err() != nil && errors.Is(err, store.ErrLeaseHeld) {
+			return checkpoint
 		}
-		if !errors.Is(err, store.ErrLeaseHeld) {
-			return failed("lease: " + err.Error())
-		}
-		if time.Now().After(waitUntil) {
-			return failed("lease: " + err.Error())
-		}
-		select {
-		case <-sigCtx.Done():
-			return outcome(schema.WorkerCheckpoint, nil)
-		case <-time.After(hb):
-		}
+		return failedOutcome("lease: " + err.Error())
 	}
 	defer lease.Release()
 
-	st, err := store.OpenFS(filepath.Join(wj.Out, "store"), fsys)
-	if err != nil {
-		return failed("store: " + err.Error())
-	}
 	// Serve from the store before computing: a crashed predecessor (or
 	// the hedge twin) may already have committed this key.
-	if st.Has(j.key) {
-		return outcome(schema.WorkerDone, func(o *schema.WorkerOutcome) { o.Cached = true })
+	if env.st.Has(j.key) {
+		done.Cached = true
+		return done
 	}
 
-	runCtx, cancelRun := context.WithTimeout(sigCtx, deadline)
+	// Losing the lease (this process stalled past the TTL and another
+	// claimant took the slot) cancels the run.
+	runCtx, cancelRun := context.WithTimeout(ctx, deadline)
 	defer cancelRun()
-	hbStop := make(chan struct{})
-	var hbDone sync.WaitGroup
-	hbDone.Add(1)
-	go func() {
-		defer hbDone.Done()
-		tick := time.NewTicker(hb)
-		defer tick.Stop()
-		for {
-			select {
-			case <-hbStop:
-				return
-			case <-tick.C:
-				if lease.Heartbeat() != nil || !lease.Confirm() {
-					cancelRun()
-					return
-				}
-			}
-		}
-	}()
+	stopBeat := lease.KeepAlive(env.heartbeat, cancelRun)
+	defer stopBeat()
 
 	cfg := j.config()
+	cfg.Collector = coll
 	start := time.Now()
 	results, err := core.RunManyCtx(runCtx, []core.RunConfig{cfg}, core.SweepOptions{
 		Parallelism: 1,
-		Retries:     wj.Retries,
+		Retries:     env.retries,
 	})
-	close(hbStop)
-	hbDone.Wait()
+	stopBeat()
 	wall := time.Since(start)
 
 	if err == nil {
 		var buf bytes.Buffer
-		tab := renderResult(wj.Spec, results[0])
-		if werr := tab.WriteJSON(&buf); werr != nil {
-			err = werr
-		} else if perr := st.Put(j.key, buf.Bytes()); perr != nil {
-			err = perr
+		if err = renderResult(j.spec, results[0]).WriteJSON(&buf); err == nil {
+			err = env.st.Put(j.key, buf.Bytes())
 		}
 	}
 	if err == nil {
-		return outcome(schema.WorkerDone, func(o *schema.WorkerOutcome) {
-			o.WallMs = float64(wall.Milliseconds())
-		})
+		done.WallMs = float64(wall.Microseconds()) / 1000
+		return done
 	}
-	if sigCtx.Err() != nil && isCancellation(err) {
-		// SIGTERM mid-run: the store stayed untouched, the supervisor's
-		// pending journal records stand, the job re-runs verbatim.
-		return outcome(schema.WorkerCheckpoint, nil)
-	}
-	// Park a replayable failure record beside the store so a quarantine
-	// decided by the supervisor can be debugged offline.
 	var re *core.RunError
-	if errors.As(err, &re) {
+	isRunError := errors.As(err, &re)
+	if ctx.Err() != nil && (errors.Is(err, context.Canceled) || isRunError && re.Canceled()) {
+		// Stopped mid-run: the store stayed untouched, the supervisor's
+		// pending journal records stand, the job re-runs verbatim.
+		return checkpoint
+	}
+	// Park a replayable failure record beside the store so the failure —
+	// or the quarantine it adds up to — can be debugged offline
+	// (`ccatscale replay -in`).
+	if isRunError {
 		var buf bytes.Buffer
 		if werr := re.WriteJSON(&buf); werr == nil {
-			path := filepath.Join(wj.Out, j.key+".failed.json")
-			if werr := store.WriteFileAtomicFS(fsys, path, buf.Bytes()); werr != nil {
-				fmt.Fprintf(stderr, "ccserve worker: writing %s: %v\n", path, werr)
+			path := filepath.Join(env.out, j.key+".failed.json")
+			if werr := store.WriteFileAtomicFS(env.fsys, path, buf.Bytes()); werr != nil {
+				fmt.Fprintf(env.stderr, "ccserve: writing %s: %v\n", path, werr)
 			}
 		}
 	}
-	return failed(err.Error())
+	return failedOutcome(err.Error())
 }
 
 // msToDuration converts a schema millisecond field, falling back when

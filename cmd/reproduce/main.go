@@ -91,61 +91,112 @@ type job struct {
 	run     func(core.Setting) (*report.Table, error)
 }
 
+// sweep is one invocation: what the flags asked for, the durable state
+// under the output directory, the observation surfaces, and what the
+// claim loops share. run drives it phase by phase: buildJobs →
+// openState → observe → claimAll → summary.
+type sweep struct {
+	stdout, stderr io.Writer
+
+	// The flags more than one phase reads.
+	out            string
+	scale          int
+	seed           uint64
+	quick          bool
+	resume         bool
+	force          bool
+	panicJob       string
+	telemetryOut   string
+	leaseTTL       time.Duration
+	leaseHeartbeat time.Duration
+
+	jobs []job
+	// keys holds every job's content address in the store.
+	keys map[string]string
+
+	// Durable state. All of it — manifest, journal, store, leases — goes
+	// through one FS seam so the chaos build can crash the process at
+	// any syscall boundary of the protocol.
+	fsys   store.FS
+	owner  string
+	st     *store.Store
+	jnl    *store.Journal
+	leases *store.Leases
+	man    *manifest
+
+	// Observation surfaces; each nil when its flag is off.
+	stream     *telemetry.Stream
+	streamFile *os.File
+	regColl    telemetry.Collector
+	pt         *progressTracker
+
+	// mu guards everything the claim loops share: the manifest, the
+	// journal (single writer per segment), the counters below, and the
+	// output writers.
+	mu       sync.Mutex
+	injected bool
+	failed   []string
+	rejected []string
+	held     []string
+	ran      int
+	fatalErr error
+}
+
 func run(argv []string, stdout, stderr io.Writer) int {
+	sw := &sweep{stdout: stdout, stderr: stderr}
 	fs := flag.NewFlagSet("reproduce", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	out := fs.String("out", "results", "output directory")
-	scale := fs.Int("scale", 10, "CoreScale divisor")
-	seed := fs.Uint64("seed", 7, "experiment seed")
-	quick := fs.Bool("quick", false, "shrink windows and flow counts for a fast pass")
+	fs.StringVar(&sw.out, "out", "results", "output directory")
+	fs.IntVar(&sw.scale, "scale", 10, "CoreScale divisor")
+	fs.Uint64Var(&sw.seed, "seed", 7, "experiment seed")
+	fs.BoolVar(&sw.quick, "quick", false, "shrink windows and flow counts for a fast pass")
 	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "concurrent runs")
-	resume := fs.Bool("resume", false, "skip jobs already completed per the output directory's manifest")
+	fs.BoolVar(&sw.resume, "resume", false, "skip jobs already completed per the output directory's manifest")
 	only := fs.String("only", "", "regexp restricting which jobs run")
 	scenarioPath := fs.String("scenario", "", "run one scenario document (versioned JSON; see DESIGN.md) instead of the paper sweep")
-	panicJob := fs.String("panicjob", "", "inject a mid-run panic into the named job (supervisor drill)")
+	fs.StringVar(&sw.panicJob, "panicjob", "", "inject a mid-run panic into the named job (supervisor drill)")
 	wallLimit := fs.Duration("runwall", 0, "wall-clock limit per simulation run (0 = unlimited)")
 	auditPol := fs.String("audit", "", "invariant auditing for every run: off (default), warn, or strict")
 	memBudget := fs.String("mem-budget", "", "per-run heap budget, e.g. 512M or 2G (empty = unlimited)")
 	eventBudget := fs.Int64("event-budget", 0, "per-run event-object budget (0 = unlimited)")
 	retries := fs.Int("retries", 0, "reduced-fidelity retries for over-budget runs")
-	force := fs.Bool("force", false, "resume even when the manifest's job set no longer matches")
+	fs.BoolVar(&sw.force, "force", false, "resume even when the manifest's job set no longer matches")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the sweep to this file (go tool pprof)")
 	memProfile := fs.String("memprofile", "", "write a heap profile at sweep end to this file (go tool pprof)")
 	progress := fs.Bool("progress", false, "print a live sweep status line to stderr (jobs done/running/rejected, estimator ETA, fidelity tier)")
-	telemetryOut := fs.String("telemetry", "", "write a telemetry JSONL stream of every run to this file (analyze with tracestat -telemetry)")
+	fs.StringVar(&sw.telemetryOut, "telemetry", "", "write a telemetry JSONL stream of every run to this file (analyze with tracestat -telemetry)")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof and a /metricsz telemetry snapshot on this address (e.g. localhost:6060)")
 	workers := fs.Int("workers", 1, "concurrent lease-claiming worker loops in this process (start more `reproduce -resume` processes on the same -out to shard across processes)")
-	leaseTTL := fs.Duration("lease-ttl", 30*time.Second, "job lease staleness deadline: a claim whose heartbeat is older may be taken over by another worker")
-	leaseHeartbeat := fs.Duration("lease-heartbeat", 0, "lease refresh interval (0 = ttl/6); must be under a third of -lease-ttl")
+	fs.DurationVar(&sw.leaseTTL, "lease-ttl", 30*time.Second, "job lease staleness deadline: a claim whose heartbeat is older may be taken over by another worker")
+	fs.DurationVar(&sw.leaseHeartbeat, "lease-heartbeat", 0, "lease refresh interval (0 = ttl/6); must be under a third of -lease-ttl")
 	if err := fs.Parse(argv); err != nil {
 		return 2
 	}
+	fail := func(code int, msg any) int {
+		fmt.Fprintln(stderr, "reproduce:", msg)
+		return code
+	}
 	if *workers < 1 {
-		fmt.Fprintln(stderr, "reproduce: -workers must be at least 1")
-		return 2
+		return fail(2, "-workers must be at least 1")
 	}
-	if *leaseTTL <= 0 {
-		fmt.Fprintln(stderr, "reproduce: -lease-ttl must be positive")
-		return 2
+	if sw.leaseTTL <= 0 {
+		return fail(2, "-lease-ttl must be positive")
 	}
-	if *leaseHeartbeat == 0 {
-		*leaseHeartbeat = store.DefaultHeartbeat(*leaseTTL)
+	if sw.leaseHeartbeat == 0 {
+		sw.leaseHeartbeat = store.DefaultHeartbeat(sw.leaseTTL)
 	}
-	if err := store.ValidateHeartbeat(*leaseHeartbeat, *leaseTTL); err != nil {
-		fmt.Fprintln(stderr, "reproduce:", err)
-		return 2
+	if err := store.ValidateHeartbeat(sw.leaseHeartbeat, sw.leaseTTL); err != nil {
+		return fail(2, err)
 	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fmt.Fprintln(stderr, "reproduce:", err)
-			return 1
+			return fail(1, err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
 			f.Close()
-			fmt.Fprintln(stderr, "reproduce:", err)
-			return 1
+			return fail(1, err)
 		}
 		defer func() {
 			pprof.StopCPUProfile()
@@ -171,60 +222,100 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	if *only != "" {
 		re, err := regexp.Compile(*only)
 		if err != nil {
-			fmt.Fprintf(stderr, "reproduce: bad -only pattern: %v\n", err)
-			return 2
+			return fail(2, fmt.Sprintf("bad -only pattern: %v", err))
 		}
 		onlyRE = re
 	}
 
-	// All durable sweep state — manifest, journal, store, leases — goes
-	// through one FS seam so the chaos build can crash the process at
-	// any syscall boundary of the protocol.
-	fsys := sweepFS()
-	if err := fsys.MkdirAll(*out, 0o755); err != nil {
-		fmt.Fprintln(stderr, "reproduce:", err)
-		return 1
+	sw.fsys = sweepFS()
+	if err := sw.fsys.MkdirAll(sw.out, 0o755); err != nil {
+		return fail(1, err)
 	}
-
-	man, err := loadManifestFS(fsys, *out)
+	man, err := loadManifestFS(sw.fsys, sw.out)
 	if err != nil {
-		fmt.Fprintln(stderr, "reproduce:", err)
-		return 1
+		return fail(1, err)
 	}
 
-	var runBudget *budget.Budget
+	// The governance flags every job's Setting is overlaid with.
+	govern := core.Setting{WallLimit: *wallLimit, Audit: *auditPol, Retries: *retries}
 	if *memBudget != "" || *eventBudget > 0 {
 		heapBytes := int64(0)
 		if *memBudget != "" {
 			heapBytes, err = parseByteSize(*memBudget)
 			if err != nil {
-				fmt.Fprintf(stderr, "reproduce: bad -mem-budget: %v\n", err)
-				return 2
+				return fail(2, fmt.Sprintf("bad -mem-budget: %v", err))
 			}
 		}
-		runBudget = &budget.Budget{HeapBytes: heapBytes, Events: *eventBudget}
+		govern.Budget = &budget.Budget{HeapBytes: heapBytes, Events: *eventBudget}
 	}
 
+	if err := sw.buildJobs(govern, *parallel, *scenarioPath); err != nil {
+		return fail(2, err)
+	}
+	err = sw.openState(man)
+	if sw.jnl != nil {
+		defer sw.jnl.Close()
+	}
+	if err != nil {
+		return fail(1, err)
+	}
+	toRun := make([]job, 0, len(sw.jobs))
+	for _, j := range sw.jobs {
+		if onlyRE == nil || onlyRE.MatchString(j.name) {
+			toRun = append(toRun, j)
+		}
+	}
+	stopObserving, err := sw.observe(toRun, *pprofAddr, *progress)
+	if err != nil {
+		return fail(1, err)
+	}
+	defer stopObserving()
+	sw.claimAll(toRun, *workers)
+	return sw.summary()
+}
+
+// buildJobs fills sw.jobs: the paper's tables over the two regimes, or
+// the one -scenario document. A scenario also sets the sweep's seed —
+// keys, the manifest, and table footers all record what actually ran.
+func (sw *sweep) buildJobs(govern core.Setting, parallel int, scenarioPath string) error {
+	// Governance flags overlay a scenario document like any other job;
+	// the document's own audit policy stands unless -audit is given.
+	overlay := func(s *core.Setting) {
+		s.WallLimit, s.Budget, s.Retries = govern.WallLimit, govern.Budget, govern.Retries
+		if govern.Audit != "" {
+			s.Audit = govern.Audit
+		}
+	}
+	if scenarioPath != "" {
+		sj, scnSeed, err := loadScenarioJob(scenarioPath)
+		if err != nil {
+			return err
+		}
+		overlay(&sj.setting)
+		sw.jobs = []job{sj}
+		sw.seed = scnSeed
+		return nil
+	}
 	edge := core.EdgeScale()
-	corePaper := core.CoreScaleScaled(*scale)
-	if *quick {
+	corePaper := core.CoreScaleScaled(sw.scale)
+	if sw.quick {
 		edge.Warmup, edge.Duration, edge.Stagger = 5*sim.Second, 20*sim.Second, 2*sim.Second
-		corePaper = core.CoreScaleScaled(*scale * 5)
+		corePaper = core.CoreScaleScaled(sw.scale * 5)
 		corePaper.Warmup, corePaper.Duration, corePaper.Stagger = 5*sim.Second, 20*sim.Second, 2*sim.Second
 	}
-	edge.WallLimit = *wallLimit
-	corePaper.WallLimit = *wallLimit
-	edge.Audit = *auditPol
-	corePaper.Audit = *auditPol
-	edge.Budget = runBudget
-	corePaper.Budget = runBudget
-	edge.Retries = *retries
-	corePaper.Retries = *retries
+	overlay(&edge)
+	overlay(&corePaper)
+	sw.jobs = paperJobs(edge, corePaper, sw.seed, parallel)
+	return nil
+}
 
+// paperJobs lists every table and figure of the paper, plus the
+// extensions, over the two regimes.
+func paperJobs(edge, corePaper core.Setting, seed uint64, parallel int) []job {
 	mathisTables := func(s core.Setting, label string) []job {
 		mk := func(view mathisView) func(core.Setting) (*report.Table, error) {
 			return func(s core.Setting) (*report.Table, error) {
-				return mathisTable(s, *seed, *parallel, view)
+				return mathisTable(s, seed, parallel, view)
 			}
 		}
 		return []job{
@@ -234,92 +325,64 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			{"burstiness_" + label, s, mk(burstView)},
 		}
 	}
-	var jobs []job
-	jobs = append(jobs, mathisTables(edge, "edge")...)
-	jobs = append(jobs, mathisTables(corePaper, "core")...)
-	jobs = append(jobs,
-		job{"finding4_reno_core", corePaper, func(s core.Setting) (*report.Table, error) {
-			return intraTable(s, "reno", *seed, *parallel)
-		}},
-		job{"finding4_cubic_core", corePaper, func(s core.Setting) (*report.Table, error) {
-			return intraTable(s, "cubic", *seed, *parallel)
-		}},
-		job{"fig4_edge", edge, func(s core.Setting) (*report.Table, error) {
-			return intraTable(s, "bbr", *seed, *parallel)
-		}},
-		job{"fig4_core", corePaper, func(s core.Setting) (*report.Table, error) {
-			return intraTable(s, "bbr", *seed, *parallel)
-		}},
-		job{"fig5_core", corePaper, func(s core.Setting) (*report.Table, error) {
-			return interTable(s, core.EqualSplit, "cubic", "reno", *seed, *parallel)
-		}},
-		job{"fig6_core", corePaper, func(s core.Setting) (*report.Table, error) {
-			return interTable(s, core.OneVersusMany, "bbr", "reno", *seed, *parallel)
-		}},
-		job{"fig7_core", corePaper, func(s core.Setting) (*report.Table, error) {
-			return interTable(s, core.OneVersusMany, "bbr", "cubic", *seed, *parallel)
-		}},
-		job{"fig8_reno_core", corePaper, func(s core.Setting) (*report.Table, error) {
-			return interTable(s, core.EqualSplit, "bbr", "reno", *seed, *parallel)
-		}},
-		job{"fig8_cubic_core", corePaper, func(s core.Setting) (*report.Table, error) {
-			return interTable(s, core.EqualSplit, "bbr", "cubic", *seed, *parallel)
-		}},
+	intra := func(cca string) func(core.Setting) (*report.Table, error) {
+		return func(s core.Setting) (*report.Table, error) { return intraTable(s, cca, seed, parallel) }
+	}
+	inter := func(mode core.InterCCAMode, a, b string) func(core.Setting) (*report.Table, error) {
+		return func(s core.Setting) (*report.Table, error) { return interTable(s, mode, a, b, seed, parallel) }
+	}
+	jobs := append(mathisTables(edge, "edge"), mathisTables(corePaper, "core")...)
+	return append(jobs,
+		job{"finding4_reno_core", corePaper, intra("reno")},
+		job{"finding4_cubic_core", corePaper, intra("cubic")},
+		job{"fig4_edge", edge, intra("bbr")},
+		job{"fig4_core", corePaper, intra("bbr")},
+		job{"fig5_core", corePaper, inter(core.EqualSplit, "cubic", "reno")},
+		job{"fig6_core", corePaper, inter(core.OneVersusMany, "bbr", "reno")},
+		job{"fig7_core", corePaper, inter(core.OneVersusMany, "bbr", "cubic")},
+		job{"fig8_reno_core", corePaper, inter(core.EqualSplit, "bbr", "reno")},
+		job{"fig8_cubic_core", corePaper, inter(core.EqualSplit, "bbr", "cubic")},
 		job{"ext_rttmix_reno_core", corePaper, func(s core.Setting) (*report.Table, error) {
-			return rttmixTable(s, "reno", *seed, *parallel)
+			return rttmixTable(s, "reno", seed, parallel)
 		}},
 		job{"ext_burstloss_core", corePaper, func(s core.Setting) (*report.Table, error) {
-			return burstTable(s, *seed, *parallel)
+			return burstTable(s, seed, parallel)
 		}},
 		job{"ext_outage_core", corePaper, func(s core.Setting) (*report.Table, error) {
-			return outageTable(s, *seed, *parallel)
+			return outageTable(s, seed, parallel)
 		}},
 		job{"ext_churn_core", corePaper, func(s core.Setting) (*report.Table, error) {
-			return churnTable(s, *seed)
+			return churnTable(s, seed)
 		}},
 	)
+}
 
-	if *scenarioPath != "" {
-		sj, scnSeed, err := loadScenarioJob(*scenarioPath)
+// openState opens the sweep's durable state and reconciles it with the
+// manifest loaded from the output directory. The journal is the record:
+// replaying every segment rebuilds the per-job frontier exactly as it
+// was before any crash, and the manifest becomes a derived view of it.
+// Outcome records are admitted only when their content key matches
+// this binary's job definitions, so leftovers from an older experiment
+// in the same directory cannot masquerade as progress.
+func (sw *sweep) openState(man *manifest) error {
+	hash := configHash(sw.seed, sw.scale, sw.quick, sw.jobs)
+	sw.keys = make(map[string]string, len(sw.jobs))
+	for _, j := range sw.jobs {
+		key, err := core.ResultKey(j.name, sw.seed, j.setting)
 		if err != nil {
-			fmt.Fprintln(stderr, "reproduce:", err)
-			return 2
+			return err
 		}
-		// Governance flags overlay the document like any other job; the
-		// document's own audit policy stands unless -audit is given.
-		sj.setting.WallLimit = *wallLimit
-		if *auditPol != "" {
-			sj.setting.Audit = *auditPol
-		}
-		sj.setting.Budget = runBudget
-		sj.setting.Retries = *retries
-		jobs = []job{sj}
-		// The document's seed is the run's seed: keys, the manifest, and
-		// table footers all record what actually ran.
-		*seed = scnSeed
+		sw.keys[j.name] = key
 	}
 
-	hash := configHash(*seed, *scale, *quick, jobs)
-	keys := make(map[string]string, len(jobs))
-	for _, j := range jobs {
-		keys[j.name] = jobKey(j.name, *seed, j.setting)
-	}
-
-	// Durable sweep state. The journal is the record: replaying every
-	// segment rebuilds the per-job frontier (derived) exactly as it was
-	// before any crash, and the manifest becomes a derived view of it.
-	// Outcome records are admitted only when their content key matches
-	// this binary's job definitions, so leftovers from an older
-	// experiment in the same directory cannot masquerade as progress.
-	owner := fmt.Sprintf("%s-%d", hostname(), os.Getpid())
-	st, err := store.OpenFS(filepath.Join(*out, "store"), fsys)
-	if err != nil {
-		fmt.Fprintln(stderr, "reproduce:", err)
-		return 1
+	sw.owner = store.ProcessOwner()
+	var err error
+	if sw.st, err = store.OpenFS(filepath.Join(sw.out, "store"), sw.fsys); err != nil {
+		return err
 	}
 	derived := map[string]*jobRecord{}
 	var lastBegin *beginDetail
-	jnl, _, err := store.OpenJournalSet(fsys, *out, owner, func(r store.JournalRecord) error {
+	sw.jnl, _, err = store.OpenJournalSet(sw.fsys, sw.out, sw.owner, func(r store.JournalRecord) error {
 		switch r.Op {
 		case store.OpBegin:
 			var bd beginDetail
@@ -327,7 +390,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 				lastBegin = &bd
 			}
 		case store.OpDone, store.OpCached, store.OpFailed, store.OpRejected:
-			if keys[r.Job] == "" || r.Key != keys[r.Job] {
+			if sw.keys[r.Job] == "" || r.Key != sw.keys[r.Job] {
 				return nil
 			}
 			var rec jobRecord
@@ -341,335 +404,93 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		return nil
 	})
 	if err != nil {
-		fmt.Fprintln(stderr, "reproduce:", err)
-		return 1
+		return err
 	}
-	defer jnl.Close()
-	leases, err := store.NewLeasesFS(fsys, *out, owner, *leaseTTL)
-	if err != nil {
-		fmt.Fprintln(stderr, "reproduce:", err)
-		return 1
+	if sw.leases, err = store.NewLeasesFS(sw.fsys, sw.out, sw.owner, sw.leaseTTL); err != nil {
+		return err
 	}
 
-	if *resume && man == nil && lastBegin != nil {
+	if sw.resume && man == nil && lastBegin != nil {
 		// The manifest was lost or quarantined as corrupt: rebuild the
 		// view from the journal's begin record and replayed outcomes.
 		man = newManifest(lastBegin.Seed, lastBegin.Scale, lastBegin.Quick, lastBegin.ConfigHash)
 	}
-	if *resume && man != nil {
-		if err := man.compatible(*seed, *scale, *quick, hash); err != nil {
-			if !*force {
-				fmt.Fprintln(stderr, "reproduce:", err)
-				return 1
+	if sw.resume && man != nil {
+		if err := man.compatible(sw.seed, sw.scale, sw.quick, hash); err != nil {
+			if !sw.force {
+				return err
 			}
-			fmt.Fprintf(stderr, "reproduce: -force: resuming anyway (%v)\n", err)
+			fmt.Fprintf(sw.stderr, "reproduce: -force: resuming anyway (%v)\n", err)
 			man.Version = manifestVersion
 			man.ConfigHash = hash
 		}
 	}
-	if !*resume || man == nil {
-		man = newManifest(*seed, *scale, *quick, hash)
+	if !sw.resume || man == nil {
+		man = newManifest(sw.seed, sw.scale, sw.quick, hash)
 	}
-	if *resume {
+	if sw.resume {
 		// The journal outlives any manifest write: overlay its frontier.
 		for name, rec := range derived {
 			man.Jobs[name] = rec
 		}
 	}
+	sw.man = man
 
-	bd, _ := json.Marshal(beginDetail{Seed: *seed, Scale: *scale, Quick: *quick, ConfigHash: hash})
-	if err := jnl.Append(store.JournalRecord{Op: store.OpBegin, Owner: owner, Detail: bd}); err != nil {
-		fmt.Fprintln(stderr, "reproduce:", err)
-		return 1
-	}
+	bd, _ := json.Marshal(beginDetail{Seed: sw.seed, Scale: sw.scale, Quick: sw.quick, ConfigHash: hash})
+	return sw.jnl.Append(store.JournalRecord{Op: store.OpBegin, Owner: sw.owner, Detail: bd})
+}
 
-	// Live telemetry surfaces: a JSONL stream file, a metrics registry
-	// behind -pprof's /metricsz, and the -progress status line. All are
-	// observation-only — runs stay bit-identical with them attached.
-	var stream *telemetry.Stream
-	var streamFile *os.File
-	var regColl telemetry.Collector
-	reg := telemetry.NewRegistry()
-	if *telemetryOut != "" {
-		f, err := os.Create(*telemetryOut)
+// observe attaches the live telemetry surfaces: a JSONL stream file, a
+// metrics registry behind -pprof's /metricsz, and the -progress status
+// line. All are observation-only — runs stay bit-identical with them
+// attached. The returned stop ends the progress line and the debug
+// server; the stream is flushed by summary, which reports its errors.
+func (sw *sweep) observe(toRun []job, pprofAddr string, progress bool) (stop func(), err error) {
+	if sw.telemetryOut != "" {
+		f, err := os.Create(sw.telemetryOut)
 		if err != nil {
-			fmt.Fprintln(stderr, "reproduce:", err)
-			return 1
+			return nil, err
 		}
-		stream, err = telemetry.NewStream(f, "reproduce seed="+strconv.FormatUint(*seed, 10))
+		sw.stream, err = telemetry.NewStream(f, "reproduce seed="+strconv.FormatUint(sw.seed, 10))
 		if err != nil {
 			f.Close()
-			fmt.Fprintln(stderr, "reproduce:", err)
-			return 1
+			return nil, err
 		}
-		streamFile = f
+		sw.streamFile = f
 	}
-	if *pprofAddr != "" {
-		regColl = reg.Instrument()
-		addr, stopDebug, err := startDebugServer(*pprofAddr, reg)
+	stopDebug := func() {}
+	if pprofAddr != "" {
+		reg := telemetry.NewRegistry()
+		sw.regColl = reg.Instrument()
+		addr, stop, err := startDebugServer(pprofAddr, reg)
 		if err != nil {
-			fmt.Fprintln(stderr, "reproduce:", err)
-			return 1
+			return nil, err
 		}
-		defer stopDebug()
-		fmt.Fprintf(stderr, "reproduce: debug server on http://%s (/debug/pprof/, /metricsz)\n", addr)
+		stopDebug = stop
+		fmt.Fprintf(sw.stderr, "reproduce: debug server on http://%s (/debug/pprof/, /metricsz)\n", addr)
 	}
-
-	toRun := make([]job, 0, len(jobs))
-	for _, j := range jobs {
-		if onlyRE != nil && !onlyRE.MatchString(j.name) {
-			continue
-		}
-		toRun = append(toRun, j)
+	if progress {
+		sw.pt = newProgressTracker(sw.stderr, toRun)
 	}
-	var pt *progressTracker
-	if *progress {
-		pt = newProgressTracker(stderr, toRun)
-		defer pt.finish()
-	}
+	return func() {
+		if sw.pt != nil {
+			sw.pt.finish()
+		}
+		stopDebug()
+	}, nil
+}
 
-	// The claim loop. mu guards everything the workers share: the
-	// manifest, the journal (single writer per segment), the counters,
-	// and the output writers.
-	var (
-		mu       sync.Mutex
-		injected bool
-		failed   []string
-		rejected []string
-		held     []string
-		ran      int
-		fatalErr error
-	)
-	commit := func(j job, key string, op string, rec *jobRecord) {
-		detail, _ := json.Marshal(rec)
-		if err := jnl.Append(store.JournalRecord{Op: op, Job: j.name, Key: key, Owner: owner, Detail: detail}); err != nil && fatalErr == nil {
-			fatalErr = err
-		}
-		man.Jobs[j.name] = rec
-		if err := man.saveFS(fsys, *out); err != nil && fatalErr == nil {
-			fatalErr = err
-		}
-	}
-	doJob := func(j job) {
-		mu.Lock()
-		if fatalErr != nil {
-			mu.Unlock()
-			return
-		}
-		if *resume && man.done(*out, j.name) {
-			fmt.Fprintf(stdout, "%-24s %8s  (already done, skipped)\n", j.name, "resume")
-			if pt != nil {
-				pt.jobEnded(j.name, "done")
-			}
-			mu.Unlock()
-			return
-		}
-		if *resume {
-			// A rejected job resumes one fidelity tier lower: less
-			// retained state, a shorter window from tier 2 — the
-			// degraded estimate may now fit the same budget.
-			if prev, ok := man.Jobs[j.name]; ok && prev.Status == "rejected" {
-				j.setting.Fidelity = prev.Fidelity + 1
-				fmt.Fprintf(stdout, "%-24s retrying at reduced fidelity tier %d\n",
-					j.name, j.setting.Fidelity)
-			}
-		}
-		if *panicJob == j.name {
-			// Fire inside the warm-up of every run of this job: early
-			// enough to fail fast, late enough that the simulation is
-			// genuinely under way when the supervisor catches it.
-			j.setting.FaultPanicAt = sim.Second
-			injected = true
-		}
-		mu.Unlock()
-
-		key := keys[j.name]
-		// Serve a committed result from the content-addressed store: the
-		// simulations are deterministic, so identical bytes come back
-		// without recomputation — this is what makes a crashed sweep's
-		// resume converge on the uninterrupted sweep's exact outputs.
-		if *resume && *panicJob != j.name && st.Has(key) {
-			if rec, err := serveCached(fsys, st, *out, j.name, key, *seed); err == nil {
-				mu.Lock()
-				commit(j, key, store.OpCached, rec)
-				fmt.Fprintf(stdout, "%-24s %8s  → %s  (cached)\n",
-					j.name, "store", filepath.Join(*out, rec.File))
-				if pt != nil {
-					pt.jobEnded(j.name, "done")
-				}
-				mu.Unlock()
-				return
-			}
-			// A record that fails to serve (quarantined as corrupt mid-read,
-			// view write failed) falls through to honest recomputation.
-		}
-
-		lease, err := leases.Acquire(j.name)
-		if errors.Is(err, store.ErrLeaseHeld) {
-			mu.Lock()
-			held = append(held, j.name)
-			fmt.Fprintf(stdout, "%-24s %8s  (%v)\n", j.name, "lease", err)
-			if pt != nil {
-				pt.jobEnded(j.name, "held")
-			}
-			mu.Unlock()
-			return
-		}
-		mu.Lock()
-		if err == nil {
-			err = jnl.Append(store.JournalRecord{Op: store.OpIntent, Job: j.name, Key: key, Owner: owner})
-		}
-		if err != nil {
-			if fatalErr == nil {
-				fatalErr = err
-			}
-			mu.Unlock()
-			return
-		}
-		if stream != nil || regColl != nil {
-			var sc telemetry.Collector
-			if stream != nil {
-				sc = stream.Collector(j.name)
-			}
-			j.setting.Telemetry = telemetry.Multi(sc, regColl)
-		}
-		if pt != nil {
-			pt.jobStarted(j.name, j.setting.Fidelity)
-		}
-		ran++
-		mu.Unlock()
-
-		// Heartbeat until the job ends; lose the lease (this process
-		// stalled past the TTL and another worker took the job) and the
-		// job's context is cancelled so its remaining runs stop.
-		jobCtx, cancelJob := context.WithCancel(context.Background())
-		hbStop := make(chan struct{})
-		var hbDone sync.WaitGroup
-		hbDone.Add(1)
-		go func() {
-			defer hbDone.Done()
-			tick := time.NewTicker(*leaseHeartbeat)
-			defer tick.Stop()
-			for {
-				select {
-				case <-hbStop:
-					return
-				case <-tick.C:
-					if lease.Heartbeat() != nil || !lease.Confirm() {
-						cancelJob()
-						return
-					}
-				}
-			}
-		}()
-		j.setting.Ctx = jobCtx
-
-		start := time.Now()
-		// Collect per-run resource usage for the job's manifest record.
-		// The sink is per-job (not the process global), so concurrent
-		// workers attribute usage to the job that incurred it.
-		var usageMu sync.Mutex
-		var jobUsage budget.Usage
-		j.setting.UsageSink = func(u budget.Usage) {
-			usageMu.Lock()
-			jobUsage.Merge(u)
-			usageMu.Unlock()
-		}
-		tab, err := runJob(j)
-		close(hbStop)
-		hbDone.Wait()
-		cancelJob()
-
-		fileName := j.name + ".txt"
-		jsonName := j.name + ".json"
-		if err == nil {
-			if jobUsage.Degraded() {
-				tab.AddNote("reduced fidelity: tier %d, series decimation %d× (budget governance)",
-					jobUsage.MaxFidelity, jobUsage.MaxDecimation)
-			}
-			// Commit order is the durability contract: the canonical JSON
-			// result enters the content-addressed store first (idempotent —
-			// a duplicate worker's commit is a no-op), then the derived
-			// views (.json verbatim, .txt rendered with its volatile wall
-			// footer), then journal outcome and manifest.
-			var buf bytes.Buffer
-			err = tab.WriteJSON(&buf)
-			if err == nil {
-				err = st.Put(key, buf.Bytes())
-			}
-			if err == nil {
-				err = store.WriteFileAtomicFS(fsys, filepath.Join(*out, jsonName), buf.Bytes())
-			}
-			if err == nil {
-				err = writeTable(filepath.Join(*out, fileName), tab, *seed, start, jobUsage.Degraded())
-			}
-		}
-		wall := time.Since(start)
-		rec := &jobRecord{Wall: wall.Round(time.Millisecond).String()}
-		if jobUsage.Runs > 0 {
-			u := jobUsage
-			rec.Usage = &u
-			rec.Degraded = u.Degraded()
-			rec.Fidelity = u.MaxFidelity
-		}
-		op := store.OpDone
-		var be *budget.BudgetError
-		mu.Lock()
-		switch {
-		case err != nil && errors.As(err, &be) && be.Stage == budget.StageAdmission:
-			// Admission control refused the job's predicted footprint:
-			// nothing ran, siblings continue, and the sweep still exits
-			// zero — a rejection is governance working, not a failure.
-			op = store.OpRejected
-			rec.Status = "rejected"
-			rec.Error = err.Error()
-			rec.Fidelity = j.setting.Fidelity
-			rejected = append(rejected, j.name)
-			fmt.Fprintf(stdout, "%-24s %8s  REJECTED (over budget): %v\n",
-				j.name, wall.Round(time.Second), be)
-		case err != nil:
-			op = store.OpFailed
-			rec.Status = "failed"
-			rec.Error = err.Error()
-			var re *core.RunError
-			if errors.As(err, &re) {
-				ff := j.name + ".failed.json"
-				if werr := writeFailure(filepath.Join(*out, ff), re); werr != nil {
-					fmt.Fprintf(stderr, "reproduce: %s: writing failure record: %v\n", j.name, werr)
-				} else {
-					rec.FailureFile = ff
-				}
-			}
-			failed = append(failed, j.name)
-			fmt.Fprintf(stderr, "reproduce: %-24s FAILED after %s: %v\n",
-				j.name, wall.Round(time.Second), err)
-		default:
-			rec.Status = "done"
-			rec.File = fileName
-			rec.JSON = jsonName
-			marker := ""
-			if rec.Degraded {
-				marker = "  (degraded)"
-			}
-			fmt.Fprintf(stdout, "%-24s %8s  → %s%s\n",
-				j.name, wall.Round(time.Second), filepath.Join(*out, fileName), marker)
-		}
-		if pt != nil {
-			pt.jobEnded(j.name, rec.Status)
-		}
-		commit(j, key, op, rec)
-		mu.Unlock()
-		lease.Release()
-	}
-
+// claimAll runs the claim loops over toRun and returns when every job
+// has been run, served, skipped, or found held by another worker.
+func (sw *sweep) claimAll(toRun []job, workers int) {
 	jobCh := make(chan job)
 	var wg sync.WaitGroup
-	for w := 0; w < *workers; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for j := range jobCh {
-				doJob(j)
+				sw.doJob(j)
 			}
 		}()
 	}
@@ -678,40 +499,307 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	}
 	close(jobCh)
 	wg.Wait()
-	if fatalErr != nil {
-		fmt.Fprintln(stderr, "reproduce:", fatalErr)
+}
+
+// doJob takes one job through the protocol: skip or serve what is
+// already committed, claim it, execute it under the lease, and record
+// the outcome.
+func (sw *sweep) doJob(j job) {
+	if !sw.prepare(&j) {
+		return
+	}
+	key := sw.keys[j.name]
+	if sw.serveFromStore(j.name, key) {
+		return
+	}
+	lease := sw.claim(&j, key)
+	if lease == nil {
+		return
+	}
+	defer lease.Release()
+	start := time.Now()
+	tab, usage, err := sw.execute(&j, lease)
+	if err == nil {
+		err = sw.commitResult(j.name, key, tab, usage, start)
+	}
+	sw.record(j, key, usage, time.Since(start), err)
+}
+
+// prepare decides whether the job runs at all in this invocation and
+// applies the per-job overrides; false means it is already done (or the
+// sweep is dead).
+func (sw *sweep) prepare(j *job) bool {
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	if sw.fatalErr != nil {
+		return false
+	}
+	if sw.resume && sw.man.done(sw.out, j.name) {
+		fmt.Fprintf(sw.stdout, "%-24s %8s  (already done, skipped)\n", j.name, "resume")
+		if sw.pt != nil {
+			sw.pt.jobEnded(j.name, "done")
+		}
+		return false
+	}
+	if sw.resume {
+		// A rejected job resumes one fidelity tier lower: less
+		// retained state, a shorter window from tier 2 — the
+		// degraded estimate may now fit the same budget.
+		if prev, ok := sw.man.Jobs[j.name]; ok && prev.Status == "rejected" {
+			j.setting.Fidelity = prev.Fidelity + 1
+			fmt.Fprintf(sw.stdout, "%-24s retrying at reduced fidelity tier %d\n",
+				j.name, j.setting.Fidelity)
+		}
+	}
+	if sw.panicJob == j.name {
+		// Fire inside the warm-up of every run of this job: early
+		// enough to fail fast, late enough that the simulation is
+		// genuinely under way when the supervisor catches it.
+		j.setting.FaultPanicAt = sim.Second
+		sw.injected = true
+	}
+	return true
+}
+
+// serveFromStore serves a committed result from the content-addressed
+// store instead of recomputing it: the stored payload is the canonical
+// JSON table, written back verbatim as the .json view and re-rendered
+// as the .txt view. The simulations are deterministic, so these are the
+// bytes a rerun would produce — which is what makes a crashed sweep's
+// resume converge on the uninterrupted sweep's exact outputs. Any error
+// (the record turned out corrupt and was quarantined, a view failed to
+// write) reports false and sends the caller on to honest recomputation.
+func (sw *sweep) serveFromStore(name, key string) bool {
+	if !sw.resume || sw.panicJob == name || !sw.st.Has(key) {
+		return false
+	}
+	start := time.Now()
+	payload, err := sw.st.Get(key)
+	if err != nil {
+		return false
+	}
+	tab, err := report.ReadJSON(bytes.NewReader(payload))
+	if err != nil {
+		return false
+	}
+	degraded := false
+	for _, n := range tab.Notes {
+		if strings.Contains(n, "reduced fidelity") {
+			degraded = true
+		}
+	}
+	rec := &jobRecord{Status: "done", File: name + ".txt", JSON: name + ".json", Cached: true, Degraded: degraded}
+	if store.WriteFileAtomicFS(sw.fsys, filepath.Join(sw.out, rec.JSON), payload) != nil ||
+		writeTable(filepath.Join(sw.out, rec.File), tab, sw.seed, start, degraded) != nil {
+		return false
+	}
+	rec.Wall = time.Since(start).Round(time.Millisecond).String()
+
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	sw.commit(name, key, store.OpCached, rec)
+	fmt.Fprintf(sw.stdout, "%-24s %8s  → %s  (cached)\n",
+		name, "store", filepath.Join(sw.out, rec.File))
+	if sw.pt != nil {
+		sw.pt.jobEnded(name, "done")
+	}
+	return true
+}
+
+// claim takes the job's lease and journals the intent to run it, then
+// attaches the observation surfaces. nil means the job is not ours:
+// another worker holds it, or the sweep just died.
+func (sw *sweep) claim(j *job, key string) *store.Lease {
+	lease, err := sw.leases.Acquire(j.name)
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	if errors.Is(err, store.ErrLeaseHeld) {
+		sw.held = append(sw.held, j.name)
+		fmt.Fprintf(sw.stdout, "%-24s %8s  (%v)\n", j.name, "lease", err)
+		if sw.pt != nil {
+			sw.pt.jobEnded(j.name, "held")
+		}
+		return nil
+	}
+	if err == nil {
+		if err = sw.jnl.Append(store.JournalRecord{Op: store.OpIntent, Job: j.name, Key: key, Owner: sw.owner}); err != nil {
+			lease.Release()
+		}
+	}
+	if err != nil {
+		if sw.fatalErr == nil {
+			sw.fatalErr = err
+		}
+		return nil
+	}
+	if sw.stream != nil || sw.regColl != nil {
+		var sc telemetry.Collector
+		if sw.stream != nil {
+			sc = sw.stream.Collector(j.name)
+		}
+		j.setting.Telemetry = telemetry.Multi(sc, sw.regColl)
+	}
+	if sw.pt != nil {
+		sw.pt.jobStarted(j.name, j.setting.Fidelity)
+	}
+	sw.ran++
+	return lease
+}
+
+// execute runs the job with its lease kept alive; losing the lease
+// (this process stalled past the TTL and another worker took the job)
+// cancels the job's context so its remaining runs stop. Per-run
+// resource usage is collected through a per-job sink (not the process
+// global), so concurrent workers attribute usage to the job that
+// incurred it.
+func (sw *sweep) execute(j *job, lease *store.Lease) (*report.Table, budget.Usage, error) {
+	jobCtx, cancelJob := context.WithCancel(context.Background())
+	defer cancelJob()
+	stopBeat := lease.KeepAlive(sw.leaseHeartbeat, cancelJob)
+	defer stopBeat()
+	j.setting.Ctx = jobCtx
+
+	var usageMu sync.Mutex
+	var usage budget.Usage
+	j.setting.UsageSink = func(u budget.Usage) {
+		usageMu.Lock()
+		usage.Merge(u)
+		usageMu.Unlock()
+	}
+	tab, err := runJob(*j)
+	return tab, usage, err
+}
+
+// commitResult makes a finished table durable. Commit order is the
+// durability contract: the canonical JSON result enters the
+// content-addressed store first (idempotent — a duplicate worker's
+// commit is a no-op), then the derived views (.json verbatim, .txt
+// rendered with its volatile wall footer); journal outcome and manifest
+// follow in record.
+func (sw *sweep) commitResult(name, key string, tab *report.Table, usage budget.Usage, start time.Time) error {
+	if usage.Degraded() {
+		tab.AddNote("reduced fidelity: tier %d, series decimation %d× (budget governance)",
+			usage.MaxFidelity, usage.MaxDecimation)
+	}
+	var buf bytes.Buffer
+	if err := tab.WriteJSON(&buf); err != nil {
+		return err
+	}
+	if err := sw.st.Put(key, buf.Bytes()); err != nil {
+		return err
+	}
+	if err := store.WriteFileAtomicFS(sw.fsys, filepath.Join(sw.out, name+".json"), buf.Bytes()); err != nil {
+		return err
+	}
+	return writeTable(filepath.Join(sw.out, name+".txt"), tab, sw.seed, start, usage.Degraded())
+}
+
+// record classifies the job's outcome — done, rejected at admission, or
+// failed — reports it, and commits it to journal and manifest.
+func (sw *sweep) record(j job, key string, usage budget.Usage, wall time.Duration, err error) {
+	rec := &jobRecord{Wall: wall.Round(time.Millisecond).String()}
+	if usage.Runs > 0 {
+		rec.Usage = &usage
+		rec.Degraded = usage.Degraded()
+		rec.Fidelity = usage.MaxFidelity
+	}
+	op := store.OpDone
+	var be *budget.BudgetError
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	switch {
+	case err != nil && errors.As(err, &be) && be.Stage == budget.StageAdmission:
+		// Admission control refused the job's predicted footprint:
+		// nothing ran, siblings continue, and the sweep still exits
+		// zero — a rejection is governance working, not a failure.
+		op = store.OpRejected
+		rec.Status = "rejected"
+		rec.Error = err.Error()
+		rec.Fidelity = j.setting.Fidelity
+		sw.rejected = append(sw.rejected, j.name)
+		fmt.Fprintf(sw.stdout, "%-24s %8s  REJECTED (over budget): %v\n",
+			j.name, wall.Round(time.Second), be)
+	case err != nil:
+		op = store.OpFailed
+		rec.Status = "failed"
+		rec.Error = err.Error()
+		var re *core.RunError
+		if errors.As(err, &re) {
+			ff := j.name + ".failed.json"
+			if werr := writeFailure(filepath.Join(sw.out, ff), re); werr != nil {
+				fmt.Fprintf(sw.stderr, "reproduce: %s: writing failure record: %v\n", j.name, werr)
+			} else {
+				rec.FailureFile = ff
+			}
+		}
+		sw.failed = append(sw.failed, j.name)
+		fmt.Fprintf(sw.stderr, "reproduce: %-24s FAILED after %s: %v\n",
+			j.name, wall.Round(time.Second), err)
+	default:
+		rec.Status = "done"
+		rec.File = j.name + ".txt"
+		rec.JSON = j.name + ".json"
+		marker := ""
+		if rec.Degraded {
+			marker = "  (degraded)"
+		}
+		fmt.Fprintf(sw.stdout, "%-24s %8s  → %s%s\n",
+			j.name, wall.Round(time.Second), filepath.Join(sw.out, rec.File), marker)
+	}
+	if sw.pt != nil {
+		sw.pt.jobEnded(j.name, rec.Status)
+	}
+	sw.commit(j.name, key, op, rec)
+}
+
+// commit appends a job's outcome to the journal, then refreshes the
+// manifest view; the caller holds sw.mu.
+func (sw *sweep) commit(name, key, op string, rec *jobRecord) {
+	detail, _ := json.Marshal(rec)
+	if err := sw.jnl.Append(store.JournalRecord{Op: op, Job: name, Key: key, Owner: sw.owner, Detail: detail}); err != nil && sw.fatalErr == nil {
+		sw.fatalErr = err
+	}
+	sw.man.Jobs[name] = rec
+	if err := sw.man.saveFS(sw.fsys, sw.out); err != nil && sw.fatalErr == nil {
+		sw.fatalErr = err
+	}
+}
+
+// summary closes the telemetry stream, prints the sweep's closing lines
+// and decides the exit code.
+func (sw *sweep) summary() int {
+	if sw.fatalErr != nil {
+		fmt.Fprintln(sw.stderr, "reproduce:", sw.fatalErr)
 		return 1
 	}
-
-	if stream != nil {
-		err := stream.Flush()
-		if cerr := streamFile.Close(); err == nil {
+	if sw.stream != nil {
+		err := sw.stream.Flush()
+		if cerr := sw.streamFile.Close(); err == nil {
 			err = cerr
 		}
 		if err != nil {
-			fmt.Fprintf(stderr, "reproduce: telemetry stream: %v\n", err)
+			fmt.Fprintf(sw.stderr, "reproduce: telemetry stream: %v\n", err)
 			return 1
 		}
-		fmt.Fprintf(stderr, "reproduce: telemetry written to %s\n", *telemetryOut)
+		fmt.Fprintf(sw.stderr, "reproduce: telemetry written to %s\n", sw.telemetryOut)
 	}
-
-	if *panicJob != "" && !injected {
-		fmt.Fprintf(stderr, "reproduce: -panicjob %q matched no job that ran\n", *panicJob)
+	if sw.panicJob != "" && !sw.injected {
+		fmt.Fprintf(sw.stderr, "reproduce: -panicjob %q matched no job that ran\n", sw.panicJob)
 		return 2
 	}
-	if len(held) > 0 {
-		fmt.Fprintf(stdout, "reproduce: %d jobs claimed by other workers: %s\n",
-			len(held), strings.Join(held, ", "))
+	if len(sw.held) > 0 {
+		fmt.Fprintf(sw.stdout, "reproduce: %d jobs claimed by other workers: %s\n",
+			len(sw.held), strings.Join(sw.held, ", "))
 	}
-	if len(rejected) > 0 {
-		fmt.Fprintf(stdout, "reproduce: %d of %d jobs rejected over budget: %s\n",
-			len(rejected), ran, strings.Join(rejected, ", "))
-		fmt.Fprintf(stdout, "reproduce: rerun with -out %s -resume to retry them at reduced fidelity\n", *out)
+	if len(sw.rejected) > 0 {
+		fmt.Fprintf(sw.stdout, "reproduce: %d of %d jobs rejected over budget: %s\n",
+			len(sw.rejected), sw.ran, strings.Join(sw.rejected, ", "))
+		fmt.Fprintf(sw.stdout, "reproduce: rerun with -out %s -resume to retry them at reduced fidelity\n", sw.out)
 	}
-	if len(failed) > 0 {
-		fmt.Fprintf(stderr, "reproduce: %d of %d jobs failed: %s\n",
-			len(failed), ran, strings.Join(failed, ", "))
-		fmt.Fprintf(stderr, "reproduce: retry just those with -out %s -resume\n", *out)
+	if len(sw.failed) > 0 {
+		fmt.Fprintf(sw.stderr, "reproduce: %d of %d jobs failed: %s\n",
+			len(sw.failed), sw.ran, strings.Join(sw.failed, ", "))
+		fmt.Fprintf(sw.stderr, "reproduce: retry just those with -out %s -resume\n", sw.out)
 		return 1
 	}
 	return 0
@@ -782,43 +870,6 @@ func writeTable(path string, tab *report.Table, seed uint64, start time.Time, de
 	return nil
 }
 
-// serveCached materializes a job's output files from its committed
-// store record instead of recomputing: the stored payload is the
-// canonical JSON table, written back verbatim as the .json view and
-// re-rendered as the .txt view. Any error (the record turned out
-// corrupt and was quarantined, a view failed to write) sends the caller
-// back to honest recomputation.
-func serveCached(fsys store.FS, st *store.Store, out, name, key string, seed uint64) (*jobRecord, error) {
-	start := time.Now()
-	payload, err := st.Get(key)
-	if err != nil {
-		return nil, err
-	}
-	tab, err := report.ReadJSON(bytes.NewReader(payload))
-	if err != nil {
-		return nil, err
-	}
-	degraded := false
-	for _, n := range tab.Notes {
-		if strings.Contains(n, "reduced fidelity") {
-			degraded = true
-		}
-	}
-	jsonName := name + ".json"
-	fileName := name + ".txt"
-	if err := store.WriteFileAtomicFS(fsys, filepath.Join(out, jsonName), payload); err != nil {
-		return nil, err
-	}
-	if err := writeTable(filepath.Join(out, fileName), tab, seed, start, degraded); err != nil {
-		return nil, err
-	}
-	return &jobRecord{
-		Status: "done", File: fileName, JSON: jsonName,
-		Wall:   time.Since(start).Round(time.Millisecond).String(),
-		Cached: true, Degraded: degraded,
-	}, nil
-}
-
 // better reports whether cand should replace cur in the journal-derived
 // job frontier. Outcomes rank done > rejected > failed — a job that
 // eventually committed stays committed no matter what earlier attempts
@@ -839,16 +890,6 @@ func better(cur, cand *jobRecord) bool {
 		}
 	}
 	return rank(cand.Status) >= rank(cur.Status)
-}
-
-// hostname names this machine for lease ownership and journal segment
-// names, degrading to a constant when the kernel will not say.
-func hostname() string {
-	h, err := os.Hostname()
-	if err != nil || h == "" {
-		return "host"
-	}
-	return h
 }
 
 // writeFailure serializes a RunError next to the results so the failed

@@ -167,10 +167,11 @@ func (m *manifest) saveFS(fs store.FS, dir string) error {
 }
 
 // configHash fingerprints the experiment the job list defines: names
-// plus each job's setting with the governance knobs (budget, retries,
-// wall limit, fidelity) zeroed, so changing -mem-budget or -retries
-// between a run and its resume does not read as a different experiment,
-// while changing seeds, scales, windows, or the job set itself does.
+// plus each job's setting reduced to its core.Identity (budget,
+// retries, wall limit, fidelity cleared), so changing -mem-budget or
+// -retries between a run and its resume does not read as a different
+// experiment, while changing seeds, scales, windows, or the job set
+// itself does.
 func configHash(seed uint64, scale int, quick bool, jobs []job) string {
 	type hashJob struct {
 		Name    string
@@ -178,15 +179,7 @@ func configHash(seed uint64, scale int, quick bool, jobs []job) string {
 	}
 	hj := make([]hashJob, len(jobs))
 	for i, j := range jobs {
-		s := j.setting
-		s.Budget = nil
-		s.Retries = 0
-		s.Fidelity = 0
-		s.WallLimit = 0
-		// Telemetry is json:"-" so marshal skips it; zero it anyway so
-		// the hash's inputs are visibly observation-free.
-		s.Telemetry = nil
-		hj[i] = hashJob{Name: j.name, Setting: s}
+		hj[i] = hashJob{Name: j.name, Setting: core.Identity(j.setting)}
 	}
 	data, err := json.Marshal(struct {
 		Seed  uint64
@@ -199,32 +192,6 @@ func configHash(seed uint64, scale int, quick bool, jobs []job) string {
 		return fmt.Sprintf("unhashable: %v", err)
 	}
 	return fmt.Sprintf("%x", sha256.Sum256(data))
-}
-
-// jobKey is the content address of one job's result in the sweep's
-// store: the job name and seed in the clear (for humans listing the
-// store directory) plus a hash of the governance-zeroed setting, so the
-// same experiment always commits to the same key — the idempotence that
-// makes duplicate execution after a lease takeover harmless — while any
-// change to what the job measures moves it to a fresh key.
-func jobKey(name string, seed uint64, s core.Setting) string {
-	s.Budget = nil
-	s.Retries = 0
-	s.Fidelity = 0
-	s.WallLimit = 0
-	s.Telemetry = nil
-	s.Ctx = nil
-	s.UsageSink = nil
-	data, err := json.Marshal(struct {
-		Name    string
-		Seed    uint64
-		Setting core.Setting
-	}{name, seed, s})
-	if err != nil {
-		data = []byte(name)
-	}
-	sum := sha256.Sum256(data)
-	return fmt.Sprintf("%s-%d-%x", name, seed, sum[:8])
 }
 
 // beginDetail is the payload of a journal "begin" record: the sweep

@@ -1,0 +1,50 @@
+package core
+
+import (
+	"crypto/sha256"
+	"encoding/json"
+	"fmt"
+)
+
+// Identity returns s with every governance knob and live attachment
+// cleared: what is left defines the experiment. Budgets, retries, the
+// fidelity tier and the wall limit say how a run is governed, the
+// collector, context and usage sink who watches it — none changes what
+// the simulation computes, so none may reach a result key or a config
+// hash. This is the only such list; TestSettingFieldsClassified fails on
+// a Setting field it does not account for.
+func Identity(s Setting) Setting {
+	s.Budget = nil
+	s.Retries = 0
+	s.Fidelity = 0
+	s.WallLimit = 0
+	s.Telemetry = nil
+	s.Ctx = nil
+	s.UsageSink = nil
+	return s
+}
+
+// ResultKey is the content address of a job's result in a store: name
+// and seed in the clear (for humans listing the directory) plus a hash
+// of the setting's Identity. The same experiment therefore always
+// commits to the same key — the idempotence that makes duplicate
+// execution after a lease takeover or a hedge harmless — while any
+// change to what the job measures moves it to a fresh one. A setting
+// that does not marshal has no address, and is an error rather than a
+// key every such setting would share.
+//
+// Keys are per front end: cmd/reproduce and ccserve name their jobs
+// differently and commit different tables, so the same document does
+// not address the same record in both.
+func ResultKey(name string, seed uint64, s Setting) (string, error) {
+	data, err := json.Marshal(struct {
+		Name    string
+		Seed    uint64
+		Setting Setting
+	}{name, seed, Identity(s)})
+	if err != nil {
+		return "", fmt.Errorf("core: result key for %s: %w", name, err)
+	}
+	sum := sha256.Sum256(data)
+	return fmt.Sprintf("%s-%d-%x", name, seed, sum[:8]), nil
+}

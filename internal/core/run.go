@@ -18,6 +18,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sort"
+	"strings"
 	"time"
 
 	"ccatscale/internal/audit"
@@ -855,6 +856,16 @@ func (r *run) stopBudget(kind budget.Kind, limit, observed int64, detail string)
 	r.eng.Stop()
 }
 
+// reasonCanceled opens the Reason of a run its context stopped; the
+// cause follows after a colon.
+const reasonCanceled = "run canceled"
+
+// Canceled reports whether the run was stopped by its context — a
+// caller giving up, not the simulation failing.
+func (e *RunError) Canceled() bool {
+	return strings.HasPrefix(e.Reason, reasonCanceled)
+}
+
 // supervise is the engine's interrupt hook.
 func (r *run) supervise() {
 	cfg, eng, bud := &r.cfg, r.eng, r.cfg.Budget
@@ -883,7 +894,7 @@ func (r *run) supervise() {
 	if r.done != nil {
 		select {
 		case <-r.done:
-			r.watchdogReason = fmt.Sprintf("run canceled: %v", context.Cause(r.ctx))
+			r.watchdogReason = fmt.Sprintf("%s: %v", reasonCanceled, context.Cause(r.ctx))
 			eng.Stop()
 			return
 		default:

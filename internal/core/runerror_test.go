@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -117,6 +118,35 @@ func TestWallClockWatchdog(t *testing.T) {
 	}
 	if re.Seed != 3 || re.Events == 0 {
 		t.Fatalf("context not captured: seed=%d events=%d", re.Seed, re.Events)
+	}
+}
+
+// TestRunErrorCanceled: only a run its context stopped is Canceled; a
+// blown wall limit or a panic is the run's own failure.
+func TestRunErrorCanceled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	wall, panicked := smallConfig(3), smallConfig(3)
+	wall.WallLimit = time.Nanosecond
+	panicked.FaultPanicAt = 500 * sim.Millisecond
+	for _, tc := range []struct {
+		name string
+		ctx  context.Context
+		cfg  RunConfig
+		want bool
+	}{
+		{"canceled context", ctx, smallConfig(3), true},
+		{"wall-clock limit", context.Background(), wall, false},
+		{"panic", context.Background(), panicked, false},
+	} {
+		_, err := RunCtx(tc.ctx, tc.cfg)
+		var re *RunError
+		if !errors.As(err, &re) {
+			t.Fatalf("%s: error = %v (%T), want *RunError", tc.name, err, err)
+		}
+		if re.Canceled() != tc.want {
+			t.Errorf("%s: Canceled() = %v for reason %q, want %v", tc.name, re.Canceled(), re.Reason, tc.want)
+		}
 	}
 }
 

@@ -17,9 +17,10 @@ import (
 // constructor's descriptive error rather than at run time.
 //
 // Both front ends (cmd/reproduce -scenario and ccserve) compile through
-// this one function, which is what keeps a scenario's identity stable:
-// the same document always yields the same Setting, hence the same
-// config hash and result key.
+// this one function: the same JobSpec always yields the same Setting,
+// hence the same input to ResultKey's hash. The keys themselves are per
+// front end — each names the job its own way, and reproduce adds the
+// document envelope's audit policy to the Setting.
 func CompileSpec(spec schema.JobSpec) (Setting, []FlowSpec, error) {
 	if err := spec.Validate(); err != nil {
 		return Setting{}, nil, err
@@ -67,14 +68,9 @@ func compileTopology(spec schema.JobSpec) (*netem.TopologySpec, error) {
 	ts := &netem.TopologySpec{Nodes: append([]string(nil), doc.Nodes...)}
 	index := make(map[string]int, len(doc.Links))
 	for i, l := range doc.Links {
-		var disc netem.AQM
-		switch l.AQM {
-		case "", "droptail":
-			disc = netem.DropTail
-		case "codel":
-			disc = netem.CoDel
-		default:
-			return nil, fmt.Errorf("link %q: unknown AQM %q", l.Name, l.AQM)
+		disc, err := parseAQM(l.AQM)
+		if err != nil {
+			return nil, fmt.Errorf("link %q: %w", l.Name, err)
 		}
 		index[l.Name] = i
 		ts.Links = append(ts.Links, netem.LinkSpec{

@@ -1,12 +1,14 @@
 package store
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -67,6 +69,17 @@ func NewLeasesFS(fs FS, outDir, owner string, ttl time.Duration) (*Leases, error
 		return nil, err
 	}
 	return &Leases{fs: fs, dir: dir, owner: owner, ttl: ttl, now: time.Now}, nil
+}
+
+// ProcessOwner names this process for lease ownership and journal
+// segment names: host-pid, with the host degrading to a constant when
+// the kernel will not say.
+func ProcessOwner() string {
+	h, err := os.Hostname()
+	if err != nil || h == "" {
+		h = "host"
+	}
+	return fmt.Sprintf("%s-%d", h, os.Getpid())
 }
 
 // leasePath maps a job name to its lease file. Job names are flat
@@ -197,6 +210,25 @@ func (ls *Leases) acquire(job string, depth int) (*Lease, error) {
 	return l, nil
 }
 
+// AcquireWait is Acquire that waits out a holder: while the lease is
+// held it retries every poll, so a crashed predecessor's claim is taken
+// over as soon as it goes stale. It gives up when ctx ends, returning
+// the last ErrLeaseHeld-wrapping error; any other error returns at once.
+// A free lease is claimed on the first try, whatever ctx says.
+func (ls *Leases) AcquireWait(ctx context.Context, job string, poll time.Duration) (*Lease, error) {
+	for {
+		l, err := ls.Acquire(job)
+		if err == nil || !errors.Is(err, ErrLeaseHeld) {
+			return l, err
+		}
+		select {
+		case <-ctx.Done():
+			return nil, err
+		case <-time.After(poll):
+		}
+	}
+}
+
 // SlotName maps a job name and a hedge slot to the lease name the
 // attempt claims: slot 0 (the primary) uses the job name itself —
 // compatible with every non-hedged claimant — and hedge slots suffix
@@ -270,6 +302,38 @@ func ValidateHeartbeat(heartbeat, ttl time.Duration) error {
 func (l *Lease) Heartbeat() error {
 	now := time.Now()
 	return l.fs.Chtimes(l.path, now, now)
+}
+
+// KeepAlive heartbeats the lease every interval from its own goroutine
+// for as long as the holder works. A failed heartbeat, or a Confirm
+// that finds another owner, means the claim is gone: lost is called
+// once and the beating ends. The returned stop ends it too, waits for
+// the goroutine, and may be called more than once; lost never runs
+// after stop returns.
+func (l *Lease) KeepAlive(interval time.Duration, lost func()) (stop func()) {
+	quit := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		tick := time.NewTicker(interval)
+		defer tick.Stop()
+		for {
+			select {
+			case <-quit:
+				return
+			case <-tick.C:
+				if l.Heartbeat() != nil || !l.confirm() {
+					lost()
+					return
+				}
+			}
+		}
+	}()
+	var once sync.Once
+	return func() {
+		once.Do(func() { close(quit) })
+		<-done
+	}
 }
 
 // Confirm re-reads the lease and reports whether this worker still

@@ -1,10 +1,13 @@
 package store
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -401,5 +404,116 @@ func TestDefaultHeartbeatValidates(t *testing.T) {
 		if err := ValidateHeartbeat(hb, ttl); err != nil {
 			t.Errorf("DefaultHeartbeat(%v) = %v fails its own validation: %v", ttl, hb, err)
 		}
+	}
+}
+
+// TestKeepAliveReportsLossOnce: the keep-alive notices a takeover on
+// its next beat, says so exactly once, and is silent after stop —
+// which may be called any number of times.
+func TestKeepAliveReportsLossOnce(t *testing.T) {
+	dir := t.TempDir()
+	clk := &fakeClock{t: time.Now()}
+	a := newTestLeases(t, dir, "worker-a", time.Hour, nil)
+	b := newTestLeases(t, dir, "worker-b", time.Hour, clk)
+
+	la, err := a.Acquire("job")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var losses atomic.Int32
+	lost := make(chan struct{}, 1)
+	stop := la.KeepAlive(time.Millisecond, func() {
+		losses.Add(1)
+		select {
+		case lost <- struct{}{}:
+		default:
+		}
+	})
+	// While A beats and nobody interferes, nothing is lost.
+	time.Sleep(10 * time.Millisecond)
+	if n := losses.Load(); n != 0 {
+		t.Fatalf("keep-alive reported %d losses on a lease nobody touched", n)
+	}
+	// B's clock runs hours ahead, so A's fresh beats read stale to it.
+	clk.advance(2 * time.Hour)
+	if _, err := b.Acquire("job"); err != nil {
+		t.Fatalf("takeover: %v", err)
+	}
+	select {
+	case <-lost:
+	case <-time.After(5 * time.Second):
+		t.Fatal("keep-alive never noticed the takeover")
+	}
+	stop()
+	stop()
+	if n := losses.Load(); n != 1 {
+		t.Fatalf("loss reported %d times, want once", n)
+	}
+
+	// A stopped keep-alive stays silent whatever happens to the file.
+	lc, err := a.Acquire("other")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop = lc.KeepAlive(time.Millisecond, func() { losses.Add(1) })
+	stop()
+	if _, err := b.Acquire("other"); err != nil {
+		t.Fatalf("takeover: %v", err)
+	}
+	time.Sleep(10 * time.Millisecond)
+	stop()
+	if n := losses.Load(); n != 1 {
+		t.Fatalf("keep-alive reported a loss after stop (total %d)", n)
+	}
+}
+
+// TestAcquireWait: a free lease is claimed without consulting the
+// context or sleeping, a stale holder is waited out and taken over,
+// and a live holder outlasts the context with ErrLeaseHeld.
+func TestAcquireWait(t *testing.T) {
+	dir := t.TempDir()
+	a := newTestLeases(t, dir, "worker-a", 200*time.Millisecond, nil)
+	b := newTestLeases(t, dir, "worker-b", 200*time.Millisecond, nil)
+
+	// Free: an ended context and an hour's poll must not matter.
+	ended, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := a.AcquireWait(ended, "job", time.Hour); err != nil {
+		t.Fatalf("free lease under an ended context: %v", err)
+	}
+
+	// Held, and A never beats: B polls until the TTL makes it stale.
+	lb, err := b.AcquireWait(context.Background(), "job", 5*time.Millisecond)
+	if err != nil {
+		t.Fatalf("waiting out a stale holder: %v", err)
+	}
+	if !lb.Confirm() {
+		t.Fatal("takeover winner cannot confirm its lease")
+	}
+
+	// Held by a holder still inside its TTL: the wait ends with the
+	// context.
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancel()
+	if _, err := a.AcquireWait(ctx, "job", 5*time.Millisecond); !errors.Is(err, ErrLeaseHeld) {
+		t.Fatalf("wait on a live holder ended with %v, want ErrLeaseHeld", err)
+	}
+	if ctx.Err() == nil {
+		t.Fatal("AcquireWait gave up before its context ended")
+	}
+
+	// Anything but ErrLeaseHeld returns at once.
+	if _, err := a.AcquireWait(context.Background(), "../escape", time.Hour); err == nil || errors.Is(err, ErrLeaseHeld) {
+		t.Fatalf("path-hostile name: %v", err)
+	}
+}
+
+func TestProcessOwner(t *testing.T) {
+	host, err := os.Hostname()
+	if err != nil || host == "" {
+		host = "host"
+	}
+	if got, want := ProcessOwner(), host+"-"+strconv.Itoa(os.Getpid()); got != want {
+		t.Fatalf("ProcessOwner() = %q, want %q", got, want)
 	}
 }
