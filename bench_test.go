@@ -15,6 +15,7 @@ package ccatscale
 // seconds); use -benchtime=1x for a single pass.
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -350,27 +351,29 @@ func BenchmarkEngineThroughput(b *testing.B) {
 // Poisson churn at 60 % offered load (extension axis: the paper's
 // limitations name flow arrival/departure as future work).
 func BenchmarkExtensionChurn(b *testing.B) {
-	var res core.ChurnResult
+	var res *ArrivalStats
 	for i := 0; i < b.N; i++ {
 		s := benchCore()
 		size := units.ByteCount(500 * units.KB)
-		cfg := core.ChurnConfig{
-			Rate:          s.Rate,
-			Buffer:        s.Buffer,
-			CCA:           "reno",
-			RTT:           core.DefaultRTT,
-			TransferBytes: size,
-			ArrivalRate:   0.6 * float64(s.Rate) / (float64(size) * 8),
-			Duration:      20 * sim.Second,
-			Seed:          uint64(i + 1),
+		cfg := RunConfig{
+			Rate:     s.Rate,
+			Buffer:   s.Buffer,
+			Duration: 20 * sim.Second,
+			Seed:     uint64(i + 1),
+			Arrivals: &ArrivalSpec{
+				CCA:           "reno",
+				RTT:           core.DefaultRTT,
+				TransferBytes: size,
+				PerSecond:     0.6 * float64(s.Rate) / (float64(size) * 8),
+			},
 		}
-		r, err := core.RunChurn(cfg)
+		r, err := Run(context.Background(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		res = r
+		res = r.Arrivals
 	}
-	b.ReportMetric(res.P50FCT, "p50FCT_s")
-	b.ReportMetric(res.P99FCT, "p99FCT_s")
+	b.ReportMetric(res.FCTQuantile(0.5), "p50FCT_s")
+	b.ReportMetric(res.FCTQuantile(0.99), "p99FCT_s")
 	b.ReportMetric(float64(res.Completed), "completed")
 }

@@ -265,14 +265,13 @@ func NewScenarioBuilder(scn *Scenario) (*ScenarioBuilder, error) {
 	return core.NewScenarioBuilder(scn)
 }
 
-// ChurnConfig describes a flow-churn experiment: finite transfers
-// arriving as a Poisson process (the dynamic the paper's fixed
-// population deliberately excludes), measured by flow completion time.
-type ChurnConfig = core.ChurnConfig
+// ArrivalSpec adds flow churn to a run: finite transfers arriving as a
+// Poisson process (the dynamic the paper's fixed population deliberately
+// excludes) beside the config's long-lived flows. Set it as
+// RunConfig.Arrivals; the run is an ordinary Run, with its context,
+// budget, audit and telemetry.
+type ArrivalSpec = core.ArrivalSpec
 
-// ChurnResult summarizes a churn run (arrivals, completions, FCT
-// quantiles).
-type ChurnResult = core.ChurnResult
-
-// RunChurn executes one churn experiment.
-func RunChurn(cfg ChurnConfig) (ChurnResult, error) { return core.RunChurn(cfg) }
+// ArrivalStats is RunResult.Arrivals: arrivals, completions, drops and
+// the flow-completion-time samples with their quantile helpers.
+type ArrivalStats = core.ArrivalStats

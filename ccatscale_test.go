@@ -127,20 +127,32 @@ func TestPublicSweeps(t *testing.T) {
 
 func TestPublicChurn(t *testing.T) {
 	s := fastSetting()
-	res, err := RunChurn(ChurnConfig{
-		Rate:          s.Rate,
-		Buffer:        s.Buffer,
-		CCA:           "reno",
-		RTT:           20e6, // 20 ms in sim.Time units
-		TransferBytes: 200e3,
-		ArrivalRate:   10,
-		Duration:      10e9,
-		Seed:          1,
-	})
+	cfg := RunConfig{
+		Rate:     s.Rate,
+		Buffer:   s.Buffer,
+		Duration: 10e9,
+		Seed:     1,
+		Arrivals: &ArrivalSpec{
+			CCA:           "reno",
+			RTT:           20e6, // 20 ms in sim.Time units
+			TransferBytes: 200e3,
+			PerSecond:     10,
+		},
+	}
+	// Churn is an ordinary Run: the call-level options apply to it.
+	var events int
+	res, err := Run(context.Background(), cfg,
+		WithCollector(CollectorFunc(func(Event) { events++ })))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Completed == 0 || res.P50FCT <= 0 {
-		t.Fatalf("churn result: %+v", res)
+	if res.Arrivals.Completed == 0 || res.Arrivals.FCTQuantile(0.5) <= 0 {
+		t.Fatalf("churn result: %+v", res.Arrivals)
+	}
+	if events == 0 {
+		t.Fatal("collector saw no events from a churn run")
+	}
+	if _, err := Run(context.Background(), cfg, WithBudget(&Budget{Horizon: 5e9})); err == nil {
+		t.Fatal("a 40 s churn run was admitted under a 5 s horizon budget")
 	}
 }

@@ -160,7 +160,7 @@ func main() {
 	case "rttmix":
 		tab, err = runRTTMix(setting, *ccaName, *seed, *parallel)
 	case "churn":
-		tab, err = runChurn(setting, *ccaName, *seed)
+		tab, err = runChurn(setting, *ccaName, *seed, *parallel)
 	case "burstloss":
 		tab, err = runBurstLoss(setting, *seed, *parallel)
 	case "outage":
@@ -342,29 +342,18 @@ func runTimeseries(s core.Setting, spec string, seed uint64) error {
 }
 
 // runChurn runs the flow-churn extension at three offered loads.
-func runChurn(s core.Setting, ccaName string, seed uint64) (*report.Table, error) {
-	size := 500 * units.KB
+func runChurn(s core.Setting, ccaName string, seed uint64, parallel int) (*report.Table, error) {
+	rows, err := core.ChurnSweep(s, ccaName, seed, parallel)
+	if err != nil {
+		return nil, err
+	}
 	tab := report.NewTable(
-		fmt.Sprintf("Extension: Poisson flow churn (%s, %v transfers) — flow completion times", ccaName, size),
+		fmt.Sprintf("Extension: Poisson flow churn (%s, %v transfers) — flow completion times", ccaName, core.ChurnTransferBytes),
 		"load", "arrivals", "completed", "p50 FCT (s)", "p95 FCT (s)", "p99 FCT (s)", "drops")
-	for _, load := range []float64{0.3, 0.6, 0.9} {
-		cfg := core.ChurnConfig{
-			Rate:          s.Rate,
-			Buffer:        s.Buffer,
-			CCA:           ccaName,
-			RTT:           core.DefaultRTT,
-			TransferBytes: size,
-			ArrivalRate:   load * float64(s.Rate) / (float64(size) * 8),
-			Duration:      s.Duration,
-			Seed:          seed,
-			AQM:           s.AQM,
-		}
-		res, err := core.RunChurn(cfg)
-		if err != nil {
-			return nil, err
-		}
-		tab.AddRow(fmt.Sprintf("%.0f%%", load*100), res.Arrivals, res.Completed,
-			res.P50FCT, res.P95FCT, res.P99FCT, res.Drops)
+	for i, res := range rows {
+		a := res.Arrivals
+		tab.AddRow(fmt.Sprintf("%.0f%%", core.ChurnLoads[i]*100), a.Arrived, a.Completed,
+			a.FCTQuantile(0.5), a.FCTQuantile(0.95), a.FCTQuantile(0.99), a.Drops)
 	}
 	return tab, nil
 }

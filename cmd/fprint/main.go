@@ -38,6 +38,7 @@ import (
 	"os"
 
 	"ccatscale/internal/core"
+	"ccatscale/internal/netem"
 	"ccatscale/internal/report"
 	"ccatscale/internal/schema"
 	"ccatscale/internal/sim"
@@ -203,8 +204,8 @@ func totalEvents(snap telemetry.Snapshot) int64 {
 // every run; it must not change a single printed byte. viaScenario rebuilds
 // each base-matrix config from a scenario document — encode, parse,
 // compile — instead of constructing the RunConfig directly; the base
-// matrix must print byte-identically either way, and the impairment
-// variants (not expressible as scenarios) are skipped.
+// matrix must print byte-identically either way, and the variants (not
+// expressible as scenarios) are skipped.
 func fingerprint(w io.Writer, coll telemetry.Collector, viaScenario bool) {
 	ccas := []string{"reno", "cubic", "cubic-nohystart", "bbr", "bbr2"}
 	for _, cca := range ccas {
@@ -235,10 +236,7 @@ func fingerprint(w io.Writer, coll telemetry.Collector, viaScenario bool) {
 			}
 			fmt.Fprintf(w, "%s/%d: events=%d drops=%d agg=%d util=%.12f burst=%.12f\n",
 				cca, seed, res.Events, res.TotalDrops, int64(res.AggregateGoodput), res.Utilization, res.DropBurstiness)
-			for i, f := range res.Flows {
-				fmt.Fprintf(w, "  f%d sent=%d rtx=%d fr=%d rto=%d good=%d meanRTT=%d drops=%d\n",
-					i, f.SegmentsSent, f.Retransmissions, f.FastRecoveries, f.RTOs, int64(f.Goodput), int64(f.MeanRTT), f.Drops)
-			}
+			printFlows(w, res)
 			for _, pt := range res.Series {
 				fmt.Fprintf(w, "  s %d %v\n", int64(pt.At), pt.Rates)
 			}
@@ -247,7 +245,8 @@ func fingerprint(w io.Writer, coll telemetry.Collector, viaScenario bool) {
 	if viaScenario {
 		return
 	}
-	// Impairment paths: jitter, burst loss, outage, codel, audit strict.
+	// Impairment paths, then arrivals and a per-link stage. Append new
+	// variants: the golden's existing lines must stay a prefix.
 	variants := []struct {
 		name string
 		mut  func(*core.RunConfig)
@@ -259,6 +258,23 @@ func fingerprint(w io.Writer, coll telemetry.Collector, viaScenario bool) {
 		}},
 		{"codel", func(c *core.RunConfig) { c.AQM = "codel" }},
 		{"strict", func(c *core.RunConfig) { c.Audit = "strict" }},
+		// Few enough slots that arrivals are rejected and slots reused.
+		{"arrivals", func(c *core.RunConfig) {
+			c.Arrivals = &core.ArrivalSpec{CCA: "reno", RTT: 20 * sim.Millisecond, PerSecond: 20,
+				TransferBytes: 200 * units.KB, MaxFlows: 8, Drain: 2 * sim.Second}
+		}},
+		// Burst loss as the second link's stage; the last flow never meets it.
+		{"twolink", func(c *core.RunConfig) {
+			c.Topology = &netem.TopologySpec{
+				Nodes: []string{"a", "b", "c"},
+				Links: []netem.LinkSpec{
+					{Name: "ab", From: "a", To: "b", Rate: c.Rate, Delay: sim.Millisecond, Buffer: c.Buffer},
+					{Name: "bc", From: "b", To: "c", Rate: c.Rate * 4 / 5, Delay: sim.Millisecond, Buffer: c.Buffer,
+						BurstLoss: &netem.BurstLossSpec{MeanLoss: 0.005, MeanBurstLen: 4}},
+				},
+				Paths: [][]int{{0, 1}, {0, 1}, {0, 1}, {0}},
+			}
+		}},
 	}
 	for _, v := range variants {
 		cfg := core.RunConfig{
@@ -280,9 +296,21 @@ func fingerprint(w io.Writer, coll telemetry.Collector, viaScenario bool) {
 		fmt.Fprintf(w, "%s: events=%d drops=%d rnd=%d burst=%d out=%d agg=%d util=%.12f\n",
 			v.name, res.Events, res.TotalDrops, res.RandomDrops, res.BurstDrops, res.OutageDrops,
 			int64(res.AggregateGoodput), res.Utilization)
-		for i, f := range res.Flows {
-			fmt.Fprintf(w, "  f%d sent=%d rtx=%d fr=%d rto=%d good=%d meanRTT=%d drops=%d\n",
-				i, f.SegmentsSent, f.Retransmissions, f.FastRecoveries, f.RTOs, int64(f.Goodput), int64(f.MeanRTT), f.Drops)
+		printFlows(w, res)
+		if a := res.Arrivals; a != nil {
+			fmt.Fprintf(w, "  a arrived=%d rejected=%d completed=%d drops=%d meanFCT=%.12f p99FCT=%.12f\n",
+				a.Arrived, a.Rejected, a.Completed, a.Drops, a.MeanFCT(), a.FCTQuantile(0.99))
 		}
+		for _, l := range res.Links {
+			fmt.Fprintf(w, "  l %s tx=%d dropWire=%d rnd=%d burst=%d out=%d\n",
+				l.Name, l.TxPackets, int64(l.DropWire), l.RandomDrops, l.BurstDrops, l.OutageDrops)
+		}
+	}
+}
+
+func printFlows(w io.Writer, res core.RunResult) {
+	for i, f := range res.Flows {
+		fmt.Fprintf(w, "  f%d sent=%d rtx=%d fr=%d rto=%d good=%d meanRTT=%d drops=%d\n",
+			i, f.SegmentsSent, f.Retransmissions, f.FastRecoveries, f.RTOs, int64(f.Goodput), int64(f.MeanRTT), f.Drops)
 	}
 }

@@ -75,7 +75,6 @@ import (
 	"ccatscale/internal/sim"
 	"ccatscale/internal/store"
 	"ccatscale/internal/telemetry"
-	"ccatscale/internal/units"
 )
 
 func main() {
@@ -352,7 +351,7 @@ func paperJobs(edge, corePaper core.Setting, seed uint64, parallel int) []job {
 			return outageTable(s, seed, parallel)
 		}},
 		job{"ext_churn_core", corePaper, func(s core.Setting) (*report.Table, error) {
-			return churnTable(s, seed)
+			return churnTable(s, seed, parallel)
 		}},
 	)
 }
@@ -1016,26 +1015,17 @@ func outageTable(s core.Setting, seed uint64, parallel int) (*report.Table, erro
 	return tab, nil
 }
 
-func churnTable(s core.Setting, seed uint64) (*report.Table, error) {
+func churnTable(s core.Setting, seed uint64, parallel int) (*report.Table, error) {
+	rows, err := core.ChurnSweep(s, "reno", seed, parallel)
+	if err != nil {
+		return nil, err
+	}
 	tab := report.NewTable("Extension: Poisson flow churn (500 KB transfers)",
 		"load", "arrivals", "completed", "p50FCT_s", "p95FCT_s", "p99FCT_s")
-	size := 500 * units.KB
-	for _, load := range []float64{0.3, 0.6, 0.9} {
-		res, err := core.RunChurn(core.ChurnConfig{
-			Rate:          s.Rate,
-			Buffer:        s.Buffer,
-			CCA:           "reno",
-			RTT:           core.DefaultRTT,
-			TransferBytes: size,
-			ArrivalRate:   load * float64(s.Rate) / (float64(size) * 8),
-			Duration:      s.Duration,
-			Seed:          seed,
-		})
-		if err != nil {
-			return nil, err
-		}
-		tab.AddRow(fmt.Sprintf("%.0f%%", load*100), res.Arrivals, res.Completed,
-			res.P50FCT, res.P95FCT, res.P99FCT)
+	for i, res := range rows {
+		a := res.Arrivals
+		tab.AddRow(fmt.Sprintf("%.0f%%", core.ChurnLoads[i]*100), a.Arrived, a.Completed,
+			a.FCTQuantile(0.5), a.FCTQuantile(0.95), a.FCTQuantile(0.99))
 	}
 	return tab, nil
 }

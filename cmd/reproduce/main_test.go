@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -256,6 +257,56 @@ func TestRunIsolationAndResume(t *testing.T) {
 	}
 }
 
+// TestChurnJobIsGoverned: ext_churn_core ran on a second harness with no
+// supervisor, auditor or telemetry, so -panicjob was a silent no-op for
+// it and -telemetry recorded nothing. It is an arrival process of the one
+// harness now: the drill fails the job with a record `ccatscale replay`
+// reproduces, and an audited, traced run leaves events in the stream.
+func TestChurnJobIsGoverned(t *testing.T) {
+	dir := t.TempDir()
+	base := []string{"-out", dir, "-quick", "-scale", "50", "-seed", "7", "-only", "^ext_churn_core$"}
+	var stdout, stderr bytes.Buffer
+	if code := run(append(base, "-panicjob", "ext_churn_core"), &stdout, &stderr); code != 1 {
+		t.Fatalf("exit = %d, want 1\nstdout:\n%s\nstderr:\n%s", code, &stdout, &stderr)
+	}
+	f, err := os.Open(filepath.Join(dir, "ext_churn_core.failed.json"))
+	if err != nil {
+		t.Fatalf("the drill left no failure record: %v", err)
+	}
+	re, err := core.ReadRunError(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re.Reason != "panic" || re.Config.Arrivals == nil {
+		t.Fatalf("failure record: reason %q, arrivals %+v", re.Reason, re.Config.Arrivals)
+	}
+	// What `ccatscale replay -in` does: run the recorded config.
+	_, err = core.Run(re.Config)
+	var replay *core.RunError
+	if !errors.As(err, &replay) || replay.PanicMsg != re.PanicMsg ||
+		replay.VirtualTime != re.VirtualTime || replay.Events != re.Events {
+		t.Fatalf("replay did not reproduce the failure: %v", err)
+	}
+
+	dir = t.TempDir()
+	events := filepath.Join(dir, "events.jsonl")
+	stdout.Reset()
+	stderr.Reset()
+	code := run([]string{"-out", dir, "-quick", "-scale", "50", "-seed", "7", "-only", "^ext_churn_core$",
+		"-audit", "strict", "-telemetry", events}, &stdout, &stderr)
+	if code != 0 {
+		t.Fatalf("audited run exit = %d\nstdout:\n%s\nstderr:\n%s", code, &stdout, &stderr)
+	}
+	data, err := os.ReadFile(events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(data, []byte("\n")); n <= 1 {
+		t.Fatalf("telemetry stream holds %d lines: the churn job emitted nothing", n)
+	}
+}
+
 // TestResumeRefusesMismatchedParams guards against silently mixing
 // tables from different seeds or scales in one output directory.
 func TestResumeRefusesMismatchedParams(t *testing.T) {
@@ -299,7 +350,10 @@ func mathisHeapEstimate(s core.Setting, flows, tier int) int64 {
 // a heap budget every table1_edge config is priced over, the job is
 // recorded as rejected — not failed, the sweep still exits zero — the
 // sibling job completes, and a -resume retries the rejected job one
-// fidelity tier lower, where it fits, runs, and is marked degraded.
+// fidelity tier lower, where it fits, runs, and is marked degraded. (The
+// sibling was ext_churn_core while churn ignored every budget; it is
+// governed now, and its 4096 transfer slots price well above this
+// threshold.)
 func TestBudgetRejectionAndResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real sweeps")
@@ -325,7 +379,7 @@ func TestBudgetRejectionAndResume(t *testing.T) {
 	dir := t.TempDir()
 	base := []string{
 		"-out", dir, "-quick", "-scale", "100", "-seed", "11", "-parallel", "2",
-		"-only", "^(table1_edge|ext_churn_core)$",
+		"-only", "^(table1_edge|ext_burstloss_core)$",
 		"-mem-budget", fmt.Sprint(threshold),
 	}
 	var stdout, stderr bytes.Buffer
@@ -340,7 +394,7 @@ func TestBudgetRejectionAndResume(t *testing.T) {
 	if !strings.Contains(stdout.String(), "-resume to retry them at reduced fidelity") {
 		t.Fatalf("stdout missing resume hint:\n%s", &stdout)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "ext_churn_core.txt")); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, "ext_burstloss_core.txt")); err != nil {
 		t.Fatalf("sibling job output missing: %v", err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "table1_edge.txt")); err == nil {
@@ -351,7 +405,7 @@ func TestBudgetRejectionAndResume(t *testing.T) {
 	if err != nil || m == nil {
 		t.Fatalf("manifest after rejection: %v, %v", m, err)
 	}
-	if rec := m.Jobs["ext_churn_core"]; rec == nil || rec.Status != "done" {
+	if rec := m.Jobs["ext_burstloss_core"]; rec == nil || rec.Status != "done" {
 		t.Fatalf("sibling record: %+v", rec)
 	}
 	rec := m.Jobs["table1_edge"]

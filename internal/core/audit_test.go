@@ -36,6 +36,34 @@ func TestValidationErrorsAreDescriptive(t *testing.T) {
 		{"bad RTT", func(c *RunConfig) { c.Flows[0].RTT = -sim.Second }, "non-positive base RTT"},
 		{"bad policy", func(c *RunConfig) { c.Audit = "paranoid" }, "unknown policy"},
 		{"drill without audit", func(c *RunConfig) { c.Audit = ""; c.AuditDrillAt = sim.Second }, "audit drill requires"},
+		// The dumbbell's impairments are validated as its link's fields:
+		// an out-of-range loss was a panic-shaped RunError whose replay
+		// command omitted it, a negative jitter was silently ignored.
+		{"random loss out of range", func(c *RunConfig) { c.RandomLoss = 1 }, `link "bottleneck" loss rate 1 outside [0, 1)`},
+		{"negative jitter", func(c *RunConfig) { c.Jitter = -sim.Millisecond }, `link "bottleneck" has negative jitter`},
+		{"burst loss out of range", func(c *RunConfig) { c.BurstLoss = &BurstLossSpec{MeanLoss: 0.1} }, "burst mean length 0 below 1 packet"},
+		{"empty outage", func(c *RunConfig) { c.Outage = &OutageSpec{Count: 1} }, "outage down-time 0s not positive"},
+		{"impairment beside a topology", func(c *RunConfig) {
+			spec, _ := c.fabricSpec(c.rtts())
+			c.Topology, c.RandomLoss = &spec, 0.01
+		}, "set them per link"},
+		{"arrivals beside a topology", func(c *RunConfig) {
+			spec, _ := c.fabricSpec(c.rtts())
+			c.Topology, c.Arrivals = &spec, churnBase(5).Arrivals
+		}, "arrivals need the dumbbell"},
+		{"arrivals: zero rate", func(c *RunConfig) { c.Arrivals = churnBase(0).Arrivals }, "positive arrival rate"},
+		{"arrivals: zero size", func(c *RunConfig) {
+			c.Arrivals = churnBase(5).Arrivals
+			c.Arrivals.TransferBytes = 0
+		}, "positive transfer size"},
+		{"arrivals: unknown CCA", func(c *RunConfig) {
+			c.Arrivals = churnBase(5).Arrivals
+			c.Arrivals.CCA = "quic"
+		}, `unknown CCA "quic"`},
+		{"arrivals: zero RTT", func(c *RunConfig) {
+			c.Arrivals = churnBase(5).Arrivals
+			c.Arrivals.RTT = 0
+		}, "non-positive base RTT"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -44,6 +72,10 @@ func TestValidationErrorsAreDescriptive(t *testing.T) {
 			_, err := Run(cfg)
 			if err == nil {
 				t.Fatal("expected a validation error")
+			}
+			var re *RunError
+			if errors.As(err, &re) {
+				t.Fatalf("invalid input surfaced as a run failure, not a validation error: %v", err)
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
@@ -174,6 +206,14 @@ func TestAuditCleanAcrossConfigurations(t *testing.T) {
 			c.RandomLoss = 0.005
 			c.BurstLoss = &BurstLossSpec{MeanLoss: 0.005, MeanBurstLen: 4}
 			c.Outage = &OutageSpec{Start: 3 * sim.Second, Down: 200 * sim.Millisecond, Period: 2 * sim.Second, Count: 2, Hold: true}
+		}},
+		// CE-marked bytes dropped by, parked in and held by the stages:
+		// the ECN ledger's dropped and in-network terms.
+		{"ecn + every stage", func(c *RunConfig) {
+			c.ECN, c.ECNMarkBytes = true, 3000
+			c.RandomLoss, c.Jitter = 0.002, 200*sim.Microsecond // below the frame time: no reordering
+			c.BurstLoss = &BurstLossSpec{MeanLoss: 0.002, MeanBurstLen: 4}
+			c.Outage = &OutageSpec{Start: 3 * sim.Second, Down: 200 * sim.Millisecond, Period: 2 * sim.Second, Count: 3, Hold: true}
 		}},
 	}
 	for _, tc := range mut {

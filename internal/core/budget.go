@@ -37,6 +37,9 @@ func EstimateConfig(cfg RunConfig) budget.Footprint {
 		}
 		ccas[f.CCA] = true
 	}
+	if c.Arrivals != nil && c.Arrivals.RTT > maxRTT {
+		maxRTT = c.Arrivals.RTT
+	}
 	width := 0
 	if c.SeriesInterval > 0 {
 		width = len(ccas)
@@ -54,7 +57,7 @@ func EstimateConfig(cfg RunConfig) budget.Footprint {
 		slots += int64(netem.RingSlotsFor(l.Buffer))
 	}
 	return budget.Estimate(budget.Input{
-		Flows:             len(c.Flows),
+		Flows:             c.slots(), // every transfer slot priced as a live flow
 		RateBps:           int64(rate),
 		BufferBytes:       int64(buffer),
 		BDPBytes:          int64(units.BDP(rate, maxRTT)),
@@ -62,7 +65,7 @@ func EstimateConfig(cfg RunConfig) budget.Footprint {
 		SegmentBytes:      int64(c.MSS),
 		QueueSlots:        slots,
 		QueueSlotBytes:    packet.StructBytes,
-		Horizon:           c.Warmup + c.Duration,
+		Horizon:           c.horizon(),
 		SeriesInterval:    c.SeriesInterval,
 		SeriesWidth:       width,
 		MaxDropTimestamps: int64(c.MaxDropTimestamps),

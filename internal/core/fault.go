@@ -10,44 +10,17 @@ import (
 	"ccatscale/internal/sim"
 )
 
-// This file defines the fault-injection surface of a run: burst loss
-// and link outages, the two impairment regimes the paper's clean
-// testbed excludes and under which its throughput-model findings are
-// expected to degrade. Both are plain-value specs so they serialize
-// into failure records and round-trip through command-line flags.
+// Burst loss and link outages — the impairment regimes the paper's clean
+// testbed excludes — are link stages, so their specs live in netem;
+// RunConfig's fields declare them on the dumbbell's one link, and this
+// file parses them from command-line flags.
 
-// BurstLossSpec configures Gilbert–Elliott burst loss on the forward
-// path in the two-parameter simple-Gilbert form: a target long-run loss
-// rate delivered in bursts of a given mean length. MeanBurstLen = 1
-// degenerates to independent Bernoulli loss (exactly RandomLoss).
-type BurstLossSpec struct {
-	// MeanLoss is the stationary drop probability in [0, 1).
-	MeanLoss float64 `json:"meanLoss"`
-	// MeanBurstLen is the mean number of consecutive drops per loss
-	// episode, ≥ 1.
-	MeanBurstLen float64 `json:"meanBurstLen"`
-}
+// BurstLossSpec configures Gilbert–Elliott burst loss (MeanBurstLen = 1
+// is exactly RandomLoss).
+type BurstLossSpec = netem.BurstLossSpec
 
-// String renders the spec in the ccatscale -burst flag syntax
-// ("0.005,8").
-func (s *BurstLossSpec) String() string {
-	return fmt.Sprintf("%g,%g", s.MeanLoss, s.MeanBurstLen)
-}
-
-func (s *BurstLossSpec) validate() error {
-	if s.MeanLoss < 0 || s.MeanLoss >= 1 {
-		return fmt.Errorf("core: burst mean loss %v outside [0, 1)", s.MeanLoss)
-	}
-	if s.MeanBurstLen < 1 {
-		return fmt.Errorf("core: burst mean length %v below 1 packet", s.MeanBurstLen)
-	}
-	return nil
-}
-
-// gilbert converts the spec to the netem channel configuration.
-func (s *BurstLossSpec) gilbert() netem.GilbertElliottConfig {
-	return netem.SimpleGilbert(s.MeanLoss, s.MeanBurstLen)
-}
+// OutageSpec schedules deterministic link outages.
+type OutageSpec = netem.OutageSpec
 
 // ParseBurstLoss parses the -burst flag syntax "meanLoss,meanBurstLen".
 func ParseBurstLoss(text string) (*BurstLossSpec, error) {
@@ -64,59 +37,10 @@ func ParseBurstLoss(text string) (*BurstLossSpec, error) {
 		return nil, fmt.Errorf("core: burst mean length: %w", err)
 	}
 	spec := &BurstLossSpec{MeanLoss: loss, MeanBurstLen: blen}
-	if err := spec.validate(); err != nil {
-		return nil, err
+	if err := spec.Validate(); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	return spec, nil
-}
-
-// OutageSpec schedules deterministic link outages (flaps) on the
-// forward path: Count dark windows of length Down, the first at Start,
-// repeating every Period. The schedule is configuration, not
-// randomness, so runs remain bit-identical under a fixed seed.
-type OutageSpec struct {
-	// Start is the first outage's start time.
-	Start sim.Time `json:"startNs"`
-	// Down is each outage's duration.
-	Down sim.Time `json:"downNs"`
-	// Period is the flap period (0 with Count 1 = a single outage).
-	Period sim.Time `json:"periodNs"`
-	// Count is the number of outages (≥ 1).
-	Count int `json:"count"`
-	// Hold parks in-flight packets and releases them when the link
-	// returns instead of dropping them.
-	Hold bool `json:"hold,omitempty"`
-}
-
-// String renders the spec in the ccatscale -outage flag syntax
-// ("start,down,period,count[,hold]"), e.g. "2s,1s,10s,3".
-func (s *OutageSpec) String() string {
-	out := fmt.Sprintf("%v,%v,%v,%d", s.Start, s.Down, s.Period, s.Count)
-	if s.Hold {
-		out += ",hold"
-	}
-	return out
-}
-
-func (s *OutageSpec) validate() error {
-	if s.Start < 0 {
-		return fmt.Errorf("core: outage start %v negative", s.Start)
-	}
-	if s.Down <= 0 {
-		return fmt.Errorf("core: outage down-time %v not positive", s.Down)
-	}
-	if s.Count < 1 {
-		return fmt.Errorf("core: outage count %d below 1", s.Count)
-	}
-	if s.Count > 1 && s.Period < s.Down {
-		return fmt.Errorf("core: outage period %v shorter than down-time %v: windows overlap", s.Period, s.Down)
-	}
-	return nil
-}
-
-// windows expands the spec into the netem schedule.
-func (s *OutageSpec) windows() []netem.OutageWindow {
-	return netem.Flaps(s.Start, s.Down, s.Period, s.Count)
 }
 
 // ParseOutage parses the -outage flag syntax
@@ -148,8 +72,8 @@ func ParseOutage(text string) (*OutageSpec, error) {
 			return nil, fmt.Errorf("core: outage policy %q, want \"drop\" or \"hold\"", p)
 		}
 	}
-	if err := spec.validate(); err != nil {
-		return nil, err
+	if err := spec.Validate(); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	return spec, nil
 }

@@ -8,8 +8,10 @@
 //
 // There is one fabric, netem.Topology. The paper's dumbbell is its
 // one-link case (RunConfig.fabricSpec); a declared RunConfig.Topology
-// runs through the same code. RunCtx is a sequence of named phases over
-// one run struct: build, wire, instrument, finish.
+// runs through the same code. There is one harness too: RunCtx is a
+// sequence of named phases over one run struct — build, wire,
+// instrument, finish — and flow churn (RunConfig.Arrivals) is an arrival
+// process inside it, not a second one.
 package core
 
 import (
@@ -70,20 +72,21 @@ type RunConfig struct {
 	// default (tcp.GROWindow, modeling the testbed's GRO + interrupt
 	// coalescing); negative disables receive offload.
 	GROWindow sim.Time
-	// RandomLoss applies independent per-packet loss on the forward
-	// path (netem-style). The paper's runs use 0 ("there is no random
-	// loss"); calibration experiments use it to validate the Mathis
-	// constant under the model's own independent-loss assumption.
+	// RandomLoss applies independent per-packet loss (netem-style). The
+	// paper's runs use 0 ("there is no random loss"); calibration
+	// experiments use it to validate the Mathis constant under the
+	// model's own independent-loss assumption. It and the next three
+	// fields are the stages of the dumbbell's one link (netem.LinkSpec);
+	// a declared Topology sets them per link and rejects them here.
 	RandomLoss float64
 	// Jitter adds uniform random delay in [0, Jitter) per data packet
-	// on the forward path (netem-style).
+	// (netem-style).
 	Jitter sim.Time
-	// BurstLoss applies Gilbert–Elliott burst loss on the forward path
-	// (nil = off). Unlike RandomLoss, drops arrive in correlated bursts
-	// — the regime where the independent-loss throughput models break.
+	// BurstLoss applies Gilbert–Elliott burst loss (nil = off). Unlike
+	// RandomLoss, drops arrive in correlated bursts — the regime where
+	// the independent-loss throughput models break.
 	BurstLoss *BurstLossSpec
-	// Outage schedules deterministic link outages on the forward path
-	// (nil = none).
+	// Outage schedules deterministic link outages (nil = none).
 	Outage *OutageSpec
 	// FaultPanicAt, when positive, deliberately panics inside the event
 	// loop at this virtual time. It exists to drill the run supervisor
@@ -120,6 +123,10 @@ type RunConfig struct {
 	// per-flow base RTTs still come from Flows, the residual after the
 	// forward propagation delays riding the ACK return path.
 	Topology *netem.TopologySpec `json:",omitempty"`
+	// Arrivals, when non-nil, adds flow churn: finite transfers arriving
+	// over [0, Warmup+Duration) beside the persistent Flows, the run
+	// extended by the spec's drain. Dumbbell only.
+	Arrivals *ArrivalSpec `json:",omitempty"`
 	// ECN enables RFC 3168 end-to-end negotiation: senders mark new
 	// data ECT, marking queues set CE instead of (or ahead of)
 	// dropping, receivers echo ECE, and senders reduce once per window
@@ -192,6 +199,14 @@ func (c *RunConfig) withDefaults() RunConfig {
 }
 
 func (c *RunConfig) validate() error {
+	if c.Arrivals != nil {
+		if err := c.Arrivals.validate(); err != nil {
+			return err
+		}
+	}
+	if _, err := parseAQM(c.AQM); err != nil {
+		return err
+	}
 	// The netem layer owns the topology validation (zero/negative rate,
 	// degenerate queue capacity, bad RTTs) so the same descriptive
 	// errors surface whether a dumbbell is built through core or
@@ -202,10 +217,19 @@ func (c *RunConfig) validate() error {
 			return fmt.Errorf("core: topology declares %d flow paths but config has %d flows",
 				len(c.Topology.Paths), len(c.Flows))
 		}
-		if err := (netem.TopologyConfig{Spec: *c.Topology, RTT: rtts}).Validate(); err != nil {
-			return err
+		if c.RandomLoss != 0 || c.Jitter != 0 || c.BurstLoss != nil || c.Outage != nil {
+			return fmt.Errorf("core: RandomLoss, Jitter, BurstLoss and Outage describe the dumbbell's link; with a declared topology set them per link")
+		}
+		if c.Arrivals != nil {
+			return fmt.Errorf("core: arrivals need the dumbbell; a declared topology has no path for a transfer")
 		}
 	} else if err := (netem.DumbbellConfig{Rate: c.Rate, Buffer: c.Buffer, RTT: rtts}).Validate(); err != nil {
+		return err
+	}
+	// The dumbbell's impairments are its link's fields and get the
+	// link's checks.
+	spec, _ := c.fabricSpec(rtts)
+	if err := (netem.TopologyConfig{Spec: spec, RTT: rtts}).Validate(); err != nil {
 		return err
 	}
 	if c.ECNMarkBytes < 0 {
@@ -225,26 +249,10 @@ func (c *RunConfig) validate() error {
 			return fmt.Errorf("core: audit drill requires -audit warn or strict (the drill corrupts queue accounting; without the auditor it would silently poison results)")
 		}
 	}
-	if _, err := parseAQM(c.AQM); err != nil {
-		return err
-	}
-	if c.BurstLoss != nil {
-		if err := c.BurstLoss.validate(); err != nil {
-			return err
-		}
-	}
-	if c.Outage != nil {
-		if err := c.Outage.validate(); err != nil {
-			return err
-		}
-	}
 	if c.FaultPanicAt < 0 {
 		return fmt.Errorf("core: negative fault-injection time")
 	}
 	for i, f := range c.Flows {
-		if f.RTT <= 0 {
-			return fmt.Errorf("core: flow %d has non-positive RTT", i)
-		}
 		if _, ok := cca.ByName(f.CCA); !ok {
 			return fmt.Errorf("core: flow %d has unknown CCA %q", i, f.CCA)
 		}
@@ -321,14 +329,13 @@ type RunResult struct {
 	Utilization float64
 	// TotalDrops over the window (bottleneck tail drops).
 	TotalDrops uint64
-	// RandomDrops counts netem-style forward-path losses over the
-	// whole run (0 unless RandomLoss is configured).
+	// RandomDrops, BurstDrops and OutageDrops count packets lost to iid,
+	// Gilbert–Elliott and outage stages over the whole run, summed
+	// across links. Impairment loss is reported here, by kind, and never
+	// as a queue drop: TotalDrops, per-flow Drops and LossRate, and the
+	// burstiness series exclude it.
 	RandomDrops uint64
-	// BurstDrops counts Gilbert–Elliott forward-path losses over the
-	// whole run (0 unless BurstLoss is configured).
-	BurstDrops uint64
-	// OutageDrops counts packets lost to link outages over the whole
-	// run (0 unless Outage is configured with the drop policy).
+	BurstDrops  uint64
 	OutageDrops uint64
 	// DropBurstiness is the Goh–Barabási score over window drop times.
 	DropBurstiness float64
@@ -343,6 +350,9 @@ type RunResult struct {
 	// order (nil for the classic dumbbell, whose single bottleneck is
 	// reported by the top-level fields).
 	Links []netem.LinkStat `json:",omitempty"`
+	// Arrivals reports the arrival process (nil unless
+	// Config.Arrivals was set).
+	Arrivals *ArrivalStats `json:",omitempty"`
 
 	// AuditViolations counts invariant violations observed under the
 	// "warn" audit policy (under "strict" the first violation fails the
@@ -403,30 +413,63 @@ func fidelityLabel(tier int) string {
 	return fmt.Sprintf("tier-%d", tier)
 }
 
-// rtts lists the flows' base round-trip times, indexed by flow ID.
+// rtts lists the base round-trip times indexed by flow ID: the
+// persistent flows, then one slot per concurrently tracked transfer.
 func (c *RunConfig) rtts() []sim.Time {
-	out := make([]sim.Time, len(c.Flows))
+	out := make([]sim.Time, len(c.Flows), c.slots())
 	for i, f := range c.Flows {
 		out[i] = f.RTT
+	}
+	for len(out) < cap(out) {
+		out = append(out, c.Arrivals.RTT)
 	}
 	return out
 }
 
+// slots is the number of flow IDs the run uses: the persistent flows,
+// then Arrivals.MaxFlows (default 4096) transfer slots.
+func (c *RunConfig) slots() int {
+	switch a := c.Arrivals; {
+	case a == nil:
+		return len(c.Flows)
+	case a.MaxFlows <= 0:
+		return len(c.Flows) + 4096
+	default:
+		return len(c.Flows) + a.MaxFlows
+	}
+}
+
+// horizon is the virtual time the run ends at: warm-up plus measurement
+// window, plus Arrivals.Drain (default 30 s).
+func (c *RunConfig) horizon() sim.Time {
+	switch a := c.Arrivals; {
+	case a == nil:
+		return c.Warmup + c.Duration
+	case a.Drain <= 0:
+		return c.Warmup + c.Duration + 30*sim.Second
+	default:
+		return c.Warmup + c.Duration + a.Drain
+	}
+}
+
 // fabricSpec yields the graph the run executes and whether the config
 // declared it. It is the one place that knows the paper's dumbbell is a
-// one-link topology: without a declared Topology, Rate, Buffer, AQM, ECN
-// and ECNMarkBytes describe its single bottleneck link, which each of
-// the rtts' flows crosses. The footprint estimator reads only the links
-// and passes no rtts.
+// one-link topology: without a declared Topology, Rate, Buffer, AQM, ECN,
+// ECNMarkBytes and the four impairments describe its single bottleneck
+// link, which each of the rtts' flows crosses. The footprint estimator
+// reads only the links and passes no rtts.
 func (c *RunConfig) fabricSpec(rtts []sim.Time) (spec netem.TopologySpec, declared bool) {
 	if c.Topology != nil {
 		return *c.Topology, true
 	}
 	discipline, _ := parseAQM(c.AQM) // validate has rejected unknown names
-	return netem.DumbbellConfig{
+	spec = netem.DumbbellConfig{
 		Rate: c.Rate, Buffer: c.Buffer, RTT: rtts,
 		Discipline: discipline, ECN: c.ECN, ECNMarkBytes: c.ECNMarkBytes,
-	}.Spec(), false
+	}.Spec()
+	l := &spec.Links[0]
+	l.LossRate, l.Jitter, l.BurstLoss, l.Outage = c.RandomLoss, c.Jitter, c.BurstLoss, c.Outage
+	return spec, false
 }
 
 // RunCtx is Run with cooperative cancellation: ctx is polled from the
@@ -459,14 +502,14 @@ func RunCtx(ctx context.Context, cfg RunConfig) (res RunResult, err error) {
 
 	// The horizon cap is decidable before anything runs, so it rejects at
 	// admission even when Run is called directly (not through RunManyCtx).
-	if b := cfg.Budget; !b.Unlimited() && b.Horizon > 0 && cfg.Warmup+cfg.Duration > b.Horizon {
+	if b := cfg.Budget; !b.Unlimited() && b.Horizon > 0 && cfg.horizon() > b.Horizon {
 		return RunResult{}, &RunError{
 			Reason: "budget breach",
 			Seed:   cfg.Seed,
 			Config: cfg,
 			Budget: &budget.BudgetError{
 				Kind: budget.KindHorizon, Stage: budget.StageAdmission,
-				Limit: int64(b.Horizon), Observed: int64(cfg.Warmup + cfg.Duration),
+				Limit: int64(b.Horizon), Observed: int64(cfg.horizon()),
 				Detail: "virtual end time (warm-up + duration)",
 			},
 		}
@@ -501,8 +544,9 @@ type run struct {
 	end       sim.Time
 
 	// build
-	qlog *trace.QueueLog
-	fab  *netem.Topology
+	qlog    *trace.QueueLog
+	flowRNG []*sim.RNG // persistent flows' splits; the RNG rule draws them before fab's
+	fab     *netem.Topology
 	// ecn is whether the transport negotiates ECN: whenever anything in
 	// the fabric can mark. Queues only ever mark ECT traffic, so a
 	// topology with an ECN link but non-ECT senders would silently never
@@ -510,16 +554,14 @@ type run struct {
 	ecn bool
 
 	// wire
-	senders   []*tcp.Sender
-	receivers []*tcp.Receiver
-	imp       *netem.Impairment
-	ge        *netem.GilbertElliott
-	outg      *netem.Outage
+	output    func(packet.Packet) // every sender's path into the fabric
+	senders   []*tcp.Sender       // indexed by flow ID; a transfer's slot
+	receivers []*tcp.Receiver     // is nil between incarnations
+	arrivals  *ArrivalStats
 	// End-to-end ledger terms, maintained only while auditing (forward
 	// data path only; ACKs ride the uncongested reverse path and never
 	// enter a queue).
-	injectedWire, arrivedWire            units.ByteCount
-	randomDrops, burstDrops, outageDrops uint64
+	injectedWire, arrivedWire units.ByteCount
 
 	// instrument
 	series      *trace.ThroughputSeries
@@ -550,7 +592,7 @@ func newRun(ctx context.Context, cfg RunConfig) *run {
 		eng:     sim.NewEngine(),
 		rng:     sim.NewRNG(cfg.Seed),
 		coll:    cfg.Collector,
-		end:     cfg.Warmup + cfg.Duration,
+		end:     cfg.horizon(),
 		lastNow: -1,
 	}
 	if r.coll != nil {
@@ -599,8 +641,8 @@ func (r *run) rescue(res *RunResult, err *error) {
 	*err = re
 }
 
-// build creates the drop log and the fabric, and schedules the two
-// drills that act on them.
+// build creates the drop log, the persistent flows' RNG streams and the
+// fabric, and schedules the two drills that act on them.
 func (r *run) build() {
 	cfg, eng := &r.cfg, r.eng
 	if cfg.FaultPanicAt > 0 {
@@ -613,23 +655,28 @@ func (r *run) build() {
 	r.qlog = trace.NewQueueLog(cfg.MaxDropTimestamps)
 	r.qlog.SetWindowStart(cfg.Warmup)
 
-	// A declared topology has always drawn one rng.Split() for its
-	// per-link loss stages, whether or not a link declares loss, and
-	// the dumbbell never did. Both sets of published fingerprints depend
-	// on the draws that follow, so the implicit dumbbell (which has no
-	// loss stage to seed) gets a nil RNG and the declared graph keeps
-	// its split.
+	// The RNG rule: every published fingerprint depends on the order of
+	// draws from r.rng. A declared topology's split comes first (drawn
+	// whether or not a link declares a stochastic stage; its links split
+	// from that stream), then one split per persistent flow, then the
+	// undeclared dumbbell's stages straight from r.rng — iid/jitter, then
+	// burst — and in wire the stagger draws and the arrival process.
 	rtts := cfg.rtts()
 	spec, declared := cfg.fabricSpec(rtts)
-	var linkRNG *sim.RNG
+	stageRNG := r.rng
 	if declared {
-		linkRNG = r.rng.Split()
+		stageRNG = r.rng.Split()
 	}
-	r.fab = netem.NewTopology(eng, linkRNG, netem.TopologyConfig{
-		Spec:   spec,
-		RTT:    rtts,
-		OnDrop: r.qlog.OnDrop,
-		Audit:  r.aud,
+	r.flowRNG = make([]*sim.RNG, len(cfg.Flows))
+	for i := range r.flowRNG {
+		r.flowRNG[i] = r.rng.Split()
+	}
+	r.fab = netem.NewTopology(eng, stageRNG, netem.TopologyConfig{
+		Spec:      spec,
+		RTT:       rtts,
+		OnDrop:    r.qlog.OnDrop,
+		Audit:     r.aud,
+		Telemetry: r.coll,
 	})
 	r.ecn = cfg.ECN
 	for _, l := range spec.Links {
@@ -643,89 +690,82 @@ func (r *run) build() {
 	}
 }
 
-// wire creates the endpoints, chains the forward-path impairments
-// between the fabric and the receivers, and schedules the flow starts.
+// wire creates the persistent flows' endpoints, attaches the demux to
+// the fabric, and schedules the flow starts and the arrival process.
 func (r *run) wire() {
-	cfg, eng, fab, aud, coll := &r.cfg, r.eng, r.fab, r.aud, r.coll
-	output := fab.SendData
-	if aud != nil {
-		output = func(p packet.Packet) {
+	cfg, fab := &r.cfg, r.fab
+	r.output = fab.SendData
+	if r.aud != nil {
+		r.output = func(p packet.Packet) {
 			r.injectedWire += p.WireBytes()
 			fab.SendData(p)
 		}
 	}
-
-	senders := make([]*tcp.Sender, len(cfg.Flows))
-	receivers := make([]*tcp.Receiver, len(cfg.Flows))
-	for i, f := range cfg.Flows {
-		factory, _ := cca.ByName(f.CCA)
-		ctrl := factory(cfg.MSS, r.rng.Split())
-		// Telemetry observes outermost so the audit wrapper keeps its
-		// direct view of the controller's checking interfaces; the
-		// observer walks the Unwrap chain to find the state machine.
-		wrapped := telemetry.WrapCCA(audit.WrapCCA(ctrl, cfg.MSS, int32(i), aud), int32(i), coll)
-		senders[i] = tcp.NewSender(eng, int32(i), tcp.Config{
-			MSS:       cfg.MSS,
-			CCA:       wrapped,
-			Output:    output,
-			ECN:       r.ecn,
-			Audit:     aud,
-			Telemetry: coll,
-		})
-		receivers[i] = tcp.NewReceiver(eng, int32(i), tcp.ReceiverConfig{
-			DelAckDelay: cfg.DelAckDelay,
-			GROWindow:   cfg.GROWindow,
-			Audit:       aud,
-		}, fab.SendAck)
-	}
+	senders := make([]*tcp.Sender, cfg.slots())
+	receivers := make([]*tcp.Receiver, cfg.slots())
 	r.senders, r.receivers = senders, receivers
+	for i, f := range cfg.Flows {
+		// Controller, sender and receiver are allocated together: every
+		// ACK touches all three.
+		factory, _ := cca.ByName(f.CCA)
+		r.connect(int32(i), factory(cfg.MSS, r.flowRNG[i]), 0, nil)
+	}
 
-	// Forward-path impairment chain, innermost first: the receiver,
-	// then netem-style iid loss/jitter, then Gilbert–Elliott burst
-	// loss, then the link outage schedule outermost (a dark link is
-	// dark for everything behind it).
 	toReceiver := func(p packet.Packet) { receivers[p.Flow].OnData(p) }
-	if aud != nil {
+	toSender := func(p packet.Packet) { senders[p.Flow].OnAck(p) }
+	if cfg.Arrivals != nil {
+		// A finished transfer's slot is empty through its quarantine:
+		// stragglers (a late retransmission, returning ACKs) stop here.
+		toReceiver = func(p packet.Packet) {
+			if rcv := receivers[p.Flow]; rcv != nil {
+				rcv.OnData(p)
+			}
+		}
+		toSender = func(p packet.Packet) {
+			if snd := senders[p.Flow]; snd != nil {
+				snd.OnAck(p)
+			}
+		}
+	}
+	if r.aud != nil {
 		inner := toReceiver
 		toReceiver = func(p packet.Packet) {
 			r.arrivedWire += p.WireBytes()
 			inner(p)
 		}
 	}
-	if cfg.RandomLoss > 0 || cfg.Jitter > 0 {
-		r.imp = netem.NewImpairment(eng, r.rng.Split(), netem.ImpairmentConfig{
-			LossProb: cfg.RandomLoss,
-			Jitter:   cfg.Jitter,
-			OnDrop:   func(sim.Time, packet.Packet) { r.randomDrops++ },
-		}, toReceiver)
-		toReceiver = r.imp.Send
-	}
-	if cfg.BurstLoss != nil {
-		geCfg := cfg.BurstLoss.gilbert()
-		geCfg.OnDrop = func(sim.Time, packet.Packet) { r.burstDrops++ }
-		r.ge = netem.NewGilbertElliott(eng, r.rng.Split(), geCfg, toReceiver)
-		toReceiver = r.ge.Send
-	}
-	if cfg.Outage != nil {
-		policy := netem.OutageDrop
-		if cfg.Outage.Hold {
-			policy = netem.OutageHold
-		}
-		r.outg = netem.NewOutage(eng, netem.OutageConfig{
-			Windows:   cfg.Outage.windows(),
-			Policy:    policy,
-			OnDrop:    func(sim.Time, packet.Packet) { r.outageDrops++ },
-			Telemetry: coll,
-		}, toReceiver)
-		toReceiver = r.outg.Send
-	}
-	fab.SetEndpoints(
-		toReceiver,
-		func(p packet.Packet) { senders[p.Flow].OnAck(p) },
-	)
-	for _, s := range senders {
+	fab.SetEndpoints(toReceiver, toSender)
+	for _, s := range senders[:len(cfg.Flows)] {
 		s.Start(r.rng.Dur(cfg.Stagger))
 	}
+	if cfg.Arrivals != nil {
+		r.startArrivals()
+	}
+}
+
+// connect builds the endpoints of one connection on flow ID id: a
+// persistent flow (transfer 0) or one incarnation of a transfer slot.
+func (r *run) connect(id int32, ctrl cca.CCA, transfer units.ByteCount, onComplete func()) {
+	cfg, aud, coll := &r.cfg, r.aud, r.coll
+	// Telemetry observes outermost so the audit wrapper keeps its direct
+	// view of the controller's checking interfaces; the observer walks
+	// the Unwrap chain to find the state machine.
+	wrapped := telemetry.WrapCCA(audit.WrapCCA(ctrl, cfg.MSS, id, aud), id, coll)
+	r.senders[id] = tcp.NewSender(r.eng, id, tcp.Config{
+		MSS:           cfg.MSS,
+		CCA:           wrapped,
+		Output:        r.output,
+		TransferBytes: transfer,
+		OnComplete:    onComplete,
+		ECN:           r.ecn,
+		Audit:         aud,
+		Telemetry:     coll,
+	})
+	r.receivers[id] = tcp.NewReceiver(r.eng, id, tcp.ReceiverConfig{
+		DelAckDelay: cfg.DelAckDelay,
+		GROWindow:   cfg.GROWindow,
+		Audit:       aud,
+	}, r.fab.SendAck)
 }
 
 // instrument attaches everything that measures or supervises the run:
@@ -816,7 +856,7 @@ func (r *run) watchConvergence() {
 	var check func()
 	check = func() {
 		var total units.ByteCount
-		for _, rcv := range r.receivers {
+		for _, rcv := range r.receivers[:len(cfg.Flows)] {
 			total += rcv.Stats().Delivered
 		}
 		rate := float64(total-prevDelivered) / cfg.Converge.Seconds()
@@ -1008,9 +1048,10 @@ func (r *run) finish(stopAt sim.Time) (RunResult, error) {
 		}
 	}
 	res.DropBurstiness = metrics.Burstiness(r.qlog.TimesSeconds())
-	res.RandomDrops = r.randomDrops
-	res.BurstDrops = r.burstDrops
-	res.OutageDrops = r.outageDrops
+	if r.arrivals != nil {
+		r.arrivals.Drops = r.qlog.Total()
+		res.Arrivals = r.arrivals
+	}
 	if r.aud != nil {
 		res.AuditViolations = r.aud.Total()
 		res.AuditViolationSample = r.aud.Violations()
@@ -1035,10 +1076,14 @@ func (r *run) finish(stopAt sim.Time) (RunResult, error) {
 	res.Usage.PeakQueuePackets = int64(peakPackets)
 	// Per-link counters: the result retains the list for declared
 	// topologies (the dumbbell's single bottleneck is already covered by
-	// the top-level fields) and the fabric-wide CE mark count either way.
+	// the top-level fields) and the fabric-wide CE mark and stage drop
+	// counts either way.
 	linkStats := fab.LinkStats()
 	for _, l := range linkStats {
 		res.CEMarks += l.CEMarks
+		res.RandomDrops += l.RandomDrops
+		res.BurstDrops += l.BurstDrops
+		res.OutageDrops += l.OutageDrops
 	}
 	if cfg.Topology != nil {
 		res.Links = linkStats
@@ -1059,31 +1104,21 @@ func (r *run) finish(stopAt sim.Time) (RunResult, error) {
 
 // checkEndToEnd verifies the end-of-run byte-conservation ledgers for
 // the forward data path. The byte ledger: every wire byte the senders
-// injected is accounted for as arrived at a receiver, dropped inside
-// the fabric (queues, AQM, per-link impairment), still inside it
-// (queued, serializing, or in propagation flight), parked in a jitter
-// timer, or held by an outage in hold mode. The ECN ledger: every wire
-// byte CE-marked by a fabric queue is delivered, dropped after
-// marking, or still inside the fabric — marks never vanish and never
-// multiply.
+// injected is accounted for as arrived at the receiving side, dropped
+// inside the fabric (queues, AQM, link impairment stages), or still
+// inside it (queued, serializing, in propagation flight, parked in a
+// jitter timer or held by an outage) — the fabric owns all of those
+// terms. The ECN ledger: every wire byte CE-marked by a fabric queue is
+// delivered, dropped after marking, or still inside the fabric — marks
+// never vanish and never multiply.
 func (r *run) checkEndToEnd() {
 	injected, arrived := r.injectedWire, r.arrivedWire
 	inNetwork, fabricDropped := r.fab.InNetworkBytes(), r.fab.DropWire()
-	impaired := units.ByteCount(0)
-	if r.imp != nil {
-		impaired += r.imp.DropBytes() + r.imp.ParkedBytes()
-	}
-	if r.ge != nil {
-		impaired += r.ge.DropBytes()
-	}
-	if r.outg != nil {
-		impaired += r.outg.DropBytes() + r.outg.HeldBytes()
-	}
-	accounted := arrived + fabricDropped + inNetwork + impaired
+	accounted := arrived + fabricDropped + inNetwork
 	if injected != accounted {
 		r.aud.Reportf("netem/end-to-end-conservation", -1,
-			"at run end: injected %d wire bytes != arrived %d + fabric dropped %d + in network %d + impaired %d (missing %d)",
-			injected, arrived, fabricDropped, inNetwork, impaired,
+			"at run end: injected %d wire bytes != arrived %d + fabric dropped %d + in network %d (missing %d)",
+			injected, arrived, fabricDropped, inNetwork,
 			int64(injected)-int64(accounted))
 	}
 	marked, delivered, dropped, ceInNetwork := r.fab.ECNLedger()

@@ -131,25 +131,24 @@ const maxReplayGroups = 8
 // ReplayCommand returns a one-line command that reproduces the failing
 // run. Compact configurations replay through explicit ccatscale flags;
 // configurations that do not fit a command line (large interleaved flow
-// mixes) replay from the JSON failure record written next to the
-// sweep's results ("ccatscale replay -in <job>.failed.json").
+// mixes) or that `ccatscale run` has no flag for (a declared topology,
+// ECN, iid loss, jitter, an arrival process) replay from the JSON
+// failure record written next to the sweep's results ("ccatscale replay
+// -in <job>.failed.json").
 func (e *RunError) ReplayCommand() string {
+	const fromRecord = "ccatscale replay -in <job>.failed.json"
 	cfg := e.Config
-	groups := 0
-	for i := 0; i < len(cfg.Flows); {
-		j := i
-		for j < len(cfg.Flows) && cfg.Flows[j] == cfg.Flows[i] {
-			j++
-		}
-		groups++
-		i = j
+	if cfg.Topology != nil || cfg.ECN || cfg.ECNMarkBytes != 0 ||
+		cfg.RandomLoss != 0 || cfg.Jitter != 0 || cfg.Arrivals != nil {
+		return fromRecord
 	}
-	if groups > maxReplayGroups {
-		return "ccatscale replay -in <job>.failed.json"
+	flows := FlowsSpec(cfg.Flows) // one comma between groups
+	if strings.Count(flows, ",") >= maxReplayGroups {
+		return fromRecord
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "ccatscale run -flows %s -rate-bps %d -buffer-bytes %d -seed %d",
-		FlowsSpec(cfg.Flows), int64(cfg.Rate), int64(cfg.Buffer), e.Seed)
+		flows, int64(cfg.Rate), int64(cfg.Buffer), e.Seed)
 	if cfg.Warmup > 0 {
 		fmt.Fprintf(&b, " -warmup %v", cfg.Warmup)
 	}

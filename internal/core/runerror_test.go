@@ -237,6 +237,54 @@ func TestReplayCommandCompactAndFallback(t *testing.T) {
 	}
 }
 
+// TestReplayCommandFallsBackForUnflaggableConfigs: `ccatscale run` has no
+// flag for a declared topology, ECN, iid loss, jitter or an arrival
+// process, so a compact command would replay a different run (or, for a
+// topology, one validation rejects: "-rate-bps 0 -buffer-bytes 0"). Those
+// configs replay from the failure record; the fault flags the CLI does
+// have stay in the compact form.
+func TestReplayCommandFallsBackForUnflaggableConfigs(t *testing.T) {
+	cases := []struct {
+		name string
+		mut  func(*RunConfig)
+	}{
+		{"topology", func(c *RunConfig) {
+			spec, _ := c.fabricSpec(c.rtts())
+			c.Topology, c.Rate, c.Buffer = &spec, 0, 0
+		}},
+		{"ecn", func(c *RunConfig) { c.ECN = true }},
+		{"ecn mark threshold", func(c *RunConfig) { c.ECN, c.ECNMarkBytes = true, 30000 }},
+		{"random loss", func(c *RunConfig) { c.RandomLoss = 0.01 }},
+		{"ecn + random loss", func(c *RunConfig) { c.ECN, c.RandomLoss = true, 0.01 }},
+		{"jitter", func(c *RunConfig) { c.Jitter = sim.Millisecond }},
+		{"arrivals", func(c *RunConfig) { c.Arrivals = churnBase(5).Arrivals }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := smallConfig(7)
+			cfg.FaultPanicAt = sim.Second
+			tc.mut(&cfg)
+			_, err := Run(cfg)
+			var re *RunError
+			if !errors.As(err, &re) {
+				t.Fatalf("error is %T (%v), want *RunError", err, err)
+			}
+			if got := re.ReplayCommand(); got != "ccatscale replay -in <job>.failed.json" {
+				t.Fatalf("replay command %q cannot reproduce this config", got)
+			}
+		})
+	}
+	cfg := smallConfig(7)
+	cfg.BurstLoss = &BurstLossSpec{MeanLoss: 0.005, MeanBurstLen: 8}
+	cfg.Outage = &OutageSpec{Start: 2 * sim.Second, Down: sim.Second, Period: 10 * sim.Second, Count: 1}
+	cmd := (&RunError{Seed: 7, Config: cfg}).ReplayCommand()
+	for _, want := range []string{"ccatscale run", "-burst 0.005,8", "-outage 2s,1s,10s,1"} {
+		if !strings.Contains(cmd, want) {
+			t.Fatalf("replay command %q lacks %q", cmd, want)
+		}
+	}
+}
+
 func TestParseBurstLossAndOutageRoundTrip(t *testing.T) {
 	b, err := ParseBurstLoss("0.005,8")
 	if err != nil {

@@ -86,10 +86,10 @@ func RunManyCtx(ctx context.Context, cfgs []RunConfig, opt SweepOptions) ([]RunR
 		// fidelity instead of outright rejection.
 		if !cfg.Budget.Unlimited() {
 			admitted := cfg.Fidelity
-			berr := EstimateConfig(cfg).Check(cfg.Budget, cfg.Warmup+cfg.Duration)
+			berr := EstimateConfig(cfg).Check(cfg.Budget, cfg.horizon())
 			for r := 0; berr != nil && r < opt.Retries; r++ {
 				cfg = DegradeTier(cfg, cfg.Fidelity+1)
-				berr = EstimateConfig(cfg).Check(cfg.Budget, cfg.Warmup+cfg.Duration)
+				berr = EstimateConfig(cfg).Check(cfg.Budget, cfg.horizon())
 			}
 			if berr != nil {
 				errs[i] = fmt.Errorf("config %d: %w", i, berr)

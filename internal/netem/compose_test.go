@@ -4,19 +4,25 @@ import (
 	"reflect"
 	"testing"
 
+	"ccatscale/internal/audit"
 	"ccatscale/internal/packet"
 	"ccatscale/internal/sim"
 	"ccatscale/internal/units"
 )
 
-// composedChain builds the production forward-path composition — link
-// outage outermost, Gilbert–Elliott burst loss behind it, the receiver
-// sink innermost — exactly as core wires it: a dark link is dark for
-// everything behind it, and packets a hold-policy outage releases still
-// cross the lossy channel.
-type composedChain struct {
-	outage *Outage
-	ge     *GilbertElliott
+// composedLink is a one-link Topology whose LinkSpec declares the
+// composed stages — link outage outermost, Gilbert–Elliott burst loss
+// behind it — so the tests below exercise the chain NewTopology builds,
+// not a replica of it: a dark link is dark for everything behind it, and
+// packets a hold-policy outage releases still cross the lossy channel.
+type composedLink struct {
+	eng        *sim.Engine
+	topo       *Topology
+	aud        *audit.Auditor
+	outage     *Outage
+	ge         *GilbertElliott
+	got        []composedDelivery
+	queueDrops int
 }
 
 type composedDelivery struct {
@@ -24,29 +30,88 @@ type composedDelivery struct {
 	Seq int64
 }
 
-func newComposedChain(eng *sim.Engine, seed uint64, geCfg GilbertElliottConfig, oCfg OutageConfig, got *[]composedDelivery) *composedChain {
-	sink := func(p packet.Packet) { *got = append(*got, composedDelivery{eng.Now(), p.Seq}) }
-	ge := NewGilbertElliott(eng, sim.NewRNG(seed), geCfg, sink)
-	o := NewOutage(eng, oCfg, ge.Send)
-	return &composedChain{outage: o, ge: ge}
+func newComposedLink(seed uint64, burst BurstLossSpec, hold bool) *composedLink {
+	eng := sim.NewEngine()
+	c := &composedLink{eng: eng, aud: audit.New(audit.PolicyWarn, eng.Now)}
+	// Two 20 ms dark windows, 70 ms apart. The link itself is fast and
+	// short enough that a packet offered at t reaches the stages well
+	// inside the same millisecond.
+	spec := TopologySpec{
+		Nodes: []string{"a", "b"},
+		Links: []LinkSpec{{
+			Name: "ab", From: "a", To: "b",
+			Rate: units.GbitPerSec, Delay: 100 * sim.Microsecond, Buffer: units.MB,
+			BurstLoss: &burst,
+			Outage:    &OutageSpec{Start: 50 * sim.Millisecond, Down: 20 * sim.Millisecond, Period: 70 * sim.Millisecond, Count: 2, Hold: hold},
+		}},
+		Paths: [][]int{{0}},
+	}
+	c.topo = NewTopology(eng, sim.NewRNG(seed), TopologyConfig{
+		Spec: spec, RTT: []sim.Time{10 * sim.Millisecond}, Audit: c.aud,
+		OnDrop: func(sim.Time, packet.Packet) { c.queueDrops++ },
+	})
+	c.topo.SetEndpoints(
+		func(p packet.Packet) { c.got = append(c.got, composedDelivery{eng.Now(), p.Seq}) },
+		func(packet.Packet) {},
+	)
+	c.outage, c.ge = c.topo.links[0].outage, c.topo.links[0].burst
+	return c
 }
 
-// offerEveryMs schedules count packets into the chain, one per virtual
+// offerEveryMs schedules count packets into the link, one per virtual
 // millisecond starting at t=1ms, each carrying its index as Seq and a
-// fixed payload size.
-func offerEveryMs(eng *sim.Engine, c *composedChain, count int) {
+// fixed payload size, and runs the engine to quiescence.
+func (c *composedLink) offerEveryMs(count int) {
 	for i := 0; i < count; i++ {
 		seq := int64(i)
-		eng.Schedule(sim.Time(i+1)*sim.Millisecond, func() {
-			c.outage.Send(packet.Packet{Seq: seq, Len: 1000})
+		c.eng.Schedule(sim.Time(i+1)*sim.Millisecond, func() {
+			c.topo.SendData(packet.Packet{Seq: seq, Len: 1000})
 		})
+	}
+	c.eng.Run(sim.Second)
+}
+
+// checkLedger closes the fabric's own byte ledger — the terms core's
+// end-to-end check reads — against the offered population, and requires
+// that no stage loss was reported as a queue drop.
+func (c *composedLink) checkLedger(t *testing.T, offered int) {
+	t.Helper()
+	ref := packet.Packet{Len: 1000}
+	wire := ref.WireBytes()
+	delivered := units.ByteCount(len(c.got)) * wire
+	if in := c.topo.InNetworkBytes(); in != 0 {
+		t.Fatalf("%d bytes still in the fabric after quiescence", in)
+	}
+	if delivered+c.topo.DropWire() != units.ByteCount(offered)*wire {
+		t.Fatalf("byte ledger leaks: delivered %d + dropped %d != offered %d",
+			delivered, c.topo.DropWire(), units.ByteCount(offered)*wire)
+	}
+	if want := units.ByteCount(c.outage.Dropped()+c.ge.Dropped()) * wire; c.topo.DropWire() != want {
+		t.Fatalf("fabric dropped %d wire bytes, stages dropped %d", c.topo.DropWire(), want)
+	}
+	st := c.topo.LinkStats()[0]
+	if st.OutageDrops != c.outage.Dropped() || st.BurstDrops != c.ge.Dropped() || st.RandomDrops != 0 {
+		t.Fatalf("LinkStat reports %d outage / %d burst / %d iid drops, stages %d / %d / 0",
+			st.OutageDrops, st.BurstDrops, st.RandomDrops, c.outage.Dropped(), c.ge.Dropped())
+	}
+	if c.queueDrops != 0 || st.DropWire != 0 {
+		t.Fatalf("impairment loss reached the queue-drop observer (%d calls, %d wire bytes)", c.queueDrops, st.DropWire)
+	}
+	if n := c.aud.Total(); n != 0 {
+		t.Fatalf("auditor recorded %d violations: %+v", n, c.aud.Violations())
 	}
 }
 
-func composeWindows() []OutageWindow {
-	return []OutageWindow{
-		{Start: 50 * sim.Millisecond, End: 70 * sim.Millisecond},
-		{Start: 120 * sim.Millisecond, End: 140 * sim.Millisecond},
+// checkNoneDeliveredDark requires that nothing left the link while it
+// was dark.
+func (c *composedLink) checkNoneDeliveredDark(t *testing.T) {
+	t.Helper()
+	for _, d := range c.got {
+		for i, w := range c.outage.cfg.Windows {
+			if d.At >= w.Start && d.At < w.End {
+				t.Fatalf("packet %d delivered at %v inside dark window %d", d.Seq, d.At, i)
+			}
+		}
 	}
 }
 
@@ -57,13 +122,10 @@ func composeWindows() []OutageWindow {
 // no path in the composition loses a byte silently.
 func TestComposedChainConservation(t *testing.T) {
 	const offered = 200
-	eng := sim.NewEngine()
-	var got []composedDelivery
-	c := newComposedChain(eng, 7, SimpleGilbert(0.2, 4), OutageConfig{Windows: composeWindows()}, &got)
-	offerEveryMs(eng, c, offered)
-	eng.Run(sim.Second)
+	c := newComposedLink(7, BurstLossSpec{MeanLoss: 0.2, MeanBurstLen: 4}, false)
+	c.offerEveryMs(offered)
 
-	delivered := uint64(len(got))
+	delivered := uint64(len(c.got))
 	if delivered+c.outage.Dropped()+c.ge.Dropped() != offered {
 		t.Fatalf("packet ledger leaks: %d delivered + %d dark + %d burst != %d offered",
 			delivered, c.outage.Dropped(), c.ge.Dropped(), offered)
@@ -79,23 +141,8 @@ func TestComposedChainConservation(t *testing.T) {
 		t.Fatalf("chain leak between stages: outage passed %d, channel saw %d",
 			c.outage.Passed(), c.ge.Passed()+c.ge.Dropped())
 	}
-	// Byte conservation, same ledger in wire bytes.
-	ref := packet.Packet{Len: 1000}
-	wire := ref.WireBytes()
-	offeredBytes := units.ByteCount(offered) * wire
-	deliveredBytes := units.ByteCount(delivered) * wire
-	if deliveredBytes+c.outage.DropBytes()+c.ge.DropBytes() != offeredBytes {
-		t.Fatalf("byte ledger leaks: %d + %d + %d != %d",
-			deliveredBytes, c.outage.DropBytes(), c.ge.DropBytes(), offeredBytes)
-	}
-	// Nothing may arrive while the link is dark.
-	for _, d := range got {
-		for i, w := range composeWindows() {
-			if d.At >= w.Start && d.At < w.End {
-				t.Fatalf("packet %d delivered at %v inside dark window %d", d.Seq, d.At, i)
-			}
-		}
-	}
+	c.checkLedger(t, offered)
+	c.checkNoneDeliveredDark(t)
 }
 
 // TestComposedChainHoldConservation swaps in the hold policy: packets
@@ -105,16 +152,17 @@ func TestComposedChainConservation(t *testing.T) {
 // the last window.
 func TestComposedChainHoldConservation(t *testing.T) {
 	const offered = 200
-	eng := sim.NewEngine()
-	var got []composedDelivery
-	c := newComposedChain(eng, 7, SimpleGilbert(0.2, 4),
-		OutageConfig{Windows: composeWindows(), Policy: OutageHold}, &got)
-	offerEveryMs(eng, c, offered)
-	eng.Run(sim.Second)
+	c := newComposedLink(7, BurstLossSpec{MeanLoss: 0.2, MeanBurstLen: 4}, true)
+	// Mid-window the held packets are in the fabric's in-network term.
+	var heldMid units.ByteCount
+	c.eng.Schedule(60*sim.Millisecond, func() { heldMid = c.topo.InNetworkBytes() })
+	c.offerEveryMs(offered)
 
-	if c.outage.Held() != 0 || c.outage.HeldBytes() != 0 {
-		t.Fatalf("%d packets (%d bytes) still parked after the last window",
-			c.outage.Held(), c.outage.HeldBytes())
+	if heldMid == 0 {
+		t.Fatal("held packets missing from InNetworkBytes while the link was dark")
+	}
+	if c.outage.Held() != 0 {
+		t.Fatalf("%d packets still parked after the last window", c.outage.Held())
 	}
 	if c.outage.Dropped() != 0 {
 		t.Fatalf("hold policy without a capacity dropped %d packets", c.outage.Dropped())
@@ -122,7 +170,7 @@ func TestComposedChainHoldConservation(t *testing.T) {
 	if c.outage.Flushed() == 0 {
 		t.Fatal("no packets were held and flushed: the windows never saw traffic")
 	}
-	delivered := uint64(len(got))
+	delivered := uint64(len(c.got))
 	if delivered+c.ge.Dropped() != offered {
 		t.Fatalf("packet ledger leaks: %d delivered + %d burst != %d offered (flushed %d)",
 			delivered, c.ge.Dropped(), offered, c.outage.Flushed())
@@ -134,19 +182,14 @@ func TestComposedChainHoldConservation(t *testing.T) {
 	}
 	// Deliveries stay in Seq order: the flush preserves FIFO and the
 	// channel never reorders.
-	for i := 1; i < len(got); i++ {
-		if got[i].Seq <= got[i-1].Seq {
-			t.Fatalf("delivery %d out of order: seq %d after %d", i, got[i].Seq, got[i-1].Seq)
+	for i := 1; i < len(c.got); i++ {
+		if c.got[i].Seq <= c.got[i-1].Seq {
+			t.Fatalf("delivery %d out of order: seq %d after %d", i, c.got[i].Seq, c.got[i-1].Seq)
 		}
 	}
+	c.checkLedger(t, offered)
 	// A held packet must not be delivered before its window ends.
-	for _, d := range got {
-		for i, w := range composeWindows() {
-			if d.At >= w.Start && d.At < w.End {
-				t.Fatalf("packet %d delivered at %v inside dark window %d", d.Seq, d.At, i)
-			}
-		}
-	}
+	c.checkNoneDeliveredDark(t)
 }
 
 // TestComposedChainDeterminism pins the composition's reproducibility:
@@ -154,24 +197,23 @@ func TestComposedChainHoldConservation(t *testing.T) {
 // counters, for both policies; a different seed must change the burst
 // pattern (the outage schedule, being configuration, must not).
 func TestComposedChainDeterminism(t *testing.T) {
-	run := func(seed uint64, policy OutagePolicy) ([]composedDelivery, uint64, uint64) {
-		eng := sim.NewEngine()
-		var got []composedDelivery
-		c := newComposedChain(eng, seed, SimpleGilbert(0.1, 4),
-			OutageConfig{Windows: composeWindows(), Policy: policy}, &got)
-		offerEveryMs(eng, c, 200)
-		eng.Run(sim.Second)
-		return got, c.ge.Dropped(), c.outage.Dropped() + c.outage.Flushed()
+	run := func(seed uint64, hold bool) ([]composedDelivery, uint64, uint64) {
+		c := newComposedLink(seed, BurstLossSpec{MeanLoss: 0.1, MeanBurstLen: 4}, hold)
+		c.offerEveryMs(200)
+		return c.got, c.ge.Dropped(), c.outage.Dropped() + c.outage.Flushed()
 	}
-	for _, policy := range []OutagePolicy{OutageDrop, OutageHold} {
-		a, aGE, aOut := run(11, policy)
-		b, bGE, bOut := run(11, policy)
+	for _, hold := range []bool{false, true} {
+		a, aGE, aOut := run(11, hold)
+		b, bGE, bOut := run(11, hold)
 		if !reflect.DeepEqual(a, b) || aGE != bGE || aOut != bOut {
-			t.Fatalf("policy %d: same-seed composed runs differ", policy)
+			t.Fatalf("hold=%v: same-seed composed runs differ", hold)
 		}
-		c, _, _ := run(13, policy)
+		c, _, cOut := run(13, hold)
 		if reflect.DeepEqual(a, c) {
-			t.Fatalf("policy %d: different seeds produced identical burst patterns", policy)
+			t.Fatalf("hold=%v: different seeds produced identical burst patterns", hold)
+		}
+		if cOut != aOut {
+			t.Fatalf("hold=%v: the outage schedule changed with the seed (%d vs %d)", hold, cOut, aOut)
 		}
 	}
 }

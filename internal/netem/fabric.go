@@ -31,6 +31,12 @@ type LinkStat struct {
 	TxPackets uint64
 	// DropWire is cumulative dropped wire bytes (tail + AQM).
 	DropWire units.ByteCount
+	// RandomDrops / BurstDrops / OutageDrops count packets lost to the
+	// link's iid, Gilbert–Elliott and outage stages. Impairment loss is
+	// reported here, by kind, and never as a queue drop.
+	RandomDrops uint64 `json:",omitempty"`
+	BurstDrops  uint64 `json:",omitempty"`
+	OutageDrops uint64 `json:",omitempty"`
 	// CEMarks / CEMarkWire count CE marks made at this link's queue.
 	CEMarks    uint64
 	CEMarkWire units.ByteCount

@@ -5,7 +5,6 @@ import (
 
 	"ccatscale/internal/packet"
 	"ccatscale/internal/sim"
-	"ccatscale/internal/units"
 )
 
 // GilbertElliott is a two-state burst-loss impairment: the classic
@@ -32,7 +31,6 @@ type GilbertElliott struct {
 
 	passed   uint64
 	dropped  uint64
-	dropWire units.ByteCount
 	goodPkts uint64
 	badPkts  uint64
 	bursts   uint64 // Good→Bad transitions
@@ -95,6 +93,36 @@ func SimpleGilbert(meanLoss, meanBurstLen float64) GilbertElliottConfig {
 	}
 }
 
+// BurstLossSpec configures a Gilbert–Elliott stage in the two-parameter
+// simple-Gilbert form: a target long-run loss rate delivered in bursts
+// of a given mean length. MeanBurstLen = 1 degenerates to independent
+// Bernoulli loss. It is plain data, so it serializes into link specs and
+// failure records and round-trips through command-line flags.
+type BurstLossSpec struct {
+	// MeanLoss is the stationary drop probability in [0, 1).
+	MeanLoss float64 `json:"meanLoss"`
+	// MeanBurstLen is the mean number of consecutive drops per loss
+	// episode, ≥ 1.
+	MeanBurstLen float64 `json:"meanBurstLen"`
+}
+
+// String renders the spec in the ccatscale -burst flag syntax
+// ("0.005,8").
+func (s *BurstLossSpec) String() string {
+	return fmt.Sprintf("%g,%g", s.MeanLoss, s.MeanBurstLen)
+}
+
+// Validate rejects parameters SimpleGilbert would panic on.
+func (s *BurstLossSpec) Validate() error {
+	if s.MeanLoss < 0 || s.MeanLoss >= 1 {
+		return fmt.Errorf("burst mean loss %v outside [0, 1)", s.MeanLoss)
+	}
+	if s.MeanBurstLen < 1 {
+		return fmt.Errorf("burst mean length %v below 1 packet", s.MeanBurstLen)
+	}
+	return nil
+}
+
 // NewGilbertElliott creates the element delivering into out using the
 // given deterministic randomness source.
 func NewGilbertElliott(eng *sim.Engine, rng *sim.RNG, cfg GilbertElliottConfig, out Sink) *GilbertElliott {
@@ -154,7 +182,6 @@ func (g *GilbertElliott) Send(p packet.Packet) {
 
 	if drop {
 		g.dropped++
-		g.dropWire += p.WireBytes()
 		if g.cfg.OnDrop != nil {
 			g.cfg.OnDrop(g.eng.Now(), p)
 		}
@@ -169,9 +196,6 @@ func (g *GilbertElliott) Passed() uint64 { return g.passed }
 
 // Dropped returns the number of packets dropped by the channel.
 func (g *GilbertElliott) Dropped() uint64 { return g.dropped }
-
-// DropBytes returns cumulative wire bytes dropped by the channel.
-func (g *GilbertElliott) DropBytes() units.ByteCount { return g.dropWire }
 
 // GoodPackets returns the number of packets that met the Good state.
 func (g *GilbertElliott) GoodPackets() uint64 { return g.goodPkts }

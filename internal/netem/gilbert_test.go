@@ -116,9 +116,11 @@ func TestGilbertValidation(t *testing.T) {
 	eng := sim.NewEngine()
 	sink := func(packet.Packet) {}
 	for name, fn := range map[string]func(){
-		"nil sink":      func() { NewGilbertElliott(eng, sim.NewRNG(1), GilbertElliottConfig{}, nil) },
-		"nil rng":       func() { NewGilbertElliott(eng, nil, GilbertElliottConfig{}, sink) },
-		"p>1":           func() { NewGilbertElliott(eng, sim.NewRNG(1), GilbertElliottConfig{PGoodToBad: 1.5, PBadToGood: 1}, sink) },
+		"nil sink": func() { NewGilbertElliott(eng, sim.NewRNG(1), GilbertElliottConfig{}, nil) },
+		"nil rng":  func() { NewGilbertElliott(eng, nil, GilbertElliottConfig{}, sink) },
+		"p>1": func() {
+			NewGilbertElliott(eng, sim.NewRNG(1), GilbertElliottConfig{PGoodToBad: 1.5, PBadToGood: 1}, sink)
+		},
 		"r<0":           func() { NewGilbertElliott(eng, sim.NewRNG(1), GilbertElliottConfig{PBadToGood: -0.1}, sink) },
 		"absorbing bad": func() { NewGilbertElliott(eng, sim.NewRNG(1), GilbertElliottConfig{PGoodToBad: 0.1}, sink) },
 		"lossGood=1":    func() { NewGilbertElliott(eng, sim.NewRNG(1), GilbertElliottConfig{PBadToGood: 1, LossGood: 1}, sink) },

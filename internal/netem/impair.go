@@ -3,7 +3,6 @@ package netem
 import (
 	"ccatscale/internal/packet"
 	"ccatscale/internal/sim"
-	"ccatscale/internal/units"
 )
 
 // Impairment models the stochastic features of the Linux netem qdisc
@@ -27,13 +26,8 @@ type Impairment struct {
 	passed  uint64
 	dropped uint64
 
-	dropWire   units.ByteCount
-	parkedWire units.ByteCount
-
-	// Jittered packets ride pooled bound-method events; jitterFn is the
-	// once-constructed sink that unparks and forwards.
-	pool     *deliveryPool
-	jitterFn Sink
+	// Jittered packets ride pooled bound-method events.
+	pool *deliveryPool
 }
 
 // ImpairmentConfig describes the element.
@@ -64,7 +58,7 @@ func NewImpairment(eng *sim.Engine, rng *sim.RNG, cfg ImpairmentConfig, out Sink
 	if cfg.Jitter < 0 {
 		panic("netem: negative jitter")
 	}
-	im := &Impairment{
+	return &Impairment{
 		eng:      eng,
 		rng:      rng,
 		out:      out,
@@ -73,18 +67,12 @@ func NewImpairment(eng *sim.Engine, rng *sim.RNG, cfg ImpairmentConfig, out Sink
 		onDrop:   cfg.OnDrop,
 		pool:     newDeliveryPool(),
 	}
-	im.jitterFn = func(p packet.Packet) {
-		im.parkedWire -= p.WireBytes()
-		im.out(p)
-	}
-	return im
 }
 
 // Send applies loss and jitter to one packet.
 func (im *Impairment) Send(p packet.Packet) {
 	if im.lossProb > 0 && im.rng.Float64() < im.lossProb {
 		im.dropped++
-		im.dropWire += p.WireBytes()
 		if im.onDrop != nil {
 			im.onDrop(im.eng.Now(), p)
 		}
@@ -92,8 +80,7 @@ func (im *Impairment) Send(p packet.Packet) {
 	}
 	im.passed++
 	if im.jitter > 0 {
-		im.parkedWire += p.WireBytes()
-		im.eng.After(im.rng.Dur(im.jitter), im.pool.get(im.jitterFn, p).fn)
+		im.eng.After(im.rng.Dur(im.jitter), im.pool.get(im.out, p).fn)
 		return
 	}
 	im.out(p)
@@ -104,9 +91,3 @@ func (im *Impairment) Passed() uint64 { return im.passed }
 
 // Dropped returns the number of packets randomly dropped.
 func (im *Impairment) Dropped() uint64 { return im.dropped }
-
-// DropBytes returns cumulative wire bytes of random drops.
-func (im *Impairment) DropBytes() units.ByteCount { return im.dropWire }
-
-// ParkedBytes returns the wire bytes currently parked in jitter delay.
-func (im *Impairment) ParkedBytes() units.ByteCount { return im.parkedWire }

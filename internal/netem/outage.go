@@ -64,6 +64,51 @@ func Flaps(first, down, period sim.Time, count int) []OutageWindow {
 	return out
 }
 
+// OutageSpec schedules deterministic link outages (flaps) as plain
+// data: Count dark windows of length Down, the first at Start, repeating
+// every Period. The schedule is configuration, not randomness, so runs
+// remain bit-identical under a fixed seed.
+type OutageSpec struct {
+	// Start is the first outage's start time.
+	Start sim.Time `json:"startNs"`
+	// Down is each outage's duration.
+	Down sim.Time `json:"downNs"`
+	// Period is the flap period (0 with Count 1 = a single outage).
+	Period sim.Time `json:"periodNs"`
+	// Count is the number of outages (≥ 1).
+	Count int `json:"count"`
+	// Hold parks in-flight packets and releases them when the link
+	// returns instead of dropping them.
+	Hold bool `json:"hold,omitempty"`
+}
+
+// String renders the spec in the ccatscale -outage flag syntax
+// ("start,down,period,count[,hold]"), e.g. "2s,1s,10s,3".
+func (s *OutageSpec) String() string {
+	out := fmt.Sprintf("%v,%v,%v,%d", s.Start, s.Down, s.Period, s.Count)
+	if s.Hold {
+		out += ",hold"
+	}
+	return out
+}
+
+// Validate rejects schedules NewOutage would panic on.
+func (s *OutageSpec) Validate() error {
+	if s.Start < 0 {
+		return fmt.Errorf("outage start %v negative", s.Start)
+	}
+	if s.Down <= 0 {
+		return fmt.Errorf("outage down-time %v not positive", s.Down)
+	}
+	if s.Count < 1 {
+		return fmt.Errorf("outage count %d below 1", s.Count)
+	}
+	if s.Count > 1 && s.Period < s.Down {
+		return fmt.Errorf("outage period %v shorter than down-time %v: windows overlap", s.Period, s.Down)
+	}
+	return nil
+}
+
 // Outage is the link-outage impairment element. Unlike the stochastic
 // elements, its schedule is part of the configuration, so runs are
 // deterministic without consuming any randomness — two runs with the
@@ -76,7 +121,6 @@ type Outage struct {
 	idx       int // first window whose End is still in the future
 	held      []packet.Packet
 	heldBytes units.ByteCount
-	dropWire  units.ByteCount
 
 	telIdx  int  // first window whose link-up is still unannounced
 	telDown bool // current window's link-down emitted
@@ -177,7 +221,6 @@ func (o *Outage) Send(p packet.Packet) {
 		}
 	}
 	o.dropped++
-	o.dropWire += p.WireBytes()
 	if o.cfg.OnDrop != nil {
 		o.cfg.OnDrop(o.eng.Now(), p)
 	}
@@ -208,9 +251,3 @@ func (o *Outage) Flushed() uint64 { return o.flushed }
 
 // Held returns the packets currently parked.
 func (o *Outage) Held() int { return len(o.held) }
-
-// HeldBytes returns the wire bytes currently parked.
-func (o *Outage) HeldBytes() units.ByteCount { return o.heldBytes }
-
-// DropBytes returns cumulative wire bytes discarded during outages.
-func (o *Outage) DropBytes() units.ByteCount { return o.dropWire }

@@ -6,12 +6,15 @@ import (
 	"ccatscale/internal/audit"
 	"ccatscale/internal/packet"
 	"ccatscale/internal/sim"
+	"ccatscale/internal/telemetry"
 	"ccatscale/internal/units"
 )
 
 // LinkSpec declares one directed link of a topology graph: a
-// rate-limited serializing port draining a queue discipline, followed
-// by a fixed propagation delay and an optional iid-loss impairment.
+// rate-limited serializing port draining a queue discipline, a fixed
+// propagation delay, and — at the far end, in front of the next hop or
+// the receiver — the impairment stages the link declares: outage, then
+// Gilbert–Elliott burst loss, then iid loss and jitter.
 type LinkSpec struct {
 	// Name labels the link in results and errors; unique per topology.
 	Name string `json:"name"`
@@ -33,9 +36,16 @@ type LinkSpec struct {
 	// ECNMarkBytes overrides the drop-tail marking threshold (0 = a
 	// quarter of the buffer).
 	ECNMarkBytes units.ByteCount `json:"ecnMarkBytes,omitempty"`
-	// LossRate is an iid per-packet loss probability applied after
-	// serialization, the link's impairment stage. 0 disables it.
+	// LossRate is an iid per-packet loss probability in [0, 1); 0
+	// disables it.
 	LossRate float64 `json:"lossRate,omitempty"`
+	// Jitter adds a uniform random delay in [0, Jitter) per packet;
+	// large values reorder, as netem does.
+	Jitter sim.Time `json:"jitter,omitempty"`
+	// BurstLoss applies Gilbert–Elliott burst loss (nil = off).
+	BurstLoss *BurstLossSpec `json:"burstLoss,omitempty"`
+	// Outage schedules deterministic dark windows (nil = none).
+	Outage *OutageSpec `json:"outage,omitempty"`
 }
 
 // TopologySpec is the serializable declaration of a topology graph:
@@ -111,6 +121,19 @@ func (s TopologySpec) Validate() error {
 		}
 		if l.LossRate < 0 || l.LossRate >= 1 {
 			return fmt.Errorf("netem: link %q loss rate %v outside [0, 1)", l.Name, l.LossRate)
+		}
+		if l.Jitter < 0 {
+			return fmt.Errorf("netem: link %q has negative jitter %v", l.Name, l.Jitter)
+		}
+		if l.BurstLoss != nil {
+			if err := l.BurstLoss.Validate(); err != nil {
+				return fmt.Errorf("netem: link %q: %w", l.Name, err)
+			}
+		}
+		if l.Outage != nil {
+			if err := l.Outage.Validate(); err != nil {
+				return fmt.Errorf("netem: link %q: %w", l.Name, err)
+			}
 		}
 	}
 	if len(s.Paths) == 0 {
@@ -194,13 +217,17 @@ type TopologyConfig struct {
 	// must align with Spec.Paths. The reverse (ACK) delay is the RTT
 	// minus the flow's forward propagation delays, clamped at zero.
 	RTT []sim.Time
-	// OnDrop observes every drop in the fabric (tail, AQM, and
-	// impairment loss); may be nil.
+	// OnDrop observes every queue drop in the fabric (tail and AQM); may
+	// be nil. Impairment loss is never a queue drop: it is reported by
+	// kind in LinkStat and does not reach this observer.
 	OnDrop DropFunc
 	// Audit enables the per-bottleneck conservation ledgers: shadow
 	// queue accounting plus the per-link port conservation check after
 	// every operation. Nil disables auditing.
 	Audit *audit.Auditor
+	// Telemetry receives the link-down/link-up events of declared
+	// outages (nil = off).
+	Telemetry telemetry.Collector
 }
 
 // Validate rejects invalid runtime configurations with a descriptive
@@ -243,7 +270,9 @@ type Topology struct {
 	aud    *audit.Auditor
 
 	// Audit ledger terms (maintained only while auditing, except the
-	// loss counters which are cheap and always correct).
+	// loss counters which are cheap and always correct). A packet is
+	// propagating from the end of serialization until it leaves the
+	// link's last stage: jitter-parked and outage-held bytes included.
 	propBytes       units.ByteCount
 	cePropBytes     units.ByteCount
 	ceDeliveredWire units.ByteCount
@@ -257,11 +286,16 @@ type topoLink struct {
 	idx  int32
 	spec LinkSpec
 
-	port    *Port
-	pool    *deliveryPool
-	aq      *AuditedQueue
-	arrive  Sink // bound once: packet finishes this link's propagation
-	lossRNG *sim.RNG
+	port *Port
+	pool *deliveryPool
+	aq   *AuditedQueue
+	// arrive receives a packet that finished propagation: arriveFn, or
+	// the head of the stage chain that ends in it. Bound once.
+	arrive Sink
+	// The declared stages (nil = not declared).
+	outage *Outage
+	burst  *GilbertElliott
+	iid    *Impairment
 
 	// queueDropWire accumulates tail + AQM drops at this link (wire
 	// bytes), the per-bottleneck ledger's drop term. Maintained only
@@ -270,10 +304,11 @@ type topoLink struct {
 }
 
 // NewTopology wires the graph, panicking on an invalid configuration
-// (call Validate first to get the error instead). rng seeds the
-// per-link impairment stages and may be nil when no link declares loss.
-// Endpoint sinks must be attached with SetEndpoints before traffic
-// flows.
+// (call Validate first to get the error instead). Each stochastic stage
+// a link declares takes one rng.Split(), links in declaration order and
+// within a link iid loss/jitter before burst loss; rng may be nil when
+// none does. Endpoint sinks must be attached with SetEndpoints before
+// traffic flows.
 func NewTopology(eng *sim.Engine, rng *sim.RNG, cfg TopologyConfig) *Topology {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -300,12 +335,7 @@ func NewTopology(eng *sim.Engine, rng *sim.RNG, cfg TopologyConfig) *Topology {
 	for i, ls := range cfg.Spec.Links {
 		l := &topoLink{t: t, idx: int32(i), spec: ls, pool: newDeliveryPool()}
 		l.arrive = l.arriveFn
-		if ls.LossRate > 0 {
-			if rng == nil {
-				panic(fmt.Sprintf("netem: link %q declares loss but topology has no RNG", ls.Name))
-			}
-			l.lossRNG = rng.Split()
-		}
+		l.buildStages(rng, cfg.Telemetry)
 		onDrop := t.linkOnDrop(l)
 		switch ls.Discipline {
 		case CoDel:
@@ -392,21 +422,57 @@ func (l *topoLink) checkConservation(op string) {
 	}
 }
 
+// buildStages chains the impairments the link declares (often none) in
+// front of arriveFn, innermost first: iid loss and jitter, then
+// Gilbert–Elliott burst loss, then the outage schedule outermost — a
+// dark link is dark for everything behind it, and packets a hold-mode
+// outage releases still cross the lossy channel. They sit at the far
+// end, after propagation, where netem on the receiving host sits in the
+// paper's testbed.
+func (l *topoLink) buildStages(rng *sim.RNG, coll telemetry.Collector) {
+	ls, eng := &l.spec, l.t.eng
+	if ls.LossRate > 0 || ls.Jitter > 0 {
+		l.iid = NewImpairment(eng, rng.Split(), ImpairmentConfig{
+			LossProb: ls.LossRate, Jitter: ls.Jitter, OnDrop: l.stageDrop,
+		}, l.arrive)
+		l.arrive = l.iid.Send
+	}
+	if ls.BurstLoss != nil {
+		geCfg := SimpleGilbert(ls.BurstLoss.MeanLoss, ls.BurstLoss.MeanBurstLen)
+		geCfg.OnDrop = l.stageDrop
+		l.burst = NewGilbertElliott(eng, rng.Split(), geCfg, l.arrive)
+		l.arrive = l.burst.Send
+	}
+	if o := ls.Outage; o != nil {
+		oCfg := OutageConfig{Windows: Flaps(o.Start, o.Down, o.Period, o.Count), OnDrop: l.stageDrop, Telemetry: coll}
+		if o.Hold {
+			oCfg.Policy = OutageHold
+		}
+		l.outage = NewOutage(eng, oCfg, l.arrive)
+		l.arrive = l.outage.Send
+	}
+}
+
+// stageDrop is every stage's drop hook: the packet moves from the
+// propagating term to the fabric's loss term. It deliberately does not
+// call the queue-drop observer.
+func (l *topoLink) stageDrop(_ sim.Time, p packet.Packet) {
+	t, w, ce := l.t, p.WireBytes(), units.ByteCount(0)
+	if p.CE {
+		ce = w
+	}
+	t.lossWire += w
+	t.ceLossWire += ce
+	if t.aud != nil {
+		t.propBytes -= w
+		t.cePropBytes -= ce
+	}
+}
+
 // hopDone is the link port's output sink: the packet finished
-// serialization; apply the link's impairment stage, then cross the
-// propagation delay.
+// serialization and crosses the propagation delay.
 func (l *topoLink) hopDone(p packet.Packet) {
 	t := l.t
-	if l.lossRNG != nil && l.lossRNG.Float64() < l.spec.LossRate {
-		t.lossWire += p.WireBytes()
-		if p.CE {
-			t.ceLossWire += p.WireBytes()
-		}
-		if t.onDrop != nil {
-			t.onDrop(t.eng.Now(), p)
-		}
-		return
-	}
 	if t.aud != nil {
 		t.propBytes += p.WireBytes()
 		if p.CE {
@@ -416,8 +482,9 @@ func (l *topoLink) hopDone(p packet.Packet) {
 	t.eng.After(l.spec.Delay, l.pool.get(l.arrive, p).fn)
 }
 
-// arriveFn completes a hop: the packet reached the link's far node and
-// either enters the next link on its flow's path or leaves the fabric.
+// arriveFn completes a hop: the packet reached the link's far node,
+// survived its stages, and either enters the next link on its flow's
+// path or leaves the fabric.
 func (l *topoLink) arriveFn(p packet.Packet) {
 	t := l.t
 	if t.aud != nil {
@@ -470,8 +537,8 @@ func (t *Topology) SendAck(p packet.Packet) {
 }
 
 // InNetworkBytes returns wire bytes queued, serializing, or in
-// propagation flight inside the fabric (propagation terms are maintained
-// only while auditing).
+// propagation flight or a link's stages inside the fabric (the last two
+// are maintained only while auditing).
 func (t *Topology) InNetworkBytes() units.ByteCount {
 	total := t.propBytes
 	for _, l := range t.links {
@@ -513,7 +580,17 @@ func (t *Topology) ECNLedger() (marked, delivered, dropped, inNetwork units.Byte
 func (t *Topology) LinkStats() []LinkStat {
 	out := make([]LinkStat, len(t.links))
 	for i, l := range t.links {
-		out[i] = linkStat(l.spec.Name, l.port)
+		st := linkStat(l.spec.Name, l.port)
+		if l.iid != nil {
+			st.RandomDrops = l.iid.Dropped()
+		}
+		if l.burst != nil {
+			st.BurstDrops = l.burst.Dropped()
+		}
+		if l.outage != nil {
+			st.OutageDrops = l.outage.Dropped()
+		}
+		out[i] = st
 	}
 	return out
 }

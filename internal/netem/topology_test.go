@@ -46,6 +46,16 @@ func TestTopologySpecValidationErrors(t *testing.T) {
 		{"sub-frame buffer", func(s *TopologySpec) { s.Links[0].Buffer = 100 }, "cannot hold one full-size frame"},
 		{"negative delay", func(s *TopologySpec) { s.Links[0].Delay = -sim.Millisecond }, "negative delay"},
 		{"loss rate too high", func(s *TopologySpec) { s.Links[0].LossRate = 1 }, "outside [0, 1)"},
+		{"negative jitter", func(s *TopologySpec) { s.Links[1].Jitter = -sim.Millisecond }, `link "bc" has negative jitter`},
+		{"burst loss out of range", func(s *TopologySpec) {
+			s.Links[1].BurstLoss = &BurstLossSpec{MeanLoss: 1, MeanBurstLen: 4}
+		}, `link "bc": burst mean loss 1 outside [0, 1)`},
+		{"sub-packet burst", func(s *TopologySpec) {
+			s.Links[0].BurstLoss = &BurstLossSpec{MeanLoss: 0.01, MeanBurstLen: 0.5}
+		}, `link "ab": burst mean length 0.5 below 1 packet`},
+		{"overlapping outages", func(s *TopologySpec) {
+			s.Links[1].Outage = &OutageSpec{Start: sim.Second, Down: sim.Second, Period: sim.Millisecond, Count: 2}
+		}, `link "bc": outage period 1ms shorter than down-time 1s`},
 		{"no paths", func(s *TopologySpec) { s.Paths = nil }, "declares no flow paths"},
 		{"empty path", func(s *TopologySpec) { s.Paths[0] = nil }, "empty path"},
 		{"path index out of range", func(s *TopologySpec) { s.Paths[0] = []int{0, 5} }, "topology has 2 links"},
