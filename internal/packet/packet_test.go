@@ -55,11 +55,15 @@ func TestStringForms(t *testing.T) {
 
 func TestPacketValueSizeStaysSmall(t *testing.T) {
 	// Queues hold packets by value; a size regression multiplies across
-	// hundreds of thousands of queued segments at CoreScale.
+	// hundreds of thousands of queued segments at CoreScale. The limit is
+	// the size itself: the benchmark ladder's packet.struct_bytes rung
+	// reads it, and the budget estimator prices every bottleneck queue
+	// slot at it, so a field that grows the struct must fail here and not
+	// as a peak_rss_mb regression on core-reno-2000.
 	var p Packet
-	const maxBytes = 200
+	const maxBytes = 160
 	if size := int(unsafeSizeof(p)); size > maxBytes {
-		t.Fatalf("Packet value is %d bytes, want ≤ %d", size, maxBytes)
+		t.Fatalf("Packet value is %d bytes, want ≤ %d (the ladder's packet.struct_bytes)", size, maxBytes)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ccatscale/internal/cca"
+	"ccatscale/internal/packet"
 	"ccatscale/internal/sim"
 	"ccatscale/internal/units"
 )
@@ -61,5 +62,91 @@ func TestSteadyStateFlowAllocBudget(t *testing.T) {
 	}
 	if n.senders[0].Stats().DeliveredBytes == 0 {
 		t.Fatal("flow made no progress")
+	}
+}
+
+// TestLossEpisodeAllocBudget is the steady-state budget's counterpart
+// for the regime of the paper's Fig 8: BBR and Cubic flows sharing a
+// shallow buffer, so every metered window is loss detection, SACK
+// generation and retransmission. Duplicate ACKs choose their SACK blocks
+// without allocating, and the receiver's out-of-order set and the
+// sender's retransmission log keep the capacity of earlier episodes, so
+// a window with over a hundred drops in it allocates next to nothing.
+func TestLossEpisodeAllocBudget(t *testing.T) {
+	rate := 100 * units.MbitPerSec
+	rtt := 20 * sim.Millisecond
+	var rtts []sim.Time
+	var ccas []cca.CCA
+	for i := 0; i < 8; i++ {
+		rtts = append(rtts, rtt, rtt)
+		ccas = append(ccas, cca.NewBBR(units.MSS, sim.NewRNG(uint64(i+1))), cca.NewCubic(units.MSS))
+	}
+	n := newTestNet(t, rate, units.BDP(rate, rtt)/2, rtts, ccas)
+	n.start()
+	n.eng.Run(10 * sim.Second) // every flow has been through recoveries
+
+	const window = 500 * sim.Millisecond
+	minDrops := -1
+	allocs := testing.AllocsPerRun(10, func() {
+		before := n.drops
+		n.eng.Run(n.eng.Now() + window)
+		if d := n.drops - before; minDrops < 0 || d < minDrops {
+			minDrops = d
+		}
+	})
+	if minDrops < 100 {
+		t.Fatalf("a metered window held only %d drops, want ≥ 100: not a loss episode", minDrops)
+	}
+	const budget = 16.0
+	if allocs > budget {
+		t.Fatalf("loss episode allocates %.1f objects per %v window (budget %.0f, ≥ %d drops a window)",
+			allocs, window, budget, minDrops)
+	}
+}
+
+// TestReceiverOOOZeroAlloc holds the receiver's loss path to zero
+// allocations where it has seen the size before: a segment re-inserted
+// into 512 standing ranges (the shape of the benchmark ladder's
+// tcp.ns_per_seg_ooo512 rung) and its duplicate ACK, and a whole second
+// episode — 512 ranges built, every hole filled — after a first of the
+// same size.
+func TestReceiverOOOZeroAlloc(t *testing.T) {
+	const ranges = 512
+	r := NewReceiver(sim.NewEngine(), 0, DefaultReceiverConfig(), func(packet.Packet) {})
+	// Every fourth segment from base+1 stands out of order; the fills
+	// stop when the last range merges, while a hole still forces an
+	// immediate ACK.
+	build := func(base int64) {
+		for k := int64(0); k < ranges; k++ {
+			r.OnData(seg(base + 4*k + 1))
+		}
+	}
+	fill := func(base int64) {
+		for s := base; len(r.ooo) > 0; s++ {
+			if (s-base)%4 != 1 {
+				r.OnData(seg(s))
+			}
+		}
+	}
+
+	build(0)
+	next := int64(0)
+	if allocs := testing.AllocsPerRun(1000, func() {
+		r.OnData(seg(4*next + 1))
+		next = (next + 7) % ranges
+	}); allocs != 0 {
+		t.Errorf("re-inserting into %d standing ranges allocates %.1f objects per segment, want 0", ranges, allocs)
+	}
+	fill(0)
+
+	if allocs := testing.AllocsPerRun(5, func() {
+		base := r.RcvNxt() / mss
+		build(base)
+		if len(r.ooo) != ranges {
+			t.Fatalf("episode built %d ranges, want %d", len(r.ooo), ranges)
+		}
+		fill(base)
+	}); allocs != 0 {
+		t.Errorf("a second %d-range episode allocates %.1f objects, want 0", ranges, allocs)
 	}
 }

@@ -87,6 +87,17 @@ type oooRange struct {
 	touched    uint64
 }
 
+// rateEcho is the delivery-rate sampling state of one data segment
+// (packet.Packet's Delivered, DeliveredAt, FirstSentAt, SentAt and
+// AppLimited), as the receiver hands it back in an ACK.
+type rateEcho struct {
+	delivered   int64
+	deliveredAt sim.Time
+	firstSentAt sim.Time
+	sentAt      sim.Time
+	appLimited  bool
+}
+
 // Receiver is the data sink side of a connection: it reassembles the
 // byte stream, generates cumulative and selective acknowledgments, and
 // models the delayed-ACK and receive-offload behavior of the paper's
@@ -98,8 +109,11 @@ type Receiver struct {
 	cfg  ReceiverConfig
 
 	rcvNxt int64
-	ooo    []oooRange // sorted by start, disjoint
-	touch  uint64
+	// ooo is sorted by start and disjoint. It is edited in place, so its
+	// backing array grows only when a loss episode leaves more ranges
+	// standing than any before it on this flow.
+	ooo   []oooRange
+	touch uint64 // last recency stamp handed out; stamps are unique
 
 	// Delayed-ACK state: delivered units since the last ACK.
 	delAck  *sim.Timer
@@ -114,12 +128,14 @@ type Receiver struct {
 	// CWR. Never set without CE marks, so non-ECN runs are untouched.
 	eceLatch bool
 
-	// Echo state for the next (possibly delayed) ACK: RTT fields come
-	// from the oldest unacknowledged arrival, rate fields from the
-	// newest.
-	haveOldest bool
-	oldestEcho packet.Packet
-	newestEcho packet.Packet
+	// Echo state for the next (possibly delayed) ACK — the fields of
+	// the arriving segments that sendAck reads, not the segments: RTT
+	// fields come from the oldest unacknowledged arrival, rate fields
+	// from the newest.
+	haveOldest    bool
+	oldestSentAt  sim.Time
+	oldestRetrans bool
+	newest        rateEcho
 
 	stats ReceiverStats
 }
@@ -168,7 +184,20 @@ func (r *Receiver) onData(p packet.Packet) {
 		r.eceLatch = true
 		r.stats.CESegments++
 	}
-	r.rememberEcho(p)
+	// Echo state is taken before the segment is classified: a spurious
+	// retransmission that opens a delayed-ACK interval is still its
+	// oldest echo, and still suppresses the RTT sample.
+	if !r.haveOldest {
+		r.oldestSentAt, r.oldestRetrans = p.SentAt, p.Retrans
+		r.haveOldest = true
+	}
+	r.newest = rateEcho{
+		delivered:   p.Delivered,
+		deliveredAt: p.DeliveredAt,
+		firstSentAt: p.FirstSentAt,
+		sentAt:      p.SentAt,
+		appLimited:  p.AppLimited,
+	}
 	switch {
 	case p.End() <= r.rcvNxt:
 		// Entirely old: a spurious retransmission. Re-ACK immediately
@@ -259,29 +288,29 @@ func (r *Receiver) flushRun() {
 	}
 }
 
-// rememberEcho captures per-packet echo state for the next ACK.
-func (r *Receiver) rememberEcho(p packet.Packet) {
-	if !r.haveOldest {
-		r.oldestEcho = p
-		r.haveOldest = true
-	}
-	r.newestEcho = p
-}
-
 // mergeContiguous folds out-of-order ranges now contiguous with rcvNxt
 // and reports whether any hole existed before this call.
 func (r *Receiver) mergeContiguous() bool {
 	had := len(r.ooo) > 0
-	for len(r.ooo) > 0 && r.ooo[0].start <= r.rcvNxt {
-		if r.ooo[0].end > r.rcvNxt {
-			r.rcvNxt = r.ooo[0].end
+	n := 0
+	for n < len(r.ooo) && r.ooo[n].start <= r.rcvNxt {
+		if r.ooo[n].end > r.rcvNxt {
+			r.rcvNxt = r.ooo[n].end
 		}
-		r.ooo = r.ooo[1:]
+		n++
+	}
+	if n > 0 {
+		// Survivors move down to the front. Re-slicing from n instead
+		// would walk the slice off the front of its array, whose
+		// capacity the next episode could then not reuse.
+		r.ooo = r.ooo[:copy(r.ooo, r.ooo[n:])]
 	}
 	return had
 }
 
-// insertOOO records [start, end) in the sorted disjoint range set.
+// insertOOO records [start, end) in the sorted disjoint range set,
+// merging it with every range it overlaps or touches. The merged range
+// takes a fresh recency stamp.
 func (r *Receiver) insertOOO(start, end int64) {
 	r.touch++
 	i := sort.Search(len(r.ooo), func(i int) bool { return r.ooo[i].end >= start })
@@ -295,8 +324,15 @@ func (r *Receiver) insertOOO(start, end int64) {
 		}
 		j++
 	}
-	merged := oooRange{start: start, end: end, touched: r.touch}
-	r.ooo = append(r.ooo[:i], append([]oooRange{merged}, r.ooo[j:]...)...)
+	// Ranges [i, j) are absorbed; the merged range takes slot i.
+	switch {
+	case j == i: // none: open a slot
+		r.ooo = append(r.ooo, oooRange{})
+		copy(r.ooo[i+1:], r.ooo[i:])
+	case j > i+1: // several: close the gap behind slot i
+		r.ooo = append(r.ooo[:i+1], r.ooo[j:]...)
+	}
+	r.ooo[i] = oooRange{start: start, end: end, touched: r.touch}
 }
 
 func (r *Receiver) onDelAckTimeout() {
@@ -317,31 +353,38 @@ func (r *Receiver) sendAck() {
 	// RTT echo from the oldest pending arrival (TCP timestamp
 	// semantics under delayed ACKs), rate echo from the newest.
 	if r.haveOldest {
-		ack.AckedSentAt = r.oldestEcho.SentAt
-		ack.AckedRetrans = r.oldestEcho.Retrans
+		ack.AckedSentAt = r.oldestSentAt
+		ack.AckedRetrans = r.oldestRetrans
 	}
-	ack.Delivered = r.newestEcho.Delivered
-	ack.DeliveredAt = r.newestEcho.DeliveredAt
-	ack.FirstSentAt = r.newestEcho.FirstSentAt
-	ack.RateSentAt = r.newestEcho.SentAt
-	ack.AppLimited = r.newestEcho.AppLimited
+	ack.Delivered = r.newest.delivered
+	ack.DeliveredAt = r.newest.deliveredAt
+	ack.FirstSentAt = r.newest.firstSentAt
+	ack.RateSentAt = r.newest.sentAt
+	ack.AppLimited = r.newest.appLimited
 
 	// SACK blocks: most recently touched ranges first, up to the
-	// option-space limit.
-	if len(r.ooo) > 0 {
-		n := len(r.ooo)
-		idx := make([]int, n)
-		for i := range idx {
-			idx[i] = i
+	// option-space limit (RFC 2018 §4). One pass over the standing
+	// ranges keeps the best few in descending stamp order; stamps are
+	// unique, so this is the order a full sort by stamp would give.
+	var top [packet.MaxSackBlocks]oooRange
+	n := 0
+	for _, rng := range r.ooo {
+		if n == len(top) {
+			if rng.touched < top[n-1].touched {
+				continue
+			}
+			n-- // the oldest of the kept ranges falls off
 		}
-		sort.Slice(idx, func(a, b int) bool {
-			return r.ooo[idx[a]].touched > r.ooo[idx[b]].touched
-		})
-		for k := 0; k < n && k < packet.MaxSackBlocks; k++ {
-			rng := r.ooo[idx[k]]
-			ack.Sack[ack.NumSack] = packet.SackBlock{Start: rng.start, End: rng.end}
-			ack.NumSack++
+		k := n
+		for ; k > 0 && top[k-1].touched < rng.touched; k-- {
+			top[k] = top[k-1]
 		}
+		top[k] = rng
+		n++
+	}
+	for _, rng := range top[:n] {
+		ack.Sack[ack.NumSack] = packet.SackBlock{Start: rng.start, End: rng.end}
+		ack.NumSack++
 	}
 
 	if r.pending > ackEverySegments {

@@ -189,3 +189,40 @@ func TestReceiverDeliveredAccounting(t *testing.T) {
 		t.Fatalf("counters: %+v", st)
 	}
 }
+
+// The echo state is taken before the segment is classified, so a
+// spurious retransmission that opens a delayed-ACK interval is the
+// oldest echo of the ACK it forces: the sender must see AckedRetrans and
+// take no RTT sample from it (Karn's rule).
+func TestReceiverDuplicateFirstInIntervalEchoesRetrans(t *testing.T) {
+	_, r, acks := newTestReceiver(t)
+	r.OnData(seg(0))
+	r.OnData(seg(1)) // ACK: the interval closes, no echo pending
+	dup := seg(0)
+	dup.Retrans = true
+	dup.SentAt = 500
+	dup.Delivered = 7 * mss
+	dup.DeliveredAt = 400
+	dup.FirstSentAt = 300
+	dup.AppLimited = true
+	r.OnData(dup)
+	if len(*acks) != 2 {
+		t.Fatalf("acks = %d, want the duplicate to force a second", len(*acks))
+	}
+	a := (*acks)[1]
+	if !a.AckedRetrans || a.AckedSentAt != 500 {
+		t.Fatalf("duplicate not echoed as the oldest arrival: AckedRetrans=%v AckedSentAt=%v",
+			a.AckedRetrans, a.AckedSentAt)
+	}
+	if a.RateSentAt != 500 || a.Delivered != 7*mss || a.DeliveredAt != 400 ||
+		a.FirstSentAt != 300 || !a.AppLimited {
+		t.Fatalf("rate echo not from the duplicate (the newest arrival): %+v", a)
+	}
+	// The echo does not outlive its ACK: the next interval's oldest
+	// arrival is an original transmission again.
+	r.OnData(seg(2))
+	r.OnData(seg(3))
+	if a := (*acks)[2]; a.AckedRetrans || a.AckedSentAt != seg(2).SentAt {
+		t.Fatalf("stale echo: AckedRetrans=%v AckedSentAt=%v", a.AckedRetrans, a.AckedSentAt)
+	}
+}

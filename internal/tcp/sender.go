@@ -270,11 +270,10 @@ func (s *Sender) OnAck(p packet.Packet) {
 	}
 
 	// 2. Selective acknowledgments.
+	mss := int64(s.mss)
 	for i := int8(0); i < p.NumSack; i++ {
 		blk := p.Sack[i]
-		for seg := blk.Start / int64(s.mss); seg*int64(s.mss) < blk.End; seg++ {
-			newlyDelivered += s.window.Sack(seg)
-		}
+		newlyDelivered += s.window.SackRange(blk.Start/mss, (blk.End+mss-1)/mss)
 	}
 
 	// 3. RTT sample (Karn's rule excludes echoes from retransmitted
@@ -287,7 +286,7 @@ func (s *Sender) OnAck(p packet.Packet) {
 	}
 
 	// 4. Delivery accounting and rate sample.
-	rate, appLimited := s.rateSample(p, newlyDelivered, now)
+	rate, appLimited := s.rateSample(&p, newlyDelivered, now)
 
 	// 5. Round-trip tracking (delivered-byte rounds, as in the BBR
 	// reference).
@@ -418,7 +417,7 @@ func (s *Sender) auditAck() {
 // rateSample implements the delivery-rate estimator: delivered-byte and
 // time deltas between this ACK and the send-time snapshots carried by
 // the newest segment it covers.
-func (s *Sender) rateSample(p packet.Packet, newlyDelivered units.ByteCount, now sim.Time) (units.Bandwidth, bool) {
+func (s *Sender) rateSample(p *packet.Packet, newlyDelivered units.ByteCount, now sim.Time) (units.Bandwidth, bool) {
 	s.delivered += newlyDelivered
 	if newlyDelivered > 0 {
 		s.deliveredTime = now

@@ -68,9 +68,20 @@ type sendWindow struct {
 	// rtxLog records retransmissions in send order so stale (dropped)
 	// retransmissions anywhere in the window can be re-detected in
 	// O(1) amortized time: entries older than maxSackedSent are popped
-	// and, if still unacknowledged, re-marked lost.
-	rtxLog []rtxEntry
+	// and, if still unacknowledged, re-marked lost. Entries below rtxHead
+	// are popped; the array is kept across episodes.
+	rtxLog  []rtxEntry
+	rtxHead int
+
+	// sackSeen holds the last few segment ranges SackRange applied, each
+	// clamped to the window as it stood: every segment of one that is
+	// still in the window is SACKed. nextSeen is the slot to overwrite.
+	sackSeen [3]segRange
+	nextSeen int
 }
+
+// segRange is the segment range [from, to).
+type segRange struct{ from, to int64 }
 
 type rtxEntry struct {
 	seg    int64
@@ -98,8 +109,10 @@ func (w *sendWindow) Una() int64 { return w.base }
 // Nxt returns the next-to-send segment index.
 func (w *sendWindow) Nxt() int64 { return w.next }
 
+// pos is seg's ring position. The ring's length is a power of two (see
+// grow), so the wrap is a mask.
 func (w *sendWindow) pos(seg int64) int {
-	return (w.off + int(seg-w.base)) % len(w.ring)
+	return (w.off + int(seg-w.base)) & (len(w.ring) - 1)
 }
 
 func (w *sendWindow) state(seg int64) segState { return w.ring[w.pos(seg)] }
@@ -120,13 +133,16 @@ func (w *sendWindow) ExtendOne(now sim.Time) int64 {
 	return seg
 }
 
+// grow doubles the ring, which starts at 256 slots: its length stays a
+// power of two, as pos requires.
 func (w *sendWindow) grow() {
 	n := int(w.next - w.base)
 	bigger := make([]segState, 2*len(w.ring))
 	biggerAt := make([]sim.Time, 2*len(w.ring))
 	for i := 0; i < n; i++ {
-		bigger[i] = w.ring[(w.off+i)%len(w.ring)]
-		biggerAt[i] = w.sentAt[(w.off+i)%len(w.ring)]
+		from := w.pos(w.base + int64(i))
+		bigger[i] = w.ring[from]
+		biggerAt[i] = w.sentAt[from]
 	}
 	w.ring = bigger
 	w.sentAt = biggerAt
@@ -199,6 +215,48 @@ func (w *sendWindow) Sack(seg int64) units.ByteCount {
 		w.maxSackedSent = t
 	}
 	return w.mss
+}
+
+// SackRange selectively acknowledges segments [from, to) — one SACK
+// block — and returns the bytes newly delivered, as calling Sack on each
+// segment would. Successive duplicate ACKs repeat two of their three
+// blocks and grow the third at its tail, so the ranges applied last are
+// remembered and a block that starts inside one is applied from that
+// range's end on. That is exact: a SACKed segment stays SACKed until
+// Advance passes it, and segment numbers are never reused.
+func (w *sendWindow) SackRange(from, to int64) units.ByteCount {
+	// Clamp before remembering: a segment past snd.nxt is not SACKed by
+	// this call, and must not read as covered once it has been sent.
+	if from < w.base {
+		from = w.base
+	}
+	if to > w.next {
+		to = w.next
+	}
+	if from >= to {
+		return 0
+	}
+	rest := from // first segment not known to be SACKed already
+	known := false
+	for i := range w.sackSeen {
+		if r := &w.sackSeen[i]; r.from <= from && from <= r.to {
+			rest = r.to
+			if to > r.to {
+				r.to = to
+			}
+			known = true
+			break
+		}
+	}
+	if !known {
+		w.sackSeen[w.nextSeen] = segRange{from, to}
+		w.nextSeen = (w.nextSeen + 1) % len(w.sackSeen)
+	}
+	var delivered units.ByteCount
+	for seg := rest; seg < to; seg++ {
+		delivered += w.Sack(seg)
+	}
+	return delivered
 }
 
 // MarkLost applies the forward-marking rule: every un-SACKed,
@@ -286,7 +344,7 @@ func (w *sendWindow) MarkRetransmitted(seg int64, now sim.Time) {
 // lifetime.
 func (w *sendWindow) MarkStaleRtxLost() units.ByteCount {
 	var lost units.ByteCount
-	i := 0
+	i := w.rtxHead
 	for ; i < len(w.rtxLog); i++ {
 		e := w.rtxLog[i]
 		if e.sentAt >= w.maxSackedSent {
@@ -309,9 +367,13 @@ func (w *sendWindow) MarkStaleRtxLost() units.ByteCount {
 			w.rtxScan = e.seg
 		}
 	}
-	w.rtxLog = w.rtxLog[i:]
-	if len(w.rtxLog) == 0 {
-		w.rtxLog = nil // release the backing array once drained
+	// Pop by moving the head, and move the live tail down once it is the
+	// smaller half: the array is reused instead of re-grown every
+	// episode, and stays within twice the live entries.
+	w.rtxHead = i
+	if w.rtxHead > len(w.rtxLog)/2 {
+		w.rtxLog = w.rtxLog[:copy(w.rtxLog, w.rtxLog[w.rtxHead:])]
+		w.rtxHead = 0
 	}
 	return lost
 }

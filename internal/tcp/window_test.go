@@ -1,6 +1,8 @@
 package tcp
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -272,5 +274,123 @@ func TestWindowPipeInvariantProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// scoreboardDiff describes the first difference between two windows —
+// any counter or scan pointer, the state or send time of any in-window
+// segment, the live part of the retransmission log — or returns "".
+func scoreboardDiff(got, want *sendWindow) string {
+	type counters struct {
+		base, next, highestSacked, lossScan, rtxScan int64
+		pipe                                         units.ByteCount
+		sacked, lost                                 int
+		maxSackedSent                                sim.Time
+	}
+	of := func(w *sendWindow) counters {
+		return counters{w.base, w.next, w.highestSacked, w.lossScan, w.rtxScan,
+			w.pipe, w.sackedCount, w.lostCount, w.maxSackedSent}
+	}
+	if g, w := of(got), of(want); g != w {
+		return fmt.Sprintf("counters %+v, want %+v", g, w)
+	}
+	for seg := want.base; seg < want.next; seg++ {
+		if got.state(seg) != want.state(seg) || got.sentAt[got.pos(seg)] != want.sentAt[want.pos(seg)] {
+			return fmt.Sprintf("segment %d in state %d sent at %v, want state %d sent at %v", seg,
+				got.state(seg), got.sentAt[got.pos(seg)], want.state(seg), want.sentAt[want.pos(seg)])
+		}
+	}
+	g, w := got.rtxLog[got.rtxHead:], want.rtxLog[want.rtxHead:]
+	if len(g) != len(w) {
+		return fmt.Sprintf("retransmission log holds %d entries, want %d", len(g), len(w))
+	}
+	for i := range w {
+		if g[i] != w[i] {
+			return fmt.Sprintf("retransmission log entry %d = %+v, want %+v", i, g[i], w[i])
+		}
+	}
+	return ""
+}
+
+// TestWindowSackRangeMatchesPerSegmentSack runs twin windows through the
+// same random operation sequences, one taking each SACK block through
+// SackRange and the other segment by segment through Sack, and requires
+// the same delivered bytes from every block and the same scoreboard after
+// every step. Blocks repeat and grow at the tail as a duplicate-ACK
+// stream's do, so the remembered ranges are hit; they also reach past
+// snd.nxt and below snd.una, which SackRange must clamp before it
+// remembers them — a segment recorded as applied while still unsent
+// would be skipped once it had been sent.
+func TestWindowSackRangeMatchesPerSegmentSack(t *testing.T) {
+	const (
+		seeds = 30
+		ops   = 20000
+	)
+	for seed := int64(1); seed <= seeds; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		ranged, perSeg := newSendWindow(units.MSS), newSendWindow(units.MSS)
+		both := func(op func(w *sendWindow)) { op(ranged); op(perSeg) }
+		var recent [3]segRange // blocks of the "previous ACK"
+		now := sim.Time(0)
+		remembered := 0
+		for step := 0; step < ops; step++ {
+			now += sim.Microsecond
+			n := perSeg.InWindow()
+			switch kind := rng.Intn(16); {
+			case kind <= 3 && n < 400:
+				both(func(w *sendWindow) { w.ExtendOne(now) })
+			case kind == 4 && n > 0:
+				to := perSeg.Una() + 1 + rng.Int63n(n)%8
+				both(func(w *sendWindow) { w.Advance(to) })
+			case kind == 5:
+				both(func(w *sendWindow) { w.MarkLost() })
+			case kind == 6 && rng.Intn(8) == 0:
+				both(func(w *sendWindow) { w.MarkAllLost() })
+			case kind == 7:
+				both(func(w *sendWindow) {
+					if seg, ok := w.NextLost(); ok {
+						w.MarkRetransmitted(seg, now)
+					}
+				})
+			case kind == 8:
+				both(func(w *sendWindow) { w.MarkStaleRtxLost() })
+			default:
+				// One SACK block: a fresh one anywhere from below
+				// snd.una to past snd.nxt, or one of the last three
+				// again, grown at the tail.
+				slot := rng.Intn(len(recent))
+				blk := recent[slot]
+				if rng.Intn(3) == 0 || blk.to <= perSeg.Una() {
+					blk.from = perSeg.Una() - 3 + rng.Int63n(n+6)
+					blk.to = blk.from + 1 + rng.Int63n(12)
+				} else {
+					blk.to += rng.Int63n(3)
+				}
+				recent[slot] = blk
+				if blk.from >= perSeg.Una() {
+					for _, r := range ranged.sackSeen {
+						if r.from <= blk.from && blk.from < r.to {
+							remembered++
+							break
+						}
+					}
+				}
+				got := ranged.SackRange(blk.from, blk.to)
+				var want units.ByteCount
+				for seg := blk.from; seg < blk.to; seg++ {
+					want += perSeg.Sack(seg)
+				}
+				if got != want {
+					t.Fatalf("seed %d step %d: SackRange[%d, %d) delivered %d, per-segment Sack %d (window [%d, %d))",
+						seed, step, blk.from, blk.to, got, want, perSeg.Una(), perSeg.Nxt())
+				}
+			}
+			if diff := scoreboardDiff(ranged, perSeg); diff != "" {
+				t.Fatalf("seed %d step %d: %s", seed, step, diff)
+			}
+		}
+		if remembered < ops/10 {
+			t.Fatalf("seed %d: only %d of %d steps started a block inside a remembered range", seed, remembered, ops)
+		}
 	}
 }
