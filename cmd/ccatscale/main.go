@@ -1,39 +1,19 @@
-// Command ccatscale regenerates the tables and figures of "Revisiting
-// TCP Congestion Control Throughput Models & Fairness Properties At
-// Scale" (IMC 2021) on the simulated testbed.
-//
-// Usage:
+// Command ccatscale regenerates one table or figure of "Revisiting TCP
+// Congestion Control Throughput Models & Fairness Properties At Scale"
+// (IMC 2021) on the simulated testbed per invocation:
 //
 //	ccatscale <experiment> [flags]
 //
-// Experiments:
-//
-//	table1      Mathis constant C via packet-loss vs CWND-halving rate
-//	fig2        Mathis median prediction error per flow count
-//	fig3        packet-loss to CWND-halving ratio per flow count
-//	burstiness  Goh–Barabási drop burstiness (edge vs core)
-//	fig4        BBR intra-CCA fairness (JFI) at 20/100/200 ms
-//	intra       intra-CCA fairness for any CCA (--cca)
-//	fig5        Cubic share vs equal NewReno
-//	fig6        one BBR flow vs NewReno crowd
-//	fig7        one BBR flow vs Cubic crowd
-//	fig8        BBR share vs equal NewReno/Cubic (--vs)
-//	run         one custom run (--flows spec)
-//
-// Common flags (after the experiment name):
-//
-//	-scale N    CoreScale divisor: 10 → 1 Gbps/100–500 flows (default 10)
-//	-full       use the paper's full CoreScale (10 Gbps, 1000–5000 flows)
-//	-edge       run the EdgeScale setting instead of CoreScale
-//	-rtt D      restrict fairness sweeps to one base RTT (e.g. 20ms)
-//	-seed N     experiment seed (default 1)
-//	-parallel N concurrent runs (default GOMAXPROCS)
-//	-csv        emit CSV instead of the aligned table
+// The experiments are the entries of internal/experiments' catalog plus
+// run, timeseries and replay; `ccatscale help` lists them with every
+// flag.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strconv"
@@ -41,19 +21,24 @@ import (
 	"time"
 
 	"ccatscale/internal/core"
+	"ccatscale/internal/experiments"
 	"ccatscale/internal/report"
 	"ccatscale/internal/sim"
 	"ccatscale/internal/units"
-	"ccatscale/internal/waremodel"
 )
 
 func main() {
-	if len(os.Args) < 2 {
-		usage()
-		os.Exit(2)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(argv []string, stdout, stderr io.Writer) int {
+	if len(argv) < 1 {
+		usage(stderr)
+		return 2
 	}
-	cmd := os.Args[1]
-	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
+	cmd := argv[0]
+	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
 		scale    = fs.Int("scale", 10, "CoreScale divisor (10 → 1 Gbps / 100–500 flows)")
 		full     = fs.Bool("full", false, "paper-scale CoreScale (10 Gbps, 1000–5000 flows; hours of CPU)")
@@ -62,7 +47,7 @@ func main() {
 		seed     = fs.Uint64("seed", 1, "experiment seed")
 		parallel = fs.Int("parallel", runtime.GOMAXPROCS(0), "concurrent runs")
 		csv      = fs.Bool("csv", false, "emit CSV")
-		ccaName  = fs.String("cca", "reno", "CCA for the intra experiment")
+		ccaName  = fs.String("cca", "reno", "CCA for the intra, rttmix and churn experiments")
 		vs       = fs.String("vs", "reno", "competitor for fig8 (reno|cubic)")
 		flowSpec = fs.String("flows", "8xreno@20ms", "custom run flows, e.g. 4xbbr@20ms,4xcubic@100ms")
 		duration = fs.Duration("duration", 0, "override measurement window (max length when -converge is set)")
@@ -79,8 +64,15 @@ func main() {
 		auditAt  = fs.Duration("audit-drill", 0, "corrupt queue accounting at this virtual time (auditor drill; needs -audit)")
 		inFile   = fs.String("in", "", "failure record for the replay experiment")
 	)
-	if err := fs.Parse(os.Args[2:]); err != nil {
-		os.Exit(2)
+	if err := fs.Parse(argv[1:]); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "ccatscale:", err)
+		return 1
 	}
 
 	setting := pickSetting(*edge, *full, *scale)
@@ -106,14 +98,14 @@ func main() {
 	if *burst != "" {
 		spec, err := core.ParseBurstLoss(*burst)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		setting.BurstLoss = spec
 	}
 	if *outage != "" {
 		spec, err := core.ParseOutage(*outage)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		setting.Outage = spec
 	}
@@ -124,74 +116,57 @@ func main() {
 	if *auditAt > 0 {
 		setting.AuditDrillAt = sim.Duration(*auditAt)
 	}
-	rtts := core.RTTs
+	args := experiments.Args{Seed: *seed, CCA: *ccaName, Vs: *vs, RTTs: core.RTTs}
 	if *rttFlag != "" {
 		d, err := time.ParseDuration(*rttFlag)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		rtts = []sim.Time{sim.Duration(d)}
+		args.RTTs = []sim.Time{sim.Duration(d)}
 	}
 
 	start := time.Now()
 	var tab *report.Table
 	var err error
 	switch cmd {
-	case "table1":
-		tab, err = runTable1(setting, *seed, *parallel)
-	case "fig2":
-		tab, err = runFig2(setting, *seed, *parallel)
-	case "fig3":
-		tab, err = runFig3(setting, *seed, *parallel)
-	case "burstiness":
-		tab, err = runBurstiness(setting, *seed, *parallel)
-	case "fig4":
-		tab, err = runIntra(setting, "bbr", rtts, *seed, *parallel)
-	case "intra":
-		tab, err = runIntra(setting, *ccaName, rtts, *seed, *parallel)
-	case "fig5":
-		tab, err = runInter(setting, core.EqualSplit, "cubic", "reno", rtts, *seed, *parallel)
-	case "fig6":
-		tab, err = runInter(setting, core.OneVersusMany, "bbr", "reno", rtts, *seed, *parallel)
-	case "fig7":
-		tab, err = runInter(setting, core.OneVersusMany, "bbr", "cubic", rtts, *seed, *parallel)
-	case "fig8":
-		tab, err = runInter(setting, core.EqualSplit, "bbr", *vs, rtts, *seed, *parallel)
-	case "rttmix":
-		tab, err = runRTTMix(setting, *ccaName, *seed, *parallel)
-	case "churn":
-		tab, err = runChurn(setting, *ccaName, *seed, *parallel)
-	case "burstloss":
-		tab, err = runBurstLoss(setting, *seed, *parallel)
-	case "outage":
-		tab, err = runOutage(setting, *seed, *parallel)
-	case "replay":
-		tab, err = runReplay(*inFile)
-	case "timeseries":
-		err = runTimeseries(setting, *flowSpec, *seed)
-		return
+	case "help", "-h", "--help":
+		usage(stderr)
+		return 0
 	case "run":
 		tab, err = runCustom(setting, *flowSpec, *seed)
-	case "help", "-h", "--help":
-		usage()
-		return
+	case "timeseries":
+		err = runTimeseries(stdout, setting, *flowSpec, *seed)
+	case "replay":
+		tab, err = runReplay(stderr, *inFile)
 	default:
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n\n", cmd)
-		usage()
-		os.Exit(2)
+		entry, ok := experiments.Lookup(cmd)
+		if !ok {
+			fmt.Fprintf(stderr, "unknown experiment %q\n\n", cmd)
+			usage(stderr)
+			return 2
+		}
+		var results []core.RunResult
+		results, err = core.RunMany(entry.Configs(setting, args), *parallel)
+		if err == nil {
+			tab = entry.Table(setting, args, results)
+		}
 	}
 	if err != nil {
-		fatal(err)
+		return fail(err)
+	}
+	if tab == nil { // timeseries streamed its CSV itself
+		return 0
 	}
 	if *csv {
-		err = tab.WriteCSV(os.Stdout)
+		err = tab.WriteCSV(stdout)
 	} else {
-		err = tab.WriteText(os.Stdout)
-		fmt.Printf("\n[%s, seed %d, wall %s]\n", setting.Name, *seed, time.Since(start).Round(time.Millisecond))
+		err = tab.WriteText(stdout)
+		fmt.Fprintf(stdout, "\n[%s, seed %d, wall %s]\n", setting.Name, *seed, time.Since(start).Round(time.Millisecond))
 	}
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
+	return 0
 }
 
 func pickSetting(edge, full bool, scale int) core.Setting {
@@ -205,117 +180,9 @@ func pickSetting(edge, full bool, scale int) core.Setting {
 	}
 }
 
-func runTable1(s core.Setting, seed uint64, parallel int) (*report.Table, error) {
-	rows, err := core.MathisSweep(s, seed, parallel)
-	if err != nil {
-		return nil, err
-	}
-	tab := report.NewTable(
-		"Table 1: Mathis constant C (packet-loss vs CWND-halving rate)",
-		"setting", "flows", "C(loss)", "C(halving)", "utilization")
-	for _, r := range rows {
-		tab.AddRow(r.Setting, r.FlowCount, r.CLoss, r.CHalve, r.Utilization)
-	}
-	return tab, nil
-}
-
-func runFig2(s core.Setting, seed uint64, parallel int) (*report.Table, error) {
-	rows, err := core.MathisSweep(s, seed, parallel)
-	if err != nil {
-		return nil, err
-	}
-	tab := report.NewTable(
-		"Figure 2: Mathis median prediction error (%)",
-		"setting", "flows", "err(loss)%", "err(halving)%")
-	for _, r := range rows {
-		tab.AddRow(r.Setting, r.FlowCount, r.MedianErrLoss*100, r.MedianErrHalve*100)
-	}
-	return tab, nil
-}
-
-func runFig3(s core.Setting, seed uint64, parallel int) (*report.Table, error) {
-	rows, err := core.MathisSweep(s, seed, parallel)
-	if err != nil {
-		return nil, err
-	}
-	tab := report.NewTable(
-		"Figure 3: packet-loss to CWND-halving ratio",
-		"setting", "flows", "ratio")
-	for _, r := range rows {
-		tab.AddRow(r.Setting, r.FlowCount, r.LossToHalvingRatio)
-	}
-	return tab, nil
-}
-
-func runBurstiness(s core.Setting, seed uint64, parallel int) (*report.Table, error) {
-	rows, err := core.MathisSweep(s, seed, parallel)
-	if err != nil {
-		return nil, err
-	}
-	tab := report.NewTable(
-		"Drop burstiness (Goh–Barabási; paper: ≈0.2 edge, ≈0.35 core)",
-		"setting", "flows", "burstiness")
-	for _, r := range rows {
-		tab.AddRow(r.Setting, r.FlowCount, r.DropBurstiness)
-	}
-	return tab, nil
-}
-
-func runIntra(s core.Setting, ccaName string, rtts []sim.Time, seed uint64, parallel int) (*report.Table, error) {
-	rows, err := core.IntraCCASweep(s, ccaName, rtts, seed, parallel)
-	if err != nil {
-		return nil, err
-	}
-	tab := report.NewTable(
-		fmt.Sprintf("Intra-CCA fairness: %s (JFI; Fig 4 for bbr, Finding 4 for reno/cubic)", ccaName),
-		"setting", "rtt", "flows", "JFI", "utilization")
-	for _, r := range rows {
-		tab.AddRow(r.Setting, r.RTT.String(), r.FlowCount, r.JFI, r.Utilization)
-	}
-	return tab, nil
-}
-
-func runInter(s core.Setting, mode core.InterCCAMode, a, b string, rtts []sim.Time, seed uint64, parallel int) (*report.Table, error) {
-	rows, err := core.InterCCASweep(s, mode, a, b, rtts, seed, parallel)
-	if err != nil {
-		return nil, err
-	}
-	modeName := map[core.InterCCAMode]string{
-		core.EqualSplit:    "50/50",
-		core.OneVersusMany: "1 vs crowd",
-	}[mode]
-	title := fmt.Sprintf("Inter-CCA fairness: %s vs %s (%s): %s share of goodput", a, b, modeName, a)
-	if mode == core.OneVersusMany && a == "bbr" {
-		bufferBDP := float64(s.Buffer) / float64(units.BDP(s.Rate, core.DefaultRTT))
-		title += fmt.Sprintf(" [Ware model: %s]", report.Pct(waremodel.SingleBBRShare(bufferBDP)))
-	}
-	tab := report.NewTable(title, "setting", "rtt", "flows", a+" share %", "utilization")
-	for _, r := range rows {
-		tab.AddRow(r.Setting, r.RTT.String(), r.FlowCount, r.Share[a]*100, r.Utilization)
-	}
-	return tab, nil
-}
-
-// runRTTMix runs the mixed-RTT extension: half the flows at 20 ms, half
-// at 100 ms, one CCA, reporting the short-RTT class's share.
-func runRTTMix(s core.Setting, ccaName string, seed uint64, parallel int) (*report.Table, error) {
-	short, long := 20*sim.Millisecond, 100*sim.Millisecond
-	rows, err := core.RTTMixSweep(s, ccaName, short, long, seed, parallel)
-	if err != nil {
-		return nil, err
-	}
-	tab := report.NewTable(
-		fmt.Sprintf("Mixed-RTT fairness (%s): share of the %v class vs the %v class", ccaName, short, long),
-		"setting", "flows", "short-RTT share %", "JFI(short)", "JFI(long)", "utilization")
-	for _, r := range rows {
-		tab.AddRow(r.Setting, r.FlowCount, r.ShortShare*100, r.ShortJFI, r.LongJFI, r.Utilization)
-	}
-	return tab, nil
-}
-
 // runTimeseries runs one custom experiment and streams the per-CCA
-// goodput time series as CSV to stdout.
-func runTimeseries(s core.Setting, spec string, seed uint64) error {
+// goodput time series as CSV to w.
+func runTimeseries(w io.Writer, s core.Setting, spec string, seed uint64) error {
 	flows, err := parseFlows(spec)
 	if err != nil {
 		return err
@@ -326,36 +193,19 @@ func runTimeseries(s core.Setting, spec string, seed uint64) error {
 	if err != nil {
 		return err
 	}
-	fmt.Print("seconds")
+	fmt.Fprint(w, "seconds")
 	for _, n := range res.SeriesNames {
-		fmt.Printf(",%s_bps", n)
+		fmt.Fprintf(w, ",%s_bps", n)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	for _, p := range res.Series {
-		fmt.Printf("%.3f", p.At.Seconds())
+		fmt.Fprintf(w, "%.3f", p.At.Seconds())
 		for _, r := range p.Rates {
-			fmt.Printf(",%d", int64(r))
+			fmt.Fprintf(w, ",%d", int64(r))
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	return nil
-}
-
-// runChurn runs the flow-churn extension at three offered loads.
-func runChurn(s core.Setting, ccaName string, seed uint64, parallel int) (*report.Table, error) {
-	rows, err := core.ChurnSweep(s, ccaName, seed, parallel)
-	if err != nil {
-		return nil, err
-	}
-	tab := report.NewTable(
-		fmt.Sprintf("Extension: Poisson flow churn (%s, %v transfers) — flow completion times", ccaName, core.ChurnTransferBytes),
-		"load", "arrivals", "completed", "p50 FCT (s)", "p95 FCT (s)", "p99 FCT (s)", "drops")
-	for i, res := range rows {
-		a := res.Arrivals
-		tab.AddRow(fmt.Sprintf("%.0f%%", core.ChurnLoads[i]*100), a.Arrived, a.Completed,
-			a.FCTQuantile(0.5), a.FCTQuantile(0.95), a.FCTQuantile(0.99), a.Drops)
-	}
-	return tab, nil
 }
 
 // runCustom executes one run with a flow spec like
@@ -375,54 +225,13 @@ func runCustom(s core.Setting, spec string, seed uint64) (*report.Table, error) 
 		title += fmt.Sprintf(" [AUDIT: %d violations, first: %v]",
 			res.AuditViolations, res.AuditViolationSample[0].Error())
 	}
-	tab := report.NewTable(title,
-		"flow", "cca", "rtt", "goodput", "loss%", "halve%", "meanRTT")
-	for i, f := range res.Flows {
-		tab.AddRow(i, f.Spec.CCA, f.Spec.RTT.String(), f.Goodput.String(),
-			f.LossRate*100, f.HalvingRate*100, f.MeanRTT.String())
-	}
-	return tab, nil
-}
-
-// runBurstLoss runs the burst-loss extension: fixed mean loss rate,
-// growing mean burst length, against the iid Mathis prediction.
-func runBurstLoss(s core.Setting, seed uint64, parallel int) (*report.Table, error) {
-	rows, err := core.BurstLossSweep(s, seed, parallel)
-	if err != nil {
-		return nil, err
-	}
-	tab := report.NewTable(
-		fmt.Sprintf("Extension: Gilbert–Elliott burst loss (mean loss %.1f%%, %d reno flows) vs iid Mathis prediction",
-			core.BurstMeanLoss*100, rows[0].Flows),
-		"setting", "burst len", "goodput/flow", "iid predict", "measured/model", "drops/halving", "burst drops")
-	for _, r := range rows {
-		tab.AddRow(r.Setting, r.BurstLen, r.GoodputPerFlow.String(), r.PredictIID.String(),
-			r.ModelRatio, r.DropsPerHalving, r.BurstDrops)
-	}
-	return tab, nil
-}
-
-// runOutage runs the link-flap extension: per-CCA goodput retention,
-// RTOs, and fairness under periodic dark windows.
-func runOutage(s core.Setting, seed uint64, parallel int) (*report.Table, error) {
-	rows, err := core.OutageSweep(s, seed, parallel)
-	if err != nil {
-		return nil, err
-	}
-	tab := report.NewTable(
-		"Extension: link outages (periodic flaps; goodput relative to a clean run of the same CCA)",
-		"setting", "cca", "down", "flaps", "goodput", "vs clean %", "RTOs", "outage drops", "JFI")
-	for _, r := range rows {
-		tab.AddRow(r.Setting, r.CCA, r.Down.String(), r.Flaps, r.Goodput.String(),
-			r.GoodputFrac*100, r.RTOs, r.OutageDrops, r.JFI)
-	}
-	return tab, nil
+	return flowTable(title, res), nil
 }
 
 // runReplay re-executes a failed run from the JSON failure record the
 // reproduce sweep writes next to its results. A deterministic failure
 // reproduces exactly; a repaired one yields the per-flow table.
-func runReplay(path string) (*report.Table, error) {
+func runReplay(stderr io.Writer, path string) (*report.Table, error) {
 	if path == "" {
 		return nil, fmt.Errorf("replay needs -in <job>.failed.json")
 	}
@@ -435,21 +244,25 @@ func runReplay(path string) (*report.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	fmt.Fprintf(os.Stderr, "replaying: %s (seed %d, failed at vt=%v after %d events)\n",
+	fmt.Fprintf(stderr, "replaying: %s (seed %d, failed at vt=%v after %d events)\n",
 		re.Reason, re.Seed, re.VirtualTime, re.Events)
 	res, err := core.Run(re.Config)
 	if err != nil {
 		return nil, fmt.Errorf("failure reproduced: %w", err)
 	}
-	tab := report.NewTable(
-		fmt.Sprintf("Replay of %s: no failure this time (JFI %.3f, util %.3f, drops %d)",
-			path, res.JFI(), res.Utilization, res.TotalDrops),
-		"flow", "cca", "rtt", "goodput", "loss%", "halve%", "meanRTT")
-	for i, fl := range res.Flows {
-		tab.AddRow(i, fl.Spec.CCA, fl.Spec.RTT.String(), fl.Goodput.String(),
-			fl.LossRate*100, fl.HalvingRate*100, fl.MeanRTT.String())
+	title := fmt.Sprintf("Replay of %s: no failure this time (JFI %.3f, util %.3f, drops %d)",
+		path, res.JFI(), res.Utilization, res.TotalDrops)
+	return flowTable(title, res), nil
+}
+
+// flowTable is the per-flow table of one run.
+func flowTable(title string, res core.RunResult) *report.Table {
+	tab := report.NewTable(title, "flow", "cca", "rtt", "goodput", "loss%", "halve%", "meanRTT")
+	for i, f := range res.Flows {
+		tab.AddRow(i, f.Spec.CCA, f.Spec.RTT.String(), f.Goodput.String(),
+			f.LossRate*100, f.HalvingRate*100, f.MeanRTT.String())
 	}
-	return tab, nil
+	return tab
 }
 
 // parseFlows parses "NxCCA@RTT[,...]".
@@ -478,27 +291,28 @@ func parseFlows(spec string) ([]core.FlowSpec, error) {
 	return out, nil
 }
 
-func usage() {
-	fmt.Fprint(os.Stderr, `ccatscale — reproduce "Revisiting TCP CC Throughput Models & Fairness At Scale" (IMC'21)
+// usage lists the catalog's entries, so an experiment added there is
+// documented here.
+func usage(w io.Writer) {
+	fmt.Fprint(w, `ccatscale — reproduce "Revisiting TCP CC Throughput Models & Fairness At Scale" (IMC'21)
 
 usage: ccatscale <experiment> [flags]
 
 experiments:
-  table1 | fig2 | fig3 | burstiness     Mathis-model analysis (§4)
-  fig4 | intra -cca=reno|cubic|bbr      intra-CCA fairness (§5.1)
-  fig5 | fig6 | fig7 | fig8 -vs=cubic   inter-CCA fairness (§5.2)
-  rttmix -cca=reno                      mixed-RTT extension (20ms vs 100ms classes)
-  churn -cca=reno [-aqm codel]          Poisson flow-churn extension (FCT quantiles)
-  burstloss                             Gilbert–Elliott burst loss vs the iid Mathis model
-  outage                                per-CCA recovery under periodic link flaps
-  timeseries -flows=2xbbr@20ms,...      per-CCA goodput series as CSV
-  run -flows=4xbbr@20ms,4xreno@20ms     custom run
-  replay -in=<job>.failed.json          re-execute a failed run from its failure record
+`)
+	for _, e := range experiments.Catalog {
+		fmt.Fprintf(w, "  %-11s %s\n", e.Name, e.Desc)
+	}
+	fmt.Fprint(w, `  run         one custom run of -flows 4xbbr@20ms,4xreno@20ms
+  timeseries  per-CCA goodput series of a custom run (-flows), as CSV
+  replay      re-execute a failed run from its failure record: -in <job>.failed.json
 
 CCAs: reno, cubic, bbr, vegas, bbr2 (vegas and bbr2 extend beyond the
 paper's three measured algorithms).
 
-flags: -scale N | -full | -edge | -rtt 20ms | -seed N | -parallel N | -csv | -duration 60s | -converge 20s
+flags: -scale N | -full | -edge | -rtt 20ms | -seed N | -parallel N | -csv |
+-duration 60s | -converge 20s | -aqm codel | -cca reno (intra/rttmix/churn) |
+-vs cubic (fig8)
 
 fault injection (run/burstloss/outage): -burst meanLoss,meanBurstLen |
 -outage start,down,period,count[,hold] | -panic-at 5s (supervisor drill);
@@ -508,9 +322,4 @@ self-verification: -audit warn|strict enables the invariant auditor
 (conservation ledgers, TCP/CCA state checks); -audit-drill 5s corrupts
 queue accounting at that virtual time to prove the ledger catches it.
 `)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "ccatscale:", err)
-	os.Exit(1)
 }

@@ -71,6 +71,7 @@ import (
 
 	"ccatscale/internal/budget"
 	"ccatscale/internal/core"
+	"ccatscale/internal/experiments"
 	"ccatscale/internal/report"
 	"ccatscale/internal/sim"
 	"ccatscale/internal/store"
@@ -81,13 +82,15 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// job is one table of the sweep. Each job carries its own Setting copy
+// job is one table of the sweep: a catalog entry bound to a regime under
+// the name its result is filed by. Each job carries its own Setting copy
 // so per-job overrides (the -panicjob fault drill) cannot leak into
 // other jobs.
 type job struct {
 	name    string
 	setting core.Setting
-	run     func(core.Setting) (*report.Table, error)
+	entry   experiments.Entry
+	args    experiments.Args
 }
 
 // sweep is one invocation: what the flags asked for, the durable state
@@ -102,6 +105,7 @@ type sweep struct {
 	scale          int
 	seed           uint64
 	quick          bool
+	parallel       int
 	resume         bool
 	force          bool
 	panicJob       string
@@ -149,7 +153,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&sw.scale, "scale", 10, "CoreScale divisor")
 	fs.Uint64Var(&sw.seed, "seed", 7, "experiment seed")
 	fs.BoolVar(&sw.quick, "quick", false, "shrink windows and flow counts for a fast pass")
-	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "concurrent runs")
+	fs.IntVar(&sw.parallel, "parallel", runtime.GOMAXPROCS(0), "concurrent runs")
 	fs.BoolVar(&sw.resume, "resume", false, "skip jobs already completed per the output directory's manifest")
 	only := fs.String("only", "", "regexp restricting which jobs run")
 	scenarioPath := fs.String("scenario", "", "run one scenario document (versioned JSON; see DESIGN.md) instead of the paper sweep")
@@ -248,7 +252,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		govern.Budget = &budget.Budget{HeapBytes: heapBytes, Events: *eventBudget}
 	}
 
-	if err := sw.buildJobs(govern, *parallel, *scenarioPath); err != nil {
+	if err := sw.buildJobs(govern, *scenarioPath); err != nil {
 		return fail(2, err)
 	}
 	err = sw.openState(man)
@@ -276,7 +280,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 // buildJobs fills sw.jobs: the paper's tables over the two regimes, or
 // the one -scenario document. A scenario also sets the sweep's seed —
 // keys, the manifest, and table footers all record what actually ran.
-func (sw *sweep) buildJobs(govern core.Setting, parallel int, scenarioPath string) error {
+func (sw *sweep) buildJobs(govern core.Setting, scenarioPath string) error {
 	// Governance flags overlay a scenario document like any other job;
 	// the document's own audit policy stands unless -audit is given.
 	overlay := func(s *core.Setting) {
@@ -304,55 +308,44 @@ func (sw *sweep) buildJobs(govern core.Setting, parallel int, scenarioPath strin
 	}
 	overlay(&edge)
 	overlay(&corePaper)
-	sw.jobs = paperJobs(edge, corePaper, sw.seed, parallel)
+	sw.jobs = paperJobs(edge, corePaper, sw.seed)
 	return nil
 }
 
-// paperJobs lists every table and figure of the paper, plus the
-// extensions, over the two regimes.
-func paperJobs(edge, corePaper core.Setting, seed uint64, parallel int) []job {
-	mathisTables := func(s core.Setting, label string) []job {
-		mk := func(view mathisView) func(core.Setting) (*report.Table, error) {
-			return func(s core.Setting) (*report.Table, error) {
-				return mathisTable(s, seed, parallel, view)
-			}
+// paperJobs binds the catalog's entries to the two regimes: every table
+// and figure of the paper, plus the extensions.
+func paperJobs(edge, corePaper core.Setting, seed uint64) []job {
+	bind := func(name string, s core.Setting, entry string, a experiments.Args) job {
+		e, ok := experiments.Lookup(entry)
+		if !ok {
+			panic("reproduce: no catalog entry " + entry)
 		}
-		return []job{
-			{"table1_" + label, s, mk(table1View)},
-			{"fig2_" + label, s, mk(fig2View)},
-			{"fig3_" + label, s, mk(fig3View)},
-			{"burstiness_" + label, s, mk(burstView)},
+		a.Seed, a.RTTs = seed, core.RTTs
+		return job{name, s, e, a}
+	}
+	var jobs []job
+	for _, regime := range []struct {
+		label string
+		s     core.Setting
+	}{{"edge", edge}, {"core", corePaper}} {
+		for _, entry := range []string{"table1", "fig2", "fig3", "burstiness"} {
+			jobs = append(jobs, bind(entry+"_"+regime.label, regime.s, entry, experiments.Args{}))
 		}
 	}
-	intra := func(cca string) func(core.Setting) (*report.Table, error) {
-		return func(s core.Setting) (*report.Table, error) { return intraTable(s, cca, seed, parallel) }
-	}
-	inter := func(mode core.InterCCAMode, a, b string) func(core.Setting) (*report.Table, error) {
-		return func(s core.Setting) (*report.Table, error) { return interTable(s, mode, a, b, seed, parallel) }
-	}
-	jobs := append(mathisTables(edge, "edge"), mathisTables(corePaper, "core")...)
 	return append(jobs,
-		job{"finding4_reno_core", corePaper, intra("reno")},
-		job{"finding4_cubic_core", corePaper, intra("cubic")},
-		job{"fig4_edge", edge, intra("bbr")},
-		job{"fig4_core", corePaper, intra("bbr")},
-		job{"fig5_core", corePaper, inter(core.EqualSplit, "cubic", "reno")},
-		job{"fig6_core", corePaper, inter(core.OneVersusMany, "bbr", "reno")},
-		job{"fig7_core", corePaper, inter(core.OneVersusMany, "bbr", "cubic")},
-		job{"fig8_reno_core", corePaper, inter(core.EqualSplit, "bbr", "reno")},
-		job{"fig8_cubic_core", corePaper, inter(core.EqualSplit, "bbr", "cubic")},
-		job{"ext_rttmix_reno_core", corePaper, func(s core.Setting) (*report.Table, error) {
-			return rttmixTable(s, "reno", seed, parallel)
-		}},
-		job{"ext_burstloss_core", corePaper, func(s core.Setting) (*report.Table, error) {
-			return burstTable(s, seed, parallel)
-		}},
-		job{"ext_outage_core", corePaper, func(s core.Setting) (*report.Table, error) {
-			return outageTable(s, seed, parallel)
-		}},
-		job{"ext_churn_core", corePaper, func(s core.Setting) (*report.Table, error) {
-			return churnTable(s, seed, parallel)
-		}},
+		bind("finding4_reno_core", corePaper, "intra", experiments.Args{CCA: "reno"}),
+		bind("finding4_cubic_core", corePaper, "intra", experiments.Args{CCA: "cubic"}),
+		bind("fig4_edge", edge, "fig4", experiments.Args{}),
+		bind("fig4_core", corePaper, "fig4", experiments.Args{}),
+		bind("fig5_core", corePaper, "fig5", experiments.Args{}),
+		bind("fig6_core", corePaper, "fig6", experiments.Args{}),
+		bind("fig7_core", corePaper, "fig7", experiments.Args{}),
+		bind("fig8_reno_core", corePaper, "fig8", experiments.Args{Vs: "reno"}),
+		bind("fig8_cubic_core", corePaper, "fig8", experiments.Args{Vs: "cubic"}),
+		bind("ext_rttmix_reno_core", corePaper, "rttmix", experiments.Args{CCA: "reno"}),
+		bind("ext_burstloss_core", corePaper, "burstloss", experiments.Args{}),
+		bind("ext_outage_core", corePaper, "outage", experiments.Args{}),
+		bind("ext_churn_core", corePaper, "churn", experiments.Args{CCA: "reno"}),
 	)
 }
 
@@ -605,9 +598,9 @@ func (sw *sweep) serveFromStore(name, key string) bool {
 	return true
 }
 
-// claim takes the job's lease and journals the intent to run it, then
-// attaches the observation surfaces. nil means the job is not ours:
-// another worker holds it, or the sweep just died.
+// claim takes the job's lease and journals the intent to run it. nil
+// means the job is not ours: another worker holds it, or the sweep just
+// died.
 func (sw *sweep) claim(j *job, key string) *store.Lease {
 	lease, err := sw.leases.Acquire(j.name)
 	sw.mu.Lock()
@@ -631,13 +624,6 @@ func (sw *sweep) claim(j *job, key string) *store.Lease {
 		}
 		return nil
 	}
-	if sw.stream != nil || sw.regColl != nil {
-		var sc telemetry.Collector
-		if sw.stream != nil {
-			sc = sw.stream.Collector(j.name)
-		}
-		j.setting.Telemetry = telemetry.Multi(sc, sw.regColl)
-	}
 	if sw.pt != nil {
 		sw.pt.jobStarted(j.name, j.setting.Fidelity)
 	}
@@ -645,28 +631,26 @@ func (sw *sweep) claim(j *job, key string) *store.Lease {
 	return lease
 }
 
-// execute runs the job with its lease kept alive; losing the lease
-// (this process stalled past the TTL and another worker took the job)
-// cancels the job's context so its remaining runs stop. Per-run
-// resource usage is collected through a per-job sink (not the process
-// global), so concurrent workers attribute usage to the job that
-// incurred it.
+// execute runs the job's plan with its lease kept alive; losing the
+// lease (this process stalled past the TTL and another worker took the
+// job) cancels the plan's context, which skips its queued configs and
+// stops the running ones. The plan's runs emit to the sweep's observation
+// surfaces under the job's name.
 func (sw *sweep) execute(j *job, lease *store.Lease) (*report.Table, budget.Usage, error) {
 	jobCtx, cancelJob := context.WithCancel(context.Background())
 	defer cancelJob()
 	stopBeat := lease.KeepAlive(sw.leaseHeartbeat, cancelJob)
 	defer stopBeat()
-	j.setting.Ctx = jobCtx
 
-	var usageMu sync.Mutex
-	var usage budget.Usage
-	j.setting.UsageSink = func(u budget.Usage) {
-		usageMu.Lock()
-		usage.Merge(u)
-		usageMu.Unlock()
+	var streamColl telemetry.Collector
+	if sw.stream != nil {
+		streamColl = sw.stream.Collector(j.name)
 	}
-	tab, err := runJob(*j)
-	return tab, usage, err
+	return runJob(jobCtx, *j, core.SweepOptions{
+		Parallelism: sw.parallel,
+		Retries:     j.setting.Retries,
+		Collector:   telemetry.Multi(streamColl, sw.regColl),
+	})
 }
 
 // commitResult makes a finished table durable. Commit order is the
@@ -826,21 +810,30 @@ func parseByteSize(s string) (int64, error) {
 	return v * mult, nil
 }
 
-// runJob executes one job with a panic net of its own. core.Run already
-// converts simulation panics into *core.RunError; this backstop covers
-// the table-building code outside the supervisor, so no single job can
+// runJob runs one job's plan and renders its table, and returns what the
+// plan's runs consumed — the successful ones' even when a sibling config
+// failed. It has a panic net of its own: core.Run already converts
+// simulation panics into *core.RunError; this backstop covers the plan-
+// and table-building code outside the supervisor, so no single job can
 // take down the sweep.
-func runJob(j job) (tab *report.Table, err error) {
+func runJob(ctx context.Context, j job, opt core.SweepOptions) (tab *report.Table, usage budget.Usage, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("panic outside supervisor: %v\n%s", r, debug.Stack())
+			tab, err = nil, fmt.Errorf("panic outside supervisor: %v\n%s", r, debug.Stack())
 		}
 	}()
-	tab, err = j.run(j.setting)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", j.name, err)
+	results, err := core.RunManyCtx(ctx, j.entry.Configs(j.setting, j.args), opt)
+	for _, res := range results {
+		// A failed config's slot is the zero RunResult, which Merge
+		// would count as a run.
+		if res.Usage.Runs > 0 {
+			usage.Merge(res.Usage)
+		}
 	}
-	return tab, nil
+	if err != nil {
+		return nil, usage, fmt.Errorf("%s: %w", j.name, err)
+	}
+	return j.entry.Table(j.setting, j.args, results), usage, nil
 }
 
 // writeTable writes one result file, checking every step — a partially
@@ -906,126 +899,4 @@ func writeFailure(path string, re *core.RunError) error {
 		os.Remove(path)
 	}
 	return err
-}
-
-type mathisView int
-
-const (
-	table1View mathisView = iota
-	fig2View
-	fig3View
-	burstView
-)
-
-func mathisTable(s core.Setting, seed uint64, parallel int, view mathisView) (*report.Table, error) {
-	rows, err := core.MathisSweep(s, seed, parallel)
-	if err != nil {
-		return nil, err
-	}
-	var tab *report.Table
-	switch view {
-	case table1View:
-		tab = report.NewTable("Table 1: Mathis constant C", "setting", "flows", "C(loss)", "C(halving)")
-		for _, r := range rows {
-			tab.AddRow(r.Setting, r.FlowCount, r.CLoss, r.CHalve)
-		}
-	case fig2View:
-		tab = report.NewTable("Figure 2: median prediction error (%)", "setting", "flows", "err(loss)%", "err(halving)%")
-		for _, r := range rows {
-			tab.AddRow(r.Setting, r.FlowCount, r.MedianErrLoss*100, r.MedianErrHalve*100)
-		}
-	case fig3View:
-		tab = report.NewTable("Figure 3: loss-to-halving ratio", "setting", "flows", "ratio")
-		for _, r := range rows {
-			tab.AddRow(r.Setting, r.FlowCount, r.LossToHalvingRatio)
-		}
-	case burstView:
-		tab = report.NewTable("Drop burstiness (Goh–Barabási)", "setting", "flows", "burstiness")
-		for _, r := range rows {
-			tab.AddRow(r.Setting, r.FlowCount, r.DropBurstiness)
-		}
-	}
-	return tab, nil
-}
-
-func intraTable(s core.Setting, cca string, seed uint64, parallel int) (*report.Table, error) {
-	rows, err := core.IntraCCASweep(s, cca, core.RTTs, seed, parallel)
-	if err != nil {
-		return nil, err
-	}
-	tab := report.NewTable("Intra-CCA fairness: "+cca, "setting", "rtt", "flows", "JFI")
-	for _, r := range rows {
-		tab.AddRow(r.Setting, r.RTT.String(), r.FlowCount, r.JFI)
-	}
-	return tab, nil
-}
-
-func interTable(s core.Setting, mode core.InterCCAMode, a, b string, seed uint64, parallel int) (*report.Table, error) {
-	rows, err := core.InterCCASweep(s, mode, a, b, core.RTTs, seed, parallel)
-	if err != nil {
-		return nil, err
-	}
-	tab := report.NewTable(fmt.Sprintf("Inter-CCA: %s vs %s", a, b), "setting", "rtt", "flows", a+" share %")
-	for _, r := range rows {
-		tab.AddRow(r.Setting, r.RTT.String(), r.FlowCount, r.Share[a]*100)
-	}
-	return tab, nil
-}
-
-func rttmixTable(s core.Setting, cca string, seed uint64, parallel int) (*report.Table, error) {
-	rows, err := core.RTTMixSweep(s, cca, 20*sim.Millisecond, 100*sim.Millisecond, seed, parallel)
-	if err != nil {
-		return nil, err
-	}
-	tab := report.NewTable("Extension: mixed-RTT fairness "+cca, "setting", "flows", "short share %", "JFI(short)", "JFI(long)")
-	for _, r := range rows {
-		tab.AddRow(r.Setting, r.FlowCount, r.ShortShare*100, r.ShortJFI, r.LongJFI)
-	}
-	return tab, nil
-}
-
-func burstTable(s core.Setting, seed uint64, parallel int) (*report.Table, error) {
-	rows, err := core.BurstLossSweep(s, seed, parallel)
-	if err != nil {
-		return nil, err
-	}
-	tab := report.NewTable(
-		fmt.Sprintf("Extension: Gilbert–Elliott burst loss (mean loss %.1f%%) vs iid Mathis prediction",
-			core.BurstMeanLoss*100),
-		"setting", "burst len", "goodput/flow", "iid predict", "measured/model", "drops/halving", "burst drops")
-	for _, r := range rows {
-		tab.AddRow(r.Setting, r.BurstLen, r.GoodputPerFlow.String(), r.PredictIID.String(),
-			r.ModelRatio, r.DropsPerHalving, r.BurstDrops)
-	}
-	return tab, nil
-}
-
-func outageTable(s core.Setting, seed uint64, parallel int) (*report.Table, error) {
-	rows, err := core.OutageSweep(s, seed, parallel)
-	if err != nil {
-		return nil, err
-	}
-	tab := report.NewTable(
-		"Extension: link outages (goodput relative to a clean run of the same CCA)",
-		"setting", "cca", "down", "flaps", "goodput", "vs clean %", "RTOs", "outage drops", "JFI")
-	for _, r := range rows {
-		tab.AddRow(r.Setting, r.CCA, r.Down.String(), r.Flaps, r.Goodput.String(),
-			r.GoodputFrac*100, r.RTOs, r.OutageDrops, r.JFI)
-	}
-	return tab, nil
-}
-
-func churnTable(s core.Setting, seed uint64, parallel int) (*report.Table, error) {
-	rows, err := core.ChurnSweep(s, "reno", seed, parallel)
-	if err != nil {
-		return nil, err
-	}
-	tab := report.NewTable("Extension: Poisson flow churn (500 KB transfers)",
-		"load", "arrivals", "completed", "p50FCT_s", "p95FCT_s", "p99FCT_s")
-	for i, res := range rows {
-		a := res.Arrivals
-		tab.AddRow(fmt.Sprintf("%.0f%%", core.ChurnLoads[i]*100), a.Arrived, a.Completed,
-			a.FCTQuantile(0.5), a.FCTQuantile(0.95), a.FCTQuantile(0.99))
-	}
-	return tab, nil
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,14 +10,17 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"ccatscale/internal/budget"
 	"ccatscale/internal/core"
+	"ccatscale/internal/experiments"
 	"ccatscale/internal/report"
 	"ccatscale/internal/sim"
 	"ccatscale/internal/store"
+	"ccatscale/internal/telemetry"
 	"ccatscale/internal/units"
 )
 
@@ -34,12 +38,21 @@ func testSetting() core.Setting {
 	}
 }
 
+// testJob binds a catalog entry to testSetting under the entry's name.
+func testJob(entry string, a experiments.Args) job {
+	e, ok := experiments.Lookup(entry)
+	if !ok {
+		panic("no catalog entry " + entry)
+	}
+	return job{name: entry, setting: testSetting(), entry: e, args: a}
+}
+
 // TestMathisTableDeterministic is the repeatability regression: the
 // same seed must yield byte-identical table text, or every "reproduce"
 // claim in EXPERIMENTS.md is void.
 func TestMathisTableDeterministic(t *testing.T) {
 	render := func() string {
-		tab, err := mathisTable(testSetting(), 17, 2, table1View)
+		tab, _, err := runJob(context.Background(), testJob("table1", experiments.Args{Seed: 17}), core.SweepOptions{Parallelism: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,6 +172,205 @@ func TestConfigHashIgnoresGovernance(t *testing.T) {
 	}
 	if h := configHash(7, 10, false, []job{{name: "k", setting: s}}); h == base {
 		t.Fatal("renamed job did not change the config hash")
+	}
+}
+
+// TestConfigHashFollowsTheTable: result keys do not see a table's
+// columns and the store keeps the first commit, so a resume across a
+// changed header row must be refused as stale — one renamed column moves
+// the hash, the retry allowance still does not.
+func TestConfigHashFollowsTheTable(t *testing.T) {
+	j := testJob("table1", experiments.Args{Seed: 7})
+	base := configHash(7, 10, false, []job{j})
+
+	renamed := j
+	renamed.entry.Headers = append([]string(nil), j.entry.Headers...)
+	renamed.entry.Headers[2] = "C(drop)"
+	if configHash(7, 10, false, []job{renamed}) == base {
+		t.Fatal("a renamed column did not change the config hash")
+	}
+	other := j
+	other.entry.Name = "fig2"
+	if configHash(7, 10, false, []job{other}) == base {
+		t.Fatal("a different catalog entry under the same job name did not change the config hash")
+	}
+	retried := j
+	retried.setting.Retries = 2
+	if configHash(7, 10, false, []job{retried}) != base {
+		t.Fatal("-retries changed the config hash")
+	}
+}
+
+// TestJobNamesAndKeysGolden pins the sweep's 21 job names and the store
+// keys their results are filed under, at the default flags and at the CI
+// smoke's. testdata/jobkeys.golden was captured at the commit before the
+// jobs became catalog bindings; a name or key that moves orphans every
+// stored result.
+func TestJobNamesAndKeysGolden(t *testing.T) {
+	var got bytes.Buffer
+	for _, tier := range []struct {
+		label string
+		scale int
+		quick bool
+	}{
+		{"default", 10, false},
+		{"-quick -scale 50 -seed 7", 50, true},
+	} {
+		sw := &sweep{scale: tier.scale, seed: 7, quick: tier.quick}
+		if err := sw.buildJobs(core.Setting{}, ""); err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&got, "== reproduce %s ==\n", tier.label)
+		for _, j := range sw.jobs {
+			key, err := core.ResultKey(j.name, sw.seed, j.setting)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&got, "%s %s\n", j.name, key)
+		}
+	}
+	want, err := os.ReadFile("testdata/jobkeys.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("job names or keys moved\n--- got\n%s--- want\n%s", &got, want)
+	}
+}
+
+// TestUsageParityWithTheSink: a job's manifest usage is merged from the
+// results RunManyCtx returns. The runs and events below were recorded
+// through the per-job usage sink at the commit that deleted it, for the
+// same flags; a nine-config and the twelve-config job must still report
+// them.
+func TestUsageParityWithTheSink(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real sweeps")
+	}
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("event counts were recorded on amd64; on %s fused multiply-adds may move them", runtime.GOARCH)
+	}
+	dir := t.TempDir()
+	var stdout, stderr bytes.Buffer
+	code := run([]string{"-out", dir, "-quick", "-scale", "50", "-seed", "7",
+		"-only", "^(fig6_core|ext_outage_core)$"}, &stdout, &stderr)
+	if code != 0 {
+		t.Fatalf("exit = %d\nstdout:\n%s\nstderr:\n%s", code, &stdout, &stderr)
+	}
+	m, err := loadManifest(dir)
+	if err != nil || m == nil {
+		t.Fatalf("manifest: %v, %v", m, err)
+	}
+	for name, want := range map[string]budget.Usage{
+		"fig6_core":       {Runs: 9, Events: 2737201},
+		"ext_outage_core": {Runs: 12, Events: 3155388},
+	} {
+		rec := m.Jobs[name]
+		if rec == nil || rec.Usage == nil || rec.Usage.Runs != want.Runs || rec.Usage.Events != want.Events {
+			t.Errorf("%s: record %+v, want usage of %d runs / %d events", name, rec, want.Runs, want.Events)
+		}
+	}
+}
+
+// newTestSweep opens a sweep's durable state in dir over hand-built jobs,
+// so a test can take one through doJob without the flag layer.
+func newTestSweep(t *testing.T, dir string, jobs ...job) *sweep {
+	t.Helper()
+	sw := &sweep{
+		stdout: new(bytes.Buffer), stderr: new(bytes.Buffer),
+		out: dir, seed: 7, scale: 10, parallel: 1,
+		leaseTTL: 30 * time.Second, leaseHeartbeat: 5 * time.Second,
+		fsys: store.OSFS(), jobs: jobs,
+	}
+	if err := sw.openState(nil); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sw.jnl.Close() })
+	return sw
+}
+
+// TestFailedConfigKeepsSiblingsUsage: RunManyCtx returns every
+// successful run's result beside a failure, so a job one of whose three
+// configs panics is recorded failed with the other two's usage — and
+// with two runs, not three: the failed slot's zero Usage is not merged.
+func TestFailedConfigKeepsSiblingsUsage(t *testing.T) {
+	j := testJob("table1", experiments.Args{Seed: 7})
+	j.setting.FlowCounts = []int{2, 3, 4}
+	plan := j.entry.Configs
+	j.entry.Configs = func(s core.Setting, a experiments.Args) []core.RunConfig {
+		cfgs := plan(s, a)
+		cfgs[1].FaultPanicAt = sim.Second
+		return cfgs
+	}
+	var want budget.Usage
+	for i, cfg := range plan(j.setting, j.args) {
+		if i == 1 {
+			continue
+		}
+		res, err := core.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Merge(res.Usage)
+	}
+
+	dir := t.TempDir()
+	sw := newTestSweep(t, dir, j)
+	sw.doJob(j)
+	rec := sw.man.Jobs[j.name]
+	if rec == nil || rec.Status != "failed" || !strings.Contains(rec.Error, "config 1:") || rec.FailureFile == "" {
+		t.Fatalf("record: %+v\nstderr:\n%s", rec, sw.stderr)
+	}
+	if rec.Usage == nil || rec.Usage.Runs != 2 || rec.Usage.Events != want.Events {
+		t.Fatalf("usage %+v, want the two successful configs' (2 runs, %d events)", rec.Usage, want.Events)
+	}
+}
+
+// TestLeaseLossCancelsRunningPlan: the job's context is the one its
+// plan's RunManyCtx runs under, so a lease taken over mid-run stops the
+// config in flight and skips the queued one, long before either would
+// have finished.
+func TestLeaseLossCancelsRunningPlan(t *testing.T) {
+	slow := core.CoreScaleScaled(10) // minutes of wall per config
+	slow.FlowCounts = []int{100, 100}
+	e, _ := experiments.Lookup("table1")
+	j := job{name: "slow", setting: slow, entry: e, args: experiments.Args{Seed: 7}}
+
+	dir := t.TempDir()
+	sw := newTestSweep(t, dir, j)
+	sw.leaseTTL, sw.leaseHeartbeat = time.Second, 10*time.Millisecond
+	started := make(chan struct{})
+	var once sync.Once
+	sw.regColl = telemetry.CollectorFunc(func(ev telemetry.Event) {
+		if ev.Kind == telemetry.KindRunStart {
+			once.Do(func() { close(started) })
+		}
+	})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		sw.doJob(j)
+	}()
+	select {
+	case <-started:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the plan never started")
+	}
+	// Another worker's takeover, as the holder sees it: the lease file
+	// names a different owner.
+	thief := []byte(`{"owner":"other-host-999","pid":999,"since":"2026-01-01T00:00:00Z"}` + "\n")
+	if err := os.WriteFile(filepath.Join(dir, "leases", "slow.lease"), thief, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("losing the lease did not stop the plan")
+	}
+	rec := sw.man.Jobs["slow"]
+	if rec == nil || rec.Status != "failed" ||
+		!strings.Contains(rec.Error, "run canceled") || !strings.Contains(rec.Error, "config 1: context canceled") {
+		t.Fatalf("record after lease loss: %+v", rec)
 	}
 }
 

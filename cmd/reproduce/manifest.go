@@ -34,10 +34,11 @@ type manifest struct {
 	Seed          uint64 `json:"seed"`
 	Scale         int    `json:"scale"`
 	Quick         bool   `json:"quick"`
-	// ConfigHash fingerprints the experiment-defining job list (names
-	// and settings, with governance knobs zeroed). -resume refuses a
-	// manifest whose hash no longer matches the jobs this binary would
-	// run — the job set changed under it — unless -force overrides.
+	// ConfigHash fingerprints the experiment-defining job list (names,
+	// settings with governance knobs zeroed, table headers). -resume
+	// refuses a manifest whose hash no longer matches the jobs this
+	// binary would run — the job set changed under it — unless -force
+	// overrides.
 	ConfigHash string                `json:"configHash,omitempty"`
 	Jobs       map[string]*jobRecord `json:"jobs"`
 }
@@ -166,20 +167,24 @@ func (m *manifest) saveFS(fs store.FS, dir string) error {
 	return store.WriteFileAtomicFS(fs, filepath.Join(dir, manifestFile), append(data, '\n'))
 }
 
-// configHash fingerprints the experiment the job list defines: names
-// plus each job's setting reduced to its core.Identity (budget,
-// retries, wall limit, fidelity cleared), so changing -mem-budget or
-// -retries between a run and its resume does not read as a different
-// experiment, while changing seeds, scales, windows, or the job set
-// itself does.
+// configHash fingerprints the experiment the job list defines: names,
+// each job's setting reduced to its core.Identity (budget, retries,
+// wall limit, fidelity cleared), and the catalog entry and header row
+// of its table. So changing -mem-budget or -retries between a run and
+// its resume does not read as a different experiment, while changing
+// seeds, scales, windows, the job set itself or a table's columns does —
+// the store is first-commit-wins under keys that do not see the table,
+// and would otherwise serve the old shape beside the new.
 func configHash(seed uint64, scale int, quick bool, jobs []job) string {
 	type hashJob struct {
 		Name    string
 		Setting core.Setting
+		Entry   string
+		Headers []string
 	}
 	hj := make([]hashJob, len(jobs))
 	for i, j := range jobs {
-		hj[i] = hashJob{Name: j.name, Setting: core.Identity(j.setting)}
+		hj[i] = hashJob{j.name, core.Identity(j.setting), j.entry.Name, j.entry.Headers}
 	}
 	data, err := json.Marshal(struct {
 		Seed  uint64

@@ -1,11 +1,11 @@
 package main
 
 import (
-	"context"
 	"fmt"
 	"os"
 
 	"ccatscale/internal/core"
+	"ccatscale/internal/experiments"
 	"ccatscale/internal/metrics"
 	"ccatscale/internal/report"
 	"ccatscale/internal/schema"
@@ -14,10 +14,11 @@ import (
 )
 
 // loadScenarioJob reads, parses, and compiles one scenario document
-// into a sweep job, so a file-driven run flows through exactly the
-// same journal/store/lease machinery as the paper sweep. The document
-// carries its own seed; it is folded into the job name so two
-// scenarios differing only by seed commit under different keys.
+// into a sweep job — a one-config plan whose table is scenarioTable — so
+// a file-driven run flows through exactly the same journal/store/lease
+// machinery as the paper sweep. The document carries its own seed; it is
+// folded into the job name so two scenarios differing only by seed
+// commit under different keys.
 func loadScenarioJob(path string) (job, uint64, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -31,37 +32,36 @@ func loadScenarioJob(path string) (job, uint64, error) {
 	if err != nil {
 		return job{}, 0, fmt.Errorf("%s: %w", path, err)
 	}
-	name := fmt.Sprintf("scenario_%s_seed%d", scn.Name, scn.Seed)
 	return job{
-		name:    name,
+		name:    fmt.Sprintf("scenario_%s_seed%d", scn.Name, scn.Seed),
 		setting: b.Setting(),
-		run: func(s core.Setting) (*report.Table, error) {
-			return scenarioTable(b, scn, s)
+		entry: experiments.Entry{
+			Name:    "scenario",
+			Headers: scenarioHeaders,
+			// Built from the job's governed setting copy, so -audit,
+			// -runwall, budget flags, and the fidelity ladder overlay
+			// the document like any other job.
+			Configs: func(s core.Setting, _ experiments.Args) []core.RunConfig {
+				opts := []core.ConfigOption{core.WithSeed(b.Seed())}
+				if scn.SeriesIntervalS > 0 {
+					iv := sim.Time(scn.SeriesIntervalS * float64(sim.Second))
+					opts = append(opts, func(c *core.RunConfig) { c.SeriesInterval = iv })
+				}
+				return []core.RunConfig{s.Build(b.Flows(), opts...)}
+			},
+			Table: func(_ core.Setting, _ experiments.Args, results []core.RunResult) *report.Table {
+				return scenarioTable(scn.Name, results[0])
+			},
 		},
 	}, scn.Seed, nil
 }
 
-// scenarioTable runs the compiled scenario under the job's governed
-// setting copy — so -audit, -runwall, budget flags, and the fidelity
-// ladder overlay the document like any other job — and renders the
-// canonical per-flow table plus per-link notes for topology runs.
-func scenarioTable(b *core.ScenarioBuilder, scn *schema.Scenario, s core.Setting) (*report.Table, error) {
-	opts := []core.ConfigOption{core.WithSeed(b.Seed())}
-	if scn.SeriesIntervalS > 0 {
-		iv := sim.Time(scn.SeriesIntervalS * float64(sim.Second))
-		opts = append(opts, func(c *core.RunConfig) { c.SeriesInterval = iv })
-	}
-	cfg := s.Build(b.Flows(), opts...)
-	ctx := s.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	res, err := core.RunCtx(ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
-	tab := report.NewTable("Scenario: "+scn.Name,
-		"flow", "cca", "rtt_ms", "goodput_mbps", "delivered_segs", "drops", "ecn_resp", "retx_rate")
+var scenarioHeaders = []string{"flow", "cca", "rtt_ms", "goodput_mbps", "delivered_segs", "drops", "ecn_resp", "retx_rate"}
+
+// scenarioTable renders a scenario run as the canonical per-flow table
+// plus per-link notes for topology runs.
+func scenarioTable(name string, res core.RunResult) *report.Table {
+	tab := report.NewTable("Scenario: "+name, scenarioHeaders...)
 	goodputs := make([]float64, len(res.Flows))
 	for i, f := range res.Flows {
 		goodputs[i] = float64(f.Goodput)
@@ -91,5 +91,5 @@ func scenarioTable(b *core.ScenarioBuilder, scn *schema.Scenario, s core.Setting
 	if res.Converged {
 		tab.AddNote("converged at %v (window %v)", res.Window, res.Window)
 	}
-	return tab, nil
+	return tab
 }

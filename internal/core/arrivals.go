@@ -125,11 +125,11 @@ var ChurnLoads = []float64{0.3, 0.6, 0.9}
 // ChurnTransferBytes is the size of every transfer of the churn sweep.
 const ChurnTransferBytes = 500 * units.KB
 
-// ChurnSweep runs the flow-churn extension: transfers of one CCA at the
-// default RTT arriving on the setting's otherwise empty bottleneck over
-// its measurement window, one run per ChurnLoads entry, all under the
-// same seed.
-func ChurnSweep(s Setting, ccaName string, seed uint64, parallelism int) ([]RunResult, error) {
+// ChurnConfigs is the plan of the flow-churn extension: transfers of
+// one CCA at the default RTT arriving on the setting's otherwise empty
+// bottleneck over its measurement window, one run per ChurnLoads entry,
+// all under the same seed.
+func ChurnConfigs(s Setting, ccaName string, seed uint64) []RunConfig {
 	cfgs := make([]RunConfig, len(ChurnLoads))
 	for i, load := range ChurnLoads {
 		cfg := s.Build(nil, WithSeed(Seed(seed)))
@@ -143,5 +143,11 @@ func ChurnSweep(s Setting, ccaName string, seed uint64, parallelism int) ([]RunR
 		}
 		cfgs[i] = cfg
 	}
-	return s.runMany(cfgs, parallelism)
+	return cfgs
+}
+
+// ChurnSweep runs the flow-churn extension; each result's Arrivals holds
+// its load's completion times.
+func ChurnSweep(s Setting, ccaName string, seed uint64, parallelism int) ([]RunResult, error) {
+	return s.runMany(ChurnConfigs(s, ccaName, seed), parallelism)
 }

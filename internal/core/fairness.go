@@ -24,29 +24,28 @@ type FairnessRow struct {
 	Converged   bool
 }
 
-// IntraCCASweep runs the intra-CCA fairness experiment (all flows one
-// CCA, same RTT) across the setting's flow counts and the given RTTs
-// (Figure 4 for BBR; Finding 4 for NewReno/Cubic).
-func IntraCCASweep(s Setting, ccaName string, rtts []sim.Time, seed uint64, parallelism int) ([]FairnessRow, error) {
+// IntraCCAConfigs is the plan of the intra-CCA fairness experiment (all
+// flows one CCA, same RTT): one run per RTT and flow count of the
+// setting, RTT-major.
+func IntraCCAConfigs(s Setting, ccaName string, rtts []sim.Time, seed uint64) []RunConfig {
 	var cfgs []RunConfig
-	var meta []FairnessRow
 	for _, rtt := range rtts {
 		for _, n := range s.FlowCounts {
 			cfgs = append(cfgs, s.Build(UniformFlows(n, ccaName, rtt), WithSeed(Seed(seed+uint64(len(cfgs))))))
-			meta = append(meta, FairnessRow{Setting: s.Name, FlowCount: n, RTT: rtt})
 		}
 	}
-	results, err := s.runMany(cfgs, parallelism)
+	return cfgs
+}
+
+// IntraCCASweep runs the intra-CCA fairness experiment across the
+// setting's flow counts and the given RTTs (Figure 4 for BBR; Finding 4
+// for NewReno/Cubic).
+func IntraCCASweep(s Setting, ccaName string, rtts []sim.Time, seed uint64, parallelism int) ([]FairnessRow, error) {
+	results, err := s.runMany(IntraCCAConfigs(s, ccaName, rtts, seed), parallelism)
 	if err != nil {
 		return nil, err
 	}
-	for i, res := range results {
-		meta[i].JFI = res.JFI()
-		meta[i].Share = res.ShareByCCA()
-		meta[i].Utilization = res.Utilization
-		meta[i].Converged = res.Converged
-	}
-	return meta, nil
+	return FairnessRows(s, rtts, results), nil
 }
 
 // InterCCAMode selects the competition pattern of an inter-CCA sweep.
@@ -60,12 +59,11 @@ const (
 	OneVersusMany
 )
 
-// InterCCASweep runs an inter-CCA fairness experiment across the
-// setting's flow counts and the given RTTs. ccaA is the "measured" CCA
-// whose share the figures plot (Cubic in Fig 5, BBR elsewhere).
-func InterCCASweep(s Setting, mode InterCCAMode, ccaA, ccaB string, rtts []sim.Time, seed uint64, parallelism int) ([]FairnessRow, error) {
+// InterCCAConfigs is the plan of an inter-CCA fairness experiment, in
+// IntraCCAConfigs' order. ccaA is the "measured" CCA whose share the
+// figures plot (Cubic in Fig 5, BBR elsewhere).
+func InterCCAConfigs(s Setting, mode InterCCAMode, ccaA, ccaB string, rtts []sim.Time, seed uint64) []RunConfig {
 	var cfgs []RunConfig
-	var meta []FairnessRow
 	for _, rtt := range rtts {
 		for _, n := range s.FlowCounts {
 			var flows []FlowSpec
@@ -76,18 +74,38 @@ func InterCCASweep(s Setting, mode InterCCAMode, ccaA, ccaB string, rtts []sim.T
 				flows = OneVersusFlows(n, ccaA, ccaB, rtt)
 			}
 			cfgs = append(cfgs, s.Build(flows, WithSeed(Seed(seed+uint64(len(cfgs))))))
-			meta = append(meta, FairnessRow{Setting: s.Name, FlowCount: n, RTT: rtt})
 		}
 	}
-	results, err := s.runMany(cfgs, parallelism)
+	return cfgs
+}
+
+// InterCCASweep runs an inter-CCA fairness experiment across the
+// setting's flow counts and the given RTTs.
+func InterCCASweep(s Setting, mode InterCCAMode, ccaA, ccaB string, rtts []sim.Time, seed uint64, parallelism int) ([]FairnessRow, error) {
+	results, err := s.runMany(InterCCAConfigs(s, mode, ccaA, ccaB, rtts, seed), parallelism)
 	if err != nil {
 		return nil, err
 	}
-	for i, res := range results {
-		meta[i].JFI = res.JFI()
-		meta[i].Share = res.ShareByCCA()
-		meta[i].Utilization = res.Utilization
-		meta[i].Converged = res.Converged
+	return FairnessRows(s, rtts, results), nil
+}
+
+// FairnessRows analyzes the results of IntraCCAConfigs or
+// InterCCAConfigs built with the same setting and RTTs.
+func FairnessRows(s Setting, rtts []sim.Time, results []RunResult) []FairnessRow {
+	rows := make([]FairnessRow, 0, len(results))
+	for _, rtt := range rtts {
+		for _, n := range s.FlowCounts {
+			res := results[len(rows)]
+			rows = append(rows, FairnessRow{
+				Setting:     s.Name,
+				FlowCount:   n,
+				RTT:         rtt,
+				JFI:         res.JFI(),
+				Share:       res.ShareByCCA(),
+				Utilization: res.Utilization,
+				Converged:   res.Converged,
+			})
+		}
 	}
-	return meta, nil
+	return rows
 }

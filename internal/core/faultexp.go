@@ -19,11 +19,11 @@ import (
 // each CCA's recovery — the regime where loss-based and model-based
 // algorithms diverge hardest (cf. the BBR evaluation literature).
 
-// burstFlows is the flow count of the burst-loss sweep: few enough
+// BurstFlows is the flow count of the burst-loss sweep: few enough
 // that the injected loss — not the bottleneck share — limits each
 // flow, so the measured throughput tracks the loss model rather than
 // the fair-share line.
-const burstFlows = 8
+const BurstFlows = 8
 
 // BurstMeanLoss is the stationary loss rate every burst-loss row
 // injects; only the burst structure varies across rows.
@@ -58,24 +58,36 @@ type BurstRow struct {
 	DropsPerHalving float64
 }
 
-// BurstLossSweep runs the burst-loss extension for every mean burst
-// length and returns one row per length.
-func BurstLossSweep(s Setting, seed uint64, parallelism int) ([]BurstRow, error) {
+// BurstLossConfigs is the plan of the burst-loss extension: one run per
+// mean burst length.
+func BurstLossConfigs(s Setting, seed uint64) []RunConfig {
 	cfgs := make([]RunConfig, len(BurstLens))
 	for i, blen := range BurstLens {
-		cfg := s.Build(UniformFlows(burstFlows, "reno", DefaultRTT), WithSeed(Seed(seed+uint64(i))))
+		cfg := s.Build(UniformFlows(BurstFlows, "reno", DefaultRTT), WithSeed(Seed(seed+uint64(i))))
 		cfg.BurstLoss = &BurstLossSpec{MeanLoss: BurstMeanLoss, MeanBurstLen: blen}
 		cfgs[i] = cfg
 	}
-	results, err := s.runMany(cfgs, parallelism)
-	if err != nil {
-		return nil, err
-	}
+	return cfgs
+}
+
+// BurstLossRows analyzes the results of BurstLossConfigs, one row per
+// burst length.
+func BurstLossRows(s Setting, results []RunResult) []BurstRow {
 	rows := make([]BurstRow, len(results))
 	for i, res := range results {
 		rows[i] = burstAnalyze(s.Name, BurstLens[i], res)
 	}
-	return rows, nil
+	return rows
+}
+
+// BurstLossSweep runs the burst-loss extension for every mean burst
+// length and returns one row per length.
+func BurstLossSweep(s Setting, seed uint64, parallelism int) ([]BurstRow, error) {
+	results, err := s.runMany(BurstLossConfigs(s, seed), parallelism)
+	if err != nil {
+		return nil, err
+	}
+	return BurstLossRows(s, results), nil
 }
 
 func burstAnalyze(setting string, blen float64, res RunResult) BurstRow {
@@ -143,19 +155,19 @@ type OutageRow struct {
 	JFI float64
 }
 
-// OutageSweep runs the link-flap extension: for every CCA and every
-// down-time, n flows ride a bottleneck whose forward path goes dark
-// periodically, plus one clean baseline per CCA for normalization.
-// The returned rows are ordered CCA-major, down-time minor.
-func OutageSweep(s Setting, seed uint64, parallelism int) ([]OutageRow, error) {
+// outageFlaps is how many flaps fit the setting's measurement window.
+func outageFlaps(s Setting) int {
+	return max(1, int(s.Duration/outagePeriod))
+}
+
+// OutageConfigs is the plan of the link-flap extension: for every CCA
+// and every down-time, n flows ride a bottleneck whose forward path
+// goes dark periodically, after one clean baseline per CCA for
+// normalization. CCA-major: baseline first, then one run per down-time.
+func OutageConfigs(s Setting, seed uint64) []RunConfig {
 	n := s.FlowCounts[0]
-	flaps := int(s.Duration / outagePeriod)
-	if flaps < 1 {
-		flaps = 1
-	}
 	var cfgs []RunConfig
 	for ci, cca := range OutageCCAs {
-		// Baseline first, then one run per down-time.
 		base := s.Build(UniformFlows(n, cca, DefaultRTT), WithSeed(Seed(seed+uint64(100*ci))))
 		cfgs = append(cfgs, base)
 		for di, down := range OutageDowns {
@@ -164,15 +176,17 @@ func OutageSweep(s Setting, seed uint64, parallelism int) ([]OutageRow, error) {
 				Start:  s.Warmup + outagePeriod/2,
 				Down:   down,
 				Period: outagePeriod,
-				Count:  flaps,
+				Count:  outageFlaps(s),
 			}
 			cfgs = append(cfgs, cfg)
 		}
 	}
-	results, err := s.runMany(cfgs, parallelism)
-	if err != nil {
-		return nil, err
-	}
+	return cfgs
+}
+
+// OutageRows analyzes the results of OutageConfigs: one row per CCA and
+// down-time (CCA-major), each normalized by its CCA's clean baseline.
+func OutageRows(s Setting, results []RunResult) []OutageRow {
 	var rows []OutageRow
 	per := 1 + len(OutageDowns)
 	for ci, cca := range OutageCCAs {
@@ -183,7 +197,7 @@ func OutageSweep(s Setting, seed uint64, parallelism int) ([]OutageRow, error) {
 				Setting:     s.Name,
 				CCA:         cca,
 				Down:        down,
-				Flaps:       flaps,
+				Flaps:       outageFlaps(s),
 				Goodput:     res.AggregateGoodput,
 				Utilization: res.Utilization,
 				OutageDrops: res.OutageDrops,
@@ -198,5 +212,14 @@ func OutageSweep(s Setting, seed uint64, parallelism int) ([]OutageRow, error) {
 			rows = append(rows, row)
 		}
 	}
-	return rows, nil
+	return rows
+}
+
+// OutageSweep runs the link-flap extension and returns its rows.
+func OutageSweep(s Setting, seed uint64, parallelism int) ([]OutageRow, error) {
+	results, err := s.runMany(OutageConfigs(s, seed), parallelism)
+	if err != nil {
+		return nil, err
+	}
+	return OutageRows(s, results), nil
 }

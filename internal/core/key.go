@@ -6,21 +6,17 @@ import (
 	"fmt"
 )
 
-// Identity returns s with every governance knob and live attachment
-// cleared: what is left defines the experiment. Budgets, retries, the
-// fidelity tier and the wall limit say how a run is governed, the
-// collector, context and usage sink who watches it — none changes what
-// the simulation computes, so none may reach a result key or a config
-// hash. This is the only such list; TestSettingFieldsClassified fails on
-// a Setting field it does not account for.
+// Identity returns s with every governance knob cleared: what is left
+// defines the experiment. Budgets, retries, the fidelity tier and the
+// wall limit say how a run is governed — none changes what the
+// simulation computes, so none may reach a result key or a config hash.
+// This is the only such list; TestSettingFieldsClassified fails on a
+// Setting field it does not account for.
 func Identity(s Setting) Setting {
 	s.Budget = nil
 	s.Retries = 0
 	s.Fidelity = 0
 	s.WallLimit = 0
-	s.Telemetry = nil
-	s.Ctx = nil
-	s.UsageSink = nil
 	return s
 }
 

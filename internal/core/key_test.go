@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"math"
 	"os"
 	"reflect"
@@ -9,7 +8,6 @@ import (
 	"testing"
 
 	"ccatscale/internal/schema"
-	"ccatscale/internal/telemetry"
 )
 
 // TestResultKeyGolden pins the content addresses existing stores are
@@ -78,8 +76,7 @@ func TestResultKeyUnmarshalable(t *testing.T) {
 
 // TestSettingFieldsClassified makes adding a Setting field a decision:
 // every field is either part of the experiment's identity (it reaches
-// result keys and config hashes) or governance / a live attachment
-// (Identity clears it). A new field fails here until it is put in one
+// result keys and config hashes) or governance (Identity clears it). A new field fails here until it is put in one
 // list, and an identity field that is not omitempty then fails
 // TestResultKeyGolden by re-keying every stored result.
 func TestSettingFieldsClassified(t *testing.T) {
@@ -89,7 +86,7 @@ func TestSettingFieldsClassified(t *testing.T) {
 		"StallEvents", "FaultPanicAt", "Audit", "AuditDrillAt",
 	}
 	governance := []string{
-		"Budget", "Retries", "Fidelity", "WallLimit", "Telemetry", "Ctx", "UsageSink",
+		"Budget", "Retries", "Fidelity", "WallLimit",
 	}
 
 	typ := reflect.TypeOf(Setting{})
@@ -140,17 +137,6 @@ func setNonZero(t *testing.T, f reflect.Value, name string) {
 		f.Set(reflect.MakeSlice(f.Type(), 1, 1))
 	case reflect.Ptr:
 		f.Set(reflect.New(f.Type().Elem()))
-	case reflect.Func:
-		f.Set(reflect.MakeFunc(f.Type(), func([]reflect.Value) []reflect.Value { return nil }))
-	case reflect.Interface:
-		switch name {
-		case "Telemetry":
-			f.Set(reflect.ValueOf(telemetry.CollectorFunc(func(telemetry.Event) {})))
-		case "Ctx":
-			f.Set(reflect.ValueOf(context.Background()))
-		default:
-			t.Fatalf("field %s: no non-zero value for interface %s", name, f.Type())
-		}
 	default:
 		t.Fatalf("field %s: no non-zero value for kind %s", name, f.Kind())
 	}

@@ -87,9 +87,9 @@ func MathisAnalyze(setting string, flowCount int, res RunResult) MathisRow {
 	return row
 }
 
-// MathisSweep runs the §4 experiment (all NewReno, 20 ms RTT) for every
-// flow count of the setting and returns one row per count.
-func MathisSweep(s Setting, seed uint64, parallelism int) ([]MathisRow, error) {
+// MathisConfigs is the plan of the §4 experiment: all NewReno at 20 ms
+// RTT, one run per flow count of the setting.
+func MathisConfigs(s Setting, seed uint64) []RunConfig {
 	cfgs := make([]RunConfig, len(s.FlowCounts))
 	for i, n := range s.FlowCounts {
 		cfg := s.Build(UniformFlows(n, "reno", DefaultRTT), WithSeed(Seed(seed+uint64(i))))
@@ -100,15 +100,27 @@ func MathisSweep(s Setting, seed uint64, parallelism int) ([]MathisRow, error) {
 		}
 		cfgs[i] = cfg
 	}
-	results, err := s.runMany(cfgs, parallelism)
-	if err != nil {
-		return nil, err
-	}
+	return cfgs
+}
+
+// MathisRows analyzes the results of MathisConfigs, one row per flow
+// count.
+func MathisRows(s Setting, results []RunResult) []MathisRow {
 	rows := make([]MathisRow, len(results))
 	for i, res := range results {
 		rows[i] = MathisAnalyze(s.Name, s.FlowCounts[i], res)
 	}
-	return rows, nil
+	return rows
+}
+
+// MathisSweep runs the §4 experiment (all NewReno, 20 ms RTT) for every
+// flow count of the setting and returns one row per count.
+func MathisSweep(s Setting, seed uint64, parallelism int) ([]MathisRow, error) {
+	results, err := s.runMany(MathisConfigs(s, seed), parallelism)
+	if err != nil {
+		return nil, err
+	}
+	return MathisRows(s, results), nil
 }
 
 // CrossSettingErrors evaluates Figure 2's headline comparison the way

@@ -76,20 +76,31 @@ func RTTMixAnalyze(setting string, ccaName string, short, long sim.Time, res Run
 	return row
 }
 
-// RTTMixSweep runs the mixed-RTT experiment for one CCA across the
-// setting's flow counts with the given RTT pair.
-func RTTMixSweep(s Setting, ccaName string, short, long sim.Time, seed uint64, parallelism int) ([]RTTMixRow, error) {
+// RTTMixConfigs is the plan of the mixed-RTT experiment: one run per
+// flow count of the setting, flows alternating between the RTT pair.
+func RTTMixConfigs(s Setting, ccaName string, short, long sim.Time, seed uint64) []RunConfig {
 	cfgs := make([]RunConfig, len(s.FlowCounts))
 	for i, n := range s.FlowCounts {
 		cfgs[i] = s.Build(RTTMixFlows(n, ccaName, short, long), WithSeed(Seed(seed+uint64(i))))
 	}
-	results, err := s.runMany(cfgs, parallelism)
-	if err != nil {
-		return nil, err
-	}
+	return cfgs
+}
+
+// RTTMixRows analyzes the results of RTTMixConfigs.
+func RTTMixRows(s Setting, ccaName string, short, long sim.Time, results []RunResult) []RTTMixRow {
 	rows := make([]RTTMixRow, len(results))
 	for i, res := range results {
 		rows[i] = RTTMixAnalyze(s.Name, ccaName, short, long, res)
 	}
-	return rows, nil
+	return rows
+}
+
+// RTTMixSweep runs the mixed-RTT experiment for one CCA across the
+// setting's flow counts with the given RTT pair.
+func RTTMixSweep(s Setting, ccaName string, short, long sim.Time, seed uint64, parallelism int) ([]RTTMixRow, error) {
+	results, err := s.runMany(RTTMixConfigs(s, ccaName, short, long, seed), parallelism)
+	if err != nil {
+		return nil, err
+	}
+	return RTTMixRows(s, ccaName, short, long, results), nil
 }

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"sort"
 	"strings"
 	"time"
 
@@ -165,14 +164,6 @@ type RunConfig struct {
 	// excluded from serialization: a collector is a live attachment, not
 	// part of the experiment's identity.
 	Collector telemetry.Collector `json:"-"`
-	// UsageSink, when non-nil, receives this run's resource usage
-	// instead of the process-global sink installed via SetUsageSink.
-	// Concurrent workers in one process each attach their own sink so
-	// usage attributes to the job that incurred it rather than to
-	// whichever job happened to own the global at the time. Like
-	// Collector it is a live attachment, not part of the experiment's
-	// identity, and is excluded from serialization.
-	UsageSink func(budget.Usage) `json:"-"`
 }
 
 func (c *RunConfig) withDefaults() RunConfig {
@@ -1094,11 +1085,6 @@ func (r *run) finish(stopAt sim.Time) (RunResult, error) {
 			A: int64(eng.Processed()), B: int64(res.AggregateGoodput),
 		})
 	}
-	if cfg.UsageSink != nil {
-		cfg.UsageSink(res.Usage)
-	} else {
-		reportUsage(res.Usage)
-	}
 	return res, nil
 }
 
@@ -1236,12 +1222,4 @@ func OneVersusFlows(n int, loner, crowd string, rtt sim.Time) []FlowSpec {
 		out = append(out, FlowSpec{CCA: crowd, RTT: rtt})
 	}
 	return out
-}
-
-// SortedGoodputs returns the per-flow goodputs in ascending order
-// (useful for distribution reporting).
-func (r RunResult) SortedGoodputs() []float64 {
-	g := r.Goodputs()
-	sort.Float64s(g)
-	return g
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -79,22 +78,6 @@ type Setting struct {
 	// Retries is the reduced-fidelity retry allowance every sweep of the
 	// setting passes to RunManyCtx (0 = fail or reject on first breach).
 	Retries int
-	// Telemetry attaches a collector to every run built from the setting
-	// (nil = off). Like RunConfig.Collector it is a live attachment, not
-	// part of the experiment's identity, and is excluded from
-	// serialization.
-	Telemetry telemetry.Collector `json:"-"`
-	// Ctx, when non-nil, is the context every sweep of the setting runs
-	// under: cancellation stops queued configs and per-job deadlines
-	// propagate into the engine's wall-clock guard. Batch drivers set it
-	// per job (lease loss, worker shutdown); nil means background. A
-	// live attachment like Telemetry, excluded from serialization.
-	Ctx context.Context `json:"-"`
-	// UsageSink routes every run's resource usage to this setting's own
-	// receiver instead of the process-global SetUsageSink — see
-	// RunConfig.UsageSink. A live attachment, excluded from
-	// serialization.
-	UsageSink func(budget.Usage) `json:"-"`
 }
 
 // RTTs are the three base round-trip times every fairness figure sweeps.
@@ -172,8 +155,7 @@ func WithSeed(seed Seed) ConfigOption {
 	return func(c *RunConfig) { c.Seed = uint64(seed) }
 }
 
-// WithRunCollector attaches a telemetry collector to the built config,
-// overriding the setting's Telemetry attachment.
+// WithRunCollector attaches a telemetry collector to the built config.
 func WithRunCollector(coll telemetry.Collector) ConfigOption {
 	return func(c *RunConfig) { c.Collector = coll }
 }
@@ -202,8 +184,6 @@ func (s Setting) Build(flows []FlowSpec, opts ...ConfigOption) RunConfig {
 		Audit:        s.Audit,
 		AuditDrillAt: s.AuditDrillAt,
 		Budget:       s.Budget,
-		Collector:    s.Telemetry,
-		UsageSink:    s.UsageSink,
 	}
 	for _, opt := range opts {
 		opt(&cfg)

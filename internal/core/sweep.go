@@ -130,16 +130,14 @@ func RunManyCtx(ctx context.Context, cfgs []RunConfig, opt SweepOptions) ([]RunR
 	return results, errors.Join(errs...)
 }
 
-// runMany is the sweep-internal entry point: it forwards the setting's
-// retry allowance so every figure sweep inherits governance (admission
-// degradation and reduced-fidelity retries) without changing its
-// signature. Budgets already ride on each RunConfig via Setting.Config.
+// runMany is how the *Sweep functions run their plan: it forwards the
+// setting's retry allowance so every figure sweep inherits governance
+// (admission degradation and reduced-fidelity retries) without changing
+// its signature. Budgets already ride on each RunConfig via
+// Setting.Build. A driver that needs a context, a collector or the runs'
+// usage calls RunManyCtx on the plan itself.
 func (s Setting) runMany(cfgs []RunConfig, parallelism int) ([]RunResult, error) {
-	ctx := s.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return RunManyCtx(ctx, cfgs, SweepOptions{
+	return RunManyCtx(context.Background(), cfgs, SweepOptions{
 		Parallelism: parallelism,
 		Retries:     s.Retries,
 	})

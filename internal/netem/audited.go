@@ -21,10 +21,6 @@ type AuditedQueue struct {
 	bytes units.ByteCount
 	n     int
 
-	// aqmDropWire accumulates wire bytes of admitted packets dropped on
-	// the dequeue side (CoDel head drops) — a conservation-ledger term.
-	aqmDropWire units.ByteCount
-
 	// inPush/inPop disambiguate the wrapped queue's drop callbacks:
 	// drops reported during Push are tail rejections of packets never
 	// admitted (no shadow adjustment), drops reported during Pop are
@@ -79,13 +75,8 @@ func (q *AuditedQueue) NoteDrop(p packet.Packet) {
 	if q.inPop {
 		q.bytes -= p.WireBytes()
 		q.n--
-		q.aqmDropWire += p.WireBytes()
 	}
 }
-
-// AQMDropBytes returns cumulative wire bytes of dequeue-side (AQM)
-// drops observed via NoteDrop.
-func (q *AuditedQueue) AQMDropBytes() units.ByteCount { return q.aqmDropWire }
 
 // Bytes implements Queue.
 func (q *AuditedQueue) Bytes() units.ByteCount { return q.inner.Bytes() }

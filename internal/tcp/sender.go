@@ -50,11 +50,6 @@ type SenderStats struct {
 	InFlight units.ByteCount
 }
 
-// CongestionEvents returns the total count of multiplicative-decrease
-// episodes (fast recoveries plus timeouts) — the paper's CWND-halving
-// numerator.
-func (s SenderStats) CongestionEvents() uint64 { return s.FastRecoveries + s.RTOs }
-
 // Config parameterizes a sender.
 type Config struct {
 	// MSS is the maximum segment size (payload bytes). Defaults to

@@ -426,9 +426,6 @@ func (w *sendWindow) HasLost() bool { return w.lostCount > 0 }
 // LostSegments returns the number of segments currently marked lost.
 func (w *sendWindow) LostSegments() int { return w.lostCount }
 
-// SackedSegments returns the number of currently SACKed segments.
-func (w *sendWindow) SackedSegments() int { return w.sackedCount }
-
 func max64(a, b int64) int64 {
 	if a > b {
 		return a

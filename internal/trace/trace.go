@@ -1,17 +1,14 @@
 // Package trace provides the instrumentation the paper's testbed got
-// from BESS drop logging and the Linux tcpprobe module: a bottleneck
-// drop log (per-flow counts plus timestamps for loss-rate and
-// burstiness analysis) and a periodic per-flow congestion-window
-// sampler.
+// from BESS drop logging: a bottleneck drop log (per-flow counts plus
+// timestamps for loss-rate and burstiness analysis) and a per-CCA
+// goodput time series. What the paper read off the Linux tcpprobe
+// module — CWND halvings — is counted at the sender instead
+// (tcp.SenderStats: fast recoveries plus RTOs).
 package trace
 
 import (
-	"fmt"
-	"io"
-
 	"ccatscale/internal/packet"
 	"ccatscale/internal/sim"
-	"ccatscale/internal/units"
 )
 
 // QueueLog records bottleneck tail drops, standing in for the paper's
@@ -79,74 +76,4 @@ func (l *QueueLog) TimesSeconds() []float64 {
 		out[i] = t.Seconds()
 	}
 	return out
-}
-
-// ResetCounts clears per-flow and total counters (used at the end of
-// the warm-up window so loss rates cover only the measurement period).
-func (l *QueueLog) ResetCounts() {
-	l.total = 0
-	for k := range l.perFlow {
-		delete(l.perFlow, k)
-	}
-	l.times = l.times[:0]
-}
-
-// CwndSample is one tcpprobe-style record.
-type CwndSample struct {
-	At   sim.Time
-	Flow int32
-	Cwnd units.ByteCount
-}
-
-// CwndProbe periodically samples congestion windows, like tcpprobe's
-// kprobe on tcp_rcv_established. Samples can be retained in memory,
-// streamed as CSV, or both.
-type CwndProbe struct {
-	eng      *sim.Engine
-	interval sim.Time
-	read     func() []CwndSample
-	keep     bool
-	w        io.Writer
-
-	samples []CwndSample
-	stopped bool
-}
-
-// NewCwndProbe samples via read every interval. If keep is true the
-// samples accumulate in memory; if w is non-nil each sample is written
-// as a "seconds,flow,cwnd_bytes" CSV line.
-func NewCwndProbe(eng *sim.Engine, interval sim.Time, read func() []CwndSample, keep bool, w io.Writer) *CwndProbe {
-	if interval <= 0 {
-		panic("trace: non-positive probe interval")
-	}
-	if read == nil {
-		panic("trace: probe without reader")
-	}
-	return &CwndProbe{eng: eng, interval: interval, read: read, keep: keep, w: w}
-}
-
-// Start begins sampling at virtual time at.
-func (p *CwndProbe) Start(at sim.Time) {
-	p.eng.Schedule(at, p.tick)
-}
-
-// Stop halts sampling after the current tick.
-func (p *CwndProbe) Stop() { p.stopped = true }
-
-// Samples returns the retained samples.
-func (p *CwndProbe) Samples() []CwndSample { return p.samples }
-
-func (p *CwndProbe) tick() {
-	if p.stopped {
-		return
-	}
-	for _, s := range p.read() {
-		if p.keep {
-			p.samples = append(p.samples, s)
-		}
-		if p.w != nil {
-			fmt.Fprintf(p.w, "%.6f,%d,%d\n", s.At.Seconds(), s.Flow, int64(s.Cwnd))
-		}
-	}
-	p.eng.After(p.interval, p.tick)
 }

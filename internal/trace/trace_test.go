@@ -1,13 +1,10 @@
 package trace
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 
 	"ccatscale/internal/packet"
 	"ccatscale/internal/sim"
-	"ccatscale/internal/units"
 )
 
 func TestQueueLogCounts(t *testing.T) {
@@ -47,84 +44,5 @@ func TestQueueLogTimestampCap(t *testing.T) {
 	}
 	if len(l.TimesSeconds()) != 2 {
 		t.Fatalf("timestamp cap not applied: %d", len(l.TimesSeconds()))
-	}
-}
-
-func TestQueueLogReset(t *testing.T) {
-	l := NewQueueLog(0)
-	l.OnDrop(sim.Second, packet.Packet{Flow: 3})
-	l.ResetCounts()
-	if l.Total() != 0 || l.Flow(3) != 0 || len(l.TimesSeconds()) != 0 {
-		t.Fatal("reset incomplete")
-	}
-}
-
-func TestCwndProbeSamplesAtInterval(t *testing.T) {
-	eng := sim.NewEngine()
-	cwnd := units.ByteCount(1000)
-	probe := NewCwndProbe(eng, sim.Second, func() []CwndSample {
-		cwnd += 1000
-		return []CwndSample{{At: eng.Now(), Flow: 7, Cwnd: cwnd}}
-	}, true, nil)
-	probe.Start(0)
-	eng.Run(5*sim.Second + sim.Millisecond)
-	got := probe.Samples()
-	if len(got) != 6 { // t = 0,1,2,3,4,5
-		t.Fatalf("samples = %d, want 6", len(got))
-	}
-	if got[0].Cwnd != 2000 || got[5].Cwnd != 7000 || got[3].Flow != 7 {
-		t.Fatalf("sample contents wrong: %+v", got)
-	}
-}
-
-func TestCwndProbeCSVOutput(t *testing.T) {
-	eng := sim.NewEngine()
-	var buf bytes.Buffer
-	probe := NewCwndProbe(eng, sim.Second, func() []CwndSample {
-		return []CwndSample{{At: eng.Now(), Flow: 1, Cwnd: 4096}}
-	}, false, &buf)
-	probe.Start(0)
-	eng.Run(2 * sim.Second)
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("csv lines = %d: %q", len(lines), buf.String())
-	}
-	if lines[1] != "1.000000,1,4096" {
-		t.Fatalf("csv line = %q", lines[1])
-	}
-	if len(probe.Samples()) != 0 {
-		t.Fatal("keep=false retained samples")
-	}
-}
-
-func TestCwndProbeStop(t *testing.T) {
-	eng := sim.NewEngine()
-	n := 0
-	probe := NewCwndProbe(eng, sim.Second, func() []CwndSample {
-		n++
-		return nil
-	}, false, nil)
-	probe.Start(0)
-	eng.Schedule(2500*sim.Millisecond, probe.Stop)
-	eng.Run(10 * sim.Second)
-	if n != 3 { // t = 0, 1, 2
-		t.Fatalf("ticks = %d, want 3", n)
-	}
-}
-
-func TestCwndProbeValidation(t *testing.T) {
-	eng := sim.NewEngine()
-	for name, fn := range map[string]func(){
-		"zero interval": func() { NewCwndProbe(eng, 0, func() []CwndSample { return nil }, false, nil) },
-		"nil reader":    func() { NewCwndProbe(eng, sim.Second, nil, false, nil) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: no panic", name)
-				}
-			}()
-			fn()
-		}()
 	}
 }

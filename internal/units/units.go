@@ -70,9 +70,6 @@ func (c ByteCount) String() string {
 	}
 }
 
-// BitsPerSec returns the rate as a float for metric arithmetic.
-func (b Bandwidth) BitsPerSec() float64 { return float64(b) }
-
 // BytesPerSec returns the rate in bytes per second.
 func (b Bandwidth) BytesPerSec() float64 { return float64(b) / 8 }
 
