@@ -41,7 +41,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		scale    = fs.Int("scale", 10, "CoreScale divisor (10 → 1 Gbps / 100–500 flows)")
-		full     = fs.Bool("full", false, "paper-scale CoreScale (10 Gbps, 1000–5000 flows; hours of CPU)")
+		full     = fs.Bool("full", false, "paper-scale CoreScale (10 Gbps, 1000–5000 flows; minutes per table)")
 		edge     = fs.Bool("edge", false, "run the EdgeScale setting")
 		rttFlag  = fs.String("rtt", "", "restrict fairness sweeps to one base RTT (e.g. 20ms)")
 		seed     = fs.Uint64("seed", 1, "experiment seed")
@@ -74,8 +74,19 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "ccatscale:", err)
 		return 1
 	}
+	if *scale < 1 {
+		fmt.Fprintln(stderr, "ccatscale: -scale must be at least 1")
+		return 2
+	}
 
+	// A catalog entry declares its own run length and RTT set; the flags
+	// below override what it declares.
 	setting := pickSetting(*edge, *full, *scale)
+	args := experiments.Args{Seed: *seed, CCA: *ccaName, Vs: *vs}
+	entry, isEntry := experiments.Lookup(cmd)
+	if isEntry {
+		setting, args = entry.Bind(setting, args)
+	}
 	if *duration > 0 {
 		setting.Duration = sim.Duration(*duration)
 	}
@@ -116,7 +127,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	if *auditAt > 0 {
 		setting.AuditDrillAt = sim.Duration(*auditAt)
 	}
-	args := experiments.Args{Seed: *seed, CCA: *ccaName, Vs: *vs, RTTs: core.RTTs}
 	if *rttFlag != "" {
 		d, err := time.ParseDuration(*rttFlag)
 		if err != nil {
@@ -139,8 +149,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	case "replay":
 		tab, err = runReplay(stderr, *inFile)
 	default:
-		entry, ok := experiments.Lookup(cmd)
-		if !ok {
+		if !isEntry {
 			fmt.Fprintf(stderr, "unknown experiment %q\n\n", cmd)
 			usage(stderr)
 			return 2

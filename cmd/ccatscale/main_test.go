@@ -66,9 +66,47 @@ func TestDispatchIsTheCatalog(t *testing.T) {
 			t.Errorf("%s -csv starts %q, want the entry's headers %q", e.Name, first, e.Headers)
 		}
 	}
-	stderr.Reset()
-	if code := run([]string{"fig9"}, &stdout, &stderr); code != 2 || !strings.Contains(stderr.String(), `unknown experiment "fig9"`) {
-		t.Fatalf("unknown experiment: exit %d, stderr %q", code, &stderr)
+	// The four Mathis views are one entry; no old name survives as an alias.
+	for _, gone := range []string{"fig9", "table1", "fig2", "fig3", "burstiness"} {
+		stderr.Reset()
+		if code := run([]string{gone}, &stdout, &stderr); code != 2 || !strings.Contains(stderr.String(), `unknown experiment "`+gone+`"`) ||
+			strings.Contains(stderr.String(), "\n  "+gone+" ") {
+			t.Fatalf("%s: exit %d, stderr %q; want the unknown-experiment usage error", gone, code, &stderr)
+		}
+	}
+}
+
+// TestScaleMustBePositive: a non-positive -scale used to be clamped to
+// the paper-scale setting under the name CoreScale/1.
+func TestScaleMustBePositive(t *testing.T) {
+	for _, scale := range []string{"0", "-5"} {
+		var stdout, stderr bytes.Buffer
+		code := run([]string{"run", "-scale", scale, "-flows", "2xreno@20ms", "-warmup", "1s", "-duration", "2s"}, &stdout, &stderr)
+		if code != 2 || !strings.Contains(stderr.String(), "-scale must be at least 1") || stdout.Len() != 0 {
+			t.Errorf("-scale %s: exit %d, stdout %q, stderr %q; want exit 2", scale, code, &stdout, &stderr)
+		}
+	}
+}
+
+// TestDurationFlagBeatsTheDeclaredWindow: fig4 declares 1.5× the
+// setting's window and -duration still overrides it. The supervisor
+// drill makes the window visible without running it: the injected panic
+// fails every run half a virtual second in, and the replay command of a
+// one-CCA run quotes the config's -duration.
+func TestDurationFlagBeatsTheDeclaredWindow(t *testing.T) {
+	drill := []string{"fig4", "-edge", "-rate-bps", "20000000", "-buffer-bytes", "49152",
+		"-warmup", "1s", "-stagger", "100ms", "-rtt", "20ms", "-parallel", "1", "-panic-at", "500ms"}
+	for _, tc := range []struct {
+		flags []string
+		want  string
+	}{
+		{nil, " -duration 1m30s "}, // EdgeScale's 60 s × 1.5
+		{[]string{"-duration", "30s"}, " -duration 30s "},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(append(drill, tc.flags...), &stdout, &stderr); code != 1 || !strings.Contains(stderr.String(), tc.want) {
+			t.Errorf("fig4 %v: exit %d, stderr %q; want a replay command with%s", tc.flags, code, &stderr, tc.want)
+		}
 	}
 }
 

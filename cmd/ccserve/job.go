@@ -8,11 +8,7 @@ import (
 
 	"ccatscale/internal/budget"
 	"ccatscale/internal/core"
-	"ccatscale/internal/metrics"
-	"ccatscale/internal/report"
 	"ccatscale/internal/schema"
-	"ccatscale/internal/sim"
-	"ccatscale/internal/units"
 )
 
 // job is the server's in-memory state for one admitted scenario. The
@@ -98,37 +94,6 @@ func (j *job) deadline(factor float64, floor time.Duration) time.Duration {
 		d = floor
 	}
 	return d
-}
-
-// renderResult builds the canonical result table for a finished run.
-// Everything in it derives from the deterministic simulation — no wall
-// clock, no hostnames — so the payload committed to the store is
-// byte-identical across reruns, processes, and crash recoveries.
-func renderResult(spec schema.JobSpec, res core.RunResult) *report.Table {
-	tab := report.NewTable(spec.Name,
-		"flow", "cca", "rtt_ms", "goodput_mbps", "delivered_segs", "drops", "retx_rate")
-	goodputs := make([]float64, len(res.Flows))
-	for i, f := range res.Flows {
-		goodputs[i] = float64(f.Goodput)
-		retx := 0.0
-		if f.SegmentsSent > 0 {
-			retx = 1 - float64(f.SegmentsDelivered)/float64(f.SegmentsSent)
-			if retx < 0 {
-				retx = 0
-			}
-		}
-		tab.AddRow(i, f.Spec.CCA,
-			float64(f.Spec.RTT)/float64(sim.Millisecond),
-			float64(f.Goodput)/float64(units.MbitPerSec),
-			f.SegmentsDelivered, f.Drops, report.Pct(retx))
-	}
-	tab.AddNote("aggregate goodput %.2f Mbps, utilization %s, JFI %.4f",
-		float64(res.AggregateGoodput)/float64(units.MbitPerSec),
-		report.Pct(res.Utilization), metrics.JFI(goodputs))
-	if res.Converged {
-		tab.AddNote("converged at %v (window %v)", res.Window, res.Window)
-	}
-	return tab
 }
 
 // queuedDetail is the payload of an OpQueued journal record: the full

@@ -1,11 +1,16 @@
 package main
 
 import (
+	"bytes"
 	"net/http"
+	"os"
+	"os/exec"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
+	"ccatscale/internal/report"
 	"ccatscale/internal/schema"
 	"ccatscale/internal/store"
 )
@@ -65,6 +70,69 @@ func TestSubmitTopologyScenario(t *testing.T) {
 	faster.Topology.Links[1].RateMbps = 9
 	if j := mustBuildJob(t, faster); j.key == final.Jobs[0].Key {
 		t.Fatal("changing a link rate did not change the job key")
+	}
+}
+
+// TestServedTableIsTheScenarioTable: the committed parking-lot document
+// run by `reproduce -scenario` and served by ccserve commits one table —
+// headers, per-flow rows with the ECN-response column, CE and per-link
+// notes — under two titles. Until both rendered through
+// experiments.RunTable, the served one dropped the column and the link
+// notes.
+func TestServedTableIsTheScenarioTable(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs cmd/reproduce")
+	}
+	const doc = "../../examples/scenarios/parkinglot.json"
+	readTable := func(data []byte, err error) *report.Table {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tab, err := report.ReadJSON(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tab
+	}
+
+	out := t.TempDir()
+	if msg, err := exec.Command("go", "run", "../reproduce", "-scenario", doc, "-out", out).CombinedOutput(); err != nil {
+		t.Fatalf("reproduce -scenario: %v\n%s", err, msg)
+	}
+	swept := readTable(os.ReadFile(filepath.Join(out, "scenario_parkinglot_seed42.json")))
+
+	data, err := os.ReadFile(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scn, err := schema.ParseScenario(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testServerConfig(t, 1)
+	s := startServer(t, cfg)
+	defer s.Drain()
+	resp, rr := submit(t, s, scn.JobSpec)
+	if rr.Code != http.StatusCreated {
+		t.Fatalf("submit: %d: %s", rr.Code, rr.Body.String())
+	}
+	final := waitBatch(t, s, resp.Batch, 60*time.Second)
+	if final.Jobs[0].State != schema.JobDone {
+		t.Fatalf("served job finished %s (%s), want done", final.Jobs[0].State, final.Jobs[0].Error)
+	}
+	st, err := store.OpenFS(filepath.Join(cfg.out, "store"), store.OSFS())
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := readTable(st.Get(final.Jobs[0].Key))
+
+	if !slices.Equal(served.Headers, swept.Headers) || !slices.Equal(served.Notes, swept.Notes) ||
+		!slices.EqualFunc(served.Rows, swept.Rows, slices.Equal[[]string]) {
+		t.Fatalf("served table differs from reproduce -scenario's\n--- served\n%+v\n--- reproduce\n%+v", served, swept)
+	}
+	if !slices.Contains(served.Headers, "ecn_resp") || len(served.Notes) < 4 {
+		t.Fatalf("served table lost its ECN column or link notes: %+v", served)
 	}
 }
 

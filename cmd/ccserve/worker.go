@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"ccatscale/internal/core"
+	"ccatscale/internal/experiments"
 	"ccatscale/internal/schema"
 	"ccatscale/internal/store"
 	"ccatscale/internal/telemetry"
@@ -172,7 +173,7 @@ func attempt(ctx context.Context, env attemptEnv, j *job, slot int, deadline tim
 
 	if err == nil {
 		var buf bytes.Buffer
-		if err = renderResult(j.spec, results[0]).WriteJSON(&buf); err == nil {
+		if err = experiments.RunTable(j.spec.Name, results[0]).WriteJSON(&buf); err == nil {
 			err = env.st.Put(j.key, buf.Bytes())
 		}
 	}

@@ -9,8 +9,12 @@
 //
 // -quick shrinks windows and flow counts for a minutes-long smoke pass;
 // the default tier is EdgeScale plus CoreScale/N (1 Gbps at N=10).
-// Paper-literal scale (10 Gbps, 5000 flows) remains available through
-// `ccatscale <fig> -full`, budgeted in CPU-days.
+// Each job is a catalog entry (internal/experiments) bound to a regime
+// under the name its result is filed by; the entry declares how long it
+// runs relative to the tier's window, so the committed results/ are this
+// command at -scale 25 (results/regenerate.sh) and paper scale (10 Gbps,
+// 5000 flows) is the same command at -scale 1: minutes per table, hours
+// for the whole paper on two cores.
 //
 // Three observation surfaces are opt-in and never perturb results:
 // -progress prints a live status line (jobs done/running, estimator
@@ -182,6 +186,9 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	if *workers < 1 {
 		return fail(2, "-workers must be at least 1")
 	}
+	if sw.scale < 1 {
+		return fail(2, "-scale must be at least 1")
+	}
 	if sw.leaseTTL <= 0 {
 		return fail(2, "-lease-ttl must be positive")
 	}
@@ -313,28 +320,25 @@ func (sw *sweep) buildJobs(govern core.Setting, scenarioPath string) error {
 }
 
 // paperJobs binds the catalog's entries to the two regimes: every table
-// and figure of the paper, plus the extensions.
+// and figure of the paper, plus the extensions. A job's name is the file
+// name of its result, so this list is the index of results/; its setting
+// carries the window its entry declares, so a run length is part of the
+// job's key.
 func paperJobs(edge, corePaper core.Setting, seed uint64) []job {
 	bind := func(name string, s core.Setting, entry string, a experiments.Args) job {
 		e, ok := experiments.Lookup(entry)
 		if !ok {
 			panic("reproduce: no catalog entry " + entry)
 		}
-		a.Seed, a.RTTs = seed, core.RTTs
+		a.Seed = seed
+		s, a = e.Bind(s, a)
 		return job{name, s, e, a}
 	}
-	var jobs []job
-	for _, regime := range []struct {
-		label string
-		s     core.Setting
-	}{{"edge", edge}, {"core", corePaper}} {
-		for _, entry := range []string{"table1", "fig2", "fig3", "burstiness"} {
-			jobs = append(jobs, bind(entry+"_"+regime.label, regime.s, entry, experiments.Args{}))
-		}
-	}
-	return append(jobs,
-		bind("finding4_reno_core", corePaper, "intra", experiments.Args{CCA: "reno"}),
-		bind("finding4_cubic_core", corePaper, "intra", experiments.Args{CCA: "cubic"}),
+	return []job{
+		bind("mathis_edge", edge, "mathis", experiments.Args{}),
+		bind("mathis_core", corePaper, "mathis", experiments.Args{}),
+		bind("intra_reno_core", corePaper, "intra", experiments.Args{CCA: "reno"}),
+		bind("intra_cubic_core", corePaper, "intra", experiments.Args{CCA: "cubic"}),
 		bind("fig4_edge", edge, "fig4", experiments.Args{}),
 		bind("fig4_core", corePaper, "fig4", experiments.Args{}),
 		bind("fig5_core", corePaper, "fig5", experiments.Args{}),
@@ -346,7 +350,7 @@ func paperJobs(edge, corePaper core.Setting, seed uint64) []job {
 		bind("ext_burstloss_core", corePaper, "burstloss", experiments.Args{}),
 		bind("ext_outage_core", corePaper, "outage", experiments.Args{}),
 		bind("ext_churn_core", corePaper, "churn", experiments.Args{CCA: "reno"}),
-	)
+	}
 }
 
 // openState opens the sweep's durable state and reconciles it with the

@@ -5,10 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -23,6 +25,8 @@ import (
 	"ccatscale/internal/telemetry"
 	"ccatscale/internal/units"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/jobkeys.golden with the job names and keys the sweep has now")
 
 // testSetting is a deliberately tiny regime so the regression tests
 // stay in the seconds range.
@@ -52,7 +56,7 @@ func testJob(entry string, a experiments.Args) job {
 // claim in EXPERIMENTS.md is void.
 func TestMathisTableDeterministic(t *testing.T) {
 	render := func() string {
-		tab, _, err := runJob(context.Background(), testJob("table1", experiments.Args{Seed: 17}), core.SweepOptions{Parallelism: 2})
+		tab, _, err := runJob(context.Background(), testJob("mathis", experiments.Args{Seed: 17}), core.SweepOptions{Parallelism: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,10 +181,11 @@ func TestConfigHashIgnoresGovernance(t *testing.T) {
 
 // TestConfigHashFollowsTheTable: result keys do not see a table's
 // columns and the store keeps the first commit, so a resume across a
-// changed header row must be refused as stale — one renamed column moves
-// the hash, the retry allowance still does not.
+// changed header row or row set must be refused as stale — one renamed
+// column or a different RTT set moves the hash, the retry allowance still
+// does not.
 func TestConfigHashFollowsTheTable(t *testing.T) {
-	j := testJob("table1", experiments.Args{Seed: 7})
+	j := testJob("mathis", experiments.Args{Seed: 7})
 	base := configHash(7, 10, false, []job{j})
 
 	renamed := j
@@ -190,9 +195,14 @@ func TestConfigHashFollowsTheTable(t *testing.T) {
 		t.Fatal("a renamed column did not change the config hash")
 	}
 	other := j
-	other.entry.Name = "fig2"
+	other.entry.Name = "fig4"
 	if configHash(7, 10, false, []job{other}) == base {
 		t.Fatal("a different catalog entry under the same job name did not change the config hash")
+	}
+	oneRTT := j
+	oneRTT.args.RTTs = core.RTTs[:1]
+	if configHash(7, 10, false, []job{oneRTT}) == base {
+		t.Fatal("a different RTT set did not change the config hash")
 	}
 	retried := j
 	retried.setting.Retries = 2
@@ -201,11 +211,13 @@ func TestConfigHashFollowsTheTable(t *testing.T) {
 	}
 }
 
-// TestJobNamesAndKeysGolden pins the sweep's 21 job names and the store
+// TestJobNamesAndKeysGolden pins the sweep's 15 job names and the store
 // keys their results are filed under, at the default flags and at the CI
-// smoke's. testdata/jobkeys.golden was captured at the commit before the
-// jobs became catalog bindings; a name or key that moves orphans every
-// stored result.
+// smoke's; a name or key that moves orphans every stored result.
+// testdata/jobkeys.golden was rewritten once, on purpose, when the four
+// Mathis views became one job per regime, Finding 4 took its result
+// files' names, and each entry's declared window entered its job's
+// setting and therefore its key (-update regenerates it).
 func TestJobNamesAndKeysGolden(t *testing.T) {
 	var got bytes.Buffer
 	for _, tier := range []struct {
@@ -229,6 +241,19 @@ func TestJobNamesAndKeysGolden(t *testing.T) {
 			fmt.Fprintf(&got, "%s %s\n", j.name, key)
 		}
 	}
+	for _, old := range []string{"table1", "fig2", "fig3", "burstiness", "finding4"} {
+		if strings.Contains(got.String(), old) {
+			t.Errorf("a job is still named after %q:\n%s", old, &got)
+		}
+	}
+	if n := bytes.Count(got.Bytes(), []byte("\n")); n != 2*(15+1) {
+		t.Errorf("%d lines, want 15 jobs under each of two flag sets:\n%s", n, &got)
+	}
+	if *update {
+		if err := os.WriteFile("testdata/jobkeys.golden", got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 	want, err := os.ReadFile("testdata/jobkeys.golden")
 	if err != nil {
 		t.Fatal(err)
@@ -238,11 +263,110 @@ func TestJobNamesAndKeysGolden(t *testing.T) {
 	}
 }
 
+// TestJobsRunTheirDeclaredLength: a job's setting carries the window its
+// catalog entry declares, scaled from the tier's, and its plan sweeps the
+// entry's RTT set — the run lengths results/regenerate.sh used to pass as
+// -duration and -rtt flags.
+func TestJobsRunTheirDeclaredLength(t *testing.T) {
+	for _, tier := range []struct {
+		scale int
+		quick bool
+		base  sim.Time
+	}{{25, false, 60 * sim.Second}, {50, true, 20 * sim.Second}} {
+		sw := &sweep{scale: tier.scale, seed: 7, quick: tier.quick}
+		if err := sw.buildJobs(core.Setting{}, ""); err != nil {
+			t.Fatal(err)
+		}
+		for name, want := range map[string]struct {
+			factor  float64
+			configs int
+		}{
+			"mathis_core": {1, 3}, "intra_reno_core": {2, 3}, "intra_cubic_core": {2, 3},
+			"fig4_edge": {1.5, 9}, "fig4_core": {1.5, 9}, "fig5_core": {1, 9}, "fig6_core": {2, 9},
+			"fig7_core": {2, 9}, "fig8_reno_core": {2.5, 9}, "fig8_cubic_core": {2.5, 9},
+		} {
+			i := slices.IndexFunc(sw.jobs, func(j job) bool { return j.name == name })
+			if i < 0 {
+				t.Fatalf("no job %s", name)
+			}
+			j := sw.jobs[i]
+			cfgs := j.entry.Configs(j.setting, j.args)
+			if len(cfgs) != want.configs {
+				t.Errorf("quick=%v %s: %d configs, want %d", tier.quick, name, len(cfgs), want.configs)
+			}
+			window := sim.Time(float64(tier.base) * want.factor)
+			for _, cfg := range cfgs {
+				if cfg.Duration != window {
+					t.Errorf("quick=%v %s: a config runs %v, want %v", tier.quick, name, cfg.Duration, window)
+				}
+				if strings.HasPrefix(name, "intra_") && cfg.Flows[0].RTT != 20*sim.Millisecond {
+					t.Errorf("%s: a config at base RTT %v, want 20ms only", name, cfg.Flows[0].RTT)
+				}
+			}
+		}
+	}
+}
+
+// TestResultsAreTheJobs: results/ holds what the paper sweep writes and
+// nothing else — every committed table is non-empty, parses beside its
+// JSON twin, and is named after a job; every job has its file. A 0-byte
+// placeholder or a file no command regenerates fails here.
+func TestResultsAreTheJobs(t *testing.T) {
+	sw := &sweep{scale: 25, seed: 7}
+	if err := sw.buildJobs(core.Setting{}, ""); err != nil {
+		t.Fatal(err)
+	}
+	var jobs []string
+	for _, j := range sw.jobs {
+		jobs = append(jobs, j.name)
+	}
+	for _, dir := range []string{"../../results", "../../results/full"} {
+		files, err := filepath.Glob(filepath.Join(dir, "*.txt"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("%s/*.txt: %v, %v", dir, files, err)
+		}
+		for _, f := range files {
+			name := strings.TrimSuffix(filepath.Base(f), ".txt")
+			if !slices.Contains(jobs, name) {
+				t.Errorf("%s is not the result of any job", f)
+			}
+			text, err := os.ReadFile(f)
+			if err != nil || len(text) == 0 {
+				t.Errorf("%s: empty or unreadable (%v)", f, err)
+			}
+			doc, err := os.Open(strings.TrimSuffix(f, ".txt") + ".json")
+			if err != nil {
+				t.Errorf("%s has no JSON twin: %v", f, err)
+				continue
+			}
+			tab, err := report.ReadJSON(doc)
+			doc.Close()
+			if err != nil {
+				t.Errorf("%s.json: %v", name, err)
+				continue
+			}
+			var rendered bytes.Buffer
+			if err := tab.WriteText(&rendered); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.HasPrefix(text, rendered.Bytes()) {
+				t.Errorf("%s is not its JSON twin rendered as text", f)
+			}
+		}
+	}
+	for _, name := range jobs {
+		if _, err := os.Stat(filepath.Join("../../results", name+".txt")); err != nil {
+			t.Errorf("job %s has no committed result: %v", name, err)
+		}
+	}
+}
+
 // TestUsageParityWithTheSink: a job's manifest usage is merged from the
 // results RunManyCtx returns. The runs and events below were recorded
 // through the per-job usage sink at the commit that deleted it, for the
-// same flags; a nine-config and the twelve-config job must still report
-// them.
+// same flags (fig5_core's at the commit before fig6 declared a longer
+// window than the tier's); a nine-config and the twelve-config job must
+// still report them.
 func TestUsageParityWithTheSink(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real sweeps")
@@ -253,7 +377,7 @@ func TestUsageParityWithTheSink(t *testing.T) {
 	dir := t.TempDir()
 	var stdout, stderr bytes.Buffer
 	code := run([]string{"-out", dir, "-quick", "-scale", "50", "-seed", "7",
-		"-only", "^(fig6_core|ext_outage_core)$"}, &stdout, &stderr)
+		"-only", "^(fig5_core|ext_outage_core)$"}, &stdout, &stderr)
 	if code != 0 {
 		t.Fatalf("exit = %d\nstdout:\n%s\nstderr:\n%s", code, &stdout, &stderr)
 	}
@@ -262,7 +386,7 @@ func TestUsageParityWithTheSink(t *testing.T) {
 		t.Fatalf("manifest: %v, %v", m, err)
 	}
 	for name, want := range map[string]budget.Usage{
-		"fig6_core":       {Runs: 9, Events: 2737201},
+		"fig5_core":       {Runs: 9, Events: 2512634},
 		"ext_outage_core": {Runs: 12, Events: 3155388},
 	} {
 		rec := m.Jobs[name]
@@ -294,7 +418,7 @@ func newTestSweep(t *testing.T, dir string, jobs ...job) *sweep {
 // configs panics is recorded failed with the other two's usage — and
 // with two runs, not three: the failed slot's zero Usage is not merged.
 func TestFailedConfigKeepsSiblingsUsage(t *testing.T) {
-	j := testJob("table1", experiments.Args{Seed: 7})
+	j := testJob("mathis", experiments.Args{Seed: 7})
 	j.setting.FlowCounts = []int{2, 3, 4}
 	plan := j.entry.Configs
 	j.entry.Configs = func(s core.Setting, a experiments.Args) []core.RunConfig {
@@ -333,7 +457,7 @@ func TestFailedConfigKeepsSiblingsUsage(t *testing.T) {
 func TestLeaseLossCancelsRunningPlan(t *testing.T) {
 	slow := core.CoreScaleScaled(10) // minutes of wall per config
 	slow.FlowCounts = []int{100, 100}
-	e, _ := experiments.Lookup("table1")
+	e, _ := experiments.Lookup("mathis")
 	j := job{name: "slow", setting: slow, entry: e, args: experiments.Args{Seed: 7}}
 
 	dir := t.TempDir()
@@ -559,7 +683,7 @@ func mathisHeapEstimate(s core.Setting, flows, tier int) int64 {
 }
 
 // TestBudgetRejectionAndResume is the governance acceptance drill: under
-// a heap budget every table1_edge config is priced over, the job is
+// a heap budget every mathis_edge config is priced over, the job is
 // recorded as rejected — not failed, the sweep still exits zero — the
 // sibling job completes, and a -resume retries the rejected job one
 // fidelity tier lower, where it fits, runs, and is marked degraded. (The
@@ -591,7 +715,7 @@ func TestBudgetRejectionAndResume(t *testing.T) {
 	dir := t.TempDir()
 	base := []string{
 		"-out", dir, "-quick", "-scale", "100", "-seed", "11", "-parallel", "2",
-		"-only", "^(table1_edge|ext_burstloss_core)$",
+		"-only", "^(mathis_edge|ext_burstloss_core)$",
 		"-mem-budget", fmt.Sprint(threshold),
 	}
 	var stdout, stderr bytes.Buffer
@@ -609,7 +733,7 @@ func TestBudgetRejectionAndResume(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "ext_burstloss_core.txt")); err != nil {
 		t.Fatalf("sibling job output missing: %v", err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "table1_edge.txt")); err == nil {
+	if _, err := os.Stat(filepath.Join(dir, "mathis_edge.txt")); err == nil {
 		t.Fatal("rejected job left an output table")
 	}
 
@@ -620,7 +744,7 @@ func TestBudgetRejectionAndResume(t *testing.T) {
 	if rec := m.Jobs["ext_burstloss_core"]; rec == nil || rec.Status != "done" {
 		t.Fatalf("sibling record: %+v", rec)
 	}
-	rec := m.Jobs["table1_edge"]
+	rec := m.Jobs["mathis_edge"]
 	if rec == nil || rec.Status != "rejected" || rec.Fidelity != 0 {
 		t.Fatalf("rejected record: %+v", rec)
 	}
@@ -656,14 +780,14 @@ func TestBudgetRejectionAndResume(t *testing.T) {
 	if err != nil || m == nil {
 		t.Fatalf("manifest after resume: %v, %v", m, err)
 	}
-	rec = m.Jobs["table1_edge"]
+	rec = m.Jobs["mathis_edge"]
 	if rec == nil || rec.Status != "done" || !rec.Degraded || rec.Fidelity != 1 {
 		t.Fatalf("resumed record: %+v", rec)
 	}
 	if rec.Usage == nil || rec.Usage.Runs != len(edge.FlowCounts) || rec.Usage.Events == 0 {
 		t.Fatalf("resumed record usage: %+v", rec.Usage)
 	}
-	table, err := os.ReadFile(filepath.Join(dir, "table1_edge.txt"))
+	table, err := os.ReadFile(filepath.Join(dir, "mathis_edge.txt"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -734,6 +858,15 @@ func TestBadFlags(t *testing.T) {
 	stderr.Reset()
 	if code := run([]string{"-out", t.TempDir(), "-mem-budget", "12parsecs"}, &stdout, &stderr); code != 2 {
 		t.Fatalf("bad -mem-budget exit = %d, want 2\nstderr:\n%s", code, &stderr)
+	}
+	// -scale 0 used to be clamped to paper scale (a 10 Gbps "quick" pass
+	// whose manifest recorded scale 0).
+	for _, scale := range []string{"0", "-3"} {
+		stderr.Reset()
+		if code := run([]string{"-out", t.TempDir(), "-quick", "-scale", scale, "-only", "^none$"}, &stdout, &stderr); code != 2 ||
+			!strings.Contains(stderr.String(), "-scale must be at least 1") {
+			t.Fatalf("-scale %s exit = %d, want 2\nstderr:\n%s", scale, code, &stderr)
+		}
 	}
 	// -panicjob that matches nothing is a usage error, not a silent
 	// no-op drill.

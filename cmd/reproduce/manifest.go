@@ -9,6 +9,7 @@ import (
 
 	"ccatscale/internal/budget"
 	"ccatscale/internal/core"
+	"ccatscale/internal/experiments"
 	"ccatscale/internal/schema"
 	"ccatscale/internal/store"
 )
@@ -35,7 +36,7 @@ type manifest struct {
 	Scale         int    `json:"scale"`
 	Quick         bool   `json:"quick"`
 	// ConfigHash fingerprints the experiment-defining job list (names,
-	// settings with governance knobs zeroed, table headers). -resume
+	// settings with governance knobs zeroed, entry args, table headers). -resume
 	// refuses a manifest whose hash no longer matches the jobs this
 	// binary would run — the job set changed under it — unless -force
 	// overrides.
@@ -169,22 +170,24 @@ func (m *manifest) saveFS(fs store.FS, dir string) error {
 
 // configHash fingerprints the experiment the job list defines: names,
 // each job's setting reduced to its core.Identity (budget, retries,
-// wall limit, fidelity cleared), and the catalog entry and header row
-// of its table. So changing -mem-budget or -retries between a run and
-// its resume does not read as a different experiment, while changing
-// seeds, scales, windows, the job set itself or a table's columns does —
-// the store is first-commit-wins under keys that do not see the table,
-// and would otherwise serve the old shape beside the new.
+// wall limit, fidelity cleared), and the catalog entry, its args (the
+// RTT set among them) and the header row of its table. So changing
+// -mem-budget or -retries between a run and its resume does not read as
+// a different experiment, while changing seeds, scales, windows, the job
+// set itself or a table's rows or columns does — the store is
+// first-commit-wins under keys that do not see the table, and would
+// otherwise serve the old shape beside the new.
 func configHash(seed uint64, scale int, quick bool, jobs []job) string {
 	type hashJob struct {
 		Name    string
 		Setting core.Setting
 		Entry   string
+		Args    experiments.Args
 		Headers []string
 	}
 	hj := make([]hashJob, len(jobs))
 	for i, j := range jobs {
-		hj[i] = hashJob{j.name, core.Identity(j.setting), j.entry.Name, j.entry.Headers}
+		hj[i] = hashJob{j.name, core.Identity(j.setting), j.entry.Name, j.args, j.entry.Headers}
 	}
 	data, err := json.Marshal(struct {
 		Seed  uint64

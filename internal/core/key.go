@@ -30,8 +30,8 @@ func Identity(s Setting) Setting {
 // key every such setting would share.
 //
 // Keys are per front end: cmd/reproduce and ccserve name their jobs
-// differently and commit different tables, so the same document does
-// not address the same record in both.
+// differently (and title the one per-run table after the name), so the
+// same document does not address the same record in both.
 func ResultKey(name string, seed uint64, s Setting) (string, error) {
 	data, err := json.Marshal(struct {
 		Name    string

@@ -2,8 +2,6 @@ package core
 
 import (
 	"ccatscale/internal/mathis"
-	"ccatscale/internal/metrics"
-	"ccatscale/internal/sim"
 )
 
 // MathisRow is one (setting, flow count) cell of the paper's §4
@@ -162,22 +160,4 @@ func CrossSettingAnalysis(edge RunResult, core []RunResult, coreCounts []int) []
 		out[i] = e
 	}
 	return out
-}
-
-// MedianFlowRTT returns the median of per-flow mean RTTs in seconds
-// (diagnostic for the Mathis analysis).
-func MedianFlowRTT(res RunResult) float64 {
-	var rtts []float64
-	for _, f := range res.Flows {
-		if f.MeanRTT > 0 {
-			rtts = append(rtts, f.MeanRTT.Seconds())
-		}
-	}
-	return metrics.Median(rtts)
-}
-
-// ScaleRTT converts the paper's 20 ms default to another value for
-// sensitivity sweeps.
-func ScaleRTT(base sim.Time, factor float64) sim.Time {
-	return sim.Time(float64(base) * factor)
 }

@@ -104,9 +104,11 @@ func EdgeScale() Setting {
 }
 
 // CoreScale is the paper's at-scale regime at full fidelity: 10 Gbps,
-// 375 MB buffer, thousands of flows. A full-figure sweep at this
-// setting processes billions of simulator events; use CoreScaleScaled
-// for interactive work and reserve this for --full runs.
+// 375 MB buffer, thousands of flows. On two cores a Mathis table at
+// this scale takes about two minutes (results/full/) and a 1000-flow
+// BBR mix ≈2.5 wall seconds per virtual second (ROADMAP.md), so a table
+// is minutes and the whole paper hours; CoreScaleScaled is the
+// interactive and CI tier.
 func CoreScale() Setting {
 	return Setting{
 		Name:       "CoreScale",

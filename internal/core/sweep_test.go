@@ -134,24 +134,6 @@ func TestCrossSettingAnalysis(t *testing.T) {
 	}
 }
 
-func TestMedianFlowRTT(t *testing.T) {
-	res := RunResult{Flows: []FlowResult{
-		{MeanRTT: 100 * sim.Millisecond},
-		{MeanRTT: 300 * sim.Millisecond},
-		{MeanRTT: 200 * sim.Millisecond},
-		{MeanRTT: 0}, // skipped
-	}}
-	if got := MedianFlowRTT(res); got != 0.2 {
-		t.Fatalf("MedianFlowRTT = %v", got)
-	}
-}
-
-func TestScaleRTT(t *testing.T) {
-	if got := ScaleRTT(20*sim.Millisecond, 2.5); got != 50*sim.Millisecond {
-		t.Fatalf("ScaleRTT = %v", got)
-	}
-}
-
 func TestMathisSamplesRespectInterpretation(t *testing.T) {
 	res := RunResult{
 		Config: RunConfig{MSS: units.MSS},

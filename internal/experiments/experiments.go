@@ -27,7 +27,9 @@ type Args struct {
 	CCA string
 	// Vs is fig8's loss-based competitor (reno or cubic).
 	Vs string
-	// RTTs are the base RTTs the fairness entries sweep.
+	// RTTs are the base RTTs the fairness entries sweep: the entry's
+	// declared set once Bind has run, unless the front end then narrows
+	// it (ccatscale -rtt).
 	RTTs []sim.Time
 }
 
@@ -42,6 +44,13 @@ type Entry struct {
 	// its columns: cmd/reproduce hashes it into the manifest's
 	// configHash.
 	Headers []string
+	// Window is the entry's run length, as a multiple of the setting's
+	// measurement window (0 = 1×): the slow-converging experiments
+	// declare the longer run their recorded results need, and it scales
+	// with whatever tier the setting is.
+	Window float64
+	// RTTs is the set of base RTTs the entry sweeps (nil = core.RTTs).
+	RTTs []sim.Time
 	// Configs is the plan: every run the entry needs, in the order
 	// Table expects their results.
 	Configs func(s core.Setting, a Args) []core.RunConfig
@@ -52,34 +61,30 @@ type Entry struct {
 
 // Catalog lists every entry, in the order the usage text prints them.
 var Catalog = []Entry{
-	mathisEntry("table1", "Mathis constant C via packet-loss vs CWND-halving rate (§4)",
-		"Table 1: Mathis constant C (packet-loss vs CWND-halving rate)",
-		[]string{"C(loss)", "C(halving)", "utilization"},
-		func(r core.MathisRow) []any { return []any{r.CLoss, r.CHalve, r.Utilization} }),
-	mathisEntry("fig2", "Mathis median prediction error per flow count (§4)",
-		"Figure 2: Mathis median prediction error (%)",
-		[]string{"err(loss)%", "err(halving)%"},
-		func(r core.MathisRow) []any { return []any{r.MedianErrLoss * 100, r.MedianErrHalve * 100} }),
-	mathisEntry("fig3", "packet-loss to CWND-halving ratio per flow count (§4)",
-		"Figure 3: packet-loss to CWND-halving ratio",
-		[]string{"ratio"},
-		func(r core.MathisRow) []any { return []any{r.LossToHalvingRatio} }),
-	mathisEntry("burstiness", "Goh–Barabási drop burstiness, edge vs core (§4)",
-		"Drop burstiness (Goh–Barabási; paper: ≈0.2 edge, ≈0.35 core)",
-		[]string{"burstiness"},
-		func(r core.MathisRow) []any { return []any{r.DropBurstiness} }),
+	define("mathis", "Mathis analysis: Table 1 constants, Fig 2 error, Fig 3 loss:halving ratio, drop burstiness (§4)",
+		[]string{"setting", "flows", "C(loss)", "C(halving)", "err(loss)%", "err(halving)%", "loss:halving", "burstiness", "utilization"},
+		func(s core.Setting, a Args) []core.RunConfig { return core.MathisConfigs(s, a.Seed) },
+		func(core.Setting, Args) string {
+			return "Mathis model (§4): Table 1 constant C, Fig 2 median error %, Fig 3 loss:halving ratio, drop burstiness (paper: ≈0.2 edge, ≈0.35 core)"
+		},
+		func(tab *report.Table, s core.Setting, _ Args, results []core.RunResult) {
+			for _, r := range core.MathisRows(s, results) {
+				tab.AddRow(r.Setting, r.FlowCount, r.CLoss, r.CHalve, r.MedianErrLoss*100, r.MedianErrHalve*100,
+					r.LossToHalvingRatio, r.DropBurstiness, r.Utilization)
+			}
+		}),
 	intraEntry("fig4", "BBR intra-CCA fairness, JFI at 20/100/200 ms (§5.1)",
-		func(Args) string { return "bbr" }),
-	intraEntry("intra", "intra-CCA fairness of -cca reno|cubic|bbr|… (Finding 4)",
-		func(a Args) string { return a.CCA }),
+		func(Args) string { return "bbr" }).runs(1.5),
+	intraEntry("intra", "intra-CCA fairness of -cca reno|cubic|bbr|… at 20 ms (Finding 4)",
+		func(a Args) string { return a.CCA }).runs(2, core.DefaultRTT),
 	interEntry("fig5", "Cubic share vs an equal number of NewReno flows (§5.2)",
 		core.EqualSplit, "cubic", func(Args) string { return "reno" }),
 	interEntry("fig6", "one BBR flow vs a NewReno crowd (§5.2)",
-		core.OneVersusMany, "bbr", func(Args) string { return "reno" }),
+		core.OneVersusMany, "bbr", func(Args) string { return "reno" }).runs(2),
 	interEntry("fig7", "one BBR flow vs a Cubic crowd (§5.2)",
-		core.OneVersusMany, "bbr", func(Args) string { return "cubic" }),
+		core.OneVersusMany, "bbr", func(Args) string { return "cubic" }).runs(2),
 	interEntry("fig8", "BBR share vs an equal number of -vs reno|cubic flows (§5.2)",
-		core.EqualSplit, "bbr", func(a Args) string { return a.Vs }),
+		core.EqualSplit, "bbr", func(a Args) string { return a.Vs }).runs(2.5),
 	define("rttmix", "mixed-RTT extension: -cca flows split between a 20 ms and a 100 ms class",
 		[]string{"setting", "flows", "short-RTT share %", "JFI(short)", "JFI(long)", "utilization"},
 		func(s core.Setting, a Args) []core.RunConfig {
@@ -146,6 +151,29 @@ func Lookup(name string) (Entry, bool) {
 	return Entry{}, false
 }
 
+// Bind applies what the entry declares about its runs to a front end's
+// setting and args: the measurement window is scaled by Window and the
+// RTT set is the entry's. Both drivers call it before Configs, so an
+// entry runs as long under cmd/reproduce as under cmd/ccatscale; a flag
+// that overrides either (ccatscale -duration, -rtt) is applied after.
+func (e Entry) Bind(s core.Setting, a Args) (core.Setting, Args) {
+	if e.Window > 0 {
+		s.Duration = sim.Time(float64(s.Duration) * e.Window)
+	}
+	a.RTTs = e.RTTs
+	if a.RTTs == nil {
+		a.RTTs = core.RTTs
+	}
+	return s, a
+}
+
+// runs declares the entry's run length: its window factor and, when
+// given, the base RTTs it sweeps instead of core.RTTs.
+func (e Entry) runs(window float64, rtts ...sim.Time) Entry {
+	e.Window, e.RTTs = window, rtts
+	return e
+}
+
 // define builds an entry whose table is a title, the header row and one
 // AddRow per row — the one place a catalog table is constructed.
 func define(name, desc string, headers []string,
@@ -160,19 +188,6 @@ func define(name, desc string, headers []string,
 			return tab
 		},
 	}
-}
-
-// mathisEntry is one view of the §4 sweep: table1, fig2, fig3 and
-// burstiness run the same plan and differ in the columns they show.
-func mathisEntry(name, desc, title string, columns []string, cells func(core.MathisRow) []any) Entry {
-	return define(name, desc, append([]string{"setting", "flows"}, columns...),
-		func(s core.Setting, a Args) []core.RunConfig { return core.MathisConfigs(s, a.Seed) },
-		func(core.Setting, Args) string { return title },
-		func(tab *report.Table, s core.Setting, _ Args, results []core.RunResult) {
-			for _, r := range core.MathisRows(s, results) {
-				tab.AddRow(append([]any{r.Setting, r.FlowCount}, cells(r)...)...)
-			}
-		})
 }
 
 // intraEntry is the intra-CCA fairness experiment of one algorithm.
@@ -215,4 +230,43 @@ func interEntry(name, desc string, mode core.InterCCAMode, ccaA string, vs func(
 				tab.AddRow(r.Setting, r.RTT.String(), r.FlowCount, r.Share[ccaA]*100, r.Utilization)
 			}
 		})
+}
+
+// RunHeaders is the header row of RunTable.
+var RunHeaders = []string{"flow", "cca", "rtt_ms", "goodput_mbps", "delivered_segs", "drops", "ecn_resp", "retx_rate"}
+
+// RunTable is the per-flow table of one run, the result a scenario
+// document produces under cmd/reproduce -scenario and under ccserve:
+// one row per flow, the aggregate in a note, and for an ECN or topology
+// run the fabric's CE marks and one note per link. Everything in it
+// derives from the deterministic simulation — no wall clock, no host
+// name — so the bytes committed to a store are identical across reruns,
+// processes and crash recoveries.
+func RunTable(title string, res core.RunResult) *report.Table {
+	tab := report.NewTable(title, RunHeaders...)
+	for i, f := range res.Flows {
+		retx := 0.0
+		if f.SegmentsSent > 0 {
+			retx = max(0, 1-float64(f.SegmentsDelivered)/float64(f.SegmentsSent))
+		}
+		tab.AddRow(i, f.Spec.CCA,
+			float64(f.Spec.RTT)/float64(sim.Millisecond),
+			float64(f.Goodput)/float64(units.MbitPerSec),
+			f.SegmentsDelivered, f.Drops, f.ECNResponses, report.Pct(retx))
+	}
+	tab.AddNote("aggregate goodput %.2f Mbps, utilization %s, JFI %.4f",
+		float64(res.AggregateGoodput)/float64(units.MbitPerSec),
+		report.Pct(res.Utilization), res.JFI())
+	if res.CEMarks > 0 {
+		tab.AddNote("ECN: %d CE marks across the fabric", res.CEMarks)
+	}
+	for _, l := range res.Links {
+		tab.AddNote("link %-12s rate %7.1f Mbps  util %6s  tx %d pkts  drops %d B  CE %d",
+			l.Name, float64(l.Rate)/float64(units.MbitPerSec),
+			report.Pct(l.Utilization), l.TxPackets, l.DropWire, l.CEMarks)
+	}
+	if res.Converged {
+		tab.AddNote("converged at %v (window %v)", res.Window, res.Window)
+	}
+	return tab
 }
