@@ -26,8 +26,9 @@ type Kind string
 const (
 	// KindHeapBytes bounds the process heap a run may occupy.
 	KindHeapBytes Kind = "heap-bytes"
-	// KindEvents bounds the simulator's event-object footprint: live
-	// events plus the heap capacity holding lazily-cancelled corpses.
+	// KindEvents bounds the simulator's event-object footprint: the event
+	// slots the engine holds (sim.Engine.Cap — heap nodes plus the
+	// entries parked in lanes).
 	KindEvents Kind = "events"
 	// KindTracePoints bounds retained instrumentation: throughput-series
 	// samples plus drop timestamps.
@@ -56,8 +57,8 @@ type Budget struct {
 	// parallel sweep it acts as a shared ceiling: whichever run observes
 	// the breach stops first.
 	HeapBytes int64 `json:"heapBytes,omitempty"`
-	// Events caps the engine's event-object footprint (live events plus
-	// heap capacity awaiting corpse collection).
+	// Events caps the engine's event-object footprint (event slots held:
+	// heap nodes plus entries parked in lanes).
 	Events int64 `json:"events,omitempty"`
 	// TracePoints caps retained trace points: throughput-series samples
 	// plus bottleneck drop timestamps.
@@ -155,7 +156,8 @@ type Usage struct {
 	// Events is the cumulative simulator events processed.
 	Events uint64 `json:"events"`
 	// PeakEventCap is the largest event-object footprint observed
-	// (engine heap capacity, live plus corpses).
+	// (sim.Engine.Cap: heap nodes, stopped timers' not yet dropped
+	// included, plus entries parked in lanes).
 	PeakEventCap int64 `json:"peakEventCap"`
 	// TracePoints is the largest retained trace-point count observed.
 	TracePoints int64 `json:"tracePoints,omitempty"`

@@ -136,9 +136,9 @@ func Estimate(in Input) Footprint {
 		processed += seriesTicks
 	}
 
-	// Peak event-object footprint: a handful of live timers per flow,
-	// doubled for the lazily-cancelled corpses compaction tolerates,
-	// plus the engine's initial arena.
+	// Peak event slots held (sim.Engine.Cap): each flow's handful of
+	// timer nodes and its window's worth of packets and ACKs parked in
+	// propagation lanes, plus the engine's initial arena.
 	events := int64(in.Flows)*16 + 2048
 
 	// Trace retention.

@@ -477,11 +477,11 @@ func RunCtx(ctx context.Context, cfg RunConfig) (res RunResult, err error) {
 	// A context deadline is a harder promise than WallLimit: the caller
 	// (a server's per-job deadline, a batch driver's shutdown grace)
 	// needs the run stopped AND its outcome committed before it expires.
-	// The interrupt hook checks ctx before WallLimit, so a ctx-done stop
-	// surfaces as a non-retryable cancellation; clamping WallLimit just
-	// under the deadline makes the wall-clock watchdog win the race
-	// instead, which surfaces as a replayable, degradable "wall-clock"
-	// RunError and leaves the 5% margin for the commit.
+	// A ctx-done stop surfaces as a non-retryable cancellation; clamping
+	// WallLimit just under the deadline (the interrupt hook tests it
+	// first) makes the wall-clock watchdog win instead, which surfaces as
+	// a replayable, degradable "wall-clock" RunError and leaves the 5%
+	// margin for the commit.
 	if dl, ok := ctx.Deadline(); ok {
 		if rem := time.Until(dl); rem > 0 {
 			clamped := rem - rem/20
@@ -922,6 +922,15 @@ func (r *run) supervise() {
 	if r.watchdogReason != "" {
 		return
 	}
+	// The wall limit is tested before the context: RunCtx clamps it under
+	// a context deadline, and when one interrupt interval spans both
+	// instants the stop must still read as the retryable wall-clock one.
+	// A context cancelled before its deadline finds the limit unspent.
+	if cfg.WallLimit > 0 && time.Since(r.wallStart) > cfg.WallLimit {
+		r.watchdogReason = fmt.Sprintf("wall-clock limit exceeded (%v)", cfg.WallLimit)
+		eng.Stop()
+		return
+	}
 	if r.done != nil {
 		select {
 		case <-r.done:
@@ -930,11 +939,6 @@ func (r *run) supervise() {
 			return
 		default:
 		}
-	}
-	if cfg.WallLimit > 0 && time.Since(r.wallStart) > cfg.WallLimit {
-		r.watchdogReason = fmt.Sprintf("wall-clock limit exceeded (%v)", cfg.WallLimit)
-		eng.Stop()
-		return
 	}
 	if cfg.StallEvents > 0 {
 		if eng.Now() > r.lastNow {
@@ -956,7 +960,7 @@ func (r *run) supervise() {
 	}
 	if bud.Events > 0 && int64(eng.Cap()) > bud.Events {
 		r.stopBudget(budget.KindEvents, bud.Events, int64(eng.Cap()),
-			"live events + lazily-cancelled heap capacity")
+			"event slots held: heap nodes + entries parked in lanes")
 		return
 	}
 	if bud.Wall > 0 && time.Since(r.wallStart) > bud.Wall {

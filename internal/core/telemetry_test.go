@@ -188,6 +188,14 @@ func TestRunCtxDeadlineBecomesWallLimit(t *testing.T) {
 	if !errors.As(err, &re) || !strings.Contains(re.Reason, "50ms") {
 		t.Fatalf("tighter WallLimit should fire unchanged, got %v", err)
 	}
+	// A context cancelled before its deadline is still a cancellation:
+	// the clamped limit is unspent when the watchdog looks.
+	ctx3, cancel3 := context.WithTimeout(context.Background(), time.Hour)
+	time.AfterFunc(20*time.Millisecond, cancel3)
+	_, err = RunCtx(ctx3, cfg)
+	if !errors.As(err, &re) || !re.Canceled() {
+		t.Fatalf("early cancel under a deadline should read canceled, got %v", err)
+	}
 }
 
 func TestSweepEmitsAdmissionDegradation(t *testing.T) {

@@ -6,14 +6,11 @@ import (
 
 // delivery is a reusable bound-method event: a packet plus the sink it
 // is destined for, with a pre-created func() that delivers and returns
-// the struct to its pool. Scheduling one costs no allocation in steady
-// state, unlike the obvious per-packet closure — and at CoreScale every
-// propagation hop of every packet goes through one of these, so the
-// difference is hundreds of millions of allocations per run.
-//
-// Ordering is untouched: each packet still gets its own engine event,
-// scheduled at exactly the same call sites as before, so the event
-// sequence — and with it bit-for-bit determinism — is preserved.
+// the struct to its pool, so scheduling one costs no allocation in
+// steady state. It carries the one packet stream that can reorder — the
+// jitter stage, whose per-packet random delay lets a packet overtake its
+// predecessor — which therefore needs a heap entry per packet; every
+// constant-delay stream rides a sim.Lane instead.
 type delivery struct {
 	p    packet.Packet
 	sink Sink
@@ -21,9 +18,8 @@ type delivery struct {
 	fn   func()
 }
 
-// deliveryPool recycles delivery structs. Pools are per-element (pipe,
-// topology link, impairment) and the simulation is single-threaded, so
-// there is no locking.
+// deliveryPool recycles delivery structs. Pools are per-element and the
+// simulation is single-threaded, so there is no locking.
 type deliveryPool struct {
 	free []*delivery
 }
@@ -55,7 +51,6 @@ func (dp *deliveryPool) get(sink Sink, p packet.Packet) *delivery {
 func (d *delivery) run() {
 	p, sink := d.p, d.sink
 	d.sink = nil
-	d.p = packet.Packet{}
 	d.pool.free = append(d.pool.free, d)
 	sink(p)
 }

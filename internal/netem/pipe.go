@@ -11,10 +11,8 @@ import (
 // 25 Gbps edge links. Packets entering a pipe emerge at the sink exactly
 // Delay later, in order.
 type Pipe struct {
-	eng   *sim.Engine
 	delay sim.Time
-	out   Sink
-	pool  *deliveryPool
+	lane  *sim.Lane[packet.Packet]
 }
 
 // NewPipe builds a delay line of the given one-way latency.
@@ -25,13 +23,11 @@ func NewPipe(eng *sim.Engine, delay sim.Time, out Sink) *Pipe {
 	if out == nil {
 		panic("netem: pipe without sink")
 	}
-	return &Pipe{eng: eng, delay: delay, out: out, pool: newDeliveryPool()}
+	return &Pipe{delay: delay, lane: sim.NewLane(eng, out)}
 }
 
 // Delay returns the configured one-way latency.
 func (pi *Pipe) Delay() sim.Time { return pi.delay }
 
 // Send schedules delivery of p after the pipe's delay.
-func (pi *Pipe) Send(p packet.Packet) {
-	pi.eng.After(pi.delay, pi.pool.get(pi.out, p).fn)
-}
+func (pi *Pipe) Send(p packet.Packet) { pi.lane.After(pi.delay, p) }

@@ -81,11 +81,12 @@ type Port struct {
 	ceDropWire    units.ByteCount
 	ceSerializing units.ByteCount
 
-	// The in-flight serialization is completed by a single reusable
-	// bound-method event: the port transmits one packet at a time, so
-	// the packet rides in txPkt instead of a per-packet closure.
-	txPkt    packet.Packet
-	txDoneFn func()
+	// The port transmits one packet at a time, so the in-flight
+	// serialization is one timer and the packet rides in txPkt. txDone
+	// re-arms it for the next packet from inside its own callback, which
+	// leaves its heap node where it is.
+	txPkt   packet.Packet
+	txTimer *sim.Timer
 }
 
 // NewPort creates a port draining queue at rate, delivering into out.
@@ -98,7 +99,7 @@ func NewPort(eng *sim.Engine, rate units.Bandwidth, queue Queue, out Sink, onDro
 		panic("netem: port without sink")
 	}
 	p := &Port{eng: eng, rate: rate, queue: queue, out: out, onDrop: onDrop}
-	p.txDoneFn = p.txDone // bound once; rescheduled per transmission
+	p.txTimer = sim.NewTimer(eng, p.txDone)
 	return p
 }
 
@@ -187,7 +188,7 @@ func (p *Port) transmit(pkt packet.Packet) {
 	}
 	p.txPkt = pkt
 	done := p.rate.TransmissionTime(pkt.WireBytes())
-	p.eng.After(done, p.txDoneFn)
+	p.txTimer.Reset(done)
 }
 
 func (p *Port) txDone() {
@@ -202,8 +203,6 @@ func (p *Port) txDone() {
 	p.txPackets++
 	if next, ok := p.queue.Pop(); ok {
 		p.transmit(next)
-	} else {
-		p.txPkt = packet.Packet{}
 	}
 	if p.auditCheck != nil {
 		p.auditCheck("txDone")

@@ -164,7 +164,6 @@ func (q *DropTailQueue) Pop() (packet.Packet, bool) {
 		return packet.Packet{}, false
 	}
 	p := q.ring[q.head]
-	q.ring[q.head] = packet.Packet{} // clear for GC hygiene of any future pointer fields
 	q.head = (q.head + 1) & q.mask
 	q.n--
 	q.bytes -= p.WireBytes()

@@ -247,24 +247,27 @@ func (cfg TopologyConfig) Validate() error {
 	return nil
 }
 
-// Topology is the runtime instantiation of a TopologySpec: one Port per
-// link, pooled propagation events per hop, per-flow next-hop routing,
-// and — under audit — a conservation ledger per bottleneck plus the
-// fabric-wide terms the end-to-end check closes against.
+// Topology is the runtime instantiation of a TopologySpec: one Port and
+// one propagation lane per link, per-flow next-hop routing, an ACK lane
+// per distinct reverse delay, and — under audit — a conservation ledger
+// per bottleneck plus the fabric-wide terms the end-to-end check closes
+// against.
 type Topology struct {
 	eng  *sim.Engine
 	spec TopologySpec
 
-	links      []*topoLink
-	next       [][]int32 // next[link][flow]: next link index, -1 = receiver
-	entry      []int32   // entry[flow]: first link of the flow's path
-	revDelay   []sim.Time
+	links    []*topoLink
+	next     [][]int32 // next[link][flow]: next link index, -1 = receiver
+	entry    []int32   // entry[flow]: first link of the flow's path
+	revDelay []sim.Time
+	// rev[flow] is the ACK lane of the flow's reverse delay. Flows with
+	// the same delay share one: a constant delay keeps their ACKs in
+	// firing order whichever flow sent them.
+	rev        []*sim.Lane[packet.Packet]
 	bottleneck int
 
 	toReceiver Sink
 	toSender   Sink
-	revPool    *deliveryPool
-	ackFn      Sink
 
 	onDrop DropFunc
 	aud    *audit.Auditor
@@ -287,7 +290,9 @@ type topoLink struct {
 	spec LinkSpec
 
 	port *Port
-	pool *deliveryPool
+	// prop holds the packets crossing the propagation delay; it
+	// delivers into arrive.
+	prop *sim.Lane[packet.Packet]
 	aq   *AuditedQueue
 	// arrive receives a packet that finished propagation: arriveFn, or
 	// the head of the stage chain that ends in it. Bound once.
@@ -317,25 +322,26 @@ func NewTopology(eng *sim.Engine, rng *sim.RNG, cfg TopologyConfig) *Topology {
 		eng:      eng,
 		spec:     cfg.Spec,
 		revDelay: make([]sim.Time, len(cfg.RTT)),
-		revPool:  newDeliveryPool(),
+		rev:      make([]*sim.Lane[packet.Packet], len(cfg.RTT)),
 		onDrop:   cfg.OnDrop,
 		aud:      cfg.Audit,
 	}
-	t.ackFn = func(p packet.Packet) { t.toSender(p) }
+	lanes := map[sim.Time]*sim.Lane[packet.Packet]{}
 	for f, rtt := range cfg.RTT {
-		rev := rtt - cfg.Spec.ForwardDelay(f)
-		if rev < 0 {
-			rev = 0
+		rev := max(rtt-cfg.Spec.ForwardDelay(f), 0)
+		if lanes[rev] == nil {
+			lanes[rev] = sim.NewLane(eng, func(p packet.Packet) { t.toSender(p) })
 		}
-		t.revDelay[f] = rev
+		t.revDelay[f], t.rev[f] = rev, lanes[rev]
 	}
 	_, t.bottleneck = cfg.Spec.MinRate()
 
 	t.links = make([]*topoLink, len(cfg.Spec.Links))
 	for i, ls := range cfg.Spec.Links {
-		l := &topoLink{t: t, idx: int32(i), spec: ls, pool: newDeliveryPool()}
+		l := &topoLink{t: t, idx: int32(i), spec: ls}
 		l.arrive = l.arriveFn
 		l.buildStages(rng, cfg.Telemetry)
+		l.prop = sim.NewLane(eng, l.arrive)
 		onDrop := t.linkOnDrop(l)
 		switch ls.Discipline {
 		case CoDel:
@@ -479,7 +485,7 @@ func (l *topoLink) hopDone(p packet.Packet) {
 			t.cePropBytes += p.WireBytes()
 		}
 	}
-	t.eng.After(l.spec.Delay, l.pool.get(l.arrive, p).fn)
+	l.prop.After(l.spec.Delay, p)
 }
 
 // arriveFn completes a hop: the packet reached the link's far node,
@@ -533,7 +539,7 @@ func (t *Topology) SendData(p packet.Packet) {
 // SendAck is the receiver-side entry point: the ACK returns over the
 // uncongested reverse path after the flow's residual base-RTT delay.
 func (t *Topology) SendAck(p packet.Packet) {
-	t.eng.After(t.revDelay[p.Flow], t.revPool.get(t.ackFn, p).fn)
+	t.rev[p.Flow].After(t.revDelay[p.Flow], p)
 }
 
 // InNetworkBytes returns wire bytes queued, serializing, or in

@@ -1,6 +1,7 @@
 package packet
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -69,6 +70,29 @@ func TestPacketValueSizeStaysSmall(t *testing.T) {
 
 func unsafeSizeof(p Packet) uintptr {
 	return sizeOf(&p)
+}
+
+// TestPacketIsPointerFree: the rings that hold packets by value leave a
+// popped slot as it is rather than storing 160 zero bytes over it, which
+// is only sound while no field can keep anything alive.
+func TestPacketIsPointerFree(t *testing.T) {
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				walk(path+"."+typ.Field(i).Name, typ.Field(i).Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map, reflect.String,
+			reflect.Interface, reflect.Chan, reflect.Func:
+			t.Errorf("%s is a %s: a stale ring slot would keep what it references alive, so "+
+				"netem's DropTailQueue.Pop, delivery.run and Port.txDone and sim.Lane's fire must start clearing the slot they read",
+				path, typ.Kind())
+		}
+	}
+	walk("Packet", reflect.TypeOf(Packet{}))
 }
 
 func TestHeaderAccounting(t *testing.T) {

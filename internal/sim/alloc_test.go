@@ -5,140 +5,142 @@ import (
 )
 
 // TestLenCountsOnlyLiveEvents is the regression test for the Engine.Len
-// lie: cancelled entries used to be reported as queue length, so the
-// run supervisor's stall guard and capacity heuristics read corpses as
-// pending work.
+// lie: Len is what will still fire, so the run supervisor's stall guard
+// and capacity heuristics never read stopped timers — whose nodes stay
+// in the heap until they surface — as pending work.
 func TestLenCountsOnlyLiveEvents(t *testing.T) {
 	eng := NewEngine()
-	events := make([]*Event, 1000)
-	for i := range events {
-		events[i] = eng.Schedule(Time(i+1), func() {})
+	timers := make([]*Timer, 1000)
+	for i := range timers {
+		timers[i] = NewTimer(eng, func() {})
+		timers[i].Reset(Time(i + 1))
 	}
 	if eng.Len() != 1000 {
-		t.Fatalf("Len = %d after scheduling 1000, want 1000", eng.Len())
+		t.Fatalf("Len = %d after arming 1000, want 1000", eng.Len())
 	}
-	for _, ev := range events {
-		ev.Cancel()
+	timers[0].Reset(5000) // re-arming replaces a firing, it does not add one
+	if eng.Len() != 1000 {
+		t.Fatalf("Len = %d after a re-arm, want 1000", eng.Len())
+	}
+	for _, tm := range timers {
+		tm.Stop()
 	}
 	if eng.Len() != 0 {
-		t.Fatalf("Len = %d after cancelling all 1000, want 0", eng.Len())
+		t.Fatalf("Len = %d after stopping all 1000, want 0", eng.Len())
 	}
-	// Double-cancel must not drive the live count negative.
-	events[0].Cancel()
+	// Double-stop must not drive the live count negative.
+	timers[0].Stop()
 	if eng.Len() != 0 {
-		t.Fatalf("Len = %d after double cancel, want 0", eng.Len())
+		t.Fatalf("Len = %d after double stop, want 0", eng.Len())
 	}
 	eng.Run(MaxTime)
 	if eng.Processed() != 0 {
-		t.Fatalf("Processed = %d, cancelled events ran", eng.Processed())
+		t.Fatalf("Processed = %d, stopped timers ran", eng.Processed())
 	}
 }
 
-// TestCapReportsRawHeapSize pins the Len/Cap split: Len is live events,
-// Cap is the heap's actual footprint including corpses awaiting
-// collection.
+// TestCapReportsRawHeapSize pins the Len/Cap split: Len is pending
+// firings, Cap is the slots held, including stopped timers' nodes that
+// have not surfaced yet.
 func TestCapReportsRawHeapSize(t *testing.T) {
 	eng := NewEngine()
-	var evs []*Event
+	var tms []*Timer
 	for i := 0; i < 30; i++ {
-		evs = append(evs, eng.Schedule(Time(i+1), func() {}))
+		tms = append(tms, NewTimer(eng, func() {}))
+		tms[i].Reset(Time(i + 1))
 	}
 	for i := 0; i < 10; i++ {
-		evs[i].Cancel()
+		tms[i].Stop()
 	}
-	// Below compactMin nothing is collected eagerly.
 	if got := eng.Len(); got != 20 {
 		t.Fatalf("Len = %d, want 20", got)
 	}
 	if got := eng.Cap(); got != 30 {
-		t.Fatalf("Cap = %d, want 30 (corpses still in heap)", got)
+		t.Fatalf("Cap = %d, want 30 (stopped nodes still in heap)", got)
+	}
+	eng.Run(10) // the stopped nodes surface and are dropped, nothing fires
+	if eng.Processed() != 0 || eng.Cap() != 20 {
+		t.Fatalf("after Run(10): Processed %d Cap %d, want 0 and 20", eng.Processed(), eng.Cap())
 	}
 }
 
-// TestHeapCompaction verifies the corpse-majority trigger: once
-// cancelled entries exceed half the heap (above the compactMin floor),
-// the heap shrinks without dropping or reordering live events.
-func TestHeapCompaction(t *testing.T) {
+// TestCapCountsLaneEntries: a lane's entries wait in its ring behind one
+// heap node, and Cap — what Budget.Events bounds — counts them.
+func TestCapCountsLaneEntries(t *testing.T) {
 	eng := NewEngine()
-	var live []*Event
-	var corpses []*Event
-	for i := 0; i < 200; i++ {
-		ev := eng.Schedule(Time(1000+i), func() {})
-		if i%2 == 0 {
-			corpses = append(corpses, ev)
-		} else {
-			live = append(live, ev)
-		}
+	lane := NewLane(eng, func(int) {})
+	for i := 0; i < 100; i++ {
+		lane.After(10, i)
 	}
-	for _, ev := range corpses {
-		ev.Cancel()
+	if eng.Len() != 100 {
+		t.Fatalf("Len = %d with 100 lane entries, want 100", eng.Len())
 	}
-	// Exactly half cancelled: not yet a corpse majority, no compaction.
-	if eng.Cap() != 200 {
-		t.Fatalf("Cap = %d before trigger, want 200", eng.Cap())
-	}
-	// One more cancellation tips corpses over half the heap.
-	live[0].Cancel()
-	if eng.Cap() != 99 {
-		t.Fatalf("Cap = %d after compaction, want 99 live entries", eng.Cap())
-	}
-	if eng.Len() != 99 {
-		t.Fatalf("Len = %d after compaction, want 99", eng.Len())
+	if len(eng.queue) != 1 || eng.Cap() != 101 {
+		t.Fatalf("heap holds %d nodes, Cap = %d; want 1 node and Cap 101 (node + 100 parked)", len(eng.queue), eng.Cap())
 	}
 	eng.Run(MaxTime)
-	if eng.Processed() != 99 {
-		t.Fatalf("Processed = %d, want all 99 live events to fire", eng.Processed())
+	if eng.Processed() != 100 || eng.Len() != 0 || eng.Cap() != 0 {
+		t.Fatalf("after drain: Processed %d Len %d Cap %d", eng.Processed(), eng.Len(), eng.Cap())
 	}
-	live = live[1:]
-	for _, ev := range live {
-		if ev.Pending() {
-			t.Fatal("live event still pending after run")
+}
+
+// TestHeapCompaction: stopped timers leave the heap as they surface,
+// without dropping or reordering the live ones around them.
+func TestHeapCompaction(t *testing.T) {
+	eng := NewEngine()
+	var fired []int
+	var tms []*Timer
+	for i := 0; i < 200; i++ {
+		i := i
+		tms = append(tms, NewTimer(eng, func() { fired = append(fired, i) }))
+		tms[i].Reset(Time(1000 + i/2)) // pairs share a deadline
+	}
+	for i := 0; i < 200; i += 2 {
+		tms[i].Stop()
+	}
+	if eng.Len() != 100 || eng.Cap() != 200 {
+		t.Fatalf("Len %d Cap %d before the run, want 100 and 200", eng.Len(), eng.Cap())
+	}
+	eng.Run(1049)
+	if eng.Len() != 50 || eng.Cap() != 100 {
+		t.Fatalf("Len %d Cap %d half way, want 50 and 100", eng.Len(), eng.Cap())
+	}
+	eng.Run(MaxTime)
+	if eng.Processed() != 100 || len(fired) != 100 {
+		t.Fatalf("Processed = %d, want all 100 live timers to fire", eng.Processed())
+	}
+	for k, i := range fired {
+		if i != 2*k+1 {
+			t.Fatalf("firing %d was timer %d, want %d", k, i, 2*k+1)
+		}
+	}
+	for _, tm := range tms {
+		if tm.Pending() {
+			t.Fatal("timer still pending after run")
 		}
 	}
 }
 
 // TestTimerChurnBoundsHeap pins the tentpole property: a timer rearmed
-// far more often than it fires must not grow the heap without bound.
-// Before compaction, 100k rearms left 100k corpses in the heap.
+// far more often than it fires occupies one heap node, however often.
 func TestTimerChurnBoundsHeap(t *testing.T) {
 	eng := NewEngine()
 	tm := NewTimer(eng, func() {})
-	for i := 0; i < 100000; i++ {
-		at := Time(i)
-		eng.Schedule(at, func() { tm.Reset(1 << 40) })
+	var rearm func()
+	n := 0
+	rearm = func() {
+		tm.Reset(1 << 40)
+		if n++; n < 100000 {
+			eng.After(1, rearm)
+		}
 	}
+	eng.After(0, rearm)
 	eng.Run(Time(99999)) // run the rearm load, leave the final deadline pending
 	if eng.Len() != 1 {
 		t.Fatalf("Len = %d after churn, want 1 (the armed timer)", eng.Len())
 	}
-	if eng.Cap() > compactMin {
-		t.Fatalf("Cap = %d after 100k rearms; compaction failed to bound the heap", eng.Cap())
-	}
-}
-
-// TestTimerStaleHandleAfterFire proves the generation guard: once a
-// timer's event has fired and its Event struct was recycled into an
-// unrelated event, Stop/Reset/Pending on the timer must not touch the
-// new owner's event.
-func TestTimerStaleHandleAfterFire(t *testing.T) {
-	eng := NewEngine()
-	timerFired := 0
-	tm := NewTimer(eng, func() { timerFired++ })
-	tm.Reset(10)
-	eng.Run(20) // timer fires; its Event returns to the pool
-	if timerFired != 1 {
-		t.Fatalf("timer fired %d times, want 1", timerFired)
-	}
-	if tm.Pending() {
-		t.Fatal("fired timer reports pending")
-	}
-	// The pool reuses the timer's old Event struct for this victim.
-	victimRan := false
-	eng.Schedule(50, func() { victimRan = true })
-	tm.Stop() // must NOT cancel the victim through the stale handle
-	eng.Run(100)
-	if !victimRan {
-		t.Fatal("Timer.Stop on a stale handle cancelled an unrelated event")
+	if eng.Cap() != 1 {
+		t.Fatalf("Cap = %d after 100k rearms, want the timer's one node", eng.Cap())
 	}
 }
 
@@ -163,35 +165,67 @@ func TestScheduleSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestTimerChurnZeroAlloc budgets the rearm path: Reset (cancel + new
-// arm) on a pooled engine must be allocation-free — this is the per-ACK
-// RTO pattern.
+// TestTimerChurnZeroAlloc budgets the rearm path: Reset — later, the
+// per-ACK RTO pattern, and earlier, which moves the node — Stop, and a
+// timer re-armed from its own callback must all be allocation-free.
 func TestTimerChurnZeroAlloc(t *testing.T) {
 	eng := NewEngine()
 	tm := NewTimer(eng, func() {})
-	for i := 0; i < 64; i++ {
-		tm.Reset(1000)
-	}
+	tm.Reset(1000)
 	allocs := testing.AllocsPerRun(1000, func() {
+		tm.Reset(2000)
 		tm.Reset(1000)
 	})
 	if allocs != 0 {
 		t.Fatalf("timer rearm allocates %.1f objects, want 0", allocs)
 	}
-	tm.Stop()
-	// Cancel/collect churn must likewise stay off the allocator.
 	allocs = testing.AllocsPerRun(1000, func() {
-		ev := eng.After(1000, func() {})
-		ev.Cancel()
+		tm.Stop()
+		tm.Reset(1000)
 	})
 	if allocs != 0 {
-		t.Fatalf("schedule+cancel allocates %.1f objects, want 0", allocs)
+		t.Fatalf("stop+rearm allocates %.1f objects, want 0", allocs)
+	}
+	tm.Stop()
+	var pace *Timer
+	pace = NewTimer(eng, func() { pace.Reset(10) })
+	pace.Reset(10)
+	allocs = testing.AllocsPerRun(1000, func() {
+		eng.Run(eng.Now() + 100)
+	})
+	if allocs != 0 {
+		t.Fatalf("self-rearming timer allocates %.1f objects per 10 firings, want 0", allocs)
+	}
+}
+
+// TestLaneSteadyStateZeroAlloc: once its ring has grown to the standing
+// population, a lane's After + fire cycle must not allocate.
+func TestLaneSteadyStateZeroAlloc(t *testing.T) {
+	eng := NewEngine()
+	delivered := 0
+	lane := NewLane(eng, func([4]int64) { delivered++ })
+	for i := 0; i < 64; i++ {
+		lane.After(20, [4]int64{})
+	}
+	eng.Run(MaxTime)
+	allocs := testing.AllocsPerRun(1000, func() {
+		for i := 0; i < 64; i++ {
+			lane.After(20, [4]int64{})
+		}
+		eng.Run(MaxTime)
+	})
+	if allocs != 0 {
+		t.Fatalf("lane After+fire allocates %.1f objects per 64 entries, want 0", allocs)
+	}
+	if delivered != 64*1002 {
+		t.Fatalf("delivered %d, want %d", delivered, 64*1002)
 	}
 }
 
 // TestPoolRecyclingPreservesOrder stresses interleaved schedule, fire,
-// cancel, and compaction, checking that execution order stays sorted by
-// (time, FIFO) exactly as an unpooled engine would run it.
+// re-arm and stop across pooled events and permanent nodes, checking
+// that execution order stays sorted by (time, FIFO) exactly as an
+// unpooled, eager engine would run it.
 func TestPoolRecyclingPreservesOrder(t *testing.T) {
 	eng := NewEngine()
 	rng := NewRNG(99)
@@ -201,23 +235,38 @@ func TestPoolRecyclingPreservesOrder(t *testing.T) {
 	}
 	var fired []rec
 	n := 0
+	// Each timer fires under the (at, seq) of its latest Reset.
+	armed := make([]rec, 32)
+	tms := make([]*Timer, len(armed))
+	for k := range tms {
+		k := k
+		tms[k] = NewTimer(eng, func() { fired = append(fired, armed[k]) })
+	}
+	stopped := 0
 	for round := 0; round < 50; round++ {
-		var cancel []*Event
 		for i := 0; i < 100; i++ {
 			at := eng.Now() + Time(rng.Int63n(1000))
 			seq := n
 			n++
-			ev := eng.Schedule(at, func() { fired = append(fired, rec{at, seq}) })
-			if rng.Int63n(3) == 0 {
-				cancel = append(cancel, ev)
+			if k := int(rng.Int63n(3 * int64(len(tms)))); k < len(tms) {
+				armed[k] = rec{at, seq}
+				tms[k].Reset(at - eng.Now())
+			} else {
+				eng.Schedule(at, func() { fired = append(fired, rec{at, seq}) })
 			}
 		}
-		for _, ev := range cancel {
-			ev.Cancel()
+		for _, tm := range tms {
+			if tm.Pending() && rng.Int63n(3) == 0 {
+				tm.Stop()
+				stopped++
+			}
 		}
 		eng.Run(eng.Now() + 500)
 	}
 	eng.Run(MaxTime)
+	if stopped == 0 || len(fired) == 0 || eng.Len() != 0 {
+		t.Fatalf("stopped %d, fired %d, Len %d", stopped, len(fired), eng.Len())
+	}
 	for i := 1; i < len(fired); i++ {
 		a, b := fired[i-1], fired[i]
 		if b.at < a.at || (b.at == a.at && b.seq < a.seq) {

@@ -1,6 +1,7 @@
 // Package sim provides the discrete-event simulation engine that drives
 // every experiment in this repository: a virtual clock, an event queue,
-// cancellable timers, and a deterministic pseudo-random number generator.
+// re-armable timers, FIFO lanes for constant-delay streams, and a
+// deterministic pseudo-random number generator.
 //
 // The engine is single-threaded by design. An experiment run schedules
 // closures at virtual timestamps; Run executes them in timestamp order
@@ -10,11 +11,14 @@
 // results, which makes every reported number in EXPERIMENTS.md
 // reproducible.
 //
-// The event hot path is allocation-free in steady state: fired and
-// cancelled events return to an engine-owned free list and Schedule
-// reuses them, and the binary heap compacts itself when lazily-cancelled
-// corpses outnumber live entries. At CoreScale (hundreds of millions of
-// packet, timer, and sample events per run) this is the difference
+// The heap holds only what can reorder. Everything scheduled — a
+// one-shot event, a Timer arm, a Lane entry — draws one (at, seq) key at
+// the call, and firing order is exactly the order of those keys. A
+// one-shot event is a pooled heap node. A Timer or Lane owns one
+// permanent node: its true key is the key of its next firing, and only
+// the node's position in the heap is lazy (see node). The hot path is
+// allocation-free in steady state. At CoreScale (hundreds of millions
+// of packet, timer, and sample events per run) this is the difference
 // between running at memory speed and running at garbage-collector
 // speed.
 package sim
@@ -60,65 +64,50 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 // String formats the time with the standard library's duration rules.
 func (t Time) String() string { return time.Duration(t).String() }
 
-// Event is a scheduled closure. The zero Event is not valid; events are
-// created by Engine.Schedule and friends.
+// node is one heap entry, ordered by (at, seq).
 //
-// Events may be cancelled while pending. Cancellation is lazy: the heap
-// entry stays in place and is discarded when popped, which keeps timer
-// churn (TCP retransmission timers are rearmed on almost every ACK)
-// cheap. The engine compacts the heap when lazily-cancelled corpses
-// outnumber live entries, so churn cannot grow the heap without bound.
+// A one-shot event's node comes from the engine's pool, is popped before
+// its fn runs and returns to the pool.
 //
-// An *Event handle is valid until the event fires or its cancellation is
-// collected: the engine then recycles the Event for a future Schedule.
-// Cancel and Pending on a stale handle are safe no-ops until the moment
-// of reuse, but a holder that may outlive its event must use Timer,
-// which detects recycling through a generation counter.
-type Event struct {
+// A permanent node (perm) belongs to a Timer or a Lane and is never
+// freed. Its true key (dueAt, dueSeq) is exactly what Schedule would
+// have assigned to the next firing; (at, seq) is only where it sits, and
+// is never later than the true key. Re-arming therefore touches the heap
+// only to insert an absent node or to move one whose deadline came
+// earlier; every other correction waits until the node reaches the
+// root, where Run drops it if disarmed, re-keys it if its true key is
+// later, and otherwise fires it where it sits.
+type node struct {
 	at  Time
-	seq uint64 // tie-break so equal timestamps run FIFO
+	seq uint64
 	fn  func()
-	eng *Engine
-	gen uint64 // incremented on recycle; Timer's staleness check
+	idx int // position in Engine.queue; -1 while a permanent node is out of the heap
 
-	cancelled bool
-	popped    bool
+	perm   bool
+	armed  bool
+	dueAt  Time
+	dueSeq uint64
 }
 
-// At reports the virtual time the event fires at.
-func (e *Event) At() Time { return e.at }
-
-// Cancel prevents a pending event from firing. Cancelling an event that
-// already fired or was already cancelled is a no-op.
-func (e *Event) Cancel() {
-	if e == nil || e.cancelled || e.popped {
-		return
-	}
-	e.cancelled = true
-	e.eng.live--
-	e.eng.maybeCompact()
-}
-
-// Pending reports whether the event is still scheduled to fire.
-func (e *Event) Pending() bool {
-	return e != nil && !e.cancelled && !e.popped
-}
+func (n *node) initPerm(fn func()) { n.fn, n.perm, n.idx = fn, true, -1 }
 
 // Engine is a discrete-event simulator. The zero value is not usable;
 // construct one with NewEngine.
 type Engine struct {
 	now     Time
-	queue   []*Event // binary min-heap ordered by (at, seq)
+	queue   []*node // binary min-heap ordered by (at, seq)
 	nextSeq uint64
 	stopped bool
 
-	// live counts heap entries that are still scheduled to fire; the
-	// difference to len(queue) is lazily-cancelled corpses.
-	live int
+	// live counts what is still going to fire: one-shot events, armed
+	// timers and lane entries. parked counts the lane entries among
+	// them, which wait in their lane's ring rather than in the heap.
+	live   int
+	parked int
 
-	// free is the event free list: fired and collected events are
-	// recycled here so steady-state scheduling never allocates.
-	free []*Event
+	// free is the one-shot node pool: fired events are recycled here so
+	// steady-state scheduling never allocates.
+	free []*node
 
 	// processed counts events executed so far; useful for progress
 	// reporting and for sanity limits in tests.
@@ -139,51 +128,30 @@ type Engine struct {
 
 // NewEngine returns an engine with the clock at zero and an empty queue.
 func NewEngine() *Engine {
-	return &Engine{queue: make([]*Event, 0, 1024)}
+	return &Engine{queue: make([]*node, 0, 1024)}
 }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Processed reports the number of events executed so far.
+// Processed reports the number of callbacks fired so far.
 func (e *Engine) Processed() uint64 { return e.processed }
 
-// Len reports the number of live (pending, not cancelled) events. The
-// run supervisor's stall guard and capacity heuristics rely on this
-// being an exact count, not an estimate inflated by lazily-cancelled
-// corpses.
+// Len reports exactly how many firings are pending: one-shot events,
+// armed timers and lane entries. The run supervisor's stall guard and
+// the engine-sample telemetry record rely on this being a count, not an
+// estimate inflated by disarmed timer nodes still in the heap.
 func (e *Engine) Len() int { return e.live }
 
-// Cap reports the raw heap size, including lazily-cancelled entries
-// awaiting collection — the engine's actual memory footprint indicator.
-func (e *Engine) Cap() int { return len(e.queue) }
+// Cap reports the event slots held: heap nodes (disarmed timers not yet
+// dropped included) plus the entries parked in lanes — the engine's
+// memory footprint indicator.
+func (e *Engine) Cap() int { return len(e.queue) + e.parked }
 
-// acquire returns a recycled event from the free list, or a new one.
-func (e *Engine) acquire() *Event {
-	if n := len(e.free); n > 0 {
-		ev := e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		return ev
-	}
-	return &Event{eng: e}
-}
-
-// release recycles an event that fired or whose cancellation was
-// collected. The closure reference is dropped immediately so the pool
-// never extends closure lifetimes; the generation bump invalidates any
-// Timer still holding the handle.
-func (e *Engine) release(ev *Event) {
-	ev.fn = nil
-	ev.gen++
-	ev.popped = true
-	e.free = append(e.free, ev)
-}
-
-// Schedule runs fn at virtual time at. Scheduling in the past panics:
-// it always indicates a logic error in the caller, and silently clamping
-// would corrupt causality.
-func (e *Engine) Schedule(at Time, fn func()) *Event {
+// stamp admits one schedule at virtual time at and draws its seq.
+// Scheduling in the past panics: it always indicates a logic error in
+// the caller, and silently clamping would corrupt causality.
+func (e *Engine) stamp(at Time) uint64 {
 	if at < e.now {
 		if e.auditFn != nil {
 			// Under a strict auditor this panics with the structured
@@ -193,26 +161,45 @@ func (e *Engine) Schedule(at Time, fn func()) *Event {
 		}
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
 	}
-	ev := e.acquire()
-	ev.at = at
-	ev.seq = e.nextSeq
-	ev.fn = fn
-	ev.cancelled = false
-	ev.popped = false
+	seq := e.nextSeq
 	e.nextSeq++
 	e.live++
-	e.heapPush(ev)
-	return ev
+	return seq
+}
+
+// Schedule runs fn at virtual time at; an at before Now panics.
+func (e *Engine) Schedule(at Time, fn func()) {
+	seq := e.stamp(at)
+	var n *node
+	if last := len(e.free) - 1; last >= 0 {
+		n = e.free[last]
+		e.free = e.free[:last]
+	} else {
+		n = new(node)
+	}
+	n.at, n.seq, n.fn = at, seq, fn
+	e.push(n)
 }
 
 // After runs fn after delay d. A non-positive delay schedules for the
 // current instant (the event still goes through the queue, after any
 // events already scheduled for now).
-func (e *Engine) After(d Time, fn func()) *Event {
-	if d < 0 {
-		d = 0
+func (e *Engine) After(d Time, fn func()) { e.Schedule(e.now+max(d, 0), fn) }
+
+// arm gives a permanent node its next true key, freshly stamped (so no
+// seq in the heap is newer). The heap is touched only when the node is
+// absent or now due before the key it sits under; a later deadline
+// leaves the position stale for Run to correct.
+func (e *Engine) arm(n *node, at Time, seq uint64) {
+	n.armed, n.dueAt, n.dueSeq = true, at, seq
+	switch {
+	case n.idx < 0:
+		n.at, n.seq = at, seq
+		e.push(n)
+	case at < n.at:
+		n.at, n.seq = at, seq
+		e.up(n, n.idx)
 	}
-	return e.Schedule(e.now+d, fn)
 }
 
 // Stop makes Run return after the currently executing event completes.
@@ -228,7 +215,7 @@ func (e *Engine) Stopped() bool { return e.stopped }
 // end the run gracefully via Stop instead of aborting the process. A
 // zero interval or nil fn removes the hook.
 //
-// The hook must not schedule or cancel events; it observes and stops.
+// The hook must not schedule or stop events; it observes and stops.
 // Because it runs on the event-loop thread at deterministic points, a
 // hook that inspects only virtual state cannot perturb determinism;
 // one that inspects wall-clock time trades determinism for liveness
@@ -257,28 +244,41 @@ func (e *Engine) SetAudit(fn func(check, detail string)) { e.auditFn = fn }
 func (e *Engine) Run(horizon Time) Time {
 	e.stopped = false
 	for len(e.queue) > 0 && !e.stopped {
-		next := e.queue[0]
-		if next.cancelled {
-			// Collect a corpse that bubbled to the top.
-			e.heapPopTop()
-			e.release(next)
-			continue
-		}
-		if next.at > horizon {
+		n := e.queue[0]
+		// The horizon test comes first: no node sits under a key later
+		// than its true key, so a root key beyond the horizon ends the
+		// run whatever state the root is in — and a sliced run does not
+		// re-key every far-future timer once per slice.
+		if n.at > horizon {
 			e.now = horizon
 			return e.now
 		}
-		e.heapPopTop()
-		at, fn := next.at, next.fn
-		e.live--
-		// Recycle before executing: fn may Schedule and reuse the slot,
-		// and a Timer watching this event observes the generation bump
-		// exactly as it previously observed the popped flag.
-		e.release(next)
-		if e.auditFn != nil && at < e.now {
-			e.auditFn("sim/clock-monotone", fmt.Sprintf("popped event at %v behind clock %v", at, e.now))
+		fn := n.fn
+		if n.perm {
+			if !n.armed {
+				e.popRoot()
+				continue
+			}
+			if n.dueAt != n.at || n.dueSeq != n.seq {
+				n.at, n.seq = n.dueAt, n.dueSeq
+				e.down(n, 0)
+				continue
+			}
+			// Fire in place: nothing fn schedules can order before the
+			// key it fires under, so the node keeps the root for the
+			// next iteration to drop or re-key — a timer re-armed from
+			// its own callback never leaves the heap.
+			n.armed = false
+		} else {
+			e.popRoot()
+			n.fn = nil // the pool must not extend closure lifetimes
+			e.free = append(e.free, n)
 		}
-		e.now = at
+		if e.auditFn != nil && n.at < e.now {
+			e.auditFn("sim/clock-monotone", fmt.Sprintf("popped event at %v behind clock %v", n.at, e.now))
+		}
+		e.now = n.at
+		e.live--
 		e.processed++
 		fn()
 		if e.interruptEvery > 0 && e.processed%e.interruptEvery == 0 {
@@ -293,141 +293,115 @@ func (e *Engine) Run(horizon Time) Time {
 	return e.now
 }
 
-// compactMin is the heap size below which compaction is never worth the
-// rebuild; tiny heaps drain their corpses through ordinary pops.
-const compactMin = 64
-
-// maybeCompact rebuilds the heap without its lazily-cancelled corpses
-// once they outnumber live entries. Timer-churny workloads (TCP rearms
-// the RTO on almost every ACK) otherwise grow the heap without bound:
-// each rearm leaves a corpse whose deadline may lie far in the future,
-// surviving every pop of the run. Compaction preserves the (at, seq)
-// order exactly, so execution order — and therefore determinism — is
-// unaffected.
-func (e *Engine) maybeCompact() {
-	if len(e.queue) < compactMin || len(e.queue)-e.live <= len(e.queue)/2 {
-		return
-	}
-	q := e.queue
-	kept := q[:0]
-	for _, ev := range q {
-		if ev.cancelled {
-			e.release(ev)
-			continue
-		}
-		kept = append(kept, ev)
-	}
-	for i := len(kept); i < len(q); i++ {
-		q[i] = nil
-	}
-	e.queue = kept
-	// Re-establish the heap invariant bottom-up (standard O(n) build).
-	for i := len(kept)/2 - 1; i >= 0; i-- {
-		e.siftDown(i)
-	}
-}
-
-// eventLess orders the heap by timestamp, sequence-number tie-broken so
+// less orders the heap by timestamp, sequence-number tie-broken so
 // equal timestamps run FIFO.
-func eventLess(a, b *Event) bool {
+func less(a, b *node) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
 }
 
-func (e *Engine) heapPush(ev *Event) {
-	e.queue = append(e.queue, ev)
-	i := len(e.queue) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !eventLess(e.queue[i], e.queue[parent]) {
-			break
-		}
-		e.queue[i], e.queue[parent] = e.queue[parent], e.queue[i]
-		i = parent
-	}
+func (e *Engine) push(n *node) {
+	e.queue = append(e.queue, n)
+	e.up(n, len(e.queue)-1)
 }
 
-// heapPopTop removes the root entry (callers read e.queue[0] first).
-func (e *Engine) heapPopTop() {
+// popRoot removes the root entry (callers read e.queue[0] first) and
+// marks it absent.
+func (e *Engine) popRoot() {
+	e.queue[0].idx = -1
 	last := len(e.queue) - 1
-	e.queue[0] = e.queue[last]
+	n := e.queue[last]
 	e.queue[last] = nil
 	e.queue = e.queue[:last]
 	if last > 0 {
-		e.siftDown(0)
+		e.down(n, 0)
 	}
 }
 
-func (e *Engine) siftDown(i int) {
+// up places n, whose slot i is free, at or above i.
+func (e *Engine) up(n *node, i int) {
 	q := e.queue
-	n := len(q)
-	for {
-		left := 2*i + 1
-		if left >= n {
-			return
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !less(n, q[parent]) {
+			break
 		}
-		min := left
-		if right := left + 1; right < n && eventLess(q[right], q[left]) {
+		q[i] = q[parent]
+		q[i].idx = i
+		i = parent
+	}
+	q[i] = n
+	n.idx = i
+}
+
+// down places n, whose slot i is free, at or below i.
+func (e *Engine) down(n *node, i int) {
+	q := e.queue
+	for {
+		min := 2*i + 1
+		if min >= len(q) {
+			break
+		}
+		if right := min + 1; right < len(q) && less(q[right], q[min]) {
 			min = right
 		}
-		if !eventLess(q[min], q[i]) {
-			return
+		if !less(q[min], n) {
+			break
 		}
-		q[i], q[min] = q[min], q[i]
+		q[i] = q[min]
+		q[i].idx = i
 		i = min
 	}
+	q[i] = n
+	n.idx = i
 }
 
-// Timer is a rearm-friendly wrapper over Schedule for the common TCP
-// pattern "reset the retransmission timer on every ACK". Reset cancels
-// any pending expiry and schedules a new one; Stop cancels. Both are
-// allocation-free in steady state: the engine recycles the underlying
-// events, and the timer's single stored callback means no closure is
-// ever created per (re)arm.
+// Timer is the rearm-friendly schedulable for the common TCP pattern
+// "reset the retransmission timer on every ACK". It owns one permanent
+// heap node: Reset stamps a new deadline exactly as After would and
+// usually touches nothing else, Stop clears a flag, and neither
+// allocates.
 type Timer struct {
 	eng *Engine
-	fn  func()
-	ev  *Event
-	gen uint64 // generation of ev at arm time; detects recycling
+	n   node
 }
 
 // NewTimer creates a stopped timer that will invoke fn when it expires.
 func NewTimer(eng *Engine, fn func()) *Timer {
-	return &Timer{eng: eng, fn: fn}
+	t := &Timer{eng: eng}
+	t.n.initPerm(fn)
+	return t
 }
 
-// armed reports whether the timer's event handle is still its own live
-// arm: present, not recycled into a different event, and pending.
-func (t *Timer) armed() bool {
-	return t.ev != nil && t.ev.gen == t.gen && t.ev.Pending()
-}
-
-// Reset (re)arms the timer to fire after d.
+// Reset (re)arms the timer to fire after d, superseding any pending
+// expiry. Like After, a non-positive d means the current instant.
 func (t *Timer) Reset(d Time) {
-	if t.armed() {
-		t.ev.Cancel()
+	e := t.eng
+	at := e.now + max(d, 0)
+	if t.n.armed {
+		e.live-- // the superseded expiry
 	}
-	t.ev = t.eng.After(d, t.fn)
-	t.gen = t.ev.gen
+	e.arm(&t.n, at, e.stamp(at))
 }
 
 // Stop cancels the pending expiry, if any.
 func (t *Timer) Stop() {
-	if t.armed() {
-		t.ev.Cancel()
+	if t.n.armed {
+		t.n.armed = false
+		t.eng.live--
 	}
 }
 
 // Pending reports whether the timer is armed.
-func (t *Timer) Pending() bool { return t.armed() }
+func (t *Timer) Pending() bool { return t.n.armed }
 
 // Deadline returns the expiry time of an armed timer and true, or zero
 // and false for a stopped timer.
 func (t *Timer) Deadline() (Time, bool) {
-	if !t.armed() {
+	if !t.n.armed {
 		return 0, false
 	}
-	return t.ev.At(), true
+	return t.n.dueAt, true
 }

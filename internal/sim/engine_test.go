@@ -126,26 +126,22 @@ func TestAfterClampsNegativeDelay(t *testing.T) {
 func TestCancel(t *testing.T) {
 	eng := NewEngine()
 	ran := false
-	ev := eng.Schedule(10, func() { ran = true })
-	if !ev.Pending() {
-		t.Fatal("freshly scheduled event not pending")
+	tm := NewTimer(eng, func() { ran = true })
+	tm.Reset(10)
+	if !tm.Pending() {
+		t.Fatal("freshly armed timer not pending")
 	}
-	ev.Cancel()
-	if ev.Pending() {
-		t.Fatal("cancelled event still pending")
+	tm.Stop()
+	if tm.Pending() {
+		t.Fatal("stopped timer still pending")
 	}
 	eng.Run(100)
 	if ran {
-		t.Fatal("cancelled event ran")
+		t.Fatal("stopped timer fired")
 	}
-	ev.Cancel() // double-cancel must be a no-op
-}
-
-func TestCancelNilEventSafe(t *testing.T) {
-	var ev *Event
-	ev.Cancel()
-	if ev.Pending() {
-		t.Fatal("nil event reported pending")
+	tm.Stop() // double-stop must be a no-op
+	if eng.Len() != 0 {
+		t.Fatalf("Len = %d after double stop, want 0", eng.Len())
 	}
 }
 
@@ -192,11 +188,13 @@ func TestProcessedCount(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		eng.Schedule(Time(i), func() {})
 	}
-	ev := eng.Schedule(100, func() {})
-	ev.Cancel()
+	tm := NewTimer(eng, func() {})
+	tm.Reset(100)
+	tm.Reset(200) // a superseded arm is not a firing
+	tm.Stop()
 	eng.Run(MaxTime)
 	if eng.Processed() != 7 {
-		t.Fatalf("Processed = %d, want 7 (cancelled events don't count)", eng.Processed())
+		t.Fatalf("Processed = %d, want 7 (stopped and superseded arms don't count)", eng.Processed())
 	}
 }
 
@@ -220,6 +218,10 @@ func TestTimerResetAndStop(t *testing.T) {
 	if fires != 1 {
 		t.Fatalf("fires = %d, want 1", fires)
 	}
+	if tm.Pending() {
+		t.Fatal("fired timer reports pending")
+	}
+	tm.Stop() // after the expiry: a no-op
 	tm.Reset(10)
 	tm.Stop()
 	eng.Run(200)
@@ -258,7 +260,7 @@ func TestManyEventsHeapStress(t *testing.T) {
 func TestTimerChurnStress(t *testing.T) {
 	// TCP rearms its RTO on nearly every ACK: a timer that is Reset
 	// thousands of times must fire exactly once, at the final deadline,
-	// and lazily-cancelled heap entries must all drain.
+	// and leave nothing behind.
 	eng := NewEngine()
 	fires := 0
 	var firedAt Time
@@ -274,8 +276,8 @@ func TestTimerChurnStress(t *testing.T) {
 	if firedAt != 4999+100 {
 		t.Fatalf("fired at %v, want %v", firedAt, Time(5099))
 	}
-	if eng.Len() != 0 {
-		t.Fatalf("heap retains %d entries after drain", eng.Len())
+	if eng.Len() != 0 || eng.Cap() != 0 {
+		t.Fatalf("engine retains Len %d Cap %d after drain", eng.Len(), eng.Cap())
 	}
 }
 
@@ -357,5 +359,118 @@ func TestSetInterruptRemoval(t *testing.T) {
 	eng.Run(1000)
 	if calls != 0 {
 		t.Fatalf("removed interrupt still fired %d times", calls)
+	}
+}
+
+// TestStaleKeyBeyondHorizonEndsRun pins the order of Run's two tests on
+// a permanent node at the root: a key beyond the horizon ends the run
+// before staleness is looked at (the key is never later than the true
+// key), so slicing a run does not re-key and re-sift every far-future
+// timer once per slice.
+func TestStaleKeyBeyondHorizonEndsRun(t *testing.T) {
+	eng := NewEngine()
+	fires := 0
+	tm := NewTimer(eng, func() { fires++ })
+	tm.Reset(1000)
+	tm.Reset(2000) // later: the node keeps the key it sits under
+	if tm.n.at != 1000 || tm.n.dueAt != 2000 {
+		t.Fatalf("after a later Reset the node sits at %v with true deadline %v, want 1000 and 2000", tm.n.at, tm.n.dueAt)
+	}
+	for h := Time(100); h <= 900; h += 100 {
+		if end := eng.Run(h); end != h {
+			t.Fatalf("Run(%v) returned %v", h, end)
+		}
+		if tm.n.at != 1000 {
+			t.Fatalf("Run(%v) re-keyed a node whose key lies beyond the horizon (now at %v)", h, tm.n.at)
+		}
+	}
+	eng.Run(1500) // the stale key is inside this slice: re-keyed, not fired
+	if fires != 0 || tm.n.at != 2000 {
+		t.Fatalf("after Run(1500): fires = %d, node at %v; want 0 and 2000", fires, tm.n.at)
+	}
+	eng.Run(2000)
+	if fires != 1 || eng.Now() != 2000 {
+		t.Fatalf("fires = %d at %v, want 1 at 2000", fires, eng.Now())
+	}
+}
+
+// TestTimerResetEarlierMovesTheNode covers the one re-arm that must
+// touch the heap: a deadline earlier than the key the node sits under.
+func TestTimerResetEarlierMovesTheNode(t *testing.T) {
+	eng := NewEngine()
+	var order []string
+	tm := NewTimer(eng, func() { order = append(order, "timer") })
+	for i := 0; i < 20; i++ {
+		eng.Schedule(Time(50+i), func() {})
+	}
+	eng.Schedule(30, func() { order = append(order, "event") })
+	tm.Reset(500)
+	tm.Reset(30) // same instant as the event, stamped after it
+	eng.Run(40)
+	if len(order) != 2 || order[0] != "event" || order[1] != "timer" {
+		t.Fatalf("order = %v, want [event timer]", order)
+	}
+}
+
+func TestLaneDeliversInScheduleOrder(t *testing.T) {
+	eng := NewEngine()
+	var got []int
+	lane := NewLane(eng, func(v int) { got = append(got, v) })
+	// Interleave lane entries with one-shot events at the same instants:
+	// firing order is the order of the calls.
+	for i := 0; i < 40; i += 2 {
+		i := i
+		lane.After(10, i)
+		eng.After(10, func() { got = append(got, i+1) })
+		eng.Run(eng.Now() + 3)
+	}
+	eng.Run(MaxTime)
+	if len(got) != 40 {
+		t.Fatalf("delivered %d, want 40", len(got))
+	}
+	for i, v := range got {
+		if v != i {
+			t.Fatalf("delivery order %v", got)
+		}
+	}
+	if eng.Len() != 0 || eng.Cap() != 0 {
+		t.Fatalf("engine retains Len %d Cap %d after drain", eng.Len(), eng.Cap())
+	}
+}
+
+// TestLaneRejectsOvertaking: a lane is FIFO, so an entry due before its
+// predecessor would fire late; After refuses it instead.
+func TestLaneRejectsOvertaking(t *testing.T) {
+	eng := NewEngine()
+	lane := NewLane(eng, func(int) {})
+	lane.After(10, 1)
+	lane.After(10, 2) // equal is in order: seq decides
+	defer func() {
+		if recover() == nil {
+			t.Fatal("an entry due before its predecessor did not panic")
+		}
+		if eng.Len() != 2 {
+			t.Fatalf("Len = %d after the rejected entry, want 2", eng.Len())
+		}
+	}()
+	lane.After(9, 3)
+}
+
+// TestTimerAndLaneClampNegativeDelay: like After, a negative delay
+// means the current instant, behind what is already scheduled for it.
+func TestTimerAndLaneClampNegativeDelay(t *testing.T) {
+	eng := NewEngine()
+	var order []string
+	note := func(s string) func() { return func() { order = append(order, s) } }
+	tm := NewTimer(eng, note("timer"))
+	lane := NewLane(eng, func(s string) { order = append(order, s) })
+	eng.Schedule(10, func() {
+		eng.After(0, note("event"))
+		tm.Reset(-5)
+		lane.After(-5, "lane")
+	})
+	eng.Run(10)
+	if len(order) != 3 || order[0] != "event" || order[1] != "timer" || order[2] != "lane" {
+		t.Fatalf("order = %v at %v, want [event timer lane] at 10", order, eng.Now())
 	}
 }

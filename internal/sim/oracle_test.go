@@ -26,14 +26,13 @@ func (r *refEngine) schedule(at Time, id int) {
 	r.seq++
 }
 
-func (r *refEngine) cancel(id int) bool {
+func (r *refEngine) cancel(id int) {
 	for i, p := range r.pending {
 		if p.id == id {
 			r.pending = append(r.pending[:i], r.pending[i+1:]...)
-			return true
+			return
 		}
 	}
-	return false
 }
 
 func (r *refEngine) run(horizon Time) {
@@ -106,6 +105,7 @@ func (m *refMachine) state() (Time, uint64, int) { return m.now, m.processed, le
 type engMachine struct {
 	eng    *Engine
 	timers [oracleTimers]*Timer
+	lanes  [len(oracleStreamDelay)]*Lane[int]
 	fire   func(id int)
 }
 
@@ -114,6 +114,9 @@ func newEngMachine(fire func(id int)) *engMachine {
 	for k := range m.timers {
 		k := k
 		m.timers[k] = NewTimer(m.eng, func() { fire(k) })
+	}
+	for s := range m.lanes {
+		m.lanes[s] = NewLane(m.eng, fire)
 	}
 	return m
 }
@@ -125,9 +128,7 @@ func (m *engMachine) stopTimer(k int)            { m.timers[k].Stop() }
 func (m *engMachine) timerPending(k int) bool    { return m.timers[k].Pending() }
 func (m *engMachine) run(horizon Time)           { m.eng.Run(horizon) }
 func (m *engMachine) halt()                      { m.eng.Stop() }
-func (m *engMachine) stream(s int) {
-	m.eng.After(oracleStreamDelay[s], func() { m.fire(oracleStreamID + s) })
-}
+func (m *engMachine) stream(s int)               { m.lanes[s].After(oracleStreamDelay[s], oracleStreamID+s) }
 func (m *engMachine) state() (Time, uint64, int) {
 	return m.eng.Now(), m.eng.Processed(), m.eng.Len()
 }

@@ -10,7 +10,7 @@
 #   results/regenerate.sh       # rewrite results/ and results/full/ in place
 #   results/regenerate.sh DIR   # write DIR and DIR/full (CI diffs them against this directory)
 #
-# About 6 min on two cores: 4 min for the scaled tier, 2 for results/full/.
+# About 3 min on two cores: 2 min for the scaled tier, 45 s for results/full/.
 set -euo pipefail
 here=$(cd "$(dirname "$0")" && pwd)
 out=${1:-$here}
