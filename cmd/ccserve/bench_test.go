@@ -37,8 +37,9 @@ func benchSpecs(round int) []schema.JobSpec {
 // benchServe measures end-to-end served-job throughput: submit a
 // batch, poll to terminal, repeat. The in-process and fleet variants
 // share this body so the reported jobs/sec difference isolates the
-// cost of process isolation — fork/exec, payload hand-off, outcome
-// parse, per-worker lease traffic — against identical simulation work.
+// cost of process isolation — one warm worker spawn per runner, payload
+// and outcome over pipes, per-dispatch lease traffic — against
+// identical simulation work.
 func benchServe(b *testing.B, fleet bool) {
 	cfg := chaosServerConfig(b.TempDir(), store.OSFS())
 	cfg.workers = 4

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -33,66 +35,73 @@ func TestMain(m *testing.M) {
 }
 
 // testWorkerMain is workerRun plus fault-injection hooks, each keyed by
-// an environment variable the spawning test sets:
+// an environment variable the spawning test sets. PID_DIR acts once per
+// process; the rest act per job, so a warm worker applies them to each
+// payload it takes:
 //
+//	CCSERVE_TEST_PID_DIR      drop a proc-<pid> file at process start so
+//	                          the test can count and signal processes
 //	CCSERVE_TEST_CRASH_JOB    die (exit 7) before running the named job
-//	CCSERVE_TEST_STALL_JOB    named job's slot-0 worker sleeps
-//	CCSERVE_TEST_STALL_MS     ... this long before starting
+//	CCSERVE_TEST_STALL_JOB    named job's slot-0 dispatch sleeps
+//	CCSERVE_TEST_STALL_MS     ... this long (or until SIGTERM) first
 //	CCSERVE_TEST_ANNOUNCE_DIR drop a pid file and linger so the test can
 //	                          aim a signal at a live mid-job worker
-//	CCSERVE_TEST_KILL_AT      SIGKILL-equivalent (exit 137) at the Nth
-//	                          filesystem mutation, via the chaos FS
-//	CCSERVE_TEST_KILL_MARK    arm the kill only in the first worker to
+//	CCSERVE_TEST_KILL_AT      SIGKILL-equivalent (exit 137) at the job's
+//	                          Nth filesystem mutation, via the chaos FS
+//	CCSERVE_TEST_KILL_MARK    arm the kill only in the first job to
 //	                          O_EXCL-create this file (one shot per dir)
 func testWorkerMain() int {
-	payload, err := io.ReadAll(os.Stdin)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "test worker: reading stdin: %v\n", err)
-		return 3
-	}
-	var wj schema.WorkerJob
-	if err := json.Unmarshal(payload, &wj); err != nil {
-		fmt.Fprintf(os.Stderr, "test worker: decoding payload: %v\n", err)
-		return 3
-	}
-
-	if name := os.Getenv("CCSERVE_TEST_CRASH_JOB"); name != "" && wj.Spec.Name == name {
-		os.Exit(7)
-	}
-	if name := os.Getenv("CCSERVE_TEST_STALL_JOB"); name != "" && wj.Spec.Name == name && wj.Slot == 0 {
-		ms, _ := strconv.Atoi(os.Getenv("CCSERVE_TEST_STALL_MS"))
-		time.Sleep(time.Duration(ms) * time.Millisecond)
-	}
-	if dir := os.Getenv("CCSERVE_TEST_ANNOUNCE_DIR"); dir != "" {
+	if dir := os.Getenv("CCSERVE_TEST_PID_DIR"); dir != "" {
 		pid := os.Getpid()
-		name := filepath.Join(dir, fmt.Sprintf("worker-%d.pid", pid))
-		_ = os.WriteFile(name, []byte(strconv.Itoa(pid)), 0o644)
-		// Linger long enough for the test to read the pid and deliver its
-		// signal while the job is verifiably mid-flight.
-		time.Sleep(250 * time.Millisecond)
+		_ = os.WriteFile(filepath.Join(dir, fmt.Sprintf("proc-%d", pid)), []byte(strconv.Itoa(pid)), 0o644)
 	}
-
-	fsys := store.FS(store.OSFS())
-	if at := os.Getenv("CCSERVE_TEST_KILL_AT"); at != "" {
-		kill, _ := strconv.ParseUint(at, 10, 64)
-		armed := kill > 0
-		if mark := os.Getenv("CCSERVE_TEST_KILL_MARK"); mark != "" && armed {
-			f, err := os.OpenFile(mark, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-			if err != nil {
-				armed = false // a predecessor already spent the kill
-			} else {
-				f.Close()
+	fsys := &jobFS{FS: store.OSFS()}
+	return workerRun(fsys, os.Stdin, os.Stdout, os.Stderr, func(ctx context.Context, wj schema.WorkerJob) {
+		if name := os.Getenv("CCSERVE_TEST_CRASH_JOB"); name != "" && wj.Spec.Name == name {
+			os.Exit(7)
+		}
+		if name := os.Getenv("CCSERVE_TEST_STALL_JOB"); name != "" && wj.Spec.Name == name && wj.Slot == 0 {
+			ms, _ := strconv.Atoi(os.Getenv("CCSERVE_TEST_STALL_MS"))
+			select {
+			case <-time.After(time.Duration(ms) * time.Millisecond):
+			case <-ctx.Done():
 			}
 		}
-		if armed {
-			fsys = chaostest.Wrap(store.OSFS(), chaostest.Plan{
-				KillAt: kill,
-				OnKill: func() { os.Exit(137) },
-			})
+		if dir := os.Getenv("CCSERVE_TEST_ANNOUNCE_DIR"); dir != "" {
+			pid := os.Getpid()
+			name := filepath.Join(dir, fmt.Sprintf("worker-%d.pid", pid))
+			_ = os.WriteFile(name, []byte(strconv.Itoa(pid)), 0o644)
+			// Linger long enough for the test to read the pid and deliver
+			// its signal while the job is verifiably mid-flight.
+			time.Sleep(250 * time.Millisecond)
 		}
-	}
-	return workerRun(fsys, bytes.NewReader(payload), os.Stdout, os.Stderr)
+
+		fsys.FS = store.OSFS()
+		if at := os.Getenv("CCSERVE_TEST_KILL_AT"); at != "" {
+			kill, _ := strconv.ParseUint(at, 10, 64)
+			armed := kill > 0
+			if mark := os.Getenv("CCSERVE_TEST_KILL_MARK"); mark != "" && armed {
+				f, err := os.OpenFile(mark, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+				if err != nil {
+					armed = false // a predecessor already spent the kill
+				} else {
+					f.Close()
+				}
+			}
+			if armed {
+				fsys.FS = chaostest.Wrap(store.OSFS(), chaostest.Plan{
+					KillAt: kill,
+					OnKill: func() { os.Exit(137) },
+				})
+			}
+		}
+	})
 }
+
+// jobFS is a test worker's filesystem: the store handle the worker
+// opens once goes through it, and the kill hook swaps a fresh fault
+// plan in under it for each job.
+type jobFS struct{ store.FS }
 
 // fleetTestConfig is chaosServerConfig with a worker fleet pointed at
 // this test binary, tuned for test speed: tight lease TTL, millisecond
@@ -153,42 +162,45 @@ func journalOpsForKey(t *testing.T, dir, key string) map[string]int {
 }
 
 // TestFleetRunsBatchMatchesInprocess is the fleet's baseline contract:
-// the same batch, executed in worker subprocesses, commits results
-// byte-identical to in-process execution, reports its fleet through
-// /healthz, and serves resubmissions from the store without spawning.
+// a 32-job batch on a 2-runner fleet costs at most one warm worker per
+// runner, commits results byte-identical to in-process execution with
+// the same one-attempt journal trail, reports its fleet through
+// /healthz, serves resubmissions from the store without spawning, and
+// leaves no process after Drain.
 func TestFleetRunsBatchMatchesInprocess(t *testing.T) {
-	refDir := t.TempDir()
-	ref := cleanCycle(t, refDir, store.OSFS())
+	specs := append(benchSpecs(0), benchSpecs(1)...)
+	refCfg := chaosServerConfig(t.TempDir(), store.OSFS())
+	refCfg.slots = len(specs)
+	refSrv, err := newServer(refCfg)
+	if err != nil {
+		t.Fatalf("in-process boot: %v", err)
+	}
+	runBatchDone(t, refSrv, specs...)
+	refSrv.Drain()
+	refDir := refCfg.out
 
 	dir := t.TempDir()
-	s, err := newServer(fleetTestConfig(dir))
+	procs := t.TempDir()
+	cfg := fleetTestConfig(dir, "CCSERVE_TEST_PID_DIR="+procs)
+	cfg.slots = len(specs)
+	s, err := newServer(cfg)
 	if err != nil {
 		t.Fatalf("fleet boot: %v", err)
 	}
 	defer s.Drain()
 
-	resp, rr := submit(t, s, chaosSpecs()...)
-	if rr.Code != http.StatusCreated {
-		t.Fatalf("submit: %d: %s", rr.Code, rr.Body.String())
-	}
-	final := waitBatch(t, s, resp.Batch, 30*time.Second)
+	final := runBatchDone(t, s, specs...)
 	for _, j := range final.Jobs {
-		if j.State != schema.JobDone {
-			t.Fatalf("job %s is %s (%s)", j.Name, j.State, j.Error)
-		}
-		if j.Cached {
-			t.Fatalf("job %s reported cached on a pristine store", j.Name)
-		}
 		// Microsecond resolution: even a sub-millisecond run reports its wall.
 		if j.WallMs <= 0 {
 			t.Fatalf("job %s ran but reports wallMs %v", j.Name, j.WallMs)
 		}
 	}
-	if got := storeFingerprint(t, dir); got != ref {
+	if got, ref := storeFingerprint(t, dir), storeFingerprint(t, refDir); got != ref {
 		t.Fatalf("fleet results diverge from in-process:\n fleet      %s\n in-process %s", got, ref)
 	}
 	// One attempt, one protocol: a fresh job leaves the same journal
-	// trail whichever side of fork/exec ran it.
+	// trail whichever side of the process boundary ran it.
 	for _, j := range final.Jobs {
 		for mode, d := range map[string]string{"fleet": dir, "in-process": refDir} {
 			ops := journalOpsForKey(t, d, j.Key)
@@ -205,19 +217,19 @@ func TestFleetRunsBatchMatchesInprocess(t *testing.T) {
 	if h.Fleet == nil {
 		t.Fatal("healthz: no fleet block on a fleet server")
 	}
-	if h.Fleet.Spawns < 2 {
-		t.Fatalf("fleet spawns = %d, want ≥2 (one per job)", h.Fleet.Spawns)
-	}
-	if h.Fleet.Spawns != h.Fleet.Exits {
-		t.Fatalf("spawns %d != exits %d with no live workers", h.Fleet.Spawns, h.Fleet.Exits)
+	// Warm workers serve the batch and outlive it, at most one per
+	// runner; /healthz lists only workers with a job in flight.
+	if h.Fleet.Spawns < 1 || h.Fleet.Spawns > int64(cfg.workers) || h.Fleet.Restarts != 0 {
+		t.Fatalf("%d jobs cost %d spawns and %d restarts; want 1..%d spawns, no restart",
+			len(specs), h.Fleet.Spawns, h.Fleet.Restarts, cfg.workers)
 	}
 	if len(h.Workers) != 0 {
-		t.Fatalf("healthz lists %d live workers after quiesce", len(h.Workers))
+		t.Fatalf("healthz lists %d busy workers after quiesce", len(h.Workers))
 	}
 
 	// Resubmission dedupes against the terminal jobs: no process spawns.
 	spawnsBefore := h.Fleet.Spawns
-	resp2, rr2 := submit(t, s, chaosSpecs()...)
+	resp2, rr2 := submit(t, s, specs...)
 	if rr2.Code != http.StatusCreated {
 		t.Fatalf("resubmit: %d: %s", rr2.Code, rr2.Body.String())
 	}
@@ -229,6 +241,244 @@ func TestFleetRunsBatchMatchesInprocess(t *testing.T) {
 	if h2 := getHealth(t, s); h2.Fleet.Spawns != spawnsBefore {
 		t.Fatalf("resubmit spawned workers: %d -> %d", spawnsBefore, h2.Fleet.Spawns)
 	}
+
+	// Drain reaps the warm workers: every process spawned has exited.
+	s.Drain()
+	h = getHealth(t, s)
+	if h.Fleet.Spawns != h.Fleet.Exits {
+		t.Fatalf("after drain: spawns %d != exits %d", h.Fleet.Spawns, h.Fleet.Exits)
+	}
+	assertProcsGone(t, procs, h.Fleet.Spawns)
+}
+
+// workerPIDs lists the processes a CCSERVE_TEST_PID_DIR has recorded,
+// in no particular order.
+func workerPIDs(t *testing.T, dir string) []int {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "proc-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pids []int
+	for _, f := range files {
+		pid, err := strconv.Atoi(strings.TrimPrefix(filepath.Base(f), "proc-"))
+		if err != nil {
+			t.Fatalf("pid file %s: %v", f, err)
+		}
+		pids = append(pids, pid)
+	}
+	return pids
+}
+
+// assertProcsGone requires the recorded processes to number spawns and
+// to be gone — exited and reaped, not lingering as children.
+func assertProcsGone(t *testing.T, dir string, spawns int64) {
+	t.Helper()
+	pids := workerPIDs(t, dir)
+	if int64(len(pids)) != spawns {
+		t.Fatalf("%d worker processes recorded, fleet counted %d spawns", len(pids), spawns)
+	}
+	for _, pid := range pids {
+		if err := syscall.Kill(pid, 0); err != syscall.ESRCH {
+			t.Fatalf("worker %d still exists (kill 0: %v)", pid, err)
+		}
+	}
+}
+
+// runBatchDone submits specs and requires every member to resolve done,
+// freshly computed, in one attempt.
+func runBatchDone(t *testing.T, s *server, specs ...schema.JobSpec) schema.BatchResponse {
+	t.Helper()
+	resp, rr := submit(t, s, specs...)
+	if rr.Code != http.StatusCreated {
+		t.Fatalf("submit: %d: %s", rr.Code, rr.Body.String())
+	}
+	final := waitBatch(t, s, resp.Batch, 60*time.Second)
+	for _, j := range final.Jobs {
+		if j.State != schema.JobDone || j.Cached || j.Attempts != 1 {
+			t.Fatalf("job %s: %s, cached %v, %d attempts (%s); want done, fresh, 1 attempt",
+				j.Name, j.State, j.Cached, j.Attempts, j.Error)
+		}
+	}
+	return final
+}
+
+// TestFleetWarmCrashStrikesOnlyThatJob kills a warm worker on the third
+// job it takes: that job alone is charged — it crash-loops to poison in
+// fresh processes — while the jobs the same process served before it,
+// and a new one served after it, complete in one attempt each.
+func TestFleetWarmCrashStrikesOnlyThatJob(t *testing.T) {
+	specs := benchSpecs(0)[:5]
+	crash := specs[2].Name
+	cfg := fleetTestConfig(t.TempDir(), "CCSERVE_TEST_CRASH_JOB="+crash)
+	cfg.workers = 1 // one runner: the jobs reach its worker in submission order
+	s, err := newServer(cfg)
+	if err != nil {
+		t.Fatalf("fleet boot: %v", err)
+	}
+	defer s.Drain()
+
+	resp, rr := submit(t, s, specs...)
+	if rr.Code != http.StatusCreated {
+		t.Fatalf("submit: %d: %s", rr.Code, rr.Body.String())
+	}
+	for _, j := range waitBatch(t, s, resp.Batch, 60*time.Second).Jobs {
+		if j.Name == crash {
+			if j.State != schema.JobPoisoned {
+				t.Fatalf("crashing job is %s (%s), want poisoned", j.State, j.Error)
+			}
+			continue
+		}
+		if j.State != schema.JobDone || j.Attempts != 1 {
+			t.Fatalf("neighbour %s is %s after %d attempts (%s), want done in 1", j.Name, j.State, j.Attempts, j.Error)
+		}
+	}
+	// Three strikes, all the crash job's: two restarts and a poison. Four
+	// processes: the warm one that served two jobs and died on the third,
+	// the two that died on its retries, and the one that served the rest.
+	h := getHealth(t, s)
+	if h.Fleet.Restarts != 2 || h.Fleet.Poisoned != 1 || h.Fleet.Spawns != 4 {
+		t.Fatalf("fleet counters: restarts=%d poisoned=%d spawns=%d, want 2, 1, 4",
+			h.Fleet.Restarts, h.Fleet.Poisoned, h.Fleet.Spawns)
+	}
+}
+
+// TestFleetIdleWorkerDeathCostsNoStrike SIGKILLs a warm worker between
+// jobs: no job was in it, so the next job simply gets a new worker —
+// one attempt, no restart charged.
+func TestFleetIdleWorkerDeathCostsNoStrike(t *testing.T) {
+	procs := t.TempDir()
+	cfg := fleetTestConfig(t.TempDir(), "CCSERVE_TEST_PID_DIR="+procs)
+	cfg.workers = 1
+	s, err := newServer(cfg)
+	if err != nil {
+		t.Fatalf("fleet boot: %v", err)
+	}
+	defer s.Drain()
+
+	specs := chaosSpecs()
+	runBatchDone(t, s, specs[0])
+	pids := workerPIDs(t, procs)
+	if len(pids) != 1 {
+		t.Fatalf("one job spawned %d workers, want 1", len(pids))
+	}
+	if err := syscall.Kill(pids[0], syscall.SIGKILL); err != nil {
+		t.Fatalf("SIGKILL idle worker: %v", err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for getHealth(t, s).Fleet.Exits < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("killed worker never reaped")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	runBatchDone(t, s, specs[1])
+	if h := getHealth(t, s); h.Fleet.Restarts != 0 || h.Fleet.Spawns != 2 {
+		t.Fatalf("after an idle death: restarts=%d spawns=%d, want 0 and 2", h.Fleet.Restarts, h.Fleet.Spawns)
+	}
+}
+
+// TestFleetJobAboveWarmBoundRunsAlone prices a job past the warm bound:
+// it runs in a process of its own, under its own ceiling, which has
+// exited by the time the job resolves — while the runner's warm worker
+// lives on.
+func TestFleetJobAboveWarmBoundRunsAlone(t *testing.T) {
+	big := schema.JobSpec{
+		// A 512 MiB buffer prices (and preallocates) a packet ring past
+		// the warm bound; the run itself is a quarter virtual second.
+		Name: "big-ring", Seed: 5, RateMbps: 5, BufferBytes: 512 << 20, DurationS: 0.25,
+		Flows: []schema.FlowGroup{{CCA: "reno", RTTMs: 20, Count: 1}},
+	}
+	if heap := mustBuildJob(t, big).fp.HeapBytes; heap <= warmHeapBytes {
+		t.Fatalf("big job prices %d heap bytes, not above the %d warm bound", heap, warmHeapBytes)
+	}
+	procs := t.TempDir()
+	cfg := fleetTestConfig(t.TempDir(), "CCSERVE_TEST_PID_DIR="+procs)
+	cfg.workers = 1
+	s, err := newServer(cfg)
+	if err != nil {
+		t.Fatalf("fleet boot: %v", err)
+	}
+	defer s.Drain()
+
+	runBatchDone(t, s, chaosSpecs()[0])
+	warm := workerPIDs(t, procs)
+	if len(warm) != 1 {
+		t.Fatalf("one warm job spawned %d workers, want 1", len(warm))
+	}
+	runBatchDone(t, s, big)
+	if h := getHealth(t, s); h.Fleet.Spawns != 2 || h.Fleet.Exits != 1 {
+		t.Fatalf("after the big job: spawns=%d exits=%d, want 2 and 1", h.Fleet.Spawns, h.Fleet.Exits)
+	}
+	for _, pid := range workerPIDs(t, procs) {
+		err := syscall.Kill(pid, 0)
+		switch {
+		case pid == warm[0] && err != nil:
+			t.Fatalf("warm worker %d is gone (%v)", pid, err)
+		case pid != warm[0] && err != syscall.ESRCH:
+			t.Fatalf("big job's worker %d still exists after the job resolved (kill 0: %v)", pid, err)
+		}
+	}
+}
+
+// TestWorkerLoopLeaksNothingAcrossJobs feeds one in-process workerRun
+// 200 payloads through a pipe. Goroutines and open fds after the last
+// job must not exceed those after the first — no KeepAlive goroutine,
+// lease or store handle outlives its job — and no lease file is left.
+func TestWorkerLoopLeaksNothingAcrossJobs(t *testing.T) {
+	dir := t.TempDir()
+	inR, inW := io.Pipe()
+	outR, outW := io.Pipe()
+	code := make(chan int, 1)
+	go func() {
+		code <- workerRun(store.OSFS(), inR, outW, io.Discard, nil)
+		outW.Close()
+	}()
+	enc := json.NewEncoder(inW)
+	out := bufio.NewReader(outR)
+	runOne := func(i int) {
+		spec := testSpec(fmt.Sprintf("leak-%d", i), uint64(i+1))
+		// No MemLimitBytes: an RLIMIT_AS would cap the test process.
+		if err := enc.Encode(schema.WorkerJob{
+			SchemaVersion: schema.Version, Out: dir, Spec: spec, Key: mustBuildJob(t, spec).key,
+			Owner: fmt.Sprintf("leak-w%d", i), DeadlineMs: 30000, LeaseTTLMs: 2000, HeartbeatMs: 200,
+		}); err != nil {
+			t.Fatalf("job %d: writing payload: %v", i, err)
+		}
+		line, err := out.ReadBytes('\n')
+		if err != nil {
+			t.Fatalf("job %d: reading outcome: %v", i, err)
+		}
+		if o := parseOutcome(line); o == nil || o.State != schema.WorkerDone || o.Cached {
+			t.Fatalf("job %d: outcome %s", i, line)
+		}
+	}
+
+	runOne(0)
+	g0, fd0 := runtime.NumGoroutine(), openFDs(t)
+	for i := 1; i < 200; i++ {
+		runOne(i)
+	}
+	if g, fd := runtime.NumGoroutine(), openFDs(t); g > g0 || fd > fd0 {
+		t.Fatalf("after 200 jobs: %d goroutines, %d fds; after the first: %d, %d", g, fd, g0, fd0)
+	}
+	inW.Close()
+	if c := <-code; c != 0 {
+		t.Fatalf("worker exited %d at end of stdin, want 0", c)
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "leases", "*")); len(left) != 0 {
+		t.Fatalf("leases left behind: %v", left)
+	}
+}
+
+// openFDs counts this process's open file descriptors.
+func openFDs(t *testing.T) int {
+	t.Helper()
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("no /proc/self/fd: %v", err)
+	}
+	return len(ents)
 }
 
 // TestFleetCrashLoopPoisons drives one config's worker into a crash
@@ -628,7 +878,7 @@ func TestFleetChaosKillEveryWorkerBoundary(t *testing.T) {
 	}
 	chaos := chaostest.Wrap(store.OSFS(), chaostest.Plan{})
 	var out bytes.Buffer
-	if code := workerRun(chaos, bytes.NewReader(payload), &out, os.Stderr); code != 0 {
+	if code := workerRun(chaos, bytes.NewReader(payload), &out, os.Stderr, nil); code != 0 {
 		t.Fatalf("probe worker exited %d: %s", code, out.String())
 	}
 	if o := parseOutcome(out.Bytes()); o == nil || o.State != schema.WorkerDone {

@@ -37,12 +37,12 @@ import (
 
 func main() {
 	// Hidden worker mode: the supervisor re-execs this same binary with
-	// the single argument "-worker" and a schema.WorkerJob on stdin.
-	// Dispatch before flag parsing so the worker surface stays frozen —
-	// supervisor flags must never leak into (or gate) the worker
-	// protocol.
+	// the single argument "-worker" and feeds it schema.WorkerJob values
+	// on stdin. Dispatch before flag parsing so the worker surface stays
+	// frozen — supervisor flags must never leak into (or gate) the
+	// worker protocol.
 	if len(os.Args) == 2 && os.Args[1] == "-worker" {
-		os.Exit(workerRun(store.OSFS(), os.Stdin, os.Stdout, os.Stderr))
+		os.Exit(workerRun(store.OSFS(), os.Stdin, os.Stdout, os.Stderr, nil))
 	}
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }

@@ -815,9 +815,13 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.reg.Snapshot())
 }
 
-// workerLoop claims queued jobs until drain.
+// workerLoop claims queued jobs until drain. In fleet mode it is a
+// runner: the warm worker it keeps between jobs is reaped when it
+// returns, so a drain leaves no worker process behind.
 func (s *server) workerLoop() {
 	defer s.wg.Done()
+	var r runner
+	defer r.close()
 	for {
 		select {
 		case <-s.drainCh:
@@ -830,21 +834,22 @@ func (s *server) workerLoop() {
 				return
 			default:
 			}
-			s.runJob(j)
+			s.runJob(&r, j)
 		}
 	}
 }
 
 // runJob executes one claimed job end to end, the same way in both
 // modes: poison and cache checks, the claimed record, then attempts
-// until one delivers a verdict. An attempt is a supervised worker
-// subprocess (hedged against stragglers) when a fleet is configured and
-// a direct call otherwise; only a subprocess can die without a verdict,
-// and that failure domain feeds crash-loop backoff and, past the strike
-// limit, poison quarantine. Its panic net mirrors cmd/reproduce's — the
+// until one delivers a verdict. An attempt is a dispatch to a
+// supervised worker subprocess — r's warm worker, or one of its own —
+// hedged against stragglers when a fleet is configured, and a direct
+// call otherwise; only a subprocess can die without a verdict, and that
+// failure domain feeds crash-loop backoff and, past the strike limit,
+// poison quarantine. Its panic net mirrors cmd/reproduce's — the
 // simulation supervisor catches simulation panics, this catches
 // everything around them.
-func (s *server) runJob(j *job) {
+func (s *server) runJob(r *runner, j *job) {
 	defer func() {
 		if r := recover(); r != nil {
 			fmt.Fprintf(s.cfg.stderr, "ccserve: job %s: panic outside supervisor: %v\n%s", j.spec.Name, r, debug.Stack())
@@ -906,7 +911,7 @@ func (s *server) runJob(j *job) {
 	for crashes := 1; ; crashes++ {
 		var res spawnRes
 		if f != nil {
-			res = s.fleetAttempt(j, deadline, budget.WorkerMemLimit(j.fp, f.cfg.memCap))
+			res = s.fleetAttempt(r, j, deadline)
 		} else {
 			o := attempt(s.runCtx, s.attemptEnv, j, 0, deadline,
 				telemetry.Multi(s.reg.Instrument(), s.subscriberCollector(j)))

@@ -239,13 +239,14 @@ type HealthResponse struct {
 	// Queued and Running count jobs not yet terminal.
 	Queued  int `json:"queued"`
 	Running int `json:"running"`
-	// Workers lists currently live worker subprocesses (fleet mode).
+	// Workers lists the worker subprocesses with a job in flight (fleet
+	// mode); a warm worker idle between jobs is not listed.
 	Workers []WorkerHealth `json:"workers,omitempty"`
 	// Fleet aggregates worker lifecycle counters (fleet mode).
 	Fleet *FleetHealth `json:"fleet,omitempty"`
 }
 
-// WorkerHealth is one live worker subprocess in /healthz output.
+// WorkerHealth is one busy worker subprocess in /healthz output.
 type WorkerHealth struct {
 	// PID is the worker's OS process id.
 	PID int `json:"pid"`
@@ -259,7 +260,9 @@ type WorkerHealth struct {
 
 // FleetHealth aggregates worker lifecycle counters since boot.
 type FleetHealth struct {
-	// Spawns counts worker processes started (primaries and hedges).
+	// Spawns counts worker processes started — warm workers, each of
+	// which serves many jobs, and one-job processes for hedges and jobs
+	// priced above the warm bound — not jobs dispatched.
 	Spawns int64 `json:"spawns"`
 	// Exits counts worker processes reaped, however they ended.
 	Exits int64 `json:"exits"`
@@ -272,8 +275,8 @@ type FleetHealth struct {
 	Poisoned int64 `json:"poisoned"`
 }
 
-// Worker outcome states: the final word a worker subprocess writes to
-// stdout before exiting. A worker that dies without one crashed.
+// Worker outcome states: a worker subprocess's answer to one job. A
+// worker that dies before answering the job it took crashed.
 const (
 	// WorkerDone: the result is committed to the store.
 	WorkerDone = "done"
@@ -286,7 +289,8 @@ const (
 )
 
 // WorkerJob is the payload a ccserve supervisor writes to a worker
-// subprocess's stdin: everything one execution attempt needs, so the
+// subprocess's stdin for each job it dispatches there (a warm worker
+// takes many in turn): everything one execution attempt needs, so the
 // worker re-derives the simulation from the same spec the journal
 // holds and commits through the same store/lease protocol any process
 // would. Times are milliseconds and sizes bytes so the shape stays
@@ -303,13 +307,15 @@ type WorkerJob struct {
 	Key string `json:"key"`
 	// Slot is the hedge slot this attempt claims its lease under.
 	Slot int `json:"slot"`
-	// Owner is the lease identity for this attempt, unique per spawn so
-	// the supervisor can clean up a crashed worker's leases.
+	// Owner is the lease identity for this attempt, unique per dispatch
+	// (not per process) so the supervisor can clean up the lease of the
+	// job a crashed worker had in flight.
 	Owner string `json:"owner"`
 	// Retries is the reduced-fidelity retry allowance inside the run.
 	Retries int `json:"retries"`
 	// MemLimitBytes caps the worker's address space (RLIMIT_AS); 0
-	// leaves the OS default.
+	// leaves the OS default. A worker applies its first payload's and
+	// keeps it for life.
 	MemLimitBytes int64 `json:"memLimitBytes,omitempty"`
 	// DeadlineMs is the wall-clock allowance for the run.
 	DeadlineMs float64 `json:"deadlineMs"`
@@ -319,8 +325,9 @@ type WorkerJob struct {
 	HeartbeatMs float64 `json:"heartbeatMs"`
 }
 
-// WorkerOutcome is the single JSON line a worker writes to stdout when
-// an attempt resolves. Absence of one is the crash signal.
+// WorkerOutcome is the JSON line a worker writes to stdout when an
+// attempt resolves: one line per job, in the order the jobs came.
+// Stdout ending before a job's line is the crash signal.
 type WorkerOutcome struct {
 	SchemaVersion string `json:"schema_version"`
 	// State is one of the Worker* constants.
