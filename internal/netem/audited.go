@@ -43,7 +43,7 @@ func NewAuditedQueue(inner Queue, aud *audit.Auditor) *AuditedQueue {
 func (q *AuditedQueue) Inner() Queue { return q.inner }
 
 // Push implements Queue.
-func (q *AuditedQueue) Push(p packet.Packet) bool {
+func (q *AuditedQueue) Push(p *packet.Packet) bool {
 	q.inPush = true
 	ok := q.inner.Push(p)
 	q.inPush = false
@@ -56,16 +56,16 @@ func (q *AuditedQueue) Push(p packet.Packet) bool {
 }
 
 // Pop implements Queue.
-func (q *AuditedQueue) Pop() (packet.Packet, bool) {
+func (q *AuditedQueue) Pop(dst *packet.Packet) bool {
 	q.inPop = true
-	p, ok := q.inner.Pop()
+	ok := q.inner.Pop(dst)
 	q.inPop = false
 	if ok {
-		q.bytes -= p.WireBytes()
+		q.bytes -= dst.WireBytes()
 		q.n--
 	}
 	q.check("pop")
-	return p, ok
+	return ok
 }
 
 // NoteDrop must be called from the wrapped queue's drop callback. Only

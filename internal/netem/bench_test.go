@@ -17,12 +17,12 @@ func TestQueueSteadyStateZeroAlloc(t *testing.T) {
 	p := dataPkt(0, 0, 1448)
 	allocs := testing.AllocsPerRun(1000, func() {
 		for i := 0; i < 64; i++ {
-			if !q.Push(p) {
+			if !push(q, p) {
 				t.Fatal("push rejected below capacity")
 			}
 		}
 		for i := 0; i < 64; i++ {
-			if _, ok := q.Pop(); !ok {
+			if _, ok := pop(q); !ok {
 				t.Fatal("pop from non-empty queue failed")
 			}
 		}
@@ -44,7 +44,7 @@ func TestQueuePreSizedNeverGrows(t *testing.T) {
 		t.Fatalf("ring size %d is not a power of two", ringBefore)
 	}
 	n := 0
-	for q.Push(dataPkt(0, int64(n)*1448, 1448)) {
+	for push(q, dataPkt(0, int64(n)*1448, 1448)) {
 		n++
 	}
 	if len(q.ring) != ringBefore {
@@ -62,12 +62,12 @@ func TestQueueGrowPreservesFIFOAndMask(t *testing.T) {
 	q := NewDropTailQueue(4 * units.MB) // byte capacity far beyond what tiny packets fill
 	// Wrap the head first.
 	for i := 0; i < 100; i++ {
-		q.Push(dataPkt(0, int64(i), 1))
-		q.Pop()
+		push(q, dataPkt(0, int64(i), 1))
+		pop(q)
 	}
 	total := len(q.ring)*2 + 10 // force two grows
 	for i := 0; i < total; i++ {
-		if !q.Push(dataPkt(0, int64(i), 1)) {
+		if !push(q, dataPkt(0, int64(i), 1)) {
 			t.Fatalf("push %d rejected", i)
 		}
 	}
@@ -78,7 +78,7 @@ func TestQueueGrowPreservesFIFOAndMask(t *testing.T) {
 		t.Fatalf("mask %d inconsistent with ring size %d", q.mask, len(q.ring))
 	}
 	for i := 0; i < total; i++ {
-		p, ok := q.Pop()
+		p, ok := pop(q)
 		if !ok || p.Seq != int64(i) {
 			t.Fatalf("pop %d = seq %d ok=%v, want seq %d", i, p.Seq, ok, i)
 		}
@@ -91,8 +91,8 @@ func BenchmarkQueuePushPop(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q.Push(p)
-		q.Pop()
+		push(q, p)
+		pop(q)
 	}
 }
 
@@ -102,10 +102,10 @@ func BenchmarkQueueFullCycle(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for q.Push(p) {
+		for push(q, p) {
 		}
 		for {
-			if _, ok := q.Pop(); !ok {
+			if _, ok := pop(q); !ok {
 				break
 			}
 		}

@@ -2,6 +2,7 @@ package netem
 
 import (
 	"math"
+	"unsafe"
 
 	"ccatscale/internal/packet"
 	"ccatscale/internal/sim"
@@ -140,18 +141,18 @@ func (q *CoDelQueue) MaxLen() int { return q.maxPackets }
 // MemBytes returns the ring's in-memory footprint (slots × entry size),
 // for peak-usage reporting next to the budget estimator's prediction.
 func (q *CoDelQueue) MemBytes() int64 {
-	return int64(len(q.ring)) * (packet.StructBytes + 8)
+	return int64(len(q.ring)) * int64(unsafe.Sizeof(codelEntry{}))
 }
 
-// Push appends a packet or tail-drops it when the buffer is full (CoDel
-// still needs a hard byte limit; with the control law active it should
-// rarely be hit).
-func (q *CoDelQueue) Push(p packet.Packet) bool {
+// Push copies *p to the tail, stamped with its enqueue time, or
+// tail-drops it when the buffer is full (CoDel still needs a hard byte
+// limit; with the control law active it should rarely be hit).
+func (q *CoDelQueue) Push(p *packet.Packet) bool {
 	wire := p.WireBytes()
 	if q.bytes+wire > q.capacity {
 		q.tailDrops++
 		if q.onDrop != nil {
-			q.onDrop(q.now(), p)
+			q.onDrop(q.now(), *p)
 		}
 		return false
 	}
@@ -161,7 +162,8 @@ func (q *CoDelQueue) Push(p packet.Packet) bool {
 	if p.CE {
 		q.ceBytes += wire
 	}
-	q.ring[(q.head+q.n)%len(q.ring)] = codelEntry{p: p, at: q.now()}
+	e := &q.ring[(q.head+q.n)%len(q.ring)]
+	e.p, e.at = *p, q.now()
 	q.n++
 	q.bytes += wire
 	q.enqueued++
@@ -183,42 +185,44 @@ func (q *CoDelQueue) grow() {
 	q.head = 0
 }
 
-func (q *CoDelQueue) popHead() (codelEntry, bool) {
+// popHead removes the head entry and returns it where it lies: the slot
+// is vacated, so the entry is only good until the next Push.
+func (q *CoDelQueue) popHead() *codelEntry {
 	if q.n == 0 {
-		return codelEntry{}, false
+		return nil
 	}
-	e := q.ring[q.head]
-	q.ring[q.head] = codelEntry{}
+	e := &q.ring[q.head]
 	q.head = (q.head + 1) % len(q.ring)
 	q.n--
-	q.bytes -= e.p.WireBytes()
+	wire := e.p.WireBytes()
+	q.bytes -= wire
 	if e.p.CE {
-		q.ceBytes -= e.p.WireBytes()
+		q.ceBytes -= wire
 	}
-	return e, true
+	return e
 }
 
 // doDequeue implements the RFC 8289 dodeque() helper: pop one packet
-// and report whether its sojourn stayed above target long enough to
-// arm/keep the dropping state.
-func (q *CoDelQueue) doDequeue(now sim.Time) (codelEntry, bool, bool) {
-	e, ok := q.popHead()
-	if !ok {
+// (nil when empty) and report whether its sojourn stayed above target
+// long enough to arm/keep the dropping state.
+func (q *CoDelQueue) doDequeue(now sim.Time) (*codelEntry, bool) {
+	e := q.popHead()
+	if e == nil {
 		q.firstAboveTime = 0
-		return e, false, false
+		return nil, false
 	}
 	sojourn := now - e.at
 	if sojourn < CoDelTarget || q.bytes <= 1518 {
 		// Below target (or queue nearly empty): leave dropping state
 		// eligibility.
 		q.firstAboveTime = 0
-		return e, true, false
+		return e, false
 	}
 	if q.firstAboveTime == 0 {
 		q.firstAboveTime = now + CoDelInterval
-		return e, true, false
+		return e, false
 	}
-	return e, true, now >= q.firstAboveTime
+	return e, now >= q.firstAboveTime
 }
 
 // controlLaw spaces drops by interval/√count.
@@ -226,15 +230,15 @@ func (q *CoDelQueue) controlLaw(t sim.Time) sim.Time {
 	return t + sim.Time(float64(CoDelInterval)/math.Sqrt(float64(q.count)))
 }
 
-// Pop dequeues the next deliverable packet, applying the CoDel drop
-// law; it returns false when the queue is empty (possibly after
+// Pop moves the next deliverable packet into *dst, applying the CoDel
+// drop law; it returns false when the queue is empty (possibly after
 // dropping stragglers).
-func (q *CoDelQueue) Pop() (packet.Packet, bool) {
+func (q *CoDelQueue) Pop(dst *packet.Packet) bool {
 	now := q.now()
-	e, ok, okToDrop := q.doDequeue(now)
-	if !ok {
+	e, okToDrop := q.doDequeue(now)
+	if e == nil {
 		q.dropping = false
-		return packet.Packet{}, false
+		return false
 	}
 	if q.dropping {
 		if !okToDrop {
@@ -247,14 +251,15 @@ func (q *CoDelQueue) Pop() (packet.Packet, bool) {
 					// packet is delivered.
 					q.count++
 					q.dropNext = q.controlLaw(q.dropNext)
-					return e.p, true
+					*dst = e.p
+					return true
 				}
-				q.dropPacket(e.p, now)
+				q.dropPacket(&e.p, now)
 				q.count++
-				e, ok, okToDrop = q.doDequeue(now)
-				if !ok {
+				e, okToDrop = q.doDequeue(now)
+				if e == nil {
 					q.dropping = false
-					return packet.Packet{}, false
+					return false
 				}
 				if !okToDrop {
 					q.dropping = false
@@ -266,7 +271,7 @@ func (q *CoDelQueue) Pop() (packet.Packet, bool) {
 	} else if okToDrop {
 		marked := q.markCE(&e.p)
 		if !marked {
-			q.dropPacket(e.p, now)
+			q.dropPacket(&e.p, now)
 		}
 		q.dropping = true
 		// Resume drop spacing near the previous rate if we were
@@ -280,24 +285,27 @@ func (q *CoDelQueue) Pop() (packet.Packet, bool) {
 		q.lastCount = q.count
 		q.dropNext = q.controlLaw(now)
 		if !marked {
-			e, ok, _ = q.doDequeue(now)
-			if !ok {
+			if e, _ = q.doDequeue(now); e == nil {
 				q.dropping = false
-				return packet.Packet{}, false
+				return false
 			}
 		}
 	}
-	return e.p, true
+	*dst = e.p
+	return true
 }
 
-func (q *CoDelQueue) dropPacket(p packet.Packet, now sim.Time) {
+// dropPacket accounts a control-law drop of a popped packet; the drop
+// observer gets a copy, so *p is not read once it runs.
+func (q *CoDelQueue) dropPacket(p *packet.Packet, now sim.Time) {
+	wire := p.WireBytes()
 	q.aqmDrops++
-	q.aqmDropWire += p.WireBytes()
+	q.aqmDropWire += wire
 	if p.CE {
-		q.ceAqmDropWire += p.WireBytes()
+		q.ceAqmDropWire += wire
 	}
 	if q.onDrop != nil {
-		q.onDrop(now, p)
+		q.onDrop(now, *p)
 	}
 }
 

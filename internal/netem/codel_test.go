@@ -13,10 +13,10 @@ func TestCoDelPassThroughBelowTarget(t *testing.T) {
 	q := NewCoDelQueue(eng.Now, units.MB, nil)
 	// Packets dequeued immediately (zero sojourn): no AQM drops.
 	for i := int64(0); i < 100; i++ {
-		if !q.Push(dataPkt(0, i, 1448)) {
+		if !push(q, dataPkt(0, i, 1448)) {
 			t.Fatal("push rejected below capacity")
 		}
-		p, ok := q.Pop()
+		p, ok := pop(q)
 		if !ok || p.Seq != i {
 			t.Fatalf("pop %d: %v %v", i, p.Seq, ok)
 		}
@@ -34,12 +34,12 @@ func TestCoDelDropsUnderStandingQueue(t *testing.T) {
 	// slowly so sojourn stays far above the 5 ms target for well over
 	// an interval.
 	for i := int64(0); i < 500; i++ {
-		q.Push(dataPkt(0, i, 1448))
+		push(q, dataPkt(0, i, 1448))
 	}
 	delivered := 0
 	var step func()
 	step = func() {
-		if _, ok := q.Pop(); ok {
+		if _, ok := pop(q); ok {
 			delivered++
 		}
 		if q.Len() > 0 {
@@ -62,9 +62,9 @@ func TestCoDelDropsUnderStandingQueue(t *testing.T) {
 func TestCoDelTailDropAtCapacity(t *testing.T) {
 	eng := sim.NewEngine()
 	q := NewCoDelQueue(eng.Now, 2*1518, nil)
-	q.Push(dataPkt(0, 0, 1448))
-	q.Push(dataPkt(0, 1, 1448))
-	if q.Push(dataPkt(0, 2, 1448)) {
+	push(q, dataPkt(0, 0, 1448))
+	push(q, dataPkt(0, 1, 1448))
+	if push(q, dataPkt(0, 2, 1448)) {
 		t.Fatal("push above capacity accepted")
 	}
 	if q.TailDrops() != 1 {

@@ -13,7 +13,7 @@ import (
 // constant-delay stream rides a sim.Lane instead.
 type delivery struct {
 	p    packet.Packet
-	sink Sink
+	sink RefSink
 	pool *deliveryPool
 	fn   func()
 }
@@ -28,9 +28,9 @@ func newDeliveryPool() *deliveryPool {
 	return &deliveryPool{}
 }
 
-// get returns a delivery armed with sink and p. The returned struct's
-// fn field is the event callback to schedule.
-func (dp *deliveryPool) get(sink Sink, p packet.Packet) *delivery {
+// get returns a delivery armed with sink and a copy of *p. The returned
+// struct's fn field is the event callback to schedule.
+func (dp *deliveryPool) get(sink RefSink, p *packet.Packet) *delivery {
 	var d *delivery
 	if n := len(dp.free); n > 0 {
 		d = dp.free[n-1]
@@ -41,16 +41,15 @@ func (dp *deliveryPool) get(sink Sink, p packet.Packet) *delivery {
 		d.fn = d.run // bound once; reused for the struct's lifetime
 	}
 	d.sink = sink
-	d.p = p
+	d.p = *p
 	return d
 }
 
-// run delivers the packet and recycles the struct. The struct is
-// returned to the pool before the sink executes so a sink that sends
-// more traffic through the same element can reuse it immediately.
+// run hands the sink the packet where it lies, then recycles the
+// struct; a sink that sends more traffic through the same element
+// meanwhile draws another from the pool.
 func (d *delivery) run() {
-	p, sink := d.p, d.sink
+	d.sink(&d.p)
 	d.sink = nil
 	d.pool.free = append(d.pool.free, d)
-	sink(p)
 }

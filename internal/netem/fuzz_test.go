@@ -49,10 +49,10 @@ func FuzzQueueConservation(f *testing.F) {
 				// Variable payload sizes exercise byte (not just packet)
 				// accounting, including sub-MSS runts.
 				size := int32(1 + (int(b)*97)%int(units.MSS))
-				aq.Push(packet.Packet{Flow: 0, Seq: seq, Len: size})
+				push(aq, packet.Packet{Flow: 0, Seq: seq, Len: size})
 				seq += int64(size)
 			} else {
-				aq.Pop()
+				pop(aq)
 			}
 			if aq.Bytes() != inner.Bytes() || aq.Len() != inner.Len() {
 				t.Fatalf("wrapper view diverged: %d/%d vs %d/%d",
@@ -62,7 +62,7 @@ func FuzzQueueConservation(f *testing.F) {
 		// Drain: everything admitted must come back out, and the ledger
 		// must agree the queue is empty.
 		for {
-			if _, ok := aq.Pop(); !ok {
+			if _, ok := pop(aq); !ok {
 				break
 			}
 		}
@@ -95,15 +95,15 @@ func FuzzDropTailDrillDetected(f *testing.F) {
 			}
 			now += sim.Millisecond
 			if b < 128 {
-				aq.Push(packet.Packet{Flow: 0, Len: int32(units.MSS)})
+				push(aq, packet.Packet{Flow: 0, Len: int32(units.MSS)})
 			} else {
-				aq.Pop()
+				pop(aq)
 			}
 		}
 		if corruptAt >= len(data) {
 			dt.DrillCorrupt(units.ByteCount(delta))
 		}
-		aq.Pop() // at least one post-corruption operation
+		pop(aq) // at least one post-corruption operation
 		if aud.Total() == 0 {
 			t.Fatal("corrupted byte counter never detected")
 		}

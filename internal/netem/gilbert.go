@@ -24,7 +24,7 @@ import (
 type GilbertElliott struct {
 	eng *sim.Engine
 	rng *sim.RNG
-	out Sink
+	out RefSink
 
 	cfg GilbertElliottConfig
 	bad bool // current state
@@ -125,7 +125,7 @@ func (s *BurstLossSpec) Validate() error {
 
 // NewGilbertElliott creates the element delivering into out using the
 // given deterministic randomness source.
-func NewGilbertElliott(eng *sim.Engine, rng *sim.RNG, cfg GilbertElliottConfig, out Sink) *GilbertElliott {
+func NewGilbertElliott(eng *sim.Engine, rng *sim.RNG, cfg GilbertElliottConfig, out RefSink) *GilbertElliott {
 	if out == nil {
 		panic("netem: Gilbert–Elliott without sink")
 	}
@@ -158,7 +158,7 @@ func NewGilbertElliott(eng *sim.Engine, rng *sim.RNG, cfg GilbertElliottConfig, 
 
 // Send applies the channel to one packet: drop per the current state's
 // loss probability, then advance the state machine.
-func (g *GilbertElliott) Send(p packet.Packet) {
+func (g *GilbertElliott) Send(p *packet.Packet) {
 	var lossP float64
 	if g.bad {
 		g.badPkts++
@@ -183,7 +183,7 @@ func (g *GilbertElliott) Send(p packet.Packet) {
 	if drop {
 		g.dropped++
 		if g.cfg.OnDrop != nil {
-			g.cfg.OnDrop(g.eng.Now(), p)
+			g.cfg.OnDrop(g.eng.Now(), *p)
 		}
 		return
 	}

@@ -15,10 +15,10 @@ func TestGilbertStationaryLossAndBadFraction(t *testing.T) {
 		PBadToGood: 0.25,
 		LossBad:    1,
 	}
-	ge := NewGilbertElliott(eng, sim.NewRNG(11), cfg, func(packet.Packet) {})
+	ge := NewGilbertElliott(eng, sim.NewRNG(11), cfg, func(*packet.Packet) {})
 	const n = 400000
 	for i := 0; i < n; i++ {
-		ge.Send(packet.Packet{})
+		ge.Send(&packet.Packet{})
 	}
 	wantBad := cfg.StationaryBad() // ≈ 0.0385
 	gotBad := float64(ge.BadPackets()) / n
@@ -39,10 +39,10 @@ func TestGilbertStationaryLossAndBadFraction(t *testing.T) {
 func TestGilbertMeanBurstLength(t *testing.T) {
 	eng := sim.NewEngine()
 	cfg := SimpleGilbert(0.02, 8) // LossBad=1 ⇒ every Bad packet drops
-	ge := NewGilbertElliott(eng, sim.NewRNG(3), cfg, func(packet.Packet) {})
+	ge := NewGilbertElliott(eng, sim.NewRNG(3), cfg, func(*packet.Packet) {})
 	const n = 500000
 	for i := 0; i < n; i++ {
-		ge.Send(packet.Packet{})
+		ge.Send(&packet.Packet{})
 	}
 	if ge.Bursts() == 0 {
 		t.Fatal("no bursts observed")
@@ -74,9 +74,9 @@ func TestGilbertBurstLenOneMatchesBernoulli(t *testing.T) {
 func TestGilbertDeterministicUnderFixedSeed(t *testing.T) {
 	run := func(seed uint64) (dropped, bursts uint64) {
 		eng := sim.NewEngine()
-		ge := NewGilbertElliott(eng, sim.NewRNG(seed), SimpleGilbert(0.05, 4), func(packet.Packet) {})
+		ge := NewGilbertElliott(eng, sim.NewRNG(seed), SimpleGilbert(0.05, 4), func(*packet.Packet) {})
 		for i := 0; i < 100000; i++ {
-			ge.Send(packet.Packet{})
+			ge.Send(&packet.Packet{})
 		}
 		return ge.Dropped(), ge.Bursts()
 	}
@@ -100,9 +100,9 @@ func TestGilbertDropCallbackAndStartBad(t *testing.T) {
 		LossBad:    1,
 		StartBad:   true,
 		OnDrop:     func(sim.Time, packet.Packet) { drops++ },
-	}, func(packet.Packet) {})
+	}, func(*packet.Packet) {})
 	for i := 0; i < 100; i++ {
-		ge.Send(packet.Packet{})
+		ge.Send(&packet.Packet{})
 	}
 	if ge.Dropped() != 1 || drops != 1 {
 		t.Fatalf("dropped = %d (callback %d), want exactly the first packet", ge.Dropped(), drops)
@@ -114,7 +114,7 @@ func TestGilbertDropCallbackAndStartBad(t *testing.T) {
 
 func TestGilbertValidation(t *testing.T) {
 	eng := sim.NewEngine()
-	sink := func(packet.Packet) {}
+	sink := func(*packet.Packet) {}
 	for name, fn := range map[string]func(){
 		"nil sink": func() { NewGilbertElliott(eng, sim.NewRNG(1), GilbertElliottConfig{}, nil) },
 		"nil rng":  func() { NewGilbertElliott(eng, nil, GilbertElliottConfig{}, sink) },

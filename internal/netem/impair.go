@@ -16,7 +16,7 @@ import (
 type Impairment struct {
 	eng *sim.Engine
 	rng *sim.RNG
-	out Sink
+	out RefSink
 
 	lossProb float64
 	jitter   sim.Time
@@ -45,7 +45,7 @@ type ImpairmentConfig struct {
 
 // NewImpairment creates the element delivering into out using the given
 // deterministic randomness source.
-func NewImpairment(eng *sim.Engine, rng *sim.RNG, cfg ImpairmentConfig, out Sink) *Impairment {
+func NewImpairment(eng *sim.Engine, rng *sim.RNG, cfg ImpairmentConfig, out RefSink) *Impairment {
 	if out == nil {
 		panic("netem: impairment without sink")
 	}
@@ -69,12 +69,13 @@ func NewImpairment(eng *sim.Engine, rng *sim.RNG, cfg ImpairmentConfig, out Sink
 	}
 }
 
-// Send applies loss and jitter to one packet.
-func (im *Impairment) Send(p packet.Packet) {
+// Send applies loss and jitter to one packet; a jittered packet is
+// copied into a pooled event until it is due.
+func (im *Impairment) Send(p *packet.Packet) {
 	if im.lossProb > 0 && im.rng.Float64() < im.lossProb {
 		im.dropped++
 		if im.onDrop != nil {
-			im.onDrop(im.eng.Now(), p)
+			im.onDrop(im.eng.Now(), *p)
 		}
 		return
 	}

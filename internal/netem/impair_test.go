@@ -12,10 +12,10 @@ func TestImpairmentLossRate(t *testing.T) {
 	eng := sim.NewEngine()
 	delivered := 0
 	im := NewImpairment(eng, sim.NewRNG(1), ImpairmentConfig{LossProb: 0.1},
-		func(packet.Packet) { delivered++ })
+		func(*packet.Packet) { delivered++ })
 	const n = 50000
 	for i := 0; i < n; i++ {
-		im.Send(packet.Packet{})
+		im.Send(&packet.Packet{})
 	}
 	got := float64(im.Dropped()) / n
 	if math.Abs(got-0.1) > 0.01 {
@@ -30,9 +30,9 @@ func TestImpairmentZeroLossPassesAll(t *testing.T) {
 	eng := sim.NewEngine()
 	delivered := 0
 	im := NewImpairment(eng, sim.NewRNG(1), ImpairmentConfig{},
-		func(packet.Packet) { delivered++ })
+		func(*packet.Packet) { delivered++ })
 	for i := 0; i < 100; i++ {
-		im.Send(packet.Packet{})
+		im.Send(&packet.Packet{})
 	}
 	if delivered != 100 || im.Dropped() != 0 {
 		t.Fatalf("delivered = %d dropped = %d", delivered, im.Dropped())
@@ -43,10 +43,10 @@ func TestImpairmentJitterRange(t *testing.T) {
 	eng := sim.NewEngine()
 	var arrivals []sim.Time
 	im := NewImpairment(eng, sim.NewRNG(2), ImpairmentConfig{Jitter: 10 * sim.Millisecond},
-		func(packet.Packet) { arrivals = append(arrivals, eng.Now()) })
+		func(*packet.Packet) { arrivals = append(arrivals, eng.Now()) })
 	eng.Schedule(0, func() {
 		for i := 0; i < 1000; i++ {
-			im.Send(packet.Packet{})
+			im.Send(&packet.Packet{})
 		}
 	})
 	eng.Run(sim.Second)
@@ -75,14 +75,14 @@ func TestImpairmentJitterReorders(t *testing.T) {
 	eng := sim.NewEngine()
 	var arrivals []int64
 	im := NewImpairment(eng, sim.NewRNG(4), ImpairmentConfig{Jitter: 10 * sim.Millisecond},
-		func(p packet.Packet) { arrivals = append(arrivals, p.Seq) })
+		func(p *packet.Packet) { arrivals = append(arrivals, p.Seq) })
 	// Packets enter 1 ms apart with up to 10 ms of jitter: any packet
 	// can overtake up to ~9 predecessors.
 	const n = 500
 	for i := 0; i < n; i++ {
 		seq := int64(i)
 		eng.Schedule(sim.Time(i)*sim.Millisecond, func() {
-			im.Send(packet.Packet{Seq: seq})
+			im.Send(&packet.Packet{Seq: seq})
 		})
 	}
 	eng.Run(10 * sim.Second)
@@ -115,12 +115,12 @@ func TestImpairmentJitterKeepsOrderWhenSmall(t *testing.T) {
 	eng := sim.NewEngine()
 	var arrivals []int64
 	im := NewImpairment(eng, sim.NewRNG(5), ImpairmentConfig{Jitter: sim.Millisecond},
-		func(p packet.Packet) { arrivals = append(arrivals, p.Seq) })
+		func(p *packet.Packet) { arrivals = append(arrivals, p.Seq) })
 	const n = 200
 	for i := 0; i < n; i++ {
 		seq := int64(i)
 		eng.Schedule(sim.Time(i)*2*sim.Millisecond, func() {
-			im.Send(packet.Packet{Seq: seq})
+			im.Send(&packet.Packet{Seq: seq})
 		})
 	}
 	eng.Run(10 * sim.Second)
@@ -140,9 +140,9 @@ func TestImpairmentDropCallback(t *testing.T) {
 	im := NewImpairment(eng, sim.NewRNG(3), ImpairmentConfig{
 		LossProb: 0.5,
 		OnDrop:   func(sim.Time, packet.Packet) { drops++ },
-	}, func(packet.Packet) {})
+	}, func(*packet.Packet) {})
 	for i := 0; i < 1000; i++ {
-		im.Send(packet.Packet{})
+		im.Send(&packet.Packet{})
 	}
 	if uint64(drops) != im.Dropped() {
 		t.Fatalf("callback count %d != dropped %d", drops, im.Dropped())
@@ -151,7 +151,7 @@ func TestImpairmentDropCallback(t *testing.T) {
 
 func TestImpairmentValidation(t *testing.T) {
 	eng := sim.NewEngine()
-	sink := func(packet.Packet) {}
+	sink := func(*packet.Packet) {}
 	for name, fn := range map[string]func(){
 		"nil sink": func() { NewImpairment(eng, sim.NewRNG(1), ImpairmentConfig{}, nil) },
 		"nil rng":  func() { NewImpairment(eng, nil, ImpairmentConfig{}, sink) },

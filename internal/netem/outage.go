@@ -115,7 +115,7 @@ func (s *OutageSpec) Validate() error {
 // same schedule see bit-identical dark periods.
 type Outage struct {
 	eng *sim.Engine
-	out Sink
+	out RefSink
 	cfg OutageConfig
 
 	idx       int // first window whose End is still in the future
@@ -132,7 +132,7 @@ type Outage struct {
 
 // NewOutage creates the element delivering into out. The schedule must
 // lie entirely at or after the engine's current time.
-func NewOutage(eng *sim.Engine, cfg OutageConfig, out Sink) *Outage {
+func NewOutage(eng *sim.Engine, cfg OutageConfig, out RefSink) *Outage {
 	if out == nil {
 		panic("netem: outage without sink")
 	}
@@ -202,8 +202,9 @@ func (o *Outage) noteTransitions(dark bool) {
 	}
 }
 
-// Send offers one packet to the link.
-func (o *Outage) Send(p packet.Packet) {
+// Send offers one packet to the link; a held packet is copied into the
+// hold buffer.
+func (o *Outage) Send(p *packet.Packet) {
 	dark := o.Dark(o.eng.Now())
 	if o.cfg.Telemetry != nil {
 		o.noteTransitions(dark)
@@ -215,14 +216,14 @@ func (o *Outage) Send(p packet.Packet) {
 	}
 	if o.cfg.Policy == OutageHold {
 		if o.cfg.HoldCapacity == 0 || o.heldBytes+p.WireBytes() <= o.cfg.HoldCapacity {
-			o.held = append(o.held, p)
+			o.held = append(o.held, *p)
 			o.heldBytes += p.WireBytes()
 			return
 		}
 	}
 	o.dropped++
 	if o.cfg.OnDrop != nil {
-		o.cfg.OnDrop(o.eng.Now(), p)
+		o.cfg.OnDrop(o.eng.Now(), *p)
 	}
 }
 
@@ -234,9 +235,9 @@ func (o *Outage) flush() {
 	held := o.held
 	o.held = nil
 	o.heldBytes = 0
-	for _, p := range held {
+	for i := range held {
 		o.flushed++
-		o.out(p)
+		o.out(&held[i])
 	}
 }
 

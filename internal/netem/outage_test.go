@@ -11,7 +11,7 @@ import (
 func sendEvery(eng *sim.Engine, o *Outage, times []sim.Time) {
 	for i, at := range times {
 		seq := int64(i)
-		eng.Schedule(at, func() { o.Send(packet.Packet{Seq: seq}) })
+		eng.Schedule(at, func() { o.Send(&packet.Packet{Seq: seq}) })
 	}
 }
 
@@ -20,7 +20,7 @@ func TestOutageDropWindow(t *testing.T) {
 	var delivered []sim.Time
 	o := NewOutage(eng, OutageConfig{
 		Windows: []OutageWindow{{Start: 10 * sim.Millisecond, End: 20 * sim.Millisecond}},
-	}, func(packet.Packet) { delivered = append(delivered, eng.Now()) })
+	}, func(*packet.Packet) { delivered = append(delivered, eng.Now()) })
 
 	times := []sim.Time{
 		5 * sim.Millisecond,  // up
@@ -56,7 +56,7 @@ func TestOutageHoldFlushesInOrder(t *testing.T) {
 	o := NewOutage(eng, OutageConfig{
 		Windows: []OutageWindow{{Start: 10 * sim.Millisecond, End: 30 * sim.Millisecond}},
 		Policy:  OutageHold,
-	}, func(p packet.Packet) { got = append(got, arrival{eng.Now(), p.Seq}) })
+	}, func(p *packet.Packet) { got = append(got, arrival{eng.Now(), p.Seq}) })
 
 	sendEvery(eng, o, []sim.Time{
 		12 * sim.Millisecond,
@@ -94,11 +94,11 @@ func TestOutageHoldCapacityTailDrops(t *testing.T) {
 		Policy:       OutageHold,
 		HoldCapacity: 2 * pktWire,
 		OnDrop:       func(sim.Time, packet.Packet) { drops++ },
-	}, func(packet.Packet) { delivered++ })
+	}, func(*packet.Packet) { delivered++ })
 
 	eng.Schedule(sim.Millisecond, func() {
 		for i := 0; i < 5; i++ {
-			o.Send(packet.Packet{Len: 1000})
+			o.Send(&packet.Packet{Len: 1000})
 		}
 	})
 	eng.Run(sim.Second)
@@ -139,10 +139,10 @@ func TestOutageDeterministicDropCounts(t *testing.T) {
 		eng := sim.NewEngine()
 		o := NewOutage(eng, OutageConfig{
 			Windows: Flaps(5*sim.Millisecond, 2*sim.Millisecond, 10*sim.Millisecond, 4),
-		}, func(packet.Packet) {})
+		}, func(*packet.Packet) {})
 		for i := sim.Time(0); i < 50*sim.Millisecond; i += 100 * sim.Microsecond {
 			at := i
-			eng.Schedule(at, func() { o.Send(packet.Packet{}) })
+			eng.Schedule(at, func() { o.Send(&packet.Packet{}) })
 		}
 		eng.Run(sim.Second)
 		return o.Dropped()
@@ -160,7 +160,7 @@ func TestOutageDeterministicDropCounts(t *testing.T) {
 
 func TestOutageValidation(t *testing.T) {
 	eng := sim.NewEngine()
-	sink := func(packet.Packet) {}
+	sink := func(*packet.Packet) {}
 	for name, fn := range map[string]func(){
 		"nil sink": func() { NewOutage(eng, OutageConfig{}, nil) },
 		"inverted": func() {

@@ -23,11 +23,11 @@ func NewPipe(eng *sim.Engine, delay sim.Time, out Sink) *Pipe {
 	if out == nil {
 		panic("netem: pipe without sink")
 	}
-	return &Pipe{delay: delay, lane: sim.NewLane(eng, out)}
+	return &Pipe{delay: delay, lane: sim.NewLane(eng, byRef(out))}
 }
 
 // Delay returns the configured one-way latency.
 func (pi *Pipe) Delay() sim.Time { return pi.delay }
 
 // Send schedules delivery of p after the pipe's delay.
-func (pi *Pipe) Send(p packet.Packet) { pi.lane.After(pi.delay, p) }
+func (pi *Pipe) Send(p packet.Packet) { pi.lane.After(pi.delay, &p) }

@@ -6,19 +6,33 @@ import (
 	"ccatscale/internal/units"
 )
 
-// Sink consumes packets at their delivery time.
+// Sink consumes packets at their delivery time, by value: the edge the
+// fabric's endpoints and callers outside it see.
 type Sink func(p packet.Packet)
+
+// RefSink consumes a packet by reference. p points at the slot the
+// packet waits in — a queue ring, a port's tx slot, a lane ring — and is
+// valid only until the call returns; a sink that keeps the packet copies
+// it. Inside the fabric every hop is a RefSink, so a packet is copied
+// only into the next place it waits.
+type RefSink func(p *packet.Packet)
+
+// byRef adapts a by-value Sink to a RefSink.
+func byRef(out Sink) RefSink {
+	return func(p *packet.Packet) { out(*p) }
+}
 
 // DropFunc observes a tail drop at the moment it happens.
 type DropFunc func(now sim.Time, p packet.Packet)
 
 // Queue is the buffering discipline a Port drains: drop-tail
 // (DropTailQueue, the paper's configuration) or an AQM (CoDelQueue).
-// Push reports acceptance; Pop may apply dequeue-side policy (CoDel
-// head drops) before yielding the next deliverable packet.
+// Push copies *p into the queue and reports acceptance; Pop may apply
+// dequeue-side policy (CoDel head drops) before moving the next
+// deliverable packet into *dst, and reports false when there is none.
 type Queue interface {
-	Push(p packet.Packet) bool
-	Pop() (packet.Packet, bool)
+	Push(p *packet.Packet) bool
+	Pop(dst *packet.Packet) bool
 	Bytes() units.ByteCount
 	Len() int
 	Capacity() units.ByteCount
@@ -52,7 +66,7 @@ type Port struct {
 	eng    *sim.Engine
 	rate   units.Bandwidth
 	queue  Queue
-	out    Sink
+	out    RefSink
 	onDrop DropFunc
 
 	busy bool
@@ -81,22 +95,36 @@ type Port struct {
 	ceDropWire    units.ByteCount
 	ceSerializing units.ByteCount
 
-	// The port transmits one packet at a time, so the in-flight
-	// serialization is one timer and the packet rides in txPkt. txDone
-	// re-arms it for the next packet from inside its own callback, which
-	// leaves its heap node where it is.
-	txPkt   packet.Packet
+	// The port transmits one packet at a time: tx[cur] is on the wire
+	// and the in-flight serialization is one timer. txDone pops the next
+	// packet straight into the other slot, re-arms the timer from inside
+	// its own callback (which leaves its heap node where it is), and
+	// hands the finished packet to the sink where it lies. A send onto
+	// the idle port from inside that sink fills the new tx[cur], never
+	// the slot being delivered.
+	tx      [2]packet.Packet
+	cur     int
 	txTimer *sim.Timer
+
+	// staged holds Send's by-value argument: the queue is handed a
+	// pointer into the port rather than to a parameter, which would
+	// escape to the heap once per packet.
+	staged packet.Packet
 }
 
 // NewPort creates a port draining queue at rate, delivering into out.
 // onDrop may be nil.
 func NewPort(eng *sim.Engine, rate units.Bandwidth, queue Queue, out Sink, onDrop DropFunc) *Port {
-	if rate <= 0 {
-		panic("netem: non-positive port rate")
-	}
 	if out == nil {
 		panic("netem: port without sink")
+	}
+	return newPort(eng, rate, queue, byRef(out), onDrop)
+}
+
+// newPort is NewPort delivering by reference, the fabric's own links.
+func newPort(eng *sim.Engine, rate units.Bandwidth, queue Queue, out RefSink, onDrop DropFunc) *Port {
+	if rate <= 0 {
+		panic("netem: non-positive port rate")
 	}
 	p := &Port{eng: eng, rate: rate, queue: queue, out: out, onDrop: onDrop}
 	p.txTimer = sim.NewTimer(eng, p.txDone)
@@ -156,21 +184,25 @@ func (p *Port) Utilization() float64 {
 // empty the packet goes straight to the wire; otherwise it joins the
 // queue, or is tail-dropped when the buffer is full.
 func (p *Port) Send(pkt packet.Packet) {
-	p.offeredBytes += pkt.WireBytes()
+	p.staged = pkt
+	p.send(&p.staged)
+}
+
+// send is Send by reference: *pkt is copied into the tx slot or the
+// queue, and a drop observer gets a copy of its own.
+func (p *Port) send(pkt *packet.Packet) {
+	wire := pkt.WireBytes()
+	p.offeredBytes += wire
 	if !p.busy && p.queue.Len() == 0 {
-		p.transmit(pkt)
-		if p.auditCheck != nil {
-			p.auditCheck("send")
-		}
-		return
-	}
-	if !p.queue.Push(pkt) {
-		p.dropBytes += pkt.WireBytes()
+		p.tx[p.cur] = *pkt
+		p.transmit()
+	} else if !p.queue.Push(pkt) {
+		p.dropBytes += wire
 		if pkt.CE {
-			p.ceDropWire += pkt.WireBytes()
+			p.ceDropWire += wire
 		}
 		if p.onDrop != nil {
-			p.onDrop(p.eng.Now(), pkt)
+			p.onDrop(p.eng.Now(), *pkt)
 		}
 	}
 	if p.auditCheck != nil {
@@ -178,36 +210,38 @@ func (p *Port) Send(pkt packet.Packet) {
 	}
 }
 
-// transmit puts pkt on the wire and schedules its completion.
-func (p *Port) transmit(pkt packet.Packet) {
+// transmit puts tx[cur] on the wire and schedules its completion.
+func (p *Port) transmit() {
+	pkt := &p.tx[p.cur]
+	wire := pkt.WireBytes()
 	p.busy = true
 	p.busySince = p.eng.Now()
-	p.serializing += pkt.WireBytes()
+	p.serializing += wire
 	if pkt.CE {
-		p.ceSerializing += pkt.WireBytes()
+		p.ceSerializing += wire
 	}
-	p.txPkt = pkt
-	done := p.rate.TransmissionTime(pkt.WireBytes())
-	p.txTimer.Reset(done)
+	p.txTimer.Reset(p.rate.TransmissionTime(wire))
 }
 
 func (p *Port) txDone() {
-	pkt := p.txPkt // copy before transmit(next) reuses the slot
+	done := &p.tx[p.cur]
+	wire := done.WireBytes()
 	p.busyTotal += p.eng.Now() - p.busySince
 	p.busy = false
-	p.serializing -= pkt.WireBytes()
-	if pkt.CE {
-		p.ceSerializing -= pkt.WireBytes()
+	p.serializing -= wire
+	if done.CE {
+		p.ceSerializing -= wire
 	}
-	p.txBytes += pkt.WireBytes()
+	p.txBytes += wire
 	p.txPackets++
-	if next, ok := p.queue.Pop(); ok {
-		p.transmit(next)
+	p.cur ^= 1
+	if p.queue.Pop(&p.tx[p.cur]) {
+		p.transmit()
 	}
 	if p.auditCheck != nil {
 		p.auditCheck("txDone")
 	}
 	// Deliver after bookkeeping so a sink that sends more traffic
 	// observes a consistent port state.
-	p.out(pkt)
+	p.out(done)
 }

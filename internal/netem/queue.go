@@ -123,11 +123,12 @@ func (q *DropTailQueue) MemBytes() int64 {
 	return int64(len(q.ring)) * packet.StructBytes
 }
 
-// Push appends p if its wire size fits within the remaining capacity and
-// reports whether it was accepted. A false return is a tail drop; the
-// caller is responsible for logging it (the paper logs every drop at the
-// bottleneck to compute loss rates and burstiness).
-func (q *DropTailQueue) Push(p packet.Packet) bool {
+// Push copies *p to the tail if its wire size fits within the remaining
+// capacity and reports whether it was accepted; a CE mark is set on the
+// queued copy. A false return is a tail drop; the caller is responsible
+// for logging it (the paper logs every drop at the bottleneck to compute
+// loss rates and burstiness).
+func (q *DropTailQueue) Push(p *packet.Packet) bool {
 	wire := p.WireBytes()
 	if q.bytes+wire > q.capacity {
 		q.dropped++
@@ -136,15 +137,16 @@ func (q *DropTailQueue) Push(p packet.Packet) bool {
 	if q.n == len(q.ring) {
 		q.grow()
 	}
-	if q.markAt > 0 && p.ECT && !p.CE && q.bytes+wire >= q.markAt {
-		p.CE = true
+	slot := &q.ring[(q.head+q.n)&q.mask]
+	*slot = *p
+	if q.markAt > 0 && slot.ECT && !slot.CE && q.bytes+wire >= q.markAt {
+		slot.CE = true
 		q.ceMarkWire += wire
 		q.ceMarks++
 	}
-	if p.CE {
+	if slot.CE {
 		q.ceBytes += wire
 	}
-	q.ring[(q.head+q.n)&q.mask] = p
 	q.n++
 	q.bytes += wire
 	q.enqueued++
@@ -157,20 +159,21 @@ func (q *DropTailQueue) Push(p packet.Packet) bool {
 	return true
 }
 
-// Pop removes and returns the oldest packet. The second result is false
-// when the queue is empty.
-func (q *DropTailQueue) Pop() (packet.Packet, bool) {
+// Pop moves the oldest packet into *dst. It returns false, leaving *dst
+// alone, when the queue is empty.
+func (q *DropTailQueue) Pop(dst *packet.Packet) bool {
 	if q.n == 0 {
-		return packet.Packet{}, false
+		return false
 	}
-	p := q.ring[q.head]
+	*dst = q.ring[q.head]
 	q.head = (q.head + 1) & q.mask
 	q.n--
-	q.bytes -= p.WireBytes()
-	if p.CE {
-		q.ceBytes -= p.WireBytes()
+	wire := dst.WireBytes()
+	q.bytes -= wire
+	if dst.CE {
+		q.ceBytes -= wire
 	}
-	return p, true
+	return true
 }
 
 func (q *DropTailQueue) grow() {

@@ -13,20 +13,29 @@ func dataPkt(flow int32, seq int64, payload int32) packet.Packet {
 	return packet.Packet{Flow: flow, Seq: seq, Len: payload}
 }
 
+// push and pop are the by-value view of a queue the tests read.
+func push(q Queue, p packet.Packet) bool { return q.Push(&p) }
+
+func pop(q Queue) (packet.Packet, bool) {
+	var p packet.Packet
+	ok := q.Pop(&p)
+	return p, ok
+}
+
 func TestQueueFIFO(t *testing.T) {
 	q := NewDropTailQueue(1 * units.MB)
 	for i := 0; i < 100; i++ {
-		if !q.Push(dataPkt(0, int64(i), 1448)) {
+		if !push(q, dataPkt(0, int64(i), 1448)) {
 			t.Fatalf("push %d rejected below capacity", i)
 		}
 	}
 	for i := 0; i < 100; i++ {
-		p, ok := q.Pop()
+		p, ok := pop(q)
 		if !ok || p.Seq != int64(i) {
 			t.Fatalf("pop %d = %v %v, want seq %d", i, p.Seq, ok, i)
 		}
 	}
-	if _, ok := q.Pop(); ok {
+	if _, ok := pop(q); ok {
 		t.Fatal("pop from empty queue succeeded")
 	}
 }
@@ -35,10 +44,10 @@ func TestQueueByteCapacityDropTail(t *testing.T) {
 	// Capacity for two full-MSS frames (1518 wire bytes each) plus a
 	// little headroom that only a small packet can use.
 	q := NewDropTailQueue(2*1518 + 200)
-	if !q.Push(dataPkt(0, 0, 1448)) || !q.Push(dataPkt(0, 1448, 1448)) {
+	if !push(q, dataPkt(0, 0, 1448)) || !push(q, dataPkt(0, 1448, 1448)) {
 		t.Fatal("pushes within capacity rejected")
 	}
-	if q.Push(dataPkt(0, 2896, 1448)) {
+	if push(q, dataPkt(0, 2896, 1448)) {
 		t.Fatal("push beyond capacity accepted")
 	}
 	if q.Dropped() != 1 || q.Enqueued() != 2 {
@@ -46,24 +55,24 @@ func TestQueueByteCapacityDropTail(t *testing.T) {
 	}
 	// A smaller packet that fits must still be accepted (byte, not
 	// packet, capacity).
-	if !q.Push(dataPkt(0, 2896, 100)) {
+	if !push(q, dataPkt(0, 2896, 100)) {
 		t.Fatal("small packet that fits was dropped")
 	}
 }
 
 func TestQueueBytesTracking(t *testing.T) {
 	q := NewDropTailQueue(1 * units.MB)
-	q.Push(dataPkt(0, 0, 1448))
-	q.Push(dataPkt(0, 0, 100))
+	push(q, dataPkt(0, 0, 1448))
+	push(q, dataPkt(0, 0, 100))
 	wantBytes := units.ByteCount(1448+70) + units.ByteCount(100+70)
 	if q.Bytes() != wantBytes {
 		t.Fatalf("Bytes = %v, want %v", q.Bytes(), wantBytes)
 	}
-	q.Pop()
+	pop(q)
 	if q.Bytes() != 170 {
 		t.Fatalf("Bytes after pop = %v, want 170", q.Bytes())
 	}
-	q.Pop()
+	pop(q)
 	if q.Bytes() != 0 || q.Len() != 0 {
 		t.Fatalf("empty queue has Bytes=%v Len=%d", q.Bytes(), q.Len())
 	}
@@ -77,11 +86,11 @@ func TestQueueRingGrowthPreservesOrder(t *testing.T) {
 	next := int64(0)
 	for round := 0; round < 5; round++ {
 		for i := 0; i < 900; i++ {
-			q.Push(dataPkt(0, seq, 1448))
+			push(q, dataPkt(0, seq, 1448))
 			seq++
 		}
 		for i := 0; i < 300; i++ {
-			p, ok := q.Pop()
+			p, ok := pop(q)
 			if !ok || p.Seq != next {
 				t.Fatalf("out of order after growth: got %d want %d", p.Seq, next)
 			}
@@ -89,7 +98,7 @@ func TestQueueRingGrowthPreservesOrder(t *testing.T) {
 		}
 	}
 	for {
-		p, ok := q.Pop()
+		p, ok := pop(q)
 		if !ok {
 			break
 		}
@@ -106,10 +115,10 @@ func TestQueueRingGrowthPreservesOrder(t *testing.T) {
 func TestQueueHighWaterMarks(t *testing.T) {
 	q := NewDropTailQueue(1 * units.MB)
 	for i := 0; i < 10; i++ {
-		q.Push(dataPkt(0, 0, 1448))
+		push(q, dataPkt(0, 0, 1448))
 	}
 	for i := 0; i < 10; i++ {
-		q.Pop()
+		pop(q)
 	}
 	if q.MaxLen() != 10 {
 		t.Fatalf("MaxLen = %d, want 10", q.MaxLen())
@@ -131,7 +140,7 @@ func TestQueuePanicsOnBadCapacity(t *testing.T) {
 func TestQueueingDelay(t *testing.T) {
 	q := NewDropTailQueue(1 * units.MB)
 	for i := 0; i < 100; i++ {
-		q.Push(dataPkt(0, 0, 1448))
+		push(q, dataPkt(0, 0, 1448))
 	}
 	// 100 × 1518B at 100 Mbps = 151800×8/1e8 s = 12.144 ms.
 	got := q.QueueingDelay(100 * units.MbitPerSec)
@@ -149,15 +158,15 @@ func TestQueueConservationProperty(t *testing.T) {
 		var model []units.ByteCount
 		var modelBytes units.ByteCount
 		si := 0
-		for _, push := range ops {
-			if push {
+		for _, isPush := range ops {
+			if isPush {
 				if len(sizes) == 0 {
 					continue
 				}
 				payload := int32(sizes[si%len(sizes)]%1448) + 1
 				si++
 				p := dataPkt(0, 0, payload)
-				accepted := q.Push(p)
+				accepted := q.Push(&p)
 				fits := modelBytes+p.WireBytes() <= 64*units.KB
 				if accepted != fits {
 					return false
@@ -167,7 +176,7 @@ func TestQueueConservationProperty(t *testing.T) {
 					modelBytes += p.WireBytes()
 				}
 			} else {
-				_, ok := q.Pop()
+				_, ok := pop(q)
 				if ok != (len(model) > 0) {
 					return false
 				}

@@ -296,7 +296,7 @@ type topoLink struct {
 	aq   *AuditedQueue
 	// arrive receives a packet that finished propagation: arriveFn, or
 	// the head of the stage chain that ends in it. Bound once.
-	arrive Sink
+	arrive RefSink
 	// The declared stages (nil = not declared).
 	outage *Outage
 	burst  *GilbertElliott
@@ -330,7 +330,7 @@ func NewTopology(eng *sim.Engine, rng *sim.RNG, cfg TopologyConfig) *Topology {
 	for f, rtt := range cfg.RTT {
 		rev := max(rtt-cfg.Spec.ForwardDelay(f), 0)
 		if lanes[rev] == nil {
-			lanes[rev] = sim.NewLane(eng, func(p packet.Packet) { t.toSender(p) })
+			lanes[rev] = sim.NewLane(eng, func(p *packet.Packet) { t.toSender(*p) })
 		}
 		t.revDelay[f], t.rev[f] = rev, lanes[rev]
 	}
@@ -341,7 +341,7 @@ func NewTopology(eng *sim.Engine, rng *sim.RNG, cfg TopologyConfig) *Topology {
 		l := &topoLink{t: t, idx: int32(i), spec: ls}
 		l.arrive = l.arriveFn
 		l.buildStages(rng, cfg.Telemetry)
-		l.prop = sim.NewLane(eng, l.arrive)
+		l.prop = sim.NewLane[packet.Packet](eng, l.arrive)
 		onDrop := t.linkOnDrop(l)
 		switch ls.Discipline {
 		case CoDel:
@@ -354,7 +354,7 @@ func NewTopology(eng *sim.Engine, rng *sim.RNG, cfg TopologyConfig) *Topology {
 				l.aq = NewAuditedQueue(queue, t.aud)
 				queue = l.aq
 			}
-			l.port = NewPort(eng, ls.Rate, queue, l.hopDone, nil)
+			l.port = newPort(eng, ls.Rate, queue, l.hopDone, nil)
 		default:
 			dt := NewDropTailQueue(ls.Buffer)
 			if ls.ECN {
@@ -365,7 +365,7 @@ func NewTopology(eng *sim.Engine, rng *sim.RNG, cfg TopologyConfig) *Topology {
 				l.aq = NewAuditedQueue(queue, t.aud)
 				queue = l.aq
 			}
-			l.port = NewPort(eng, ls.Rate, queue, l.hopDone, onDrop)
+			l.port = newPort(eng, ls.Rate, queue, l.hopDone, onDrop)
 		}
 		if t.aud != nil {
 			l.port.SetAuditCheck(l.checkConservation)
@@ -476,8 +476,9 @@ func (l *topoLink) stageDrop(_ sim.Time, p packet.Packet) {
 }
 
 // hopDone is the link port's output sink: the packet finished
-// serialization and crosses the propagation delay.
-func (l *topoLink) hopDone(p packet.Packet) {
+// serialization and is copied from the port's tx slot into the
+// propagation lane.
+func (l *topoLink) hopDone(p *packet.Packet) {
 	t := l.t
 	if t.aud != nil {
 		t.propBytes += p.WireBytes()
@@ -490,8 +491,8 @@ func (l *topoLink) hopDone(p packet.Packet) {
 
 // arriveFn completes a hop: the packet reached the link's far node,
 // survived its stages, and either enters the next link on its flow's
-// path or leaves the fabric.
-func (l *topoLink) arriveFn(p packet.Packet) {
+// path or leaves the fabric, where the endpoint gets it by value.
+func (l *topoLink) arriveFn(p *packet.Packet) {
 	t := l.t
 	if t.aud != nil {
 		t.propBytes -= p.WireBytes()
@@ -500,13 +501,13 @@ func (l *topoLink) arriveFn(p packet.Packet) {
 		}
 	}
 	if next := t.next[l.idx][p.Flow]; next >= 0 {
-		t.links[next].port.Send(p)
+		t.links[next].port.send(p)
 		return
 	}
 	if t.aud != nil && p.CE {
 		t.ceDeliveredWire += p.WireBytes()
 	}
-	t.toReceiver(p)
+	t.toReceiver(*p)
 }
 
 // SetEndpoints attaches the demultiplexed delivery sinks: toReceiver
@@ -539,7 +540,7 @@ func (t *Topology) SendData(p packet.Packet) {
 // SendAck is the receiver-side entry point: the ACK returns over the
 // uncongested reverse path after the flow's residual base-RTT delay.
 func (t *Topology) SendAck(p packet.Packet) {
-	t.rev[p.Flow].After(t.revDelay[p.Flow], p)
+	t.rev[p.Flow].After(t.revDelay[p.Flow], &p)
 }
 
 // InNetworkBytes returns wire bytes queued, serializing, or in

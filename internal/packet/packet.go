@@ -5,7 +5,9 @@
 // Packets are plain values. At CoreScale a run moves hundreds of millions
 // of segments, so the representation is a small fixed-size struct that
 // lives in queues by value — no per-packet heap allocation, no pointer
-// chasing on the hot path.
+// chasing on the hot path. Inside the network fabric a packet is copied
+// only into the place where it waits (a queue ring, a port's tx slot, a
+// propagation lane) and passed between them by reference.
 package packet
 
 import (
@@ -40,17 +42,57 @@ func (b SackBlock) Len() int64 { return b.End - b.Start }
 const MaxSackBlocks = 3
 
 // Packet is a simulated TCP segment or acknowledgment.
+//
+// Fields are declared widest first — the 8-byte words, the SACK blocks,
+// the two int32s, then the one-byte fields — so the struct carries no
+// interior padding: 129 bytes of fields round up to 136, where grouping
+// them by topic cost 160. Every copy and every queued slot pays the
+// difference, so a new field goes in its width band.
 type Packet struct {
-	// Flow identifies the connection. Flow IDs are dense small integers
-	// assigned by the experiment harness.
-	Flow int32
-
 	// Seq is the sequence number (byte offset) of the first payload byte
 	// for data segments.
 	Seq int64
 
+	// CumAck is the cumulative acknowledgment (next expected byte) for
+	// ACK packets.
+	CumAck int64
+
+	// SentAt is the virtual time the segment was transmitted. Echoed
+	// back in ACKs (AckedSentAt) to produce RTT samples, playing the
+	// role of the TCP timestamp option.
+	SentAt sim.Time
+
+	// AckedSentAt is, on an ACK, the SentAt of the segment whose arrival
+	// triggered it.
+	AckedSentAt sim.Time
+
+	// Delivery-rate sampling state (Cheng et al., "Delivery Rate
+	// Estimation"), recorded at transmit time and echoed through the
+	// receiver so BBR can compute per-ACK bandwidth samples:
+	// Delivered/DeliveredAt snapshot the connection's delivered-byte
+	// counter, FirstSentAt the send time of the first packet of the
+	// sampling interval, AppLimited whether the sample window was
+	// application-limited. On an ACK, RateSentAt echoes the SentAt of
+	// the newest segment covered (RTT echoes, by contrast, come from the
+	// oldest pending segment, as with TCP timestamps under delayed ACKs).
+	Delivered   int64
+	DeliveredAt sim.Time
+	FirstSentAt sim.Time
+	RateSentAt  sim.Time
+
+	// Sack holds up to MaxSackBlocks selective-acknowledgment ranges,
+	// most recently received first. NumSack (below, with the one-byte
+	// fields) is the live count.
+	Sack [MaxSackBlocks]SackBlock
+
+	// Flow identifies the connection. Flow IDs are dense small integers
+	// assigned by the experiment harness.
+	Flow int32
+
 	// Len is the payload length in bytes for data segments; 0 for ACKs.
 	Len int32
+
+	NumSack int8
 
 	// Ack marks a pure acknowledgment traveling receiver→sender.
 	Ack bool
@@ -70,42 +112,13 @@ type Packet struct {
 	ECE bool // on ACKs: congestion-experienced echo latch
 	CWR bool // on data: congestion window reduced (clears the ECE latch)
 
-	// CumAck is the cumulative acknowledgment (next expected byte) for
-	// ACK packets.
-	CumAck int64
-
-	// Sack holds up to MaxSackBlocks selective-acknowledgment ranges,
-	// most recently received first. NumSack is the live count.
-	Sack    [MaxSackBlocks]SackBlock
-	NumSack int8
-
-	// SentAt is the virtual time the segment was transmitted. Echoed
-	// back in ACKs (AckedSentAt) to produce RTT samples, playing the
-	// role of the TCP timestamp option.
-	SentAt sim.Time
-
-	// AckedSentAt is, on an ACK, the SentAt of the segment whose arrival
-	// triggered it.
-	AckedSentAt sim.Time
-
-	// AckedRetrans is, on an ACK, whether that segment was a
-	// retransmission.
+	// AckedRetrans is, on an ACK, whether the segment whose arrival
+	// triggered it was a retransmission.
 	AckedRetrans bool
 
-	// Delivery-rate sampling state (Cheng et al., "Delivery Rate
-	// Estimation"), recorded at transmit time and echoed through the
-	// receiver so BBR can compute per-ACK bandwidth samples:
-	// Delivered/DeliveredAt snapshot the connection's delivered-byte
-	// counter, FirstSentAt the send time of the first packet of the
-	// sampling interval, AppLimited whether the sample window was
-	// application-limited. On an ACK, RateSentAt echoes the SentAt of
-	// the newest segment covered (RTT echoes, by contrast, come from the
-	// oldest pending segment, as with TCP timestamps under delayed ACKs).
-	Delivered   int64
-	DeliveredAt sim.Time
-	FirstSentAt sim.Time
-	RateSentAt  sim.Time
-	AppLimited  bool
+	// AppLimited is the delivery-rate sample's application-limited flag
+	// (see Delivered).
+	AppLimited bool
 }
 
 // WireBytes returns the packet's size on the wire, headers included.

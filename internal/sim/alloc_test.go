@@ -68,9 +68,9 @@ func TestCapReportsRawHeapSize(t *testing.T) {
 // heap node, and Cap — what Budget.Events bounds — counts them.
 func TestCapCountsLaneEntries(t *testing.T) {
 	eng := NewEngine()
-	lane := NewLane(eng, func(int) {})
+	lane := NewLane(eng, func(*int) {})
 	for i := 0; i < 100; i++ {
-		lane.After(10, i)
+		lane.After(10, &i)
 	}
 	if eng.Len() != 100 {
 		t.Fatalf("Len = %d with 100 lane entries, want 100", eng.Len())
@@ -203,14 +203,15 @@ func TestTimerChurnZeroAlloc(t *testing.T) {
 func TestLaneSteadyStateZeroAlloc(t *testing.T) {
 	eng := NewEngine()
 	delivered := 0
-	lane := NewLane(eng, func([4]int64) { delivered++ })
+	lane := NewLane(eng, func(*[4]int64) { delivered++ })
+	var v [4]int64
 	for i := 0; i < 64; i++ {
-		lane.After(20, [4]int64{})
+		lane.After(20, &v)
 	}
 	eng.Run(MaxTime)
 	allocs := testing.AllocsPerRun(1000, func() {
 		for i := 0; i < 64; i++ {
-			lane.After(20, [4]int64{})
+			lane.After(20, &v)
 		}
 		eng.Run(MaxTime)
 	})

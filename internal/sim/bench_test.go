@@ -53,10 +53,11 @@ func BenchmarkScheduleCancel(b *testing.B) {
 func BenchmarkLane(b *testing.B) {
 	eng := NewEngine()
 	var lane *Lane[[20]int64]
-	lane = NewLane(eng, func(v [20]int64) { lane.After(64, v) })
+	lane = NewLane(eng, func(v *[20]int64) { lane.After(64, v) })
+	var v [20]int64
 	for i := 0; i < 64; i++ {
 		eng.Run(eng.Now() + 1)
-		lane.After(64, [20]int64{})
+		lane.After(64, &v)
 	}
 	before := eng.Processed()
 	b.ReportAllocs()

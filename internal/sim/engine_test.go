@@ -415,12 +415,12 @@ func TestTimerResetEarlierMovesTheNode(t *testing.T) {
 func TestLaneDeliversInScheduleOrder(t *testing.T) {
 	eng := NewEngine()
 	var got []int
-	lane := NewLane(eng, func(v int) { got = append(got, v) })
+	lane := NewLane(eng, func(v *int) { got = append(got, *v) })
 	// Interleave lane entries with one-shot events at the same instants:
 	// firing order is the order of the calls.
 	for i := 0; i < 40; i += 2 {
 		i := i
-		lane.After(10, i)
+		lane.After(10, &i)
 		eng.After(10, func() { got = append(got, i+1) })
 		eng.Run(eng.Now() + 3)
 	}
@@ -438,13 +438,62 @@ func TestLaneDeliversInScheduleOrder(t *testing.T) {
 	}
 }
 
+// TestLaneSinkKeepsItsSlotAcrossAfter: a sink is handed a pointer into
+// the ring. With the ring one slot short of full when the sink runs, an
+// After on the same lane from inside the sink is the call that would
+// wrap onto that slot; it must grow the ring instead, and the sink must
+// still read the value it was handed.
+func TestLaneSinkKeepsItsSlotAcrossAfter(t *testing.T) {
+	eng := NewEngine()
+	var lane *Lane[[2]int]
+	var got [][2]int
+	lane = NewLane(eng, func(v *[2]int) {
+		was := *v
+		if was[1] == 0 {
+			// Two entries re-fed from the first sink: the second is the
+			// one a ring without a spare slot would write over *v.
+			for k := 1; k <= 2; k++ {
+				lane.After(10, &[2]int{was[0], k})
+			}
+		}
+		if *v != was {
+			t.Fatalf("sink was handed %v, reads %v after feeding its own lane", was, *v)
+		}
+		got = append(got, *v)
+	})
+	for i := 0; i < 7; i++ {
+		lane.After(0, &[2]int{i, 0})
+	}
+	if len(lane.ring) != 8 || lane.size != 7 {
+		t.Fatalf("ring %d slots holding %d before the run, want 8 holding 7", len(lane.ring), lane.size)
+	}
+	eng.Run(0) // fires the 7 entries due now; each feeds 2 more
+	if len(lane.ring) <= 8 {
+		t.Fatalf("ring still %d slots after its sinks fed it past capacity", len(lane.ring))
+	}
+	eng.Run(MaxTime)
+	if len(got) != 21 {
+		t.Fatalf("delivered %d entries, want 21", len(got))
+	}
+	for i, v := range got {
+		want := [2]int{i, 0}
+		if i >= 7 {
+			want = [2]int{(i - 7) / 2, 1 + (i-7)%2}
+		}
+		if v != want {
+			t.Fatalf("delivery %d is %v, want %v (all: %v)", i, v, want, got)
+		}
+	}
+}
+
 // TestLaneRejectsOvertaking: a lane is FIFO, so an entry due before its
 // predecessor would fire late; After refuses it instead.
 func TestLaneRejectsOvertaking(t *testing.T) {
 	eng := NewEngine()
-	lane := NewLane(eng, func(int) {})
-	lane.After(10, 1)
-	lane.After(10, 2) // equal is in order: seq decides
+	lane := NewLane(eng, func(*int) {})
+	v := 1
+	lane.After(10, &v)
+	lane.After(10, &v) // equal is in order: seq decides
 	defer func() {
 		if recover() == nil {
 			t.Fatal("an entry due before its predecessor did not panic")
@@ -453,7 +502,7 @@ func TestLaneRejectsOvertaking(t *testing.T) {
 			t.Fatalf("Len = %d after the rejected entry, want 2", eng.Len())
 		}
 	}()
-	lane.After(9, 3)
+	lane.After(9, &v)
 }
 
 // TestTimerAndLaneClampNegativeDelay: like After, a negative delay
@@ -463,11 +512,12 @@ func TestTimerAndLaneClampNegativeDelay(t *testing.T) {
 	var order []string
 	note := func(s string) func() { return func() { order = append(order, s) } }
 	tm := NewTimer(eng, note("timer"))
-	lane := NewLane(eng, func(s string) { order = append(order, s) })
+	lane := NewLane(eng, func(s *string) { order = append(order, *s) })
 	eng.Schedule(10, func() {
 		eng.After(0, note("event"))
 		tm.Reset(-5)
-		lane.After(-5, "lane")
+		s := "lane"
+		lane.After(-5, &s)
 	})
 	eng.Run(10)
 	if len(order) != 3 || order[0] != "event" || order[1] != "timer" || order[2] != "lane" {

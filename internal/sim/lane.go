@@ -16,12 +16,14 @@ import "fmt"
 // A stream that can reorder (per-packet jitter) is the heap's job and
 // stays on one-shot events.
 //
-// The ring keeps a fired entry's value until the slot is reused, so a T
-// holding pointers lives that much longer; the packets it was built for
-// hold none.
+// Values move by reference: After copies *v into the ring, and the sink
+// is handed a pointer to the ring slot itself, valid until the sink
+// returns. The ring keeps a fired entry's value until the slot is
+// reused, so a T holding pointers lives that much longer; the packets it
+// was built for hold none.
 type Lane[T any] struct {
 	eng  *Engine
-	sink func(T)
+	sink func(*T)
 	n    node
 	ring []laneEntry[T] // len is zero or a power of two
 	head int
@@ -35,16 +37,16 @@ type laneEntry[T any] struct {
 }
 
 // NewLane creates an empty lane that delivers into sink.
-func NewLane[T any](eng *Engine, sink func(T)) *Lane[T] {
+func NewLane[T any](eng *Engine, sink func(*T)) *Lane[T] {
 	l := &Lane[T]{eng: eng, sink: sink}
 	l.n.initPerm(l.fire)
 	return l
 }
 
-// After delivers v to the sink after delay d (non-positive: the current
-// instant, behind what is already scheduled for it). An entry due
-// before its predecessor does not belong in a lane and panics.
-func (l *Lane[T]) After(d Time, v T) {
+// After delivers a copy of *v to the sink after delay d (non-positive:
+// the current instant, behind what is already scheduled for it). An
+// entry due before its predecessor does not belong in a lane and panics.
+func (l *Lane[T]) After(d Time, v *T) {
 	e := l.eng
 	at := e.now + max(d, 0)
 	if l.size > 0 {
@@ -53,10 +55,14 @@ func (l *Lane[T]) After(d Time, v T) {
 		}
 	}
 	seq := e.stamp(at)
-	if l.size == len(l.ring) {
+	// One slot always stays free: the one just behind head, which is the
+	// slot a running sink was handed. An After from inside that sink
+	// therefore never writes over the value it is still reading.
+	if l.size >= len(l.ring)-1 {
 		l.grow()
 	}
-	l.ring[(l.head+l.size)&(len(l.ring)-1)] = laneEntry[T]{at, seq, v}
+	slot := &l.ring[(l.head+l.size)&(len(l.ring)-1)]
+	slot.at, slot.seq, slot.v = at, seq, *v
 	l.size++
 	e.parked++
 	if l.size == 1 {
@@ -64,7 +70,10 @@ func (l *Lane[T]) After(d Time, v T) {
 	}
 }
 
-// grow doubles the ring (from 8), unrolling it to start at slot zero.
+// grow doubles the ring (from 8), unrolling it to start at slot zero;
+// the spare slot lands just past the entries, where the next one goes.
+// A sink running while its lane grows keeps reading the old ring, which
+// its pointer keeps alive.
 func (l *Lane[T]) grow() {
 	ring := make([]laneEntry[T], max(2*len(l.ring), 8))
 	n := copy(ring, l.ring[l.head:])
@@ -83,5 +92,5 @@ func (l *Lane[T]) fire() {
 		next := &l.ring[l.head]
 		l.n.armed, l.n.dueAt, l.n.dueSeq = true, next.at, next.seq
 	}
-	l.sink(l.ring[head].v)
+	l.sink(&l.ring[head].v)
 }

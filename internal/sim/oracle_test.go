@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // refEngine is the reference the engine is checked against: every
 // pending firing is an (at, seq, id) in one slice, and the next to fire
@@ -105,9 +108,14 @@ func (m *refMachine) state() (Time, uint64, int) { return m.now, m.processed, le
 type engMachine struct {
 	eng    *Engine
 	timers [oracleTimers]*Timer
-	lanes  [len(oracleStreamDelay)]*Lane[int]
+	lanes  [len(oracleStreamDelay)]*Lane[streamEntry]
+	fed    int // streamEntry serials handed out
 	fire   func(id int)
 }
+
+// streamEntry is what a lane carries: the id to fire and a serial unique
+// to the entry, so a slot overwritten while its sink still reads it shows.
+type streamEntry struct{ id, serial int }
 
 func newEngMachine(fire func(id int)) *engMachine {
 	m := &engMachine{eng: NewEngine(), fire: fire}
@@ -116,7 +124,15 @@ func newEngMachine(fire func(id int)) *engMachine {
 		m.timers[k] = NewTimer(m.eng, func() { fire(k) })
 	}
 	for s := range m.lanes {
-		m.lanes[s] = NewLane(m.eng, fire)
+		// The sink reads through the pointer it was handed after the
+		// firing, which may have fed this same lane.
+		m.lanes[s] = NewLane(m.eng, func(e *streamEntry) {
+			was := *e
+			fire(e.id)
+			if *e != was {
+				panic(fmt.Sprintf("lane %d: entry %+v changed to %+v while its sink ran", s, was, *e))
+			}
+		})
 	}
 	return m
 }
@@ -128,7 +144,10 @@ func (m *engMachine) stopTimer(k int)            { m.timers[k].Stop() }
 func (m *engMachine) timerPending(k int) bool    { return m.timers[k].Pending() }
 func (m *engMachine) run(horizon Time)           { m.eng.Run(horizon) }
 func (m *engMachine) halt()                      { m.eng.Stop() }
-func (m *engMachine) stream(s int)               { m.lanes[s].After(oracleStreamDelay[s], oracleStreamID+s) }
+func (m *engMachine) stream(s int) {
+	m.fed++
+	m.lanes[s].After(oracleStreamDelay[s], &streamEntry{oracleStreamID + s, m.fed})
+}
 func (m *engMachine) state() (Time, uint64, int) {
 	return m.eng.Now(), m.eng.Processed(), m.eng.Len()
 }

@@ -166,14 +166,14 @@ func (r *Receiver) RcvNxt() int64 { return r.rcvNxt }
 func (r *Receiver) OnData(p packet.Packet) {
 	if r.cfg.Audit != nil {
 		prev := r.rcvNxt
-		r.onData(p)
+		r.onData(&p)
 		r.auditReassembly(prev)
 		return
 	}
-	r.onData(p)
+	r.onData(&p)
 }
 
-func (r *Receiver) onData(p packet.Packet) {
+func (r *Receiver) onData(p *packet.Packet) {
 	r.stats.SegmentsReceived++
 	// CWR clears the echo latch before CE can re-arm it: a packet
 	// carrying both announces the reduction and a fresh mark after it.

@@ -33,8 +33,8 @@ func TestReliabilityUnderRandomLossProperty(t *testing.T) {
 
 		// Random loss sits between the bottleneck and the receiver.
 		imp := netem.NewImpairment(eng, rng.Split(), netem.ImpairmentConfig{LossProb: lossProb},
-			func(p packet.Packet) { recv.OnData(p) })
-		db.SetEndpoints(imp.Send, func(p packet.Packet) { send.OnAck(p) })
+			func(p *packet.Packet) { recv.OnData(*p) })
+		db.SetEndpoints(func(p packet.Packet) { imp.Send(&p) }, func(p packet.Packet) { send.OnAck(p) })
 
 		recv = NewReceiver(eng, 0, DefaultReceiverConfig(), db.SendAck)
 		send = NewSender(eng, 0, Config{CCA: cca.NewReno(units.MSS), Output: db.SendData})
@@ -79,8 +79,8 @@ func TestNoDuplicateDeliveryAccounting(t *testing.T) {
 	var recv *Receiver
 	var send *Sender
 	imp := netem.NewImpairment(eng, rng, netem.ImpairmentConfig{LossProb: 0.05},
-		func(p packet.Packet) { recv.OnData(p) })
-	db.SetEndpoints(imp.Send, func(p packet.Packet) { send.OnAck(p) })
+		func(p *packet.Packet) { recv.OnData(*p) })
+	db.SetEndpoints(func(p packet.Packet) { imp.Send(&p) }, func(p packet.Packet) { send.OnAck(p) })
 	recv = NewReceiver(eng, 0, DefaultReceiverConfig(), db.SendAck)
 	send = NewSender(eng, 0, Config{CCA: cca.NewReno(units.MSS), Output: db.SendData})
 	send.Start(0)

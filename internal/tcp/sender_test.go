@@ -333,8 +333,8 @@ func TestFiniteTransferCompletesUnderLoss(t *testing.T) {
 	var send *Sender
 	done := false
 	imp := netem.NewImpairment(eng, rng, netem.ImpairmentConfig{LossProb: 0.1},
-		func(p packet.Packet) { recv.OnData(p) })
-	db.SetEndpoints(imp.Send, func(p packet.Packet) { send.OnAck(p) })
+		func(p *packet.Packet) { recv.OnData(*p) })
+	db.SetEndpoints(func(p packet.Packet) { imp.Send(&p) }, func(p packet.Packet) { send.OnAck(p) })
 	recv = NewReceiver(eng, 0, DefaultReceiverConfig(), db.SendAck)
 	size := units.ByteCount(200) * units.MSS
 	send = NewSender(eng, 0, Config{
