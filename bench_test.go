@@ -17,16 +17,16 @@ package ccatscale
 import (
 	"context"
 	"testing"
-	"time"
 
 	"ccatscale/internal/core"
 	"ccatscale/internal/sim"
 	"ccatscale/internal/units"
+	"ccatscale/internal/waremodel"
 )
 
 // benchEdge is EdgeScale with shortened windows.
-func benchEdge() Setting {
-	s := EdgeScale()
+func benchEdge() core.Setting {
+	s := core.EdgeScale()
 	s.Warmup = 10 * sim.Second
 	s.Duration = 30 * sim.Second
 	s.Stagger = 3 * sim.Second
@@ -35,17 +35,17 @@ func benchEdge() Setting {
 
 // benchCore is the scaled CoreScale bench tier: 200 Mbps, 20–100 flows,
 // shortened windows. Per-flow bandwidth and buffer/BDP match the paper.
-func benchCore() Setting {
-	s := CoreScaleScaled(50)
+func benchCore() core.Setting {
+	s := core.CoreScaleScaled(50)
 	s.Warmup = 10 * sim.Second
 	s.Duration = 30 * sim.Second
 	s.Stagger = 3 * sim.Second
 	return s
 }
 
-const benchRTT = 20 * time.Millisecond
+const benchRTT = 20 * sim.Millisecond
 
-func reportMathisRow(b *testing.B, r MathisRow) {
+func reportMathisRow(b *testing.B, r core.MathisRow) {
 	b.ReportMetric(r.CLoss, "C_loss")
 	b.ReportMetric(r.CHalve, "C_halving")
 	b.ReportMetric(r.MedianErrLoss*100, "errLoss_%")
@@ -54,11 +54,11 @@ func reportMathisRow(b *testing.B, r MathisRow) {
 	b.ReportMetric(r.DropBurstiness, "burstiness")
 }
 
-func mathisBench(b *testing.B, s Setting, flows int) MathisRow {
+func mathisBench(b *testing.B, s core.Setting, flows int) core.MathisRow {
 	b.Helper()
-	var row MathisRow
+	var row core.MathisRow
 	for i := 0; i < b.N; i++ {
-		cfg := s.Build(core.UniformFlows(flows, "reno", core.DefaultRTT), WithSeed(Seed(uint64(i+1))))
+		cfg := s.Build(core.UniformFlows(flows, "reno", core.DefaultRTT), core.WithSeed(core.Seed(uint64(i+1))))
 		cfg.MaxDropTimestamps = 1 << 20
 		res, err := core.Run(cfg)
 		if err != nil {
@@ -117,11 +117,11 @@ func BenchmarkBurstiness(b *testing.B) {
 	})
 }
 
-func fairnessBench(b *testing.B, s Setting, flows []FlowSpec, seedBase uint64) RunResult {
+func fairnessBench(b *testing.B, s core.Setting, flows []core.FlowSpec, seedBase uint64) core.RunResult {
 	b.Helper()
-	var res RunResult
+	var res core.RunResult
 	for i := 0; i < b.N; i++ {
-		r, err := core.Run(s.Build(flows, WithSeed(Seed(seedBase+uint64(i)))))
+		r, err := core.Run(s.Build(flows, core.WithSeed(core.Seed(seedBase+uint64(i)))))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -137,7 +137,7 @@ func BenchmarkIntraFairnessLossBased(b *testing.B) {
 		b.Run(cca, func(b *testing.B) {
 			s := benchCore()
 			s.Duration = 60 * sim.Second // AIMD convergence needs rounds
-			res := fairnessBench(b, s, UniformFlows(60, cca, benchRTT), 1)
+			res := fairnessBench(b, s, core.UniformFlows(60, cca, benchRTT), 1)
 			b.ReportMetric(res.JFI(), "JFI")
 		})
 	}
@@ -148,11 +148,11 @@ func BenchmarkIntraFairnessLossBased(b *testing.B) {
 // flows at the edge).
 func BenchmarkFig4BBRIntraFairness(b *testing.B) {
 	b.Run("EdgeScale/flows=10", func(b *testing.B) {
-		res := fairnessBench(b, benchEdge(), UniformFlows(10, "bbr", benchRTT), 1)
+		res := fairnessBench(b, benchEdge(), core.UniformFlows(10, "bbr", benchRTT), 1)
 		b.ReportMetric(res.JFI(), "JFI")
 	})
 	b.Run("CoreScale/flows=100", func(b *testing.B) {
-		res := fairnessBench(b, benchCore(), UniformFlows(100, "bbr", benchRTT), 1)
+		res := fairnessBench(b, benchCore(), core.UniformFlows(100, "bbr", benchRTT), 1)
 		b.ReportMetric(res.JFI(), "JFI")
 	})
 }
@@ -160,36 +160,36 @@ func BenchmarkFig4BBRIntraFairness(b *testing.B) {
 // BenchmarkFig5CubicVsReno regenerates Figure 5: Cubic's share against
 // an equal NewReno population (paper: 70–80 %).
 func BenchmarkFig5CubicVsReno(b *testing.B) {
-	res := fairnessBench(b, benchCore(), MixedFlows(60, "cubic", "reno", benchRTT), 1)
+	res := fairnessBench(b, benchCore(), core.MixedFlows(60, "cubic", "reno", benchRTT), 1)
 	b.ReportMetric(res.ShareByCCA()["cubic"]*100, "cubicShare_%")
 }
 
 // BenchmarkFig6OneBBRVsReno regenerates Figure 6: a single BBR flow
 // against a NewReno crowd (paper: ≈40 % regardless of crowd size).
 func BenchmarkFig6OneBBRVsReno(b *testing.B) {
-	res := fairnessBench(b, benchCore(), OneVersusFlows(60, "bbr", "reno", benchRTT), 1)
+	res := fairnessBench(b, benchCore(), core.OneVersusFlows(60, "bbr", "reno", benchRTT), 1)
 	b.ReportMetric(res.ShareByCCA()["bbr"]*100, "bbrShare_%")
-	b.ReportMetric(WareBBRShare(15)*100, "wareModel_%")
+	b.ReportMetric(waremodel.SingleBBRShare(15)*100, "wareModel_%")
 }
 
 // BenchmarkFig7OneBBRVsCubic regenerates Figure 7: a single BBR flow
 // against a Cubic crowd (paper: ≈40 %).
 func BenchmarkFig7OneBBRVsCubic(b *testing.B) {
-	res := fairnessBench(b, benchCore(), OneVersusFlows(60, "bbr", "cubic", benchRTT), 1)
+	res := fairnessBench(b, benchCore(), core.OneVersusFlows(60, "bbr", "cubic", benchRTT), 1)
 	b.ReportMetric(res.ShareByCCA()["bbr"]*100, "bbrShare_%")
 }
 
 // BenchmarkFig8BBRVsReno regenerates Figure 8a: BBR against an equal
 // NewReno population (paper: up to 99.9 % at scale).
 func BenchmarkFig8BBRVsReno(b *testing.B) {
-	res := fairnessBench(b, benchCore(), MixedFlows(60, "bbr", "reno", benchRTT), 1)
+	res := fairnessBench(b, benchCore(), core.MixedFlows(60, "bbr", "reno", benchRTT), 1)
 	b.ReportMetric(res.ShareByCCA()["bbr"]*100, "bbrShare_%")
 }
 
 // BenchmarkFig8BBRVsCubic regenerates Figure 8b: BBR against an equal
 // Cubic population.
 func BenchmarkFig8BBRVsCubic(b *testing.B) {
-	res := fairnessBench(b, benchCore(), MixedFlows(60, "bbr", "cubic", benchRTT), 1)
+	res := fairnessBench(b, benchCore(), core.MixedFlows(60, "bbr", "cubic", benchRTT), 1)
 	b.ReportMetric(res.ShareByCCA()["bbr"]*100, "bbrShare_%")
 }
 
@@ -204,10 +204,10 @@ func BenchmarkAblationDelayedACK(b *testing.B) {
 		delay sim.Time
 	}{{"delack=on", 0}, {"delack=off", -1}} {
 		b.Run(mode.name, func(b *testing.B) {
-			var row MathisRow
+			var row core.MathisRow
 			for i := 0; i < b.N; i++ {
 				s := benchEdge()
-				cfg := s.Build(core.UniformFlows(30, "reno", core.DefaultRTT), WithSeed(Seed(uint64(i+1))))
+				cfg := s.Build(core.UniformFlows(30, "reno", core.DefaultRTT), core.WithSeed(core.Seed(uint64(i+1))))
 				cfg.DelAckDelay = mode.delay
 				res, err := core.Run(cfg)
 				if err != nil {
@@ -229,12 +229,12 @@ func BenchmarkAblationBufferSize(b *testing.B) {
 		num, dn units.ByteCount
 	}{{"0.25bdp", 1, 4}, {"0.5bdp", 1, 2}, {"1.0bdp", 1, 1}} {
 		b.Run(frac.name, func(b *testing.B) {
-			var res RunResult
+			var res core.RunResult
 			for i := 0; i < b.N; i++ {
 				s := benchCore()
 				bdp := units.BDP(s.Rate, 200*sim.Millisecond)
 				s.Buffer = bdp * frac.num / frac.dn
-				r, err := core.Run(s.Build(MixedFlows(20, "bbr", "reno", benchRTT), WithSeed(Seed(uint64(i+1)))))
+				r, err := core.Run(s.Build(core.MixedFlows(20, "bbr", "reno", benchRTT), core.WithSeed(core.Seed(uint64(i+1)))))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -250,7 +250,7 @@ func BenchmarkAblationBufferSize(b *testing.B) {
 // desynchronization drives Finding 5 (window variation is exercised via
 // seeds here; the mechanism itself lives in internal/cca).
 func BenchmarkAblationProbeRTT(b *testing.B) {
-	res := fairnessBench(b, benchCore(), UniformFlows(60, "bbr", benchRTT), 7)
+	res := fairnessBench(b, benchCore(), core.UniformFlows(60, "bbr", benchRTT), 7)
 	b.ReportMetric(res.JFI(), "JFI")
 }
 
@@ -263,11 +263,11 @@ func BenchmarkAblationStagger(b *testing.B) {
 		stagger sim.Time
 	}{{"staggered", 3 * sim.Second}, {"simultaneous", 0}} {
 		b.Run(mode.name, func(b *testing.B) {
-			var res RunResult
+			var res core.RunResult
 			for i := 0; i < b.N; i++ {
 				s := benchCore()
 				s.Stagger = mode.stagger
-				r, err := core.Run(s.Build(UniformFlows(60, "reno", benchRTT), WithSeed(Seed(uint64(i+1)))))
+				r, err := core.Run(s.Build(core.UniformFlows(60, "reno", benchRTT), core.WithSeed(core.Seed(uint64(i+1)))))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -288,13 +288,13 @@ func BenchmarkAblationStagger(b *testing.B) {
 func BenchmarkAblationHyStart(b *testing.B) {
 	for _, variant := range []string{"cubic", "cubic-nohystart"} {
 		b.Run(variant, func(b *testing.B) {
-			var res RunResult
+			var res core.RunResult
 			for i := 0; i < b.N; i++ {
 				s := benchEdge()
 				s.Warmup = 5 * sim.Second
 				s.Duration = 15 * sim.Second
 				s.Stagger = 10 * sim.Second // spread starts so overshoot episodes are visible
-				r, err := core.Run(s.Build(UniformFlows(10, variant, benchRTT), WithSeed(Seed(uint64(i+1)))))
+				r, err := core.Run(s.Build(core.UniformFlows(10, variant, benchRTT), core.WithSeed(core.Seed(uint64(i+1)))))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -312,11 +312,11 @@ func BenchmarkAblationHyStart(b *testing.B) {
 func BenchmarkAblationAQM(b *testing.B) {
 	for _, aqm := range []string{"droptail", "codel"} {
 		b.Run(aqm, func(b *testing.B) {
-			var res RunResult
+			var res core.RunResult
 			for i := 0; i < b.N; i++ {
 				s := benchCore()
 				s.AQM = aqm
-				r, err := core.Run(s.Build(UniformFlows(20, "reno", benchRTT), WithSeed(Seed(uint64(i+1)))))
+				r, err := core.Run(s.Build(core.UniformFlows(20, "reno", benchRTT), core.WithSeed(core.Seed(uint64(i+1)))))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -339,7 +339,7 @@ func BenchmarkEngineThroughput(b *testing.B) {
 		s := benchCore()
 		s.Warmup = 2 * sim.Second
 		s.Duration = 10 * sim.Second
-		res, err := core.Run(s.Build(UniformFlows(20, "reno", benchRTT), WithSeed(Seed(1))))
+		res, err := core.Run(s.Build(core.UniformFlows(20, "reno", benchRTT), core.WithSeed(core.Seed(1))))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -351,23 +351,23 @@ func BenchmarkEngineThroughput(b *testing.B) {
 // Poisson churn at 60 % offered load (extension axis: the paper's
 // limitations name flow arrival/departure as future work).
 func BenchmarkExtensionChurn(b *testing.B) {
-	var res *ArrivalStats
+	var res *core.ArrivalStats
 	for i := 0; i < b.N; i++ {
 		s := benchCore()
 		size := units.ByteCount(500 * units.KB)
-		cfg := RunConfig{
+		cfg := core.RunConfig{
 			Rate:     s.Rate,
 			Buffer:   s.Buffer,
 			Duration: 20 * sim.Second,
 			Seed:     uint64(i + 1),
-			Arrivals: &ArrivalSpec{
+			Arrivals: &core.ArrivalSpec{
 				CCA:           "reno",
 				RTT:           core.DefaultRTT,
 				TransferBytes: size,
 				PerSecond:     0.6 * float64(s.Rate) / (float64(size) * 8),
 			},
 		}
-		r, err := Run(context.Background(), cfg)
+		r, err := core.RunCtx(context.Background(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

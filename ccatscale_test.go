@@ -1,18 +1,30 @@
 package ccatscale
 
+// The paper's parameters and headline model values, checked from the
+// module root: each test pins a number the paper states or a direction
+// it reports, against the internal package that computes it.
+
 import (
 	"context"
 	"math"
 	"testing"
-	"time"
+
+	"ccatscale/internal/budget"
+	"ccatscale/internal/core"
+	"ccatscale/internal/mathis"
+	"ccatscale/internal/metrics"
+	"ccatscale/internal/sim"
+	"ccatscale/internal/telemetry"
+	"ccatscale/internal/units"
+	"ccatscale/internal/waremodel"
 )
 
-// fastSetting is a quick public-API smoke regime.
-func fastSetting() Setting {
-	s := CoreScaleScaled(100) // 100 Mbps, 10–50 flows
-	s.Warmup = 5e9
-	s.Duration = 20e9
-	s.Stagger = 2e9
+// fastSetting is a quick smoke regime.
+func fastSetting() core.Setting {
+	s := core.CoreScaleScaled(100) // 100 Mbps, 10–50 flows
+	s.Warmup = 5 * sim.Second
+	s.Duration = 20 * sim.Second
+	s.Stagger = 2 * sim.Second
 	return s
 }
 
@@ -21,9 +33,9 @@ func TestPublicRunAndShares(t *testing.T) {
 	// Cubic's edge over NewReno builds during congestion avoidance
 	// (with HyStart both leave slow start early), so give the run
 	// enough rounds for the cubic-vs-AIMD growth gap to show.
-	s.Duration = 60e9
-	cfg := s.Build(MixedFlows(10, "cubic", "reno", 20*time.Millisecond), WithSeed(1))
-	res, err := Run(context.Background(), cfg)
+	s.Duration = 60 * sim.Second
+	cfg := s.Build(core.MixedFlows(10, "cubic", "reno", 20*sim.Millisecond), core.WithSeed(1))
+	res, err := core.RunCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,112 +49,117 @@ func TestPublicRunAndShares(t *testing.T) {
 }
 
 func TestPublicFlowBuilders(t *testing.T) {
-	flows := OneVersusFlows(5, "bbr", "reno", 20*time.Millisecond)
+	flows := core.OneVersusFlows(5, "bbr", "reno", 20*sim.Millisecond)
 	if len(flows) != 5 || flows[0].CCA != "bbr" || flows[4].CCA != "reno" {
 		t.Fatalf("OneVersusFlows = %v", flows)
 	}
-	u := UniformFlows(3, "reno", 100*time.Millisecond)
-	if len(u) != 3 || u[0].RTT.Std() != 100*time.Millisecond {
+	u := core.UniformFlows(3, "reno", 100*sim.Millisecond)
+	if len(u) != 3 || u[0].RTT != 100*sim.Millisecond {
 		t.Fatalf("UniformFlows = %v", u)
 	}
 }
 
 func TestPublicMathisPredict(t *testing.T) {
 	// 1448·1/(0.02·√0.01) = 724000 bytes/s.
-	got := MathisPredict(1, 1448, 20*time.Millisecond, 0.01)
+	got := mathis.Predict(1, mathis.Sample{P: 0.01, RTTSeconds: 0.02, MSSBytes: 1448})
 	if math.Abs(got-724000) > 1e-6 {
-		t.Fatalf("MathisPredict = %v", got)
+		t.Fatalf("Predict = %v", got)
 	}
 }
 
 func TestPublicJFIAndBurstiness(t *testing.T) {
-	if JFI([]float64{1, 1, 1}) != 1 {
+	if metrics.JFI([]float64{1, 1, 1}) != 1 {
 		t.Fatal("JFI")
 	}
-	if b := Burstiness([]float64{0, 1, 2, 3, 4}); math.Abs(b+1) > 1e-9 {
+	if b := metrics.Burstiness([]float64{0, 1, 2, 3, 4}); math.Abs(b+1) > 1e-9 {
 		t.Fatalf("Burstiness periodic = %v", b)
 	}
 }
 
 func TestPublicWareShare(t *testing.T) {
-	if got := WareBBRShare(15); got != 0.5 {
-		t.Fatalf("WareBBRShare(15) = %v", got)
+	if got := waremodel.SingleBBRShare(15); got != 0.5 {
+		t.Fatalf("SingleBBRShare(15) = %v", got)
 	}
 }
 
 func TestPaperRTTs(t *testing.T) {
-	rtts := PaperRTTs()
-	want := []time.Duration{20 * time.Millisecond, 100 * time.Millisecond, 200 * time.Millisecond}
-	if len(rtts) != 3 {
-		t.Fatalf("PaperRTTs = %v", rtts)
+	want := []sim.Time{20 * sim.Millisecond, 100 * sim.Millisecond, 200 * sim.Millisecond}
+	if len(core.RTTs) != 3 {
+		t.Fatalf("RTTs = %v", core.RTTs)
 	}
 	for i := range want {
-		if rtts[i] != want[i] {
-			t.Fatalf("PaperRTTs[%d] = %v, want %v", i, rtts[i], want[i])
+		if core.RTTs[i] != want[i] {
+			t.Fatalf("RTTs[%d] = %v, want %v", i, core.RTTs[i], want[i])
 		}
 	}
 }
 
 func TestSettingsExposePaperParameters(t *testing.T) {
-	e := EdgeScale()
+	e := core.EdgeScale()
 	if e.Rate.String() != "100Mbps" || e.Buffer.String() != "3MB" {
 		t.Fatalf("EdgeScale = %v %v", e.Rate, e.Buffer)
 	}
-	c := CoreScale()
+	c := core.CoreScale()
 	if c.Rate.String() != "10Gbps" || c.Buffer.String() != "375MB" {
 		t.Fatalf("CoreScale = %v %v", c.Rate, c.Buffer)
 	}
 }
 
 func TestMSSConstant(t *testing.T) {
-	if MSS != 1448 {
-		t.Fatalf("MSS = %d", MSS)
+	if units.MSS != 1448 {
+		t.Fatalf("MSS = %d", units.MSS)
 	}
 }
 
+// TestPublicSweeps runs three of the paper's plans the one way every
+// table runs — the plan through core.RunManyCtx, then its analysis.
 func TestPublicSweeps(t *testing.T) {
 	s := fastSetting()
 	s.FlowCounts = []int{4}
-	s.Duration = 15e9
+	s.Duration = 15 * sim.Second
+	run := func(name string, cfgs []core.RunConfig) []core.RunResult {
+		t.Helper()
+		res, err := core.RunManyCtx(context.Background(), cfgs, core.SweepOptions{Parallelism: 2})
+		if err != nil || len(res) != len(cfgs) {
+			t.Fatalf("%s: %d results for %d configs: %v", name, len(res), len(cfgs), err)
+		}
+		return res
+	}
+	rtts := []sim.Time{20 * sim.Millisecond}
 
-	rows, err := MathisSweep(s, 1, 2)
-	if err != nil || len(rows) != 1 {
-		t.Fatalf("MathisSweep: %v %v", rows, err)
+	if rows := core.MathisRows(s, run("mathis", core.MathisConfigs(s, 1))); len(rows) != 1 {
+		t.Fatalf("MathisRows: %v", rows)
 	}
-	intra, err := IntraCCASweep(s, "reno", []time.Duration{20 * time.Millisecond}, 1, 2)
-	if err != nil || len(intra) != 1 || intra[0].JFI <= 0 {
-		t.Fatalf("IntraCCASweep: %+v %v", intra, err)
+	intra := core.FairnessRows(s, rtts, run("intra", core.IntraCCAConfigs(s, "reno", rtts, 1)))
+	if len(intra) != 1 || intra[0].JFI <= 0 {
+		t.Fatalf("intra-CCA rows: %+v", intra)
 	}
-	inter, err := InterCCASweep(s, EqualSplit, "cubic", "reno", []time.Duration{20 * time.Millisecond}, 1, 2)
-	if err != nil || len(inter) != 1 {
-		t.Fatalf("InterCCASweep: %+v %v", inter, err)
+	inter := core.FairnessRows(s, rtts, run("inter", core.InterCCAConfigs(s, core.EqualSplit, "cubic", "reno", rtts, 1)))
+	if len(inter) != 1 {
+		t.Fatalf("inter-CCA rows: %+v", inter)
 	}
-	res, err := RunMany(context.Background(),
-		[]RunConfig{s.Build(UniformFlows(2, "reno", 20*time.Millisecond), WithSeed(1))},
-		WithParallelism(2))
-	if err != nil || len(res) != 1 {
-		t.Fatalf("RunMany: %v", err)
-	}
+	run("single", []core.RunConfig{s.Build(core.UniformFlows(2, "reno", 20*sim.Millisecond), core.WithSeed(1))})
 }
 
 func TestPublicChurn(t *testing.T) {
 	s := fastSetting()
-	cfg := RunConfig{
+	cfg := core.RunConfig{
 		Rate:     s.Rate,
 		Buffer:   s.Buffer,
-		Duration: 10e9,
+		Duration: 10 * sim.Second,
 		Seed:     1,
-		Arrivals: &ArrivalSpec{
+		Arrivals: &core.ArrivalSpec{
 			CCA:           "reno",
-			RTT:           20e6, // 20 ms in sim.Time units
-			TransferBytes: 200e3,
+			RTT:           20 * sim.Millisecond,
+			TransferBytes: 200 * units.KB,
 			PerSecond:     10,
 		},
 	}
-	// Churn is an ordinary Run: the call-level options apply to it.
+	// Churn is an ordinary run: a collector and a budget apply to it.
 	var events int
-	res, err := Run(context.Background(), cfg,
-		WithCollector(CollectorFunc(func(Event) { events++ })))
+	observed := cfg
+	observed.Collector = telemetry.CollectorFunc(func(telemetry.Event) { events++ })
+	res, err := core.RunCtx(context.Background(), observed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +169,8 @@ func TestPublicChurn(t *testing.T) {
 	if events == 0 {
 		t.Fatal("collector saw no events from a churn run")
 	}
-	if _, err := Run(context.Background(), cfg, WithBudget(&Budget{Horizon: 5e9})); err == nil {
+	cfg.Budget = &budget.Budget{Horizon: 5 * sim.Second}
+	if _, err := core.RunCtx(context.Background(), cfg); err == nil {
 		t.Fatal("a 40 s churn run was admitted under a 5 s horizon budget")
 	}
 }

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -155,7 +156,8 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 		var results []core.RunResult
-		results, err = core.RunMany(entry.Configs(setting, args), *parallel)
+		results, err = core.RunManyCtx(context.Background(), entry.Configs(setting, args),
+			core.SweepOptions{Parallelism: *parallel})
 		if err == nil {
 			tab = entry.Table(setting, args, results)
 		}

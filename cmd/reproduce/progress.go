@@ -34,14 +34,11 @@ type progressTracker struct {
 }
 
 // jobWeight prices one job with the same estimator admission control
-// uses: the summed predicted processed-event counts over the setting's
-// flow-count sweep. Jobs differ in CCA mix and RTT spread, but the
-// event count is dominated by flows × rate × duration, which the
-// estimator captures — good enough to weight an ETA.
-func jobWeight(s core.Setting) int64 {
+// uses: the predicted processed-event counts summed over the plan the
+// job runs, so its RTTs, CCA mix, window and arrivals all count.
+func jobWeight(j job) int64 {
 	var total int64
-	for _, n := range s.FlowCounts {
-		cfg := s.Build(core.UniformFlows(n, "reno", core.DefaultRTT))
+	for _, cfg := range j.entry.Configs(j.setting, j.args) {
 		total += core.EstimateConfig(cfg).Processed
 	}
 	if total <= 0 {
@@ -61,7 +58,7 @@ func newProgressTracker(w io.Writer, jobs []job) *progressTracker {
 		stop:    make(chan struct{}),
 	}
 	for _, j := range jobs {
-		wt := jobWeight(j.setting)
+		wt := jobWeight(j)
 		pt.weights[j.name] = wt
 		pt.totalWeight += wt
 	}

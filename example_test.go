@@ -1,59 +1,41 @@
 package ccatscale_test
 
 import (
-	"context"
 	"fmt"
-	"time"
 
-	"ccatscale"
+	"ccatscale/internal/core"
+	"ccatscale/internal/metrics"
+	"ccatscale/internal/sim"
+	"ccatscale/internal/telemetry"
 )
 
 // ExampleJFI reproduces the fairness arithmetic of the paper's §5:
 // equal shares score 1, a single hog among ten flows scores 1/n.
 func ExampleJFI() {
-	equal := ccatscale.JFI([]float64{5, 5, 5, 5})
-	hog := ccatscale.JFI([]float64{100, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	equal := metrics.JFI([]float64{5, 5, 5, 5})
+	hog := metrics.JFI([]float64{100, 0, 0, 0, 0, 0, 0, 0, 0, 0})
 	fmt.Printf("equal: %.2f hog: %.2f\n", equal, hog)
 	// Output: equal: 1.00 hog: 0.10
-}
-
-// ExampleMathisPredict evaluates the Mathis model at the paper's
-// parameters: MSS 1448, 20 ms RTT, 1 % congestion-event rate.
-func ExampleMathisPredict() {
-	bps := ccatscale.MathisPredict(1.0, 1448, 20*time.Millisecond, 0.01)
-	fmt.Printf("%.0f bytes/sec\n", bps)
-	// Output: 724000 bytes/sec
 }
 
 // ExampleBurstiness contrasts periodic and clustered event streams,
 // the §4 loss-burstiness measurement.
 func ExampleBurstiness() {
-	periodic := ccatscale.Burstiness([]float64{0, 1, 2, 3, 4, 5})
-	bursty := ccatscale.Burstiness([]float64{0, 0.01, 0.02, 10, 10.01, 10.02, 20, 20.01, 20.02})
+	periodic := metrics.Burstiness([]float64{0, 1, 2, 3, 4, 5})
+	bursty := metrics.Burstiness([]float64{0, 0.01, 0.02, 10, 10.01, 10.02, 20, 20.01, 20.02})
 	fmt.Printf("periodic: %.0f bursty: %.2f\n", periodic, bursty)
 	// Output: periodic: -1 bursty: 0.27
 }
 
-// ExampleWareBBRShare shows the Ware et al. prediction the paper
-// validates in Figures 6–7: on a deep buffer, a cap-limited BBR
-// aggregate settles at a fixed link share regardless of how many
-// loss-based flows it faces.
-func ExampleWareBBRShare() {
-	fmt.Printf("deep buffer: %.0f%%\n", ccatscale.WareBBRShare(15)*100)
-	// Output: deep buffer: 50%
-}
-
-// ExampleRun executes a minimal deterministic experiment end to end
-// with the options-based API: the seed is typed (untransposable with
-// flow counts) and the call is context-first.
+// ExampleRun executes a minimal deterministic experiment end to end.
 func ExampleRun() {
-	setting := ccatscale.CoreScaleScaled(100) // 100 Mbps tier
-	setting.Warmup = 5e9
-	setting.Duration = 20e9
+	setting := core.CoreScaleScaled(100) // 100 Mbps tier
+	setting.Warmup = 5 * sim.Second
+	setting.Duration = 20 * sim.Second
 	cfg := setting.Build(
-		ccatscale.UniformFlows(4, "reno", 20*time.Millisecond),
-		ccatscale.WithSeed(1))
-	res, err := ccatscale.Run(context.Background(), cfg)
+		core.UniformFlows(4, "reno", 20*sim.Millisecond),
+		core.WithSeed(1))
+	res, err := core.Run(cfg)
 	if err != nil {
 		fmt.Println(err)
 		return
@@ -67,20 +49,21 @@ func ExampleRun() {
 // collector observes loss episodes without perturbing the simulation:
 // the run's results are bit-identical with or without it.
 func ExampleRun_telemetry() {
-	setting := ccatscale.CoreScaleScaled(100)
-	setting.Warmup = 5e9
-	setting.Duration = 20e9
-	cfg := setting.Build(
-		ccatscale.UniformFlows(4, "reno", 20*time.Millisecond),
-		ccatscale.WithSeed(1))
+	setting := core.CoreScaleScaled(100)
+	setting.Warmup = 5 * sim.Second
+	setting.Duration = 20 * sim.Second
 
 	var losses int
-	counter := ccatscale.CollectorFunc(func(ev ccatscale.Event) {
-		if ev.Kind == ccatscale.EventLoss {
+	counter := telemetry.CollectorFunc(func(ev telemetry.Event) {
+		if ev.Kind == telemetry.KindLoss {
 			losses++
 		}
 	})
-	res, err := ccatscale.Run(context.Background(), cfg, ccatscale.WithCollector(counter))
+	cfg := setting.Build(
+		core.UniformFlows(4, "reno", 20*sim.Millisecond),
+		core.WithSeed(1),
+		core.WithRunCollector(counter))
+	res, err := core.Run(cfg)
 	if err != nil {
 		fmt.Println(err)
 		return

@@ -7,7 +7,7 @@
 // OOM the process and take every sibling job down with it.
 //
 // The package sits below internal/core: core declares a Budget on a
-// RunConfig, runs admission control against the estimator in RunMany,
+// RunConfig, runs admission control against the estimator in RunManyCtx,
 // and converts in-flight breaches (checked from the engine's interrupt
 // hook) into replayable run errors carrying a Checkpoint of what
 // completed.

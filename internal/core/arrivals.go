@@ -145,9 +145,3 @@ func ChurnConfigs(s Setting, ccaName string, seed uint64) []RunConfig {
 	}
 	return cfgs
 }
-
-// ChurnSweep runs the flow-churn extension; each result's Arrivals holds
-// its load's completion times.
-func ChurnSweep(s Setting, ccaName string, seed uint64, parallelism int) ([]RunResult, error) {
-	return s.runMany(ChurnConfigs(s, ccaName, seed), parallelism)
-}

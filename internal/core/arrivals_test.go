@@ -298,17 +298,14 @@ func TestArrivalsAreGoverned(t *testing.T) {
 	}
 }
 
-// TestChurnSweepGoverned runs the front ends' sweep under strict audit
-// and with an injected panic: the first must report the table, the
-// second a replayable *RunError — the drill that was a no-op while churn
-// had its own harness.
+// TestChurnSweepGoverned runs the churn plan under strict audit and
+// with an injected panic: the first must report the table, the second a
+// replayable *RunError — the drill that was a no-op while churn had its
+// own harness.
 func TestChurnSweepGoverned(t *testing.T) {
 	s := faultSetting()
 	s.Audit = "strict"
-	rows, err := ChurnSweep(s, "reno", 7, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := runPlan(t, ChurnConfigs(s, "reno", 7), 3)
 	if len(rows) != len(ChurnLoads) {
 		t.Fatalf("%d rows, want %d", len(rows), len(ChurnLoads))
 	}
@@ -319,7 +316,7 @@ func TestChurnSweepGoverned(t *testing.T) {
 		}
 	}
 	s.FaultPanicAt = sim.Second
-	_, err = ChurnSweep(s, "reno", 7, 3)
+	_, err := RunManyCtx(context.Background(), ChurnConfigs(s, "reno", 7), SweepOptions{Parallelism: 3})
 	var re *RunError
 	if !errors.As(err, &re) || re.Reason != "panic" {
 		t.Fatalf("injected panic surfaced as %v", err)

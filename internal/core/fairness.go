@@ -37,17 +37,6 @@ func IntraCCAConfigs(s Setting, ccaName string, rtts []sim.Time, seed uint64) []
 	return cfgs
 }
 
-// IntraCCASweep runs the intra-CCA fairness experiment across the
-// setting's flow counts and the given RTTs (Figure 4 for BBR; Finding 4
-// for NewReno/Cubic).
-func IntraCCASweep(s Setting, ccaName string, rtts []sim.Time, seed uint64, parallelism int) ([]FairnessRow, error) {
-	results, err := s.runMany(IntraCCAConfigs(s, ccaName, rtts, seed), parallelism)
-	if err != nil {
-		return nil, err
-	}
-	return FairnessRows(s, rtts, results), nil
-}
-
 // InterCCAMode selects the competition pattern of an inter-CCA sweep.
 type InterCCAMode int
 
@@ -77,16 +66,6 @@ func InterCCAConfigs(s Setting, mode InterCCAMode, ccaA, ccaB string, rtts []sim
 		}
 	}
 	return cfgs
-}
-
-// InterCCASweep runs an inter-CCA fairness experiment across the
-// setting's flow counts and the given RTTs.
-func InterCCASweep(s Setting, mode InterCCAMode, ccaA, ccaB string, rtts []sim.Time, seed uint64, parallelism int) ([]FairnessRow, error) {
-	results, err := s.runMany(InterCCAConfigs(s, mode, ccaA, ccaB, rtts, seed), parallelism)
-	if err != nil {
-		return nil, err
-	}
-	return FairnessRows(s, rtts, results), nil
 }
 
 // FairnessRows analyzes the results of IntraCCAConfigs or

@@ -80,16 +80,6 @@ func BurstLossRows(s Setting, results []RunResult) []BurstRow {
 	return rows
 }
 
-// BurstLossSweep runs the burst-loss extension for every mean burst
-// length and returns one row per length.
-func BurstLossSweep(s Setting, seed uint64, parallelism int) ([]BurstRow, error) {
-	results, err := s.runMany(BurstLossConfigs(s, seed), parallelism)
-	if err != nil {
-		return nil, err
-	}
-	return BurstLossRows(s, results), nil
-}
-
 func burstAnalyze(setting string, blen float64, res RunResult) BurstRow {
 	row := BurstRow{
 		Setting:    setting,
@@ -213,13 +203,4 @@ func OutageRows(s Setting, results []RunResult) []OutageRow {
 		}
 	}
 	return rows
-}
-
-// OutageSweep runs the link-flap extension and returns its rows.
-func OutageSweep(s Setting, seed uint64, parallelism int) ([]OutageRow, error) {
-	results, err := s.runMany(OutageConfigs(s, seed), parallelism)
-	if err != nil {
-		return nil, err
-	}
-	return OutageRows(s, results), nil
 }

@@ -23,10 +23,8 @@ func faultSetting() Setting {
 }
 
 func TestBurstLossSweepModelBreakdown(t *testing.T) {
-	rows, err := BurstLossSweep(faultSetting(), 21, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := faultSetting()
+	rows := BurstLossRows(s, runPlan(t, BurstLossConfigs(s, 21), 3))
 	if len(rows) != len(BurstLens) {
 		t.Fatalf("%d rows, want %d", len(rows), len(BurstLens))
 	}
@@ -59,14 +57,9 @@ func TestBurstLossSweepModelBreakdown(t *testing.T) {
 }
 
 func TestBurstLossSweepDeterministic(t *testing.T) {
-	a, err := BurstLossSweep(faultSetting(), 5, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := BurstLossSweep(faultSetting(), 5, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := faultSetting()
+	a := BurstLossRows(s, runPlan(t, BurstLossConfigs(s, 5), 2))
+	b := BurstLossRows(s, runPlan(t, BurstLossConfigs(s, 5), 2))
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("row %d diverged under the same seed:\n%+v\n%+v", i, a[i], b[i])
@@ -75,10 +68,8 @@ func TestBurstLossSweepDeterministic(t *testing.T) {
 }
 
 func TestOutageSweepRecovery(t *testing.T) {
-	rows, err := OutageSweep(faultSetting(), 31, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := faultSetting()
+	rows := OutageRows(s, runPlan(t, OutageConfigs(s, 31), 4))
 	if len(rows) != len(OutageCCAs)*len(OutageDowns) {
 		t.Fatalf("%d rows, want %d", len(rows), len(OutageCCAs)*len(OutageDowns))
 	}

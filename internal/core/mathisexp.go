@@ -110,54 +110,3 @@ func MathisRows(s Setting, results []RunResult) []MathisRow {
 	}
 	return rows
 }
-
-// MathisSweep runs the §4 experiment (all NewReno, 20 ms RTT) for every
-// flow count of the setting and returns one row per count.
-func MathisSweep(s Setting, seed uint64, parallelism int) ([]MathisRow, error) {
-	results, err := s.runMany(MathisConfigs(s, seed), parallelism)
-	if err != nil {
-		return nil, err
-	}
-	return MathisRows(s, results), nil
-}
-
-// CrossSettingErrors evaluates Figure 2's headline comparison the way
-// the paper frames it: how well does a constant fitted in one place
-// predict throughput elsewhere? It fits C per interpretation on the
-// EdgeScale rows' samples and reports median errors on each CoreScale
-// run. (Within-setting errors are already in each MathisRow.)
-type CrossSettingErrors struct {
-	FlowCount      int
-	ErrLossEdgeC   float64 // CoreScale error using the EdgeScale loss-rate C
-	ErrHalveEdgeC  float64 // CoreScale error using the EdgeScale halving-rate C
-	EdgeCLoss      float64
-	EdgeCHalve     float64
-	MedianErrLossC float64 // CoreScale error with its own refit (= MathisRow value)
-}
-
-// CrossSettingAnalysis fits constants on an EdgeScale run and evaluates
-// them on each CoreScale run.
-func CrossSettingAnalysis(edge RunResult, core []RunResult, coreCounts []int) []CrossSettingErrors {
-	var cLossEdge, cHalveEdge float64
-	if fit, err := mathis.FitAndEvaluate(mathisSamples(edge, false)); err == nil {
-		cLossEdge = fit.C
-	}
-	if fit, err := mathis.FitAndEvaluate(mathisSamples(edge, true)); err == nil {
-		cHalveEdge = fit.C
-	}
-	out := make([]CrossSettingErrors, len(core))
-	for i, res := range core {
-		e := CrossSettingErrors{
-			FlowCount:  coreCounts[i],
-			EdgeCLoss:  cLossEdge,
-			EdgeCHalve: cHalveEdge,
-		}
-		e.ErrLossEdgeC = mathis.MedianError(cLossEdge, mathisSamples(res, false))
-		e.ErrHalveEdgeC = mathis.MedianError(cHalveEdge, mathisSamples(res, true))
-		if fit, err := mathis.FitAndEvaluate(mathisSamples(res, false)); err == nil {
-			e.MedianErrLossC = fit.MedianErr
-		}
-		out[i] = e
-	}
-	return out
-}

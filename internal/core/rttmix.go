@@ -94,13 +94,3 @@ func RTTMixRows(s Setting, ccaName string, short, long sim.Time, results []RunRe
 	}
 	return rows
 }
-
-// RTTMixSweep runs the mixed-RTT experiment for one CCA across the
-// setting's flow counts with the given RTT pair.
-func RTTMixSweep(s Setting, ccaName string, short, long sim.Time, seed uint64, parallelism int) ([]RTTMixRow, error) {
-	results, err := s.runMany(RTTMixConfigs(s, ccaName, short, long, seed), parallelism)
-	if err != nil {
-		return nil, err
-	}
-	return RTTMixRows(s, ccaName, short, long, results), nil
-}

@@ -58,10 +58,8 @@ func TestRTTMixSweepRenoShortRTTAdvantage(t *testing.T) {
 		Duration:   60 * sim.Second,
 		Stagger:    2 * sim.Second,
 	}
-	rows, err := RTTMixSweep(s, "reno", 20*sim.Millisecond, 100*sim.Millisecond, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	short, long := 20*sim.Millisecond, 100*sim.Millisecond
+	rows := RTTMixRows(s, "reno", short, long, runPlan(t, RTTMixConfigs(s, "reno", short, long, 1), 2))
 	row := rows[0]
 	if row.ShortShare <= 0.55 {
 		t.Fatalf("short-RTT share = %v; expected a clear RTT advantage", row.ShortShare)

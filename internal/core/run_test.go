@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -170,7 +171,7 @@ func TestRunManyOrderAndParallel(t *testing.T) {
 		s.Build(UniformFlows(4, "reno", DefaultRTT), WithSeed(Seed(2))),
 		s.Build(UniformFlows(6, "reno", DefaultRTT), WithSeed(Seed(3))),
 	}
-	res, err := RunMany(cfgs, 3)
+	res, err := RunManyCtx(context.Background(), cfgs, SweepOptions{Parallelism: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +181,7 @@ func TestRunManyOrderAndParallel(t *testing.T) {
 		}
 	}
 	// Parallel run must equal serial run (determinism preserved).
-	serial, err := RunMany(cfgs, 1)
+	serial, err := RunManyCtx(context.Background(), cfgs, SweepOptions{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +257,7 @@ func TestSettingPresets(t *testing.T) {
 }
 
 // TestRunManyPartialFailure is the regression test for the old
-// fail-fast RunMany: one bad config out of five must not discard the
+// fail-fast sweep: one bad config out of five must not discard the
 // four good results, and the joined error must name the failing index.
 func TestRunManyPartialFailure(t *testing.T) {
 	s := tinySetting()
@@ -271,9 +272,9 @@ func TestRunManyPartialFailure(t *testing.T) {
 	}
 	cfgs[3].Duration = -1 // invalid: fails validation inside Run
 
-	res, err := RunMany(cfgs, 2)
+	res, err := RunManyCtx(context.Background(), cfgs, SweepOptions{Parallelism: 2})
 	if err == nil {
-		t.Fatal("RunMany returned nil error with a failing config")
+		t.Fatal("RunManyCtx returned nil error with a failing config")
 	}
 	if !strings.Contains(err.Error(), "config 3") {
 		t.Fatalf("error does not name the failing index: %v", err)

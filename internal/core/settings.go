@@ -75,8 +75,9 @@ type Setting struct {
 	// DegradeTier (0 = full fidelity). Batch drivers bump it when
 	// retrying a sweep whose full-fidelity attempt breached its budget.
 	Fidelity int
-	// Retries is the reduced-fidelity retry allowance every sweep of the
-	// setting passes to RunManyCtx (0 = fail or reject on first breach).
+	// Retries is the reduced-fidelity retry allowance a batch driver
+	// passes to RunManyCtx for the setting's plans (0 = fail or reject on
+	// first breach).
 	Retries int
 }
 

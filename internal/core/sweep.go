@@ -37,9 +37,9 @@ type SweepOptions struct {
 // defaultRetryBackoff keeps retry storms apart without stalling tests.
 const defaultRetryBackoff = 50 * time.Millisecond
 
-// RunMany executes several runs concurrently (each run is internally
-// single-threaded and deterministic) and returns results in input
-// order.
+// RunManyCtx runs a plan: it executes several runs concurrently (each
+// run is internally single-threaded and deterministic) and returns
+// results in input order. Every table of the evaluation runs through it.
 //
 // Failures do not discard completed work: the returned slice always has
 // one entry per config, holding the result for every run that
@@ -48,17 +48,14 @@ const defaultRetryBackoff = 50 * time.Millisecond
 // index. The semaphore is taken before each goroutine is spawned, so a
 // 10k-config sweep keeps at most parallelism goroutines in flight
 // instead of materializing all 10k up front.
-func RunMany(cfgs []RunConfig, parallelism int) ([]RunResult, error) {
-	return RunManyCtx(context.Background(), cfgs, SweepOptions{Parallelism: parallelism})
-}
-
-// RunManyCtx is RunMany with governance: context cancellation stops
-// queued configs (each skipped config's error is its ctx.Err, tagged
-// with the config index; already-running simulations finish), a sweep
-// budget gates admission (configs whose estimated footprint exceeds it
-// are rejected with a structured *budget.BudgetError instead of running
-// and OOMing siblings), and retryable failures re-run at reduced
-// fidelity tiers with exponential backoff.
+//
+// Governance: context cancellation stops queued configs (each skipped
+// config's error is its ctx.Err, tagged with the config index;
+// already-running simulations finish), a sweep budget gates admission
+// (configs whose estimated footprint exceeds it are rejected with a
+// structured *budget.BudgetError instead of running and OOMing
+// siblings), and retryable failures re-run at reduced fidelity tiers
+// with exponential backoff.
 func RunManyCtx(ctx context.Context, cfgs []RunConfig, opt SweepOptions) ([]RunResult, error) {
 	parallelism := opt.Parallelism
 	if parallelism <= 0 {
@@ -128,19 +125,6 @@ func RunManyCtx(ctx context.Context, cfgs []RunConfig, opt SweepOptions) ([]RunR
 	}
 	wg.Wait()
 	return results, errors.Join(errs...)
-}
-
-// runMany is how the *Sweep functions run their plan: it forwards the
-// setting's retry allowance so every figure sweep inherits governance
-// (admission degradation and reduced-fidelity retries) without changing
-// its signature. Budgets already ride on each RunConfig via
-// Setting.Build. A driver that needs a context, a collector or the runs'
-// usage calls RunManyCtx on the plan itself.
-func (s Setting) runMany(cfgs []RunConfig, parallelism int) ([]RunResult, error) {
-	return RunManyCtx(context.Background(), cfgs, SweepOptions{
-		Parallelism: parallelism,
-		Retries:     s.Retries,
-	})
 }
 
 // runWithRetry executes one config, retrying retryable failures at

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -21,11 +22,21 @@ func sweepSetting() Setting {
 	}
 }
 
-func TestMathisSweepProducesRows(t *testing.T) {
-	rows, err := MathisSweep(sweepSetting(), 1, 2)
+// runPlan runs a plan the one way every table runs, through RunManyCtx,
+// and fails the test on any run's error; the caller applies the plan's
+// *Rows analysis.
+func runPlan(t *testing.T, cfgs []RunConfig, parallelism int) []RunResult {
+	t.Helper()
+	results, err := RunManyCtx(context.Background(), cfgs, SweepOptions{Parallelism: parallelism})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return results
+}
+
+func TestMathisSweepProducesRows(t *testing.T) {
+	s := sweepSetting()
+	rows := MathisRows(s, runPlan(t, MathisConfigs(s, 1), 2))
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d, want 2", len(rows))
 	}
@@ -62,10 +73,7 @@ func TestMathisAnalyzeEmptyRun(t *testing.T) {
 func TestIntraCCASweepShape(t *testing.T) {
 	s := sweepSetting()
 	rtts := []sim.Time{20 * sim.Millisecond, 100 * sim.Millisecond}
-	rows, err := IntraCCASweep(s, "reno", rtts, 1, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := FairnessRows(s, rtts, runPlan(t, IntraCCAConfigs(s, "reno", rtts, 1), 4))
 	if len(rows) != len(rtts)*len(s.FlowCounts) {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -84,10 +92,7 @@ func TestInterCCASweepModes(t *testing.T) {
 	s.FlowCounts = []int{6}
 	rtts := []sim.Time{20 * sim.Millisecond}
 
-	eq, err := InterCCASweep(s, EqualSplit, "cubic", "reno", rtts, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eq := FairnessRows(s, rtts, runPlan(t, InterCCAConfigs(s, EqualSplit, "cubic", "reno", rtts, 1), 2))
 	if got := eq[0].Share["cubic"] + eq[0].Share["reno"]; got < 0.999 {
 		t.Fatalf("shares sum = %v", got)
 	}
@@ -97,10 +102,7 @@ func TestInterCCASweepModes(t *testing.T) {
 	// 10 s filter expires), so the one-vs-many check uses a longer
 	// window than the quick sweeps above.
 	s.Duration = 90 * sim.Second
-	ovm, err := InterCCASweep(s, OneVersusMany, "bbr", "reno", rtts, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ovm := FairnessRows(s, rtts, runPlan(t, InterCCAConfigs(s, OneVersusMany, "bbr", "reno", rtts, 1), 2))
 	if ovm[0].Share["bbr"] <= 0 {
 		t.Fatalf("loner got nothing: %v", ovm[0].Share)
 	}
@@ -108,29 +110,6 @@ func TestInterCCASweepModes(t *testing.T) {
 	// (the paper's Finding 6 direction) in this deep-buffer setting.
 	if ovm[0].Share["bbr"] < 1.0/6 {
 		t.Fatalf("bbr share %v below fair share", ovm[0].Share["bbr"])
-	}
-}
-
-func TestCrossSettingAnalysis(t *testing.T) {
-	s := sweepSetting()
-	edgeRes, err := Run(s.Build(UniformFlows(8, "reno", DefaultRTT), WithSeed(Seed(1))))
-	if err != nil {
-		t.Fatal(err)
-	}
-	coreRes, err := Run(s.Build(UniformFlows(4, "reno", DefaultRTT), WithSeed(Seed(2))))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := CrossSettingAnalysis(edgeRes, []RunResult{coreRes}, []int{4})
-	if len(rows) != 1 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	r := rows[0]
-	if r.EdgeCLoss <= 0 || r.EdgeCHalve <= 0 {
-		t.Fatalf("edge constants missing: %+v", r)
-	}
-	if r.ErrLossEdgeC < 0 || r.ErrHalveEdgeC < 0 {
-		t.Fatalf("negative errors: %+v", r)
 	}
 }
 

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -66,7 +67,7 @@ func TestCatalogGolden(t *testing.T) {
 		if !ok {
 			t.Fatalf("Lookup(%q) failed", c.entry)
 		}
-		results, err := core.RunMany(e.Configs(s, c.args), 2)
+		results, err := core.RunManyCtx(context.Background(), e.Configs(s, c.args), core.SweepOptions{Parallelism: 2})
 		if err != nil {
 			t.Fatalf("%s: %v", c.cmd, err)
 		}

@@ -133,11 +133,3 @@ func Throughput(n ByteCount, d sim.Time) Bandwidth {
 	}
 	return Bandwidth(q)
 }
-
-// Packets returns how many MSS-sized segments cover n bytes, rounding up.
-func Packets(n ByteCount) int64 {
-	if n <= 0 {
-		return 0
-	}
-	return (int64(n) + int64(MSS) - 1) / int64(MSS)
-}

@@ -137,20 +137,6 @@ func TestRateIsRespectedOverManyPackets(t *testing.T) {
 	}
 }
 
-func TestPackets(t *testing.T) {
-	cases := []struct {
-		n    ByteCount
-		want int64
-	}{
-		{0, 0}, {1, 1}, {MSS, 1}, {MSS + 1, 2}, {10 * MSS, 10}, {-5, 0},
-	}
-	for _, c := range cases {
-		if got := Packets(c.n); got != c.want {
-			t.Errorf("Packets(%d) = %d, want %d", c.n, got, c.want)
-		}
-	}
-}
-
 func TestBytesPerSec(t *testing.T) {
 	if got := (8 * MbitPerSec).BytesPerSec(); got != 1e6 {
 		t.Fatalf("BytesPerSec = %v, want 1e6", got)
