@@ -239,12 +239,12 @@ func runCustom(s core.Setting, spec string, seed uint64) (*report.Table, error) 
 	return flowTable(title, res), nil
 }
 
-// runReplay re-executes a failed run from the JSON failure record the
-// reproduce sweep writes next to its results. A deterministic failure
+// runReplay re-executes a failed run from the JSON failure record
+// (<key>.failed.json) that reproduce and ccserve park beside the store. A deterministic failure
 // reproduces exactly; a repaired one yields the per-flow table.
 func runReplay(stderr io.Writer, path string) (*report.Table, error) {
 	if path == "" {
-		return nil, fmt.Errorf("replay needs -in <job>.failed.json")
+		return nil, fmt.Errorf("replay needs -in <key>.failed.json")
 	}
 	f, err := os.Open(path)
 	if err != nil {
@@ -316,7 +316,7 @@ experiments:
 	}
 	fmt.Fprint(w, `  run         one custom run of -flows 4xbbr@20ms,4xreno@20ms
   timeseries  per-CCA goodput series of a custom run (-flows), as CSV
-  replay      re-execute a failed run from its failure record: -in <job>.failed.json
+  replay      re-execute a failed run from its failure record: -in <key>.failed.json
 
 CCAs: reno, cubic, bbr, vegas, bbr2 (vegas and bbr2 extend beyond the
 paper's three measured algorithms).

@@ -353,7 +353,7 @@ func (s *server) dispatch(ctx context.Context, w *worker, j *job, slot int, dead
 	if w.err != nil {
 		desc = w.err.Error()
 	}
-	if err := s.leases.ReleaseOwned(store.SlotName(j.spec.Name, slot), owner); err != nil {
+	if err := s.Leases.ReleaseOwned(store.SlotName(j.spec.Name, slot), owner); err != nil {
 		fmt.Fprintf(s.cfg.stderr, "ccserve: releasing dead worker %d lease: %v\n", w.proc.Pid, err)
 	}
 	return spawnRes{err: fmt.Errorf("worker pid %d: %s", w.proc.Pid, desc)}, false

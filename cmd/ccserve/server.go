@@ -14,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"ccatscale/internal/attempt"
 	"ccatscale/internal/budget"
 	"ccatscale/internal/schema"
 	"ccatscale/internal/store"
@@ -112,9 +113,9 @@ var errBootCanceled = errors.New("ccserve: boot interrupted by shutdown signal; 
 // server is the simulation-as-a-service process state.
 type server struct {
 	cfg serverConfig
-	// attemptEnv is the server's own store and lease handles — what
-	// admission consults, and what an -inprocess attempt runs on.
-	attemptEnv
+	// Env is the server's own store and lease handles — what admission
+	// consults, and what an -inprocess attempt runs on.
+	attempt.Env
 	jnl   *store.Journal
 	lease *store.Lease // the singleton
 	pool  *budget.Pool
@@ -166,9 +167,9 @@ func newServer(cfg serverConfig) (*server, error) {
 
 	s := &server{
 		cfg: cfg,
-		attemptEnv: attemptEnv{
-			out: cfg.out, fsys: fsys, leases: leases, st: st, stderr: cfg.stderr,
-			retries: cfg.retries, heartbeat: cfg.leaseHeartbeat,
+		Env: attempt.Env{
+			Out: cfg.out, FS: fsys, Leases: leases, Store: st, Stderr: cfg.stderr,
+			Retries: cfg.retries, Heartbeat: cfg.leaseHeartbeat,
 		},
 		lease:    single,
 		pool:     budget.NewPool(cfg.queueBudget, cfg.slots, cfg.workers),
@@ -523,7 +524,7 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 				continue
 			}
 		}
-		if s.st.Has(b.key) {
+		if s.Store.Has(b.key) {
 			disp[i] = dispCached
 			continue
 		}
@@ -875,7 +876,7 @@ func (s *server) runJob(r *runner, j *job) {
 	// store commit and journal commit, the recomputation would be
 	// wasted work and a duplicate OpDone. This check is what keeps
 	// "at most one OpDone per key" an invariant instead of a hope.
-	if s.st.Has(j.key) {
+	if s.Store.Has(j.key) {
 		s.mu.Lock()
 		s.jobDone(j, schema.WorkerOutcome{Cached: true})
 		s.mu.Unlock()
@@ -913,7 +914,7 @@ func (s *server) runJob(r *runner, j *job) {
 		if f != nil {
 			res = s.fleetAttempt(r, j, deadline)
 		} else {
-			o := attempt(s.runCtx, s.attemptEnv, j, 0, deadline,
+			o := runAttempt(s.runCtx, s.Env, j, 0, deadline,
 				telemetry.Multi(s.reg.Instrument(), s.subscriberCollector(j)))
 			res.outcome = &o
 		}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"os/signal"
@@ -12,6 +11,7 @@ import (
 	"syscall"
 	"time"
 
+	"ccatscale/internal/attempt"
 	"ccatscale/internal/core"
 	"ccatscale/internal/experiments"
 	"ccatscale/internal/schema"
@@ -31,10 +31,10 @@ import (
 // The shell owns what only a process has and sets it up once: the
 // SIGTERM context, the RLIMIT_AS ceiling (the first payload's) and the
 // store handle. Per job it builds the lease space under that dispatch's
-// owner, and hands the rest to attempt, the same code an -inprocess
-// server calls directly. The one thing neither touches is the journal:
-// journaling is the supervisor's job, keeping the
-// single-writer-per-segment discipline intact. before, when non-nil,
+// owner, and hands the rest to the shared attempt (internal/attempt),
+// the same code an -inprocess server calls. The one thing neither
+// touches is the journal: journaling is the supervisor's job, keeping
+// the single-writer-per-segment discipline intact. before, when non-nil,
 // runs ahead of each job with the stop context: the tests' fault hooks.
 //
 // Exit codes: 0 = stdin ended or the stop signal came, and every job
@@ -75,7 +75,7 @@ func workerRun(fsys store.FS, stdin io.Reader, stdout, stderr io.Writer, before 
 	)
 	one := func(wj schema.WorkerJob) schema.WorkerOutcome {
 		if err := wj.Spec.Validate(); err != nil {
-			return failedOutcome("spec: " + err.Error())
+			return attempt.Failed("spec: " + err.Error())
 		}
 		// The memory ceiling goes on before the first job's first big
 		// allocation and stays for the process's life: from here, a
@@ -89,31 +89,31 @@ func workerRun(fsys store.FS, stdin io.Reader, stdout, stderr io.Writer, before 
 		}
 		j, err := buildJob(wj.Spec)
 		if err != nil {
-			return failedOutcome("spec: " + err.Error())
+			return attempt.Failed("spec: " + err.Error())
 		}
 		if wj.Key != "" && j.key != wj.Key {
 			// Supervisor and worker disagree on the job's identity (version
 			// skew across a re-exec?): running would commit under the wrong
 			// address. Refuse as a failure, not a crash — respawning cannot
 			// fix a disagreement.
-			return failedOutcome(fmt.Sprintf("key mismatch: supervisor says %s, spec hashes to %s", wj.Key, j.key))
+			return attempt.Failed(fmt.Sprintf("key mismatch: supervisor says %s, spec hashes to %s", wj.Key, j.key))
 		}
 		ttl := msToDuration(wj.LeaseTTLMs, 30*time.Second)
 		leases, err := store.NewLeasesFS(fsys, wj.Out, wj.Owner, ttl)
 		if err != nil {
-			return failedOutcome("leases: " + err.Error())
+			return attempt.Failed("leases: " + err.Error())
 		}
 		if dir := filepath.Join(wj.Out, "store"); st == nil || st.Dir() != dir {
 			if st, err = store.OpenFS(dir, fsys); err != nil {
-				return failedOutcome("store: " + err.Error())
+				return attempt.Failed("store: " + err.Error())
 			}
 		}
-		env := attemptEnv{
-			out: wj.Out, fsys: fsys, leases: leases, st: st, stderr: stderr,
-			retries:   wj.Retries,
-			heartbeat: msToDuration(wj.HeartbeatMs, store.DefaultHeartbeat(ttl)),
+		env := attempt.Env{
+			Out: wj.Out, FS: fsys, Leases: leases, Store: st, Stderr: stderr,
+			Retries:   wj.Retries,
+			Heartbeat: msToDuration(wj.HeartbeatMs, store.DefaultHeartbeat(ttl)),
 		}
-		return attempt(sigCtx, env, j, wj.Slot, msToDuration(wj.DeadlineMs, 15*time.Second), nil)
+		return runAttempt(sigCtx, env, j, wj.Slot, msToDuration(wj.DeadlineMs, 15*time.Second), nil)
 	}
 
 	for {
@@ -153,104 +153,19 @@ func workerRun(fsys store.FS, stdin io.Reader, stdout, stderr io.Writer, before 
 	}
 }
 
-// attemptEnv is where an attempt runs: the open handles and lease
-// cadence of the process it is in — a worker's own, or the server's.
-type attemptEnv struct {
-	// out is the output directory; <key>.failed.json is parked there.
-	out       string
-	fsys      store.FS
-	leases    *store.Leases
-	st        *store.Store
-	retries   int
-	heartbeat time.Duration
-	stderr    io.Writer
-}
-
-func failedOutcome(msg string) schema.WorkerOutcome {
-	return schema.WorkerOutcome{SchemaVersion: schema.Version, State: schema.WorkerFailed, Error: msg}
-}
-
-// attempt is one execution of a job, the same in a worker subprocess
-// and in an -inprocess server: claim the hedge slot's lease, serve from
-// the store when the result already exists, otherwise run under the
-// deadline with the lease kept alive and commit through the store's
-// idempotent Put — so a SIGKILL at any instant leaves nothing a reboot
-// (or a hedge twin) cannot reconcile. ctx is the stop signal (SIGTERM
-// in a worker, the server's run context in-process): when it ends the
-// attempt checkpoints, whether it was running or still waiting for the
-// lease. coll, when non-nil, observes the run.
-func attempt(ctx context.Context, env attemptEnv, j *job, slot int, deadline time.Duration, coll telemetry.Collector) schema.WorkerOutcome {
-	done := schema.WorkerOutcome{SchemaVersion: schema.Version, State: schema.WorkerDone}
-	checkpoint := schema.WorkerOutcome{SchemaVersion: schema.Version, State: schema.WorkerCheckpoint}
-
-	// Claim this attempt's hedge slot, waiting out a stale predecessor
-	// (the supervisor usually cleans those up first, but a whole-fleet
-	// crash can leave young leases only the TTL clears).
-	waitCtx, cancelWait := context.WithTimeout(ctx, deadline)
-	lease, err := env.leases.AcquireWait(waitCtx, store.SlotName(j.spec.Name, slot), env.heartbeat)
-	cancelWait()
-	if err != nil {
-		if ctx.Err() != nil && errors.Is(err, store.ErrLeaseHeld) {
-			return checkpoint
-		}
-		return failedOutcome("lease: " + err.Error())
-	}
-	defer lease.Release()
-
-	// Serve from the store before computing: a crashed predecessor (or
-	// the hedge twin) may already have committed this key.
-	if env.st.Has(j.key) {
-		done.Cached = true
-		return done
-	}
-
-	// Losing the lease (this process stalled past the TTL and another
-	// claimant took the slot) cancels the run.
-	runCtx, cancelRun := context.WithTimeout(ctx, deadline)
-	defer cancelRun()
-	stopBeat := lease.KeepAlive(env.heartbeat, cancelRun)
-	defer stopBeat()
-
+// runAttempt is one execution of j through the shared attempt, the
+// same in a worker subprocess and in an -inprocess server: the hedge
+// slot's lease, j's key, and the per-run table as the stored payload.
+// coll, when non-nil, observes the run.
+func runAttempt(ctx context.Context, env attempt.Env, j *job, slot int, deadline time.Duration, coll telemetry.Collector) schema.WorkerOutcome {
 	cfg := j.config()
 	cfg.Collector = coll
-	start := time.Now()
-	results, err := core.RunManyCtx(runCtx, []core.RunConfig{cfg}, core.SweepOptions{
-		Parallelism: 1,
-		Retries:     env.retries,
+	o, _ := attempt.Run(ctx, env, store.SlotName(j.spec.Name, slot), j.key, cfg, deadline, func(res core.RunResult) ([]byte, error) {
+		var buf bytes.Buffer
+		err := experiments.RunTable(j.spec.Name, res).WriteJSON(&buf)
+		return buf.Bytes(), err
 	})
-	stopBeat()
-	wall := time.Since(start)
-
-	if err == nil {
-		var buf bytes.Buffer
-		if err = experiments.RunTable(j.spec.Name, results[0]).WriteJSON(&buf); err == nil {
-			err = env.st.Put(j.key, buf.Bytes())
-		}
-	}
-	if err == nil {
-		done.WallMs = float64(wall.Microseconds()) / 1000
-		return done
-	}
-	var re *core.RunError
-	isRunError := errors.As(err, &re)
-	if ctx.Err() != nil && (errors.Is(err, context.Canceled) || isRunError && re.Canceled()) {
-		// Stopped mid-run: the store stayed untouched, the supervisor's
-		// pending journal records stand, the job re-runs verbatim.
-		return checkpoint
-	}
-	// Park a replayable failure record beside the store so the failure —
-	// or the quarantine it adds up to — can be debugged offline
-	// (`ccatscale replay -in`).
-	if isRunError {
-		var buf bytes.Buffer
-		if werr := re.WriteJSON(&buf); werr == nil {
-			path := filepath.Join(env.out, j.key+".failed.json")
-			if werr := store.WriteFileAtomicFS(env.fsys, path, buf.Bytes()); werr != nil {
-				fmt.Fprintf(env.stderr, "ccserve: writing %s: %v\n", path, werr)
-			}
-		}
-	}
-	return failedOutcome(err.Error())
+	return o
 }
 
 // msToDuration converts a schema millisecond field, falling back when

@@ -18,10 +18,9 @@
 //	                       result store: one sha256 over every record's
 //	                       key and CRC-verified payload, in key order.
 //	                       Two stores fingerprint equal iff they hold
-//	                       byte-identical results — the check the
-//	                       crash-injection CI smoke uses to prove a
-//	                       killed-and-resumed sweep equals an
-//	                       uninterrupted one.
+//	                       byte-identical results — the check the CI
+//	                       serve smoke uses to prove fleet and
+//	                       in-process ccserve stores identical.
 //	fprint -viascenario    rebuild every base-matrix config through a
 //	                       scenario document (encode → parse → compile)
 //	                       before running it; the output must be a

@@ -23,8 +23,8 @@ import (
 //
 // The kill is a real os.Exit(137) — the same observable behavior as
 // kill -9 — so the CI smoke can crash a live sweep at a seeded point,
-// resume it, and prove the recovered output byte-identical to an
-// uninterrupted run.
+// run the same command again, and prove the recovered tables
+// byte-identical to an uninterrupted run's.
 func sweepFS() store.FS {
 	kill, err := parseChaosEnv("CCATSCALE_CHAOS_KILL", 0)
 	if err != nil {

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -53,18 +52,15 @@ func testJob(entry string, a experiments.Args) job {
 
 // TestMathisTableDeterministic is the repeatability regression: the
 // same seed must yield byte-identical table text, or every "reproduce"
-// claim in EXPERIMENTS.md is void.
+// claim in EXPERIMENTS.md is void. Each sweep computes its runs into a
+// store of its own.
 func TestMathisTableDeterministic(t *testing.T) {
 	render := func() string {
-		tab, _, err := runJob(context.Background(), testJob("mathis", experiments.Args{Seed: 17}), core.SweepOptions{Parallelism: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := tab.WriteText(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String()
+		dir := t.TempDir()
+		sw := newTestSweep(t, dir, store.OSFS())
+		sw.parallel = 2
+		runTestJobs(sw, testJob("mathis", experiments.Args{Seed: 17}))
+		return tableBody(t, filepath.Join(dir, "mathis.txt"))
 	}
 	a, b := render(), render()
 	if a != b {
@@ -77,147 +73,120 @@ func TestMathisTableDeterministic(t *testing.T) {
 
 func TestManifestRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	m := newManifest(7, 10, true, "cafe")
-	m.Jobs["fig4_edge"] = &jobRecord{Status: "done", File: "fig4_edge.txt", Wall: "1s"}
-	m.Jobs["fig5_core"] = &jobRecord{Status: "failed", Error: "boom", FailureFile: "fig5_core.failed.json"}
-	if err := m.save(dir); err != nil {
+	m := newManifest(7, 10, true)
+	m.Jobs["fig4_edge"] = &jobRecord{Status: "done", File: "fig4_edge.txt", Wall: "1s", Runs: []string{"run1-aa", "run1-bb"}, Cached: 1}
+	m.Jobs["fig5_core"] = &jobRecord{Status: "failed", Error: "boom", FailureFile: "run1-cc.failed.json"}
+	if err := m.save(store.OSFS(), dir); err != nil {
 		t.Fatal(err)
 	}
-	got, err := loadManifest(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got == nil {
-		t.Fatal("saved manifest not found")
-	}
-	if got.Seed != 7 || got.Scale != 10 || !got.Quick || got.ConfigHash != "cafe" {
+	got := loadManifest(t, dir)
+	if got.Version != manifestVersion || got.Seed != 7 || got.Scale != 10 || !got.Quick {
 		t.Fatalf("parameters did not round-trip: %+v", got)
 	}
-	if rec := got.Jobs["fig5_core"]; rec == nil || rec.Status != "failed" || rec.Error != "boom" {
+	if rec := got.Jobs["fig5_core"]; rec == nil || rec.Status != "failed" || rec.Error != "boom" || rec.FailureFile != "run1-cc.failed.json" {
 		t.Fatalf("failed job record did not round-trip: %+v", rec)
 	}
-
-	// done() requires both the manifest entry and the output file.
-	if m.done(dir, "fig4_edge") {
-		t.Fatal("done with no output file on disk")
-	}
-	if err := os.WriteFile(filepath.Join(dir, "fig4_edge.txt"), []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if !m.done(dir, "fig4_edge") {
-		t.Fatal("not done despite record + file")
-	}
-	if m.done(dir, "fig5_core") {
-		t.Fatal("failed job reported done")
-	}
-	if m.done(dir, "no_such_job") {
-		t.Fatal("unknown job reported done")
+	if rec := got.Jobs["fig4_edge"]; rec == nil || !slices.Equal(rec.Runs, []string{"run1-aa", "run1-bb"}) || rec.Cached != 1 {
+		t.Fatalf("done job record did not round-trip: %+v", rec)
 	}
 }
 
+// TestManifestAbsent: the manifest is a view of the jobs an invocation
+// ran; one that ran none writes none.
 func TestManifestAbsent(t *testing.T) {
-	m, err := loadManifest(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
+	dir := t.TempDir()
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-out", dir, "-only", "^none$"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit = %d\nstderr:\n%s", code, &stderr)
 	}
-	if m != nil {
-		t.Fatalf("manifest from empty dir: %+v", m)
-	}
-}
-
-func TestManifestCompatible(t *testing.T) {
-	m := newManifest(7, 10, false, "cafe")
-	if err := m.compatible(7, 10, false, "cafe"); err != nil {
-		t.Fatalf("matching params rejected: %v", err)
-	}
-	for _, tc := range []struct {
-		seed  uint64
-		scale int
-		quick bool
-	}{
-		{8, 10, false}, {7, 20, false}, {7, 10, true},
-	} {
-		if err := m.compatible(tc.seed, tc.scale, tc.quick, "cafe"); err == nil {
-			t.Fatalf("mismatched params %+v accepted", tc)
-		}
-	}
-	// A changed job set (same sweep parameters) is stale, not
-	// incompatible: the message steers to a fresh directory or -force.
-	err := m.compatible(7, 10, false, "beef")
-	if err == nil || !strings.Contains(err.Error(), "manifest is stale") {
-		t.Fatalf("stale hash error = %v, want 'manifest is stale'", err)
+	if _, err := os.Stat(filepath.Join(dir, manifestFile)); !os.IsNotExist(err) {
+		t.Fatalf("a sweep that ran nothing wrote a manifest (%v)", err)
 	}
 }
 
-// TestConfigHashIgnoresGovernance: budget/retry/fidelity knobs steer how
-// an experiment executes, not what it measures — changing them between a
-// run and its resume must not invalidate the manifest.
-func TestConfigHashIgnoresGovernance(t *testing.T) {
-	s := testSetting()
-	jobs := []job{{name: "j", setting: s}}
-	base := configHash(7, 10, false, jobs)
-
-	s2 := s
-	s2.Budget = &budget.Budget{HeapBytes: 1 << 30}
-	s2.Retries = 3
-	s2.Fidelity = 2
-	s2.WallLimit = time.Minute
-	if h := configHash(7, 10, false, []job{{name: "j", setting: s2}}); h != base {
-		t.Fatal("governance knobs changed the config hash")
-	}
-
-	s3 := s
-	s3.Duration *= 2
-	if h := configHash(7, 10, false, []job{{name: "j", setting: s3}}); h == base {
-		t.Fatal("changed duration did not change the config hash")
-	}
-	if h := configHash(8, 10, false, jobs); h == base {
-		t.Fatal("changed seed did not change the config hash")
-	}
-	if h := configHash(7, 10, false, []job{{name: "k", setting: s}}); h == base {
-		t.Fatal("renamed job did not change the config hash")
-	}
-}
-
-// TestConfigHashFollowsTheTable: result keys do not see a table's
-// columns and the store keeps the first commit, so a resume across a
-// changed header row or row set must be refused as stale — one renamed
-// column or a different RTT set moves the hash, the retry allowance still
-// does not.
-func TestConfigHashFollowsTheTable(t *testing.T) {
+// TestTablesFollowTheirEntry: tables are rendered from the stored runs on
+// every invocation, so a changed header row — or any other change to an
+// entry's table — shows at once, with the runs served, not computed.
+func TestTablesFollowTheirEntry(t *testing.T) {
+	dir := t.TempDir()
 	j := testJob("mathis", experiments.Args{Seed: 7})
-	base := configHash(7, 10, false, []job{j})
-
+	runTestJobs(newTestSweep(t, dir, store.OSFS()), j)
 	renamed := j
-	renamed.entry.Headers = append([]string(nil), j.entry.Headers...)
-	renamed.entry.Headers[2] = "C(drop)"
-	if configHash(7, 10, false, []job{renamed}) == base {
-		t.Fatal("a renamed column did not change the config hash")
+	renamed.entry.Table = func(s core.Setting, a experiments.Args, results []core.RunResult) *report.Table {
+		tab := j.entry.Table(s, a, results)
+		tab.Headers[2] = "C(drop)"
+		return tab
 	}
-	other := j
-	other.entry.Name = "fig4"
-	if configHash(7, 10, false, []job{other}) == base {
-		t.Fatal("a different catalog entry under the same job name did not change the config hash")
+	sw := newTestSweep(t, dir, store.OSFS())
+	runTestJobs(sw, renamed)
+	if rec := sw.man.Jobs["mathis"]; rec == nil || rec.Status != "done" || rec.Cached != len(rec.Runs) {
+		t.Fatalf("rerender computed runs: %+v", rec)
 	}
-	oneRTT := j
-	oneRTT.args.RTTs = core.RTTs[:1]
-	if configHash(7, 10, false, []job{oneRTT}) == base {
-		t.Fatal("a different RTT set did not change the config hash")
-	}
-	retried := j
-	retried.setting.Retries = 2
-	if configHash(7, 10, false, []job{retried}) != base {
-		t.Fatal("-retries changed the config hash")
+	if body := tableBody(t, filepath.Join(dir, "mathis.txt")); !strings.Contains(body, "C(drop)") {
+		t.Fatalf("table kept the old header row:\n%s", body)
 	}
 }
 
-// TestJobNamesAndKeysGolden pins the sweep's 15 job names and the store
-// keys their results are filed under, at the default flags and at the CI
-// smoke's; a name or key that moves orphans every stored result.
-// testdata/jobkeys.golden was rewritten once, on purpose, when the four
-// Mathis views became one job per regime, Finding 4 took its result
-// files' names, and each entry's declared window entered its job's
-// setting and therefore its key (-update regenerates it).
+// storeMathis runs a two-config mathis job into dir and returns it, so a
+// test can rerun an altered copy over the same stored runs.
+func storeMathis(t *testing.T, dir string) job {
+	j := testJob("mathis", experiments.Args{Seed: 7})
+	j.setting.FlowCounts = []int{2, 3}
+	runTestJobs(newTestSweep(t, dir, store.OSFS()), j)
+	return j
+}
+
+// rerunServes reruns j into dir and checks its record served exactly
+// cached runs from the store and computed the rest.
+func rerunServes(t *testing.T, dir, label string, j job, cached int) {
+	t.Helper()
+	sw := newTestSweep(t, dir, store.OSFS())
+	runTestJobs(sw, j)
+	if rec := sw.man.Jobs["mathis"]; rec == nil || rec.Status != "done" || rec.Cached != cached {
+		t.Errorf("%s plan: record %+v, want %d runs served", label, rec, cached)
+	}
+}
+
+// TestResumeRefusesMismatchedParams guards against silently mixing runs
+// from different seeds or windows in one output directory: a run's key
+// is its own config, so a rerun with another seed or a longer window is
+// served none of the stored runs and computes every one.
+func TestResumeRefusesMismatchedParams(t *testing.T) {
+	dir := t.TempDir()
+	j := storeMathis(t, dir)
+	reseeded := j
+	reseeded.args.Seed = 8
+	longer := j
+	longer.setting.Duration *= 2
+	rerunServes(t, dir, "reseeded", reseeded, 0)
+	rerunServes(t, dir, "longer", longer, 0)
+}
+
+// TestResumeRefusesStaleJobSet: the experiment definitions changed under
+// the output directory. A run's key is not its job's name or its place
+// in the plan, so an edited plan — its configs reordered, one of them
+// changed — is served exactly the runs it shares with the store.
+func TestResumeRefusesStaleJobSet(t *testing.T) {
+	dir := t.TempDir()
+	j := storeMathis(t, dir)
+	reordered := j
+	reordered.entry.Configs = func(s core.Setting, a experiments.Args) []core.RunConfig {
+		cfgs := j.entry.Configs(s, a)
+		slices.Reverse(cfgs)
+		return cfgs
+	}
+	edited := j
+	edited.setting.FlowCounts = []int{2, 4}
+	rerunServes(t, dir, "reordered", reordered, 2)
+	rerunServes(t, dir, "edited", edited, 1)
+}
+
+// TestJobNamesAndKeysGolden pins the sweep's 15 job names and, per job,
+// the ordered keys of the runs its table is rendered from, at the
+// default flags and at the CI smoke's; a key that moves orphans every
+// stored run. testdata/jobkeys.golden was rewritten when each entry's
+// declared window entered its job's setting, and again when the unit
+// of work became the run (-update regenerates it).
 func TestJobNamesAndKeysGolden(t *testing.T) {
 	var got bytes.Buffer
 	for _, tier := range []struct {
@@ -234,11 +203,15 @@ func TestJobNamesAndKeysGolden(t *testing.T) {
 		}
 		fmt.Fprintf(&got, "== reproduce %s ==\n", tier.label)
 		for _, j := range sw.jobs {
-			key, err := core.ResultKey(j.name, sw.seed, j.setting)
-			if err != nil {
-				t.Fatal(err)
+			fmt.Fprint(&got, j.name)
+			for _, cfg := range j.entry.Configs(j.setting, j.args) {
+				key, err := core.RunKey(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fmt.Fprintf(&got, " %s", key)
 			}
-			fmt.Fprintf(&got, "%s %s\n", j.name, key)
+			fmt.Fprintln(&got)
 		}
 	}
 	for _, old := range []string{"table1", "fig2", "fig3", "burstiness", "finding4"} {
@@ -259,7 +232,7 @@ func TestJobNamesAndKeysGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), want) {
-		t.Fatalf("job names or keys moved\n--- got\n%s--- want\n%s", &got, want)
+		t.Fatalf("job names or run keys moved\n--- got\n%s--- want\n%s", &got, want)
 	}
 }
 
@@ -361,8 +334,8 @@ func TestResultsAreTheJobs(t *testing.T) {
 	}
 }
 
-// TestUsageParityWithTheSink: a job's manifest usage is merged from the
-// results RunManyCtx returns. The runs and events below were recorded
+// TestUsageParityWithTheSink: a job's manifest usage is merged from its
+// stored runs' results. The runs and events below were recorded
 // through the per-job usage sink at the commit that deleted it, for the
 // same flags (fig5_core's at the commit before fig6 declared a longer
 // window than the tier's); a nine-config and the twelve-config job must
@@ -381,10 +354,7 @@ func TestUsageParityWithTheSink(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit = %d\nstdout:\n%s\nstderr:\n%s", code, &stdout, &stderr)
 	}
-	m, err := loadManifest(dir)
-	if err != nil || m == nil {
-		t.Fatalf("manifest: %v, %v", m, err)
-	}
+	m := loadManifest(t, dir)
 	for name, want := range map[string]budget.Usage{
 		"fig5_core":       {Runs: 9, Events: 2512634},
 		"ext_outage_core": {Runs: 12, Events: 3155388},
@@ -396,38 +366,72 @@ func TestUsageParityWithTheSink(t *testing.T) {
 	}
 }
 
-// newTestSweep opens a sweep's durable state in dir over hand-built jobs,
-// so a test can take one through doJob without the flag layer.
-func newTestSweep(t *testing.T, dir string, jobs ...job) *sweep {
+// newTestSweep opens a sweep over dir on fsys with the flag layer's
+// defaults, so a test can take hand-built jobs through runTestJobs.
+func newTestSweep(t *testing.T, dir string, fsys store.FS) *sweep {
 	t.Helper()
 	sw := &sweep{
 		stdout: new(bytes.Buffer), stderr: new(bytes.Buffer),
 		out: dir, seed: 7, scale: 10, parallel: 1,
 		leaseTTL: 30 * time.Second, leaseHeartbeat: 5 * time.Second,
-		fsys: store.OSFS(), jobs: jobs,
 	}
-	if err := sw.openState(nil); err != nil {
+	if err := sw.open(fsys); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { sw.jnl.Close() })
 	return sw
 }
 
-// TestFailedConfigKeepsSiblingsUsage: RunManyCtx returns every
-// successful run's result beside a failure, so a job one of whose three
-// configs panics is recorded failed with the other two's usage — and
-// with two runs, not three: the failed slot's zero Usage is not merged.
+// runTestJobs plans and runs jobs on sw.
+func runTestJobs(sw *sweep, jobs ...job) {
+	var plans []plan
+	for _, j := range jobs {
+		plans = append(plans, sw.plan(j))
+	}
+	sw.runJobs(plans)
+}
+
+// loadManifest reads the manifest a sweep wrote into dir.
+func loadManifest(t *testing.T, dir string) *manifest {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, manifestFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m manifest
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatalf("manifest: %v", err)
+	}
+	return &m
+}
+
+// tableBody reads a text view without its volatile footer line.
+func tableBody(t *testing.T, path string) string {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _, ok := strings.Cut(string(data), "\n[seed ")
+	if !ok {
+		t.Fatalf("%s has no footer:\n%s", path, data)
+	}
+	return body
+}
+
+// TestFailedConfigKeepsSiblingsUsage: a job one of whose three runs
+// panics is recorded failed with the replayable record of that run and
+// the other two's usage — two runs, not three.
 func TestFailedConfigKeepsSiblingsUsage(t *testing.T) {
 	j := testJob("mathis", experiments.Args{Seed: 7})
 	j.setting.FlowCounts = []int{2, 3, 4}
-	plan := j.entry.Configs
+	configs := j.entry.Configs
 	j.entry.Configs = func(s core.Setting, a experiments.Args) []core.RunConfig {
-		cfgs := plan(s, a)
+		cfgs := configs(s, a)
 		cfgs[1].FaultPanicAt = sim.Second
 		return cfgs
 	}
 	var want budget.Usage
-	for i, cfg := range plan(j.setting, j.args) {
+	for i, cfg := range configs(j.setting, j.args) {
 		if i == 1 {
 			continue
 		}
@@ -439,30 +443,34 @@ func TestFailedConfigKeepsSiblingsUsage(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	sw := newTestSweep(t, dir, j)
-	sw.doJob(j)
+	sw := newTestSweep(t, dir, store.OSFS())
+	runTestJobs(sw, j)
 	rec := sw.man.Jobs[j.name]
-	if rec == nil || rec.Status != "failed" || !strings.Contains(rec.Error, "config 1:") || rec.FailureFile == "" {
+	if rec == nil || rec.Status != "failed" || !strings.Contains(rec.Error, "config 1:") ||
+		rec.FailureFile != rec.Runs[1]+".failed.json" {
 		t.Fatalf("record: %+v\nstderr:\n%s", rec, sw.stderr)
+	}
+	if _, err := os.Stat(filepath.Join(dir, rec.FailureFile)); err != nil {
+		t.Fatalf("failure record: %v", err)
 	}
 	if rec.Usage == nil || rec.Usage.Runs != 2 || rec.Usage.Events != want.Events {
 		t.Fatalf("usage %+v, want the two successful configs' (2 runs, %d events)", rec.Usage, want.Events)
 	}
 }
 
-// TestLeaseLossCancelsRunningPlan: the job's context is the one its
-// plan's RunManyCtx runs under, so a lease taken over mid-run stops the
-// config in flight and skips the queued one, long before either would
-// have finished.
+// TestLeaseLossCancelsRunningPlan: each run executes under its own
+// lease, so a lease taken over mid-run stops that run long before it
+// would have finished, and its job is recorded failed.
 func TestLeaseLossCancelsRunningPlan(t *testing.T) {
 	slow := core.CoreScaleScaled(10) // minutes of wall per config
-	slow.FlowCounts = []int{100, 100}
+	slow.FlowCounts = []int{100}
 	e, _ := experiments.Lookup("mathis")
 	j := job{name: "slow", setting: slow, entry: e, args: experiments.Args{Seed: 7}}
 
 	dir := t.TempDir()
-	sw := newTestSweep(t, dir, j)
+	sw := newTestSweep(t, dir, store.OSFS())
 	sw.leaseTTL, sw.leaseHeartbeat = time.Second, 10*time.Millisecond
+	sw.env.Heartbeat = sw.leaseHeartbeat
 	started := make(chan struct{})
 	var once sync.Once
 	sw.regColl = telemetry.CollectorFunc(func(ev telemetry.Event) {
@@ -470,38 +478,39 @@ func TestLeaseLossCancelsRunningPlan(t *testing.T) {
 			once.Do(func() { close(started) })
 		}
 	})
+	p := sw.plan(j)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		sw.doJob(j)
+		sw.runJobs([]plan{p})
 	}()
 	select {
 	case <-started:
 	case <-time.After(30 * time.Second):
-		t.Fatal("the plan never started")
+		t.Fatal("the run never started")
 	}
-	// Another worker's takeover, as the holder sees it: the lease file
+	// Another process's takeover, as the holder sees it: the lease file
 	// names a different owner.
 	thief := []byte(`{"owner":"other-host-999","pid":999,"since":"2026-01-01T00:00:00Z"}` + "\n")
-	if err := os.WriteFile(filepath.Join(dir, "leases", "slow.lease"), thief, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "leases", p.keys[0]+".lease"), thief, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	select {
 	case <-done:
 	case <-time.After(30 * time.Second):
-		t.Fatal("losing the lease did not stop the plan")
+		t.Fatal("losing the lease did not stop the run")
 	}
 	rec := sw.man.Jobs["slow"]
 	if rec == nil || rec.Status != "failed" ||
-		!strings.Contains(rec.Error, "run canceled") || !strings.Contains(rec.Error, "config 1: context canceled") {
+		!strings.Contains(rec.Error, "config 0:") || !strings.Contains(rec.Error, "run canceled") {
 		t.Fatalf("record after lease loss: %+v", rec)
 	}
 }
 
 // TestRunIsolationAndResume is the acceptance drill: a job with an
 // injected panic fails with a replayable record, the other selected job
-// still completes, the sweep exits nonzero — and a -resume re-executes
-// only the failed job.
+// still completes, the sweep exits nonzero — and running the same
+// command again computes only the failed job's runs.
 func TestRunIsolationAndResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real sweeps")
@@ -526,10 +535,7 @@ func TestRunIsolationAndResume(t *testing.T) {
 		t.Fatalf("healthy job output missing: %v", err)
 	}
 
-	m, err := loadManifest(dir)
-	if err != nil || m == nil {
-		t.Fatalf("manifest after failure: %v, %v", m, err)
-	}
+	m := loadManifest(t, dir)
 	if rec := m.Jobs["ext_churn_core"]; rec == nil || rec.Status != "done" {
 		t.Fatalf("churn record: %+v", rec)
 	}
@@ -562,34 +568,20 @@ func TestRunIsolationAndResume(t *testing.T) {
 		t.Fatal("failure record has no replay command")
 	}
 
-	// Resume without the fault: only the failed job re-executes.
+	// The same command without the fault: the completed job is served
+	// from the store, only the failed one computes.
 	stdout.Reset()
 	stderr.Reset()
-	code = run(append(base, "-resume"), &stdout, &stderr)
+	code = run(base, &stdout, &stderr)
 	if code != 0 {
-		t.Fatalf("resume exit = %d\nstdout:\n%s\nstderr:\n%s", code, &stdout, &stderr)
+		t.Fatalf("rerun exit = %d\nstdout:\n%s\nstderr:\n%s", code, &stdout, &stderr)
 	}
-	if !strings.Contains(stdout.String(), "ext_churn_core") || !strings.Contains(stdout.String(), "skipped") {
-		t.Fatalf("resume did not skip the completed job:\n%s", &stdout)
+	m = loadManifest(t, dir)
+	if rec := m.Jobs["ext_churn_core"]; rec == nil || rec.Status != "done" || rec.Cached != len(rec.Runs) {
+		t.Fatalf("rerun did not serve the completed job: %+v", rec)
 	}
-	if !strings.Contains(stdout.String(), filepath.Join(dir, "ext_burstloss_core.txt")) {
-		t.Fatalf("resume did not re-execute the failed job:\n%s", &stdout)
-	}
-	m, err = loadManifest(dir)
-	if err != nil || m == nil {
-		t.Fatalf("manifest after resume: %v, %v", m, err)
-	}
-	if rec := m.Jobs["ext_burstloss_core"]; rec == nil || rec.Status != "done" || rec.Error != "" {
-		t.Fatalf("burstloss record after resume: %+v", rec)
-	}
-	// Manifest is valid JSON on disk (atomic save).
-	data, err := os.ReadFile(filepath.Join(dir, manifestFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var raw map[string]any
-	if err := json.Unmarshal(data, &raw); err != nil {
-		t.Fatalf("manifest not valid JSON: %v", err)
+	if rec := m.Jobs["ext_burstloss_core"]; rec == nil || rec.Status != "done" || rec.Error != "" || rec.Cached != 0 {
+		t.Fatalf("burstloss record after rerun: %+v", rec)
 	}
 }
 
@@ -605,7 +597,11 @@ func TestChurnJobIsGoverned(t *testing.T) {
 	if code := run(append(base, "-panicjob", "ext_churn_core"), &stdout, &stderr); code != 1 {
 		t.Fatalf("exit = %d, want 1\nstdout:\n%s\nstderr:\n%s", code, &stdout, &stderr)
 	}
-	f, err := os.Open(filepath.Join(dir, "ext_churn_core.failed.json"))
+	rec := loadManifest(t, dir).Jobs["ext_churn_core"]
+	if rec == nil || rec.FailureFile == "" {
+		t.Fatalf("the manifest names no failure record: %+v", rec)
+	}
+	f, err := os.Open(filepath.Join(dir, rec.FailureFile))
 	if err != nil {
 		t.Fatalf("the drill left no failure record: %v", err)
 	}
@@ -643,25 +639,6 @@ func TestChurnJobIsGoverned(t *testing.T) {
 	}
 }
 
-// TestResumeRefusesMismatchedParams guards against silently mixing
-// tables from different seeds or scales in one output directory.
-func TestResumeRefusesMismatchedParams(t *testing.T) {
-	dir := t.TempDir()
-	m := newManifest(11, 50, true, "cafe")
-	if err := m.save(dir); err != nil {
-		t.Fatal(err)
-	}
-	var stdout, stderr bytes.Buffer
-	code := run([]string{"-out", dir, "-resume", "-quick", "-scale", "50", "-seed", "12",
-		"-only", "^none$"}, &stdout, &stderr)
-	if code != 1 {
-		t.Fatalf("exit = %d, want 1\nstderr:\n%s", code, &stderr)
-	}
-	if !strings.Contains(stderr.String(), "incompatible") {
-		t.Fatalf("stderr missing mismatch explanation:\n%s", &stderr)
-	}
-}
-
 // quickEdge mirrors the -quick overrides run() applies to EdgeScale, so
 // the budget tests can price exactly the configs the sweep will submit.
 func quickEdge() core.Setting {
@@ -685,11 +662,9 @@ func mathisHeapEstimate(s core.Setting, flows, tier int) int64 {
 // TestBudgetRejectionAndResume is the governance acceptance drill: under
 // a heap budget every mathis_edge config is priced over, the job is
 // recorded as rejected — not failed, the sweep still exits zero — the
-// sibling job completes, and a -resume retries the rejected job one
-// fidelity tier lower, where it fits, runs, and is marked degraded. (The
-// sibling was ext_churn_core while churn ignored every budget; it is
-// governed now, and its 4096 transfer slots price well above this
-// threshold.)
+// sibling job completes, and the same command with -retries 1 admits
+// the rejected runs one fidelity tier lower, where they fit, run, and
+// are marked degraded, while the sibling is served from the store.
 func TestBudgetRejectionAndResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real sweeps")
@@ -727,8 +702,8 @@ func TestBudgetRejectionAndResume(t *testing.T) {
 	if !strings.Contains(stdout.String(), "REJECTED (over budget)") {
 		t.Fatalf("stdout missing rejection report:\n%s", &stdout)
 	}
-	if !strings.Contains(stdout.String(), "-resume to retry them at reduced fidelity") {
-		t.Fatalf("stdout missing resume hint:\n%s", &stdout)
+	if !strings.Contains(stdout.String(), "rerun with -retries 1") {
+		t.Fatalf("stdout missing retry hint:\n%s", &stdout)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "ext_burstloss_core.txt")); err != nil {
 		t.Fatalf("sibling job output missing: %v", err)
@@ -737,10 +712,7 @@ func TestBudgetRejectionAndResume(t *testing.T) {
 		t.Fatal("rejected job left an output table")
 	}
 
-	m, err := loadManifest(dir)
-	if err != nil || m == nil {
-		t.Fatalf("manifest after rejection: %v, %v", m, err)
-	}
+	m := loadManifest(t, dir)
 	if rec := m.Jobs["ext_burstloss_core"]; rec == nil || rec.Status != "done" {
 		t.Fatalf("sibling record: %+v", rec)
 	}
@@ -762,30 +734,27 @@ func TestBudgetRejectionAndResume(t *testing.T) {
 		t.Fatalf("manifest JSON missing rejected status:\n%s", data)
 	}
 
-	// Resume: the rejected job retries one fidelity tier lower and fits.
+	// Rerun with one retry: admission degrades the runs one tier, they fit.
 	runtime.GC() // settle test-process garbage under the in-flight heap check
 	stdout.Reset()
 	stderr.Reset()
-	code = run(append(base, "-resume"), &stdout, &stderr)
+	code = run(append(base, "-retries", "1"), &stdout, &stderr)
 	if code != 0 {
-		t.Fatalf("resume exit = %d\nstdout:\n%s\nstderr:\n%s", code, &stdout, &stderr)
-	}
-	if !strings.Contains(stdout.String(), "retrying at reduced fidelity tier 1") {
-		t.Fatalf("resume did not announce the fidelity retry:\n%s", &stdout)
+		t.Fatalf("rerun exit = %d\nstdout:\n%s\nstderr:\n%s", code, &stdout, &stderr)
 	}
 	if !strings.Contains(stdout.String(), "(degraded)") {
-		t.Fatalf("resume did not mark the degraded result:\n%s", &stdout)
+		t.Fatalf("rerun did not mark the degraded result:\n%s", &stdout)
 	}
-	m, err = loadManifest(dir)
-	if err != nil || m == nil {
-		t.Fatalf("manifest after resume: %v, %v", m, err)
+	m = loadManifest(t, dir)
+	if rec := m.Jobs["ext_burstloss_core"]; rec == nil || rec.Status != "done" || rec.Cached != len(rec.Runs) {
+		t.Fatalf("sibling was not served from the store: %+v", rec)
 	}
 	rec = m.Jobs["mathis_edge"]
-	if rec == nil || rec.Status != "done" || !rec.Degraded || rec.Fidelity != 1 {
-		t.Fatalf("resumed record: %+v", rec)
+	if rec == nil || rec.Status != "done" || !rec.Degraded || rec.Fidelity != 1 || rec.Cached != 0 {
+		t.Fatalf("retried record: %+v", rec)
 	}
 	if rec.Usage == nil || rec.Usage.Runs != len(edge.FlowCounts) || rec.Usage.Events == 0 {
-		t.Fatalf("resumed record usage: %+v", rec.Usage)
+		t.Fatalf("retried record usage: %+v", rec.Usage)
 	}
 	table, err := os.ReadFile(filepath.Join(dir, "mathis_edge.txt"))
 	if err != nil {
@@ -794,36 +763,6 @@ func TestBudgetRejectionAndResume(t *testing.T) {
 	if !strings.Contains(string(table), "note: reduced fidelity: tier 1") ||
 		!strings.Contains(string(table), ", degraded]") {
 		t.Fatalf("degraded table not marked:\n%s", table)
-	}
-}
-
-// TestResumeRefusesStaleJobSet: same sweep parameters, different job-set
-// hash — the experiment definitions changed under the output directory.
-func TestResumeRefusesStaleJobSet(t *testing.T) {
-	dir := t.TempDir()
-	m := newManifest(11, 50, true, "0000dead")
-	if err := m.save(dir); err != nil {
-		t.Fatal(err)
-	}
-	args := []string{"-out", dir, "-resume", "-quick", "-scale", "50", "-seed", "11",
-		"-only", "^none$"}
-	var stdout, stderr bytes.Buffer
-	code := run(args, &stdout, &stderr)
-	if code != 1 {
-		t.Fatalf("exit = %d, want 1\nstderr:\n%s", code, &stderr)
-	}
-	if !strings.Contains(stderr.String(), "manifest is stale") {
-		t.Fatalf("stderr missing staleness explanation:\n%s", &stderr)
-	}
-	// -force overrides the staleness check.
-	stdout.Reset()
-	stderr.Reset()
-	code = run(append(args, "-force"), &stdout, &stderr)
-	if code != 0 {
-		t.Fatalf("-force exit = %d\nstderr:\n%s", code, &stderr)
-	}
-	if !strings.Contains(stderr.String(), "resuming anyway") {
-		t.Fatalf("stderr missing -force acknowledgement:\n%s", &stderr)
 	}
 }
 
@@ -895,7 +834,7 @@ func TestWriteTableChecksErrors(t *testing.T) {
 	tab.AddRow(1, 2)
 	// Happy path writes the footer and closes cleanly.
 	path := filepath.Join(dir, "ok.txt")
-	if err := writeTable(path, tab, 7, time.Now(), false); err != nil {
+	if err := writeTable(store.OSFS(), path, tab, 7, time.Now(), false); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -910,7 +849,7 @@ func TestWriteTableChecksErrors(t *testing.T) {
 	}
 	// A degraded table says so in its footer.
 	dpath := filepath.Join(dir, "degraded.txt")
-	if err := writeTable(dpath, tab, 7, time.Now(), true); err != nil {
+	if err := writeTable(store.OSFS(), dpath, tab, 7, time.Now(), true); err != nil {
 		t.Fatal(err)
 	}
 	data, err = os.ReadFile(dpath)
@@ -921,17 +860,16 @@ func TestWriteTableChecksErrors(t *testing.T) {
 		t.Fatalf("degraded footer missing:\n%s", data)
 	}
 	// Unwritable path fails loudly instead of being dropped.
-	if err := writeTable(filepath.Join(dir, "no/such/dir/x.txt"), tab, 7, time.Now(), false); err == nil {
+	if err := writeTable(store.OSFS(), filepath.Join(dir, "no/such/dir/x.txt"), tab, 7, time.Now(), false); err == nil {
 		t.Fatal("writeTable to missing directory succeeded")
 	}
 }
 
-// TestStoreCacheAndManifestRecovery: after a sweep commits a job to the
-// content-addressed store, a resume whose derived views are gone — the
-// output files deleted, the manifest overwritten with garbage — must
-// quarantine the corrupt manifest, rebuild its state from the
-// write-ahead journal, and serve the job's bytes back from the store
-// without recomputing anything.
+// TestStoreCacheAndManifestRecovery: the store is the frontier and every
+// other file a view of it. With the tables deleted and the manifest
+// overwritten with garbage, the same command computes nothing: it serves
+// every run from the store, writes the tables back byte for byte, and
+// writes a fresh manifest over the garbage.
 func TestStoreCacheAndManifestRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real sweeps")
@@ -950,7 +888,7 @@ func TestStoreCacheAndManifestRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	skeys, err := st.Keys()
-	if err != nil || len(skeys) != 1 {
+	if err != nil || len(skeys) != 3 {
 		t.Fatalf("store keys after sweep: %v, %v", skeys, err)
 	}
 	want, err := os.ReadFile(filepath.Join(dir, "ext_churn_core.json"))
@@ -958,7 +896,7 @@ func TestStoreCacheAndManifestRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Scorch the derived views: outputs gone, manifest torn mid-write.
+	// Scorch the views: tables gone, manifest torn mid-write.
 	for _, f := range []string{"ext_churn_core.txt", "ext_churn_core.json"} {
 		if err := os.Remove(filepath.Join(dir, f)); err != nil {
 			t.Fatal(err)
@@ -970,14 +908,11 @@ func TestStoreCacheAndManifestRecovery(t *testing.T) {
 
 	stdout.Reset()
 	stderr.Reset()
-	if code := run(append(base, "-resume"), &stdout, &stderr); code != 0 {
-		t.Fatalf("resume exit = %d\nstdout:\n%s\nstderr:\n%s", code, &stdout, &stderr)
+	if code := run(base, &stdout, &stderr); code != 0 {
+		t.Fatalf("rerun exit = %d\nstdout:\n%s\nstderr:\n%s", code, &stdout, &stderr)
 	}
-	if !strings.Contains(stdout.String(), "(cached)") {
-		t.Fatalf("resume recomputed instead of serving the store:\n%s", &stdout)
-	}
-	if _, err := os.Stat(filepath.Join(dir, manifestFile+".corrupt")); err != nil {
-		t.Fatalf("corrupt manifest not quarantined: %v", err)
+	if !strings.Contains(stdout.String(), "(3 of 3 runs from store)") {
+		t.Fatalf("rerun recomputed instead of serving the store:\n%s", &stdout)
 	}
 	got, err := os.ReadFile(filepath.Join(dir, "ext_churn_core.json"))
 	if err != nil {
@@ -986,85 +921,114 @@ func TestStoreCacheAndManifestRecovery(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("restored JSON differs from the original:\n--- want\n%s--- got\n%s", want, got)
 	}
-	m, err := loadManifest(dir)
-	if err != nil || m == nil {
-		t.Fatalf("rebuilt manifest: %v, %v", m, err)
-	}
+	m := loadManifest(t, dir)
 	if m.Seed != 11 || m.Scale != 50 || !m.Quick {
-		t.Fatalf("rebuilt manifest lost the sweep parameters: %+v", m)
+		t.Fatalf("rewritten manifest lost the sweep parameters: %+v", m)
 	}
-	rec := m.Jobs["ext_churn_core"]
-	if rec == nil || rec.Status != "done" || !rec.Cached {
-		t.Fatalf("rebuilt record not marked cached: %+v", rec)
+	if rec := m.Jobs["ext_churn_core"]; rec == nil || rec.Status != "done" || rec.Cached != 3 {
+		t.Fatalf("rewritten record not marked served: %+v", rec)
 	}
 }
 
-// TestLeaseHeldSkipsJob: a job freshly claimed by another live worker is
-// left to it — the sweep reports the job as claimed, runs nothing for
-// it, and still exits zero. This is the multi-process sharding contract.
+// TestLeaseHeldSkipsJob: a run another live process holds is not
+// computed here. The sweep waits on its lease, and when the holder
+// commits and releases, serves the holder's result.
 func TestLeaseHeldSkipsJob(t *testing.T) {
 	dir := t.TempDir()
-	ls, err := store.NewLeases(dir, "other-host-999", time.Hour)
+	sw := newTestSweep(t, dir, store.OSFS())
+	j := testJob("mathis", experiments.Args{Seed: 7})
+	p := sw.plan(j)
+	other, err := store.NewLeases(dir, "other-host-999", time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ls.Acquire("ext_churn_core"); err != nil {
-		t.Fatal(err)
+	var held []*store.Lease
+	for _, key := range p.keys {
+		l, err := other.Acquire(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, l)
 	}
-	var stdout, stderr bytes.Buffer
-	code := run([]string{
-		"-out", dir, "-quick", "-scale", "50", "-seed", "11",
-		"-only", "^ext_churn_core$",
-	}, &stdout, &stderr)
-	if code != 0 {
-		t.Fatalf("exit = %d\nstdout:\n%s\nstderr:\n%s", code, &stdout, &stderr)
+	sw.env.Heartbeat = 10 * time.Millisecond // the waiting sweep's poll
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		sw.runJobs([]plan{p})
+	}()
+	// The holder computes and commits, then lets go.
+	for i, cfg := range p.cfgs {
+		res, err := core.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sw.env.Store.Put(p.keys[i], payload); err != nil {
+			t.Fatal(err)
+		}
+		held[i].Release()
 	}
-	if !strings.Contains(stdout.String(), "claimed by other workers") {
-		t.Fatalf("stdout missing lease-held report:\n%s", &stdout)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "ext_churn_core.txt")); err == nil {
-		t.Fatal("job ran despite a live foreign lease")
+	<-done
+	rec := sw.man.Jobs[j.name]
+	if rec == nil || rec.Status != "done" || rec.Cached != len(p.keys) {
+		t.Fatalf("record: %+v, want every run served from the holder's commits", rec)
 	}
 }
 
-// TestWorkersRunJobs: -workers 2 drains the sweep through two claim
-// loops; every job completes exactly once and the journal holds one
-// intent per executed job.
+// TestWorkersRunJobs: two sweeps pointed at one -out share the work. Each
+// ends with every table, and between them every run was computed once —
+// a run one of them holds the other waits on and is served.
 func TestWorkersRunJobs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real sweeps")
 	}
 	dir := t.TempDir()
-	var stdout, stderr bytes.Buffer
-	code := run([]string{
+	args := []string{
 		"-out", dir, "-quick", "-scale", "50", "-seed", "11", "-parallel", "2",
-		"-workers", "2", "-only", "^ext_(burstloss|churn)_core$",
-	}, &stdout, &stderr)
-	if code != 0 {
-		t.Fatalf("exit = %d\nstdout:\n%s\nstderr:\n%s", code, &stdout, &stderr)
+		"-lease-heartbeat", "20ms", "-only", "^ext_(burstloss|churn)_core$",
 	}
-	m, err := loadManifest(dir)
-	if err != nil || m == nil {
-		t.Fatalf("manifest: %v, %v", m, err)
+	var stdouts [2]bytes.Buffer
+	var wg sync.WaitGroup
+	for w := range stdouts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var stderr bytes.Buffer
+			if code := run(args, &stdouts[w], &stderr); code != 0 {
+				t.Errorf("sweep %d exit = %d\nstderr:\n%s", w, code, &stderr)
+			}
+		}()
 	}
-	intents := map[string]int{}
-	if _, _, err := store.OpenJournalSet(store.OSFS(), dir, "test-reader", func(r store.JournalRecord) error {
-		if r.Op == store.OpIntent {
-			intents[r.Job]++
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
+	wg.Wait()
 	for _, name := range []string{"ext_burstloss_core", "ext_churn_core"} {
-		if rec := m.Jobs[name]; rec == nil || rec.Status != "done" {
-			t.Fatalf("%s record: %+v", name, rec)
+		computed := 0
+		for w := range stdouts {
+			line, ok := jobLine(stdouts[w].String(), name)
+			if !ok {
+				t.Fatalf("sweep %d has no table for %s:\n%s", w, name, &stdouts[w])
+			}
+			served := 0
+			if i := strings.LastIndex(line, "("); i >= 0 {
+				fmt.Sscanf(line[i+1:], "%d of", &served)
+			}
+			computed += 3 - served
 		}
-		if _, err := os.Stat(filepath.Join(dir, name+".txt")); err != nil {
-			t.Fatalf("%s output: %v", name, err)
-		}
-		if intents[name] != 1 {
-			t.Fatalf("%s journaled %d intents, want 1", name, intents[name])
+		if computed != 3 {
+			t.Errorf("%s: the two sweeps computed %d of its 3 runs between them, want each once:\n%s\n%s",
+				name, computed, &stdouts[0], &stdouts[1])
 		}
 	}
+}
+
+// jobLine finds the line a sweep printed for a job that wrote its table.
+func jobLine(stdout, name string) (string, bool) {
+	for _, l := range strings.Split(stdout, "\n") {
+		if strings.HasPrefix(l, name+" ") && strings.Contains(l, "→") {
+			return l, true
+		}
+	}
+	return "", false
 }

@@ -12,15 +12,17 @@ import (
 // progressTracker renders a live sweep status line to stderr about once
 // a second: jobs done/running/rejected/failed, the current job's
 // fidelity tier, and an ETA extrapolated from the budget estimator's
-// predicted per-job cost. It is display-only — nothing it computes
-// feeds back into the sweep.
+// predicted cost of each run. Only runs this invocation computes are
+// weighed — a run served from the store costs no wall and would make the
+// ETA too short. It is display-only — nothing it computes feeds back
+// into the sweep.
 type progressTracker struct {
 	w     io.Writer
 	start time.Time
 
 	mu          sync.Mutex
 	total       int
-	weights     map[string]int64
+	weights     map[string][]int64 // job → per-run weight
 	totalWeight int64
 	doneWeight  int64
 	done        int
@@ -33,34 +35,33 @@ type progressTracker struct {
 	wg   sync.WaitGroup
 }
 
-// jobWeight prices one job with the same estimator admission control
-// uses: the predicted processed-event counts summed over the plan the
-// job runs, so its RTTs, CCA mix, window and arrivals all count.
-func jobWeight(j job) int64 {
-	var total int64
-	for _, cfg := range j.entry.Configs(j.setting, j.args) {
-		total += core.EstimateConfig(cfg).Processed
-	}
-	if total <= 0 {
-		total = 1
-	}
-	return total
+// runWeight prices one run with the same estimator admission control
+// uses: its predicted processed-event count, so its RTTs, CCA mix,
+// window and arrivals all count.
+func runWeight(cfg core.RunConfig) int64 {
+	return max(core.EstimateConfig(cfg).Processed, 1)
 }
 
-// newProgressTracker starts the ticker goroutine over the jobs that
-// will actually run. Call finish() to stop it and print the summary.
-func newProgressTracker(w io.Writer, jobs []job) *progressTracker {
+// newProgressTracker starts the ticker goroutine over the plans that
+// will run, weighing every run the store does not hold yet. Call
+// finish() to stop it and print the summary.
+func newProgressTracker(w io.Writer, plans []plan) *progressTracker {
 	pt := &progressTracker{
 		w:       w,
 		start:   time.Now(),
-		total:   len(jobs),
-		weights: make(map[string]int64, len(jobs)),
+		total:   len(plans),
+		weights: make(map[string][]int64, len(plans)),
 		stop:    make(chan struct{}),
 	}
-	for _, j := range jobs {
-		wt := jobWeight(j)
-		pt.weights[j.name] = wt
-		pt.totalWeight += wt
+	for _, p := range plans {
+		ws := make([]int64, len(p.cfgs))
+		for i, cfg := range p.cfgs {
+			if !p.stored[i] {
+				ws[i] = runWeight(cfg)
+				pt.totalWeight += ws[i]
+			}
+		}
+		pt.weights[p.name] = ws
 	}
 	pt.wg.Add(1)
 	go func() {
@@ -79,10 +80,22 @@ func newProgressTracker(w io.Writer, jobs []job) *progressTracker {
 	return pt
 }
 
-// jobStarted records the job now running and its fidelity tier.
-func (pt *progressTracker) jobStarted(name string, tier int) {
+// runStarted records the job now running and its fidelity tier.
+func (pt *progressTracker) runStarted(name string, tier int) {
 	pt.mu.Lock()
 	pt.current, pt.tier = name, tier
+	pt.mu.Unlock()
+}
+
+// runEnded moves run i of the named job's weight to done, or — when
+// another process had committed it meanwhile — out of the total.
+func (pt *progressTracker) runEnded(name string, i int, served bool) {
+	pt.mu.Lock()
+	if w := pt.weights[name][i]; served {
+		pt.totalWeight -= w
+	} else {
+		pt.doneWeight += w
+	}
 	pt.mu.Unlock()
 }
 
@@ -97,7 +110,6 @@ func (pt *progressTracker) jobEnded(name, status string) {
 	default:
 		pt.done++
 	}
-	pt.doneWeight += pt.weights[name]
 	if pt.current == name {
 		pt.current = ""
 	}

@@ -14,9 +14,9 @@ import (
 // loadScenarioJob reads, parses, and compiles one scenario document
 // into a sweep job — a one-config plan whose table is
 // experiments.RunTable — so a file-driven run flows through exactly the
-// same journal/store/lease machinery as the paper sweep. The document
+// same lease/store machinery as the paper sweep. The document
 // carries its own seed; it is folded into the job name so two scenarios
-// differing only by seed commit under different keys.
+// differing only by seed write different tables.
 func loadScenarioJob(path string) (job, uint64, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -44,3 +44,26 @@ func ResultKey(name string, seed uint64, s Setting) (string, error) {
 	sum := sha256.Sum256(data)
 	return fmt.Sprintf("%s-%d-%x", name, seed, sum[:8]), nil
 }
+
+// RunRecordVersion is the shape of the RunResult record a run key
+// addresses. It is folded into every RunKey, so a field added to
+// RunResult (which an older record would decode as zero) moves every
+// key rather than serving records that lack it;
+// TestRunResultFieldsGolden fails until the version is bumped with the
+// field set.
+const RunRecordVersion = 1
+
+// RunKey is the content address of one run's result: a hash of the
+// config with its governance cleared as Identity clears a Setting's
+// (budget, wall limit, fidelity tier), under the record version. It
+// names no job and no plan position, so a reordered or edited plan can
+// never be served another config's run.
+func RunKey(cfg RunConfig) (string, error) {
+	cfg.Budget, cfg.WallLimit, cfg.Fidelity = nil, 0, 0
+	data, err := json.Marshal(cfg)
+	if err != nil {
+		return "", fmt.Errorf("core: run key: %w", err)
+	}
+	sum := sha256.Sum256(data)
+	return fmt.Sprintf("run%d-%x", RunRecordVersion, sum[:12]), nil
+}

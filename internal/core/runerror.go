@@ -133,10 +133,10 @@ const maxReplayGroups = 8
 // configurations that do not fit a command line (large interleaved flow
 // mixes) or that `ccatscale run` has no flag for (a declared topology,
 // ECN, iid loss, jitter, an arrival process) replay from the JSON
-// failure record written next to the sweep's results ("ccatscale replay
-// -in <job>.failed.json").
+// failure record parked beside the sweep's store ("ccatscale replay
+// -in <key>.failed.json").
 func (e *RunError) ReplayCommand() string {
-	const fromRecord = "ccatscale replay -in <job>.failed.json"
+	const fromRecord = "ccatscale replay -in <key>.failed.json"
 	cfg := e.Config
 	if cfg.Topology != nil || cfg.ECN || cfg.ECNMarkBytes != 0 ||
 		cfg.RandomLoss != 0 || cfg.Jitter != 0 || cfg.Arrivals != nil {

@@ -269,7 +269,7 @@ func TestReplayCommandFallsBackForUnflaggableConfigs(t *testing.T) {
 			if !errors.As(err, &re) {
 				t.Fatalf("error is %T (%v), want *RunError", err, err)
 			}
-			if got := re.ReplayCommand(); got != "ccatscale replay -in <job>.failed.json" {
+			if got := re.ReplayCommand(); got != "ccatscale replay -in <key>.failed.json" {
 				t.Fatalf("replay command %q cannot reproduce this config", got)
 			}
 		})

@@ -39,10 +39,8 @@ type Entry struct {
 	Name string
 	// Desc is the one-line description the usage text prints.
 	Desc string
-	// Headers is the table's header row. It is data, not only an
-	// argument of Table, because a stored result is only as current as
-	// its columns: cmd/reproduce hashes it into the manifest's
-	// configHash.
+	// Headers is the table's header row, as data so that what either
+	// CLI prints can be checked against the declaration.
 	Headers []string
 	// Window is the entry's run length, as a multiple of the setting's
 	// measurement window (0 = 1×): the slow-converging experiments

@@ -93,9 +93,9 @@ func TestStorePutCrashAtEveryBoundary(t *testing.T) {
 // least every acknowledged (Append returned nil) record present.
 func TestJournalCrashAtEveryBoundary(t *testing.T) {
 	attempts := []store.JournalRecord{
-		{Op: store.OpIntent, Job: "fig4_edge", Key: "aa-7", Owner: "w1"},
+		{Op: store.OpClaimed, Job: "fig4_edge", Key: "aa-7", Owner: "w1"},
 		{Op: store.OpDone, Job: "fig4_edge", Key: "aa-7", Owner: "w1"},
-		{Op: store.OpIntent, Job: "fig5_core", Key: "bb-7", Owner: "w1"},
+		{Op: store.OpClaimed, Job: "fig5_core", Key: "bb-7", Owner: "w1"},
 		{Op: store.OpDone, Job: "fig5_core", Key: "bb-7", Owner: "w1"},
 	}
 	doAppends := func(dir string) func(fs store.FS) (int, error) {
@@ -153,7 +153,7 @@ func TestJournalCrashAtEveryBoundary(t *testing.T) {
 					}
 				}
 				// The journal accepts appends again after recovery.
-				if err := j.Append(store.JournalRecord{Op: store.OpIntent, Job: "resumed"}); err != nil {
+				if err := j.Append(store.JournalRecord{Op: store.OpClaimed, Job: "resumed"}); err != nil {
 					t.Fatalf("append after recovery: %v", err)
 				}
 			})
@@ -201,67 +201,45 @@ func TestLeaseCrashLeavesRecoverableState(t *testing.T) {
 	}
 }
 
-// miniJob is one unit of the simulated sweep: a deterministic "result"
+// miniResult is one run of the simulated sweep: a deterministic "result"
 // derived from its key, standing in for a simulation run.
 func miniResult(key string) []byte {
 	return []byte("RESULT " + key + " deterministic-bytes\n")
 }
 
-// runMiniSweep drives the full orchestration protocol — journal intent,
-// compute (or serve from store), commit, journal outcome — over a fixed
-// job set on the given FS, as one worker process would. It returns how
-// many jobs it computed (vs served from cache) before finishing or
-// dying.
+// runMiniSweep drives the run protocol cmd/reproduce and ccserve share
+// (internal/attempt) — lease, serve from the store when the key is
+// committed, otherwise compute and commit — over a fixed run set on the
+// given FS, as one process would. There is no journal: the store is the
+// frontier. It returns how many runs it computed (vs served from the
+// store) before finishing or dying.
 func runMiniSweep(fs store.FS, dir, owner string, jobs []string) (computed, cached int, err error) {
 	st, err := store.OpenFS(filepath.Join(dir, "store"), fs)
 	if err != nil {
 		return 0, 0, err
 	}
-	done := map[string]bool{}
-	j, _, err := store.OpenJournalFS(fs, dir, func(r store.JournalRecord) error {
-		if r.Op == store.OpDone || r.Op == store.OpCached {
-			done[r.Job] = true
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	defer j.Close()
 	ls, err := store.NewLeasesFS(fs, dir, owner, 50*time.Millisecond)
 	if err != nil {
 		return 0, 0, err
 	}
 	for _, job := range jobs {
-		if done[job] {
-			continue
-		}
 		key := job + "-7"
-		// Already committed by an earlier (crashed) attempt? Serve from
-		// the store: zero recomputation, journal the cache hit.
-		if st.Has(key) {
-			if err := j.Append(store.JournalRecord{Op: store.OpCached, Job: job, Key: key, Owner: owner}); err != nil {
-				return computed, cached, err
-			}
-			cached++
-			continue
-		}
-		lease, err := ls.Acquire(job)
+		lease, err := ls.Acquire(key)
 		if err != nil {
 			if errors.Is(err, store.ErrLeaseHeld) {
-				continue // another worker owns it
+				continue // another process owns it
 			}
 			return computed, cached, err
 		}
-		if err := j.Append(store.JournalRecord{Op: store.OpIntent, Job: job, Key: key, Owner: owner}); err != nil {
-			return computed, cached, err
-		}
-		if err := st.Put(key, miniResult(key)); err != nil {
-			return computed, cached, err
-		}
-		computed++
-		if err := j.Append(store.JournalRecord{Op: store.OpDone, Job: job, Key: key, Owner: owner}); err != nil {
-			return computed, cached, err
+		// Already committed by an earlier (crashed) attempt? Serve it:
+		// zero recomputation.
+		if st.Has(key) {
+			cached++
+		} else {
+			if err := st.Put(key, miniResult(key)); err != nil {
+				return computed, cached, err
+			}
+			computed++
 		}
 		if err := lease.Release(); err != nil {
 			return computed, cached, err
@@ -296,12 +274,12 @@ func sweepFingerprint(t *testing.T, dir string) string {
 
 // TestSweepCrashResumeExactlyOnce is the acceptance drill for the whole
 // protocol: run a mini sweep killed at every syscall boundary, resume
-// with a fresh worker each time, and require (a) the final result set
-// is byte-identical to an uninterrupted run, (b) every job's result was
-// computed exactly once — any attempt after a committed Put is a cache
-// hit, never a recomputation that changes bytes.
+// with a fresh process each time, and require (a) the final result set
+// is byte-identical to an uninterrupted run, (b) every run's result was
+// computed exactly once — a run whose Put committed before the crash is
+// served, every other one is computed by exactly one resumed process.
 func TestSweepCrashResumeExactlyOnce(t *testing.T) {
-	jobs := []string{"table1_edge", "fig4_edge", "fig8_reno_core"}
+	jobs := []string{"mathis_edge", "fig4_edge", "fig8_reno_core", "ext_outage_core", "ext_churn_core"}
 
 	// The uninterrupted reference run.
 	refDir := t.TempDir()
@@ -326,8 +304,9 @@ func TestSweepCrashResumeExactlyOnce(t *testing.T) {
 			if !chaos.Killed() {
 				t.Fatalf("kill point %d never fired", kill)
 			}
+			crashedCommits := countCommitted(t, dir, jobs)
 
-			// Resume with fresh workers until the sweep completes; a
+			// Resume with fresh processes until the sweep completes; a
 			// stalled lease needs one TTL to expire, hence the retry.
 			totalComputed := 0
 			deadline := time.Now().Add(5 * time.Second)
@@ -346,12 +325,10 @@ func TestSweepCrashResumeExactlyOnce(t *testing.T) {
 				}
 				time.Sleep(10 * time.Millisecond)
 			}
-			// Exactly-once: jobs whose Put committed before the crash are
-			// served from the store, so resumed workers computed at most
-			// the jobs the crashed worker did not commit.
-			crashedCommits := countCommitted(t, dir, jobs)
-			if totalComputed > len(jobs)-crashedCommits {
-				t.Fatalf("resume recomputed committed results: resumed computed %d, crashed committed %d of %d",
+			// Exactly-once: what the crashed process committed is served,
+			// and the resumed processes computed exactly the rest.
+			if totalComputed != len(jobs)-crashedCommits {
+				t.Fatalf("resumed processes computed %d runs; the crashed one committed %d of %d",
 					totalComputed, crashedCommits, len(jobs))
 			}
 		})
@@ -359,34 +336,16 @@ func TestSweepCrashResumeExactlyOnce(t *testing.T) {
 }
 
 // countCommitted reports how many of the jobs' keys hold valid records
-// that the *crashed* worker committed — i.e. results that must never be
-// recomputed. It runs after convergence, so it counts from the journal:
-// a job is a crashed-worker commit if its first terminal record is an
-// OpDone by "worker-crash" or an OpCached (meaning the bytes predated
-// the resumed workers).
+// after the crash — results that must never be recomputed.
 func countCommitted(t *testing.T, dir string, jobs []string) int {
 	t.Helper()
-	first := map[string]string{} // job -> first terminal op's owner kind
-	j, _, err := store.OpenJournal(dir, func(r store.JournalRecord) error {
-		if r.Op != store.OpDone && r.Op != store.OpCached {
-			return nil
-		}
-		if _, seen := first[r.Job]; !seen {
-			if r.Op == store.OpCached || r.Owner == "worker-crash" {
-				first[r.Job] = "crashed"
-			} else {
-				first[r.Job] = "resumed"
-			}
-		}
-		return nil
-	})
+	st, err := store.Open(filepath.Join(dir, "store"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.Close()
 	n := 0
 	for _, job := range jobs {
-		if first[job] == "crashed" {
+		if st.Has(job + "-7") {
 			n++
 		}
 	}

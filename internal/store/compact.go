@@ -16,7 +16,7 @@ import (
 // requests ever served.
 //
 // The retention rule per segment, applied only when every pending op
-// (intent/queued/claimed) in the segment has a terminal op for the same
+// (queued/claimed) in the segment has a terminal op for the same
 // (job, key) of the same or a later generation somewhere in the whole
 // set — generation, not position, is what orders records across
 // segments, so a resubmitted job's fresh OpQueued (gen n+1) is never
@@ -27,11 +27,10 @@ import (
 //     the segment is kept — it is the record consumers derive state
 //     from (terminal-op derivation is commutative, so dropping
 //     superseded outcomes cannot change the derived frontier);
-//   - of several begin records, only the last is kept;
 //   - records with ops this build does not know are kept verbatim.
 //
 // A segment with an unresolved pending op is left untouched: an
-// in-flight intent is exactly the record a crash recovery must replay.
+// in-flight claim is exactly the record a crash recovery must replay.
 //
 // Rewrites are atomic (tmp → fsync → rename → dirsync) and sequence
 // numbers are renumbered from 1, so a compacted segment is
@@ -112,17 +111,13 @@ func CompactJournalSet(fs FS, dir string) (dropped int, err error) {
 			continue
 		}
 		// Decide per record, scanning backwards so "last wins" is one
-		// pass: the last begin and the last terminal per identity stay.
+		// pass: the last terminal per identity stays.
 		keep := make([]bool, len(seg.recs))
-		beginKept := false
 		terminalKept := map[string]bool{}
 		kept := 0
 		for i := len(seg.recs) - 1; i >= 0; i-- {
 			r := seg.recs[i]
 			switch {
-			case r.Op == OpBegin:
-				keep[i] = !beginKept
-				beginKept = true
 			case TerminalOp(r.Op):
 				keep[i] = !terminalKept[ident(r)]
 				terminalKept[ident(r)] = true

@@ -42,10 +42,9 @@ func readSegment(t *testing.T, dir, file string) []JournalRecord {
 func TestCompactFullyTerminalSegment(t *testing.T) {
 	dir := t.TempDir()
 	appendRecords(t, dir,
-		JournalRecord{Op: OpBegin, Detail: []byte(`{"seed":7}`)},
-		JournalRecord{Op: OpIntent, Job: "a", Key: "ka"},
+		JournalRecord{Op: OpClaimed, Job: "a", Key: "ka"},
 		JournalRecord{Op: OpFailed, Job: "a", Key: "ka"},
-		JournalRecord{Op: OpIntent, Job: "a", Key: "ka"},
+		JournalRecord{Op: OpClaimed, Job: "a", Key: "ka"},
 		JournalRecord{Op: OpDone, Job: "a", Key: "ka"},
 		JournalRecord{Op: OpQueued, Job: "b", Key: "kb"},
 		JournalRecord{Op: OpClaimed, Job: "b", Key: "kb"},
@@ -55,13 +54,13 @@ func TestCompactFullyTerminalSegment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Dropped: 2 intents, 1 queued, 1 claimed, and the superseded failed.
+	// Dropped: 3 claimed, 1 queued, and the superseded failed.
 	if dropped != 5 {
 		t.Fatalf("dropped = %d, want 5", dropped)
 	}
 	recs := readSegment(t, dir, JournalFile)
 	want := []struct{ op, job string }{
-		{OpBegin, ""}, {OpDone, "a"}, {OpQuarantined, "b"},
+		{OpDone, "a"}, {OpQuarantined, "b"},
 	}
 	if len(recs) != len(want) {
 		t.Fatalf("kept %d records, want %d: %+v", len(recs), len(want), recs)
@@ -87,25 +86,25 @@ func TestCompactFullyTerminalSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	if n != 3 {
-		t.Fatalf("replayed %d records, want 3", n)
+	if n != 2 {
+		t.Fatalf("replayed %d records, want 2", n)
 	}
 	if outcome["a"] != OpDone || outcome["b"] != OpQuarantined {
 		t.Fatalf("derived outcomes = %v", outcome)
 	}
 	// And appending after compaction continues the renumbered sequence.
-	if err := j.Append(JournalRecord{Op: OpIntent, Job: "c", Key: "kc"}); err != nil {
+	if err := j.Append(JournalRecord{Op: OpClaimed, Job: "c", Key: "kc"}); err != nil {
 		t.Fatal(err)
 	}
-	if j.Seq() != 4 {
-		t.Fatalf("seq after post-compaction append = %d, want 4", j.Seq())
+	if j.Seq() != 3 {
+		t.Fatalf("seq after post-compaction append = %d, want 3", j.Seq())
 	}
 }
 
 func TestCompactLeavesUnresolvedPendingUntouched(t *testing.T) {
 	dir := t.TempDir()
 	appendRecords(t, dir,
-		JournalRecord{Op: OpIntent, Job: "a", Key: "ka"},
+		JournalRecord{Op: OpClaimed, Job: "a", Key: "ka"},
 		JournalRecord{Op: OpDone, Job: "a", Key: "ka"},
 		JournalRecord{Op: OpQueued, Job: "b", Key: "kb"}, // still in flight
 	)
@@ -236,7 +235,7 @@ func TestCompactCrossSegmentResolution(t *testing.T) {
 func TestCompactSkipsCorruptAndForeignFiles(t *testing.T) {
 	dir := t.TempDir()
 	appendRecords(t, dir,
-		JournalRecord{Op: OpIntent, Job: "a", Key: "ka"},
+		JournalRecord{Op: OpClaimed, Job: "a", Key: "ka"},
 		JournalRecord{Op: OpDone, Job: "a", Key: "ka"},
 	)
 	// A mid-file-damaged segment: compaction must not touch it (that is

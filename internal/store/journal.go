@@ -24,21 +24,15 @@ var errSeqGap = fmt.Errorf("%w: sequence gap", ErrCorrupt)
 // output directory.
 const JournalFile = "journal.jsonl"
 
-// Journal ops. An "intent" is written (and fsync'd) before a job runs;
-// exactly one outcome op follows when it finishes. Recovery treats an
-// intent with no outcome as in-flight at the crash and re-runs it.
+// Journal ops. A pending op is written (and fsync'd) before a job runs;
+// exactly one terminal op follows when it finishes. Recovery treats a
+// pending op with no terminal as in-flight at the crash and re-runs it.
 const (
-	// OpBegin opens a sweep invocation and carries its parameters
-	// (seed, scale, config hash) in Detail, so resume compatibility can
-	// be checked even when every derived view is lost.
-	OpBegin    = "begin"
-	OpIntent   = "intent"
 	OpDone     = "done"
 	OpFailed   = "failed"
 	OpRejected = "rejected"
 	// OpCached records that a job's result was served from the
-	// content-addressed store without recomputation — the counter the
-	// exactly-once acceptance test asserts on.
+	// content-addressed store without recomputation.
 	OpCached = "cached"
 	// OpQueued admits a job into a server's queue: the record's Detail
 	// carries the full request spec, so a crashed server re-enqueues the
@@ -69,10 +63,10 @@ func TerminalOp(op string) bool {
 }
 
 // PendingOp reports whether op opens work that a later terminal op must
-// resolve (an intent, a queue admission, or a worker claim).
+// resolve (a queue admission or a worker claim).
 func PendingOp(op string) bool {
 	switch op {
-	case OpIntent, OpQueued, OpClaimed:
+	case OpQueued, OpClaimed:
 		return true
 	}
 	return false
@@ -82,8 +76,8 @@ func PendingOp(op string) bool {
 // happened to which unit of work; Key is the content address of the
 // job's result (config hash + seed); Owner names the worker process
 // that wrote the record; Detail carries the caller's own serialized
-// outcome (for reproduce, the manifest jobRecord) so the manifest can
-// be derived purely from the journal. Seq and CRC are framing: Seq
+// state (for ccserve, the job spec or its final status) so it can be
+// rebuilt purely from the journal. Seq and CRC are framing: Seq
 // must increase by one per record, CRC (CRC-32C over the record
 // serialized with CRC zeroed) detects torn or bit-rotted lines.
 type JournalRecord struct {
@@ -98,7 +92,7 @@ type JournalRecord struct {
 	// resolved only by a terminal op of the same or a later generation.
 	// Generations are what keep resolution order-safe across segments,
 	// which replay in lexicographic — not chronological — order. Zero
-	// for single-cycle writers (cmd/reproduce).
+	// for a first submission.
 	Gen    uint64          `json:"gen,omitempty"`
 	At     string          `json:"at,omitempty"`
 	Detail json.RawMessage `json:"detail,omitempty"`

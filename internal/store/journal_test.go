@@ -28,9 +28,9 @@ func TestJournalAppendReplay(t *testing.T) {
 	dir := t.TempDir()
 	detail, _ := json.Marshal(map[string]string{"status": "done", "file": "a.txt"})
 	appendRecords(t, dir,
-		JournalRecord{Op: OpIntent, Job: "fig4_edge", Key: "abc-7", Owner: "w1"},
+		JournalRecord{Op: OpClaimed, Job: "fig4_edge", Key: "abc-7", Owner: "w1"},
 		JournalRecord{Op: OpDone, Job: "fig4_edge", Key: "abc-7", Owner: "w1", Detail: detail},
-		JournalRecord{Op: OpIntent, Job: "fig5_core", Key: "def-7", Owner: "w1"},
+		JournalRecord{Op: OpClaimed, Job: "fig5_core", Key: "def-7", Owner: "w1"},
 	)
 
 	var got []JournalRecord
@@ -45,7 +45,7 @@ func TestJournalAppendReplay(t *testing.T) {
 	if n != 3 || len(got) != 3 {
 		t.Fatalf("replayed %d/%d records, want 3", n, len(got))
 	}
-	if got[0].Op != OpIntent || got[0].Job != "fig4_edge" || got[0].Seq != 1 {
+	if got[0].Op != OpClaimed || got[0].Job != "fig4_edge" || got[0].Seq != 1 {
 		t.Fatalf("record 0: %+v", got[0])
 	}
 	if got[1].Op != OpDone || string(got[1].Detail) != string(detail) {
@@ -69,9 +69,9 @@ func TestJournalAppendReplay(t *testing.T) {
 func TestJournalTornTail(t *testing.T) {
 	dir := t.TempDir()
 	appendRecords(t, dir,
-		JournalRecord{Op: OpIntent, Job: "a"},
+		JournalRecord{Op: OpClaimed, Job: "a"},
 		JournalRecord{Op: OpDone, Job: "a"},
-		JournalRecord{Op: OpIntent, Job: "b"},
+		JournalRecord{Op: OpClaimed, Job: "b"},
 	)
 	path := filepath.Join(dir, JournalFile)
 	data, err := os.ReadFile(path)
@@ -92,11 +92,11 @@ func TestJournalTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 2 || strings.Join(ops, ",") != "intent:a,done:a" {
+	if n != 2 || strings.Join(ops, ",") != "claimed:a,done:a" {
 		t.Fatalf("replay after torn tail: n=%d ops=%v", n, ops)
 	}
 	// The torn line is gone from disk and the next append lands cleanly.
-	if err := j.Append(JournalRecord{Op: OpIntent, Job: "b"}); err != nil {
+	if err := j.Append(JournalRecord{Op: OpClaimed, Job: "b"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
@@ -114,9 +114,9 @@ func TestJournalTornTail(t *testing.T) {
 func TestJournalMidFileCorruption(t *testing.T) {
 	dir := t.TempDir()
 	appendRecords(t, dir,
-		JournalRecord{Op: OpIntent, Job: "a"},
+		JournalRecord{Op: OpClaimed, Job: "a"},
 		JournalRecord{Op: OpDone, Job: "a"},
-		JournalRecord{Op: OpIntent, Job: "b"},
+		JournalRecord{Op: OpClaimed, Job: "b"},
 	)
 	path := filepath.Join(dir, JournalFile)
 	data, err := os.ReadFile(path)
@@ -148,9 +148,9 @@ func TestJournalMidFileCorruption(t *testing.T) {
 func TestJournalRejectsDroppedRecord(t *testing.T) {
 	dir := t.TempDir()
 	appendRecords(t, dir,
-		JournalRecord{Op: OpIntent, Job: "a"},
+		JournalRecord{Op: OpClaimed, Job: "a"},
 		JournalRecord{Op: OpDone, Job: "a"},
-		JournalRecord{Op: OpIntent, Job: "b"},
+		JournalRecord{Op: OpClaimed, Job: "b"},
 	)
 	path := filepath.Join(dir, JournalFile)
 	data, err := os.ReadFile(path)

@@ -109,7 +109,7 @@ func TestLeaseTakeoverExactlyOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Append(JournalRecord{Op: OpIntent, Job: jobName, Key: key, Owner: "worker-a"}); err != nil {
+	if err := j.Append(JournalRecord{Op: OpClaimed, Job: jobName, Key: key, Owner: "worker-a"}); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(2 * ttl) // let the real mtime age past the TTL
@@ -120,7 +120,7 @@ func TestLeaseTakeoverExactlyOnce(t *testing.T) {
 	if err != nil {
 		t.Fatalf("takeover after stale heartbeat: %v", err)
 	}
-	if err := j.Append(JournalRecord{Op: OpIntent, Job: jobName, Key: key, Owner: "worker-b"}); err != nil {
+	if err := j.Append(JournalRecord{Op: OpClaimed, Job: jobName, Key: key, Owner: "worker-b"}); err != nil {
 		t.Fatal(err)
 	}
 	if la.Confirm() {
@@ -175,7 +175,7 @@ func TestLeaseTakeoverExactlyOnce(t *testing.T) {
 		switch r.Op {
 		case OpDone:
 			done++
-		case OpIntent:
+		case OpClaimed:
 			intents++
 		}
 		return nil

@@ -1,18 +1,19 @@
 // Package store is the crash-consistent persistence layer under sweep
-// orchestration: a content-addressed result store, a write-ahead sweep
-// journal, and lease-based job claiming for multi-process workers.
+// orchestration: a content-addressed result store, a write-ahead
+// journal, and lease-based claiming for multi-process workers.
 //
 // The durability contract, in one paragraph: every result record is
 // committed tmp-file → fsync(file) → rename → fsync(dir), so a record
 // is either fully present or absent — never torn. Each record carries a
 // CRC-32C trailer plus the internal/schema version, so bit rot or a
 // half-written file is detected on read and quarantined to
-// <name>.corrupt instead of aborting the sweep. The journal
-// (journal.jsonl) is an append-only intent/outcome log fsync'd per
-// record; recovery replays it to the exact pre-crash frontier, and the
-// reproduce manifest becomes a derived view of it rather than the
-// source of truth. Leases (owner id + heartbeat mtime, stale takeover
-// after a TTL) let N worker processes shard one sweep; a duplicate
+// <name>.corrupt instead of aborting the sweep. The store itself is
+// the frontier of what is done: a key that holds a record is served,
+// never recomputed. The journal (journal.jsonl), an append-only
+// pending/terminal log fsync'd per record, is ccserve's: it records what
+// the server promised its clients, and recovery replays it to the
+// exact pre-crash frontier. Leases (owner id + heartbeat mtime, stale
+// takeover after a TTL) let N worker processes share one sweep; a duplicate
 // attempt's commit is a no-op because records are addressed by content
 // key, which is what makes execution exactly-once.
 //
@@ -31,6 +32,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"ccatscale/internal/schema"
 )
@@ -253,13 +255,16 @@ func WriteFileAtomic(path string, data []byte) error {
 	return WriteFileAtomicFS(OSFS(), path, data)
 }
 
+// tmpSeq tells apart the temp files of one process's concurrent writers.
+var tmpSeq atomic.Uint64
+
 // WriteFileAtomicFS is WriteFileAtomic on an explicit FS.
 func WriteFileAtomicFS(fs FS, path string, data []byte) error {
 	dir := filepath.Dir(path)
-	// Unique-per-process temp name: O_EXCL retries are not needed
-	// because concurrent writers embed their pid, and a leftover tmp
-	// from a crashed writer is simply overwritten next attempt.
-	tmp := fmt.Sprintf("%s.tmp.%d", path, os.Getpid())
+	// Unique temp name: O_EXCL retries are not needed because
+	// concurrent writers embed their pid and, within one process, a
+	// sequence number; a crashed writer's leftover tmp is never renamed.
+	tmp := fmt.Sprintf("%s.tmp.%d.%d", path, os.Getpid(), tmpSeq.Add(1))
 	f, err := fs.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err

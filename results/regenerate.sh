@@ -3,9 +3,10 @@
 # scaled tier and results/full/ the paper-scale (10 Gbps) records, each
 # written by cmd/reproduce under the strict auditor into a scratch -out
 # from which the tables (<job>.txt, <job>.json) and manifest.json are
-# kept; journal, store and leases stay behind. Runs are deterministic in
-# the seed: every table's .json comes back byte-identical, its .txt too
-# except the closing "[seed N, wall …]" line.
+# kept; the run store and leases stay behind. A fresh -out means every
+# run is computed by this build. Runs are deterministic in the seed:
+# every table's .json comes back byte-identical, its .txt too except the
+# closing "[seed N, wall …]" line.
 #
 #   results/regenerate.sh       # rewrite results/ and results/full/ in place
 #   results/regenerate.sh DIR   # write DIR and DIR/full (CI diffs them against this directory)
