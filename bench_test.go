@@ -9,7 +9,7 @@ package ccatscale
 //	go test -bench . -benchmem
 //
 // regenerates the shape of every result in one command. EXPERIMENTS.md
-// records the full-scale numbers produced by cmd/ccatscale.
+// records the numbers cmd/reproduce commits to results/.
 //
 // Benchmarks are heavyweight (each iteration simulates tens of virtual
 // seconds); use -benchtime=1x for a single pass.

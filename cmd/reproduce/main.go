@@ -1,11 +1,13 @@
 // Command reproduce regenerates every table and figure of the paper in
 // one invocation, writing one text file per result into an output
-// directory (default ./results). It is the driver behind
-// EXPERIMENTS.md.
+// directory (default ./results). It is the one front end of the
+// experiment catalog and the driver behind EXPERIMENTS.md.
 //
 //	reproduce [-out DIR] [-scale N] [-seed N] [-quick] [-only RE] [-audit strict]
-//	          [-scenario file.json] [-mem-budget 512M] [-event-budget N] [-retries N]
+//	          [-mem-budget 512M] [-event-budget N] [-retries N]
 //	          [-progress] [-telemetry out.jsonl] [-pprof localhost:6060]
+//	reproduce -scenario file.json [-out DIR] [-audit strict] [...]
+//	reproduce -replay DIR/<key>.failed.json
 //
 // -quick shrinks windows and flow counts for a minutes-long smoke pass;
 // the default tier is EdgeScale plus CoreScale/N (1 Gbps at N=10).
@@ -14,7 +16,14 @@
 // runs relative to the tier's window, so the committed results/ are this
 // command at -scale 25 (results/regenerate.sh) and paper scale (10 Gbps,
 // 5000 flows) is the same command at -scale 1: minutes per table, hours
-// for the whole paper on two cores.
+// for the whole paper on two cores. -only '^fig4_core$' runs one table.
+//
+// -scenario runs one versioned JSON document (flows, network, run
+// lengths, seed) instead of the paper sweep, as a one-run job; the
+// document fixes the seed and the size, so -seed, -scale and -quick
+// beside it are usage errors. -replay re-runs the config of a failure
+// record: a failure that recurs is printed and exits 1, a run that now
+// completes prints its per-flow table.
 //
 // Three observation surfaces are opt-in and never perturb results:
 // -progress prints a live status line (jobs done/running, estimator
@@ -40,8 +49,8 @@
 // it a fresh -out.
 //
 // The sweep is fail-safe: a run that errors (or panics) fails its job,
-// recorded in manifest.json with a replayable <key>.failed.json when
-// the failure is a core.RunError, and the remaining runs still run.
+// recorded in manifest.json with a <key>.failed.json that -replay takes
+// when the failure is a core.RunError, and the remaining runs still run.
 // -mem-budget and -event-budget bound every run's footprint: a job with
 // a run the estimator prices over budget is recorded as "rejected" (not
 // failed — the sweep still exits zero); -retries lets admission degrade
@@ -147,6 +156,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&sw.parallel, "parallel", runtime.GOMAXPROCS(0), "concurrent runs")
 	only := fs.String("only", "", "regexp restricting which jobs run")
 	scenarioPath := fs.String("scenario", "", "run one scenario document (versioned JSON; see DESIGN.md) instead of the paper sweep")
+	replayPath := fs.String("replay", "", "re-run the failed run a <key>.failed.json record holds (exit 1 if the failure recurs)")
 	fs.StringVar(&sw.panicJob, "panicjob", "", "inject a mid-run panic into the named job (supervisor drill)")
 	wallLimit := fs.Duration("runwall", 0, "wall-clock limit per simulation run (0 = unlimited)")
 	auditPol := fs.String("audit", "", "invariant auditing for every run: off (default), warn, or strict")
@@ -166,6 +176,24 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	fail := func(code int, msg any) int {
 		fmt.Fprintln(stderr, "reproduce:", msg)
 		return code
+	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	for _, c := range []struct {
+		mode     string
+		excludes []string
+	}{
+		{"replay", []string{"scenario", "only", "panicjob"}},
+		{"scenario", []string{"seed", "scale", "quick"}}, // the document sets them
+	} {
+		for _, other := range c.excludes {
+			if set[c.mode] && set[other] {
+				return fail(2, fmt.Sprintf("-%s and -%s do not combine", c.mode, other))
+			}
+		}
+	}
+	if *replayPath != "" {
+		return replay(*replayPath, stdout, stderr)
 	}
 	if sw.scale < 1 {
 		return fail(2, "-scale must be at least 1")

@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -564,9 +563,6 @@ func TestRunIsolationAndResume(t *testing.T) {
 	if re.Config.Seed == 0 || len(re.Config.Flows) == 0 {
 		t.Fatalf("failure record config incomplete: %+v", re.Config)
 	}
-	if re.ReplayCommand() == "" {
-		t.Fatal("failure record has no replay command")
-	}
 
 	// The same command without the fault: the completed job is served
 	// from the store, only the failed one computes.
@@ -588,7 +584,7 @@ func TestRunIsolationAndResume(t *testing.T) {
 // TestChurnJobIsGoverned: ext_churn_core ran on a second harness with no
 // supervisor, auditor or telemetry, so -panicjob was a silent no-op for
 // it and -telemetry recorded nothing. It is an arrival process of the one
-// harness now: the drill fails the job with a record `ccatscale replay`
+// harness now: the drill fails the job with a record `reproduce -replay`
 // reproduces, and an audited, traced run leaves events in the stream.
 func TestChurnJobIsGoverned(t *testing.T) {
 	dir := t.TempDir()
@@ -601,7 +597,8 @@ func TestChurnJobIsGoverned(t *testing.T) {
 	if rec == nil || rec.FailureFile == "" {
 		t.Fatalf("the manifest names no failure record: %+v", rec)
 	}
-	f, err := os.Open(filepath.Join(dir, rec.FailureFile))
+	record := filepath.Join(dir, rec.FailureFile)
+	f, err := os.Open(record)
 	if err != nil {
 		t.Fatalf("the drill left no failure record: %v", err)
 	}
@@ -613,19 +610,21 @@ func TestChurnJobIsGoverned(t *testing.T) {
 	if re.Reason != "panic" || re.Config.Arrivals == nil {
 		t.Fatalf("failure record: reason %q, arrivals %+v", re.Reason, re.Config.Arrivals)
 	}
-	// What `ccatscale replay -in` does: run the recorded config.
-	_, err = core.Run(re.Config)
-	var replay *core.RunError
-	if !errors.As(err, &replay) || replay.PanicMsg != re.PanicMsg ||
-		replay.VirtualTime != re.VirtualTime || replay.Events != re.Events {
-		t.Fatalf("replay did not reproduce the failure: %v", err)
+	// The replay runs the recorded config and fails the same way: the same
+	// panic at the same virtual time after the same events.
+	stdout.Reset()
+	stderr.Reset()
+	code := run([]string{"-replay", record}, &stdout, &stderr)
+	same := fmt.Sprintf(": %s [seed=%d vt=%v events=%d ", re.PanicMsg, re.Seed, re.VirtualTime, re.Events)
+	if code != 1 || !strings.Contains(stderr.String(), "failure reproduced: core: run failed: panic"+same) {
+		t.Fatalf("-replay exit %d, stderr:\n%s\nwant exit 1 and the recorded failure%s", code, &stderr, same)
 	}
 
 	dir = t.TempDir()
 	events := filepath.Join(dir, "events.jsonl")
 	stdout.Reset()
 	stderr.Reset()
-	code := run([]string{"-out", dir, "-quick", "-scale", "50", "-seed", "7", "-only", "^ext_churn_core$",
+	code = run([]string{"-out", dir, "-quick", "-scale", "50", "-seed", "7", "-only", "^ext_churn_core$",
 		"-audit", "strict", "-telemetry", events}, &stdout, &stderr)
 	if code != 0 {
 		t.Fatalf("audited run exit = %d\nstdout:\n%s\nstderr:\n%s", code, &stdout, &stderr)
@@ -636,6 +635,91 @@ func TestChurnJobIsGoverned(t *testing.T) {
 	}
 	if n := bytes.Count(data, []byte("\n")); n <= 1 {
 		t.Fatalf("telemetry stream holds %d lines: the churn job emitted nothing", n)
+	}
+}
+
+// TestReplayOfARepairedRun: a record whose config now runs cleanly — here
+// written by hand, as after a fix — replays to exit 0 and the run's
+// per-flow table.
+func TestReplayOfARepairedRun(t *testing.T) {
+	cfg := testSetting().Build(core.UniformFlows(2, "reno", core.DefaultRTT), core.WithSeed(7))
+	record := filepath.Join(t.TempDir(), "run1-hand.failed.json")
+	f, err := os.Create(record)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = (&core.RunError{Reason: "panic", Seed: 7, PanicMsg: "fixed since", Config: cfg}).WriteJSON(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-replay", record}, &stdout, &stderr); code != 0 {
+		t.Fatalf("-replay exit %d\nstderr:\n%s", code, &stderr)
+	}
+	lines := strings.Split(stdout.String(), "\n")
+	if len(lines) < 4 || !strings.Contains(lines[0], "no failure this time") ||
+		!slices.Equal(strings.Fields(lines[1]), experiments.RunHeaders) {
+		t.Fatalf("-replay printed:\n%s\nwant the run table under %v", &stdout, experiments.RunHeaders)
+	}
+	if code := run([]string{"-replay", record + ".missing"}, &stdout, &stderr); code != 2 {
+		t.Fatalf("-replay of a missing record: exit %d, want 2", code)
+	}
+}
+
+// TestModeFlagsDoNotCombine: -replay runs one recorded config, so a job
+// selection beside it is a usage error; a scenario document sets its own
+// seed and size, so an explicit -seed, -scale or -quick beside -scenario
+// is one too, rather than a flag that silently does not apply. Neither
+// writes a manifest.
+func TestModeFlagsDoNotCombine(t *testing.T) {
+	const doc = "../../examples/scenarios/parkinglot.json"
+	for _, args := range [][]string{
+		{"-replay", "x.failed.json", "-scenario", doc},
+		{"-replay", "x.failed.json", "-only", "^fig4_core$"},
+		{"-replay", "x.failed.json", "-panicjob", "fig4_core"},
+		{"-scenario", doc, "-seed", "7"},
+		{"-scenario", doc, "-scale", "25"},
+		{"-scenario", doc, "-quick"},
+	} {
+		dir := t.TempDir()
+		var stdout, stderr bytes.Buffer
+		if code := run(append([]string{"-out", dir}, args...), &stdout, &stderr); code != 2 ||
+			!strings.Contains(stderr.String(), "do not combine") {
+			t.Errorf("%v: exit %d, stderr %q; want the usage error", args, code, &stderr)
+		}
+		if _, err := os.Stat(filepath.Join(dir, manifestFile)); !os.IsNotExist(err) {
+			t.Errorf("%v: wrote a manifest (%v)", args, err)
+		}
+	}
+}
+
+// TestPaperScaleScenarioIsTheYardstick: the committed paper-scale
+// document is the command ROADMAP's timing table and DESIGN.md's events/s
+// curve were measured with — CoreScale's 10 Gbps and 375 MB, 500 BBR then
+// 500 NewReno flows at 20 ms, 5 s + 10 s windows, 2 s stagger, seed 7 —
+// so its one run has that config's key. Nothing runs.
+func TestPaperScaleScenarioIsTheYardstick(t *testing.T) {
+	sw := &sweep{}
+	if err := sw.buildJobs(core.Setting{}, "../../examples/scenarios/paperscale_bbr_reno.json"); err != nil {
+		t.Fatal(err)
+	}
+	j := sw.jobs[0]
+	cfgs := j.entry.Configs(j.setting, j.args)
+	s := core.CoreScale()
+	s.Warmup, s.Duration, s.Stagger = 5*sim.Second, 10*sim.Second, 2*sim.Second
+	flows := append(core.UniformFlows(500, "bbr", 20*sim.Millisecond), core.UniformFlows(500, "reno", 20*sim.Millisecond)...)
+	want, err := core.RunKey(s.Build(flows, core.WithSeed(7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cfgs) != 1 || sw.seed != 7 {
+		t.Fatalf("%d configs at seed %d, want one at seed 7", len(cfgs), sw.seed)
+	}
+	if got, err := core.RunKey(cfgs[0]); err != nil || got != want {
+		t.Fatalf("scenario run key %s (%v), want the CoreScale yardstick's %s", got, err, want)
 	}
 }
 

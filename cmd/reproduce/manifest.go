@@ -47,7 +47,7 @@ type jobRecord struct {
 	// Error holds the failure summary for failed and rejected jobs.
 	Error string `json:"error,omitempty"`
 	// FailureFile points at the serialized RunError of a failed run
-	// (replayable via `ccatscale replay -in`), relative to the output
+	// (replayable via `reproduce -replay`), relative to the output
 	// directory.
 	FailureFile string `json:"failureFile,omitempty"`
 	// Usage aggregates the resources the job's stored runs consumed.

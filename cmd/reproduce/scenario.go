@@ -8,7 +8,6 @@ import (
 	"ccatscale/internal/experiments"
 	"ccatscale/internal/report"
 	"ccatscale/internal/schema"
-	"ccatscale/internal/sim"
 )
 
 // loadScenarioJob reads, parses, and compiles one scenario document
@@ -40,12 +39,7 @@ func loadScenarioJob(path string) (job, uint64, error) {
 			// -runwall, budget flags, and the fidelity ladder overlay
 			// the document like any other job.
 			Configs: func(s core.Setting, _ experiments.Args) []core.RunConfig {
-				opts := []core.ConfigOption{core.WithSeed(b.Seed())}
-				if scn.SeriesIntervalS > 0 {
-					iv := sim.Time(scn.SeriesIntervalS * float64(sim.Second))
-					opts = append(opts, func(c *core.RunConfig) { c.SeriesInterval = iv })
-				}
-				return []core.RunConfig{s.Build(b.Flows(), opts...)}
+				return []core.RunConfig{b.Build(s)}
 			},
 			Table: func(_ core.Setting, _ experiments.Args, results []core.RunResult) *report.Table {
 				return experiments.RunTable("Scenario: "+scn.Name, results[0])

@@ -108,7 +108,7 @@ func Run(ctx context.Context, env Env, lease, key string, cfg core.RunConfig, de
 		return checkpoint, nil
 	}
 	// Park a replayable failure record beside the store so the failure
-	// can be debugged offline (`ccatscale replay -in`).
+	// can be debugged offline (`reproduce -replay`).
 	if isRunError {
 		var buf bytes.Buffer
 		if werr := re.WriteJSON(&buf); werr == nil {

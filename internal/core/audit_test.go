@@ -86,7 +86,7 @@ func TestValidationErrorsAreDescriptive(t *testing.T) {
 
 // TestAuditDrillCaughtStrict is the acceptance drill: a corrupted queue
 // byte-decrement must fail a strict run with a structured conservation
-// violation whose replay command carries the audit flags.
+// violation whose failure record carries the audit policy and the drill.
 func TestAuditDrillCaughtStrict(t *testing.T) {
 	cfg := auditedTinyConfig(1)
 	cfg.AuditDrillAt = 3 * sim.Second
@@ -110,11 +110,8 @@ func TestAuditDrillCaughtStrict(t *testing.T) {
 	if re.Violation.Time < cfg.AuditDrillAt {
 		t.Fatalf("violation at %v, before the drill at %v", re.Violation.Time, cfg.AuditDrillAt)
 	}
-	cmd := re.ReplayCommand()
-	for _, want := range []string{"-audit strict", "-audit-drill"} {
-		if !strings.Contains(cmd, want) {
-			t.Fatalf("replay command %q lacks %q", cmd, want)
-		}
+	if re.Config.Audit != "strict" || re.Config.AuditDrillAt != cfg.AuditDrillAt {
+		t.Fatalf("failure record's config has audit %q, drill %v; want the run's", re.Config.Audit, re.Config.AuditDrillAt)
 	}
 }
 

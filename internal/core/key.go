@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
@@ -33,11 +34,19 @@ func Identity(s Setting) Setting {
 // differently (and title the one per-run table after the name), so the
 // same document does not address the same record in both.
 func ResultKey(name string, seed uint64, s Setting) (string, error) {
-	data, err := json.Marshal(struct {
-		Name    string
-		Seed    uint64
-		Setting Setting
-	}{name, seed, Identity(s)})
+	setting, err := json.Marshal(Identity(s))
+	var data []byte
+	if err == nil {
+		// Stores were first filed while Setting had an AuditDrillAt field,
+		// zero in every keyed job; its zero stays in the hashed bytes, so
+		// removing the field moved no key.
+		setting = bytes.Replace(setting, []byte(`,"Budget":null,`), []byte(`,"AuditDrillAt":0,"Budget":null,`), 1)
+		data, err = json.Marshal(struct {
+			Name    string
+			Seed    uint64
+			Setting json.RawMessage
+		}{name, seed, setting})
+	}
 	if err != nil {
 		return "", fmt.Errorf("core: result key for %s: %w", name, err)
 	}

@@ -25,7 +25,8 @@ var update = flag.Bool("update", false, "rewrite testdata/runresult_fields.golde
 // are the same document keyed by each front end: cmd/reproduce folds
 // the seed into the job name and carries the document's audit policy in
 // the Setting, ccserve keys the bare JobSpec — the keys differ, and
-// stay different while the two commit different tables.
+// stay different while the two commit different tables. The keys
+// predate the removal of Setting.AuditDrillAt and did not move with it.
 func TestResultKeyGolden(t *testing.T) {
 	data, err := os.ReadFile("../../examples/scenarios/parkinglot.json")
 	if err != nil {
@@ -92,7 +93,7 @@ func TestSettingFieldsClassified(t *testing.T) {
 	identity := []string{
 		"Name", "Rate", "Buffer", "FlowCounts", "Warmup", "Duration", "Stagger",
 		"Converge", "AQM", "Topology", "ECN", "ECNMarkBytes", "BurstLoss", "Outage",
-		"StallEvents", "FaultPanicAt", "Audit", "AuditDrillAt",
+		"StallEvents", "FaultPanicAt", "Audit",
 	}
 	governance := []string{
 		"Budget", "Retries", "Fidelity", "WallLimit",

@@ -17,9 +17,9 @@ import (
 // Every invariant panic inside the simulation stack and every watchdog
 // stop is converted into one of these, carrying enough context — seed,
 // full config snapshot, virtual time, event count — to replay the
-// failing run in one command. It is JSON-serializable so batch drivers
-// (cmd/reproduce) can checkpoint failures to disk next to the results
-// they did not produce.
+// failing run. It is JSON-serializable: the shared attempt parks it as
+// <key>.failed.json beside the store, and `reproduce -replay` runs the
+// recorded config again.
 type RunError struct {
 	// Reason classifies the failure: "panic", "invariant violation",
 	// "wall-clock limit exceeded", or "virtual-time stall".
@@ -74,7 +74,7 @@ func (e *RunError) Error() string {
 	}
 	fmt.Fprintf(&b, " [seed=%d vt=%v events=%d flows=%s]",
 		e.Seed, e.VirtualTime, e.Events, flowsSummary(e.Config.Flows))
-	fmt.Fprintf(&b, "; replay: %s", e.ReplayCommand())
+	b.WriteString("; replay: reproduce -replay <key>.failed.json")
 	return b.String()
 }
 
@@ -101,85 +101,6 @@ func flowsSummary(flows []FlowSpec) string {
 		parts[i] = fmt.Sprintf("%d %s", counts[cca], cca)
 	}
 	return fmt.Sprintf("%d (%s)", len(flows), strings.Join(parts, ", "))
-}
-
-// FlowsSpec renders flows in the ccatscale -flows syntax
-// ("4xbbr@20ms,4xcubic@100ms"), grouping consecutive identical specs.
-// The rendering is exact: parsing it back yields the same flow list in
-// the same order.
-func FlowsSpec(flows []FlowSpec) string {
-	var b strings.Builder
-	for i := 0; i < len(flows); {
-		j := i
-		for j < len(flows) && flows[j] == flows[i] {
-			j++
-		}
-		if b.Len() > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%dx%s@%v", j-i, flows[i].CCA, flows[i].RTT)
-		i = j
-	}
-	return b.String()
-}
-
-// maxReplayGroups bounds the -flows form of ReplayCommand: interleaved
-// mixes at scale group poorly (5000 alternating flows are 5000 groups),
-// and those runs replay from the serialized failure record instead.
-const maxReplayGroups = 8
-
-// ReplayCommand returns a one-line command that reproduces the failing
-// run. Compact configurations replay through explicit ccatscale flags;
-// configurations that do not fit a command line (large interleaved flow
-// mixes) or that `ccatscale run` has no flag for (a declared topology,
-// ECN, iid loss, jitter, an arrival process) replay from the JSON
-// failure record parked beside the sweep's store ("ccatscale replay
-// -in <key>.failed.json").
-func (e *RunError) ReplayCommand() string {
-	const fromRecord = "ccatscale replay -in <key>.failed.json"
-	cfg := e.Config
-	if cfg.Topology != nil || cfg.ECN || cfg.ECNMarkBytes != 0 ||
-		cfg.RandomLoss != 0 || cfg.Jitter != 0 || cfg.Arrivals != nil {
-		return fromRecord
-	}
-	flows := FlowsSpec(cfg.Flows) // one comma between groups
-	if strings.Count(flows, ",") >= maxReplayGroups {
-		return fromRecord
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "ccatscale run -flows %s -rate-bps %d -buffer-bytes %d -seed %d",
-		flows, int64(cfg.Rate), int64(cfg.Buffer), e.Seed)
-	if cfg.Warmup > 0 {
-		fmt.Fprintf(&b, " -warmup %v", cfg.Warmup)
-	}
-	if cfg.Duration > 0 {
-		fmt.Fprintf(&b, " -duration %v", cfg.Duration)
-	}
-	if cfg.Stagger > 0 {
-		fmt.Fprintf(&b, " -stagger %v", cfg.Stagger)
-	}
-	if cfg.Converge > 0 {
-		fmt.Fprintf(&b, " -converge %v", cfg.Converge)
-	}
-	if cfg.AQM != "" {
-		fmt.Fprintf(&b, " -aqm %s", cfg.AQM)
-	}
-	if cfg.BurstLoss != nil {
-		fmt.Fprintf(&b, " -burst %s", cfg.BurstLoss)
-	}
-	if cfg.Outage != nil {
-		fmt.Fprintf(&b, " -outage %s", cfg.Outage)
-	}
-	if cfg.FaultPanicAt > 0 {
-		fmt.Fprintf(&b, " -panic-at %v", cfg.FaultPanicAt)
-	}
-	if cfg.Audit != "" && cfg.Audit != "off" {
-		fmt.Fprintf(&b, " -audit %s", cfg.Audit)
-	}
-	if cfg.AuditDrillAt > 0 {
-		fmt.Fprintf(&b, " -audit-drill %v", cfg.AuditDrillAt)
-	}
-	return b.String()
 }
 
 // WriteJSON serializes the failure record (indented, stable field

@@ -208,41 +208,11 @@ func TestOutageRunDeterministicAndCounted(t *testing.T) {
 	}
 }
 
-func TestFlowsSpecGrouping(t *testing.T) {
-	flows := append(UniformFlows(3, "reno", 20*sim.Millisecond),
-		UniformFlows(2, "bbr", 100*sim.Millisecond)...)
-	if got, want := FlowsSpec(flows), "3xreno@20ms,2xbbr@100ms"; got != want {
-		t.Fatalf("FlowsSpec = %q, want %q", got, want)
-	}
-	if got := FlowsSpec(nil); got != "" {
-		t.Fatalf("FlowsSpec(nil) = %q, want empty", got)
-	}
-}
-
-func TestReplayCommandCompactAndFallback(t *testing.T) {
-	re := &RunError{Seed: 7, Config: smallConfig(7)}
-	cmd := re.ReplayCommand()
-	for _, want := range []string{"ccatscale run", "-flows 2xreno@20ms", "-seed 7", "-rate-bps 20000000", "-warmup 1s"} {
-		if !strings.Contains(cmd, want) {
-			t.Fatalf("replay command %q lacks %q", cmd, want)
-		}
-	}
-	// An interleaved mix at scale cannot ride a flag; the command points
-	// at the serialized failure record instead.
-	big := smallConfig(7)
-	big.Flows = MixedFlows(40, "bbr", "reno", 20*sim.Millisecond)
-	reBig := &RunError{Seed: 7, Config: big}
-	if !strings.Contains(reBig.ReplayCommand(), "replay -in") {
-		t.Fatalf("large-config replay command %q should use the failure record", reBig.ReplayCommand())
-	}
-}
-
-// TestReplayCommandFallsBackForUnflaggableConfigs: `ccatscale run` has no
-// flag for a declared topology, ECN, iid loss, jitter or an arrival
-// process, so a compact command would replay a different run (or, for a
-// topology, one validation rejects: "-rate-bps 0 -buffer-bytes 0"). Those
-// configs replay from the failure record; the fault flags the CLI does
-// have stay in the compact form.
+// TestReplayCommandFallsBackForUnflaggableConfigs: a failure's replay
+// line names its failure record for every config — a declared topology,
+// ECN, iid loss, jitter or an arrival process, which no flag line could
+// spell out, as much as a plain dumbbell — because the record holds the
+// whole config.
 func TestReplayCommandFallsBackForUnflaggableConfigs(t *testing.T) {
 	cases := []struct {
 		name string
@@ -258,6 +228,11 @@ func TestReplayCommandFallsBackForUnflaggableConfigs(t *testing.T) {
 		{"ecn + random loss", func(c *RunConfig) { c.ECN, c.RandomLoss = true, 0.01 }},
 		{"jitter", func(c *RunConfig) { c.Jitter = sim.Millisecond }},
 		{"arrivals", func(c *RunConfig) { c.Arrivals = churnBase(5).Arrivals }},
+		{"plain dumbbell", func(*RunConfig) {}},
+		{"burst loss + outage", func(c *RunConfig) {
+			c.BurstLoss = &BurstLossSpec{MeanLoss: 0.005, MeanBurstLen: 8}
+			c.Outage = &OutageSpec{Start: 2 * sim.Second, Down: sim.Second, Period: 10 * sim.Second, Count: 1}
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -269,52 +244,9 @@ func TestReplayCommandFallsBackForUnflaggableConfigs(t *testing.T) {
 			if !errors.As(err, &re) {
 				t.Fatalf("error is %T (%v), want *RunError", err, err)
 			}
-			if got := re.ReplayCommand(); got != "ccatscale replay -in <key>.failed.json" {
-				t.Fatalf("replay command %q cannot reproduce this config", got)
+			if msg := re.Error(); !strings.HasSuffix(msg, "; replay: reproduce -replay <key>.failed.json") {
+				t.Fatalf("Error() = %q does not end with the failure record's replay line", msg)
 			}
 		})
-	}
-	cfg := smallConfig(7)
-	cfg.BurstLoss = &BurstLossSpec{MeanLoss: 0.005, MeanBurstLen: 8}
-	cfg.Outage = &OutageSpec{Start: 2 * sim.Second, Down: sim.Second, Period: 10 * sim.Second, Count: 1}
-	cmd := (&RunError{Seed: 7, Config: cfg}).ReplayCommand()
-	for _, want := range []string{"ccatscale run", "-burst 0.005,8", "-outage 2s,1s,10s,1"} {
-		if !strings.Contains(cmd, want) {
-			t.Fatalf("replay command %q lacks %q", cmd, want)
-		}
-	}
-}
-
-func TestParseBurstLossAndOutageRoundTrip(t *testing.T) {
-	b, err := ParseBurstLoss("0.005,8")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.MeanLoss != 0.005 || b.MeanBurstLen != 8 {
-		t.Fatalf("parsed %+v", b)
-	}
-	if b2, err := ParseBurstLoss(b.String()); err != nil || *b2 != *b {
-		t.Fatalf("burst round trip: %+v, %v", b2, err)
-	}
-	o, err := ParseOutage("2s,500ms,10s,3,hold")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := OutageSpec{Start: 2 * sim.Second, Down: 500 * sim.Millisecond, Period: 10 * sim.Second, Count: 3, Hold: true}
-	if *o != want {
-		t.Fatalf("parsed %+v, want %+v", o, want)
-	}
-	if o2, err := ParseOutage(o.String()); err != nil || *o2 != *o {
-		t.Fatalf("outage round trip: %+v, %v", o2, err)
-	}
-	for _, bad := range []string{"", "0.5", "1,4", "0.1,0", "x,y"} {
-		if _, err := ParseBurstLoss(bad); err == nil {
-			t.Errorf("ParseBurstLoss(%q): no error", bad)
-		}
-	}
-	for _, bad := range []string{"", "1s", "1s,0s,1s,2", "1s,2s,1s,2", "1s,1s,2s,0", "1s,1s,2s,2,maybe"} {
-		if _, err := ParseOutage(bad); err == nil {
-			t.Errorf("ParseOutage(%q): no error", bad)
-		}
 	}
 }

@@ -107,9 +107,9 @@ func compileTopology(spec schema.JobSpec) (*netem.TopologySpec, error) {
 
 // ScenarioBuilder compiles one parsed scenario document into runnable
 // configuration. Build it once per document with NewScenarioBuilder;
-// the accessors then hand the same compiled Setting and flows to
-// whichever front end is driving — reproduce builds a RunConfig
-// directly, ccserve keys and estimates off the Setting.
+// every RunConfig it then builds carries the same compiled flows, seed
+// and series interval — reproduce builds one under its governed copy of
+// the Setting, fprint and the benchmark under the Setting as compiled.
 type ScenarioBuilder struct {
 	scn     *schema.Scenario
 	setting Setting
@@ -133,22 +133,20 @@ func NewScenarioBuilder(scn *schema.Scenario) (*ScenarioBuilder, error) {
 // Setting returns the compiled setting.
 func (b *ScenarioBuilder) Setting() Setting { return b.setting }
 
-// Flows returns a copy of the compiled flow list.
-func (b *ScenarioBuilder) Flows() []FlowSpec {
-	return append([]FlowSpec(nil), b.flows...)
+// RunConfig builds the scenario's RunConfig from the compiled setting.
+func (b *ScenarioBuilder) RunConfig(opts ...ConfigOption) RunConfig {
+	return b.Build(b.setting, opts...)
 }
 
-// Seed returns the document's seed.
-func (b *ScenarioBuilder) Seed() Seed { return Seed(b.scn.Seed) }
-
-// RunConfig builds the scenario's RunConfig: the compiled setting and
-// flows, the document's seed and series interval, then any options —
-// so WithSeed in opts overrides the document for seed sweeps.
-func (b *ScenarioBuilder) RunConfig(opts ...ConfigOption) RunConfig {
+// Build builds the scenario's RunConfig under s — the compiled setting,
+// or a copy of it a front end has governed (audit, budgets, retries):
+// the document's flows, seed and series interval, then any options, so
+// WithSeed in opts overrides the document for seed sweeps.
+func (b *ScenarioBuilder) Build(s Setting, opts ...ConfigOption) RunConfig {
 	base := []ConfigOption{WithSeed(Seed(b.scn.Seed))}
 	if b.scn.SeriesIntervalS > 0 {
 		iv := sim.Time(b.scn.SeriesIntervalS * float64(sim.Second))
 		base = append(base, func(c *RunConfig) { c.SeriesInterval = iv })
 	}
-	return b.setting.Build(b.flows, append(base, opts...)...)
+	return s.Build(b.flows, append(base, opts...)...)
 }

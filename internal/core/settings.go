@@ -64,10 +64,6 @@ type Setting struct {
 	// Audit selects the invariant-auditing policy for every run of the
 	// setting ("", "off", "warn", or "strict").
 	Audit string
-	// AuditDrillAt, when positive, corrupts the bottleneck queue
-	// accounting in every run at this virtual time — the auditor drill
-	// behind -audit-drill (requires a non-off Audit policy).
-	AuditDrillAt sim.Time
 	// Budget bounds every run of the setting (nil = unlimited); see
 	// RunConfig.Budget.
 	Budget *budget.Budget
@@ -185,7 +181,6 @@ func (s Setting) Build(flows []FlowSpec, opts ...ConfigOption) RunConfig {
 		StallEvents:  s.StallEvents,
 		FaultPanicAt: s.FaultPanicAt,
 		Audit:        s.Audit,
-		AuditDrillAt: s.AuditDrillAt,
 		Budget:       s.Budget,
 	}
 	for _, opt := range opts {

@@ -3,9 +3,8 @@
 // plan (the runs it needs, as data) plus the table its results fill; a
 // front end looks an entry up, runs the plan under whatever governance
 // it has — context, budgets, retries, telemetry — and renders the table.
-// cmd/ccatscale runs one entry per invocation, cmd/reproduce binds
-// entries to the two regimes as jobs; neither defines a table of its
-// own.
+// cmd/reproduce binds entries to the two regimes as jobs and defines no
+// table of its own.
 package experiments
 
 import (
@@ -28,19 +27,16 @@ type Args struct {
 	// Vs is fig8's loss-based competitor (reno or cubic).
 	Vs string
 	// RTTs are the base RTTs the fairness entries sweep: the entry's
-	// declared set once Bind has run, unless the front end then narrows
-	// it (ccatscale -rtt).
+	// declared set once Bind has run.
 	RTTs []sim.Time
 }
 
 // Entry is one experiment of the catalog.
 type Entry struct {
-	// Name is the entry's command name (ccatscale <name>).
+	// Name identifies the entry; reproduce's jobs look it up by name.
 	Name string
-	// Desc is the one-line description the usage text prints.
-	Desc string
-	// Headers is the table's header row, as data so that what either
-	// CLI prints can be checked against the declaration.
+	// Headers is the table's header row, as data so that what a job
+	// writes can be checked against the declaration.
 	Headers []string
 	// Window is the entry's run length, as a multiple of the setting's
 	// measurement window (0 = 1×): the slow-converging experiments
@@ -57,10 +53,9 @@ type Entry struct {
 	Table func(s core.Setting, a Args, results []core.RunResult) *report.Table
 }
 
-// Catalog lists every entry, in the order the usage text prints them.
+// Catalog lists every entry.
 var Catalog = []Entry{
-	define("mathis", "Mathis analysis: Table 1 constants, Fig 2 error, Fig 3 loss:halving ratio, drop burstiness (§4)",
-		[]string{"setting", "flows", "C(loss)", "C(halving)", "err(loss)%", "err(halving)%", "loss:halving", "burstiness", "utilization"},
+	define("mathis", []string{"setting", "flows", "C(loss)", "C(halving)", "err(loss)%", "err(halving)%", "loss:halving", "burstiness", "utilization"},
 		func(s core.Setting, a Args) []core.RunConfig { return core.MathisConfigs(s, a.Seed) },
 		func(core.Setting, Args) string {
 			return "Mathis model (§4): Table 1 constant C, Fig 2 median error %, Fig 3 loss:halving ratio, drop burstiness (paper: ≈0.2 edge, ≈0.35 core)"
@@ -71,20 +66,13 @@ var Catalog = []Entry{
 					r.LossToHalvingRatio, r.DropBurstiness, r.Utilization)
 			}
 		}),
-	intraEntry("fig4", "BBR intra-CCA fairness, JFI at 20/100/200 ms (§5.1)",
-		func(Args) string { return "bbr" }).runs(1.5),
-	intraEntry("intra", "intra-CCA fairness of -cca reno|cubic|bbr|… at 20 ms (Finding 4)",
-		func(a Args) string { return a.CCA }).runs(2, core.DefaultRTT),
-	interEntry("fig5", "Cubic share vs an equal number of NewReno flows (§5.2)",
-		core.EqualSplit, "cubic", func(Args) string { return "reno" }),
-	interEntry("fig6", "one BBR flow vs a NewReno crowd (§5.2)",
-		core.OneVersusMany, "bbr", func(Args) string { return "reno" }).runs(2),
-	interEntry("fig7", "one BBR flow vs a Cubic crowd (§5.2)",
-		core.OneVersusMany, "bbr", func(Args) string { return "cubic" }).runs(2),
-	interEntry("fig8", "BBR share vs an equal number of -vs reno|cubic flows (§5.2)",
-		core.EqualSplit, "bbr", func(a Args) string { return a.Vs }).runs(2.5),
-	define("rttmix", "mixed-RTT extension: -cca flows split between a 20 ms and a 100 ms class",
-		[]string{"setting", "flows", "short-RTT share %", "JFI(short)", "JFI(long)", "utilization"},
+	intraEntry("fig4", func(Args) string { return "bbr" }).runs(1.5),
+	intraEntry("intra", func(a Args) string { return a.CCA }).runs(2, core.DefaultRTT),
+	interEntry("fig5", core.EqualSplit, "cubic", func(Args) string { return "reno" }),
+	interEntry("fig6", core.OneVersusMany, "bbr", func(Args) string { return "reno" }).runs(2),
+	interEntry("fig7", core.OneVersusMany, "bbr", func(Args) string { return "cubic" }).runs(2),
+	interEntry("fig8", core.EqualSplit, "bbr", func(a Args) string { return a.Vs }).runs(2.5),
+	define("rttmix", []string{"setting", "flows", "short-RTT share %", "JFI(short)", "JFI(long)", "utilization"},
 		func(s core.Setting, a Args) []core.RunConfig {
 			return core.RTTMixConfigs(s, a.CCA, rttMixShort, rttMixLong, a.Seed)
 		},
@@ -96,8 +84,7 @@ var Catalog = []Entry{
 				tab.AddRow(r.Setting, r.FlowCount, r.ShortShare*100, r.ShortJFI, r.LongJFI, r.Utilization)
 			}
 		}),
-	define("churn", "Poisson flow-churn extension: FCT quantiles of -cca transfers at three loads",
-		[]string{"load", "arrivals", "completed", "p50 FCT (s)", "p95 FCT (s)", "p99 FCT (s)", "drops"},
+	define("churn", []string{"load", "arrivals", "completed", "p50 FCT (s)", "p95 FCT (s)", "p99 FCT (s)", "drops"},
 		func(s core.Setting, a Args) []core.RunConfig { return core.ChurnConfigs(s, a.CCA, a.Seed) },
 		func(_ core.Setting, a Args) string {
 			return fmt.Sprintf("Extension: Poisson flow churn (%s, %v transfers) — flow completion times", a.CCA, core.ChurnTransferBytes)
@@ -109,8 +96,7 @@ var Catalog = []Entry{
 					st.FCTQuantile(0.5), st.FCTQuantile(0.95), st.FCTQuantile(0.99), st.Drops)
 			}
 		}),
-	define("burstloss", "Gilbert–Elliott burst loss vs the iid Mathis model (extension)",
-		[]string{"setting", "burst len", "goodput/flow", "iid predict", "measured/model", "drops/halving", "burst drops"},
+	define("burstloss", []string{"setting", "burst len", "goodput/flow", "iid predict", "measured/model", "drops/halving", "burst drops"},
 		func(s core.Setting, a Args) []core.RunConfig { return core.BurstLossConfigs(s, a.Seed) },
 		func(core.Setting, Args) string {
 			return fmt.Sprintf("Extension: Gilbert–Elliott burst loss (mean loss %.1f%%, %d reno flows) vs iid Mathis prediction",
@@ -122,8 +108,7 @@ var Catalog = []Entry{
 					r.ModelRatio, r.DropsPerHalving, r.BurstDrops)
 			}
 		}),
-	define("outage", "per-CCA recovery under periodic link flaps (extension)",
-		[]string{"setting", "cca", "down", "flaps", "goodput", "vs clean %", "RTOs", "outage drops", "JFI"},
+	define("outage", []string{"setting", "cca", "down", "flaps", "goodput", "vs clean %", "RTOs", "outage drops", "JFI"},
 		func(s core.Setting, a Args) []core.RunConfig { return core.OutageConfigs(s, a.Seed) },
 		func(core.Setting, Args) string {
 			return "Extension: link outages (periodic flaps; goodput relative to a clean run of the same CCA)"
@@ -151,9 +136,8 @@ func Lookup(name string) (Entry, bool) {
 
 // Bind applies what the entry declares about its runs to a front end's
 // setting and args: the measurement window is scaled by Window and the
-// RTT set is the entry's. Both drivers call it before Configs, so an
-// entry runs as long under cmd/reproduce as under cmd/ccatscale; a flag
-// that overrides either (ccatscale -duration, -rtt) is applied after.
+// RTT set is the entry's. cmd/reproduce calls it when it binds a job, so
+// the run length is part of the job's setting and of every run's key.
 func (e Entry) Bind(s core.Setting, a Args) (core.Setting, Args) {
 	if e.Window > 0 {
 		s.Duration = sim.Time(float64(s.Duration) * e.Window)
@@ -174,12 +158,12 @@ func (e Entry) runs(window float64, rtts ...sim.Time) Entry {
 
 // define builds an entry whose table is a title, the header row and one
 // AddRow per row — the one place a catalog table is constructed.
-func define(name, desc string, headers []string,
+func define(name string, headers []string,
 	configs func(core.Setting, Args) []core.RunConfig,
 	title func(core.Setting, Args) string,
 	rows func(*report.Table, core.Setting, Args, []core.RunResult)) Entry {
 	return Entry{
-		Name: name, Desc: desc, Headers: headers, Configs: configs,
+		Name: name, Headers: headers, Configs: configs,
 		Table: func(s core.Setting, a Args, results []core.RunResult) *report.Table {
 			tab := report.NewTable(title(s, a), headers...)
 			rows(tab, s, a, results)
@@ -189,8 +173,8 @@ func define(name, desc string, headers []string,
 }
 
 // intraEntry is the intra-CCA fairness experiment of one algorithm.
-func intraEntry(name, desc string, cca func(Args) string) Entry {
-	return define(name, desc, []string{"setting", "rtt", "flows", "JFI", "utilization"},
+func intraEntry(name string, cca func(Args) string) Entry {
+	return define(name, []string{"setting", "rtt", "flows", "JFI", "utilization"},
 		func(s core.Setting, a Args) []core.RunConfig { return core.IntraCCAConfigs(s, cca(a), a.RTTs, a.Seed) },
 		func(_ core.Setting, a Args) string {
 			return fmt.Sprintf("Intra-CCA fairness: %s (JFI; Fig 4 for bbr, Finding 4 for reno/cubic)", cca(a))
@@ -206,8 +190,8 @@ func intraEntry(name, desc string, cca func(Args) string) Entry {
 // against the competitor vs picks. A lone BBR flow against a loss-based
 // crowd is the case Ware et al. model, so its title carries their
 // prediction for the setting's buffer.
-func interEntry(name, desc string, mode core.InterCCAMode, ccaA string, vs func(Args) string) Entry {
-	return define(name, desc, []string{"setting", "rtt", "flows", ccaA + " share %", "utilization"},
+func interEntry(name string, mode core.InterCCAMode, ccaA string, vs func(Args) string) Entry {
+	return define(name, []string{"setting", "rtt", "flows", ccaA + " share %", "utilization"},
 		func(s core.Setting, a Args) []core.RunConfig {
 			return core.InterCCAConfigs(s, mode, ccaA, vs(a), a.RTTs, a.Seed)
 		},
@@ -234,7 +218,8 @@ func interEntry(name, desc string, mode core.InterCCAMode, ccaA string, vs func(
 var RunHeaders = []string{"flow", "cca", "rtt_ms", "goodput_mbps", "delivered_segs", "drops", "ecn_resp", "retx_rate"}
 
 // RunTable is the per-flow table of one run, the result a scenario
-// document produces under cmd/reproduce -scenario and under ccserve:
+// document produces under cmd/reproduce -scenario and under ccserve, and
+// what reproduce -replay prints when a recorded failure does not recur:
 // one row per flow, the aggregate in a note, and for an ECN or topology
 // run the fabric's CE marks and one note per link. Everything in it
 // derives from the deterministic simulation — no wall clock, no host

@@ -19,8 +19,9 @@ var update = flag.Bool("update", false, "rewrite testdata/catalog.golden with th
 
 // TestCatalogGolden pins every entry's table — title, headers, rows — on
 // a seconds-long lossy setting. testdata/catalog.golden was written by
-// cmd/ccatscale's ten per-sweep renderers at the commit before the
-// catalog replaced them, so passing means the catalog prints their bytes;
+// the one-table CLI's ten per-sweep renderers at the commit before the
+// catalog replaced them, so passing means the catalog prints their bytes
+// (its section labels still name that CLI's commands);
 // the one section written since is mathis, whose row is checked below
 // against the four sections it replaced. Every entry runs the setting's
 // own window over core.RTTs here — what an entry declares about its run
@@ -40,7 +41,7 @@ func TestCatalogGolden(t *testing.T) {
 		Duration:   12 * sim.Second,
 		Stagger:    100 * sim.Millisecond,
 	}
-	// ccatscale's flag defaults, then the two flags that pick a variant.
+	// The golden's default args, then the two that pick a variant.
 	base := Args{Seed: 7, CCA: "reno", Vs: "reno", RTTs: core.RTTs}
 	type variant struct {
 		cmd   string

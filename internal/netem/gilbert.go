@@ -97,19 +97,13 @@ func SimpleGilbert(meanLoss, meanBurstLen float64) GilbertElliottConfig {
 // simple-Gilbert form: a target long-run loss rate delivered in bursts
 // of a given mean length. MeanBurstLen = 1 degenerates to independent
 // Bernoulli loss. It is plain data, so it serializes into link specs and
-// failure records and round-trips through command-line flags.
+// failure records.
 type BurstLossSpec struct {
 	// MeanLoss is the stationary drop probability in [0, 1).
 	MeanLoss float64 `json:"meanLoss"`
 	// MeanBurstLen is the mean number of consecutive drops per loss
 	// episode, ≥ 1.
 	MeanBurstLen float64 `json:"meanBurstLen"`
-}
-
-// String renders the spec in the ccatscale -burst flag syntax
-// ("0.005,8").
-func (s *BurstLossSpec) String() string {
-	return fmt.Sprintf("%g,%g", s.MeanLoss, s.MeanBurstLen)
 }
 
 // Validate rejects parameters SimpleGilbert would panic on.

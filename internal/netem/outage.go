@@ -82,16 +82,6 @@ type OutageSpec struct {
 	Hold bool `json:"hold,omitempty"`
 }
 
-// String renders the spec in the ccatscale -outage flag syntax
-// ("start,down,period,count[,hold]"), e.g. "2s,1s,10s,3".
-func (s *OutageSpec) String() string {
-	out := fmt.Sprintf("%v,%v,%v,%d", s.Start, s.Down, s.Period, s.Count)
-	if s.Hold {
-		out += ",hold"
-	}
-	return out
-}
-
 // Validate rejects schedules NewOutage would panic on.
 func (s *OutageSpec) Validate() error {
 	if s.Start < 0 {
