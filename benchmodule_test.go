@@ -8,11 +8,12 @@ import (
 
 // TestBenchModuleVets compiles and vets bench/, the benchmark's own
 // module. It drives the simulator through exported by-value edges —
-// netem.Sink, Port.Send, Pipe.Send, the Fabric interface,
-// Receiver.OnData, tcp.Config.Output — while the fabric behind them
-// passes packets by reference, and `go build ./...` here does not
-// compile it: without this test a change to one of those signatures
-// would first fail when the benchmark runs.
+// netem.Sink, Port.Send, Pipe.Send, the Fabric interface
+// (Topology.SendData, SetEndpoints), Receiver.OnData, Sender.OnAck,
+// tcp.Config.Output — each an adapter over the by-reference path the
+// module itself uses, and `go build ./...` here does not compile it:
+// without this test a change to one of those signatures would first
+// fail when the benchmark runs.
 func TestBenchModuleVets(t *testing.T) {
 	goBin, err := exec.LookPath("go")
 	if err != nil {

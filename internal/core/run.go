@@ -545,9 +545,9 @@ type run struct {
 	ecn bool
 
 	// wire
-	output    func(packet.Packet) // every sender's path into the fabric
-	senders   []*tcp.Sender       // indexed by flow ID; a transfer's slot
-	receivers []*tcp.Receiver     // is nil between incarnations
+	output    func(*packet.Packet) // every sender's path into the fabric
+	senders   []*tcp.Sender        // indexed by flow ID; a transfer's slot
+	receivers []*tcp.Receiver      // is nil between incarnations
 	arrivals  *ArrivalStats
 	// End-to-end ledger terms, maintained only while auditing (forward
 	// data path only; ACKs ride the uncongested reverse path and never
@@ -685,11 +685,14 @@ func (r *run) build() {
 // the fabric, and schedules the flow starts and the arrival process.
 func (r *run) wire() {
 	cfg, fab := &r.cfg, r.fab
-	r.output = fab.SendData
+	// The data path is by reference end to end: each sender hands the
+	// fabric its own packet slot, and the endpoints get the slot the
+	// packet arrived in (netem.RefSink's rule holds for all of them).
+	r.output = fab.SendDataRef
 	if r.aud != nil {
-		r.output = func(p packet.Packet) {
+		r.output = func(p *packet.Packet) {
 			r.injectedWire += p.WireBytes()
-			fab.SendData(p)
+			fab.SendDataRef(p)
 		}
 	}
 	senders := make([]*tcp.Sender, cfg.slots())
@@ -702,30 +705,30 @@ func (r *run) wire() {
 		r.connect(int32(i), factory(cfg.MSS, r.flowRNG[i]), 0, nil)
 	}
 
-	toReceiver := func(p packet.Packet) { receivers[p.Flow].OnData(p) }
-	toSender := func(p packet.Packet) { senders[p.Flow].OnAck(p) }
+	toReceiver := func(p *packet.Packet) { receivers[p.Flow].OnDataRef(p) }
+	toSender := func(p *packet.Packet) { senders[p.Flow].OnAckRef(p) }
 	if cfg.Arrivals != nil {
 		// A finished transfer's slot is empty through its quarantine:
 		// stragglers (a late retransmission, returning ACKs) stop here.
-		toReceiver = func(p packet.Packet) {
+		toReceiver = func(p *packet.Packet) {
 			if rcv := receivers[p.Flow]; rcv != nil {
-				rcv.OnData(p)
+				rcv.OnDataRef(p)
 			}
 		}
-		toSender = func(p packet.Packet) {
+		toSender = func(p *packet.Packet) {
 			if snd := senders[p.Flow]; snd != nil {
-				snd.OnAck(p)
+				snd.OnAckRef(p)
 			}
 		}
 	}
 	if r.aud != nil {
 		inner := toReceiver
-		toReceiver = func(p packet.Packet) {
+		toReceiver = func(p *packet.Packet) {
 			r.arrivedWire += p.WireBytes()
 			inner(p)
 		}
 	}
-	fab.SetEndpoints(toReceiver, toSender)
+	fab.SetRefEndpoints(toReceiver, toSender)
 	for _, s := range senders[:len(cfg.Flows)] {
 		s.Start(r.rng.Dur(cfg.Stagger))
 	}
@@ -745,7 +748,7 @@ func (r *run) connect(id int32, ctrl cca.CCA, transfer units.ByteCount, onComple
 	r.senders[id] = tcp.NewSender(r.eng, id, tcp.Config{
 		MSS:           cfg.MSS,
 		CCA:           wrapped,
-		Output:        r.output,
+		OutputRef:     r.output,
 		TransferBytes: transfer,
 		OnComplete:    onComplete,
 		ECN:           r.ecn,

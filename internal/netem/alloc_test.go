@@ -35,7 +35,9 @@ func burstAllocs(t *testing.T, eng *sim.Engine, send func(packet.Packet)) float6
 // reverse lane back to the sender sink. The by-value entry points stage
 // the packet in a slot the fabric owns; a pointer to their parameter
 // handed to the Queue interface or a stage would cost a heap
-// allocation per packet.
+// allocation per packet. Each case runs again through SendDataRef and
+// SetRefEndpoints, the path core takes, with the packet built in a slot
+// the sending side owns, as tcp.Sender builds it.
 func TestFabricPathZeroAlloc(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -54,38 +56,59 @@ func TestFabricPathZeroAlloc(t *testing.T) {
 		{name: "audited link", audit: true},
 	}
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			eng := sim.NewEngine()
-			link := LinkSpec{Name: "ab", From: "a", To: "b",
-				Rate: units.GbitPerSec, Delay: 100 * sim.Microsecond, Buffer: units.MB}
-			if tc.declare != nil {
-				tc.declare(&link)
+		for _, byRef := range []bool{false, true} {
+			name, entry := tc.name, "SendData"
+			if byRef {
+				name, entry = tc.name+" by reference", "SendDataRef"
 			}
-			cfg := TopologyConfig{
-				Spec: TopologySpec{Nodes: []string{"a", "b"}, Links: []LinkSpec{link}, Paths: [][]int{{0}}},
-				RTT:  []sim.Time{sim.Millisecond},
-			}
-			if tc.audit {
-				cfg.Audit = audit.New(audit.PolicyWarn, eng.Now)
-			}
-			topo := NewTopology(eng, sim.NewRNG(1), cfg)
-			delivered, acked := 0, 0
-			topo.SetEndpoints(
-				func(p packet.Packet) {
-					delivered++
-					topo.SendAck(packet.Packet{Flow: p.Flow, Ack: true, CumAck: p.End()})
-				},
-				func(packet.Packet) { acked++ })
-			if allocs := burstAllocs(t, eng, topo.SendData); allocs != 0 {
-				t.Fatalf("SendData → delivery → ACK allocates %.1f objects per 64-packet burst, want 0", allocs)
-			}
-			if delivered == 0 || acked != delivered {
-				t.Fatalf("delivered %d segments and %d ACKs: the path under budget did not carry traffic", delivered, acked)
-			}
-			if cfg.Audit.Total() != 0 {
-				t.Fatalf("%d audit violations: %v", cfg.Audit.Total(), cfg.Audit.Violations())
-			}
-		})
+			t.Run(name, func(t *testing.T) {
+				eng := sim.NewEngine()
+				link := LinkSpec{Name: "ab", From: "a", To: "b",
+					Rate: units.GbitPerSec, Delay: 100 * sim.Microsecond, Buffer: units.MB}
+				if tc.declare != nil {
+					tc.declare(&link)
+				}
+				cfg := TopologyConfig{
+					Spec: TopologySpec{Nodes: []string{"a", "b"}, Links: []LinkSpec{link}, Paths: [][]int{{0}}},
+					RTT:  []sim.Time{sim.Millisecond},
+				}
+				if tc.audit {
+					cfg.Audit = audit.New(audit.PolicyWarn, eng.Now)
+				}
+				topo := NewTopology(eng, sim.NewRNG(1), cfg)
+				delivered, acked := 0, 0
+				send := topo.SendData
+				if byRef {
+					topo.SetRefEndpoints(
+						func(p *packet.Packet) {
+							delivered++
+							topo.SendAck(packet.Packet{Flow: p.Flow, Ack: true, CumAck: p.End()})
+						},
+						func(*packet.Packet) { acked++ })
+					var slot packet.Packet
+					send = func(p packet.Packet) {
+						slot = p
+						topo.SendDataRef(&slot)
+					}
+				} else {
+					topo.SetEndpoints(
+						func(p packet.Packet) {
+							delivered++
+							topo.SendAck(packet.Packet{Flow: p.Flow, Ack: true, CumAck: p.End()})
+						},
+						func(packet.Packet) { acked++ })
+				}
+				if allocs := burstAllocs(t, eng, send); allocs != 0 {
+					t.Fatalf("%s → delivery → ACK allocates %.1f objects per 64-packet burst, want 0", entry, allocs)
+				}
+				if delivered == 0 || acked != delivered {
+					t.Fatalf("delivered %d segments and %d ACKs: the path under budget did not carry traffic", delivered, acked)
+				}
+				if cfg.Audit.Total() != 0 {
+					t.Fatalf("%d audit violations: %v", cfg.Audit.Total(), cfg.Audit.Violations())
+				}
+			})
+		}
 	}
 }
 

@@ -11,10 +11,11 @@ import (
 type Sink func(p packet.Packet)
 
 // RefSink consumes a packet by reference. p points at the slot the
-// packet waits in — a queue ring, a port's tx slot, a lane ring — and is
-// valid only until the call returns; a sink that keeps the packet copies
-// it. Inside the fabric every hop is a RefSink, so a packet is copied
-// only into the next place it waits.
+// packet waits in — a sender's packet slot, a queue ring, a port's tx
+// slot, a lane ring — and is valid only until the call returns; a sink
+// that keeps the packet copies it, and none writes through p. Every hop
+// from the sender to the receiver, and from the ACK lane to the sender,
+// is a RefSink, so a packet is copied only into the next place it waits.
 type RefSink func(p *packet.Packet)
 
 // byRef adapts a by-value Sink to a RefSink.

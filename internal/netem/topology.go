@@ -266,8 +266,8 @@ type Topology struct {
 	rev        []*sim.Lane[packet.Packet]
 	bottleneck int
 
-	toReceiver Sink
-	toSender   Sink
+	toReceiver RefSink
+	toSender   RefSink
 
 	onDrop DropFunc
 	aud    *audit.Auditor
@@ -312,7 +312,7 @@ type topoLink struct {
 // (call Validate first to get the error instead). Each stochastic stage
 // a link declares takes one rng.Split(), links in declaration order and
 // within a link iid loss/jitter before burst loss; rng may be nil when
-// none does. Endpoint sinks must be attached with SetEndpoints before
+// none does. Endpoint sinks must be attached with SetRefEndpoints before
 // traffic flows.
 func NewTopology(eng *sim.Engine, rng *sim.RNG, cfg TopologyConfig) *Topology {
 	if err := cfg.Validate(); err != nil {
@@ -330,7 +330,7 @@ func NewTopology(eng *sim.Engine, rng *sim.RNG, cfg TopologyConfig) *Topology {
 	for f, rtt := range cfg.RTT {
 		rev := max(rtt-cfg.Spec.ForwardDelay(f), 0)
 		if lanes[rev] == nil {
-			lanes[rev] = sim.NewLane(eng, func(p *packet.Packet) { t.toSender(*p) })
+			lanes[rev] = sim.NewLane(eng, func(p *packet.Packet) { t.toSender(p) })
 		}
 		t.revDelay[f], t.rev[f] = rev, lanes[rev]
 	}
@@ -491,7 +491,8 @@ func (l *topoLink) hopDone(p *packet.Packet) {
 
 // arriveFn completes a hop: the packet reached the link's far node,
 // survived its stages, and either enters the next link on its flow's
-// path or leaves the fabric, where the endpoint gets it by value.
+// path or leaves the fabric, where the receiver sink gets the slot it
+// arrived in.
 func (l *topoLink) arriveFn(p *packet.Packet) {
 	t := l.t
 	if t.aud != nil {
@@ -507,13 +508,20 @@ func (l *topoLink) arriveFn(p *packet.Packet) {
 	if t.aud != nil && p.CE {
 		t.ceDeliveredWire += p.WireBytes()
 	}
-	t.toReceiver(*p)
+	t.toReceiver(p)
 }
 
-// SetEndpoints attaches the demultiplexed delivery sinks: toReceiver
-// gets data segments at their receiver-arrival times, toSender gets ACKs
-// at their sender-arrival times. Both dispatch on Packet.Flow.
+// SetEndpoints is SetRefEndpoints by value, for callers outside the
+// module.
 func (t *Topology) SetEndpoints(toReceiver, toSender Sink) {
+	t.SetRefEndpoints(byRef(toReceiver), byRef(toSender))
+}
+
+// SetRefEndpoints attaches the demultiplexed delivery sinks: toReceiver
+// gets data segments at their receiver-arrival times, toSender gets ACKs
+// at their sender-arrival times, each by a pointer to the slot the
+// packet arrived in. Both dispatch on Packet.Flow.
+func (t *Topology) SetRefEndpoints(toReceiver, toSender RefSink) {
 	t.toReceiver = toReceiver
 	t.toSender = toSender
 }
@@ -531,11 +539,14 @@ func (t *Topology) QueuePeak() (bytes units.ByteCount, packets int) {
 // Flows returns the number of configured flows.
 func (t *Topology) Flows() int { return len(t.revDelay) }
 
-// SendData is the sender-side entry point: the segment enters the first
-// link of its flow's path.
-func (t *Topology) SendData(p packet.Packet) {
-	t.links[t.entry[p.Flow]].port.Send(p)
-}
+// SendData is SendDataRef by value, for callers outside the module; the
+// port stages the packet in a slot of its own.
+func (t *Topology) SendData(p packet.Packet) { t.links[t.entry[p.Flow]].port.Send(p) }
+
+// SendDataRef is the sender-side entry point: the segment is copied into
+// the first link of its flow's path, and p is not read after the call
+// returns.
+func (t *Topology) SendDataRef(p *packet.Packet) { t.links[t.entry[p.Flow]].port.send(p) }
 
 // SendAck is the receiver-side entry point: the ACK returns over the
 // uncongested reverse path after the flow's residual base-RTT delay.

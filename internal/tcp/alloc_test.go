@@ -40,11 +40,14 @@ func TestSenderTimerChurnZeroAlloc(t *testing.T) {
 // 100 ms window. With pooled events, pooled deliveries, the reusable
 // port transmit event, and the pre-sized ring, the steady-state
 // per-window allocation count is near zero — the budget below is a
-// regression tripwire for reintroduced per-packet garbage.
+// regression tripwire for reintroduced per-packet garbage. The flow is
+// wired by reference, as core wires it: a segment built anywhere but
+// the sender's own slot and handed to OutputRef would escape to the
+// heap once per packet.
 func TestSteadyStateFlowAllocBudget(t *testing.T) {
 	rate := 50 * units.MbitPerSec
-	n := newTestNet(t, rate, units.BDP(rate, 100*sim.Millisecond),
-		[]sim.Time{20 * sim.Millisecond}, []cca.CCA{cca.NewReno(units.MSS)})
+	n := newTestNetEdges(t, rate, units.BDP(rate, 100*sim.Millisecond),
+		[]sim.Time{20 * sim.Millisecond}, []cca.CCA{cca.NewReno(units.MSS)}, true)
 	n.start()
 	n.eng.Run(5 * sim.Second) // past slow start, pools primed
 

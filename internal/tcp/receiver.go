@@ -162,15 +162,19 @@ func (r *Receiver) Stats() ReceiverStats {
 // RcvNxt returns the next expected byte (cumulative ACK point).
 func (r *Receiver) RcvNxt() int64 { return r.rcvNxt }
 
-// OnData processes one arriving data segment.
-func (r *Receiver) OnData(p packet.Packet) {
+// OnData is OnDataRef by value, for callers outside the module.
+func (r *Receiver) OnData(p packet.Packet) { r.OnDataRef(&p) }
+
+// OnDataRef processes one arriving data segment. p is read only, and
+// not after the call returns.
+func (r *Receiver) OnDataRef(p *packet.Packet) {
 	if r.cfg.Audit != nil {
 		prev := r.rcvNxt
-		r.onData(&p)
+		r.onData(p)
 		r.auditReassembly(prev)
 		return
 	}
-	r.onData(&p)
+	r.onData(p)
 }
 
 func (r *Receiver) onData(p *packet.Packet) {

@@ -57,7 +57,13 @@ type Config struct {
 	MSS units.ByteCount
 	// CCA is the congestion controller; required.
 	CCA cca.CCA
-	// Output transmits packets toward the network; required.
+	// OutputRef transmits packets toward the network by reference: the
+	// pointer is the sender's own packet slot, valid only until the call
+	// returns, and the callee must not call back into the sender before
+	// it has copied the packet. Exactly one of OutputRef and Output is
+	// required.
+	OutputRef func(*packet.Packet)
+	// Output is OutputRef by value, for callers outside the module.
 	Output func(packet.Packet)
 	// TransferBytes bounds the transfer: the sender stops producing new
 	// data at this many bytes (rounded up to whole segments) and
@@ -90,8 +96,13 @@ type Sender struct {
 	eng  *sim.Engine
 	flow int32
 	mss  units.ByteCount
-	out  func(packet.Packet)
+	out  func(*packet.Packet)
 	cc   cca.CCA
+
+	// pkt is the slot every transmission is built in and handed to out
+	// from. A segment built on the stack and passed by pointer through
+	// the out func value would escape to the heap, once per packet.
+	pkt packet.Packet
 
 	window *sendWindow
 	rtt    rttEstimator
@@ -171,8 +182,12 @@ func NewSender(eng *sim.Engine, flow int32, cfg Config) *Sender {
 	if cfg.CCA == nil {
 		panic("tcp: sender without CCA")
 	}
-	if cfg.Output == nil {
-		panic("tcp: sender without output")
+	out := cfg.OutputRef
+	switch {
+	case (cfg.Output == nil) == (cfg.OutputRef == nil):
+		panic("tcp: sender needs exactly one of Output and OutputRef")
+	case cfg.Output != nil:
+		out = func(p *packet.Packet) { cfg.Output(*p) }
 	}
 	mss := cfg.MSS
 	if mss <= 0 {
@@ -182,7 +197,7 @@ func NewSender(eng *sim.Engine, flow int32, cfg Config) *Sender {
 		eng:    eng,
 		flow:   flow,
 		mss:    mss,
-		out:    cfg.Output,
+		out:    out,
 		cc:     cfg.CCA,
 		window: newSendWindow(mss),
 		aud:    cfg.Audit,
@@ -243,8 +258,12 @@ func (s *Sender) Stats() SenderStats {
 	return st
 }
 
-// OnAck processes one arriving acknowledgment.
-func (s *Sender) OnAck(p packet.Packet) {
+// OnAck is OnAckRef by value, for callers outside the module.
+func (s *Sender) OnAck(p packet.Packet) { s.OnAckRef(&p) }
+
+// OnAckRef processes one arriving acknowledgment. p is read only, and
+// not after the call returns.
+func (s *Sender) OnAckRef(p *packet.Packet) {
 	now := s.eng.Now()
 
 	// 1. Cumulative acknowledgment.
@@ -281,7 +300,7 @@ func (s *Sender) OnAck(p packet.Packet) {
 	}
 
 	// 4. Delivery accounting and rate sample.
-	rate, appLimited := s.rateSample(&p, newlyDelivered, now)
+	rate, appLimited := s.rateSample(p, newlyDelivered, now)
 
 	// 5. Round-trip tracking (delivered-byte rounds, as in the BBR
 	// reference).
@@ -558,21 +577,29 @@ func (s *Sender) onTLP() {
 		return
 	}
 	s.tlpFired = true
-	now := s.eng.Now()
-	seg := s.window.Nxt() - 1
-	p := packet.Packet{
-		Flow:        s.flow,
-		Seq:         seg * int64(s.mss),
-		Len:         int32(s.mss),
-		Retrans:     true,
-		SentAt:      now,
-		Delivered:   int64(s.delivered),
-		DeliveredAt: s.deliveredTime,
-		FirstSentAt: s.firstSentTime,
-	}
+	p := s.segment(s.window.Nxt()-1, true, s.eng.Now())
 	s.stats.TLPProbes++
 	s.stats.SegmentsSent++
 	s.out(p)
+}
+
+// segment builds data segment seg in the sender's packet slot and
+// returns the slot. It writes every field a data segment carries; the
+// others are never set, and no consumer of out writes through its
+// pointer, so they stay zero.
+func (s *Sender) segment(seg int64, retrans bool, now sim.Time) *packet.Packet {
+	p := &s.pkt
+	p.Flow = s.flow
+	p.Seq = seg * int64(s.mss)
+	p.Len = int32(s.mss)
+	p.Retrans = retrans
+	p.SentAt = now
+	p.Delivered = int64(s.delivered)
+	p.DeliveredAt = s.deliveredTime
+	p.FirstSentAt = s.firstSentTime
+	p.ECT = false
+	p.CWR = false
+	return p
 }
 
 // onRTO handles a retransmission timeout: every outstanding segment is
@@ -657,16 +684,7 @@ func (s *Sender) transmit(seg int64, retrans bool, now sim.Time) {
 	if s.deliveredTime == 0 {
 		s.deliveredTime = now
 	}
-	p := packet.Packet{
-		Flow:        s.flow,
-		Seq:         seg * int64(s.mss),
-		Len:         int32(s.mss),
-		Retrans:     retrans,
-		SentAt:      now,
-		Delivered:   int64(s.delivered),
-		DeliveredAt: s.deliveredTime,
-		FirstSentAt: s.firstSentTime,
-	}
+	p := s.segment(seg, retrans, now)
 	if s.ecn && !retrans {
 		p.ECT = true
 		if s.sendCWR {

@@ -22,6 +22,14 @@ type testNet struct {
 
 func newTestNet(t *testing.T, rate units.Bandwidth, buffer units.ByteCount, rtts []sim.Time, ccas []cca.CCA) *testNet {
 	t.Helper()
+	return newTestNetEdges(t, rate, buffer, rtts, ccas, false)
+}
+
+// newTestNetEdges is newTestNet wired through the by-value edges
+// (Output, OnData, OnAck) or, with byRef, the by-reference ones
+// (OutputRef, OnDataRef, OnAckRef) that core uses.
+func newTestNetEdges(t *testing.T, rate units.Bandwidth, buffer units.ByteCount, rtts []sim.Time, ccas []cca.CCA, byRef bool) *testNet {
+	t.Helper()
 	n := &testNet{eng: sim.NewEngine()}
 	n.db = netem.NewDumbbell(n.eng, netem.DumbbellConfig{
 		Rate:   rate,
@@ -31,11 +39,19 @@ func newTestNet(t *testing.T, rate units.Bandwidth, buffer units.ByteCount, rtts
 	})
 	for i := range rtts {
 		flow := int32(i)
-		n.senders = append(n.senders, NewSender(n.eng, flow, Config{
-			CCA:    ccas[i],
-			Output: n.db.SendData,
-		}))
+		cfg := Config{CCA: ccas[i], Output: n.db.SendData}
+		if byRef {
+			cfg = Config{CCA: ccas[i], OutputRef: n.db.SendDataRef}
+		}
+		n.senders = append(n.senders, NewSender(n.eng, flow, cfg))
 		n.receivers = append(n.receivers, NewReceiver(n.eng, flow, ReceiverConfig{DelAckDelay: DelayedAckTimeout}, n.db.SendAck))
+	}
+	if byRef {
+		n.db.SetRefEndpoints(
+			func(p *packet.Packet) { n.receivers[p.Flow].OnDataRef(p) },
+			func(p *packet.Packet) { n.senders[p.Flow].OnAckRef(p) },
+		)
+		return n
 	}
 	n.db.SetEndpoints(
 		func(p packet.Packet) { n.receivers[p.Flow].OnData(p) },
@@ -207,8 +223,10 @@ func TestSenderRecoversFromBlackholeViaRTO(t *testing.T) {
 func TestSenderConfigValidation(t *testing.T) {
 	eng := sim.NewEngine()
 	for name, cfg := range map[string]Config{
-		"nil cca":    {Output: func(packet.Packet) {}},
-		"nil output": {CCA: cca.NewReno(units.MSS)},
+		"nil cca":        {Output: func(packet.Packet) {}},
+		"neither output": {CCA: cca.NewReno(units.MSS)},
+		"both outputs": {CCA: cca.NewReno(units.MSS),
+			Output: func(packet.Packet) {}, OutputRef: func(*packet.Packet) {}},
 	} {
 		func() {
 			defer func() {
