@@ -48,7 +48,6 @@ func benchServe(b *testing.B, fleet bool) {
 		cfg.leaseTTL = time.Second
 		cfg.leaseHeartbeat = 100 * time.Millisecond
 		cfg.fleet = &fleetConfig{
-			poisonAfter: 3,
 			backoffBase: 10 * time.Millisecond,
 			backoffMax:  50 * time.Millisecond,
 			hedgeFactor: -1, // hedging off: measure the straight path

@@ -11,15 +11,17 @@ import (
 	"time"
 
 	"ccatscale/internal/schema"
-	"ccatscale/internal/store"
 )
 
 // seedBacklog boots a throwaway server, submits the chaos batch, and
-// drains before the jobs can finish, leaving the directory with pending
-// journal records — the state a boot-time SIGTERM must preserve.
+// drains before the jobs can finish, leaving the directory with spec
+// records no attempt finished — the state a boot-time SIGTERM must
+// preserve.
 func seedBacklog(t *testing.T, dir string) {
 	t.Helper()
-	cfg := fleetTestConfig(dir, "CCSERVE_TEST_CRASH_JOB=chaos-a", "CCSERVE_TEST_STALL_JOB=chaos-b", "CCSERVE_TEST_STALL_MS=60000")
+	specs := chaosSpecs()
+	cfg := fleetTestConfig(dir, keyEnv(t, "CCSERVE_TEST_CRASH_KEY", specs[0]),
+		keyEnv(t, "CCSERVE_TEST_STALL_KEY", specs[1]), "CCSERVE_TEST_STALL_MS=60000")
 	// The crash job sits in a long backoff, the stalled job never
 	// finishes: draining now checkpoints both as queued.
 	cfg.fleet.backoffBase = time.Minute
@@ -53,7 +55,7 @@ func seedBacklog(t *testing.T, dir string) {
 // TestBootSIGTERMBeforeRecovery pins the earliest arm of the startup/
 // drain race: the shutdown signal is already pending when newServer is
 // called. Boot must refuse cleanly with errBootCanceled, release the
-// singleton lease, and leave the journaled backlog recoverable — the
+// singleton lease, and leave the recorded backlog recoverable — the
 // next boot picks it up as if the canceled one never happened.
 func TestBootSIGTERMBeforeRecovery(t *testing.T) {
 	dir := t.TempDir()
@@ -102,12 +104,11 @@ func TestBootSIGTERMBeforeRecovery(t *testing.T) {
 	}
 }
 
-// TestBootSIGTERMAfterRecovery drives the signal into the gap this PR
-// closes: after journal replay re-queued the backlog but before any
-// worker starts. bootHook is the deterministic stand-in for that
-// timing. Boot must checkpoint — exit with errBootCanceled, run
-// nothing, release the singleton — and the backlog must still be
-// journaled for the next boot.
+// TestBootSIGTERMAfterRecovery drives the signal into the gap between
+// recovery re-queueing the backlog and any worker starting. bootHook is
+// the deterministic stand-in for that timing. Boot must checkpoint —
+// exit with errBootCanceled, run nothing, release the singleton — and
+// the backlog must still be recorded for the next boot.
 func TestBootSIGTERMAfterRecovery(t *testing.T) {
 	dir := t.TempDir()
 	seedBacklog(t, dir)
@@ -121,19 +122,9 @@ func TestBootSIGTERMAfterRecovery(t *testing.T) {
 		t.Fatalf("boot signaled after recovery: err = %v, want errBootCanceled", err)
 	}
 
-	// Nothing ran: the backlog still has pending records and no
-	// terminals.
+	// Nothing ran: the backlog is still recorded and unresolved.
 	for _, spec := range chaosSpecs() {
-		key := mustBuildJob(t, spec).key
-		ops := journalOpsForKey(t, dir, key)
-		if ops[store.OpQueued] == 0 && ops[store.OpClaimed] == 0 {
-			t.Fatalf("job %s lost its pending journal record", spec.Name)
-		}
-		for _, terminal := range []string{store.OpDone, store.OpFailed, store.OpPoisoned, store.OpQuarantined} {
-			if ops[terminal] != 0 {
-				t.Fatalf("canceled boot resolved job %s as %s", spec.Name, terminal)
-			}
-		}
+		assertPending(t, dir, spec)
 	}
 
 	s, err := newServer(fleetTestConfig(dir))

@@ -2,14 +2,12 @@ package main
 
 import (
 	"crypto/sha256"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"testing"
 	"time"
 
@@ -45,9 +43,9 @@ func chaosServerConfig(dir string, fsys store.FS) serverConfig {
 		drainTimeout:   5 * time.Second,
 		// A chaos kill makes jobs fail with FS errors; that must never
 		// read as a poisoned config.
-		breakerAfter: 1000,
-		fsys:         fsys,
-		stderr:       io.Discard,
+		poisonAfter: 1000,
+		fsys:        fsys,
+		stderr:      io.Discard,
 	}
 }
 
@@ -76,37 +74,33 @@ func storeFingerprint(t *testing.T, dir string) string {
 	return fmt.Sprintf("%d:%x", len(keys), h.Sum(nil))
 }
 
-// doneOpsPerKey scans every journal segment (tolerating torn tails) and
-// counts OpDone records per result key — the exactly-once ledger.
-func doneOpsPerKey(t *testing.T, dir string) map[string]int {
+// assertOneRecordPerRun is the exactly-once ledger, read from the
+// store: every spec's run key holds one result record beside its spec
+// record, and the store holds nothing else.
+func assertOneRecordPerRun(t *testing.T, dir string, specs []schema.JobSpec) {
 	t.Helper()
-	counts := map[string]int{}
-	ents, err := os.ReadDir(dir)
+	st, err := store.OpenFS(filepath.Join(dir, "store"), store.OSFS())
 	if err != nil {
-		t.Fatalf("read %s: %v", dir, err)
+		t.Fatal(err)
 	}
-	for _, e := range ents {
-		if e.IsDir() || !strings.HasPrefix(e.Name(), "journal") || !strings.HasSuffix(e.Name(), ".jsonl") {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			t.Fatalf("read %s: %v", e.Name(), err)
-		}
-		for _, line := range strings.Split(string(data), "\n") {
-			if line == "" {
-				continue
-			}
-			var rec store.JournalRecord
-			if json.Unmarshal([]byte(line), &rec) != nil {
-				continue // torn tail
-			}
-			if rec.Op == store.OpDone {
-				counts[rec.Key]++
-			}
-		}
+	keys, err := st.Keys()
+	if err != nil {
+		t.Fatal(err)
 	}
-	return counts
+	want := map[string]bool{}
+	for _, spec := range specs {
+		key := mustBuildJob(t, spec).key
+		want[key], want[key+specSuffix] = true, true
+	}
+	for _, k := range keys {
+		if !want[k] {
+			t.Errorf("store holds an unexpected record %s", k)
+		}
+		delete(want, k)
+	}
+	for k := range want {
+		t.Errorf("store lacks record %s", k)
+	}
 }
 
 // backdateLeases ages every lease file in dir past any TTL, standing in
@@ -146,7 +140,7 @@ func quiesce(s *server, batch string, window time.Duration) {
 	}
 }
 
-// cleanCycle runs the full request→journal→execute→store path on a
+// cleanCycle runs the full request→spec record→execute→store path on a
 // pristine directory and returns its store fingerprint — the reference
 // every chaos recovery must reproduce byte for byte.
 func cleanCycle(t *testing.T, dir string, fsys store.FS) string {
@@ -169,21 +163,21 @@ func cleanCycle(t *testing.T, dir string, fsys store.FS) string {
 	return storeFingerprint(t, dir)
 }
 
-// TestSubmitJournalFailureMidBatch pins the rollback accounting: when a
-// journal append dies partway through a batch commit, only the members
-// never journaled-and-queued may have their footprints released. The
-// committed ones still run and release their own footprints at
-// completion — releasing them in the rollback too would double-release
-// and let the pool over-admit past -slots. The invariant checked at
-// every kill point: pool depth equals the number of jobs in the queue.
-func TestSubmitJournalFailureMidBatch(t *testing.T) {
+// TestSubmitSpecFailureMidBatch pins the pool accounting when a spec
+// record's Put dies partway through a batch: the submit fails, but
+// every admitted member is already queued and releases its own
+// footprint at completion — releasing any of them on the error path too
+// would double-release and let the pool over-admit past -slots. The
+// invariant checked at every kill point: pool depth equals the number
+// of jobs in the queue.
+func TestSubmitSpecFailureMidBatch(t *testing.T) {
 	specs := chaosSpecs()
 	c := specs[0]
 	c.Name, c.Seed = "chaos-c", 13
 	specs = append(specs, c)
 
 	// Probe a healthy boot+submit to learn which op window the commit
-	// loop's appends occupy.
+	// loop's spec records occupy.
 	probe := chaostest.Wrap(store.OSFS(), chaostest.Plan{})
 	pcfg := chaosServerConfig(t.TempDir(), probe)
 	pcfg.workers = 0
@@ -225,9 +219,9 @@ func TestSubmitJournalFailureMidBatch(t *testing.T) {
 // learns the syscall-op budget of one uninterrupted serve cycle, then
 // for every boundary k kills the server's filesystem mid-cycle at op k,
 // reboots over the same directory, resubmits, and requires the final
-// store to be byte-identical to the uninterrupted reference with at
-// most one OpDone journal record per result — exactly-once execution
-// under a SIGKILL at any instant of the commit path.
+// store to be byte-identical to the uninterrupted reference, with one
+// result record per run key — exactly-once commits under a SIGKILL at
+// any instant of the commit path.
 func TestChaosKillEveryBoundary(t *testing.T) {
 	reference := cleanCycle(t, t.TempDir(), store.OSFS())
 
@@ -286,11 +280,7 @@ func TestChaosKillEveryBoundary(t *testing.T) {
 			if got := storeFingerprint(t, dir); got != reference {
 				t.Errorf("kill@%d: store fingerprint %s != uninterrupted reference %s", k, got, reference)
 			}
-			for key, n := range doneOpsPerKey(t, dir) {
-				if n > 1 {
-					t.Errorf("kill@%d: %d OpDone records for %s, want at most 1", k, n, key)
-				}
-			}
+			assertOneRecordPerRun(t, dir, chaosSpecs())
 		})
 	}
 }

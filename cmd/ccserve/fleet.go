@@ -23,15 +23,11 @@ import (
 // fleetConfig selects process-isolated execution: each attempt runs in
 // a worker subprocess (this binary re-exec'd with -worker) under an
 // estimator-derived RLIMIT_AS ceiling, supervised with crash-loop
-// backoff, poison quarantine, and straggler hedging. A nil fleetConfig
-// on serverConfig (-inprocess) runs the same attempt on the server's
-// own goroutines, minus the subprocess and the isolation it buys — the
-// reference the fleet is tested and benchmarked against.
+// backoff and straggler hedging. A nil fleetConfig on serverConfig
+// (-inprocess) runs the same attempt on the server's own goroutines,
+// minus the subprocess and the isolation it buys — the reference the
+// fleet is tested and benchmarked against.
 type fleetConfig struct {
-	// poisonAfter is the number of worker deaths (per job) that poisons
-	// the config: it is refused from then on, even across reboots, until
-	// an operator clears its poison record.
-	poisonAfter int
 	// backoffBase and backoffMax shape the crash-loop respawn delay:
 	// base doubling per strike, capped at max.
 	backoffBase time.Duration
@@ -56,9 +52,6 @@ type fleetConfig struct {
 }
 
 func (c *fleetConfig) withDefaults() error {
-	if c.poisonAfter < 1 {
-		c.poisonAfter = 3
-	}
 	if c.backoffBase <= 0 {
 		c.backoffBase = 500 * time.Millisecond
 	}
@@ -102,7 +95,6 @@ const (
 // fleetState is the supervisor's runtime view of its worker fleet.
 type fleetState struct {
 	cfg     fleetConfig
-	poisons *store.Poisons
 	seq     atomic.Uint64 // unique lease-owner suffix per dispatch
 	mu      sync.Mutex
 	workers map[int]schema.WorkerHealth // workers with a job in flight, by PID
@@ -299,11 +291,15 @@ func parseOutcome(line []byte) *schema.WorkerOutcome {
 func (s *server) dispatch(ctx context.Context, w *worker, j *job, slot int, deadline time.Duration, memLimit int64) (spawnRes, bool) {
 	f := s.fleet
 	owner := fmt.Sprintf("%s-w%d", s.owner, f.seq.Add(1))
+	config, err := json.Marshal(j.cfg)
+	if err != nil {
+		return spawnRes{err: err}, true
+	}
 	payload, err := json.Marshal(schema.WorkerJob{
 		SchemaVersion: schema.Version,
 		Out:           s.cfg.out,
-		Spec:          j.spec,
 		Key:           j.key,
+		Config:        config,
 		Slot:          slot,
 		Owner:         owner,
 		Retries:       s.cfg.retries,
@@ -353,7 +349,7 @@ func (s *server) dispatch(ctx context.Context, w *worker, j *job, slot int, dead
 	if w.err != nil {
 		desc = w.err.Error()
 	}
-	if err := s.Leases.ReleaseOwned(store.SlotName(j.spec.Name, slot), owner); err != nil {
+	if err := s.Leases.ReleaseOwned(store.SlotName(j.key, slot), owner); err != nil {
 		fmt.Fprintf(s.cfg.stderr, "ccserve: releasing dead worker %d lease: %v\n", w.proc.Pid, err)
 	}
 	return spawnRes{err: fmt.Errorf("worker pid %d: %s", w.proc.Pid, desc)}, false

@@ -41,8 +41,9 @@ func TestMain(m *testing.M) {
 //
 //	CCSERVE_TEST_PID_DIR      drop a proc-<pid> file at process start so
 //	                          the test can count and signal processes
-//	CCSERVE_TEST_CRASH_JOB    die (exit 7) before running the named job
-//	CCSERVE_TEST_STALL_JOB    named job's slot-0 dispatch sleeps
+//	CCSERVE_TEST_CRASH_KEY    die (exit 7) before running the job of this
+//	                          run key
+//	CCSERVE_TEST_STALL_KEY    that run key's slot-0 dispatch sleeps
 //	CCSERVE_TEST_STALL_MS     ... this long (or until SIGTERM) first
 //	CCSERVE_TEST_ANNOUNCE_DIR drop a pid file and linger so the test can
 //	                          aim a signal at a live mid-job worker
@@ -57,10 +58,10 @@ func testWorkerMain() int {
 	}
 	fsys := &jobFS{FS: store.OSFS()}
 	return workerRun(fsys, os.Stdin, os.Stdout, os.Stderr, func(ctx context.Context, wj schema.WorkerJob) {
-		if name := os.Getenv("CCSERVE_TEST_CRASH_JOB"); name != "" && wj.Spec.Name == name {
+		if key := os.Getenv("CCSERVE_TEST_CRASH_KEY"); key != "" && wj.Key == key {
 			os.Exit(7)
 		}
-		if name := os.Getenv("CCSERVE_TEST_STALL_JOB"); name != "" && wj.Spec.Name == name && wj.Slot == 0 {
+		if key := os.Getenv("CCSERVE_TEST_STALL_KEY"); key != "" && wj.Key == key && wj.Slot == 0 {
 			ms, _ := strconv.Atoi(os.Getenv("CCSERVE_TEST_STALL_MS"))
 			select {
 			case <-time.After(time.Duration(ms) * time.Millisecond):
@@ -110,8 +111,8 @@ func fleetTestConfig(dir string, env ...string) serverConfig {
 	cfg := chaosServerConfig(dir, store.OSFS())
 	cfg.leaseTTL = time.Second
 	cfg.leaseHeartbeat = 100 * time.Millisecond
+	cfg.poisonAfter = 3
 	cfg.fleet = &fleetConfig{
-		poisonAfter: 3,
 		backoffBase: 10 * time.Millisecond,
 		backoffMax:  50 * time.Millisecond,
 		hedgeFactor: -1,
@@ -128,43 +129,48 @@ func getHealth(t *testing.T, s *server) schema.HealthResponse {
 	return h
 }
 
-// journalOpsForKey counts journal records per op for one key, across
-// every segment, tolerating torn tails.
-func journalOpsForKey(t *testing.T, dir, key string) map[string]int {
+// keyEnv is the test worker's switch env for spec's run key.
+func keyEnv(t *testing.T, name string, spec schema.JobSpec) string {
+	return name + "=" + mustBuildJob(t, spec).key
+}
+
+// workerPayload is the payload a supervisor dispatches for spec.
+func workerPayload(t testing.TB, dir, owner string, spec schema.JobSpec) schema.WorkerJob {
 	t.Helper()
-	counts := map[string]int{}
-	ents, err := os.ReadDir(dir)
+	j := mustBuildJob(t, spec)
+	config, err := json.Marshal(j.cfg)
 	if err != nil {
-		t.Fatalf("read %s: %v", dir, err)
+		t.Fatal(err)
 	}
-	for _, e := range ents {
-		if e.IsDir() || !strings.HasPrefix(e.Name(), "journal") || !strings.HasSuffix(e.Name(), ".jsonl") {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			t.Fatalf("read %s: %v", e.Name(), err)
-		}
-		for _, line := range strings.Split(string(data), "\n") {
-			if line == "" {
-				continue
-			}
-			var rec store.JournalRecord
-			if json.Unmarshal([]byte(line), &rec) != nil {
-				continue
-			}
-			if rec.Key == key {
-				counts[rec.Op]++
-			}
-		}
+	return schema.WorkerJob{
+		SchemaVersion: schema.Version, Out: dir, Key: j.key, Config: config,
+		Owner: owner, DeadlineMs: 30000, LeaseTTLMs: 2000, HeartbeatMs: 200,
 	}
-	return counts
+}
+
+// assertPending requires the job of spec to be admitted work in dir that
+// no attempt has finished: a spec record, and neither a result nor a
+// failure record.
+func assertPending(t *testing.T, dir string, spec schema.JobSpec) {
+	t.Helper()
+	st, err := store.OpenFS(filepath.Join(dir, "store"), store.OSFS())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := mustBuildJob(t, spec).key
+	if !st.Has(key + specSuffix) {
+		t.Fatalf("job %s lost its spec record", spec.Name)
+	}
+	_, ferr := os.Stat(filepath.Join(dir, key+".failed.json"))
+	if st.Has(key) || ferr == nil {
+		t.Fatalf("job %s was resolved: result=%v failure record=%v", spec.Name, st.Has(key), ferr == nil)
+	}
 }
 
 // TestFleetRunsBatchMatchesInprocess is the fleet's baseline contract:
 // a 32-job batch on a 2-runner fleet costs at most one warm worker per
-// runner, commits results byte-identical to in-process execution with
-// the same one-attempt journal trail, reports its fleet through
+// runner, commits a store — spec records and results — byte-identical
+// to in-process execution, reports its fleet through
 // /healthz, serves resubmissions from the store without spawning, and
 // leaves no process after Drain.
 func TestFleetRunsBatchMatchesInprocess(t *testing.T) {
@@ -196,18 +202,10 @@ func TestFleetRunsBatchMatchesInprocess(t *testing.T) {
 			t.Fatalf("job %s ran but reports wallMs %v", j.Name, j.WallMs)
 		}
 	}
+	// One attempt, one protocol: a fresh job leaves the same records
+	// whichever side of the process boundary ran it.
 	if got, ref := storeFingerprint(t, dir), storeFingerprint(t, refDir); got != ref {
 		t.Fatalf("fleet results diverge from in-process:\n fleet      %s\n in-process %s", got, ref)
-	}
-	// One attempt, one protocol: a fresh job leaves the same journal
-	// trail whichever side of the process boundary ran it.
-	for _, j := range final.Jobs {
-		for mode, d := range map[string]string{"fleet": dir, "in-process": refDir} {
-			ops := journalOpsForKey(t, d, j.Key)
-			if len(ops) != 3 || ops[store.OpQueued] != 1 || ops[store.OpClaimed] != 1 || ops[store.OpDone] != 1 {
-				t.Fatalf("%s journal for %s = %v, want queued/claimed/done once each", mode, j.Name, ops)
-			}
-		}
 	}
 
 	h := getHealth(t, s)
@@ -310,7 +308,7 @@ func runBatchDone(t *testing.T, s *server, specs ...schema.JobSpec) schema.Batch
 func TestFleetWarmCrashStrikesOnlyThatJob(t *testing.T) {
 	specs := benchSpecs(0)[:5]
 	crash := specs[2].Name
-	cfg := fleetTestConfig(t.TempDir(), "CCSERVE_TEST_CRASH_JOB="+crash)
+	cfg := fleetTestConfig(t.TempDir(), keyEnv(t, "CCSERVE_TEST_CRASH_KEY", specs[2]))
 	cfg.workers = 1 // one runner: the jobs reach its worker in submission order
 	s, err := newServer(cfg)
 	if err != nil {
@@ -439,10 +437,7 @@ func TestWorkerLoopLeaksNothingAcrossJobs(t *testing.T) {
 	runOne := func(i int) {
 		spec := testSpec(fmt.Sprintf("leak-%d", i), uint64(i+1))
 		// No MemLimitBytes: an RLIMIT_AS would cap the test process.
-		if err := enc.Encode(schema.WorkerJob{
-			SchemaVersion: schema.Version, Out: dir, Spec: spec, Key: mustBuildJob(t, spec).key,
-			Owner: fmt.Sprintf("leak-w%d", i), DeadlineMs: 30000, LeaseTTLMs: 2000, HeartbeatMs: 200,
-		}); err != nil {
+		if err := enc.Encode(workerPayload(t, dir, fmt.Sprintf("leak-w%d", i), spec)); err != nil {
 			t.Fatalf("job %d: writing payload: %v", i, err)
 		}
 		line, err := out.ReadBytes('\n')
@@ -471,6 +466,29 @@ func TestWorkerLoopLeaksNothingAcrossJobs(t *testing.T) {
 	}
 }
 
+// TestWorkerRefusesKeyMismatch: a payload whose config does not hash to
+// its key is refused as a failure — running it would commit a run
+// under another run's address.
+func TestWorkerRefusesKeyMismatch(t *testing.T) {
+	dir := t.TempDir()
+	wj := workerPayload(t, dir, "skew", testSpec("skew", 1))
+	wj.Key = mustBuildJob(t, testSpec("skew", 2)).key
+	payload, err := json.Marshal(wj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if code := workerRun(store.OSFS(), bytes.NewReader(payload), &out, io.Discard, nil); code != 0 {
+		t.Fatalf("worker exited %d", code)
+	}
+	if o := parseOutcome(out.Bytes()); o == nil || o.State != schema.WorkerFailed || !strings.Contains(o.Error, "key mismatch") {
+		t.Fatalf("outcome %s, want a key-mismatch failure", out.String())
+	}
+	if keys, _ := filepath.Glob(filepath.Join(dir, "store", "*")); len(keys) != 0 {
+		t.Fatalf("refused payload wrote %v", keys)
+	}
+}
+
 // openFDs counts this process's open file descriptors.
 func openFDs(t *testing.T) int {
 	t.Helper()
@@ -482,14 +500,14 @@ func openFDs(t *testing.T) int {
 }
 
 // TestFleetCrashLoopPoisons drives one config's worker into a crash
-// loop (exit 7 before doing any work) and pins the quarantine protocol:
-// three strikes with backoff, then a poison record, a structured
-// poisoned terminal, and refusal — in this server, across resubmission,
-// and across a reboot — while the healthy config in the same batch is
-// untouched.
+// loop (exit 7 before doing any work) and pins the poison protocol:
+// three strikes with backoff, each in the poison record, then a
+// structured poisoned terminal and refusal — in this server, across
+// resubmission, and across a reboot — while the healthy config in the
+// same batch is untouched.
 func TestFleetCrashLoopPoisons(t *testing.T) {
 	dir := t.TempDir()
-	s, err := newServer(fleetTestConfig(dir, "CCSERVE_TEST_CRASH_JOB=chaos-a"))
+	s, err := newServer(fleetTestConfig(dir, keyEnv(t, "CCSERVE_TEST_CRASH_KEY", chaosSpecs()[0])))
 	if err != nil {
 		t.Fatalf("fleet boot: %v", err)
 	}
@@ -506,7 +524,7 @@ func TestFleetCrashLoopPoisons(t *testing.T) {
 			if j.State != schema.JobPoisoned {
 				t.Fatalf("crash-loop job is %s (%s), want poisoned", j.State, j.Error)
 			}
-			if !strings.Contains(j.Error, "3 worker crashes") {
+			if !strings.Contains(j.Error, "poisoned after 3 strikes") {
 				t.Fatalf("poison error does not carry the strike count: %q", j.Error)
 			}
 			poisonedKey = j.Key
@@ -544,7 +562,7 @@ func TestFleetCrashLoopPoisons(t *testing.T) {
 	}
 	s.Drain()
 
-	// The poison survives reboot: the record outlives the journal state.
+	// The poison survives reboot: the record is read at every submit.
 	s2, err := newServer(fleetTestConfig(dir))
 	if err != nil {
 		t.Fatalf("reboot: %v", err)
@@ -560,12 +578,13 @@ func TestFleetCrashLoopPoisons(t *testing.T) {
 }
 
 // TestFleetBootResolvesPoisonedBacklog covers the recovery corner: a
-// job checkpointed as pending in the journal whose config was poisoned
-// before the reboot must resolve to poisoned at boot — not re-queue
-// every boot forever — with the pool ledger balanced.
+// job checkpointed as pending whose config was poisoned before the
+// reboot must resolve to poisoned at boot — not re-queue every boot
+// forever — with the pool ledger balanced. The drained crash loop keeps
+// the strike it took.
 func TestFleetBootResolvesPoisonedBacklog(t *testing.T) {
 	dir := t.TempDir()
-	cfg := fleetTestConfig(dir, "CCSERVE_TEST_CRASH_JOB=chaos-a")
+	cfg := fleetTestConfig(dir, keyEnv(t, "CCSERVE_TEST_CRASH_KEY", chaosSpecs()[0]))
 	// Slow the crash loop so the drain lands mid-backoff, leaving the
 	// job pending rather than poisoned.
 	cfg.fleet.backoffBase = 10 * time.Second
@@ -598,12 +617,15 @@ func TestFleetBootResolvesPoisonedBacklog(t *testing.T) {
 	}
 	_ = resp
 
-	// Poison arrives between the two lives (an operator marking it, or
-	// a sibling server's strikes).
 	poisons, err := store.OpenPoisonsFS(store.OSFS(), dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if rec, ok := poisons.Get(key); !ok || rec.Strikes != 1 {
+		t.Fatalf("drained crash loop's strike record: %+v (ok=%v), want 1 strike kept", rec, ok)
+	}
+	// Poison arrives between the two lives (an operator marking it, or
+	// a sibling server's strikes).
 	if err := poisons.Mark(store.PoisonRecord{Key: key, Job: spec.Name, Reason: "marked between boots", Strikes: 3}); err != nil {
 		t.Fatal(err)
 	}
@@ -621,8 +643,8 @@ func TestFleetBootResolvesPoisonedBacklog(t *testing.T) {
 	if h := getHealth(t, s2); h.Fleet.Spawns != 0 {
 		t.Fatalf("boot-resolved poison spawned %d workers", h.Fleet.Spawns)
 	}
-	if ops := journalOpsForKey(t, dir, key); ops[store.OpPoisoned] == 0 {
-		t.Fatal("boot resolution journaled no poisoned terminal")
+	if d := s2.pool.Depth(); d != 0 {
+		t.Fatalf("boot-resolved poison holds %d pool slots, want 0", d)
 	}
 }
 
@@ -689,7 +711,7 @@ func TestFleetHedgeRecoversStraggler(t *testing.T) {
 
 	dir := t.TempDir()
 	cfg := fleetTestConfig(dir,
-		"CCSERVE_TEST_STALL_JOB=chaos-a",
+		keyEnv(t, "CCSERVE_TEST_STALL_KEY", chaosSpecs()[0]),
 		"CCSERVE_TEST_STALL_MS=60000",
 	)
 	cfg.fleet.hedgeFactor = 2
@@ -734,7 +756,7 @@ func TestFleetHedgeRecoversStraggler(t *testing.T) {
 // TestFleetSIGKILLMidJobRestarts delivers a real SIGKILL to a live
 // worker mid-job and proves fleet-level exactly-once: the supervisor
 // restarts, the batch completes, the store matches an uninterrupted
-// run byte for byte, and no key commits twice.
+// run byte for byte, and each run key holds one result record.
 func TestFleetSIGKILLMidJobRestarts(t *testing.T) {
 	ref := cleanCycle(t, t.TempDir(), store.OSFS())
 
@@ -785,18 +807,13 @@ func TestFleetSIGKILLMidJobRestarts(t *testing.T) {
 	if h := getHealth(t, s); h.Fleet.Restarts < 1 {
 		t.Fatalf("fleet restarts = %d after a SIGKILL, want ≥1", h.Fleet.Restarts)
 	}
-	for key, n := range doneOpsPerKey(t, dir) {
-		if n > 1 {
-			t.Fatalf("key %s has %d done records: double commit", key, n)
-		}
-	}
+	assertOneRecordPerRun(t, dir, chaosSpecs())
 }
 
 // TestFleetDrainCheckpointsRunningWorker drains while a worker is deep
 // in a long simulation: the worker must answer the SIGTERM with a
 // checkpoint outcome, and the supervisor must return the job to queued
-// with its pending journal records standing — not fail it, not count a
-// strike.
+// with its spec record standing — not fail it, not count a strike.
 func TestFleetDrainCheckpointsRunningWorker(t *testing.T) {
 	dir := t.TempDir()
 	announce := t.TempDir()
@@ -839,14 +856,9 @@ func TestFleetDrainCheckpointsRunningWorker(t *testing.T) {
 	if st.State != schema.JobQueued {
 		t.Fatalf("after drain, long job is %s (%s), want queued", st.State, st.Error)
 	}
-	ops := journalOpsForKey(t, dir, key)
-	if ops[store.OpQueued] == 0 && ops[store.OpClaimed] == 0 {
-		t.Fatal("checkpointed job left no pending journal record")
-	}
-	for _, terminal := range []string{store.OpDone, store.OpFailed, store.OpPoisoned, store.OpQuarantined} {
-		if ops[terminal] != 0 {
-			t.Fatalf("checkpointed job has a %s terminal", terminal)
-		}
+	assertPending(t, dir, long)
+	if _, ok := s.poisons.Get(key); ok {
+		t.Fatal("drain charged the checkpointed job a strike")
 	}
 	if h := getHealth(t, s); h.Fleet.Restarts != 0 || h.Fleet.Poisoned != 0 {
 		t.Fatalf("drain charged strikes: restarts=%d poisoned=%d", h.Fleet.Restarts, h.Fleet.Poisoned)
@@ -858,21 +870,15 @@ func TestFleetDrainCheckpointsRunningWorker(t *testing.T) {
 // successful run makes, then for every k in [1, N] boot a fresh fleet,
 // SIGKILL (exit 137, mid-syscall via the chaos FS) the first worker to
 // reach mutation k, and require full recovery — every job done, the
-// store byte-identical to an uninterrupted run, and at most one done
-// record per key.
+// store byte-identical to an uninterrupted run, one result record per
+// run key.
 func TestFleetChaosKillEveryWorkerBoundary(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhaustive kill sweep")
 	}
 	// Probe: run one worker in-process over a chaos FS that never kills,
 	// counting mutations.
-	probeDir := t.TempDir()
-	spec := chaosSpecs()[0]
-	pj := mustBuildJob(t, spec)
-	payload, err := json.Marshal(schema.WorkerJob{
-		SchemaVersion: schema.Version, Out: probeDir, Spec: spec, Key: pj.key,
-		Owner: "probe", DeadlineMs: 30000, LeaseTTLMs: 2000, HeartbeatMs: 200,
-	})
+	payload, err := json.Marshal(workerPayload(t, t.TempDir(), "probe", chaosSpecs()[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -919,11 +925,7 @@ func TestFleetChaosKillEveryWorkerBoundary(t *testing.T) {
 			if got := storeFingerprint(t, dir); got != ref {
 				t.Fatalf("kill@%d diverges from clean run:\n chaos %s\n clean %s", kill, got, ref)
 			}
-			for key, n := range doneOpsPerKey(t, dir) {
-				if n > 1 {
-					t.Fatalf("kill@%d: key %s has %d done records", kill, key, n)
-				}
-			}
+			assertOneRecordPerRun(t, dir, chaosSpecs())
 		})
 	}
 }

@@ -12,60 +12,53 @@ import (
 )
 
 // job is the server's in-memory state for one admitted scenario. The
-// durable record is the journal; everything here is rebuilt from it at
-// boot. All mutable fields are guarded by the server's mutex.
+// durable record is its spec record in the store; everything here is
+// rebuilt from the store at boot. All mutable fields are guarded by the
+// server's mutex.
 type job struct {
-	spec    schema.JobSpec
-	setting core.Setting
-	flows   []core.FlowSpec
-	key     string
+	spec schema.JobSpec
+	// cfg is the compiled run and key its core.RunKey: the address
+	// cmd/reproduce files the same run under.
+	cfg core.RunConfig
+	key string
 	// fp is the estimator's predicted footprint, reserved in the
 	// admission pool until the job reaches a terminal state.
 	fp budget.Footprint
 	// status is the externally visible state, streamed to subscribers
 	// on every transition.
 	status schema.JobStatus
-	// gen is the journal generation of the record currently governing
-	// status: 0 for a first submission, +1 each time a failed job is
-	// resubmitted. Journal records carry it so replay and compaction
-	// can order a retry's fresh OpQueued after the failure it retries,
-	// regardless of which segment either landed in.
-	gen uint64
-	// attempts counts executions; failures counts consecutive failed
-	// ones — the circuit breaker's input, replayed from the journal at
-	// boot so a crash does not reset a poisoned config's strike count.
+	// attempts counts executions since the job was last queued.
 	attempts int
-	failures int
+	// rec is the spec recording of the submit that last queued the job;
+	// nil for a job no submit of this process queued.
+	rec *recording
 	// subs are live event-stream subscribers; each receives framed
 	// JSONL lines and is closed when the job reaches a terminal state.
 	subs []chan []byte
 }
 
 // buildJob converts a validated JobSpec into the simulator's terms and
-// computes its content address and estimated footprint. Compilation
-// runs through core.CompileSpec — the same path cmd/reproduce
-// -scenario takes — and the address is core.ResultKey's. It can fail
-// past schema validation: topology graph errors (unreachable nodes,
-// broken paths) only surface when the graph compiles.
+// computes its run key and estimated footprint. Compilation runs through
+// core.CompileSpec — the same path cmd/reproduce -scenario takes — and
+// the name stays out of the key, so two submissions that differ only in
+// name are one run. It can fail past schema validation: topology graph
+// errors (unreachable nodes, broken paths) only surface when the graph
+// compiles.
 func buildJob(spec schema.JobSpec) (*job, error) {
 	setting, flows, err := core.CompileSpec(spec)
 	if err != nil {
 		return nil, err
 	}
-	key, err := core.ResultKey(spec.Name, spec.Seed, setting)
+	cfg := setting.Build(flows, core.WithSeed(core.Seed(spec.Seed)))
+	key, err := core.RunKey(cfg)
 	if err != nil {
 		return nil, err
 	}
-	j := &job{spec: spec, setting: setting, flows: flows, key: key}
-	j.fp = core.EstimateConfig(j.config())
-	j.status = schema.JobStatus{Name: spec.Name, Key: j.key, State: schema.JobQueued}
-	return j, nil
-}
-
-// config builds the job's RunConfig. Live attachments (Ctx, Telemetry)
-// are layered on per attempt.
-func (j *job) config() core.RunConfig {
-	return j.setting.Build(j.flows, core.WithSeed(core.Seed(j.spec.Seed)))
+	return &job{
+		spec: spec, cfg: cfg, key: key,
+		fp:     core.EstimateConfig(cfg),
+		status: schema.JobStatus{Name: spec.Name, Key: key, State: schema.JobQueued},
+	}, nil
 }
 
 // batchID names a batch by its membership: a hash of the sorted member
@@ -96,18 +89,14 @@ func (j *job) deadline(factor float64, floor time.Duration) time.Duration {
 	return d
 }
 
-// queuedDetail is the payload of an OpQueued journal record: the full
-// client spec, so a crashed server re-admits its queue from the journal
-// alone, plus the batch the submission belonged to.
-type queuedDetail struct {
+// specSuffix marks a spec record in the store: <run key>.spec holds the
+// admitted spec and its batch, written before the submit is answered. A
+// spec record with no result, no failure record and no refusing poison
+// record is work a restarted server re-queues.
+const specSuffix = ".spec"
+
+// specRecord is the payload of a spec record.
+type specRecord struct {
 	Spec  schema.JobSpec `json:"spec"`
 	Batch string         `json:"batch"`
-}
-
-// terminalDetail is the payload of terminal journal records: the job's
-// final status plus its batch, so boot recovery rebuilds both the
-// status map and batch membership from the journal's frontier.
-type terminalDetail struct {
-	Status schema.JobStatus `json:"status"`
-	Batch  string           `json:"batch,omitempty"`
 }

@@ -2,20 +2,22 @@
 // service: a long-running HTTP server that prices submitted scenarios
 // with the footprint estimator, admits them under a global budget
 // (full queue = 429 + Retry-After, never an unbounded goroutine pile),
-// dedupes (config, seed) pairs against the content-addressed result
-// store, and executes them on a fleet of process-isolated worker
-// subprocesses under estimator-derived deadlines and OS-level memory
-// ceilings, streaming per-job progress.
+// dedupes them by run key against the content-addressed result store —
+// the store, keys and records cmd/reproduce uses, so either front end
+// serves the other's runs — and executes them on a fleet of
+// process-isolated worker subprocesses under estimator-derived
+// deadlines and OS-level memory ceilings, streaming per-job progress.
 //
-// Robustness is the point: every admitted job is journaled before it
-// is queued, so SIGKILL at any instant loses no accepted work — the
-// next boot replays the write-ahead log, re-admits the unfinished
-// queue, and serves already-committed results from the store without
-// recomputation. SIGTERM drains gracefully: stop admitting, finish
-// in-flight jobs within a grace period, checkpoint the rest. Worker
-// processes add fault isolation on top: a config that OOMs or crashes
-// kills one subprocess, not the service, and a config that keeps
-// crashing is quarantined as poisoned after bounded retries.
+// Robustness is the point: every admitted job's spec is committed to
+// the store before the submit is answered, so SIGKILL at any instant
+// loses no accepted work — the next boot re-queues every spec record
+// with no result, failure record or refusing poison record, and serves
+// already-committed results from the store without recomputation.
+// SIGTERM drains gracefully: stop admitting, finish in-flight jobs
+// within a grace period, checkpoint the rest. Worker processes add
+// fault isolation on top: a config that OOMs or crashes kills one
+// subprocess, not the service, and a config whose attempts keep ending
+// without a result is refused as poisoned after -poison-after strikes.
 package main
 
 import (
@@ -52,7 +54,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		addr           = fs.String("addr", "localhost:8080", "listen address (host:port; port 0 = ephemeral)")
-		out            = fs.String("out", "serve-out", "output directory (store, journal, leases)")
+		out            = fs.String("out", "serve-out", "output directory (store, leases, poison records, failure records)")
 		workers        = fs.Int("workers", 2, "concurrent simulation workers")
 		slots          = fs.Int("slots", 64, "admission slots: max queued+running jobs before 429")
 		queueHeap      = fs.Int64("queue-heap", 0, "aggregate estimated heap bytes across admitted jobs (0 = unlimited)")
@@ -60,13 +62,12 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		retries        = fs.Int("retries", 1, "reduced-fidelity retries per execution attempt")
 		leaseTTL       = fs.Duration("lease-ttl", 30*time.Second, "lease staleness threshold")
 		leaseHeartbeat = fs.Duration("lease-heartbeat", 0, "lease refresh interval (0 = ttl/6); must be under a third of -lease-ttl")
-		breaker        = fs.Int("breaker", 3, "consecutive failures before a config is quarantined")
 		deadlineFactor = fs.Float64("deadline-factor", 4, "wall-clock deadline as a multiple of the estimated wall time")
 		minDeadline    = fs.Duration("min-deadline", 15*time.Second, "floor for per-job deadlines")
 		drainTimeout   = fs.Duration("drain-timeout", 30*time.Second, "grace period for in-flight jobs at SIGTERM")
 		inprocess      = fs.Bool("inprocess", false, "run jobs in the server process instead of worker subprocesses (no fault isolation)")
 		workerMem      = fs.Int64("worker-mem", 0, "hard cap on any worker's RLIMIT_AS in bytes (0 = estimator-derived only)")
-		poisonAfter    = fs.Int("poison-after", 3, "worker crashes before a config is poisoned (terminal, survives resubmission)")
+		poisonAfter    = fs.Int("poison-after", 3, "strikes (failed runs or worker crashes) before a config is poisoned (terminal, survives resubmission)")
 		hedgeFactor    = fs.Float64("hedge-factor", 2, "launch a duplicate worker past this multiple of the estimated wall time (<0 disables)")
 	)
 	if err := fs.Parse(argv); err != nil {
@@ -78,7 +79,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	}
 
 	// SIGTERM coverage starts before boot recovery, not after: a drain
-	// signal that lands while the journal is replaying must checkpoint
+	// signal that lands while the spec records are read must checkpoint
 	// and exit cleanly, not be dropped on the floor until the listener
 	// is up.
 	sigCtx, stopSignals := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
@@ -93,7 +94,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		leaseHeartbeat: *leaseHeartbeat,
 		deadlineFactor: *deadlineFactor,
 		minDeadline:    *minDeadline,
-		breakerAfter:   *breaker,
+		poisonAfter:    *poisonAfter,
 		drainTimeout:   *drainTimeout,
 		stderr:         stderr,
 		bootCtx:        sigCtx,
@@ -103,7 +104,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	}
 	if !*inprocess {
 		cfg.fleet = &fleetConfig{
-			poisonAfter: *poisonAfter,
 			hedgeFactor: *hedgeFactor,
 			memCap:      *workerMem,
 		}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -10,7 +11,9 @@ import (
 	"os"
 	"path/filepath"
 	"runtime/debug"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -28,7 +31,7 @@ type serverConfig struct {
 	out     string
 	workers int
 	// slots bounds the admission pool: queued-plus-running jobs, and
-	// therefore the channel capacity and the journal growth per boot.
+	// therefore the channel capacity.
 	slots int
 	// queueBudget optionally bounds the aggregate *estimated* footprint
 	// of admitted work (backpressure, not enforcement).
@@ -42,9 +45,11 @@ type serverConfig struct {
 	// job's wall-clock allowance.
 	deadlineFactor float64
 	minDeadline    time.Duration
-	// breakerAfter is the consecutive-failure count that quarantines a
-	// config hash.
-	breakerAfter int
+	// poisonAfter is the strike count — attempts that ended without a
+	// result, by a failed simulation or a dead worker — at which a
+	// config is refused, across resubmissions and reboots, until an
+	// operator removes its poison record.
+	poisonAfter int
 	// drainTimeout bounds how long SIGTERM waits for in-flight jobs
 	// before cancelling their contexts and checkpointing them as queued.
 	drainTimeout time.Duration
@@ -53,9 +58,9 @@ type serverConfig struct {
 	fleet *fleetConfig
 	// bootCtx, when set, lets a shutdown signal interrupt boot recovery:
 	// newServer checkpoints between boot phases and returns
-	// errBootCanceled with the singleton released and the journal closed
-	// — the WAL-first design means "checkpoint" is simply leaving the
-	// pending records for the next boot.
+	// errBootCanceled with the singleton released — the spec records
+	// already hold every admitted job, so "checkpoint" is simply leaving
+	// them for the next boot.
 	bootCtx context.Context
 	// bootHook is a test seam invoked after recovery and before the
 	// worker pool starts — the window the startup/drain race lives in.
@@ -65,7 +70,7 @@ type serverConfig struct {
 }
 
 // withDefaults fills unset fields. workers may be explicitly zero — an
-// accept-and-journal-only server, which tests use to hold jobs queued.
+// accept-and-record-only server, which tests use to hold jobs queued.
 func (c *serverConfig) withDefaults() {
 	if c.workers < 0 {
 		c.workers = 0
@@ -85,8 +90,8 @@ func (c *serverConfig) withDefaults() {
 	if c.minDeadline <= 0 {
 		c.minDeadline = 15 * time.Second
 	}
-	if c.breakerAfter < 1 {
-		c.breakerAfter = 3
+	if c.poisonAfter < 1 {
+		c.poisonAfter = 3
 	}
 	if c.drainTimeout <= 0 {
 		c.drainTimeout = 30 * time.Second
@@ -100,15 +105,15 @@ func (c *serverConfig) withDefaults() {
 }
 
 // singletonJob is the lease name that makes one server the exclusive
-// owner of an output directory. Exclusivity is what makes boot-time
-// journal compaction safe and the ≤1-OpDone-per-key invariant local
-// reasoning instead of a distributed-systems problem.
+// owner of an output directory. Exclusivity is what lets boot read the
+// store's spec records as the whole queue, with no other server adding
+// to it or draining it meanwhile.
 const singletonJob = "ccserve-singleton"
 
 // errBootCanceled reports a boot interrupted by the shutdown signal:
-// nothing was lost — the journal's pending records are the checkpoint —
-// and the process should exit 0.
-var errBootCanceled = errors.New("ccserve: boot interrupted by shutdown signal; state checkpointed in the journal")
+// nothing was lost — the spec records are the checkpoint — and the
+// process should exit 0.
+var errBootCanceled = errors.New("ccserve: boot interrupted by shutdown signal; admitted jobs stay recorded in the store")
 
 // server is the simulation-as-a-service process state.
 type server struct {
@@ -116,15 +121,17 @@ type server struct {
 	// Env is the server's own store and lease handles — what admission
 	// consults, and what an -inprocess attempt runs on.
 	attempt.Env
-	jnl   *store.Journal
-	lease *store.Lease // the singleton
-	pool  *budget.Pool
-	reg   *telemetry.Registry
-	owner string
-	fleet *fleetState // nil in in-process mode
+	// poisons is the strike ledger: one record per config with attempts
+	// that ended without a result.
+	poisons *store.Poisons
+	lease   *store.Lease // the singleton
+	pool    *budget.Pool
+	reg     *telemetry.Registry
+	owner   string
+	fleet   *fleetState // nil in in-process mode
 
 	mu       sync.Mutex
-	jobs     map[string]*job     // by result key
+	jobs     map[string]*job     // by run key
 	batches  map[string][]string // batch id → member keys, submission order
 	draining bool
 
@@ -139,9 +146,10 @@ type server struct {
 	stopBeat func()
 }
 
-// newServer opens the output directory, compacts and replays the
-// journal, re-admits unfinished work, and starts the worker pool. The
-// returned server is ready to have its handler attached to a listener.
+// newServer opens the output directory, rebuilds the job table from the
+// store's spec records, re-queues unfinished work, and starts the worker
+// pool. The returned server is ready to have its handler attached to a
+// listener.
 func newServer(cfg serverConfig) (*server, error) {
 	cfg.withDefaults()
 	if err := store.ValidateHeartbeat(cfg.leaseHeartbeat, cfg.leaseTTL); err != nil {
@@ -150,6 +158,9 @@ func newServer(cfg serverConfig) (*server, error) {
 	fsys := cfg.fsys
 	st, err := store.OpenFS(filepath.Join(cfg.out, "store"), fsys)
 	if err != nil {
+		return nil, err
+	}
+	if err := refuseJournal(fsys, cfg.out); err != nil {
 		return nil, err
 	}
 	owner := store.ProcessOwner()
@@ -189,72 +200,29 @@ func newServer(cfg serverConfig) (*server, error) {
 		s.releaseSingleton()
 		return nil, errBootCanceled
 	}
-
+	if s.poisons, err = store.OpenPoisonsFS(fsys, cfg.out); err != nil {
+		s.releaseSingleton()
+		return nil, err
+	}
 	if cfg.fleet != nil {
 		fc := *cfg.fleet
 		if err := fc.withDefaults(); err != nil {
 			s.releaseSingleton()
 			return nil, err
 		}
-		poisons, err := store.OpenPoisonsFS(fsys, cfg.out)
-		if err != nil {
-			s.releaseSingleton()
-			return nil, err
-		}
-		s.fleet = &fleetState{cfg: fc, poisons: poisons, workers: map[int]schema.WorkerHealth{}}
+		s.fleet = &fleetState{cfg: fc, workers: map[int]schema.WorkerHealth{}}
 	}
 
-	// With exclusive ownership established, bound the WAL: segments
-	// whose work is all resolved shrink to their outcome frontier, so a
-	// server that has served a million requests replays thousands of
-	// records, not millions.
-	if dropped, err := store.CompactJournalSet(fsys, cfg.out); err != nil {
-		s.releaseSingleton()
-		return nil, fmt.Errorf("ccserve: compacting journal: %w", err)
-	} else if dropped > 0 {
-		fmt.Fprintf(cfg.stderr, "ccserve: journal compaction dropped %d resolved records\n", dropped)
-	}
-
-	// Replay the WAL: rebuild every job's last known state, then
-	// re-admit whatever was queued or claimed when the last process
-	// died. Segments replay in lexicographic — not chronological —
-	// order, so replay derives state commutatively from generations,
-	// as OpenJournalSet's contract requires.
-	jnl, _, err := store.OpenJournalSet(fsys, cfg.out, owner, s.replay)
+	recovered, err := s.recoverJobs()
 	if err != nil {
 		s.releaseSingleton()
-		return nil, err
-	}
-	s.jnl = jnl
-	var recovered []*job
-	for _, j := range s.jobs {
-		if schema.JobTerminal(j.status.State) {
-			continue
-		}
-		// A recovered job whose config was poisoned (worker deaths in a
-		// previous life) must not re-run: resolve it now so the WAL
-		// frontier closes instead of re-queueing it every boot. The
-		// Force/Release pair keeps the pool ledger balanced — jobPoisoned
-		// releases what normal recovery would have forced.
-		if s.fleet != nil {
-			if rec, ok := s.fleet.poisons.Get(j.key); ok {
-				s.pool.Force(j.fp)
-				s.jobPoisoned(j, fmt.Sprintf("config poisoned after %d worker crashes: %s", rec.Strikes, rec.Reason))
-				continue
-			}
-		}
-		j.status.State = schema.JobQueued
-		recovered = append(recovered, j)
+		return nil, fmt.Errorf("ccserve: reading spec records: %w", err)
 	}
 	// The queue is created only now, sized to hold every recovered job:
 	// no worker is running yet, so a channel smaller than the recovered
 	// backlog (a restart with fewer -slots than the dead process had in
 	// flight) would deadlock boot while holding the singleton lease.
-	qcap := cfg.slots
-	if len(recovered) > qcap {
-		qcap = len(recovered)
-	}
-	s.queue = make(chan *job, qcap)
+	s.queue = make(chan *job, max(cfg.slots, len(recovered)))
 	for _, j := range recovered {
 		// Force, not Admit: the previous process already promised to
 		// run these. Bouncing them at reboot would turn a crash into
@@ -263,7 +231,7 @@ func newServer(cfg serverConfig) (*server, error) {
 		s.queue <- j
 	}
 	if len(recovered) > 0 {
-		fmt.Fprintf(cfg.stderr, "ccserve: recovered %d unfinished jobs from the journal\n", len(recovered))
+		fmt.Fprintf(cfg.stderr, "ccserve: recovered %d unfinished jobs from the store\n", len(recovered))
 	}
 
 	if cfg.bootHook != nil {
@@ -271,12 +239,9 @@ func newServer(cfg serverConfig) (*server, error) {
 	}
 	// Last checkpoint before anything starts running: a SIGTERM that
 	// landed anywhere during recovery exits here with the re-queued
-	// work still journaled — the next boot recovers it identically.
+	// work still recorded — the next boot recovers it identically.
 	if bootCanceled() {
 		s.releaseSingleton()
-		if err := jnl.Close(); err != nil {
-			fmt.Fprintf(cfg.stderr, "ccserve: closing journal: %v\n", err)
-		}
 		return nil, errBootCanceled
 	}
 
@@ -290,6 +255,22 @@ func newServer(cfg serverConfig) (*server, error) {
 		go s.workerLoop()
 	}
 	return s, nil
+}
+
+// refuseJournal refuses an output directory an older ccserve kept a
+// write-ahead journal in: its queued work lives only in those segments,
+// and serving the directory without them would silently drop it.
+func refuseJournal(fsys store.FS, out string) error {
+	ents, err := fsys.ReadDir(out)
+	if err != nil {
+		return err
+	}
+	for _, e := range ents {
+		if name := e.Name(); strings.HasPrefix(name, "journal") && strings.HasSuffix(name, ".jsonl") {
+			return fmt.Errorf("ccserve: %s holds write-ahead journal segments (%s) from an older ccserve: drain it with that binary, then remove them", out, name)
+		}
+	}
+	return nil
 }
 
 // acquireSingleton claims the server lease, waiting out a stale
@@ -317,85 +298,78 @@ func (s *server) releaseSingleton() {
 	s.lease.Release()
 }
 
-// replay folds one journal record into the boot state. Pending ops
-// (queued/claimed) carry the spec so the job can be rebuilt; terminal
-// ops carry the final status. Failed terminals also feed the circuit
-// breaker so a crash cannot reset a poisoned config's strike count.
-//
-// Records apply by generation, not arrival order — OpenJournalSet
-// replays segments lexicographically, so an older boot's record can
-// arrive after a newer one's. A pending record reopens a job only if
-// it starts a generation no terminal has resolved; a terminal record
-// never downgrades a newer generation's state.
-func (s *server) replay(rec store.JournalRecord) error {
-	switch rec.Op {
-	case store.OpQueued, store.OpClaimed:
-		var d queuedDetail
-		if err := json.Unmarshal(rec.Detail, &d); err != nil || d.Spec.Name == "" {
-			return nil // old or foreign record shape; ignore
-		}
-		j, ok := s.jobs[rec.Key]
-		if !ok {
-			j, err := buildJob(d.Spec)
-			if err != nil {
-				return nil // journaled by an older build; cannot re-run it
-			}
-			j.gen = rec.Gen
-			s.jobs[j.key] = j
-			s.addToBatch(d.Batch, rec.Key)
-			return nil
-		}
-		// A job first seen through a terminal record is a spec-less
-		// stub; the pending record carries the full spec, so restore it
-		// before the job can ever be re-run.
-		if j.setting.Name == "" {
-			if nb, err := buildJob(d.Spec); err == nil {
-				j.spec, j.setting, j.flows, j.fp = nb.spec, nb.setting, nb.flows, nb.fp
-			}
-		}
-		if rec.Gen > j.gen || (rec.Gen == j.gen && !schema.JobTerminal(j.status.State)) {
-			j.gen = rec.Gen
-			j.status.State = schema.JobQueued
-			j.status.Error = ""
-			j.status.Cached = false
-		}
-		s.addToBatch(d.Batch, rec.Key)
-	case store.OpDone, store.OpFailed, store.OpRejected, store.OpCached, store.OpQuarantined, store.OpPoisoned:
-		var d terminalDetail
-		if err := json.Unmarshal(rec.Detail, &d); err != nil {
-			return nil
-		}
-		j, ok := s.jobs[rec.Key]
-		if !ok {
-			// Terminal with no surviving pending record (compaction
-			// dropped it). The status itself is the state.
-			j = &job{key: rec.Key, spec: schema.JobSpec{Name: rec.Job}}
-			s.jobs[rec.Key] = j
-		}
-		if rec.Op == store.OpFailed {
-			// Strikes are monotone across generations: a failure that
-			// was later retried still happened, and the breaker must
-			// not forget it on reboot.
-			j.failures++
-			j.attempts++
-		}
-		if !ok || rec.Gen >= j.gen {
-			j.gen = rec.Gen
-			if d.Status.Key != "" {
-				j.status = d.Status
-			} else {
-				j.status = schema.JobStatus{Name: rec.Job, Key: rec.Key, State: schema.JobDone}
-			}
-		}
-		s.addToBatch(d.Batch, rec.Key)
+// recoverJobs rebuilds the job table from the store's spec records,
+// with the frontier rule cmd/reproduce uses: a job whose run is stored
+// is done, one whose config has used up its strikes is poisoned, one
+// with a parked failure record failed, and the rest — admitted work no
+// attempt finished — is returned to be re-queued.
+func (s *server) recoverJobs() ([]*job, error) {
+	keys, err := s.Store.Keys()
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	var queued []*job
+	for _, k := range keys {
+		key, ok := strings.CutSuffix(k, specSuffix)
+		if !ok {
+			continue
+		}
+		var rec specRecord
+		data, err := s.Store.Get(k)
+		if err == nil {
+			err = json.Unmarshal(data, &rec)
+		}
+		var j *job
+		if err == nil {
+			j, err = buildJob(rec.Spec)
+		}
+		if err == nil && j.key != key {
+			err = fmt.Errorf("its spec compiles to run %s", j.key)
+		}
+		if err != nil {
+			fmt.Fprintf(s.cfg.stderr, "ccserve: skipping spec record %s: %v\n", k, err)
+			continue
+		}
+		s.jobs[key] = j
+		s.addToBatch(rec.Batch, key)
+		refused := s.refusal(key)
+		switch {
+		case s.Store.Has(key):
+			j.status.State, j.status.Cached = schema.JobDone, true
+		case refused != "":
+			j.status.State, j.status.Error = schema.JobPoisoned, refused
+		case s.failureParked(key):
+			j.status.State = schema.JobFailed
+			j.status.Error = "failed before a restart; replay " + attempt.FailureFile(key)
+		default:
+			queued = append(queued, j)
+		}
+	}
+	return queued, nil
+}
+
+// refusal says why key's config is refused — its poison record holds
+// -poison-after strikes — or "" when it may run.
+func (s *server) refusal(key string) string {
+	rec, ok := s.poisons.Get(key)
+	if !ok || rec.Strikes < s.cfg.poisonAfter {
+		return ""
+	}
+	return poisonMsg(rec.Strikes, rec.Reason)
+}
+
+func poisonMsg(strikes int, reason string) string {
+	return fmt.Sprintf("poisoned after %d strikes: %s", strikes, reason)
+}
+
+// failureParked reports whether an attempt parked a failure record for
+// key that no resubmission has retired.
+func (s *server) failureParked(key string) bool {
+	_, err := s.FS.Stat(filepath.Join(s.cfg.out, attempt.FailureFile(key)))
+	return err == nil
 }
 
 func (s *server) addToBatch(batch, key string) {
-	if batch == "" {
-		return
-	}
 	for _, k := range s.batches[batch] {
 		if k == key {
 			return
@@ -454,10 +428,6 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	built := make([]*job, len(req.Jobs))
 	keys := make([]string, len(req.Jobs))
 	for i := range req.Jobs {
-		if err := req.Jobs[i].Validate(); err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
 		j, err := buildJob(req.Jobs[i])
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err.Error())
@@ -468,146 +438,164 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	batch := batchID(keys)
 
+	rec := &recording{done: make(chan struct{})}
+	promised, pending, ok := s.admitBatch(w, built, batch, rec)
+	if !ok {
+		return
+	}
+	// The promise, outside the lock: the queued members' first attempts
+	// are already under way while their spec records become durable, and
+	// the answer waits for both these records and those of members another
+	// submit is still recording.
+	for _, j := range promised {
+		spec, _ := json.Marshal(specRecord{Spec: j.spec, Batch: batch}) // plain data: cannot fail
+		if err := s.Store.Put(j.key+specSuffix, spec); err != nil {
+			rec.err = cmp.Or(rec.err, fmt.Errorf("spec record: %w", err))
+		}
+	}
+	close(rec.done)
+	err := rec.err
+	for _, other := range pending {
+		<-other.done
+		err = cmp.Or(err, other.err)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err != nil {
+		// Nothing more can be promised durably. Members whose record
+		// failed still run while this process lives.
+		writeError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	writeJSON(w, http.StatusCreated, s.batchResponseLocked(batch))
+}
+
+// recording is one submit's spec records in flight: done is closed once
+// they are written, err holding the first failure.
+type recording struct {
+	done chan struct{}
+	err  error
+}
+
+// admitBatch decides every member's disposition under the lock — all
+// or nothing against the pool — and queues the batch's new work at
+// once. It returns the members new to this process, queued or served
+// from the store, whose spec records the caller writes under rec, and
+// the recordings of members another submit is still recording; on
+// false it has answered the request.
+func (s *server) admitBatch(w http.ResponseWriter, built []*job, batch string, rec *recording) (promised []*job, pending []*recording, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
 		writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return
+		return nil, nil, false
 	}
 
 	// Two passes: decide every member's disposition, reserving pool
 	// capacity as needed; only once the whole batch fits does anything
-	// touch the journal or the queue.
+	// touch the store or the queue.
 	const (
-		dispQueue  = iota // new work: journal OpQueued + enqueue
-		dispCached        // result already in the store: journal OpCached
-		dispDedupe        // existing job (running or terminal): no new work
-		dispPoison        // config poisoned: structured refusal, no admission
+		dispQueue  = iota // new work, or a failed job's retry: queue + spec record
+		dispCached        // result already in the store
+		dispDedupe        // existing job (queued, running or terminal): no new work
+		dispPoison        // config used up its strikes: structured refusal, no admission
 	)
 	disp := make([]int, len(built))
-	poisonMsg := make([]string, len(built))
+	refused := make([]string, len(built))
 	var admitted []budget.Footprint
-	// committed counts admitted members that have been journaled and
-	// queued; rollback releases only the rest — a committed job runs and
-	// releases its own footprint at completion, so releasing it here too
-	// would double-release and let the pool over-admit.
-	committed := 0
+	// Nothing is queued before the last way to refuse the batch, so a
+	// refusal releases every footprint admitted; a queued job releases
+	// its own at completion.
 	rollback := func() {
-		for _, fp := range admitted[committed:] {
+		for _, fp := range admitted {
 			s.pool.Release(fp)
 		}
 	}
+	seen := make(map[string]bool, len(built))
 	for i, b := range built {
-		if ex, ok := s.jobs[b.key]; ok {
-			if ex.status.State == schema.JobFailed {
-				// A failed job resubmitted is an explicit retry: it
-				// re-enters the queue (and the breaker's ledger).
-				if err := s.admit(b.fp); err != nil {
-					rollback()
-					s.reject(w, err)
-					return
-				}
-				admitted = append(admitted, b.fp)
-				disp[i] = dispQueue
-				continue
-			}
+		// A failed job resubmitted is an explicit retry; anything else
+		// already known — or earlier in this batch under another name —
+		// is the same job.
+		if ex, ok := s.jobs[b.key]; seen[b.key] || ok && ex.status.State != schema.JobFailed {
 			disp[i] = dispDedupe
 			continue
 		}
-		// A poisoned config is refused before any capacity is reserved:
-		// its workers died repeatedly, and unlike a quarantine a
-		// resubmission does not clear it.
-		if s.fleet != nil {
-			if rec, ok := s.fleet.poisons.Get(b.key); ok {
-				disp[i] = dispPoison
-				poisonMsg[i] = fmt.Sprintf("config poisoned after %d worker crashes: %s", rec.Strikes, rec.Reason)
-				continue
-			}
+		seen[b.key] = true
+		// A refused config is turned away before any capacity is
+		// reserved: resubmission does not clear its strikes.
+		if msg := s.refusal(b.key); msg != "" {
+			disp[i], refused[i] = dispPoison, msg
+			continue
 		}
 		if s.Store.Has(b.key) {
 			disp[i] = dispCached
 			continue
 		}
-		if err := s.admit(b.fp); err != nil {
+		if err := s.pool.Admit(b.fp); err != nil {
 			rollback()
 			s.reject(w, err)
-			return
+			return nil, nil, false
 		}
 		admitted = append(admitted, b.fp)
 		disp[i] = dispQueue
 	}
+	// A failed job resubmitted has its failure record retired before
+	// anything can run it again, so that a crash after the answer re-runs
+	// the job instead of reporting the old failure, and a new failure is
+	// never the one retired.
+	for i, b := range built {
+		if _, retry := s.jobs[b.key]; retry && disp[i] == dispQueue {
+			if err := s.retireFailure(b.key); err != nil {
+				rollback()
+				writeError(w, http.StatusInternalServerError, err.Error())
+				return nil, nil, false
+			}
+		}
+	}
 
-	// Commit: journal first (the promise), then queue (the work).
 	for i, b := range built {
 		switch disp[i] {
 		case dispQueue:
-			// A resubmitted failure opens a new generation of the same
-			// identity; the journaled Gen is what lets compaction and
-			// replay tell this fresh promise from the failure it retries.
-			ex := s.jobs[b.key]
-			gen := uint64(0)
-			if ex != nil {
-				gen = ex.gen + 1
-			}
-			detail, _ := json.Marshal(queuedDetail{Spec: b.spec, Batch: batch})
-			if err := s.jnl.Append(store.JournalRecord{
-				Op: store.OpQueued, Job: b.spec.Name, Key: b.key,
-				Owner: s.owner, Gen: gen, Detail: detail,
-			}); err != nil {
-				// The journal is sticky-failed: nothing further can be
-				// promised durably. Refuse the batch; already-journaled
-				// members will be recovered as queued at next boot.
-				rollback()
-				writeError(w, http.StatusInternalServerError, "journal: "+err.Error())
-				return
-			}
-			committed++
-			if ex != nil {
-				// Replay may have rebuilt ex as a spec-less stub from a
-				// terminal-only journal frontier; and its footprint must
-				// match the one just admitted so the Release at completion
-				// balances. Refresh it all from the freshly built job.
-				ex.spec, ex.setting, ex.flows, ex.fp = b.spec, b.setting, b.flows, b.fp
-				ex.gen = gen
-				ex.attempts = 0 // fresh cycle for a resubmitted failure
+			j := b
+			if ex := s.jobs[b.key]; ex != nil {
+				// The retry's footprint must be the one just admitted, so
+				// that the Release at completion balances.
+				ex.fp, ex.attempts = b.fp, 0
 				s.transition(ex, schema.JobQueued, "")
-				s.queue <- ex
-			} else {
-				s.jobs[b.key] = b
-				s.queue <- b
+				j = ex
+			}
+			s.jobs[b.key] = j
+			j.rec = rec
+			s.queue <- j
+			promised = append(promised, j)
+		case dispDedupe:
+			if r := s.jobs[b.key].rec; r != nil && r != rec && !slices.Contains(pending, r) {
+				pending = append(pending, r)
 			}
 		case dispCached:
-			b.status.State = schema.JobDone
-			b.status.Cached = true
+			b.status.State, b.status.Cached = schema.JobDone, true
 			s.jobs[b.key] = b
-			st := b.status
-			detail, _ := json.Marshal(terminalDetail{Status: st, Batch: batch})
-			if err := s.jnl.Append(store.JournalRecord{
-				Op: store.OpCached, Job: b.spec.Name, Key: b.key,
-				Owner: s.owner, Detail: detail,
-			}); err != nil {
-				fmt.Fprintf(s.cfg.stderr, "ccserve: journal: %v\n", err)
-			}
+			b.rec = rec
+			promised = append(promised, b)
 		case dispPoison:
-			b.status.State = schema.JobPoisoned
-			b.status.Error = poisonMsg[i]
+			b.status.State, b.status.Error = schema.JobPoisoned, refused[i]
 			s.jobs[b.key] = b
-			detail, _ := json.Marshal(terminalDetail{Status: b.status, Batch: batch})
-			if err := s.jnl.Append(store.JournalRecord{
-				Op: store.OpPoisoned, Job: b.spec.Name, Key: b.key,
-				Owner: s.owner, Detail: detail,
-			}); err != nil {
-				fmt.Fprintf(s.cfg.stderr, "ccserve: journal: %v\n", err)
-			}
 		}
 		s.addToBatch(batch, b.key)
 	}
-	writeJSON(w, http.StatusCreated, s.batchResponseLocked(batch))
+	return promised, pending, true
 }
 
-// admit runs pool admission; the caller holds s.mu.
-func (s *server) admit(fp budget.Footprint) error {
-	return s.pool.Admit(fp)
+// retireFailure removes key's parked failure record, if it has one.
+func (s *server) retireFailure(key string) error {
+	err := s.FS.Remove(filepath.Join(s.cfg.out, attempt.FailureFile(key)))
+	if os.IsNotExist(err) {
+		return nil
+	}
+	if err != nil {
+		return fmt.Errorf("retiring failure record: %w", err)
+	}
+	return s.FS.SyncDir(s.cfg.out)
 }
 
 // reject writes the 429 for a pool rejection (or a 500 for anything
@@ -831,7 +819,7 @@ func (s *server) workerLoop() {
 			select {
 			case <-s.drainCh:
 				// Drained between dequeue and start: the job keeps its
-				// journaled OpQueued and runs at next boot.
+				// spec record and runs at next boot.
 				return
 			default:
 			}
@@ -841,89 +829,76 @@ func (s *server) workerLoop() {
 }
 
 // runJob executes one claimed job end to end, the same way in both
-// modes: poison and cache checks, the claimed record, then attempts
-// until one delivers a verdict. An attempt is a dispatch to a
-// supervised worker subprocess — r's warm worker, or one of its own —
-// hedged against stragglers when a fleet is configured, and a direct
-// call otherwise; only a subprocess can die without a verdict, and that
-// failure domain feeds crash-loop backoff and, past the strike limit,
-// poison quarantine. Its panic net mirrors cmd/reproduce's — the
-// simulation supervisor catches simulation panics, this catches
-// everything around them.
+// modes: refusal and cache checks, then attempts until one delivers a
+// verdict. An attempt is a dispatch to a supervised worker subprocess —
+// r's warm worker, or one of its own — hedged against stragglers when a
+// fleet is configured, and a direct call otherwise. Every attempt that
+// ends without a result is a strike in the config's poison record: a
+// failed simulation resolves the job failed, a dead worker (only a
+// subprocess can die without a verdict) is retried under crash-loop
+// backoff, and the -poison-after-th strike poisons the config. Its panic
+// net mirrors cmd/reproduce's — the simulation supervisor catches
+// simulation panics, this catches everything around them.
 func (s *server) runJob(r *runner, j *job) {
 	defer func() {
 		if r := recover(); r != nil {
 			fmt.Fprintf(s.cfg.stderr, "ccserve: job %s: panic outside supervisor: %v\n%s", j.spec.Name, r, debug.Stack())
 			s.mu.Lock()
-			s.jobFailed(j, fmt.Sprintf("panic outside supervisor: %v", r))
+			s.resolve(j, schema.JobFailed, fmt.Sprintf("panic outside supervisor: %v", r))
 			s.mu.Unlock()
 		}
 	}()
 	f := s.fleet
 
-	// A poisoned config never spawns a process — the strikes already
-	// cost three of them.
-	if f != nil {
-		if rec, ok := f.poisons.Get(j.key); ok {
-			s.mu.Lock()
-			s.jobPoisoned(j, fmt.Sprintf("config poisoned after %d worker crashes: %s", rec.Strikes, rec.Reason))
-			s.mu.Unlock()
-			return
-		}
-	}
-
-	// Serve from the store before computing: after a crash between
-	// store commit and journal commit, the recomputation would be
-	// wasted work and a duplicate OpDone. This check is what keeps
-	// "at most one OpDone per key" an invariant instead of a hope.
-	if s.Store.Has(j.key) {
+	// A config that used up its strikes never runs (nor spawns a
+	// process) again.
+	rec, _ := s.poisons.Get(j.key)
+	if rec.Strikes >= s.cfg.poisonAfter {
 		s.mu.Lock()
-		s.jobDone(j, schema.WorkerOutcome{Cached: true})
+		s.resolve(j, schema.JobPoisoned, poisonMsg(rec.Strikes, rec.Reason))
 		s.mu.Unlock()
+		return
+	}
+	strikes := rec.Strikes
+
+	// Serve from the store before computing: a previous process, or a
+	// reproduce run of the same config, may have committed the run.
+	if s.Store.Has(j.key) {
+		s.deliver(j, schema.WorkerOutcome{Cached: true}, strikes)
 		return
 	}
 
 	s.mu.Lock()
 	j.attempts++
-	detail, _ := json.Marshal(queuedDetail{Spec: j.spec})
-	if err := s.jnl.Append(store.JournalRecord{
-		Op: store.OpClaimed, Job: j.spec.Name, Key: j.key,
-		Owner: s.owner, Gen: j.gen, Detail: detail,
-	}); err != nil {
-		s.jobFailed(j, "journal: "+err.Error())
-		s.mu.Unlock()
-		return
-	}
 	s.transition(j, schema.JobRunning, "")
 	s.mu.Unlock()
 
 	deadline := j.deadline(s.cfg.deadlineFactor, s.cfg.minDeadline)
 	// A drain (or server-wide cancel) interrupting the job is a
-	// checkpoint, not a failure: the journaled OpQueued/OpClaimed stands,
-	// no terminal is written, and the next boot re-runs the job. The
-	// store stayed untouched, so the re-run commits the same bytes the
-	// uninterrupted run would have.
+	// checkpoint, not a failure: no strike, its spec record stands, and
+	// the next boot re-runs the job. The store stayed untouched, so the
+	// re-run commits the same bytes the uninterrupted run would have.
 	checkpoint := func() {
 		s.mu.Lock()
 		j.status.State = schema.JobQueued
 		s.mu.Unlock()
 	}
 
-	for crashes := 1; ; crashes++ {
+	for {
 		var res spawnRes
 		if f != nil {
 			res = s.fleetAttempt(r, j, deadline)
 		} else {
-			o := runAttempt(s.runCtx, s.Env, j, 0, deadline,
-				telemetry.Multi(s.reg.Instrument(), s.subscriberCollector(j)))
+			cfg := j.cfg
+			cfg.Collector = telemetry.Multi(s.reg.Instrument(), s.subscriberCollector(j))
+			o := runAttempt(s.runCtx, s.Env, j.key, cfg, 0, deadline)
 			res.outcome = &o
 		}
+		reason, failed := "worker crashed", false
 		if o := res.outcome; o != nil {
 			switch o.State {
 			case schema.WorkerDone:
-				s.mu.Lock()
-				s.jobDone(j, *o)
-				s.mu.Unlock()
+				s.deliver(j, *o, strikes)
 				return
 			case schema.WorkerCheckpoint:
 				if s.isDraining() || s.runCtx.Err() != nil {
@@ -933,34 +908,36 @@ func (s *server) runJob(r *runner, j *job) {
 				// A checkpoint outside a drain means something external
 				// terminated the worker (or the hang guard fired). The run
 				// committed nothing; treat it as a crash and respawn.
-				res.err = fmt.Errorf("worker checkpointed outside a drain")
+				res.err = errors.New("worker checkpointed outside a drain")
 			default:
-				s.mu.Lock()
-				s.jobFailed(j, o.Error)
-				s.mu.Unlock()
-				return
+				reason, failed = o.Error, true
 			}
 		}
-
-		reason := "worker crashed"
 		if res.err != nil {
 			reason = res.err.Error()
 		}
-		if crashes >= f.cfg.poisonAfter {
-			rec := store.PoisonRecord{Key: j.key, Job: j.spec.Name, Reason: reason, Strikes: crashes}
-			if err := f.poisons.Mark(rec); err != nil {
-				fmt.Fprintf(s.cfg.stderr, "ccserve: marking poison %s: %v\n", j.key, err)
-			}
+
+		strikes++
+		if err := s.poisons.Mark(store.PoisonRecord{Key: j.key, Job: j.spec.Name, Reason: reason, Strikes: strikes}); err != nil {
+			fmt.Fprintf(s.cfg.stderr, "ccserve: recording strike %d of %s: %v\n", strikes, j.key, err)
+		}
+		switch {
+		case strikes >= s.cfg.poisonAfter:
 			s.reg.Counter("fleet_poisoned").Inc()
 			s.mu.Lock()
-			s.jobPoisoned(j, fmt.Sprintf("poisoned after %d worker crashes: %s", crashes, reason))
+			s.resolve(j, schema.JobPoisoned, poisonMsg(strikes, reason))
+			s.mu.Unlock()
+			return
+		case failed:
+			s.mu.Lock()
+			s.resolve(j, schema.JobFailed, reason)
 			s.mu.Unlock()
 			return
 		}
 		s.reg.Counter("fleet_restarts").Inc()
 		fmt.Fprintf(s.cfg.stderr, "ccserve: job %s: %s (strike %d/%d), backing off\n",
-			j.spec.Name, reason, crashes, f.cfg.poisonAfter)
-		wait := f.cfg.backoffBase << (crashes - 1)
+			j.spec.Name, reason, strikes, s.cfg.poisonAfter)
+		wait := f.cfg.backoffBase << (strikes - 1)
 		if wait <= 0 || wait > f.cfg.backoffMax {
 			wait = f.cfg.backoffMax
 		}
@@ -976,52 +953,28 @@ func (s *server) runJob(r *runner, j *job) {
 	}
 }
 
-// resolve moves a job to a terminal state: journal the record, release
-// pool capacity, notify. A journal error is logged, not fatal: the
-// in-memory state and the idempotent store still advance, and the next
-// boot re-derives whatever the journal missed. The caller holds s.mu.
-func (s *server) resolve(j *job, op, state, msg string) {
-	st := j.status
-	st.State, st.Error, st.Attempts = state, msg, j.attempts
-	detail, _ := json.Marshal(terminalDetail{Status: st})
-	if err := s.jnl.Append(store.JournalRecord{
-		Op: op, Job: j.spec.Name, Key: j.key, Owner: s.owner, Gen: j.gen, Detail: detail,
-	}); err != nil {
-		fmt.Fprintf(s.cfg.stderr, "ccserve: journal %s %s: %v\n", op, j.key, err)
-	}
+// resolve moves a job to a terminal state: release pool capacity,
+// notify. What the job's spec record resolves to after a restart —
+// done, failed or poisoned — is already in the store, the failure
+// record and the poison record. The caller holds s.mu.
+func (s *server) resolve(j *job, state, msg string) {
 	s.pool.Release(j.fp)
 	s.transition(j, state, msg)
 }
 
-// jobDone records a delivered result — computed by the attempt that
-// reported o, or found already in the store; the caller holds s.mu.
-func (s *server) jobDone(j *job, o schema.WorkerOutcome) {
-	j.failures = 0
-	j.status.WallMs = o.WallMs
-	j.status.Cached = o.Cached
-	op := store.OpDone
-	if o.Cached {
-		op = store.OpCached
+// deliver resolves j done — computed by the attempt that reported o, or
+// found already in the store — and clears the strikes its config held:
+// a delivered result proves the config runs.
+func (s *server) deliver(j *job, o schema.WorkerOutcome, strikes int) {
+	if strikes > 0 {
+		if err := s.poisons.Clear(j.key); err != nil {
+			fmt.Fprintf(s.cfg.stderr, "ccserve: clearing the strikes of %s: %v\n", j.key, err)
+		}
 	}
-	s.resolve(j, op, schema.JobDone, "")
-}
-
-// jobFailed records a failure and trips the breaker past the
-// threshold; the caller holds s.mu.
-func (s *server) jobFailed(j *job, msg string) {
-	j.failures++
-	op, state := store.OpFailed, schema.JobFailed
-	if j.failures >= s.cfg.breakerAfter {
-		op, state = store.OpQuarantined, schema.JobQuarantined
-		msg = fmt.Sprintf("quarantined after %d failures: %s", j.failures, msg)
-	}
-	s.resolve(j, op, state, msg)
-}
-
-// jobPoisoned records the poison terminal; the caller holds s.mu and
-// has already persisted the poison record when one is owed.
-func (s *server) jobPoisoned(j *job, msg string) {
-	s.resolve(j, store.OpPoisoned, schema.JobPoisoned, msg)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	j.status.WallMs, j.status.Cached = o.WallMs, o.Cached
+	s.resolve(j, schema.JobDone, "")
 }
 
 // subscriberCollector forwards a thin slice of run telemetry to the
@@ -1056,8 +1009,7 @@ func (s *server) setDraining() {
 
 // Drain performs the graceful-shutdown protocol: stop admitting, let
 // workers finish within the grace period, then cancel what remains —
-// cancelled jobs keep their journaled pending records and re-run at
-// next boot. Idempotent; calls after the first return immediately.
+// cancelled jobs keep their spec records and re-run at next boot. Idempotent; calls after the first return immediately.
 func (s *server) Drain() {
 	s.drainOnce.Do(s.drain)
 }
@@ -1078,7 +1030,4 @@ func (s *server) drain() {
 	}
 	s.cancel()
 	s.releaseSingleton()
-	if err := s.jnl.Close(); err != nil {
-		fmt.Fprintf(s.cfg.stderr, "ccserve: closing journal: %v\n", err)
-	}
 }

@@ -9,10 +9,13 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"ccatscale/internal/attempt"
 	"ccatscale/internal/budget"
+	"ccatscale/internal/core"
 	"ccatscale/internal/schema"
 	"ccatscale/internal/store"
 )
@@ -289,7 +292,7 @@ func TestDrainRefusesSubmitsAndFlipsHealth(t *testing.T) {
 	}
 
 	// The checkpointed job survives the restart: a new server over the
-	// same directory recovers it from the journal and runs it.
+	// same directory recovers it from its spec record and runs it.
 	cfg2 := cfg
 	cfg2.workers = 2
 	s2 := startServer(t, cfg2)
@@ -312,7 +315,7 @@ func TestSecondBootServesFromStore(t *testing.T) {
 
 	s2 := startServer(t, cfg)
 	defer s2.Drain()
-	// The journal replay carries the terminal states across the boot...
+	// The store carries the results across the boot...
 	again, rr := submit(t, s2, testSpec("a", 1), testSpec("b", 2))
 	if rr.Code != http.StatusCreated {
 		t.Fatalf("resubmit after reboot: %d: %s", rr.Code, rr.Body.String())
@@ -324,9 +327,14 @@ func TestSecondBootServesFromStore(t *testing.T) {
 	}
 }
 
+// TestQuarantineAfterRepeatedFailures: failed runs are strikes in the
+// config's poison record, the same ledger worker crashes feed. A failure
+// below the threshold is retryable by resubmission; the -poison-after-th
+// strike poisons the config, which is then refused — resubmission and
+// reboot included — with its replayable failure record parked.
 func TestQuarantineAfterRepeatedFailures(t *testing.T) {
 	cfg := testServerConfig(t, 1)
-	cfg.breakerAfter = 2
+	cfg.poisonAfter = 2
 	// A deadline far below any real run forces a wall-clock failure on
 	// every attempt without burning test time.
 	cfg.minDeadline = time.Millisecond
@@ -346,37 +354,37 @@ func TestQuarantineAfterRepeatedFailures(t *testing.T) {
 		t.Fatalf("first attempt: %s (%s), want failed", final.Jobs[0].State, final.Jobs[0].Error)
 	}
 
-	// The client retries; the breaker trips at the threshold.
+	// The client retries; the second strike poisons the config.
 	resp, rr = submit(t, s, spec)
 	if rr.Code != http.StatusCreated {
 		t.Fatalf("retry submit: %d", rr.Code)
 	}
 	final = waitBatch(t, s, resp.Batch, 30*time.Second)
 	j := final.Jobs[0]
-	if j.State != schema.JobQuarantined {
-		t.Fatalf("second failure: %s, want quarantined", j.State)
+	if j.State != schema.JobPoisoned {
+		t.Fatalf("second failure: %s, want poisoned", j.State)
 	}
-	if !strings.Contains(j.Error, "quarantined after 2 failures") {
-		t.Fatalf("quarantine error %q should count the strikes", j.Error)
+	if !strings.Contains(j.Error, "poisoned after 2 strikes") {
+		t.Fatalf("poison error %q should count the strikes", j.Error)
 	}
 
-	// A quarantined config refuses further runs: resubmit dedupes to the
-	// quarantined status instead of executing.
+	// A poisoned config refuses further runs: resubmit dedupes to the
+	// poisoned status instead of executing.
 	resp, rr = submit(t, s, spec)
 	if rr.Code != http.StatusCreated {
-		t.Fatalf("post-quarantine submit: %d", rr.Code)
+		t.Fatalf("post-poison submit: %d", rr.Code)
 	}
-	if resp.Jobs[0].State != schema.JobQuarantined {
-		t.Fatalf("post-quarantine state %s, want quarantined", resp.Jobs[0].State)
+	if resp.Jobs[0].State != schema.JobPoisoned {
+		t.Fatalf("post-poison state %s, want poisoned", resp.Jobs[0].State)
 	}
 
 	// The failure record is parked beside the store for offline replay.
 	if _, err := os.Stat(filepath.Join(cfg.out, j.Key+".failed.json")); err != nil {
-		t.Fatalf("quarantine should leave a replayable failure record: %v", err)
+		t.Fatalf("poisoning should leave a replayable failure record: %v", err)
 	}
 
-	// ...and the breaker survives a reboot: the journal replays the
-	// strike count, so the next server refuses the config too.
+	// ...and the refusal survives a reboot: the poison record holds the
+	// strikes, so the next server refuses the config too.
 	s.Drain()
 	s2 := startServer(t, cfg)
 	defer s2.Drain()
@@ -384,26 +392,8 @@ func TestQuarantineAfterRepeatedFailures(t *testing.T) {
 	if rr.Code != http.StatusCreated {
 		t.Fatalf("post-reboot submit: %d", rr.Code)
 	}
-	if resp.Jobs[0].State != schema.JobQuarantined {
-		t.Fatalf("post-reboot state %s, want quarantined to survive restart", resp.Jobs[0].State)
-	}
-}
-
-// writeSegment appends records into the named owner's journal segment,
-// standing in for a previous boot of the server.
-func writeSegment(t *testing.T, dir, owner string, recs ...store.JournalRecord) {
-	t.Helper()
-	j, _, err := store.OpenJournalSet(store.OSFS(), dir, owner, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range recs {
-		if err := j.Append(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
+	if resp.Jobs[0].State != schema.JobPoisoned {
+		t.Fatalf("post-reboot state %s, want poisoned to survive restart", resp.Jobs[0].State)
 	}
 }
 
@@ -464,8 +454,8 @@ func TestResubmitFailedJobAfterRebootRunsRealSpec(t *testing.T) {
 	ref.Drain()
 	reference := storeFingerprint(t, refCfg.out)
 
-	// Boot one: an impossible deadline fails the job, leaving a Failed
-	// terminal in the journal.
+	// Boot one: an impossible deadline fails the job, parking its
+	// failure record.
 	cfg := testServerConfig(t, 1)
 	cfg.minDeadline = time.Nanosecond
 	cfg.deadlineFactor = 1e-9
@@ -479,11 +469,10 @@ func TestResubmitFailedJobAfterRebootRunsRealSpec(t *testing.T) {
 	}
 	s1.Drain()
 
-	// Boot two: compaction reduces boot one's segment to the terminal
-	// record, so replay rebuilds the job as a spec-less stub. The
-	// resubmission must rehydrate it — the re-run executes the real
-	// scenario and commits the same bytes as the undisturbed run, not a
-	// degenerate zero-config under the real key.
+	// Boot two rebuilds the job from its spec record as failed (its
+	// failure record is parked). The resubmission retires the failure
+	// and re-runs the real scenario, committing the same bytes as the
+	// undisturbed run.
 	cfg2 := cfg
 	cfg2.minDeadline = 30 * time.Second
 	cfg2.deadlineFactor = 4
@@ -497,41 +486,208 @@ func TestResubmitFailedJobAfterRebootRunsRealSpec(t *testing.T) {
 		t.Fatalf("resubmitted run: %s (%s), want done", final.Jobs[0].State, final.Jobs[0].Error)
 	}
 	if got := storeFingerprint(t, cfg.out); got != reference {
-		t.Errorf("resubmitted job committed %s, want the clean run's %s — the stub was not rehydrated", got, reference)
+		t.Errorf("resubmitted job committed %s, want the clean run's %s", got, reference)
+	}
+	// The failure was a strike; the delivered result cleared it.
+	if rec, ok := s2.poisons.Get(mustBuildJob(t, spec).key); ok {
+		t.Errorf("strike record outlived the delivered result: %+v", rec)
 	}
 }
 
-func TestReplayPendingBeatsStaleTerminalAcrossSegments(t *testing.T) {
+// TestResubmittedFailureSurvivesCrash: resubmitting a failed job
+// retires its failure record before the submit is answered, so a server
+// that dies right after re-runs the job at its next boot instead of
+// reporting the old failure.
+func TestResubmittedFailureSurvivesCrash(t *testing.T) {
+	spec := testSpec("lazarus", 6)
 	cfg := testServerConfig(t, 1)
-	spec := testSpec("replayed", 9)
-	built := mustBuildJob(t, spec)
-	qd, err := json.Marshal(queuedDetail{Spec: spec, Batch: "B"})
-	if err != nil {
+	cfg.minDeadline = time.Nanosecond
+	cfg.deadlineFactor = 1e-9
+	s1 := startServer(t, cfg)
+	resp, rr := submit(t, s1, spec)
+	if rr.Code != http.StatusCreated {
+		t.Fatalf("doomed submit: %d: %s", rr.Code, rr.Body.String())
+	}
+	if final := waitBatch(t, s1, resp.Batch, 30*time.Second); final.Jobs[0].State != schema.JobFailed {
+		t.Fatalf("doomed run: %s, want failed", final.Jobs[0].State)
+	}
+	s1.Drain()
+
+	// Boot two has no workers: the resubmission is accepted, then the
+	// server goes away before anything runs it.
+	cfg2 := cfg
+	cfg2.workers = 0
+	s2 := startServer(t, cfg2)
+	resp, rr = submit(t, s2, spec)
+	if rr.Code != http.StatusCreated || resp.Jobs[0].State != schema.JobQueued {
+		t.Fatalf("resubmit: %d %+v, want 201 queued", rr.Code, resp.Jobs)
+	}
+	s2.Drain()
+
+	cfg3 := cfg
+	cfg3.minDeadline, cfg3.deadlineFactor = 30*time.Second, 4
+	s3 := startServer(t, cfg3)
+	defer s3.Drain()
+	if final := waitBatch(t, s3, resp.Batch, 30*time.Second); final.Jobs[0].State != schema.JobDone {
+		t.Fatalf("after reboot the resubmitted job is %s (%s), want re-run and done", final.Jobs[0].State, final.Jobs[0].Error)
+	}
+}
+
+// TestBootRefusesJournalSegments: a directory an older ccserve kept a
+// write-ahead journal in holds queued work only those segments know
+// about; boot refuses it rather than silently dropping that work.
+func TestBootRefusesJournalSegments(t *testing.T) {
+	cfg := testServerConfig(t, 0)
+	if err := os.WriteFile(filepath.Join(cfg.out, "journal-host_1.jsonl"), []byte("{}\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	fd, err := json.Marshal(terminalDetail{Status: schema.JobStatus{
-		Name: spec.Name, Key: built.key, State: schema.JobFailed, Error: "boom",
-	}, Batch: "B"})
-	if err != nil {
-		t.Fatal(err)
+	if _, err := newServer(cfg); err == nil || !strings.Contains(err.Error(), "drain it with that binary") {
+		t.Fatalf("boot over journal segments: %v, want a refusal naming the way out", err)
+	}
+}
+
+// TestNameStaysOutOfTheKey: the key is the compiled run's, so two
+// submissions that differ only in name are one run — the second is
+// served without starting a simulation.
+func TestNameStaysOutOfTheKey(t *testing.T) {
+	s := startServer(t, testServerConfig(t, 1))
+	defer s.Drain()
+	first := runsDone(t, s, testSpec("alpha", 3))
+	started := s.reg.Counter("runs_started").Load()
+	second := runsDone(t, s, testSpec("beta", 3))
+	if first.Key != second.Key {
+		t.Fatalf("renamed spec keyed %s, want %s", second.Key, first.Key)
+	}
+	if got := s.reg.Counter("runs_started").Load(); got != started {
+		t.Fatalf("renamed spec started %d runs, want none", got-started)
 	}
 
-	// The older boot's segment sorts lexicographically after the newer
-	// boot's, so replay sees the stale gen-0 terminal last. The gen-1
-	// resubmission it retries must still be recovered and run.
-	writeSegment(t, cfg.out, "z-old",
-		store.JournalRecord{Op: store.OpQueued, Job: spec.Name, Key: built.key, Gen: 0, Detail: qd},
-		store.JournalRecord{Op: store.OpFailed, Job: spec.Name, Key: built.key, Gen: 0, Detail: fd},
-	)
-	writeSegment(t, cfg.out, "a-new",
-		store.JournalRecord{Op: store.OpQueued, Job: spec.Name, Key: built.key, Gen: 1, Detail: qd},
-	)
+	// Two names for one run in one batch: one job, one run.
+	resp, rr := submit(t, s, testSpec("gamma", 5), testSpec("delta", 5))
+	if rr.Code != http.StatusCreated {
+		t.Fatalf("submit: %d: %s", rr.Code, rr.Body.String())
+	}
+	final := waitBatch(t, s, resp.Batch, 30*time.Second)
+	if len(final.Jobs) != 1 || final.Jobs[0].State != schema.JobDone {
+		t.Fatalf("batch of two names for one run: %+v, want one job done", final.Jobs)
+	}
+	if got := s.reg.Counter("runs_started").Load(); got != started+1 {
+		t.Fatalf("two names for one run started %d runs, want 1", got-started)
+	}
+}
+
+// TestConcurrentSubmitsOfOneRun: clients submitting one run at once
+// admit it once, and each is answered only once its spec record is
+// durable — whichever submit wrote it.
+func TestConcurrentSubmitsOfOneRun(t *testing.T) {
+	s := startServer(t, testServerConfig(t, 0))
+	defer s.Drain()
+	body, err := json.Marshal(schema.BatchRequest{SchemaVersion: schema.Version, Jobs: []schema.JobSpec{testSpec("dup", 1)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := mustBuildJob(t, testSpec("dup", 1)).key
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rr := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rr, httptest.NewRequest("POST", "/v1/batches", bytes.NewReader(body)))
+			if rr.Code != http.StatusCreated {
+				t.Errorf("submit: %d: %s", rr.Code, rr.Body.String())
+			} else if !s.Store.Has(key + specSuffix) {
+				t.Error("answered 201 before the spec record was durable")
+			}
+		}()
+	}
+	wg.Wait()
+	if d := s.pool.Depth(); d != 1 {
+		t.Fatalf("one run submitted 8 times holds %d pool slots, want 1", d)
+	}
+}
+
+// runsDone submits one spec and waits for it to resolve done.
+func runsDone(t *testing.T, s *server, spec schema.JobSpec) schema.JobStatus {
+	t.Helper()
+	resp, rr := submit(t, s, spec)
+	if rr.Code != http.StatusCreated {
+		t.Fatalf("submit %s: %d: %s", spec.Name, rr.Code, rr.Body.String())
+	}
+	st := waitBatch(t, s, resp.Batch, 30*time.Second).Jobs[0]
+	if st.State != schema.JobDone {
+		t.Fatalf("job %s is %s (%s), want done", spec.Name, st.State, st.Error)
+	}
+	return st
+}
+
+// TestLeaseHeldByForeignOwnerServesItsCommit: a served job leases its
+// run key, the same lease a reproduce run of the config takes. While a
+// foreign owner holds it the job waits; once the owner commits and
+// lets go, the job reports the run as served from the store.
+func TestLeaseHeldByForeignOwnerServesItsCommit(t *testing.T) {
+	cfg := testServerConfig(t, 1)
+	cfg.leaseTTL = time.Minute // the holder stays live without heartbeating
+	spec := testSpec("shared", 4)
+	j := mustBuildJob(t, spec)
+	other, err := store.NewLeases(cfg.out, "other-host-999", cfg.leaseTTL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held, err := other.Acquire(j.key)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	s := startServer(t, cfg)
 	defer s.Drain()
-	final := waitBatch(t, s, "B", 30*time.Second)
-	if len(final.Jobs) != 1 || final.Jobs[0].State != schema.JobDone {
-		t.Fatalf("replayed batch = %+v, want the gen-1 resubmission recovered and done", final.Jobs)
+	resp, rr := submit(t, s, spec)
+	if rr.Code != http.StatusCreated {
+		t.Fatalf("submit: %d: %s", rr.Code, rr.Body.String())
+	}
+	waitState(t, s, j.key, schema.JobRunning)
+
+	// The holder computes and commits, then lets go.
+	res, err := core.Run(j.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := attempt.Record(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Store.Put(j.key, payload); err != nil {
+		t.Fatal(err)
+	}
+	held.Release()
+
+	st := waitBatch(t, s, resp.Batch, 30*time.Second).Jobs[0]
+	if st.State != schema.JobDone || !st.Cached {
+		t.Fatalf("job behind a foreign lease: %s cached=%v (%s), want done from the holder's commit", st.State, st.Cached, st.Error)
+	}
+	if n := s.reg.Counter("runs_started").Load(); n != 0 {
+		t.Fatalf("job behind a foreign lease started %d runs, want 0", n)
+	}
+}
+
+// waitState polls until the job keyed key reaches state.
+func waitState(t *testing.T, s *server, key, state string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		s.mu.Lock()
+		got := ""
+		if j, ok := s.jobs[key]; ok {
+			got = j.status.State
+		}
+		s.mu.Unlock()
+		if got == state {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s is %q, never %s", key, got, state)
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
 }
 
@@ -641,8 +797,8 @@ func TestSingletonLeaseRefusesSecondServer(t *testing.T) {
 // TestDrainDuringLeaseWaitCheckpoints pins what an interrupted lease
 // wait is: a checkpoint. The job's lease is held by another live owner
 // when the server claims it, and the drain lands while the attempt is
-// still polling — nothing ran, so nothing may be journaled as failed
-// or charged to the breaker, and the next boot runs the job.
+// still polling — nothing ran, so nothing may be recorded as failed or
+// charged as a strike, and the next boot runs the job.
 func TestDrainDuringLeaseWaitCheckpoints(t *testing.T) {
 	cfg := testServerConfig(t, 1)
 	cfg.leaseTTL = time.Minute // the other owner stays live without heartbeating
@@ -654,7 +810,7 @@ func TestDrainDuringLeaseWaitCheckpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	held, err := other.Acquire(spec.Name)
+	held, err := other.Acquire(key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -664,21 +820,15 @@ func TestDrainDuringLeaseWaitCheckpoints(t *testing.T) {
 	if rr.Code != http.StatusCreated {
 		t.Fatalf("submit: %d: %s", rr.Code, rr.Body.String())
 	}
-	// The claimed record is the last thing before the lease wait.
-	deadline := time.Now().Add(10 * time.Second)
-	for journalOpsForKey(t, cfg.out, key)[store.OpClaimed] == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("job was never claimed")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	// Running is the last transition before the lease wait.
+	waitState(t, s, key, schema.JobRunning)
 	s.Drain()
 
-	ops := journalOpsForKey(t, cfg.out, key)
-	for _, op := range []string{store.OpFailed, store.OpQuarantined, store.OpDone} {
-		if ops[op] != 0 {
-			t.Fatalf("a job interrupted while waiting for its lease has %d %s records (ops %v)", ops[op], op, ops)
-		}
+	if s.failureParked(key) {
+		t.Fatal("a job interrupted while waiting for its lease parked a failure record")
+	}
+	if rec, ok := s.poisons.Get(key); ok {
+		t.Fatalf("an interrupted lease wait was charged a strike: %+v", rec)
 	}
 
 	if err := held.Release(); err != nil {
@@ -686,12 +836,6 @@ func TestDrainDuringLeaseWaitCheckpoints(t *testing.T) {
 	}
 	s2 := startServer(t, cfg)
 	defer s2.Drain()
-	s2.mu.Lock()
-	failures := s2.jobs[key].failures
-	s2.mu.Unlock()
-	if failures != 0 {
-		t.Fatalf("replay charged %d breaker strikes for an interrupted lease wait", failures)
-	}
 	final := waitBatch(t, s2, resp.Batch, 30*time.Second)
 	if len(final.Jobs) != 1 || final.Jobs[0].State != schema.JobDone {
 		t.Fatalf("after reboot with the lease free: %+v, want done", final.Jobs)

@@ -2,14 +2,18 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
+	"ccatscale/internal/core"
+	"ccatscale/internal/experiments"
 	"ccatscale/internal/report"
 	"ccatscale/internal/schema"
 	"ccatscale/internal/store"
@@ -74,11 +78,10 @@ func TestSubmitTopologyScenario(t *testing.T) {
 }
 
 // TestServedTableIsTheScenarioTable: the committed parking-lot document
-// run by `reproduce -scenario` and served by ccserve commits one table —
+// run by `reproduce -scenario` and served by ccserve renders one table —
 // headers, per-flow rows with the ECN-response column, CE and per-link
-// notes — under two titles. Until both rendered through
-// experiments.RunTable, the served one dropped the column and the link
-// notes.
+// notes — under two titles: both front ends store the run's RunResult
+// and render it through experiments.RunTable.
 func TestServedTableIsTheScenarioTable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs cmd/reproduce")
@@ -125,7 +128,15 @@ func TestServedTableIsTheScenarioTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	served := readTable(st.Get(final.Jobs[0].Key))
+	payload, err := st.Get(final.Jobs[0].Key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res core.RunResult
+	if err := json.Unmarshal(payload, &res); err != nil {
+		t.Fatal(err)
+	}
+	served := experiments.RunTable(final.Jobs[0].Name, res)
 
 	if !slices.Equal(served.Headers, swept.Headers) || !slices.Equal(served.Notes, swept.Notes) ||
 		!slices.EqualFunc(served.Rows, swept.Rows, slices.Equal[[]string]) {
@@ -136,9 +147,64 @@ func TestServedTableIsTheScenarioTable(t *testing.T) {
 	}
 }
 
+// TestOneStoreServesBothFrontEnds: `reproduce -scenario` and ccserve key
+// a run alike and store it alike, so on one -out each serves what the
+// other computed. The document has no envelope knobs (audit policy,
+// series interval): those are part of the run, so they move its key.
+func TestOneStoreServesBothFrontEnds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs cmd/reproduce")
+	}
+	bin := filepath.Join(t.TempDir(), "reproduce")
+	if msg, err := exec.Command("go", "build", "-o", bin, "../reproduce").CombinedOutput(); err != nil {
+		t.Fatalf("building reproduce: %v\n%s", err, msg)
+	}
+	spec := testSpec("both", 9)
+	doc, err := (&schema.Scenario{JobSpec: spec}).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	docPath := filepath.Join(t.TempDir(), "both.json")
+	if err := os.WriteFile(docPath, doc, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reproduce := func(out string) string {
+		t.Helper()
+		msg, err := exec.Command(bin, "-scenario", docPath, "-out", out).CombinedOutput()
+		if err != nil {
+			t.Fatalf("reproduce -scenario: %v\n%s", err, msg)
+		}
+		return string(msg)
+	}
+
+	// reproduce computes, ccserve serves.
+	cfg := testServerConfig(t, 1)
+	reproduce(cfg.out)
+	s := startServer(t, cfg)
+	st := runsDone(t, s, spec)
+	if !st.Cached {
+		t.Fatalf("ccserve recomputed the run reproduce stored: %+v", st)
+	}
+	if n := s.reg.Counter("runs_started").Load(); n != 0 {
+		t.Fatalf("ccserve started %d runs for a stored run, want 0", n)
+	}
+	s.Drain()
+
+	// ccserve computes, reproduce serves.
+	cfg = testServerConfig(t, 1)
+	s = startServer(t, cfg)
+	if st := runsDone(t, s, spec); st.Cached {
+		t.Fatalf("fresh directory served the run from the store: %+v", st)
+	}
+	s.Drain()
+	if out := reproduce(cfg.out); !strings.Contains(out, "(1 of 1 runs from store)") {
+		t.Fatalf("reproduce recomputed the run ccserve stored:\n%s", out)
+	}
+}
+
 // TestSubmitTopologyRejections: graph defects bounce at admission with
 // 400, whether the structural schema check or the compile-time graph
-// check catches them — nothing un-runnable may reach the journal.
+// check catches them — nothing un-runnable may be admitted.
 func TestSubmitTopologyRejections(t *testing.T) {
 	s := startServer(t, testServerConfig(t, 0))
 	defer s.Drain()

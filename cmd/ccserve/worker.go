@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -13,10 +12,8 @@ import (
 
 	"ccatscale/internal/attempt"
 	"ccatscale/internal/core"
-	"ccatscale/internal/experiments"
 	"ccatscale/internal/schema"
 	"ccatscale/internal/store"
-	"ccatscale/internal/telemetry"
 )
 
 // workerRun is the hidden -worker entrypoint: the process shell around
@@ -30,12 +27,11 @@ import (
 //
 // The shell owns what only a process has and sets it up once: the
 // SIGTERM context, the RLIMIT_AS ceiling (the first payload's) and the
-// store handle. Per job it builds the lease space under that dispatch's
+// store handle. Per job it decodes the run (refusing one whose run key
+// is not the payload's), builds the lease space under that dispatch's
 // owner, and hands the rest to the shared attempt (internal/attempt),
-// the same code an -inprocess server calls. The one thing neither
-// touches is the journal: journaling is the supervisor's job, keeping
-// the single-writer-per-segment discipline intact. before, when non-nil,
-// runs ahead of each job with the stop context: the tests' fault hooks.
+// the same code an -inprocess server calls. before, when non-nil, runs
+// ahead of each job with the stop context: the tests' fault hooks.
 //
 // Exit codes: 0 = stdin ended or the stop signal came, and every job
 // taken was answered (whatever the answers say); 3 = a payload was
@@ -74,8 +70,20 @@ func workerRun(fsys store.FS, stdin io.Reader, stdout, stderr io.Writer, before 
 		limited bool
 	)
 	one := func(wj schema.WorkerJob) schema.WorkerOutcome {
-		if err := wj.Spec.Validate(); err != nil {
-			return attempt.Failed("spec: " + err.Error())
+		var cfg core.RunConfig
+		if err := json.Unmarshal(wj.Config, &cfg); err != nil {
+			return attempt.Failed("config: " + err.Error())
+		}
+		key, err := core.RunKey(cfg)
+		if err != nil {
+			return attempt.Failed("config: " + err.Error())
+		}
+		if key != wj.Key {
+			// Supervisor and worker disagree on the run's identity (version
+			// skew across a re-exec?): running would commit under the wrong
+			// address. Refuse as a failure, not a crash — respawning cannot
+			// fix a disagreement.
+			return attempt.Failed(fmt.Sprintf("key mismatch: supervisor says %s, config hashes to %s", wj.Key, key))
 		}
 		// The memory ceiling goes on before the first job's first big
 		// allocation and stays for the process's life: from here, a
@@ -86,17 +94,6 @@ func workerRun(fsys store.FS, stdin io.Reader, stdout, stderr io.Writer, before 
 			if err := setWorkerMemLimit(wj.MemLimitBytes); err != nil {
 				fmt.Fprintf(stderr, "ccserve worker: rlimit: %v\n", err)
 			}
-		}
-		j, err := buildJob(wj.Spec)
-		if err != nil {
-			return attempt.Failed("spec: " + err.Error())
-		}
-		if wj.Key != "" && j.key != wj.Key {
-			// Supervisor and worker disagree on the job's identity (version
-			// skew across a re-exec?): running would commit under the wrong
-			// address. Refuse as a failure, not a crash — respawning cannot
-			// fix a disagreement.
-			return attempt.Failed(fmt.Sprintf("key mismatch: supervisor says %s, spec hashes to %s", wj.Key, j.key))
 		}
 		ttl := msToDuration(wj.LeaseTTLMs, 30*time.Second)
 		leases, err := store.NewLeasesFS(fsys, wj.Out, wj.Owner, ttl)
@@ -113,7 +110,7 @@ func workerRun(fsys store.FS, stdin io.Reader, stdout, stderr io.Writer, before 
 			Retries:   wj.Retries,
 			Heartbeat: msToDuration(wj.HeartbeatMs, store.DefaultHeartbeat(ttl)),
 		}
-		return runAttempt(sigCtx, env, j, wj.Slot, msToDuration(wj.DeadlineMs, 15*time.Second), nil)
+		return runAttempt(sigCtx, env, wj.Key, cfg, wj.Slot, msToDuration(wj.DeadlineMs, 15*time.Second))
 	}
 
 	for {
@@ -153,18 +150,12 @@ func workerRun(fsys store.FS, stdin io.Reader, stdout, stderr io.Writer, before 
 	}
 }
 
-// runAttempt is one execution of j through the shared attempt, the
-// same in a worker subprocess and in an -inprocess server: the hedge
-// slot's lease, j's key, and the per-run table as the stored payload.
-// coll, when non-nil, observes the run.
-func runAttempt(ctx context.Context, env attempt.Env, j *job, slot int, deadline time.Duration, coll telemetry.Collector) schema.WorkerOutcome {
-	cfg := j.config()
-	cfg.Collector = coll
-	o, _ := attempt.Run(ctx, env, store.SlotName(j.spec.Name, slot), j.key, cfg, deadline, func(res core.RunResult) ([]byte, error) {
-		var buf bytes.Buffer
-		err := experiments.RunTable(j.spec.Name, res).WriteJSON(&buf)
-		return buf.Bytes(), err
-	})
+// runAttempt is one execution of the run cfg keyed key through the
+// shared attempt, the same in a worker subprocess and in an -inprocess
+// server: the lease is the run key's (its hedge slot's), so a ccserve
+// attempt and a reproduce run of one config see each other's claim.
+func runAttempt(ctx context.Context, env attempt.Env, key string, cfg core.RunConfig, slot int, deadline time.Duration) schema.WorkerOutcome {
+	o, _ := attempt.Run(ctx, env, store.SlotName(key, slot), key, cfg, deadline)
 	return o
 }
 

@@ -476,9 +476,7 @@ func (sw *sweep) runOne(p plan, i int, cfg core.RunConfig) (served bool, err err
 	if sw.pt != nil {
 		sw.pt.runStarted(p.name, cfg.Fidelity)
 	}
-	o, err := attempt.Run(context.Background(), sw.env, p.keys[i], p.keys[i], cfg, 0, func(res core.RunResult) ([]byte, error) {
-		return json.Marshal(res)
-	})
+	o, err := attempt.Run(context.Background(), sw.env, p.keys[i], p.keys[i], cfg, 0)
 	return o.Cached, err
 }
 

@@ -10,6 +10,7 @@ package attempt
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -34,9 +35,6 @@ type Env struct {
 	Stderr    io.Writer
 }
 
-// Encode turns a finished run into the payload committed under its key.
-type Encode func(core.RunResult) ([]byte, error)
-
 // Failed is the outcome of an attempt that delivered no result.
 func Failed(msg string) schema.WorkerOutcome {
 	return schema.WorkerOutcome{SchemaVersion: schema.Version, State: schema.WorkerFailed, Error: msg}
@@ -44,13 +42,13 @@ func Failed(msg string) schema.WorkerOutcome {
 
 // Run is one execution of cfg: claim the lease, serve from the store
 // when key already holds a record, otherwise run under the deadline
-// (0 = none) with the lease kept alive and commit encode's payload
-// through the store's idempotent Put. A lease another process holds is
-// waited on, so the attempt then finds that process's commit and serves
-// it. ctx is the stop signal: when it ends the attempt checkpoints,
+// (0 = none) with the lease kept alive and commit its Record through
+// the store's idempotent Put. A lease another process holds is waited
+// on, so the attempt then finds that process's commit and serves it.
+// ctx is the stop signal: when it ends the attempt checkpoints,
 // whether it was running or still waiting for the lease. The error is
 // the run's own, nil unless the outcome is failed.
-func Run(ctx context.Context, env Env, lease, key string, cfg core.RunConfig, deadline time.Duration, encode Encode) (schema.WorkerOutcome, error) {
+func Run(ctx context.Context, env Env, lease, key string, cfg core.RunConfig, deadline time.Duration) (schema.WorkerOutcome, error) {
 	done := schema.WorkerOutcome{SchemaVersion: schema.Version, State: schema.WorkerDone}
 	checkpoint := schema.WorkerOutcome{SchemaVersion: schema.Version, State: schema.WorkerCheckpoint}
 	failed := func(err error) (schema.WorkerOutcome, error) { return Failed(err.Error()), err }
@@ -91,7 +89,7 @@ func Run(ctx context.Context, env Env, lease, key string, cfg core.RunConfig, de
 
 	if err == nil {
 		var payload []byte
-		if payload, err = encode(results[0]); err == nil {
+		if payload, err = Record(results[0]); err == nil {
 			err = env.Store.Put(key, payload)
 		}
 	}
@@ -119,6 +117,17 @@ func Run(ctx context.Context, env Env, lease, key string, cfg core.RunConfig, de
 		}
 	}
 	return failed(err)
+}
+
+// Record is the payload committed under a run's key: its RunResult as
+// JSON, without the two wall-clock readings of the process that ran it —
+// the time the run took (the attempt's outcome reports it) and the
+// watchdog limit its deadline set. What a key holds is then a function
+// of the key alone, so two processes that ran one config commit the
+// same bytes, and stores compare byte for byte.
+func Record(res core.RunResult) ([]byte, error) {
+	res.Usage.Wall, res.Config.WallLimit = 0, 0
+	return json.Marshal(res)
 }
 
 // FailureFile names the replayable record Run parks for key.

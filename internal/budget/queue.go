@@ -33,7 +33,7 @@ func (e *QueueError) Error() string {
 // estimator's predictions and refuses new work past the limit, while
 // actual in-flight enforcement stays with each run's own Budget. Two
 // bounds apply — a slot count (hard cap on queued jobs, which bounds
-// journal replay and status-map memory) and an optional Budget whose
+// the queue and status-map memory) and an optional Budget whose
 // HeapBytes/Events/TracePoints/Wall fields cap the summed estimates.
 //
 // All methods are safe for concurrent use.
@@ -87,7 +87,7 @@ func (p *Pool) Admit(f Footprint) error {
 }
 
 // Force reserves capacity unconditionally. Boot recovery uses it to
-// re-admit jobs the journal proves were already accepted: a restart
+// re-admit jobs the store records as already accepted: a restart
 // must never bounce work the previous process promised to run, even if
 // the limits have since been tightened.
 func (p *Pool) Force(f Footprint) {

@@ -18,9 +18,10 @@ import (
 //
 // Both front ends (cmd/reproduce -scenario and ccserve) compile through
 // this one function: the same JobSpec always yields the same Setting,
-// hence the same input to ResultKey's hash. The keys themselves are per
-// front end — each names the job its own way, and reproduce adds the
-// document envelope's audit policy to the Setting.
+// hence the same RunConfig and RunKey, so either front end serves a run
+// the other stored. The name labels the Setting and reaches no key; a
+// document envelope's knobs (audit policy, series interval) are part of
+// the run, so they do.
 func CompileSpec(spec schema.JobSpec) (Setting, []FlowSpec, error) {
 	if err := spec.Validate(); err != nil {
 		return Setting{}, nil, err

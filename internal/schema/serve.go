@@ -1,6 +1,7 @@
 package schema
 
 import (
+	"encoding/json"
 	"fmt"
 	"strings"
 )
@@ -14,29 +15,25 @@ import (
 // Job lifecycle states reported by the server. A job enters "queued" at
 // admission, moves to "running" when a worker claims it, and ends in
 // exactly one terminal state. "done" covers both computed and
-// cache-served results (JobStatus.Cached distinguishes them);
-// "quarantined" means the circuit breaker parked the job after repeated
-// failures of the same config hash.
+// cache-served results (JobStatus.Cached distinguishes them); a
+// "failed" job runs again when it is resubmitted.
 const (
-	JobQueued      = "queued"
-	JobRunning     = "running"
-	JobDone        = "done"
-	JobFailed      = "failed"
-	JobRejected    = "rejected"
-	JobQuarantined = "quarantined"
-	// JobPoisoned means the job's worker process itself died repeatedly
-	// (OOM kill, runtime crash) rather than the simulation failing: the
-	// config is recorded as poisoned and refused until an operator
-	// removes its poison record. Unlike "quarantined" — which a client
-	// can clear by resubmitting — poisoned configs stay rejected, because
-	// re-running them costs a whole process each strike.
+	JobQueued  = "queued"
+	JobRunning = "running"
+	JobDone    = "done"
+	JobFailed  = "failed"
+	// JobPoisoned means the config has used up its strikes: attempts
+	// that ended without a result, whether the simulation failed or the
+	// worker process running it died (OOM kill, runtime crash). It is
+	// refused, resubmission included, until an operator removes its
+	// poison record; a delivered result clears the record.
 	JobPoisoned = "poisoned"
 )
 
 // JobTerminal reports whether a job state is final.
 func JobTerminal(state string) bool {
 	switch state {
-	case JobDone, JobFailed, JobRejected, JobQuarantined, JobPoisoned:
+	case JobDone, JobFailed, JobPoisoned:
 		return true
 	}
 	return false
@@ -57,13 +54,13 @@ type FlowGroup struct {
 	Path []string `json:"path,omitempty"`
 }
 
-// JobSpec is one scenario configuration a client submits. Name plus
-// Seed plus the scenario fields form the job's identity: the server
-// hashes the scenario (not the name) into the result key, so two
-// differently-named but identical scenarios share one cached result.
+// JobSpec is one scenario configuration a client submits. Seed plus the
+// scenario fields form the job's identity: the server keys the compiled
+// run (not the name), so two differently-named but identical scenarios
+// share one cached result.
 type JobSpec struct {
-	// Name labels the job in status output and result files. It becomes
-	// part of file names, so it is restricted to [A-Za-z0-9._-].
+	// Name labels the job in status output and logs; it is restricted to
+	// [A-Za-z0-9._-].
 	Name string `json:"name"`
 	// Seed seeds the simulation.
 	Seed uint64 `json:"seed"`
@@ -97,7 +94,7 @@ type JobSpec struct {
 
 // Validate rejects specs the simulator cannot run or the store cannot
 // key. It is the server's first line of defense: everything past it may
-// be journaled, so nothing un-runnable should survive it.
+// be recorded as admitted, so nothing un-runnable should survive it.
 func (s *JobSpec) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("schema: job has no name")
@@ -179,7 +176,7 @@ type BatchRequest struct {
 type JobStatus struct {
 	// Name is the client's label from the JobSpec.
 	Name string `json:"name"`
-	// Key is the content address of the result in the store.
+	// Key is the run key the result is stored under.
 	Key string `json:"key"`
 	// State is one of the Job* lifecycle constants.
 	State string `json:"state"`
@@ -189,8 +186,7 @@ type JobStatus struct {
 	// Error carries the failure or rejection reason for terminal
 	// non-done states.
 	Error string `json:"error,omitempty"`
-	// Attempts counts executions of this job, including the failed ones
-	// the circuit breaker watched.
+	// Attempts counts executions since the job was last queued.
 	Attempts int `json:"attempts,omitempty"`
 	// WallMs is the wall-clock time the finished run consumed.
 	WallMs float64 `json:"wallMs,omitempty"`
@@ -271,7 +267,7 @@ type FleetHealth struct {
 	Restarts int64 `json:"restarts"`
 	// Hedges counts duplicate workers launched against stragglers.
 	Hedges int64 `json:"hedges"`
-	// Poisoned counts configs quarantined for killing their workers.
+	// Poisoned counts configs refused after using up their strikes.
 	Poisoned int64 `json:"poisoned"`
 }
 
@@ -290,21 +286,21 @@ const (
 
 // WorkerJob is the payload a ccserve supervisor writes to a worker
 // subprocess's stdin for each job it dispatches there (a warm worker
-// takes many in turn): everything one execution attempt needs, so the
-// worker re-derives the simulation from the same spec the journal
-// holds and commits through the same store/lease protocol any process
-// would. Times are milliseconds and sizes bytes so the shape stays
+// takes many in turn): everything one execution attempt needs — the
+// run itself and the store/lease protocol any process would commit it
+// through. Times are milliseconds and sizes bytes so the shape stays
 // plain data, like every other schema type.
 type WorkerJob struct {
 	SchemaVersion string `json:"schema_version"`
-	// Out is the output directory (store, journal, leases) to commit to.
+	// Out is the output directory (store, leases) to commit to.
 	Out string `json:"out"`
-	// Spec is the scenario to run.
-	Spec JobSpec `json:"spec"`
-	// Key is the supervisor's content address for the result; the worker
-	// recomputes it from Spec and refuses to run on a mismatch rather
+	// Key is the run key the result is committed under; the worker
+	// recomputes it from Config and refuses to run on a mismatch rather
 	// than commit under a wrong identity.
 	Key string `json:"key"`
+	// Config is the run: an encoded core.RunConfig, opaque here so that
+	// this package stays free of simulator types.
+	Config json.RawMessage `json:"config"`
 	// Slot is the hedge slot this attempt claims its lease under.
 	Slot int `json:"slot"`
 	// Owner is the lease identity for this attempt, unique per dispatch

@@ -57,7 +57,7 @@ func TestJobSpecValidate(t *testing.T) {
 }
 
 func TestJobTerminal(t *testing.T) {
-	for _, s := range []string{JobDone, JobFailed, JobRejected, JobQuarantined} {
+	for _, s := range []string{JobDone, JobFailed, JobPoisoned} {
 		if !JobTerminal(s) {
 			t.Errorf("JobTerminal(%s) = false", s)
 		}

@@ -93,10 +93,10 @@ func TestStorePutCrashAtEveryBoundary(t *testing.T) {
 // least every acknowledged (Append returned nil) record present.
 func TestJournalCrashAtEveryBoundary(t *testing.T) {
 	attempts := []store.JournalRecord{
-		{Op: store.OpClaimed, Job: "fig4_edge", Key: "aa-7", Owner: "w1"},
-		{Op: store.OpDone, Job: "fig4_edge", Key: "aa-7", Owner: "w1"},
-		{Op: store.OpClaimed, Job: "fig5_core", Key: "bb-7", Owner: "w1"},
-		{Op: store.OpDone, Job: "fig5_core", Key: "bb-7", Owner: "w1"},
+		{Op: store.OpQueued, Job: "fig4_edge", Key: "aa-7", Owner: "w1"},
+		{Op: store.OpQueued, Job: "fig4_core", Key: "ab-7", Owner: "w1"},
+		{Op: store.OpQueued, Job: "fig5_core", Key: "bb-7", Owner: "w1"},
+		{Op: store.OpQueued, Job: "fig6_core", Key: "bc-7", Owner: "w1"},
 	}
 	doAppends := func(dir string) func(fs store.FS) (int, error) {
 		return func(fs store.FS) (int, error) {
@@ -153,7 +153,7 @@ func TestJournalCrashAtEveryBoundary(t *testing.T) {
 					}
 				}
 				// The journal accepts appends again after recovery.
-				if err := j.Append(store.JournalRecord{Op: store.OpClaimed, Job: "resumed"}); err != nil {
+				if err := j.Append(store.JournalRecord{Op: store.OpQueued, Job: "resumed"}); err != nil {
 					t.Fatalf("append after recovery: %v", err)
 				}
 			})

@@ -28,9 +28,9 @@ func TestJournalAppendReplay(t *testing.T) {
 	dir := t.TempDir()
 	detail, _ := json.Marshal(map[string]string{"status": "done", "file": "a.txt"})
 	appendRecords(t, dir,
-		JournalRecord{Op: OpClaimed, Job: "fig4_edge", Key: "abc-7", Owner: "w1"},
-		JournalRecord{Op: OpDone, Job: "fig4_edge", Key: "abc-7", Owner: "w1", Detail: detail},
-		JournalRecord{Op: OpClaimed, Job: "fig5_core", Key: "def-7", Owner: "w1"},
+		JournalRecord{Op: OpQueued, Job: "fig4_edge", Key: "abc-7", Owner: "w1"},
+		JournalRecord{Op: OpQueued, Job: "fig4_core", Key: "abd-7", Owner: "w1", Detail: detail},
+		JournalRecord{Op: OpQueued, Job: "fig5_core", Key: "def-7", Owner: "w1"},
 	)
 
 	var got []JournalRecord
@@ -45,17 +45,17 @@ func TestJournalAppendReplay(t *testing.T) {
 	if n != 3 || len(got) != 3 {
 		t.Fatalf("replayed %d/%d records, want 3", n, len(got))
 	}
-	if got[0].Op != OpClaimed || got[0].Job != "fig4_edge" || got[0].Seq != 1 {
+	if got[0].Op != OpQueued || got[0].Job != "fig4_edge" || got[0].Seq != 1 {
 		t.Fatalf("record 0: %+v", got[0])
 	}
-	if got[1].Op != OpDone || string(got[1].Detail) != string(detail) {
+	if got[1].Job != "fig4_core" || string(got[1].Detail) != string(detail) {
 		t.Fatalf("record 1 detail did not round-trip: %+v", got[1])
 	}
 	if got[2].Seq != 3 || j.Seq() != 3 {
 		t.Fatalf("sequence: rec %d, journal %d, want 3", got[2].Seq, j.Seq())
 	}
 	// Appending after replay continues the sequence.
-	if err := j.Append(JournalRecord{Op: OpFailed, Job: "fig5_core"}); err != nil {
+	if err := j.Append(JournalRecord{Op: OpQueued, Job: "fig6_core"}); err != nil {
 		t.Fatal(err)
 	}
 	if j.Seq() != 4 {
@@ -69,9 +69,9 @@ func TestJournalAppendReplay(t *testing.T) {
 func TestJournalTornTail(t *testing.T) {
 	dir := t.TempDir()
 	appendRecords(t, dir,
-		JournalRecord{Op: OpClaimed, Job: "a"},
-		JournalRecord{Op: OpDone, Job: "a"},
-		JournalRecord{Op: OpClaimed, Job: "b"},
+		JournalRecord{Op: OpQueued, Job: "a"},
+		JournalRecord{Op: OpQueued, Job: "b"},
+		JournalRecord{Op: OpQueued, Job: "c"},
 	)
 	path := filepath.Join(dir, JournalFile)
 	data, err := os.ReadFile(path)
@@ -84,19 +84,19 @@ func TestJournalTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var ops []string
+	var jobs []string
 	j, n, err := OpenJournal(dir, func(r JournalRecord) error {
-		ops = append(ops, r.Op+":"+r.Job)
+		jobs = append(jobs, r.Job)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 2 || strings.Join(ops, ",") != "claimed:a,done:a" {
-		t.Fatalf("replay after torn tail: n=%d ops=%v", n, ops)
+	if n != 2 || strings.Join(jobs, ",") != "a,b" {
+		t.Fatalf("replay after torn tail: n=%d jobs=%v", n, jobs)
 	}
 	// The torn line is gone from disk and the next append lands cleanly.
-	if err := j.Append(JournalRecord{Op: OpClaimed, Job: "b"}); err != nil {
+	if err := j.Append(JournalRecord{Op: OpQueued, Job: "c"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
@@ -114,9 +114,9 @@ func TestJournalTornTail(t *testing.T) {
 func TestJournalMidFileCorruption(t *testing.T) {
 	dir := t.TempDir()
 	appendRecords(t, dir,
-		JournalRecord{Op: OpClaimed, Job: "a"},
-		JournalRecord{Op: OpDone, Job: "a"},
-		JournalRecord{Op: OpClaimed, Job: "b"},
+		JournalRecord{Op: OpQueued, Job: "a"},
+		JournalRecord{Op: OpQueued, Job: "b"},
+		JournalRecord{Op: OpQueued, Job: "c"},
 	)
 	path := filepath.Join(dir, JournalFile)
 	data, err := os.ReadFile(path)
@@ -148,9 +148,9 @@ func TestJournalMidFileCorruption(t *testing.T) {
 func TestJournalRejectsDroppedRecord(t *testing.T) {
 	dir := t.TempDir()
 	appendRecords(t, dir,
-		JournalRecord{Op: OpClaimed, Job: "a"},
-		JournalRecord{Op: OpDone, Job: "a"},
-		JournalRecord{Op: OpClaimed, Job: "b"},
+		JournalRecord{Op: OpQueued, Job: "a"},
+		JournalRecord{Op: OpQueued, Job: "b"},
+		JournalRecord{Op: OpQueued, Job: "c"},
 	)
 	path := filepath.Join(dir, JournalFile)
 	data, err := os.ReadFile(path)

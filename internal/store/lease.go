@@ -71,9 +71,8 @@ func NewLeasesFS(fs FS, outDir, owner string, ttl time.Duration) (*Leases, error
 	return &Leases{fs: fs, dir: dir, owner: owner, ttl: ttl, now: time.Now}, nil
 }
 
-// ProcessOwner names this process for lease ownership and journal
-// segment names: host-pid, with the host degrading to a constant when
-// the kernel will not say.
+// ProcessOwner names this process for lease ownership: host-pid, with
+// the host degrading to a constant when the kernel will not say.
 func ProcessOwner() string {
 	h, err := os.Hostname()
 	if err != nil || h == "" {

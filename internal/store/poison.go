@@ -2,35 +2,33 @@ package store
 
 import (
 	"encoding/json"
-	"fmt"
+	"math"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"ccatscale/internal/schema"
 )
 
 // poisonDir is the subdirectory of an output directory holding one
-// record per poisoned config.
+// record per config with strikes.
 const poisonDir = "poison"
 
-// PoisonRecord marks a config whose worker process died repeatedly —
-// OOM kill, runtime crash, anything that ends the process without an
-// outcome. It is distinct from a quarantine (the *simulation* failed,
-// retryable by resubmission): a poisoned config is refused until an
-// operator deletes its record, because every retry costs a whole
-// process. The record is a standalone file, not only a journal entry,
-// so it survives journal compaction and is trivially auditable and
-// removable with ordinary file tools.
+// PoisonRecord is one config's strike ledger: the attempts that ended
+// without a result, whether the simulation failed or the process running
+// it died (OOM kill, runtime crash). A caller refuses the config once it
+// holds its threshold of strikes, and clears the record when a result
+// is delivered; an operator un-poisons a config by deleting the file.
+// It is a standalone file beside the store, so it survives restarts and
+// is trivially auditable and removable with ordinary file tools.
 type PoisonRecord struct {
 	SchemaVersion string `json:"schema_version"`
-	// Key is the poisoned config's content address.
+	// Key is the config's run key.
 	Key string `json:"key"`
 	// Job is the client-facing name the config was last submitted under.
 	Job string `json:"job"`
-	// Reason describes the final strike (exit status, signal).
+	// Reason describes the latest strike (failure, exit status, signal).
 	Reason string `json:"reason"`
-	// Strikes counts the worker deaths that earned the record.
+	// Strikes counts the attempts that ended without a result.
 	Strikes int `json:"strikes"`
 }
 
@@ -54,8 +52,8 @@ func (p *Poisons) path(key string) string {
 	return filepath.Join(p.dir, key+".json")
 }
 
-// Mark persists a poison record. Marking an already-poisoned key
-// overwrites the record — the latest strike count and reason win.
+// Mark persists a poison record. Marking a key that has one overwrites
+// it — the latest strike count and reason win.
 func (p *Poisons) Mark(rec PoisonRecord) error {
 	if err := validKey(rec.Key); err != nil {
 		return err
@@ -70,8 +68,8 @@ func (p *Poisons) Mark(rec PoisonRecord) error {
 	return WriteFileAtomicFS(p.fs, p.path(rec.Key), append(data, '\n'))
 }
 
-// Get returns the poison record for key, or ok=false when the key is
-// not poisoned. A corrupt record still reports poisoned — refusing a
+// Get returns the poison record for key, or ok=false when the key has
+// none. A corrupt record reads as holding every strike — refusing a
 // config whose record rotted is the safe direction.
 func (p *Poisons) Get(key string) (PoisonRecord, bool) {
 	if validKey(key) != nil {
@@ -83,35 +81,12 @@ func (p *Poisons) Get(key string) (PoisonRecord, bool) {
 	}
 	var rec PoisonRecord
 	if json.Unmarshal(data, &rec) != nil || rec.Key != key {
-		return PoisonRecord{Key: key, Reason: "unreadable poison record"}, true
+		return PoisonRecord{Key: key, Reason: "unreadable poison record", Strikes: math.MaxInt32}, true
 	}
 	return rec, true
 }
 
-// List returns every poison record, for boot-time state rebuilding.
-func (p *Poisons) List() ([]PoisonRecord, error) {
-	ents, err := p.fs.ReadDir(p.dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, err
-	}
-	var recs []PoisonRecord
-	for _, e := range ents {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".json") {
-			continue
-		}
-		key := strings.TrimSuffix(name, ".json")
-		if rec, ok := p.Get(key); ok {
-			recs = append(recs, rec)
-		}
-	}
-	return recs, nil
-}
-
-// Clear removes a key's poison record — the operator's un-poison tool.
+// Clear removes a key's poison record: its strikes are forgiven.
 func (p *Poisons) Clear(key string) error {
 	if err := validKey(key); err != nil {
 		return err
@@ -122,6 +97,3 @@ func (p *Poisons) Clear(key string) error {
 	}
 	return err
 }
-
-// String names the directory for error messages.
-func (p *Poisons) String() string { return fmt.Sprintf("poisons(%s)", p.dir) }

@@ -1,6 +1,6 @@
-// Package store is the crash-consistent persistence layer under sweep
-// orchestration: a content-addressed result store, a write-ahead
-// journal, and lease-based claiming for multi-process workers.
+// Package store is the crash-consistent persistence layer under both
+// front ends: a content-addressed result store, lease-based claiming
+// for multi-process workers, and per-config poison records.
 //
 // The durability contract, in one paragraph: every result record is
 // committed tmp-file → fsync(file) → rename → fsync(dir), so a record
@@ -9,13 +9,14 @@
 // half-written file is detected on read and quarantined to
 // <name>.corrupt instead of aborting the sweep. The store itself is
 // the frontier of what is done: a key that holds a record is served,
-// never recomputed. The journal (journal.jsonl), an append-only
-// pending/terminal log fsync'd per record, is ccserve's: it records what
-// the server promised its clients, and recovery replays it to the
-// exact pre-crash frontier. Leases (owner id + heartbeat mtime, stale
-// takeover after a TTL) let N worker processes share one sweep; a duplicate
-// attempt's commit is a no-op because records are addressed by content
-// key, which is what makes execution exactly-once.
+// never recomputed, and ccserve's admitted jobs are spec records in the
+// same store, so no log is needed to say what is pending. Leases (owner
+// id + heartbeat mtime, stale takeover after a TTL) let N worker
+// processes share one sweep; a duplicate attempt's commit is a no-op
+// because records are addressed by content key, which is what makes
+// execution exactly-once. Poison records count a config's strikes —
+// attempts that ended without a result. The journal (an append-only,
+// fsync-per-record log) backs no front end; the benchmark times it.
 //
 // The whole protocol runs on the FS seam so internal/store/chaostest
 // can kill the process at any syscall boundary, tear writes, and race
