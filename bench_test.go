@@ -24,8 +24,8 @@ import (
 	"ccatscale/internal/waremodel"
 )
 
-// benchEdge is EdgeScale with shortened windows.
-func benchEdge() core.Setting {
+// shortEdge is EdgeScale with shortened windows.
+func shortEdge() core.Setting {
 	s := core.EdgeScale()
 	s.Warmup = 10 * sim.Second
 	s.Duration = 30 * sim.Second
@@ -75,7 +75,7 @@ func mathisBench(b *testing.B, s core.Setting, flows int) core.MathisRow {
 // while C(halving) stays ≈1.34–1.47.
 func BenchmarkTable1MathisConstant(b *testing.B) {
 	b.Run("EdgeScale/flows=30", func(b *testing.B) {
-		reportMathisRow(b, mathisBench(b, benchEdge(), 30))
+		reportMathisRow(b, mathisBench(b, shortEdge(), 30))
 	})
 	b.Run("CoreScale/flows=100", func(b *testing.B) {
 		reportMathisRow(b, mathisBench(b, benchCore(), 100))
@@ -95,7 +95,7 @@ func BenchmarkFig2MathisError(b *testing.B) {
 // to CWND-halving ratio. Paper: ≈1.7 at the edge, 6–9 at core scale.
 func BenchmarkFig3LossHalvingRatio(b *testing.B) {
 	b.Run("EdgeScale", func(b *testing.B) {
-		row := mathisBench(b, benchEdge(), 30)
+		row := mathisBench(b, shortEdge(), 30)
 		b.ReportMetric(row.LossToHalvingRatio, "loss:halving")
 	})
 	b.Run("CoreScale", func(b *testing.B) {
@@ -108,7 +108,7 @@ func BenchmarkFig3LossHalvingRatio(b *testing.B) {
 // (figure not shown in the paper): Goh–Barabási ≈0.2 edge, ≈0.35 core.
 func BenchmarkBurstiness(b *testing.B) {
 	b.Run("EdgeScale", func(b *testing.B) {
-		row := mathisBench(b, benchEdge(), 30)
+		row := mathisBench(b, shortEdge(), 30)
 		b.ReportMetric(row.DropBurstiness, "burstiness")
 	})
 	b.Run("CoreScale", func(b *testing.B) {
@@ -148,7 +148,7 @@ func BenchmarkIntraFairnessLossBased(b *testing.B) {
 // flows at the edge).
 func BenchmarkFig4BBRIntraFairness(b *testing.B) {
 	b.Run("EdgeScale/flows=10", func(b *testing.B) {
-		res := fairnessBench(b, benchEdge(), core.UniformFlows(10, "bbr", benchRTT), 1)
+		res := fairnessBench(b, shortEdge(), core.UniformFlows(10, "bbr", benchRTT), 1)
 		b.ReportMetric(res.JFI(), "JFI")
 	})
 	b.Run("CoreScale/flows=100", func(b *testing.B) {
@@ -206,7 +206,7 @@ func BenchmarkAblationDelayedACK(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			var row core.MathisRow
 			for i := 0; i < b.N; i++ {
-				s := benchEdge()
+				s := shortEdge()
 				cfg := s.Build(core.UniformFlows(30, "reno", core.DefaultRTT), core.WithSeed(core.Seed(uint64(i+1))))
 				cfg.DelAckDelay = mode.delay
 				res, err := core.Run(cfg)
@@ -290,7 +290,7 @@ func BenchmarkAblationHyStart(b *testing.B) {
 		b.Run(variant, func(b *testing.B) {
 			var res core.RunResult
 			for i := 0; i < b.N; i++ {
-				s := benchEdge()
+				s := shortEdge()
 				s.Warmup = 5 * sim.Second
 				s.Duration = 15 * sim.Second
 				s.Stagger = 10 * sim.Second // spread starts so overshoot episodes are visible

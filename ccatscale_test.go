@@ -111,17 +111,21 @@ func TestMSSConstant(t *testing.T) {
 	}
 }
 
-// TestPublicSweeps runs three of the paper's plans the one way every
-// table runs — the plan through core.RunManyCtx, then its analysis.
+// TestPublicSweeps runs three of the paper's plans the way a front end
+// runs them — each config through core.RunCtx, then the plan's
+// analysis.
 func TestPublicSweeps(t *testing.T) {
 	s := fastSetting()
 	s.FlowCounts = []int{4}
 	s.Duration = 15 * sim.Second
 	run := func(name string, cfgs []core.RunConfig) []core.RunResult {
 		t.Helper()
-		res, err := core.RunManyCtx(context.Background(), cfgs, core.SweepOptions{Parallelism: 2})
-		if err != nil || len(res) != len(cfgs) {
-			t.Fatalf("%s: %d results for %d configs: %v", name, len(res), len(cfgs), err)
+		res := make([]core.RunResult, len(cfgs))
+		for i, cfg := range cfgs {
+			var err error
+			if res[i], err = core.RunCtx(context.Background(), cfg); err != nil {
+				t.Fatalf("%s: config %d: %v", name, i, err)
+			}
 		}
 		return res
 	}

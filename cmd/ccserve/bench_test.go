@@ -50,7 +50,6 @@ func benchServe(b *testing.B, fleet bool) {
 		cfg.fleet = &fleetConfig{
 			backoffBase: 10 * time.Millisecond,
 			backoffMax:  50 * time.Millisecond,
-			hedgeFactor: -1, // hedging off: measure the straight path
 			argv:        []string{os.Args[0]},
 			env:         []string{"CCSERVE_TEST_WORKER=1"},
 		}

@@ -17,27 +17,20 @@ import (
 
 	"ccatscale/internal/budget"
 	"ccatscale/internal/schema"
-	"ccatscale/internal/store"
 )
 
 // fleetConfig selects process-isolated execution: each attempt runs in
 // a worker subprocess (this binary re-exec'd with -worker) under an
 // estimator-derived RLIMIT_AS ceiling, supervised with crash-loop
-// backoff and straggler hedging. A nil fleetConfig on serverConfig
-// (-inprocess) runs the same attempt on the server's own goroutines,
-// minus the subprocess and the isolation it buys — the reference the
-// fleet is tested and benchmarked against.
+// backoff. A nil fleetConfig on serverConfig (-inprocess) runs the same
+// attempt on the server's own goroutines, minus the subprocess and the
+// isolation it buys — the reference the fleet is tested and benchmarked
+// against.
 type fleetConfig struct {
 	// backoffBase and backoffMax shape the crash-loop respawn delay:
 	// base doubling per strike, capped at max.
 	backoffBase time.Duration
 	backoffMax  time.Duration
-	// hedgeFactor × estimated wall (floored at hedgeFloor) is how long a
-	// primary may run before a duplicate worker is hedged against it.
-	// Determinism makes the duplicate byte-identical, and the store's
-	// idempotent Put makes first-commit-wins safe. Negative disables.
-	hedgeFactor float64
-	hedgeFloor  time.Duration
 	// memCap, when positive, clamps every worker's derived RLIMIT_AS —
 	// the operator's "no worker maps more than N bytes" knob.
 	memCap int64
@@ -57,12 +50,6 @@ func (c *fleetConfig) withDefaults() error {
 	}
 	if c.backoffMax <= 0 {
 		c.backoffMax = 10 * time.Second
-	}
-	if c.hedgeFactor == 0 {
-		c.hedgeFactor = 2
-	}
-	if c.hedgeFloor <= 0 {
-		c.hedgeFloor = 10 * time.Second
 	}
 	if c.hangGrace <= 0 {
 		c.hangGrace = 15 * time.Second
@@ -129,7 +116,6 @@ func (s *server) fleetCounters() *schema.FleetHealth {
 		Spawns:   s.reg.Counter("fleet_spawns").Load(),
 		Exits:    s.reg.Counter("fleet_exits").Load(),
 		Restarts: s.reg.Counter("fleet_restarts").Load(),
-		Hedges:   s.reg.Counter("fleet_hedges").Load(),
 		Poisoned: s.reg.Counter("fleet_poisoned").Load(),
 	}
 }
@@ -286,9 +272,9 @@ func parseOutcome(line []byte) *schema.WorkerOutcome {
 // checkpoints and retires; killGrace later a SIGKILL ends one that does
 // not. The returned flag says whether w can take another job; when it
 // cannot, w has been reaped — and when it died with the job in flight,
-// the job's slot lease released, since waitpid proved the owner dead
-// and the respawn need not wait out the TTL.
-func (s *server) dispatch(ctx context.Context, w *worker, j *job, slot int, deadline time.Duration, memLimit int64) (spawnRes, bool) {
+// the job's lease released, since waitpid proved the owner dead and the
+// respawn need not wait out the TTL.
+func (s *server) dispatch(ctx context.Context, w *worker, j *job, deadline time.Duration, memLimit int64) (spawnRes, bool) {
 	f := s.fleet
 	owner := fmt.Sprintf("%s-w%d", s.owner, f.seq.Add(1))
 	config, err := json.Marshal(j.cfg)
@@ -300,9 +286,7 @@ func (s *server) dispatch(ctx context.Context, w *worker, j *job, slot int, dead
 		Out:           s.cfg.out,
 		Key:           j.key,
 		Config:        config,
-		Slot:          slot,
 		Owner:         owner,
-		Retries:       s.cfg.retries,
 		MemLimitBytes: memLimit,
 		DeadlineMs:    float64(deadline) / float64(time.Millisecond),
 		LeaseTTLMs:    float64(s.cfg.leaseTTL) / float64(time.Millisecond),
@@ -321,7 +305,7 @@ func (s *server) dispatch(ctx context.Context, w *worker, j *job, slot int, dead
 	// telemetry: simulations launched. The sim runs out of process, so
 	// the supervisor counts the dispatch itself.
 	s.reg.Counter("runs_started").Inc()
-	f.register(schema.WorkerHealth{PID: w.proc.Pid, Job: j.spec.Name, Key: j.key, Slot: slot})
+	f.register(schema.WorkerHealth{PID: w.proc.Pid, Job: j.spec.Name, Key: j.key})
 	defer f.unregister(w.proc.Pid)
 
 	got := make(chan *schema.WorkerOutcome, 1)
@@ -349,7 +333,7 @@ func (s *server) dispatch(ctx context.Context, w *worker, j *job, slot int, dead
 	if w.err != nil {
 		desc = w.err.Error()
 	}
-	if err := s.Leases.ReleaseOwned(store.SlotName(j.key, slot), owner); err != nil {
+	if err := s.Leases.ReleaseOwned(j.key, owner); err != nil {
 		fmt.Fprintf(s.cfg.stderr, "ccserve: releasing dead worker %d lease: %v\n", w.proc.Pid, err)
 	}
 	return spawnRes{err: fmt.Errorf("worker pid %d: %s", w.proc.Pid, desc)}, false
@@ -370,8 +354,8 @@ func (r *runner) close() {
 	}
 }
 
-// warmDispatch runs the primary of a warm job on the runner's warm
-// worker, spawning one if it has none.
+// warmDispatch runs a warm job on the runner's warm worker, spawning one
+// if it has none.
 func (s *server) warmDispatch(ctx context.Context, r *runner, j *job, deadline time.Duration) spawnRes {
 	limit := budget.WorkerMemLimit(budget.Footprint{HeapBytes: warmHeapBytes}, s.fleet.cfg.memCap)
 	for {
@@ -383,7 +367,7 @@ func (s *server) warmDispatch(ctx context.Context, r *runner, j *job, deadline t
 			r.warm = w
 		}
 		w := r.warm
-		res, fit := s.dispatch(ctx, w, j, 0, deadline, limit)
+		res, fit := s.dispatch(ctx, w, j, deadline, limit)
 		switch {
 		case fit && w.served < warmJobs:
 			return res
@@ -403,77 +387,30 @@ func (s *server) warmDispatch(ctx context.Context, r *runner, j *job, deadline t
 
 // coldDispatch runs one job in a process of its own, under memLimit;
 // the process exits once reaped after its one answer.
-func (s *server) coldDispatch(ctx context.Context, j *job, slot int, deadline time.Duration, memLimit int64) spawnRes {
+func (s *server) coldDispatch(ctx context.Context, j *job, deadline time.Duration, memLimit int64) spawnRes {
 	w, err := s.spawn()
 	if err != nil {
 		return spawnRes{err: err}
 	}
-	res, fit := s.dispatch(ctx, w, j, slot, deadline, memLimit)
+	res, fit := s.dispatch(ctx, w, j, deadline, memLimit)
 	if fit {
 		w.reap()
 	}
 	return res
 }
 
-// fleetAttempt runs one attempt of a job: the primary on r's warm
-// worker when the job is priced within warmHeapBytes, else in a process
-// of its own, with a duplicate hedged against a straggling primary —
-// always in a process of its own. The first worker to deliver an
-// outcome wins; its sibling is cancelled and reaped. Both crashing is
-// one crash (one strike) — the attempt failed once, however many
-// processes it burned.
+// fleetAttempt runs one attempt of a job: on r's warm worker when the
+// job is priced within warmHeapBytes, else in a process of its own. A
+// worker still running hangGrace past the job's deadline is stopped: a
+// crash, and the job's one strike for this attempt.
 func (s *server) fleetAttempt(r *runner, j *job, deadline time.Duration) spawnRes {
 	f := s.fleet
 	ctx, cancel := context.WithTimeout(s.runCtx, deadline+f.cfg.hangGrace)
 	defer cancel()
-	memLimit := budget.WorkerMemLimit(j.fp, f.cfg.memCap)
-	results := make(chan spawnRes, 2)
-	go func() {
-		if j.fp.HeapBytes <= warmHeapBytes {
-			results <- s.warmDispatch(ctx, r, j, deadline)
-		} else {
-			results <- s.coldDispatch(ctx, j, 0, deadline, memLimit)
-		}
-	}()
-	outstanding := 1
-
-	var hedgeC <-chan time.Time
-	if f.cfg.hedgeFactor > 0 {
-		delay := time.Duration(f.cfg.hedgeFactor * float64(j.fp.Wall))
-		if delay < f.cfg.hedgeFloor {
-			delay = f.cfg.hedgeFloor
-		}
-		if delay < deadline+f.cfg.hangGrace {
-			t := time.NewTimer(delay)
-			defer t.Stop()
-			hedgeC = t.C
-		}
+	if j.fp.HeapBytes <= warmHeapBytes {
+		return s.warmDispatch(ctx, r, j, deadline)
 	}
-
-	var lastCrash spawnRes
-	for {
-		select {
-		case res := <-results:
-			outstanding--
-			if res.outcome != nil {
-				cancel()
-				for outstanding > 0 {
-					<-results
-					outstanding--
-				}
-				return res
-			}
-			lastCrash = res
-			if outstanding == 0 {
-				return lastCrash
-			}
-		case <-hedgeC:
-			hedgeC = nil
-			s.reg.Counter("fleet_hedges").Inc()
-			go func() { results <- s.coldDispatch(ctx, j, 1, deadline, memLimit) }()
-			outstanding++
-		}
-	}
+	return s.coldDispatch(ctx, j, deadline, budget.WorkerMemLimit(j.fp, f.cfg.memCap))
 }
 
 // isDraining reports the drain flag under the lock.

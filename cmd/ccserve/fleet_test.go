@@ -43,7 +43,7 @@ func TestMain(m *testing.M) {
 //	                          the test can count and signal processes
 //	CCSERVE_TEST_CRASH_KEY    die (exit 7) before running the job of this
 //	                          run key
-//	CCSERVE_TEST_STALL_KEY    that run key's slot-0 dispatch sleeps
+//	CCSERVE_TEST_STALL_KEY    that run key's dispatch sleeps
 //	CCSERVE_TEST_STALL_MS     ... this long (or until SIGTERM) first
 //	CCSERVE_TEST_ANNOUNCE_DIR drop a pid file and linger so the test can
 //	                          aim a signal at a live mid-job worker
@@ -61,7 +61,7 @@ func testWorkerMain() int {
 		if key := os.Getenv("CCSERVE_TEST_CRASH_KEY"); key != "" && wj.Key == key {
 			os.Exit(7)
 		}
-		if key := os.Getenv("CCSERVE_TEST_STALL_KEY"); key != "" && wj.Key == key && wj.Slot == 0 {
+		if key := os.Getenv("CCSERVE_TEST_STALL_KEY"); key != "" && wj.Key == key {
 			ms, _ := strconv.Atoi(os.Getenv("CCSERVE_TEST_STALL_MS"))
 			select {
 			case <-time.After(time.Duration(ms) * time.Millisecond):
@@ -106,7 +106,7 @@ type jobFS struct{ store.FS }
 
 // fleetTestConfig is chaosServerConfig with a worker fleet pointed at
 // this test binary, tuned for test speed: tight lease TTL, millisecond
-// crash backoff, hedging off unless the test opts in.
+// crash backoff.
 func fleetTestConfig(dir string, env ...string) serverConfig {
 	cfg := chaosServerConfig(dir, store.OSFS())
 	cfg.leaseTTL = time.Second
@@ -115,7 +115,6 @@ func fleetTestConfig(dir string, env ...string) serverConfig {
 	cfg.fleet = &fleetConfig{
 		backoffBase: 10 * time.Millisecond,
 		backoffMax:  50 * time.Millisecond,
-		hedgeFactor: -1,
 		argv:        []string{os.Args[0]},
 		env:         append([]string{"CCSERVE_TEST_WORKER=1"}, env...),
 	}
@@ -698,58 +697,6 @@ func TestFleetOOMKillsOnlyThatWorker(t *testing.T) {
 	}
 	if h.Fleet.Poisoned != 1 {
 		t.Fatalf("fleet poisoned = %d, want 1", h.Fleet.Poisoned)
-	}
-}
-
-// TestFleetHedgeRecoversStraggler stalls the primary worker far past
-// the hedge trigger and proves the duplicate delivers: the job
-// completes in hedge time (not primary-stall time), exactly one hedge
-// is counted, no strike is charged, and the committed bytes match an
-// unhedged run.
-func TestFleetHedgeRecoversStraggler(t *testing.T) {
-	ref := cleanCycle(t, t.TempDir(), store.OSFS())
-
-	dir := t.TempDir()
-	cfg := fleetTestConfig(dir,
-		keyEnv(t, "CCSERVE_TEST_STALL_KEY", chaosSpecs()[0]),
-		"CCSERVE_TEST_STALL_MS=60000",
-	)
-	cfg.fleet.hedgeFactor = 2
-	// The floor must beat the 60s stall by a wide margin but sit far
-	// above any honest worker's runtime (race-instrumented fork/exec of
-	// the healthy sibling can take over a second), so exactly one hedge
-	// fires no matter how slow the machine.
-	cfg.fleet.hedgeFloor = 3 * time.Second
-	s, err := newServer(cfg)
-	if err != nil {
-		t.Fatalf("fleet boot: %v", err)
-	}
-	defer s.Drain()
-
-	resp, rr := submit(t, s, chaosSpecs()...)
-	if rr.Code != http.StatusCreated {
-		t.Fatalf("submit: %d: %s", rr.Code, rr.Body.String())
-	}
-	start := time.Now()
-	final := waitBatch(t, s, resp.Batch, 30*time.Second)
-	elapsed := time.Since(start)
-	for _, j := range final.Jobs {
-		if j.State != schema.JobDone {
-			t.Fatalf("job %s is %s (%s)", j.Name, j.State, j.Error)
-		}
-	}
-	if elapsed > 15*time.Second {
-		t.Fatalf("batch took %v: the hedge did not rescue the stalled primary", elapsed)
-	}
-	if got := storeFingerprint(t, dir); got != ref {
-		t.Fatalf("hedged results diverge from clean run:\n hedged %s\n clean  %s", got, ref)
-	}
-	h := getHealth(t, s)
-	if h.Fleet.Hedges != 1 {
-		t.Fatalf("fleet hedges = %d, want 1", h.Fleet.Hedges)
-	}
-	if h.Fleet.Restarts != 0 || h.Fleet.Poisoned != 0 {
-		t.Fatalf("hedge charged strikes: restarts=%d poisoned=%d", h.Fleet.Restarts, h.Fleet.Poisoned)
 	}
 }
 

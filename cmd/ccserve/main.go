@@ -59,7 +59,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		slots          = fs.Int("slots", 64, "admission slots: max queued+running jobs before 429")
 		queueHeap      = fs.Int64("queue-heap", 0, "aggregate estimated heap bytes across admitted jobs (0 = unlimited)")
 		queueWall      = fs.Duration("queue-wall", 0, "aggregate estimated wall time across admitted jobs (0 = unlimited)")
-		retries        = fs.Int("retries", 1, "reduced-fidelity retries per execution attempt")
 		leaseTTL       = fs.Duration("lease-ttl", 30*time.Second, "lease staleness threshold")
 		leaseHeartbeat = fs.Duration("lease-heartbeat", 0, "lease refresh interval (0 = ttl/6); must be under a third of -lease-ttl")
 		deadlineFactor = fs.Float64("deadline-factor", 4, "wall-clock deadline as a multiple of the estimated wall time")
@@ -68,7 +67,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		inprocess      = fs.Bool("inprocess", false, "run jobs in the server process instead of worker subprocesses (no fault isolation)")
 		workerMem      = fs.Int64("worker-mem", 0, "hard cap on any worker's RLIMIT_AS in bytes (0 = estimator-derived only)")
 		poisonAfter    = fs.Int("poison-after", 3, "strikes (failed runs or worker crashes) before a config is poisoned (terminal, survives resubmission)")
-		hedgeFactor    = fs.Float64("hedge-factor", 2, "launch a duplicate worker past this multiple of the estimated wall time (<0 disables)")
 	)
 	if err := fs.Parse(argv); err != nil {
 		return 2
@@ -89,7 +87,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		out:            *out,
 		workers:        *workers,
 		slots:          *slots,
-		retries:        *retries,
 		leaseTTL:       *leaseTTL,
 		leaseHeartbeat: *leaseHeartbeat,
 		deadlineFactor: *deadlineFactor,
@@ -103,10 +100,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		cfg.queueBudget = &budget.Budget{HeapBytes: *queueHeap, Wall: *queueWall}
 	}
 	if !*inprocess {
-		cfg.fleet = &fleetConfig{
-			hedgeFactor: *hedgeFactor,
-			memCap:      *workerMem,
-		}
+		cfg.fleet = &fleetConfig{memCap: *workerMem}
 	}
 
 	s, err := newServer(cfg)

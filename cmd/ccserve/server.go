@@ -35,10 +35,7 @@ type serverConfig struct {
 	slots int
 	// queueBudget optionally bounds the aggregate *estimated* footprint
 	// of admitted work (backpressure, not enforcement).
-	queueBudget *budget.Budget
-	// retries is the reduced-fidelity retry allowance per execution
-	// attempt (the degradation ladder inside one RunManyCtx call).
-	retries        int
+	queueBudget    *budget.Budget
 	leaseTTL       time.Duration
 	leaseHeartbeat time.Duration
 	// deadlineFactor × estimated wall (floored at minDeadline) is each
@@ -180,7 +177,7 @@ func newServer(cfg serverConfig) (*server, error) {
 		cfg: cfg,
 		Env: attempt.Env{
 			Out: cfg.out, FS: fsys, Leases: leases, Store: st, Stderr: cfg.stderr,
-			Retries: cfg.retries, Heartbeat: cfg.leaseHeartbeat,
+			Heartbeat: cfg.leaseHeartbeat,
 		},
 		lease:    single,
 		pool:     budget.NewPool(cfg.queueBudget, cfg.slots, cfg.workers),
@@ -831,14 +828,16 @@ func (s *server) workerLoop() {
 // runJob executes one claimed job end to end, the same way in both
 // modes: refusal and cache checks, then attempts until one delivers a
 // verdict. An attempt is a dispatch to a supervised worker subprocess —
-// r's warm worker, or one of its own — hedged against stragglers when a
-// fleet is configured, and a direct call otherwise. Every attempt that
-// ends without a result is a strike in the config's poison record: a
-// failed simulation resolves the job failed, a dead worker (only a
-// subprocess can die without a verdict) is retried under crash-loop
-// backoff, and the -poison-after-th strike poisons the config. Its panic
-// net mirrors cmd/reproduce's — the simulation supervisor catches
-// simulation panics, this catches everything around them.
+// r's warm worker, or one of its own — when a fleet is configured, and a
+// direct call otherwise; either way it leases the run key itself, so a
+// ccserve attempt and a reproduce run of one config see each other's
+// claim. Every attempt that ends without a result is a strike in the
+// config's poison record: a failed simulation resolves the job failed, a
+// dead worker (only a subprocess can die without a verdict) is retried
+// under crash-loop backoff, and the -poison-after-th strike poisons the
+// config. Its panic net mirrors cmd/reproduce's — the simulation
+// supervisor catches simulation panics, this catches everything around
+// them.
 func (s *server) runJob(r *runner, j *job) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -891,7 +890,7 @@ func (s *server) runJob(r *runner, j *job) {
 		} else {
 			cfg := j.cfg
 			cfg.Collector = telemetry.Multi(s.reg.Instrument(), s.subscriberCollector(j))
-			o := runAttempt(s.runCtx, s.Env, j.key, cfg, 0, deadline)
+			o, _ := attempt.Run(s.runCtx, s.Env, j.key, cfg, deadline)
 			res.outcome = &o
 		}
 		reason, failed := "worker crashed", false
@@ -978,12 +977,12 @@ func (s *server) deliver(j *job, o schema.WorkerOutcome, strikes int) {
 }
 
 // subscriberCollector forwards a thin slice of run telemetry to the
-// job's event-stream subscribers: lifecycle and degradation, not the
-// per-packet firehose.
+// job's event-stream subscribers: run lifecycle and link outages, not
+// the per-packet firehose.
 func (s *server) subscriberCollector(j *job) telemetry.Collector {
 	return telemetry.CollectorFunc(func(ev telemetry.Event) {
 		switch ev.Kind {
-		case telemetry.KindRunStart, telemetry.KindRunEnd, telemetry.KindDegraded,
+		case telemetry.KindRunStart, telemetry.KindRunEnd,
 			telemetry.KindLinkDown, telemetry.KindLinkUp:
 		default:
 			return

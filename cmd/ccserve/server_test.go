@@ -339,7 +339,6 @@ func TestQuarantineAfterRepeatedFailures(t *testing.T) {
 	// every attempt without burning test time.
 	cfg.minDeadline = time.Millisecond
 	cfg.deadlineFactor = 1e-9
-	cfg.retries = 0
 	s := startServer(t, cfg)
 	defer s.Drain()
 

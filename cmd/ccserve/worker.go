@@ -107,10 +107,10 @@ func workerRun(fsys store.FS, stdin io.Reader, stdout, stderr io.Writer, before 
 		}
 		env := attempt.Env{
 			Out: wj.Out, FS: fsys, Leases: leases, Store: st, Stderr: stderr,
-			Retries:   wj.Retries,
 			Heartbeat: msToDuration(wj.HeartbeatMs, store.DefaultHeartbeat(ttl)),
 		}
-		return runAttempt(sigCtx, env, wj.Key, cfg, wj.Slot, msToDuration(wj.DeadlineMs, 15*time.Second))
+		o, _ := attempt.Run(sigCtx, env, wj.Key, cfg, msToDuration(wj.DeadlineMs, 15*time.Second))
+		return o
 	}
 
 	for {
@@ -148,15 +148,6 @@ func workerRun(fsys store.FS, stdin io.Reader, stdout, stderr io.Writer, before 
 			return 0 // stopped: the job checkpointed, the worker retires
 		}
 	}
-}
-
-// runAttempt is one execution of the run cfg keyed key through the
-// shared attempt, the same in a worker subprocess and in an -inprocess
-// server: the lease is the run key's (its hedge slot's), so a ccserve
-// attempt and a reproduce run of one config see each other's claim.
-func runAttempt(ctx context.Context, env attempt.Env, key string, cfg core.RunConfig, slot int, deadline time.Duration) schema.WorkerOutcome {
-	o, _ := attempt.Run(ctx, env, store.SlotName(key, slot), key, cfg, deadline)
-	return o
 }
 
 // msToDuration converts a schema millisecond field, falling back when

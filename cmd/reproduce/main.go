@@ -4,7 +4,7 @@
 // experiment catalog and the driver behind EXPERIMENTS.md.
 //
 //	reproduce [-out DIR] [-scale N] [-seed N] [-quick] [-only RE] [-audit strict]
-//	          [-mem-budget 512M] [-event-budget N] [-retries N]
+//	          [-mem-budget 512M] [-event-budget N]
 //	          [-progress] [-telemetry out.jsonl] [-pprof localhost:6060]
 //	reproduce -scenario file.json [-out DIR] [-audit strict] [...]
 //	reproduce -replay DIR/<key>.failed.json
@@ -27,11 +27,11 @@
 //
 // Three observation surfaces are opt-in and never perturb results:
 // -progress prints a live status line (jobs done/running, estimator
-// ETA, fidelity tier) to stderr; -telemetry streams every run's
-// lifecycle events as JSONL (summarize with `tracestat -telemetry`,
-// validate with `fprint -check`); -pprof serves net/http/pprof plus a
-// /metricsz JSON snapshot of the telemetry registry. Each table is
-// also written as a versioned .json document beside its .txt form.
+// ETA) to stderr; -telemetry streams every run's lifecycle events as
+// JSONL (summarize with `tracestat -telemetry`, validate with `fprint
+// -check`); -pprof serves net/http/pprof plus a /metricsz JSON snapshot
+// of the telemetry registry. Each table is also written as a versioned
+// .json document beside its .txt form.
 //
 // The unit of work is one run, not one table. Every config of a job's
 // plan goes through the shared attempt (internal/attempt): lease the
@@ -53,10 +53,10 @@
 // when the failure is a core.RunError, and the remaining runs still run.
 // -mem-budget and -event-budget bound every run's footprint: a job with
 // a run the estimator prices over budget is recorded as "rejected" (not
-// failed — the sweep still exits zero); -retries lets admission degrade
-// such a run one fidelity tier at a time instead. Per-job resource
-// usage is recorded in manifest.json, and reduced-fidelity output is
-// marked both there and in the table itself.
+// failed — the sweep still exits zero), and nothing of that run is
+// stored, so a rerun with a larger budget computes it. A run runs once,
+// at the fidelity its config declares. Per-job resource usage is
+// recorded in manifest.json.
 package main
 
 import (
@@ -120,7 +120,6 @@ type sweep struct {
 	telemetryOut   string
 	leaseTTL       time.Duration
 	leaseHeartbeat time.Duration
-	retries        int
 
 	jobs []job
 
@@ -162,10 +161,9 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	auditPol := fs.String("audit", "", "invariant auditing for every run: off (default), warn, or strict")
 	memBudget := fs.String("mem-budget", "", "per-run heap budget, e.g. 512M or 2G (empty = unlimited)")
 	eventBudget := fs.Int64("event-budget", 0, "per-run event-object budget (0 = unlimited)")
-	fs.IntVar(&sw.retries, "retries", 0, "reduced-fidelity retries for over-budget runs")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the sweep to this file (go tool pprof)")
 	memProfile := fs.String("memprofile", "", "write a heap profile at sweep end to this file (go tool pprof)")
-	progress := fs.Bool("progress", false, "print a live sweep status line to stderr (jobs done/running/rejected, estimator ETA, fidelity tier)")
+	progress := fs.Bool("progress", false, "print a live sweep status line to stderr (jobs done/running/rejected, estimator ETA)")
 	fs.StringVar(&sw.telemetryOut, "telemetry", "", "write a telemetry JSONL stream of every run to this file (analyze with tracestat -telemetry)")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof and a /metricsz telemetry snapshot on this address (e.g. localhost:6060)")
 	fs.DurationVar(&sw.leaseTTL, "lease-ttl", 30*time.Second, "run lease staleness deadline: a claim whose heartbeat is older may be taken over by another process")
@@ -247,7 +245,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	}
 
 	// The governance flags every job's Setting is overlaid with.
-	govern := core.Setting{WallLimit: *wallLimit, Audit: *auditPol, Retries: sw.retries}
+	govern := core.Setting{WallLimit: *wallLimit, Audit: *auditPol}
 	if *memBudget != "" || *eventBudget > 0 {
 		heapBytes := int64(0)
 		if *memBudget != "" {
@@ -287,7 +285,7 @@ func (sw *sweep) buildJobs(govern core.Setting, scenarioPath string) error {
 	// Governance flags overlay a scenario document like any other job;
 	// the document's own audit policy stands unless -audit is given.
 	overlay := func(s *core.Setting) {
-		s.WallLimit, s.Budget, s.Retries = govern.WallLimit, govern.Budget, govern.Retries
+		s.WallLimit, s.Budget = govern.WallLimit, govern.Budget
 		if govern.Audit != "" {
 			s.Audit = govern.Audit
 		}
@@ -366,7 +364,7 @@ func (sw *sweep) open(fsys store.FS) error {
 	}
 	sw.env = attempt.Env{
 		Out: sw.out, FS: fsys, Leases: leases, Store: st, Stderr: sw.stderr,
-		Retries: sw.retries, Heartbeat: sw.leaseHeartbeat,
+		Heartbeat: sw.leaseHeartbeat,
 	}
 	sw.man = newManifest(sw.seed, sw.scale, sw.quick)
 	return nil
@@ -474,9 +472,9 @@ func (sw *sweep) runOne(p plan, i int, cfg core.RunConfig) (served bool, err err
 		return true, nil
 	}
 	if sw.pt != nil {
-		sw.pt.runStarted(p.name, cfg.Fidelity)
+		sw.pt.runStarted(p.name)
 	}
-	o, err := attempt.Run(context.Background(), sw.env, p.keys[i], p.keys[i], cfg, 0)
+	o, err := attempt.Run(context.Background(), sw.env, p.keys[i], cfg, 0)
 	return o.Cached, err
 }
 
@@ -497,8 +495,6 @@ func (sw *sweep) record(p plan, start time.Time, cached int, errs []error) {
 	rec.Wall = wall.Round(time.Millisecond).String()
 	if usage.Runs > 0 {
 		rec.Usage = &usage
-		rec.Degraded = usage.Degraded()
-		rec.Fidelity = usage.MaxFidelity
 	}
 	var be *budget.BudgetError
 	sw.mu.Lock()
@@ -531,11 +527,8 @@ func (sw *sweep) record(p plan, start time.Time, cached int, errs []error) {
 		rec.File = p.name + ".txt"
 		rec.JSON = p.name + ".json"
 		note := ""
-		if rec.Degraded {
-			note = "  (degraded)"
-		}
 		if cached > 0 {
-			note += fmt.Sprintf("  (%d of %d runs from store)", cached, len(p.keys))
+			note = fmt.Sprintf("  (%d of %d runs from store)", cached, len(p.keys))
 		}
 		fmt.Fprintf(sw.stdout, "%-24s %8s  → %s%s\n",
 			p.name, wall.Round(time.Second), filepath.Join(sw.out, rec.File), note)
@@ -559,10 +552,6 @@ func (sw *sweep) render(p plan, results []core.RunResult, usage budget.Usage, st
 		}
 	}()
 	tab := p.entry.Table(p.setting, p.args, results)
-	if usage.Degraded() {
-		tab.AddNote("reduced fidelity: tier %d, series decimation %d× (budget governance)",
-			usage.MaxFidelity, usage.MaxDecimation)
-	}
 	var buf bytes.Buffer
 	if err := tab.WriteJSON(&buf); err != nil {
 		return err
@@ -570,7 +559,7 @@ func (sw *sweep) render(p plan, results []core.RunResult, usage budget.Usage, st
 	if err := store.WriteFileAtomicFS(sw.fsys, filepath.Join(sw.out, p.name+".json"), buf.Bytes()); err != nil {
 		return err
 	}
-	return writeTable(sw.fsys, filepath.Join(sw.out, p.name+".txt"), tab, sw.seed, start, usage.Degraded())
+	return writeTable(sw.fsys, filepath.Join(sw.out, p.name+".txt"), tab, sw.seed, start)
 }
 
 // loadRuns reads and decodes the stored runs under keys, in order, and
@@ -618,7 +607,6 @@ func (sw *sweep) summary() int {
 	if len(sw.rejected) > 0 {
 		fmt.Fprintf(sw.stdout, "reproduce: %d jobs rejected over budget: %s\n",
 			len(sw.rejected), strings.Join(sw.rejected, ", "))
-		fmt.Fprintf(sw.stdout, "reproduce: rerun with -retries 1 to admit their runs one fidelity tier lower\n")
 	}
 	if len(sw.failed) > 0 {
 		fmt.Fprintf(sw.stderr, "reproduce: %d jobs failed: %s\n",
@@ -693,16 +681,12 @@ func parseByteSize(s string) (int64, error) {
 
 // writeTable commits one text view atomically through fsys: the table,
 // then the volatile "[seed N, wall …]" footer.
-func writeTable(fsys store.FS, path string, tab *report.Table, seed uint64, start time.Time, degraded bool) error {
+func writeTable(fsys store.FS, path string, tab *report.Table, seed uint64, start time.Time) error {
 	var buf bytes.Buffer
 	if err := tab.WriteText(&buf); err != nil {
 		return err
 	}
-	marker := ""
-	if degraded {
-		marker = ", degraded"
-	}
-	fmt.Fprintf(&buf, "\n[seed %d, wall %s%s]\n", seed, time.Since(start).Round(time.Millisecond), marker)
+	fmt.Fprintf(&buf, "\n[seed %d, wall %s]\n", seed, time.Since(start).Round(time.Millisecond))
 	if err := store.WriteFileAtomicFS(fsys, path, buf.Bytes()); err != nil {
 		return fmt.Errorf("writing %s: %w", path, err)
 	}

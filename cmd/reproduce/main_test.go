@@ -731,63 +731,50 @@ func quickEdge() core.Setting {
 	return s
 }
 
-// mathisHeapEstimate prices one MathisSweep run of the setting at the
-// given fidelity tier, mirroring the sweep's config construction (the
-// drop-timestamp cap is the only knob it sets beyond the setting).
-func mathisHeapEstimate(s core.Setting, flows, tier int) int64 {
+// mathisHeapEstimate prices one MathisSweep run of the setting,
+// mirroring the sweep's config construction (the drop-timestamp cap is
+// the only knob it sets beyond the setting).
+func mathisHeapEstimate(s core.Setting, flows int) int64 {
 	cfg := s.Build(core.UniformFlows(flows, "reno", core.DefaultRTT), core.WithSeed(core.Seed(11)))
-	cfg.MaxDropTimestamps = 1 << 20
-	if tier > 0 {
-		cfg = core.DegradeTier(cfg, tier)
-	}
+	cfg.MaxDropTimestamps = core.DefaultDropTimestampCap
 	return core.EstimateConfig(cfg).HeapBytes
 }
 
 // TestBudgetRejectionAndResume is the governance acceptance drill: under
 // a heap budget every mathis_edge config is priced over, the job is
-// recorded as rejected — not failed, the sweep still exits zero — the
-// sibling job completes, and the same command with -retries 1 admits
-// the rejected runs one fidelity tier lower, where they fit, run, and
-// are marked degraded, while the sibling is served from the store.
+// recorded as rejected — not failed, the sweep still exits zero — and
+// the sibling job completes. A rejected run leaves nothing in the store,
+// so the same command without the budget computes every one of its runs
+// at the fidelity it declares (none is served from the store), and its
+// table is byte for byte the one a fresh -out renders.
 func TestBudgetRejectionAndResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real sweeps")
 	}
-	// Pick the budget just under the cheapest full-fidelity edge config,
-	// so admission rejects all of them without running anything — and
-	// verify tier 1 degradation brings the dearest one back under it.
+	// Pick the budget just under the cheapest edge config, so admission
+	// rejects all of them without running anything.
 	edge := quickEdge()
-	min0, max1 := int64(0), int64(0)
+	min0 := int64(0)
 	for _, n := range edge.FlowCounts {
-		if e := mathisHeapEstimate(edge, n, 0); min0 == 0 || e < min0 {
+		if e := mathisHeapEstimate(edge, n); min0 == 0 || e < min0 {
 			min0 = e
-		}
-		if e := mathisHeapEstimate(edge, n, 1); e > max1 {
-			max1 = e
 		}
 	}
 	threshold := min0 - 128<<10
-	if max1 >= threshold {
-		t.Fatalf("estimator no longer separates tiers: tier1 max %d >= threshold %d", max1, threshold)
-	}
 
 	dir := t.TempDir()
 	base := []string{
 		"-out", dir, "-quick", "-scale", "100", "-seed", "11", "-parallel", "2",
 		"-only", "^(mathis_edge|ext_burstloss_core)$",
-		"-mem-budget", fmt.Sprint(threshold),
 	}
 	var stdout, stderr bytes.Buffer
-	code := run(base, &stdout, &stderr)
+	code := run(append(base, "-mem-budget", fmt.Sprint(threshold)), &stdout, &stderr)
 	if code != 0 {
 		t.Fatalf("exit = %d, want 0 (rejection is governance, not failure)\nstdout:\n%s\nstderr:\n%s",
 			code, &stdout, &stderr)
 	}
 	if !strings.Contains(stdout.String(), "REJECTED (over budget)") {
 		t.Fatalf("stdout missing rejection report:\n%s", &stdout)
-	}
-	if !strings.Contains(stdout.String(), "rerun with -retries 1") {
-		t.Fatalf("stdout missing retry hint:\n%s", &stdout)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "ext_burstloss_core.txt")); err != nil {
 		t.Fatalf("sibling job output missing: %v", err)
@@ -801,7 +788,7 @@ func TestBudgetRejectionAndResume(t *testing.T) {
 		t.Fatalf("sibling record: %+v", rec)
 	}
 	rec := m.Jobs["mathis_edge"]
-	if rec == nil || rec.Status != "rejected" || rec.Fidelity != 0 {
+	if rec == nil || rec.Status != "rejected" || rec.FailureFile != "" {
 		t.Fatalf("rejected record: %+v", rec)
 	}
 	if !strings.Contains(rec.Error, string(budget.KindHeapBytes)) ||
@@ -818,35 +805,41 @@ func TestBudgetRejectionAndResume(t *testing.T) {
 		t.Fatalf("manifest JSON missing rejected status:\n%s", data)
 	}
 
-	// Rerun with one retry: admission degrades the runs one tier, they fit.
-	runtime.GC() // settle test-process garbage under the in-flight heap check
+	// The same command without the budget: the sibling is served, and
+	// every mathis_edge run is computed — a rejection stores nothing.
 	stdout.Reset()
 	stderr.Reset()
-	code = run(append(base, "-retries", "1"), &stdout, &stderr)
-	if code != 0 {
+	if code := run(base, &stdout, &stderr); code != 0 {
 		t.Fatalf("rerun exit = %d\nstdout:\n%s\nstderr:\n%s", code, &stdout, &stderr)
-	}
-	if !strings.Contains(stdout.String(), "(degraded)") {
-		t.Fatalf("rerun did not mark the degraded result:\n%s", &stdout)
 	}
 	m = loadManifest(t, dir)
 	if rec := m.Jobs["ext_burstloss_core"]; rec == nil || rec.Status != "done" || rec.Cached != len(rec.Runs) {
 		t.Fatalf("sibling was not served from the store: %+v", rec)
 	}
 	rec = m.Jobs["mathis_edge"]
-	if rec == nil || rec.Status != "done" || !rec.Degraded || rec.Fidelity != 1 || rec.Cached != 0 {
-		t.Fatalf("retried record: %+v", rec)
+	if rec == nil || rec.Status != "done" || rec.Cached != 0 {
+		t.Fatalf("rerun record: %+v", rec)
 	}
 	if rec.Usage == nil || rec.Usage.Runs != len(edge.FlowCounts) || rec.Usage.Events == 0 {
-		t.Fatalf("retried record usage: %+v", rec.Usage)
+		t.Fatalf("rerun record usage: %+v", rec.Usage)
 	}
-	table, err := os.ReadFile(filepath.Join(dir, "mathis_edge.txt"))
+	got, err := os.ReadFile(filepath.Join(dir, "mathis_edge.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(table), "note: reduced fidelity: tier 1") ||
-		!strings.Contains(string(table), ", degraded]") {
-		t.Fatalf("degraded table not marked:\n%s", table)
+	fresh := t.TempDir()
+	stdout.Reset()
+	stderr.Reset()
+	if code := run([]string{"-out", fresh, "-quick", "-scale", "100", "-seed", "11", "-parallel", "2",
+		"-only", "^mathis_edge$"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("fresh run exit = %d\nstderr:\n%s", code, &stderr)
+	}
+	want, err := os.ReadFile(filepath.Join(fresh, "mathis_edge.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("table after a rejected sweep differs from a fresh -out's:\n%s\nwant:\n%s", got, want)
 	}
 }
 
@@ -918,7 +911,7 @@ func TestWriteTableChecksErrors(t *testing.T) {
 	tab.AddRow(1, 2)
 	// Happy path writes the footer and closes cleanly.
 	path := filepath.Join(dir, "ok.txt")
-	if err := writeTable(store.OSFS(), path, tab, 7, time.Now(), false); err != nil {
+	if err := writeTable(store.OSFS(), path, tab, 7, time.Now()); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -928,23 +921,8 @@ func TestWriteTableChecksErrors(t *testing.T) {
 	if !strings.Contains(string(data), "[seed 7, wall ") {
 		t.Fatalf("footer missing:\n%s", data)
 	}
-	if strings.Contains(string(data), "degraded") {
-		t.Fatalf("full-fidelity table carries a degraded marker:\n%s", data)
-	}
-	// A degraded table says so in its footer.
-	dpath := filepath.Join(dir, "degraded.txt")
-	if err := writeTable(store.OSFS(), dpath, tab, 7, time.Now(), true); err != nil {
-		t.Fatal(err)
-	}
-	data, err = os.ReadFile(dpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), ", degraded]") {
-		t.Fatalf("degraded footer missing:\n%s", data)
-	}
 	// Unwritable path fails loudly instead of being dropped.
-	if err := writeTable(store.OSFS(), filepath.Join(dir, "no/such/dir/x.txt"), tab, 7, time.Now(), false); err == nil {
+	if err := writeTable(store.OSFS(), filepath.Join(dir, "no/such/dir/x.txt"), tab, 7, time.Now()); err == nil {
 		t.Fatal("writeTable to missing directory succeeded")
 	}
 }

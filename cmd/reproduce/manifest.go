@@ -52,11 +52,6 @@ type jobRecord struct {
 	FailureFile string `json:"failureFile,omitempty"`
 	// Usage aggregates the resources the job's stored runs consumed.
 	Usage *budget.Usage `json:"usage,omitempty"`
-	// Degraded marks a job whose output is reduced-fidelity (a
-	// degradation tier ran, or a series was decimated).
-	Degraded bool `json:"degraded,omitempty"`
-	// Fidelity is the highest degradation tier a run of the job ran at.
-	Fidelity int `json:"fidelity,omitempty"`
 	// Runs are the store keys of the job's plan, in plan order.
 	Runs []string `json:"runs,omitempty"`
 	// Cached counts the runs served from the store rather than computed

@@ -10,12 +10,11 @@ import (
 )
 
 // progressTracker renders a live sweep status line to stderr about once
-// a second: jobs done/running/rejected/failed, the current job's
-// fidelity tier, and an ETA extrapolated from the budget estimator's
-// predicted cost of each run. Only runs this invocation computes are
-// weighed — a run served from the store costs no wall and would make the
-// ETA too short. It is display-only — nothing it computes feeds back
-// into the sweep.
+// a second: jobs done/running/rejected/failed, the current job, and an
+// ETA extrapolated from the budget estimator's predicted cost of each
+// run. Only runs this invocation computes are weighed — a run served
+// from the store costs no wall and would make the ETA too short. It is
+// display-only — nothing it computes feeds back into the sweep.
 type progressTracker struct {
 	w     io.Writer
 	start time.Time
@@ -29,7 +28,6 @@ type progressTracker struct {
 	rejected    int
 	failed      int
 	current     string
-	tier        int
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -80,10 +78,10 @@ func newProgressTracker(w io.Writer, plans []plan) *progressTracker {
 	return pt
 }
 
-// runStarted records the job now running and its fidelity tier.
-func (pt *progressTracker) runStarted(name string, tier int) {
+// runStarted records the job now running.
+func (pt *progressTracker) runStarted(name string) {
 	pt.mu.Lock()
-	pt.current, pt.tier = name, tier
+	pt.current = name
 	pt.mu.Unlock()
 }
 
@@ -135,7 +133,7 @@ func (pt *progressTracker) print() {
 		line += fmt.Sprintf(", %d failed", pt.failed)
 	}
 	if pt.current != "" {
-		line += fmt.Sprintf(", running %s (tier %d)", pt.current, pt.tier)
+		line += fmt.Sprintf(", running %s", pt.current)
 	}
 	line += fmt.Sprintf(", elapsed %s", elapsed)
 	if pt.doneWeight > 0 && pt.doneWeight < pt.totalWeight {

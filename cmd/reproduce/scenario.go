@@ -36,8 +36,8 @@ func loadScenarioJob(path string) (job, uint64, error) {
 			Name:    "scenario",
 			Headers: experiments.RunHeaders,
 			// Built from the job's governed setting copy, so -audit,
-			// -runwall, budget flags, and the fidelity ladder overlay
-			// the document like any other job.
+			// -runwall and the budget flags overlay the document like
+			// any other job.
 			Configs: func(s core.Setting, _ experiments.Args) []core.RunConfig {
 				return []core.RunConfig{b.Build(s)}
 			},

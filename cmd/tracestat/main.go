@@ -117,7 +117,6 @@ func summarizeTelemetry(names []string) error {
 	var records int
 	var minT, maxT float64
 	var queuePeakBytes, queuePeakPkts int64
-	var degradations int
 
 	scan := func(r io.Reader) error {
 		return telemetry.ParseStream(r, func(rec telemetry.StreamRecord) error {
@@ -145,8 +144,6 @@ func summarizeTelemetry(names []string) error {
 				if rec.B > queuePeakPkts {
 					queuePeakPkts = rec.B
 				}
-			case "degraded":
-				degradations++
 			}
 			return nil
 		})
@@ -195,9 +192,6 @@ func summarizeTelemetry(names []string) error {
 	}
 	if queuePeakBytes > 0 {
 		fmt.Printf("queue peak:  %d bytes, %d packets\n", queuePeakBytes, queuePeakPkts)
-	}
-	if degradations > 0 {
-		fmt.Printf("fidelity degradations: %d\n", degradations)
 	}
 	return nil
 }

@@ -30,7 +30,6 @@ type Env struct {
 	FS        store.FS
 	Leases    *store.Leases
 	Store     *store.Store
-	Retries   int
 	Heartbeat time.Duration
 	Stderr    io.Writer
 }
@@ -40,21 +39,23 @@ func Failed(msg string) schema.WorkerOutcome {
 	return schema.WorkerOutcome{SchemaVersion: schema.Version, State: schema.WorkerFailed, Error: msg}
 }
 
-// Run is one execution of cfg: claim the lease, serve from the store
-// when key already holds a record, otherwise run under the deadline
-// (0 = none) with the lease kept alive and commit its Record through
-// the store's idempotent Put. A lease another process holds is waited
-// on, so the attempt then finds that process's commit and serves it.
-// ctx is the stop signal: when it ends the attempt checkpoints,
-// whether it was running or still waiting for the lease. The error is
-// the run's own, nil unless the outcome is failed.
-func Run(ctx context.Context, env Env, lease, key string, cfg core.RunConfig, deadline time.Duration) (schema.WorkerOutcome, error) {
+// Run is one execution of cfg: claim key's lease, serve from the store
+// when key already holds a record, otherwise run cfg once, as
+// configured, under the deadline (0 = none) with the lease kept alive
+// and commit its Record through the store's idempotent Put. A lease
+// another process holds is waited on, so the attempt then finds that
+// process's commit and serves it. ctx is the stop signal: when it ends
+// the attempt checkpoints, whether it was running or still waiting for
+// the lease. The error is the run's own, nil unless the outcome is
+// failed; a config its budget rejects at admission fails with the plain
+// *budget.BudgetError and parks no failure record.
+func Run(ctx context.Context, env Env, key string, cfg core.RunConfig, deadline time.Duration) (schema.WorkerOutcome, error) {
 	done := schema.WorkerOutcome{SchemaVersion: schema.Version, State: schema.WorkerDone}
 	checkpoint := schema.WorkerOutcome{SchemaVersion: schema.Version, State: schema.WorkerCheckpoint}
 	failed := func(err error) (schema.WorkerOutcome, error) { return Failed(err.Error()), err }
 
 	waitCtx, cancelWait := withDeadline(ctx, deadline)
-	l, err := env.Leases.AcquireWait(waitCtx, lease, env.Heartbeat)
+	l, err := env.Leases.AcquireWait(waitCtx, key, env.Heartbeat)
 	cancelWait()
 	if err != nil {
 		if ctx.Err() != nil && errors.Is(err, store.ErrLeaseHeld) {
@@ -64,9 +65,9 @@ func Run(ctx context.Context, env Env, lease, key string, cfg core.RunConfig, de
 	}
 	defer l.Release()
 
-	// Serve from the store before computing: a crashed predecessor, the
-	// process whose lease was waited on, or a hedge twin may already have
-	// committed this key.
+	// Serve from the store before computing: a crashed predecessor or the
+	// process whose lease was waited on may already have committed this
+	// key.
 	if env.Store.Has(key) {
 		done.Cached = true
 		return done, nil
@@ -79,17 +80,20 @@ func Run(ctx context.Context, env Env, lease, key string, cfg core.RunConfig, de
 	stopBeat := l.KeepAlive(env.Heartbeat, cancelRun)
 	defer stopBeat()
 
+	// A stop that came while the lease was claimed, or a deadline already
+	// spent, runs nothing: a run short enough to finish before its first
+	// interrupt poll would otherwise commit past either.
 	start := time.Now()
-	results, err := core.RunManyCtx(runCtx, []core.RunConfig{cfg}, core.SweepOptions{
-		Parallelism: 1,
-		Retries:     env.Retries,
-	})
+	var res core.RunResult
+	if err = runCtx.Err(); err == nil {
+		res, err = core.RunCtx(runCtx, cfg)
+	}
 	stopBeat()
 	wall := time.Since(start)
 
 	if err == nil {
 		var payload []byte
-		if payload, err = Record(results[0]); err == nil {
+		if payload, err = Record(res); err == nil {
 			err = env.Store.Put(key, payload)
 		}
 	}
@@ -97,7 +101,6 @@ func Run(ctx context.Context, env Env, lease, key string, cfg core.RunConfig, de
 		done.WallMs = float64(wall.Microseconds()) / 1000
 		return done, nil
 	}
-	err = unwrapPlan(err)
 	var re *core.RunError
 	isRunError := errors.As(err, &re)
 	if ctx.Err() != nil && (errors.Is(err, context.Canceled) || isRunError && re.Canceled()) {
@@ -139,15 +142,4 @@ func withDeadline(ctx context.Context, d time.Duration) (context.Context, contex
 		return context.WithCancel(ctx)
 	}
 	return context.WithTimeout(ctx, d)
-}
-
-// unwrapPlan drops the "config 0:" tag RunManyCtx puts on the error of
-// its one config: the caller knows which run it asked for.
-func unwrapPlan(err error) error {
-	if j, ok := err.(interface{ Unwrap() []error }); ok && len(j.Unwrap()) == 1 {
-		if inner := errors.Unwrap(j.Unwrap()[0]); inner != nil {
-			return inner
-		}
-	}
-	return err
 }

@@ -1,16 +1,17 @@
 // Package budget is the resource-governance layer for experiment
-// sweeps: per-run budgets (heap bytes, simulator-event footprint,
-// retained trace points, wall clock, virtual horizon), a footprint
-// estimator that predicts a configuration's cost before it runs, and
-// the structured BudgetError that admission control and in-flight
-// enforcement surface instead of letting one oversized configuration
-// OOM the process and take every sibling job down with it.
+// runs: per-run budgets (heap bytes, simulator-event footprint, wall
+// clock, virtual horizon), a footprint estimator that predicts a
+// configuration's cost before it runs, and the structured BudgetError
+// that admission control and in-flight enforcement surface instead of
+// letting one oversized configuration OOM the process and take every
+// sibling job down with it. A run that does not fit is rejected or
+// stopped.
 //
 // The package sits below internal/core: core declares a Budget on a
-// RunConfig, runs admission control against the estimator in RunManyCtx,
-// and converts in-flight breaches (checked from the engine's interrupt
-// hook) into replayable run errors carrying a Checkpoint of what
-// completed.
+// RunConfig, runs admission control against the estimator at the start
+// of RunCtx, and converts in-flight breaches (checked from the engine's
+// interrupt hook) into replayable run errors carrying a Checkpoint of
+// what completed.
 package budget
 
 import (
@@ -30,9 +31,6 @@ const (
 	// slots the engine holds (sim.Engine.Cap — heap nodes plus the
 	// entries parked in lanes).
 	KindEvents Kind = "events"
-	// KindTracePoints bounds retained instrumentation: throughput-series
-	// samples plus drop timestamps.
-	KindTracePoints Kind = "trace-points"
 	// KindWallClock bounds a run's wall-clock time.
 	KindWallClock Kind = "wall-clock"
 	// KindHorizon bounds a run's virtual end time (warm-up + duration).
@@ -60,9 +58,6 @@ type Budget struct {
 	// Events caps the engine's event-object footprint (event slots held:
 	// heap nodes plus entries parked in lanes).
 	Events int64 `json:"events,omitempty"`
-	// TracePoints caps retained trace points: throughput-series samples
-	// plus bottleneck drop timestamps.
-	TracePoints int64 `json:"tracePoints,omitempty"`
 	// Wall caps the run's wall-clock time.
 	Wall time.Duration `json:"wallNs,omitempty"`
 	// Horizon caps the run's virtual end time.
@@ -92,9 +87,6 @@ func (b *Budget) String() string {
 	if b.Events > 0 {
 		app("events≤%d", b.Events)
 	}
-	if b.TracePoints > 0 {
-		app("trace≤%d", b.TracePoints)
-	}
 	if b.Wall > 0 {
 		app("wall≤%v", b.Wall)
 	}
@@ -106,7 +98,7 @@ func (b *Budget) String() string {
 
 // Checkpoint records the progress a run had made when a budget breach
 // stopped it — enough for a batch driver to account the partial work
-// and for a retry to know what was lost.
+// and for its failure record to say what was lost.
 type Checkpoint struct {
 	// VirtualTime is the simulation clock at the breach.
 	VirtualTime sim.Time `json:"virtualTimeNs"`
@@ -170,18 +162,6 @@ type Usage struct {
 	PeakQueuePackets int64 `json:"peakQueuePackets,omitempty"`
 	// Wall is the cumulative wall-clock time.
 	Wall time.Duration `json:"wallNs"`
-	// MaxFidelity is the highest degradation tier any merged run
-	// executed at (0 = all full fidelity).
-	MaxFidelity int `json:"maxFidelity,omitempty"`
-	// MaxDecimation is the largest series decimation factor observed
-	// (1 = no decimation).
-	MaxDecimation int `json:"maxDecimation,omitempty"`
-}
-
-// Degraded reports whether any merged run produced reduced-fidelity
-// output (a degradation tier or an adaptively decimated series).
-func (u *Usage) Degraded() bool {
-	return u.MaxFidelity > 0 || u.MaxDecimation > 1
 }
 
 // Merge folds another run's usage into u: counters and wall time sum,
@@ -195,6 +175,4 @@ func (u *Usage) Merge(o Usage) {
 	u.PeakHeapBytes = max(u.PeakHeapBytes, o.PeakHeapBytes)
 	u.PeakQueueBytes = max(u.PeakQueueBytes, o.PeakQueueBytes)
 	u.PeakQueuePackets = max(u.PeakQueuePackets, o.PeakQueuePackets)
-	u.MaxFidelity = max(u.MaxFidelity, o.MaxFidelity)
-	u.MaxDecimation = max(u.MaxDecimation, o.MaxDecimation)
 }

@@ -52,17 +52,18 @@ func TestEstimateTraceKnobs(t *testing.T) {
 	in.SeriesWidth = 2
 	withSeries := Estimate(in)
 	without := Estimate(refInput())
-	wantTicks := int64(75 / 0.1 * 2)
-	if got := withSeries.TracePoints - without.TracePoints; got < wantTicks*9/10 || got > wantTicks*11/10 {
-		t.Fatalf("series trace points = %d, want ≈%d", got, wantTicks)
+	// 750 ticks × 2 series, each point priced at SeriesPointBytes.
+	want := int64(75/0.1*2) * SeriesPointBytes
+	if got := withSeries.HeapBytes - without.HeapBytes; got < want*9/10 || got > want*11/10 {
+		t.Fatalf("series heap = %d, want ≈%d", got, want)
 	}
 
 	bounded := refInput()
 	bounded.MaxDropTimestamps = 1000
 	unbounded := Estimate(refInput())
-	if got := Estimate(bounded); got.TracePoints >= unbounded.TracePoints {
-		t.Fatalf("bounding drop timestamps did not shrink trace points: %d vs %d",
-			got.TracePoints, unbounded.TracePoints)
+	if got := Estimate(bounded); got.HeapBytes >= unbounded.HeapBytes {
+		t.Fatalf("bounding drop timestamps did not shrink the heap: %d vs %d",
+			got.HeapBytes, unbounded.HeapBytes)
 	}
 }
 
@@ -75,7 +76,6 @@ func TestCheckKinds(t *testing.T) {
 	}{
 		{KindHeapBytes, Budget{HeapBytes: f.HeapBytes - 1}},
 		{KindEvents, Budget{Events: f.Events - 1}},
-		{KindTracePoints, Budget{TracePoints: f.TracePoints - 1}},
 		{KindWallClock, Budget{Wall: f.Wall - 1}},
 		{KindHorizon, Budget{Horizon: horizon - 1}},
 	} {
@@ -95,7 +95,7 @@ func TestCheckKinds(t *testing.T) {
 	}
 
 	generous := Budget{HeapBytes: f.HeapBytes * 2, Events: f.Events * 2,
-		TracePoints: f.TracePoints * 2, Wall: f.Wall * 2, Horizon: horizon * 2}
+		Wall: f.Wall * 2, Horizon: horizon * 2}
 	if be := f.Check(&generous, horizon); be != nil {
 		t.Fatalf("fitting config rejected: %v", be)
 	}
@@ -155,18 +155,11 @@ func TestBudgetStringAndUnlimited(t *testing.T) {
 func TestUsageMerge(t *testing.T) {
 	var u Usage
 	u.Merge(Usage{Events: 100, PeakEventCap: 10, Wall: time.Second, PeakHeapBytes: 5})
-	u.Merge(Usage{Events: 50, PeakEventCap: 30, Wall: time.Second, MaxFidelity: 1, MaxDecimation: 4})
+	u.Merge(Usage{Events: 50, PeakEventCap: 30, Wall: time.Second, TracePoints: 7})
 	if u.Runs != 2 || u.Events != 150 || u.PeakEventCap != 30 || u.Wall != 2*time.Second {
 		t.Fatalf("merge sums/peaks wrong: %+v", u)
 	}
-	if u.PeakHeapBytes != 5 || u.MaxFidelity != 1 || u.MaxDecimation != 4 {
+	if u.PeakHeapBytes != 5 || u.TracePoints != 7 {
 		t.Fatalf("merge peaks wrong: %+v", u)
-	}
-	if !u.Degraded() {
-		t.Fatal("degraded usage not reported")
-	}
-	clean := Usage{MaxDecimation: 1}
-	if clean.Degraded() {
-		t.Fatal("clean usage reported degraded")
 	}
 }

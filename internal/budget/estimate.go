@@ -15,8 +15,8 @@ import (
 // packet, covering the packet's bottleneck enqueue/serialize/deliver hops
 // plus the coalesced ACK path and timer churn). The constants are
 // deliberately conservative (rounded toward over-prediction) because the
-// estimator gates admission: over-predicting wastes a retry at a lower
-// fidelity tier, under-predicting OOMs the sweep.
+// estimator gates admission: over-predicting rejects a run that would
+// have fit, under-predicting OOMs the sweep.
 const (
 	// EventsPerDataPacket converts predicted data packets into processed
 	// simulator events.
@@ -95,8 +95,6 @@ type Footprint struct {
 	Events int64
 	// Processed is the predicted cumulative processed-event count.
 	Processed int64
-	// TracePoints is the predicted retained trace-point count.
-	TracePoints int64
 	// Wall is the predicted wall-clock time.
 	Wall time.Duration
 }
@@ -171,11 +169,10 @@ func Estimate(in Input) Footprint {
 		int64(dropTs)*DropTimestampBytes
 
 	return Footprint{
-		HeapBytes:   heap,
-		Events:      events,
-		Processed:   int64(processed),
-		TracePoints: tracePoints,
-		Wall:        time.Duration(processed / WallEventsPerSecond * float64(time.Second)),
+		HeapBytes: heap,
+		Events:    events,
+		Processed: int64(processed),
+		Wall:      time.Duration(processed / WallEventsPerSecond * float64(time.Second)),
 	}
 }
 
@@ -198,10 +195,6 @@ func (f Footprint) Check(b *Budget, horizon sim.Time) *BudgetError {
 	if b.Events > 0 && f.Events > b.Events {
 		return reject(KindEvents, b.Events, f.Events,
 			"estimated peak event-object footprint")
-	}
-	if b.TracePoints > 0 && f.TracePoints > b.TracePoints {
-		return reject(KindTracePoints, b.TracePoints, f.TracePoints,
-			"estimated retained series samples + drop timestamps")
 	}
 	if b.Wall > 0 && f.Wall > b.Wall {
 		return reject(KindWallClock, int64(b.Wall), int64(f.Wall),

@@ -34,7 +34,7 @@ func (e *QueueError) Error() string {
 // actual in-flight enforcement stays with each run's own Budget. Two
 // bounds apply — a slot count (hard cap on queued jobs, which bounds
 // the queue and status-map memory) and an optional Budget whose
-// HeapBytes/Events/TracePoints/Wall fields cap the summed estimates.
+// HeapBytes/Events/Wall fields cap the summed estimates.
 //
 // All methods are safe for concurrent use.
 type Pool struct {
@@ -108,7 +108,6 @@ func (p *Pool) Release(f Footprint) {
 	p.reserved.HeapBytes = max(p.reserved.HeapBytes-f.HeapBytes, 0)
 	p.reserved.Events = max(p.reserved.Events-f.Events, 0)
 	p.reserved.Processed = max(p.reserved.Processed-f.Processed, 0)
-	p.reserved.TracePoints = max(p.reserved.TracePoints-f.TracePoints, 0)
 	p.reserved.Wall = max(p.reserved.Wall-f.Wall, 0)
 }
 
@@ -144,7 +143,6 @@ func (f *Footprint) add(o Footprint) {
 	f.HeapBytes += o.HeapBytes
 	f.Events += o.Events
 	f.Processed += o.Processed
-	f.TracePoints += o.TracePoints
 	f.Wall += o.Wall
 }
 
@@ -158,9 +156,6 @@ func (f Footprint) exceeds(b *Budget) *QueueError {
 	}
 	if b.Events > 0 && f.Events > b.Events {
 		return &QueueError{Kind: KindEvents, Limit: b.Events, Observed: f.Events}
-	}
-	if b.TracePoints > 0 && f.TracePoints > b.TracePoints {
-		return &QueueError{Kind: KindTracePoints, Limit: b.TracePoints, Observed: f.TracePoints}
 	}
 	if b.Wall > 0 && f.Wall > b.Wall {
 		return &QueueError{Kind: KindWallClock, Limit: int64(b.Wall), Observed: int64(f.Wall)}

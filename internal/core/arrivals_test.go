@@ -265,7 +265,8 @@ func TestChurnBackgroundElephantsInflateFCT(t *testing.T) {
 
 // TestArrivalsAreGoverned is what the second harness could not do: an
 // arrivals run stops on a cancelled context, a wall-clock limit and an
-// events budget with a structured *RunError, like any other run.
+// in-flight events breach with a structured *RunError, like any other
+// run.
 func TestArrivalsAreGoverned(t *testing.T) {
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -277,7 +278,7 @@ func TestArrivalsAreGoverned(t *testing.T) {
 	}{
 		{"cancelled context", cancelled, func(*RunConfig) {}, true},
 		{"wall limit", context.Background(), func(c *RunConfig) { c.WallLimit = time.Nanosecond }, false},
-		{"events budget", context.Background(), func(c *RunConfig) { c.Budget = &budget.Budget{Events: 10} }, false},
+		{"events budget", context.Background(), func(c *RunConfig) { *c = tightenOnStart(*c, budget.Budget{Events: 10}) }, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -305,7 +306,7 @@ func TestArrivalsAreGoverned(t *testing.T) {
 func TestChurnSweepGoverned(t *testing.T) {
 	s := faultSetting()
 	s.Audit = "strict"
-	rows := runPlan(t, ChurnConfigs(s, "reno", 7), 3)
+	rows := runPlan(t, ChurnConfigs(s, "reno", 7))
 	if len(rows) != len(ChurnLoads) {
 		t.Fatalf("%d rows, want %d", len(rows), len(ChurnLoads))
 	}
@@ -316,7 +317,7 @@ func TestChurnSweepGoverned(t *testing.T) {
 		}
 	}
 	s.FaultPanicAt = sim.Second
-	_, err := RunManyCtx(context.Background(), ChurnConfigs(s, "reno", 7), SweepOptions{Parallelism: 3})
+	_, err := RunCtx(context.Background(), ChurnConfigs(s, "reno", 7)[0])
 	var re *RunError
 	if !errors.As(err, &re) || re.Reason != "panic" {
 		t.Fatalf("injected panic surfaced as %v", err)

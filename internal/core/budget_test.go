@@ -9,6 +9,7 @@ import (
 
 	"ccatscale/internal/budget"
 	"ccatscale/internal/sim"
+	"ccatscale/internal/telemetry"
 	"ccatscale/internal/units"
 )
 
@@ -26,10 +27,27 @@ func budgetTestConfig() RunConfig {
 	}
 }
 
-// TestBudgetBreachPerKind drives one oversized run under each budget
-// knob and asserts the structured failure: a *RunError wrapping a
-// *budget.BudgetError with the right kind, limit < observed, and a
-// checkpoint exactly when enforcement was in-flight.
+// tightenOnStart returns cfg under a budget admission lets through,
+// tightened to tight when the run starts — after admission, before the
+// first in-flight check. The run then meets the in-flight enforcement
+// that an estimate which under-predicts its config would leave to it.
+func tightenOnStart(cfg RunConfig, tight budget.Budget) RunConfig {
+	b := &budget.Budget{Horizon: sim.Hour}
+	cfg.Budget = b
+	cfg.Collector = telemetry.CollectorFunc(func(ev telemetry.Event) {
+		if ev.Kind == telemetry.KindRunStart {
+			*b = tight
+		}
+	})
+	return cfg
+}
+
+// TestBudgetBreachPerKind drives one run past each budget knob and
+// asserts the structured failure. In flight (heap, events, wall): a
+// *RunError wrapping a *budget.BudgetError with the right kind,
+// limit < observed, and a checkpoint. Horizon has no in-flight check:
+// it is decided at admission, as a plain *budget.BudgetError with no
+// checkpoint and no RunError, because nothing ran.
 func TestBudgetBreachPerKind(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -39,43 +57,43 @@ func TestBudgetBreachPerKind(t *testing.T) {
 	}{
 		{"heap", budget.Budget{HeapBytes: 1}, budget.KindHeapBytes, budget.StageInFlight},
 		{"events", budget.Budget{Events: 1}, budget.KindEvents, budget.StageInFlight},
-		{"trace", budget.Budget{TracePoints: 1}, budget.KindTracePoints, budget.StageInFlight},
 		{"wall", budget.Budget{Wall: time.Nanosecond}, budget.KindWallClock, budget.StageInFlight},
 		{"horizon", budget.Budget{Horizon: sim.Second}, budget.KindHorizon, budget.StageAdmission},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := budgetTestConfig()
-			cfg.Budget = &tc.budget
+			if tc.stage == budget.StageInFlight {
+				cfg = tightenOnStart(cfg, tc.budget)
+			} else {
+				cfg.Budget = &tc.budget
+			}
 			_, err := Run(cfg)
 			if err == nil {
 				t.Fatal("run under a tiny budget succeeded")
-			}
-			var re *RunError
-			if !errors.As(err, &re) {
-				t.Fatalf("error is not a *RunError: %v", err)
-			}
-			if re.Reason != "budget breach" {
-				t.Fatalf("reason = %q, want \"budget breach\"", re.Reason)
 			}
 			var be *budget.BudgetError
 			if !errors.As(err, &be) {
 				t.Fatalf("error does not unwrap to *budget.BudgetError: %v", err)
 			}
-			if be.Kind != tc.kind {
-				t.Fatalf("kind = %q, want %q", be.Kind, tc.kind)
-			}
-			if be.Stage != tc.stage {
-				t.Fatalf("stage = %q, want %q", be.Stage, tc.stage)
+			if be.Kind != tc.kind || be.Stage != tc.stage {
+				t.Fatalf("breach = %s/%s, want %s/%s", be.Stage, be.Kind, tc.stage, tc.kind)
 			}
 			if be.Observed <= be.Limit {
 				t.Fatalf("observed %d not above limit %d", be.Observed, be.Limit)
 			}
-			if tc.stage == budget.StageInFlight && be.Checkpoint == nil {
-				t.Fatal("in-flight breach carries no checkpoint")
+			var re *RunError
+			if tc.stage == budget.StageAdmission {
+				if errors.As(err, &re) || be.Checkpoint != nil {
+					t.Fatalf("admission rejection carries a run record: %v", err)
+				}
+				return
 			}
-			if tc.stage == budget.StageAdmission && be.Checkpoint != nil {
-				t.Fatal("admission breach carries a checkpoint")
+			if !errors.As(err, &re) || re.Reason != "budget breach" {
+				t.Fatalf("error is not a budget-breach *RunError: %v", err)
+			}
+			if be.Checkpoint == nil {
+				t.Fatal("in-flight breach carries no checkpoint")
 			}
 			// The failure must be replayable: the config snapshot holds
 			// the budget that caused it.
@@ -86,102 +104,46 @@ func TestBudgetBreachPerKind(t *testing.T) {
 	}
 }
 
-// TestTraceBudgetOnlyDropLogBreaches: an unbounded drop log breaches a
-// small trace budget; the same budget with a bounded log (below the
-// cap) completes because the series decimates instead of growing.
-func TestTraceBudgetDegradesSeries(t *testing.T) {
+// TestRunCtxAdmission: a config whose estimate exceeds any one limit of
+// its budget is rejected before it is built — a plain admission-stage
+// *budget.BudgetError, no RunError (there is nothing to replay), and
+// not one event run or emitted.
+func TestRunCtxAdmission(t *testing.T) {
 	cfg := budgetTestConfig()
-	cfg.MaxDropTimestamps = 100
-	cfg.SeriesInterval = 10 * sim.Millisecond // 600 raw samples over 6s
-	cfg.Budget = &budget.Budget{TracePoints: 200}
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatalf("budgeted run failed: %v", err)
+	est := EstimateConfig(cfg)
+	horizon := cfg.Warmup + cfg.Duration
+	for _, tc := range []struct {
+		kind budget.Kind
+		b    budget.Budget
+	}{
+		{budget.KindHeapBytes, budget.Budget{HeapBytes: est.HeapBytes - 1}},
+		{budget.KindEvents, budget.Budget{Events: est.Events - 1}},
+		{budget.KindWallClock, budget.Budget{Wall: est.Wall - 1}},
+		{budget.KindHorizon, budget.Budget{Horizon: horizon - 1}},
+	} {
+		t.Run(string(tc.kind), func(t *testing.T) {
+			cfg := cfg
+			cfg.Budget = &tc.b
+			emitted := 0
+			cfg.Collector = telemetry.CollectorFunc(func(telemetry.Event) { emitted++ })
+			res, err := RunCtx(context.Background(), cfg)
+			be, ok := err.(*budget.BudgetError)
+			if !ok {
+				t.Fatalf("error is %T (%v), want a plain *budget.BudgetError", err, err)
+			}
+			if be.Kind != tc.kind || be.Stage != budget.StageAdmission || be.Checkpoint != nil {
+				t.Fatalf("breach = %+v, want an admission-stage %s", be, tc.kind)
+			}
+			if res.Events != 0 || emitted != 0 {
+				t.Fatalf("rejected config ran: %d events, %d telemetry events", res.Events, emitted)
+			}
+		})
 	}
-	if res.Usage.MaxDecimation <= 1 {
-		t.Fatalf("decimation = %d, want > 1 (series must have degraded)", res.Usage.MaxDecimation)
-	}
-	if !res.Usage.Degraded() {
-		t.Fatal("usage does not report degradation")
-	}
-	if res.Usage.TracePoints > 200+int64(cfg.MaxDropTimestamps) {
-		t.Fatalf("retained %d trace points under a 200-point series share", res.Usage.TracePoints)
-	}
-}
-
-// TestRunManyCtxAdmission: a sweep with one impossible config completes
-// the others and reports the rejection as a structured admission error.
-func TestRunManyCtxAdmission(t *testing.T) {
-	small := budgetTestConfig()
-	huge := CoreScale().Build(UniformFlows(5000, "reno", 200*sim.Millisecond), WithSeed(Seed(1)))
-	results, err := RunManyCtx(context.Background(), []RunConfig{huge, small},
-		SweepOptions{Parallelism: 2, Budget: &budget.Budget{HeapBytes: 256 << 20}})
-	if err == nil {
-		t.Fatal("sweep with an over-budget config returned nil error")
-	}
-	var be *budget.BudgetError
-	if !errors.As(err, &be) {
-		t.Fatalf("sweep error does not unwrap to *budget.BudgetError: %v", err)
-	}
-	if be.Stage != budget.StageAdmission || be.Kind != budget.KindHeapBytes {
-		t.Fatalf("breach = %s/%s, want admission/heap-bytes", be.Stage, be.Kind)
-	}
-	if results[0].Events != 0 {
-		t.Fatal("rejected config ran anyway")
-	}
-	if results[1].AggregateGoodput <= 0 {
-		t.Fatal("sibling config did not complete")
-	}
-}
-
-// TestRunManyCtxCancel: a pre-cancelled context skips every queued
-// config, tagging each with its index and ctx.Err().
-func TestRunManyCtxCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	cfgs := []RunConfig{budgetTestConfig(), budgetTestConfig()}
-	results, err := RunManyCtx(ctx, cfgs, SweepOptions{Parallelism: 1})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("error does not wrap context.Canceled: %v", err)
-	}
-	for i, r := range results {
-		if r.Events != 0 {
-			t.Fatalf("config %d ran despite cancelled context", i)
-		}
-	}
-}
-
-// TestRetryDegradesToFit: a horizon budget the full-fidelity config
-// exceeds is satisfied two degradation tiers down (tier 2 halves the
-// measurement window), so a sweep with retries recovers a result where
-// a single attempt fails — and the result is marked degraded.
-func TestRetryDegradesToFit(t *testing.T) {
-	cfg := budgetTestConfig() // horizon 6s
-	cfg.Budget = &budget.Budget{Horizon: 4 * sim.Second}
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("full-fidelity run fit a horizon it must exceed")
-	}
-	if _, err := RunManyCtx(context.Background(), []RunConfig{cfg},
-		SweepOptions{Parallelism: 1}); err == nil {
-		t.Fatal("sweep without retries admitted an over-horizon config")
-	}
-	results, err := RunManyCtx(context.Background(), []RunConfig{cfg},
-		SweepOptions{Parallelism: 1, Retries: 2, RetryBackoff: time.Millisecond})
-	if err != nil {
-		t.Fatalf("sweep with retries failed: %v", err)
-	}
-	res := results[0]
-	if res.Usage.MaxFidelity != 2 {
-		t.Fatalf("fidelity = %d, want 2", res.Usage.MaxFidelity)
-	}
-	if !res.Usage.Degraded() {
-		t.Fatal("degraded result not marked")
-	}
-	if got := res.Config.Warmup + res.Config.Duration; got > 4*sim.Second {
-		t.Fatalf("degraded horizon %v still above budget", got)
-	}
-	if res.AggregateGoodput <= 0 {
-		t.Fatal("degraded run produced no goodput")
+	// A budget the estimate fits exactly is admitted.
+	fit := budget.Budget{Events: est.Events, Horizon: horizon}
+	cfg.Budget = &fit
+	if _, err := RunCtx(context.Background(), cfg); err != nil {
+		t.Fatalf("config within its estimate: %v", err)
 	}
 }
 
@@ -196,11 +158,10 @@ func TestBudgetFreeDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Budget = &budget.Budget{
-		HeapBytes:   1 << 40,
-		Events:      1 << 40,
-		TracePoints: 1 << 40,
-		Wall:        time.Hour,
-		Horizon:     3600 * sim.Second,
+		HeapBytes: 1 << 40,
+		Events:    1 << 40,
+		Wall:      time.Hour,
+		Horizon:   3600 * sim.Second,
 	}
 	budgeted, err := Run(cfg)
 	if err != nil {
@@ -219,47 +180,6 @@ func TestBudgetFreeDeterminism(t *testing.T) {
 		free.TotalDrops != budgeted.TotalDrops ||
 		free.DropBurstiness != budgeted.DropBurstiness {
 		t.Fatal("aggregate metrics differ under a generous budget")
-	}
-}
-
-// TestDegradeTierLadder pins the deterministic degradation schedule.
-func TestDegradeTierLadder(t *testing.T) {
-	cfg := budgetTestConfig()
-	cfg.SeriesInterval = 100 * sim.Millisecond
-
-	t1 := DegradeTier(cfg, 1)
-	if t1.Fidelity != 1 {
-		t.Fatalf("fidelity = %d, want 1", t1.Fidelity)
-	}
-	if t1.SeriesInterval != 200*sim.Millisecond {
-		t.Fatalf("tier 1 interval = %v, want doubled", t1.SeriesInterval)
-	}
-	if t1.MaxDropTimestamps != DefaultDropTimestampCap/2 {
-		t.Fatalf("tier 1 drop cap = %d, want %d", t1.MaxDropTimestamps, DefaultDropTimestampCap/2)
-	}
-	if t1.Duration != cfg.Duration {
-		t.Fatal("tier 1 must not shrink the measurement window")
-	}
-
-	t2 := DegradeTier(t1, 2)
-	if t2.Duration != cfg.Duration/2 {
-		t.Fatalf("tier 2 duration = %v, want halved", t2.Duration)
-	}
-	// Stepwise and direct degradation agree.
-	if direct := DegradeTier(cfg, 2); !reflect.DeepEqual(direct, t2) {
-		t.Fatalf("DegradeTier(cfg,2) = %+v, stepwise = %+v", direct, t2)
-	}
-	// Degrading to a lower tier is a no-op.
-	if back := DegradeTier(t2, 1); !reflect.DeepEqual(back, t2) {
-		t.Fatal("degrading to a lower tier changed the config")
-	}
-	// The floor holds under deep degradation.
-	deep := DegradeTier(cfg, 12)
-	if deep.MaxDropTimestamps < minDropTimestampCap {
-		t.Fatalf("drop cap %d below floor", deep.MaxDropTimestamps)
-	}
-	if deep.Duration < minDegradedDuration {
-		t.Fatalf("duration %v below floor", deep.Duration)
 	}
 }
 

@@ -24,7 +24,7 @@ func faultSetting() Setting {
 
 func TestBurstLossSweepModelBreakdown(t *testing.T) {
 	s := faultSetting()
-	rows := BurstLossRows(s, runPlan(t, BurstLossConfigs(s, 21), 3))
+	rows := BurstLossRows(s, runPlan(t, BurstLossConfigs(s, 21)))
 	if len(rows) != len(BurstLens) {
 		t.Fatalf("%d rows, want %d", len(rows), len(BurstLens))
 	}
@@ -58,8 +58,8 @@ func TestBurstLossSweepModelBreakdown(t *testing.T) {
 
 func TestBurstLossSweepDeterministic(t *testing.T) {
 	s := faultSetting()
-	a := BurstLossRows(s, runPlan(t, BurstLossConfigs(s, 5), 2))
-	b := BurstLossRows(s, runPlan(t, BurstLossConfigs(s, 5), 2))
+	a := BurstLossRows(s, runPlan(t, BurstLossConfigs(s, 5)))
+	b := BurstLossRows(s, runPlan(t, BurstLossConfigs(s, 5)))
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("row %d diverged under the same seed:\n%+v\n%+v", i, a[i], b[i])
@@ -69,7 +69,7 @@ func TestBurstLossSweepDeterministic(t *testing.T) {
 
 func TestOutageSweepRecovery(t *testing.T) {
 	s := faultSetting()
-	rows := OutageRows(s, runPlan(t, OutageConfigs(s, 31), 4))
+	rows := OutageRows(s, runPlan(t, OutageConfigs(s, 31)))
 	if len(rows) != len(OutageCCAs)*len(OutageDowns) {
 		t.Fatalf("%d rows, want %d", len(rows), len(OutageCCAs)*len(OutageDowns))
 	}

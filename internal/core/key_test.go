@@ -51,9 +51,9 @@ func setNonZero(t *testing.T, f reflect.Value, name string) {
 }
 
 // TestRunKeyIgnoresGovernance: a run's key is its config's content with
-// the governance cleared, so the budget, wall limit and fidelity tier a
-// run is admitted under — and a live collector — never move it, while
-// every other field does.
+// the governance cleared, so the budget and wall limit a run is
+// admitted under — and a live collector — never move it, while every
+// other field does.
 func TestRunKeyIgnoresGovernance(t *testing.T) {
 	cfg := EdgeScale().Build(UniformFlows(2, "reno", DefaultRTT), WithSeed(Seed(7)))
 	base, err := RunKey(cfg)
@@ -66,7 +66,6 @@ func TestRunKeyIgnoresGovernance(t *testing.T) {
 	governed := cfg
 	governed.Budget = &budget.Budget{HeapBytes: 1 << 30}
 	governed.WallLimit = time.Minute
-	governed.Fidelity = 2
 	governed.Collector = noopCollector{}
 	if k, _ := RunKey(governed); k != base {
 		t.Fatalf("governance moved the run key: %s != %s", k, base)
@@ -76,7 +75,7 @@ func TestRunKeyIgnoresGovernance(t *testing.T) {
 	for i := 0; i < typ.NumField(); i++ {
 		name := typ.Field(i).Name
 		switch name {
-		case "Budget", "WallLimit", "Fidelity", "Collector":
+		case "Budget", "WallLimit", "Collector":
 			continue
 		}
 		moved := cfg

@@ -91,11 +91,7 @@ func MathisConfigs(s Setting, seed uint64) []RunConfig {
 	cfgs := make([]RunConfig, len(s.FlowCounts))
 	for i, n := range s.FlowCounts {
 		cfg := s.Build(UniformFlows(n, "reno", DefaultRTT), WithSeed(Seed(seed+uint64(i))))
-		// Cap drop retention for the burstiness analysis — unless the
-		// setting's fidelity tier already degraded the cap below this.
-		if cfg.MaxDropTimestamps == 0 {
-			cfg.MaxDropTimestamps = DefaultDropTimestampCap
-		}
+		cfg.MaxDropTimestamps = DefaultDropTimestampCap // bounds the burstiness analysis
 		cfgs[i] = cfg
 	}
 	return cfgs

@@ -59,7 +59,7 @@ func TestRTTMixSweepRenoShortRTTAdvantage(t *testing.T) {
 		Stagger:    2 * sim.Second,
 	}
 	short, long := 20*sim.Millisecond, 100*sim.Millisecond
-	rows := RTTMixRows(s, "reno", short, long, runPlan(t, RTTMixConfigs(s, "reno", short, long, 1), 2))
+	rows := RTTMixRows(s, "reno", short, long, runPlan(t, RTTMixConfigs(s, "reno", short, long, 1)))
 	row := rows[0]
 	if row.ShortShare <= 0.55 {
 		t.Fatalf("short-RTT share = %v; expected a clear RTT advantage", row.ShortShare)

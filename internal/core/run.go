@@ -148,15 +148,13 @@ type RunConfig struct {
 	// Audit policy and exists to drill the auditor end to end.
 	AuditDrillAt sim.Time
 	// Budget bounds the run's resource consumption (nil = unlimited).
-	// Breaches stop the run via the engine's interrupt hook and surface
-	// as a *RunError whose Budget field carries the structured breach
-	// and a checkpoint of what completed. A nil Budget leaves the run's
-	// hot path exactly as it was: budget-free runs stay bit-identical.
+	// A config whose estimate exceeds it is rejected at admission with a
+	// *budget.BudgetError; in-flight breaches stop the run via the
+	// engine's interrupt hook and surface as a *RunError whose Budget
+	// field carries the structured breach and a checkpoint of what
+	// completed. A nil Budget leaves the run's hot path exactly as it
+	// was: budget-free runs stay bit-identical.
 	Budget *budget.Budget
-	// Fidelity is the degradation tier this config runs at (0 = full
-	// fidelity). It is set by DegradeTier, never by hand, and is carried
-	// into RunResult.Usage so reduced-fidelity results are marked.
-	Fidelity int
 	// Collector receives the run's telemetry events (nil = off, the
 	// default). Telemetry only observes: it adds no engine events and
 	// consumes no randomness, so an instrumented run stays bit-identical
@@ -389,21 +387,6 @@ func Run(cfg RunConfig) (RunResult, error) {
 	return RunCtx(context.Background(), cfg)
 }
 
-// fidelityLabel renders a degradation tier for telemetry.
-func fidelityLabel(tier int) string {
-	switch tier {
-	case 0:
-		return "full"
-	case 1:
-		return "tier-1"
-	case 2:
-		return "tier-2"
-	case 3:
-		return "tier-3"
-	}
-	return fmt.Sprintf("tier-%d", tier)
-}
-
 // rtts lists the base round-trip times indexed by flow ID: the
 // persistent flows, then one slot per concurrently tracked transfer.
 func (c *RunConfig) rtts() []sim.Time {
@@ -468,6 +451,11 @@ func (c *RunConfig) fabricSpec(rtts []sim.Time) (spec netem.TopologySpec, declar
 // and budgets use), so cancellation stops the run within one interrupt
 // interval and surfaces as a *RunError. A background context adds no
 // hook and changes nothing.
+//
+// A budgeted config is priced first (EstimateConfig): one that does not
+// fit its Budget is rejected with a plain admission-stage
+// *budget.BudgetError before anything is built. Nothing ran, so there is
+// no RunError to replay.
 func RunCtx(ctx context.Context, cfg RunConfig) (res RunResult, err error) {
 	if err := cfg.validate(); err != nil {
 		return RunResult{}, err
@@ -477,11 +465,11 @@ func RunCtx(ctx context.Context, cfg RunConfig) (res RunResult, err error) {
 	// A context deadline is a harder promise than WallLimit: the caller
 	// (a server's per-job deadline, a batch driver's shutdown grace)
 	// needs the run stopped AND its outcome committed before it expires.
-	// A ctx-done stop surfaces as a non-retryable cancellation; clamping
-	// WallLimit just under the deadline (the interrupt hook tests it
-	// first) makes the wall-clock watchdog win instead, which surfaces as
-	// a replayable, degradable "wall-clock" RunError and leaves the 5%
-	// margin for the commit.
+	// A ctx-done stop surfaces as a cancellation the caller checkpoints;
+	// clamping WallLimit just under the deadline (the interrupt hook tests
+	// it first) makes the wall-clock watchdog win instead, which surfaces
+	// as a replayable "wall-clock" RunError and leaves the 5% margin for
+	// the commit.
 	if dl, ok := ctx.Deadline(); ok {
 		if rem := time.Until(dl); rem > 0 {
 			clamped := rem - rem/20
@@ -491,18 +479,9 @@ func RunCtx(ctx context.Context, cfg RunConfig) (res RunResult, err error) {
 		}
 	}
 
-	// The horizon cap is decidable before anything runs, so it rejects at
-	// admission even when Run is called directly (not through RunManyCtx).
-	if b := cfg.Budget; !b.Unlimited() && b.Horizon > 0 && cfg.horizon() > b.Horizon {
-		return RunResult{}, &RunError{
-			Reason: "budget breach",
-			Seed:   cfg.Seed,
-			Config: cfg,
-			Budget: &budget.BudgetError{
-				Kind: budget.KindHorizon, Stage: budget.StageAdmission,
-				Limit: int64(b.Horizon), Observed: int64(cfg.horizon()),
-				Detail: "virtual end time (warm-up + duration)",
-			},
+	if !cfg.Budget.Unlimited() {
+		if berr := EstimateConfig(cfg).Check(cfg.Budget, cfg.horizon()); berr != nil {
+			return RunResult{}, berr
 		}
 	}
 
@@ -589,8 +568,7 @@ func newRun(ctx context.Context, cfg RunConfig) *run {
 	if r.coll != nil {
 		r.coll.Emit(telemetry.Event{
 			Kind: telemetry.KindRunStart, Flow: -1,
-			Label: fidelityLabel(cfg.Fidelity),
-			A:     int64(len(cfg.Flows)), B: int64(cfg.Seed),
+			A: int64(len(cfg.Flows)), B: int64(cfg.Seed),
 		})
 	}
 	pol, _ := audit.ParsePolicy(cfg.Audit)
@@ -825,19 +803,6 @@ func (r *run) startSeries() {
 			return sample
 		}, true, nil)
 	r.series.Preallocate(r.end)
-	// Under a trace-point budget the series degrades gracefully
-	// instead of breaching: its share of the cap — what remains
-	// after reserving the bounded drop log — triggers adaptive
-	// decimation, and the factor is reported in Usage.MaxDecimation.
-	// An unbounded drop log reserves nothing; if drops alone exceed
-	// the budget, the in-flight check correctly breaches.
-	if b := cfg.Budget; !b.Unlimited() && b.TracePoints > 0 {
-		maxPts := (int(b.TracePoints) - cfg.MaxDropTimestamps) / max(len(r.seriesNames), 1)
-		if maxPts < 4 {
-			maxPts = 4
-		}
-		r.series.SetMaxPoints(maxPts)
-	}
 	r.series.Start(0)
 }
 
@@ -970,13 +935,6 @@ func (r *run) supervise() {
 		r.stopBudget(budget.KindWallClock, int64(bud.Wall), int64(time.Since(r.wallStart)), "")
 		return
 	}
-	if bud.TracePoints > 0 {
-		if pts := r.tracePoints(); pts > bud.TracePoints {
-			r.stopBudget(budget.KindTracePoints, bud.TracePoints, pts,
-				"retained series samples + drop timestamps")
-			return
-		}
-	}
 	// ReadMemStats stops the world, so the heap ceiling is
 	// sampled at a fraction of the interrupt cadence. The check
 	// is process-wide: under a parallel sweep it is a shared
@@ -1061,13 +1019,10 @@ func (r *run) finish(stopAt sim.Time) (RunResult, error) {
 		TracePoints:   r.tracePoints(),
 		PeakHeapBytes: r.peakHeap,
 		Wall:          time.Since(r.wallStart),
-		MaxFidelity:   cfg.Fidelity,
-		MaxDecimation: 1,
 	}
 	if r.series != nil {
 		res.SeriesNames = r.seriesNames
 		res.Series = r.series.Points()
-		res.Usage.MaxDecimation = r.series.Decimation()
 	}
 	peakBytes, peakPackets := fab.QueuePeak()
 	res.Usage.PeakQueueBytes = int64(peakBytes)

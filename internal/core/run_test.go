@@ -2,8 +2,9 @@ package core
 
 import (
 	"context"
+	"errors"
 	"reflect"
-	"strings"
+	"sync"
 	"testing"
 
 	"ccatscale/internal/cca"
@@ -162,6 +163,10 @@ func TestRunConvergenceEarlyStop(t *testing.T) {
 	}
 }
 
+// TestRunManyOrderAndParallel: runs on concurrent goroutines — the way
+// reproduce's -parallel runs them — return the same results as the same
+// configs run one after another (each run is single-threaded and
+// deterministic).
 func TestRunManyOrderAndParallel(t *testing.T) {
 	s := tinySetting()
 	s.Duration = 8 * sim.Second
@@ -171,8 +176,18 @@ func TestRunManyOrderAndParallel(t *testing.T) {
 		s.Build(UniformFlows(4, "reno", DefaultRTT), WithSeed(Seed(2))),
 		s.Build(UniformFlows(6, "reno", DefaultRTT), WithSeed(Seed(3))),
 	}
-	res, err := RunManyCtx(context.Background(), cfgs, SweepOptions{Parallelism: 3})
-	if err != nil {
+	res := make([]RunResult, len(cfgs))
+	errs := make([]error, len(cfgs))
+	var wg sync.WaitGroup
+	for i, cfg := range cfgs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res[i], errs[i] = RunCtx(context.Background(), cfg)
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
 		t.Fatal(err)
 	}
 	for i, want := range []int{2, 4, 6} {
@@ -180,13 +195,12 @@ func TestRunManyOrderAndParallel(t *testing.T) {
 			t.Fatalf("result %d has %d flows, want %d", i, len(res[i].Flows), want)
 		}
 	}
-	// Parallel run must equal serial run (determinism preserved).
-	serial, err := RunManyCtx(context.Background(), cfgs, SweepOptions{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range res {
-		if !reflect.DeepEqual(res[i].Flows, serial[i].Flows) {
+	for i, cfg := range cfgs {
+		serial, err := RunCtx(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res[i].Flows, serial.Flows) {
 			t.Fatalf("parallel result %d differs from serial", i)
 		}
 	}
@@ -253,44 +267,5 @@ func TestSettingPresets(t *testing.T) {
 	wantBuf := units.BDP(s.Rate, 200*sim.Millisecond) * 3 / 2
 	if s.Buffer != wantBuf {
 		t.Fatalf("scaled buffer = %v, want %v", s.Buffer, wantBuf)
-	}
-}
-
-// TestRunManyPartialFailure is the regression test for the old
-// fail-fast sweep: one bad config out of five must not discard the
-// four good results, and the joined error must name the failing index.
-func TestRunManyPartialFailure(t *testing.T) {
-	s := tinySetting()
-	s.Duration = 4 * sim.Second
-	s.Warmup = 1 * sim.Second
-	cfgs := []RunConfig{
-		s.Build(UniformFlows(2, "reno", DefaultRTT), WithSeed(Seed(1))),
-		s.Build(UniformFlows(2, "cubic", DefaultRTT), WithSeed(Seed(2))),
-		s.Build(UniformFlows(2, "reno", DefaultRTT), WithSeed(Seed(3))),
-		s.Build(UniformFlows(2, "reno", DefaultRTT), WithSeed(Seed(4))),
-		s.Build(UniformFlows(2, "bbr", DefaultRTT), WithSeed(Seed(5))),
-	}
-	cfgs[3].Duration = -1 // invalid: fails validation inside Run
-
-	res, err := RunManyCtx(context.Background(), cfgs, SweepOptions{Parallelism: 2})
-	if err == nil {
-		t.Fatal("RunManyCtx returned nil error with a failing config")
-	}
-	if !strings.Contains(err.Error(), "config 3") {
-		t.Fatalf("error does not name the failing index: %v", err)
-	}
-	if len(res) != len(cfgs) {
-		t.Fatalf("got %d results for %d configs", len(res), len(cfgs))
-	}
-	for i, r := range res {
-		if i == 3 {
-			if len(r.Flows) != 0 {
-				t.Fatalf("failed config %d produced flows", i)
-			}
-			continue
-		}
-		if len(r.Flows) != 2 {
-			t.Fatalf("successful config %d has %d flows, want 2", i, len(r.Flows))
-		}
 	}
 }

@@ -140,7 +140,7 @@ func (b *ScenarioBuilder) RunConfig(opts ...ConfigOption) RunConfig {
 }
 
 // Build builds the scenario's RunConfig under s — the compiled setting,
-// or a copy of it a front end has governed (audit, budgets, retries):
+// or a copy of it a front end has governed (audit, budgets, wall limit):
 // the document's flows, seed and series interval, then any options, so
 // WithSeed in opts overrides the document for seed sweeps.
 func (b *ScenarioBuilder) Build(s Setting, opts ...ConfigOption) RunConfig {

@@ -67,14 +67,6 @@ type Setting struct {
 	// Budget bounds every run of the setting (nil = unlimited); see
 	// RunConfig.Budget.
 	Budget *budget.Budget
-	// Fidelity degrades every run of the setting to the given tier via
-	// DegradeTier (0 = full fidelity). Batch drivers bump it when
-	// retrying a sweep whose full-fidelity attempt breached its budget.
-	Fidelity int
-	// Retries is the reduced-fidelity retry allowance a batch driver
-	// passes to RunManyCtx for the setting's plans (0 = fail or reject on
-	// first breach).
-	Retries int
 }
 
 // RTTs are the three base round-trip times every fairness figure sweeps.
@@ -160,8 +152,7 @@ func WithRunCollector(coll telemetry.Collector) ConfigOption {
 }
 
 // Build constructs a RunConfig for this setting with the given flows,
-// customized by options (seed, telemetry, …). A non-zero Fidelity
-// degrades the config through DegradeTier before it is returned.
+// customized by options (seed, telemetry, …).
 func (s Setting) Build(flows []FlowSpec, opts ...ConfigOption) RunConfig {
 	cfg := RunConfig{
 		Rate:         s.Rate,
@@ -185,9 +176,6 @@ func (s Setting) Build(flows []FlowSpec, opts ...ConfigOption) RunConfig {
 	}
 	for _, opt := range opts {
 		opt(&cfg)
-	}
-	if s.Fidelity > 0 {
-		cfg = DegradeTier(cfg, s.Fidelity)
 	}
 	return cfg
 }

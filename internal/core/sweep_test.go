@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"testing"
-	"time"
 
 	"ccatscale/internal/mathis"
 	"ccatscale/internal/sim"
@@ -22,21 +21,25 @@ func sweepSetting() Setting {
 	}
 }
 
-// runPlan runs a plan the one way every table runs, through RunManyCtx,
-// and fails the test on any run's error; the caller applies the plan's
-// *Rows analysis.
-func runPlan(t *testing.T, cfgs []RunConfig, parallelism int) []RunResult {
+// runPlan runs a plan's configs one by one through RunCtx, as a front
+// end does, and fails the test on any run's error; the caller applies
+// the plan's *Rows analysis.
+func runPlan(t *testing.T, cfgs []RunConfig) []RunResult {
 	t.Helper()
-	results, err := RunManyCtx(context.Background(), cfgs, SweepOptions{Parallelism: parallelism})
-	if err != nil {
-		t.Fatal(err)
+	results := make([]RunResult, len(cfgs))
+	for i, cfg := range cfgs {
+		res, err := RunCtx(context.Background(), cfg)
+		if err != nil {
+			t.Fatalf("config %d: %v", i, err)
+		}
+		results[i] = res
 	}
 	return results
 }
 
 func TestMathisSweepProducesRows(t *testing.T) {
 	s := sweepSetting()
-	rows := MathisRows(s, runPlan(t, MathisConfigs(s, 1), 2))
+	rows := MathisRows(s, runPlan(t, MathisConfigs(s, 1)))
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d, want 2", len(rows))
 	}
@@ -73,7 +76,7 @@ func TestMathisAnalyzeEmptyRun(t *testing.T) {
 func TestIntraCCASweepShape(t *testing.T) {
 	s := sweepSetting()
 	rtts := []sim.Time{20 * sim.Millisecond, 100 * sim.Millisecond}
-	rows := FairnessRows(s, rtts, runPlan(t, IntraCCAConfigs(s, "reno", rtts, 1), 4))
+	rows := FairnessRows(s, rtts, runPlan(t, IntraCCAConfigs(s, "reno", rtts, 1)))
 	if len(rows) != len(rtts)*len(s.FlowCounts) {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -92,7 +95,7 @@ func TestInterCCASweepModes(t *testing.T) {
 	s.FlowCounts = []int{6}
 	rtts := []sim.Time{20 * sim.Millisecond}
 
-	eq := FairnessRows(s, rtts, runPlan(t, InterCCAConfigs(s, EqualSplit, "cubic", "reno", rtts, 1), 2))
+	eq := FairnessRows(s, rtts, runPlan(t, InterCCAConfigs(s, EqualSplit, "cubic", "reno", rtts, 1)))
 	if got := eq[0].Share["cubic"] + eq[0].Share["reno"]; got < 0.999 {
 		t.Fatalf("shares sum = %v", got)
 	}
@@ -102,7 +105,7 @@ func TestInterCCASweepModes(t *testing.T) {
 	// 10 s filter expires), so the one-vs-many check uses a longer
 	// window than the quick sweeps above.
 	s.Duration = 90 * sim.Second
-	ovm := FairnessRows(s, rtts, runPlan(t, InterCCAConfigs(s, OneVersusMany, "bbr", "reno", rtts, 1), 2))
+	ovm := FairnessRows(s, rtts, runPlan(t, InterCCAConfigs(s, OneVersusMany, "bbr", "reno", rtts, 1)))
 	if ovm[0].Share["bbr"] <= 0 {
 		t.Fatalf("loner got nothing: %v", ovm[0].Share)
 	}
@@ -137,44 +140,4 @@ func TestMathisSamplesRespectInterpretation(t *testing.T) {
 		t.Fatal("zero-p sample not skipped")
 	}
 	_ = mathis.Sample{}
-}
-
-// TestRetryDelayDecorrelatesCollidingConfigs pins the full-jitter
-// property the retry ladder depends on: when many configs hit a
-// retryable failure at the same instant (a shared budget breach, a
-// machine stall), their backoff draws must not march in lockstep —
-// stepped exponential backoff would have every config sleep the same
-// schedule and re-collide on every attempt.
-func TestRetryDelayDecorrelatesCollidingConfigs(t *testing.T) {
-	const backoff = 50 * time.Millisecond
-	// Determinism: the schedule is a pure function of (seed, idx, attempt).
-	if a, b := retryDelay(42, 3, 2, backoff), retryDelay(42, 3, 2, backoff); a != b {
-		t.Fatalf("retryDelay not deterministic: %v vs %v", a, b)
-	}
-	for attempt := 0; attempt < 4; attempt++ {
-		ceil := backoff << uint(attempt)
-		seen := map[time.Duration]int{}
-		for idx := 0; idx < 32; idx++ {
-			d := retryDelay(uint64(1000+idx), idx, attempt, backoff)
-			if d < 0 || d >= ceil {
-				t.Fatalf("attempt %d idx %d: delay %v outside [0, %v)", attempt, idx, d, ceil)
-			}
-			seen[d]++
-		}
-		// 32 colliding configs must spread out: full jitter over a window
-		// of ≥50ms in nanoseconds makes even one duplicate astronomically
-		// unlikely, so tolerate at most one as a flake guard.
-		if len(seen) < 31 {
-			t.Fatalf("attempt %d: only %d distinct delays across 32 configs — retries synchronize", attempt, len(seen))
-		}
-	}
-	// Different simulation seeds at the same sweep position must not
-	// share a schedule either (the old ladder keyed on idx alone).
-	if retryDelay(1, 0, 1, backoff) == retryDelay(2, 0, 1, backoff) {
-		t.Fatal("configs differing only in seed share a retry schedule")
-	}
-	// Degenerate windows collapse to an immediate retry, not a panic.
-	if d := retryDelay(7, 0, 0, 0); d != 0 {
-		t.Fatalf("zero backoff: %v", d)
-	}
 }

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"ccatscale/internal/budget"
 	"ccatscale/internal/sim"
 	"ccatscale/internal/telemetry"
 	"ccatscale/internal/units"
@@ -155,9 +154,9 @@ func TestRunCtxCancellation(t *testing.T) {
 }
 
 // TestRunCtxDeadlineBecomesWallLimit: a context deadline clamps the
-// wall-clock watchdog under it, so the stop surfaces as the replayable,
-// retryable "wall-clock" RunError (the degradation ladder's trigger)
-// rather than an opaque cancellation, and the run returns with margin
+// wall-clock watchdog under it, so the stop surfaces as the replayable
+// "wall-clock" RunError rather than an opaque cancellation, and the run
+// returns with margin
 // left before the deadline for the caller to commit the outcome.
 func TestRunCtxDeadlineBecomesWallLimit(t *testing.T) {
 	cfg := telemetryTestConfig(nil)
@@ -195,35 +194,5 @@ func TestRunCtxDeadlineBecomesWallLimit(t *testing.T) {
 	_, err = RunCtx(ctx3, cfg)
 	if !errors.As(err, &re) || !re.Canceled() {
 		t.Fatalf("early cancel under a deadline should read canceled, got %v", err)
-	}
-}
-
-func TestSweepEmitsAdmissionDegradation(t *testing.T) {
-	coll := newCountingCollector()
-	cfg := telemetryTestConfig(nil)
-	// Price the budget between the tier-1 and tier-0 estimates, so
-	// admission must degrade exactly once before the config fits.
-	est0 := EstimateConfig(cfg).Events
-	est1 := EstimateConfig(DegradeTier(cfg, 1)).Events
-	if est1 >= est0 {
-		t.Skipf("tier 1 does not shrink the estimate (%d vs %d)", est1, est0)
-	}
-	res, err := RunManyCtx(context.Background(), []RunConfig{cfg}, SweepOptions{
-		Collector: coll,
-		Budget:    &budget.Budget{Events: est1},
-		Retries:   3,
-	})
-	if err != nil {
-		var be *budget.BudgetError
-		if errors.As(err, &be) {
-			t.Fatalf("config should have been admitted at tier 1, got %v", be)
-		}
-		t.Fatal(err)
-	}
-	if len(res) != 1 {
-		t.Fatalf("got %d results, want 1", len(res))
-	}
-	if got := coll.counts[telemetry.KindDegraded]; got == 0 {
-		t.Error("no degraded event emitted for an over-budget admission")
 	}
 }

@@ -2,7 +2,7 @@
 // and of this repository's extensions. Each entry is declared once, as a
 // plan (the runs it needs, as data) plus the table its results fill; a
 // front end looks an entry up, runs the plan under whatever governance
-// it has — context, budgets, retries, telemetry — and renders the table.
+// it has — context, budgets, telemetry — and renders the table.
 // cmd/reproduce binds entries to the two regimes as jobs and defines no
 // table of its own.
 package experiments

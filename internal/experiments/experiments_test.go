@@ -68,9 +68,14 @@ func TestCatalogGolden(t *testing.T) {
 		if !ok {
 			t.Fatalf("Lookup(%q) failed", c.entry)
 		}
-		results, err := core.RunManyCtx(context.Background(), e.Configs(s, c.args), core.SweepOptions{Parallelism: 2})
-		if err != nil {
-			t.Fatalf("%s: %v", c.cmd, err)
+		cfgs := e.Configs(s, c.args)
+		results := make([]core.RunResult, len(cfgs))
+		for i, cfg := range cfgs {
+			res, err := core.RunCtx(context.Background(), cfg)
+			if err != nil {
+				t.Fatalf("%s: config %d: %v", c.cmd, i, err)
+			}
+			results[i] = res
 		}
 		tab := e.Table(s, c.args, results)
 		if !slices.Equal(tab.Headers, e.Headers) {

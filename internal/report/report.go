@@ -16,8 +16,8 @@ type Table struct {
 	Title   string
 	Headers []string
 	Rows    [][]string
-	// Notes are caveat lines rendered after the rows — honesty markers
-	// like "series decimated 4×" or "run at fidelity tier 2" that must
+	// Notes are caveat lines rendered after the rows — context like
+	// "converged at 12s" or the fabric's per-link counters that must
 	// travel with the numbers they qualify.
 	Notes []string
 }

@@ -77,7 +77,7 @@ func TestJSONTableRoundTrip(t *testing.T) {
 	tab := NewTable("Round trip", "a", "b")
 	tab.AddRow("x", 1.5)
 	tab.AddRow("y", 2)
-	tab.AddNote("fidelity tier %d", 1)
+	tab.AddNote("converged at %ds", 12)
 
 	var buf bytes.Buffer
 	if err := tab.WriteJSON(&buf); err != nil {

@@ -249,24 +249,19 @@ type WorkerHealth struct {
 	// Job and Key identify the scenario the worker is executing.
 	Job string `json:"job"`
 	Key string `json:"key"`
-	// Slot is the hedge slot: 0 for the primary attempt, ≥1 for a
-	// straggler hedge racing it.
-	Slot int `json:"slot"`
 }
 
 // FleetHealth aggregates worker lifecycle counters since boot.
 type FleetHealth struct {
 	// Spawns counts worker processes started — warm workers, each of
-	// which serves many jobs, and one-job processes for hedges and jobs
-	// priced above the warm bound — not jobs dispatched.
+	// which serves many jobs, and one-job processes for jobs priced
+	// above the warm bound — not jobs dispatched.
 	Spawns int64 `json:"spawns"`
 	// Exits counts worker processes reaped, however they ended.
 	Exits int64 `json:"exits"`
 	// Restarts counts crash-loop respawns: a worker died without
 	// delivering an outcome and the job was retried in a new process.
 	Restarts int64 `json:"restarts"`
-	// Hedges counts duplicate workers launched against stragglers.
-	Hedges int64 `json:"hedges"`
 	// Poisoned counts configs refused after using up their strikes.
 	Poisoned int64 `json:"poisoned"`
 }
@@ -301,14 +296,10 @@ type WorkerJob struct {
 	// Config is the run: an encoded core.RunConfig, opaque here so that
 	// this package stays free of simulator types.
 	Config json.RawMessage `json:"config"`
-	// Slot is the hedge slot this attempt claims its lease under.
-	Slot int `json:"slot"`
 	// Owner is the lease identity for this attempt, unique per dispatch
 	// (not per process) so the supervisor can clean up the lease of the
 	// job a crashed worker had in flight.
 	Owner string `json:"owner"`
-	// Retries is the reduced-fidelity retry allowance inside the run.
-	Retries int `json:"retries"`
 	// MemLimitBytes caps the worker's address space (RLIMIT_AS); 0
 	// leaves the OS default. A worker applies its first payload's and
 	// keeps it for life.

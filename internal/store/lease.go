@@ -228,18 +228,6 @@ func (ls *Leases) AcquireWait(ctx context.Context, job string, poll time.Duratio
 	}
 }
 
-// SlotName maps a job name and a hedge slot to the lease name the
-// attempt claims: slot 0 (the primary) uses the job name itself —
-// compatible with every non-hedged claimant — and hedge slots suffix
-// it, so a straggler's duplicate run never contends with the primary's
-// lease while both race toward the store's idempotent commit.
-func SlotName(job string, slot int) string {
-	if slot <= 0 {
-		return job
-	}
-	return fmt.Sprintf("%s~h%d", job, slot)
-}
-
 // ReleaseOwned removes job's lease if (and only if) it is held by
 // owner. It is the supervisor's cleanup path for a worker it has
 // already reaped: the holder is known dead — waitpid said so — so

@@ -316,24 +316,6 @@ func TestLeaseTakeoverGuardAgesOut(t *testing.T) {
 	}
 }
 
-func TestSlotName(t *testing.T) {
-	if got := SlotName("fig4", 0); got != "fig4" {
-		t.Fatalf("SlotName slot 0 = %q, want the bare job name", got)
-	}
-	if got := SlotName("fig4", 2); got != "fig4~h2" {
-		t.Fatalf("SlotName slot 2 = %q", got)
-	}
-	// Hedge slots are distinct leases: primary and hedge coexist.
-	dir := t.TempDir()
-	ls := newTestLeases(t, dir, "w", time.Hour, nil)
-	if _, err := ls.Acquire(SlotName("job", 0)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ls.Acquire(SlotName("job", 1)); err != nil {
-		t.Fatalf("hedge slot conflicts with primary: %v", err)
-	}
-}
-
 // TestReleaseOwned: the supervisor's cleanup for a reaped worker
 // removes exactly that worker's lease — never a live successor's.
 func TestReleaseOwned(t *testing.T) {

@@ -220,8 +220,8 @@ func (r *Registry) Instrument() Collector {
 		return nil
 	}
 	// Resolve every instrument once; Emit then touches only atomics.
-	perKind := [KindDegraded + 1]*Counter{}
-	for k := KindRunStart; k <= KindDegraded; k++ {
+	perKind := [KindLinkUp + 1]*Counter{}
+	for k := KindRunStart; k <= KindLinkUp; k++ {
 		perKind[k] = r.Counter("telemetry_events_total/" + k.String())
 	}
 	var (
@@ -232,7 +232,6 @@ func (r *Registry) Instrument() Collector {
 		runsEnded     = r.Counter("runs_ended")
 		losses        = r.Counter("loss_episodes_total")
 		transitions   = r.Counter("cca_transitions_total")
-		degradations  = r.Counter("degradations_total")
 	)
 	return CollectorFunc(func(ev Event) {
 		if int(ev.Kind) < len(perKind) && perKind[ev.Kind] != nil {
@@ -252,8 +251,6 @@ func (r *Registry) Instrument() Collector {
 			queuePktsMax.Max(ev.B)
 		case KindEngineSample:
 			engineEvents.Set(ev.A)
-		case KindDegraded:
-			degradations.Inc()
 		}
 	})
 }

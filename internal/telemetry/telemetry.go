@@ -1,7 +1,7 @@
 // Package telemetry is the live observability layer of the experiment
 // harness: a run-scoped event stream (flow lifecycle, CCA state
 // transitions, loss/recovery episodes, queue-occupancy watermarks,
-// budget-degradation decisions) and an atomic metrics registry for
+// engine progress samples) and an atomic metrics registry for
 // process-wide counters, gauges, and histograms.
 //
 // The design constraint is that observability must never perturb the
@@ -28,8 +28,7 @@ import (
 type Kind uint8
 
 const (
-	// KindRunStart opens a run: A = flow count, B = seed (as int64),
-	// Label = fidelity tier rendered by the emitter.
+	// KindRunStart opens a run: A = flow count, B = seed (as int64).
 	KindRunStart Kind = iota
 	// KindRunEnd closes a run: A = engine events processed, B =
 	// aggregate goodput in bits/sec.
@@ -61,10 +60,6 @@ const (
 	// index in the schedule, B = window length in virtual nanoseconds.
 	KindLinkDown
 	KindLinkUp
-	// KindDegraded records a budget-governance fidelity decision:
-	// Label = stage ("admission" or "retry"), A = the tier the config
-	// will run at, B = the config's sweep index (-1 outside a sweep).
-	KindDegraded
 )
 
 // String names the kind as it appears in the JSONL stream.
@@ -92,8 +87,6 @@ func (k Kind) String() string {
 		return "link-down"
 	case KindLinkUp:
 		return "link-up"
-	case KindDegraded:
-		return "degraded"
 	}
 	return "unknown"
 }
@@ -114,8 +107,7 @@ type Event struct {
 	Flow int32
 	// CCA is the flow's algorithm name, when flow-scoped.
 	CCA string
-	// Label is the kind-specific name payload (new state, loss kind,
-	// degradation stage).
+	// Label is the kind-specific name payload (new state, loss kind).
 	Label string
 	// Prev is the previous state for KindCCAState.
 	Prev string

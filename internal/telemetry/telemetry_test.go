@@ -27,7 +27,7 @@ func (r *recorder) Emit(ev Event) {
 
 func TestKindStringsAreUnique(t *testing.T) {
 	seen := map[string]Kind{}
-	for k := KindRunStart; k <= KindDegraded; k++ {
+	for k := KindRunStart; k <= KindLinkUp; k++ {
 		s := k.String()
 		if s == "unknown" {
 			t.Fatalf("kind %d has no name", k)
@@ -126,7 +126,6 @@ func TestInstrumentFoldsEvents(t *testing.T) {
 	coll.Emit(Event{Kind: KindQueueWatermark, A: 100, B: 2})
 	coll.Emit(Event{Kind: KindQueueWatermark, A: 50, B: 1}) // lower: peak holds
 	coll.Emit(Event{Kind: KindEngineSample, A: 12345})
-	coll.Emit(Event{Kind: KindDegraded})
 	coll.Emit(Event{Kind: KindRunEnd})
 
 	snap := r.Snapshot()
@@ -135,7 +134,6 @@ func TestInstrumentFoldsEvents(t *testing.T) {
 		"runs_ended":                  1,
 		"loss_episodes_total":         2,
 		"cca_transitions_total":       1,
-		"degradations_total":          1,
 		"telemetry_events_total/loss": 2,
 	}
 	for name, want := range checks {

@@ -32,12 +32,6 @@ type ThroughputSeries struct {
 	rates   []units.Bandwidth // flat arena the points' Rates slices are cut from
 	stopped bool
 	started bool
-
-	// maxPoints, when positive, bounds the retained points by adaptive
-	// decimation; decimation is the accumulated factor (1 = full
-	// resolution).
-	maxPoints  int
-	decimation int
 }
 
 // NewThroughputSeries samples read every interval. names labels each
@@ -51,33 +45,14 @@ func NewThroughputSeries(eng *sim.Engine, interval sim.Time, names []string, rea
 		panic("trace: series without reader")
 	}
 	return &ThroughputSeries{
-		eng:        eng,
-		interval:   interval,
-		read:       read,
-		names:      names,
-		keep:       keep,
-		w:          w,
-		decimation: 1,
+		eng:      eng,
+		interval: interval,
+		read:     read,
+		names:    names,
+		keep:     keep,
+		w:        w,
 	}
 }
-
-// SetMaxPoints bounds the retained points: once the series reaches n
-// samples it degrades gracefully instead of growing without bound —
-// adjacent pairs are merged (rates averaged, the later timestamp kept)
-// and the sampling interval doubles, halving resolution. The factor is
-// exposed via Decimation so reports can mark decimated series honestly.
-// A non-positive n removes the bound. Call before Start; the bound only
-// applies when points are kept.
-func (s *ThroughputSeries) SetMaxPoints(n int) {
-	if n < 0 {
-		n = 0
-	}
-	s.maxPoints = n
-}
-
-// Decimation returns the accumulated decimation factor: 1 for a
-// full-resolution series, 2^k after k halvings forced by SetMaxPoints.
-func (s *ThroughputSeries) Decimation() int { return s.decimation }
 
 // Start begins sampling at virtual time at (the first tick records the
 // baseline and emits nothing).
@@ -139,9 +114,6 @@ func (s *ThroughputSeries) tick() {
 	s.prev = append(s.prev[:0], cur...)
 	if s.keep {
 		s.points = append(s.points, pt)
-		if s.maxPoints > 0 && len(s.points) >= s.maxPoints && len(s.points) >= 2 {
-			s.decimate()
-		}
 	}
 	if s.w != nil {
 		fmt.Fprintf(s.w, "%.3f", pt.At.Seconds())
@@ -151,37 +123,6 @@ func (s *ThroughputSeries) tick() {
 		fmt.Fprintln(s.w)
 	}
 	s.eng.After(s.interval, s.tick)
-}
-
-// decimate halves the retained series in place: adjacent pairs merge
-// into one point carrying the pair's average rate and the later
-// timestamp, and the sampling interval doubles so future points arrive
-// at the reduced cadence. Rate averaging keeps the merged value honest
-// (each input rate covered one old interval; their mean covers the
-// doubled one). An odd trailing point is kept as-is — its rate covers a
-// half-window, which the recorded decimation factor makes auditable.
-// Decimation depends only on virtual state, so a budget-bounded series
-// remains deterministic.
-func (s *ThroughputSeries) decimate() {
-	n := len(s.points)
-	half := n / 2
-	for k := 0; k < half; k++ {
-		a, b := s.points[2*k], s.points[2*k+1]
-		for j := range a.Rates {
-			if j < len(b.Rates) {
-				a.Rates[j] = (a.Rates[j] + b.Rates[j]) / 2
-			}
-		}
-		a.At = b.At
-		s.points[k] = a
-	}
-	if n%2 == 1 {
-		s.points[half] = s.points[n-1]
-		half++
-	}
-	s.points = s.points[:half]
-	s.interval *= 2
-	s.decimation *= 2
 }
 
 // takeRates cuts an n-wide rate slice from the preallocated arena, or

@@ -73,66 +73,6 @@ func TestThroughputSeriesStop(t *testing.T) {
 	}
 }
 
-func TestThroughputSeriesDecimation(t *testing.T) {
-	eng := sim.NewEngine()
-	var delivered units.ByteCount
-	var feed func()
-	feed = func() {
-		delivered += 100 * units.KB // constant 1 MB/s
-		eng.After(100*sim.Millisecond, feed)
-	}
-	eng.Schedule(0, feed)
-
-	ts := NewThroughputSeries(eng, sim.Second, []string{"flow0"},
-		func() []units.ByteCount { return []units.ByteCount{delivered} }, true, nil)
-	ts.SetMaxPoints(8)
-	ts.Start(0)
-	// Would be 59 full-resolution samples; each halving doubles the tick
-	// interval, so the series settles at 3 halvings by t=60s.
-	eng.Run(60 * sim.Second)
-	if ts.Decimation() != 8 {
-		t.Fatalf("decimation = %d, want 8", ts.Decimation())
-	}
-	pts := ts.Points()
-	if len(pts) == 0 || len(pts) > 8 {
-		t.Fatalf("points = %d, want 1..8", len(pts))
-	}
-	// A constant-rate feed must survive pair averaging unchanged.
-	for _, p := range pts {
-		if p.Rates[0] < 7*units.MbitPerSec || p.Rates[0] > 9*units.MbitPerSec {
-			t.Fatalf("rate at %v = %v, want ≈8Mbps", p.At, p.Rates[0])
-		}
-	}
-	// Timestamps stay strictly increasing through merges.
-	for i := 1; i < len(pts); i++ {
-		if pts[i].At <= pts[i-1].At {
-			t.Fatalf("timestamps not increasing: %v then %v", pts[i-1].At, pts[i].At)
-		}
-	}
-}
-
-func TestThroughputSeriesDecimateAverages(t *testing.T) {
-	s := &ThroughputSeries{decimation: 1, interval: sim.Second}
-	s.points = []SeriesPoint{
-		{At: 1 * sim.Second, Rates: []units.Bandwidth{10}},
-		{At: 2 * sim.Second, Rates: []units.Bandwidth{30}},
-		{At: 3 * sim.Second, Rates: []units.Bandwidth{50}},
-	}
-	s.decimate()
-	if len(s.points) != 2 {
-		t.Fatalf("points = %d, want 2", len(s.points))
-	}
-	if s.points[0].At != 2*sim.Second || s.points[0].Rates[0] != 20 {
-		t.Fatalf("merged point = %+v, want At=2s rate=20", s.points[0])
-	}
-	if s.points[1].At != 3*sim.Second || s.points[1].Rates[0] != 50 {
-		t.Fatalf("odd tail = %+v, want kept as-is", s.points[1])
-	}
-	if s.interval != 2*sim.Second || s.decimation != 2 {
-		t.Fatalf("interval=%v decimation=%d, want 2s and 2", s.interval, s.decimation)
-	}
-}
-
 func TestQueueLogOverflow(t *testing.T) {
 	l := NewQueueLog(2)
 	for i := 0; i < 5; i++ {
