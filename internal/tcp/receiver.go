@@ -138,6 +138,16 @@ type Receiver struct {
 	newest        rateEcho
 
 	stats ReceiverStats
+
+	// sack[:nsack] are the most recently touched ranges of ooo, newest
+	// first: the top of ooo by stamp, which is what an ACK carries.
+	// Edits keep it exact but may leave it short; sackStale marks that
+	// it holds fewer than min(len(sack), len(ooo)) entries, and the
+	// next ACK refills it from ooo. It comes last so the fields every
+	// segment touches keep their cache lines.
+	sack      [packet.MaxSackBlocks]oooRange
+	nsack     int
+	sackStale bool
 }
 
 // NewReceiver creates a receiver for the given flow, emitting ACKs via
@@ -237,7 +247,9 @@ func (r *Receiver) onData(p *packet.Packet) {
 // auditReassembly validates the reassembly state after one segment:
 // rcv.nxt never moves backwards, and the out-of-order set is sorted,
 // disjoint, and strictly above rcv.nxt (a range at or below it should
-// have been merged). prevNxt is rcv.nxt before the segment was applied.
+// have been merged). The kept SACK list holds only ranges of the set,
+// newest first, none twice, and is full unless marked stale. prevNxt is
+// rcv.nxt before the segment was applied.
 func (r *Receiver) auditReassembly(prevNxt int64) {
 	a := r.cfg.Audit
 	if r.rcvNxt < prevNxt {
@@ -256,6 +268,30 @@ func (r *Receiver) auditReassembly(prevNxt int64) {
 				i, rng.start, rng.end, prevEnd)
 		}
 		prevEnd = rng.end
+	}
+	list := r.sack[:r.nsack]
+	for i, rng := range list {
+		k := sort.Search(len(r.ooo), func(k int) bool { return r.ooo[k].start >= rng.start })
+		if k == len(r.ooo) || r.ooo[k] != rng {
+			a.Reportf("tcp/sack-list-unknown", r.flow,
+				"SACK list entry %d [%d, %d) stamp %d is not an out-of-order range",
+				i, rng.start, rng.end, rng.touched)
+		}
+		if i > 0 && rng.touched >= list[i-1].touched {
+			a.Reportf("tcp/sack-list-order", r.flow,
+				"SACK list entry %d stamp %d not below entry %d's %d",
+				i, rng.touched, i-1, list[i-1].touched)
+		}
+		for k := 0; k < i; k++ {
+			if list[k].start == rng.start {
+				a.Reportf("tcp/sack-list-repeat", r.flow,
+					"SACK list entries %d and %d both hold the range at %d", k, i, rng.start)
+			}
+		}
+	}
+	if want := min(len(r.sack), len(r.ooo)); !r.sackStale && r.nsack != want {
+		a.Reportf("tcp/sack-list-short", r.flow,
+			"SACK list holds %d entries and is not marked stale, want %d", r.nsack, want)
 	}
 }
 
@@ -308,8 +344,29 @@ func (r *Receiver) mergeContiguous() bool {
 		// would walk the slice off the front of its array, whose
 		// capacity the next episode could then not reuse.
 		r.ooo = r.ooo[:copy(r.ooo, r.ooo[n:])]
+		r.dropListed(0, r.rcvNxt)
+		r.updateStale()
 	}
 	return had
+}
+
+// dropListed removes the SACK list entries that lie within [lo, hi):
+// the ranges a merge absorbed, or the ones the cumulative point passed.
+func (r *Receiver) dropListed(lo, hi int64) {
+	n := 0
+	for _, rng := range r.sack[:r.nsack] {
+		if rng.start < lo || rng.end > hi {
+			r.sack[n] = rng
+			n++
+		}
+	}
+	r.nsack = n
+}
+
+// updateStale records whether the SACK list holds fewer ranges than
+// the set could fill it with.
+func (r *Receiver) updateStale() {
+	r.sackStale = r.nsack < min(len(r.sack), len(r.ooo))
 }
 
 // insertOOO records [start, end) in the sorted disjoint range set,
@@ -336,7 +393,39 @@ func (r *Receiver) insertOOO(start, end int64) {
 	case j > i+1: // several: close the gap behind slot i
 		r.ooo = append(r.ooo[:i+1], r.ooo[j:]...)
 	}
-	r.ooo[i] = oooRange{start: start, end: end, touched: r.touch}
+	merged := oooRange{start: start, end: end, touched: r.touch}
+	r.ooo[i] = merged
+
+	// The listed ranges the merge absorbed are gone; the merged range
+	// is the newest, and the oldest falls off a full list.
+	r.dropListed(start, end)
+	copy(r.sack[1:], r.sack[:r.nsack])
+	r.sack[0] = merged
+	r.nsack = min(r.nsack+1, len(r.sack))
+	r.updateStale()
+}
+
+// rescan refills the SACK list from the whole set. One pass over the
+// standing ranges keeps the best few in descending stamp order; stamps
+// are unique, so this is the order a full sort by stamp would give.
+func (r *Receiver) rescan() {
+	n := 0
+	for _, rng := range r.ooo {
+		if n == len(r.sack) {
+			if rng.touched < r.sack[n-1].touched {
+				continue
+			}
+			n-- // the oldest of the kept ranges falls off
+		}
+		k := n
+		for ; k > 0 && r.sack[k-1].touched < rng.touched; k-- {
+			r.sack[k] = r.sack[k-1]
+		}
+		r.sack[k] = rng
+		n++
+	}
+	r.nsack = n
+	r.sackStale = false
 }
 
 func (r *Receiver) onDelAckTimeout() {
@@ -367,26 +456,11 @@ func (r *Receiver) sendAck() {
 	ack.AppLimited = r.newest.appLimited
 
 	// SACK blocks: most recently touched ranges first, up to the
-	// option-space limit (RFC 2018 §4). One pass over the standing
-	// ranges keeps the best few in descending stamp order; stamps are
-	// unique, so this is the order a full sort by stamp would give.
-	var top [packet.MaxSackBlocks]oooRange
-	n := 0
-	for _, rng := range r.ooo {
-		if n == len(top) {
-			if rng.touched < top[n-1].touched {
-				continue
-			}
-			n-- // the oldest of the kept ranges falls off
-		}
-		k := n
-		for ; k > 0 && top[k-1].touched < rng.touched; k-- {
-			top[k] = top[k-1]
-		}
-		top[k] = rng
-		n++
+	// option-space limit (RFC 2018 §4).
+	if r.sackStale {
+		r.rescan()
 	}
-	for _, rng := range top[:n] {
+	for _, rng := range r.sack[:r.nsack] {
 		ack.Sack[ack.NumSack] = packet.SackBlock{Start: rng.start, End: rng.end}
 		ack.NumSack++
 	}

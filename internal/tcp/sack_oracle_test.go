@@ -2,6 +2,7 @@ package tcp
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -203,5 +204,103 @@ func TestReceiverSackChoiceMatchesOracle(t *testing.T) {
 	// or the comparison says nothing about them.
 	if maxRanges < 100 {
 		t.Fatalf("largest standing out-of-order set was %d ranges, want ≥ 100", maxRanges)
+	}
+}
+
+// TestReceiverSackListRefillsAfterMerge walks the two edits that leave
+// the receiver's kept SACK list short of three ranges while more stand:
+// an arrival that merges the two newest of five ranges, and a
+// cumulative fill that delivers a listed one. Each time the ACK must
+// still equal the reference's, and its third block must be one the list
+// did not hold before the edit, so it came from the refill.
+func TestReceiverSackListRefillsAfterMerge(t *testing.T) {
+	eng := sim.NewEngine()
+	cfg := DefaultReceiverConfig()
+	cfg.Audit = audit.New(audit.PolicyStrict, eng.Now)
+	oracle := &sackOracle{}
+	var last packet.Packet
+	r := NewReceiver(eng, 0, cfg, func(ack packet.Packet) {
+		oracle.check(t, ack)
+		last = ack
+	})
+	deliver := func(n int64) {
+		oracle.onData(seg(n))
+		r.OnData(seg(n))
+	}
+	block := func(from, to int64) packet.SackBlock {
+		return packet.SackBlock{Start: from * mss, End: to * mss}
+	}
+	// refilled delivers segment n and requires the ACK's blocks to be
+	// want, the last of them not in the list the receiver held before.
+	refilled := func(n int64, want ...packet.SackBlock) {
+		t.Helper()
+		before, listed := r.sack, r.nsack
+		deliver(n)
+		if got := last.Sack[:last.NumSack]; !slices.Equal(got, want) {
+			t.Fatalf("after segment %d: blocks %v, want %v", n, got, want)
+		}
+		b := want[len(want)-1]
+		for _, rng := range before[:listed] {
+			if rng.start == b.Start && rng.end == b.End {
+				t.Fatalf("after segment %d: block %v was already listed; no refill was needed", n, b)
+			}
+		}
+	}
+
+	// Five ranges, the newest two at 6 and 4: the list is 6, 4, 2.
+	for _, n := range []int64{10, 8, 2, 4, 6} {
+		deliver(n)
+	}
+	if want := (packet.SackBlock{Start: 6 * mss, End: 7 * mss}); last.Sack[0] != want {
+		t.Fatalf("newest block %v, want %v", last.Sack[0], want)
+	}
+	// Segment 5 merges 4 and 6: the list keeps only the merged range
+	// and 2, and the ACK takes 8 from the set.
+	refilled(5, block(4, 7), block(2, 3), block(8, 9))
+	// Segments 0 and 1 carry the cumulative point past the listed 2:
+	// the list keeps the merged range and 8, and the ACK takes 10.
+	deliver(0)
+	refilled(1, block(4, 7), block(8, 9), block(10, 11))
+	if r.RcvNxt() != 3*mss {
+		t.Fatalf("rcv.nxt %d, want %d", r.RcvNxt(), 3*mss)
+	}
+}
+
+// TestAuditCatchesBadSackList corrupts the kept SACK list of a receiver
+// with four ranges standing, one way at a time, and requires the
+// reassembly audit to name each fault: a listed range the set does not
+// hold, stamps out of order, a range listed twice (its stamp repeats
+// too), and a short list not marked stale.
+func TestAuditCatchesBadSackList(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		corrupt func(r *Receiver)
+		want    []string
+	}{
+		{"unknown", func(r *Receiver) { r.sack[1].end++ }, []string{"tcp/sack-list-unknown"}},
+		{"order", func(r *Receiver) { r.sack[0], r.sack[1] = r.sack[1], r.sack[0] }, []string{"tcp/sack-list-order"}},
+		{"repeat", func(r *Receiver) { r.sack[2] = r.sack[0] }, []string{"tcp/sack-list-order", "tcp/sack-list-repeat"}},
+		{"short", func(r *Receiver) { r.nsack-- }, []string{"tcp/sack-list-short"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.NewEngine()
+			aud := audit.New(audit.PolicyWarn, eng.Now)
+			r := NewReceiver(eng, 0, ReceiverConfig{Audit: aud}, func(packet.Packet) {})
+			for _, n := range []int64{2, 4, 6, 8} {
+				r.OnData(seg(n))
+			}
+			if aud.Total() != 0 {
+				t.Fatalf("sound receiver reported %v", aud.Violations())
+			}
+			tc.corrupt(r)
+			r.auditReassembly(r.rcvNxt)
+			var got []string
+			for _, v := range aud.Violations() {
+				got = append(got, v.Check)
+			}
+			if !slices.Equal(got, tc.want) {
+				t.Fatalf("audit reported %v, want %v", got, tc.want)
+			}
+		})
 	}
 }
