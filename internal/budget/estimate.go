@@ -73,7 +73,8 @@ type Input struct {
 	// QueueSlots is the bottleneck ring preallocation (slots); zero lets
 	// the model derive it from BufferBytes/FrameBytes.
 	QueueSlots int64
-	// QueueSlotBytes is the in-memory size of one queued packet.
+	// QueueSlotBytes is the in-memory size of one queue ring slot
+	// (netem.QueueSlotBytes).
 	QueueSlotBytes int64
 	// Horizon is the run's virtual end time (warm-up + duration).
 	Horizon sim.Time

@@ -55,7 +55,7 @@ func EstimateConfig(cfg RunConfig) budget.Footprint {
 		FrameBytes:        int64(c.MSS + packet.HeaderBytes),
 		SegmentBytes:      int64(c.MSS),
 		QueueSlots:        slots,
-		QueueSlotBytes:    packet.StructBytes,
+		QueueSlotBytes:    netem.QueueSlotBytes,
 		Horizon:           c.horizon(),
 		SeriesInterval:    c.SeriesInterval,
 		SeriesWidth:       width,

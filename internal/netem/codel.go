@@ -2,7 +2,6 @@ package netem
 
 import (
 	"math"
-	"unsafe"
 
 	"ccatscale/internal/packet"
 	"ccatscale/internal/sim"
@@ -65,9 +64,10 @@ type CoDelQueue struct {
 	ceAqmDropWire units.ByteCount
 }
 
+// codelEntry is a queued data segment stamped with its enqueue time.
 type codelEntry struct {
-	p  packet.Packet
-	at sim.Time
+	seg segment
+	at  sim.Time
 }
 
 // NewCoDelQueue creates a CoDel-managed queue of the given byte
@@ -138,16 +138,12 @@ func (q *CoDelQueue) MaxBytes() units.ByteCount { return q.maxBytes }
 // MaxLen returns the high-water mark of packet occupancy.
 func (q *CoDelQueue) MaxLen() int { return q.maxPackets }
 
-// MemBytes returns the ring's in-memory footprint (slots × entry size),
-// for peak-usage reporting next to the budget estimator's prediction.
-func (q *CoDelQueue) MemBytes() int64 {
-	return int64(len(q.ring)) * int64(unsafe.Sizeof(codelEntry{}))
-}
-
-// Push copies *p to the tail, stamped with its enqueue time, or
-// tail-drops it when the buffer is full (CoDel still needs a hard byte
-// limit; with the control law active it should rarely be hit).
+// Push copies the data segment *p to the tail, stamped with its enqueue
+// time, or tail-drops it when the buffer is full (CoDel still needs a
+// hard byte limit; with the control law active it should rarely be
+// hit). Push panics on a packet with an ACK field set (see segment).
 func (q *CoDelQueue) Push(p *packet.Packet) bool {
+	mustBeData(p)
 	wire := p.WireBytes()
 	if q.bytes+wire > q.capacity {
 		q.tailDrops++
@@ -163,7 +159,8 @@ func (q *CoDelQueue) Push(p *packet.Packet) bool {
 		q.ceBytes += wire
 	}
 	e := &q.ring[(q.head+q.n)%len(q.ring)]
-	e.p, e.at = *p, q.now()
+	e.seg.pack(p)
+	e.at = q.now()
 	q.n++
 	q.bytes += wire
 	q.enqueued++
@@ -185,44 +182,36 @@ func (q *CoDelQueue) grow() {
 	q.head = 0
 }
 
-// popHead removes the head entry and returns it where it lies: the slot
-// is vacated, so the entry is only good until the next Push.
-func (q *CoDelQueue) popHead() *codelEntry {
+// doDequeue implements the RFC 8289 dodeque() helper: move the head
+// packet into *dst (ok is false when the queue is empty) and report
+// whether its sojourn stayed above target long enough to arm/keep the
+// dropping state.
+func (q *CoDelQueue) doDequeue(now sim.Time, dst *packet.Packet) (ok, okToDrop bool) {
 	if q.n == 0 {
-		return nil
+		q.firstAboveTime = 0
+		return false, false
 	}
 	e := &q.ring[q.head]
 	q.head = (q.head + 1) % len(q.ring)
 	q.n--
-	wire := e.p.WireBytes()
+	e.seg.unpack(dst)
+	wire := dst.WireBytes()
 	q.bytes -= wire
-	if e.p.CE {
+	if dst.CE {
 		q.ceBytes -= wire
-	}
-	return e
-}
-
-// doDequeue implements the RFC 8289 dodeque() helper: pop one packet
-// (nil when empty) and report whether its sojourn stayed above target
-// long enough to arm/keep the dropping state.
-func (q *CoDelQueue) doDequeue(now sim.Time) (*codelEntry, bool) {
-	e := q.popHead()
-	if e == nil {
-		q.firstAboveTime = 0
-		return nil, false
 	}
 	sojourn := now - e.at
 	if sojourn < CoDelTarget || q.bytes <= 1518 {
 		// Below target (or queue nearly empty): leave dropping state
 		// eligibility.
 		q.firstAboveTime = 0
-		return e, false
+		return true, false
 	}
 	if q.firstAboveTime == 0 {
 		q.firstAboveTime = now + CoDelInterval
-		return e, false
+		return true, false
 	}
-	return e, now >= q.firstAboveTime
+	return true, now >= q.firstAboveTime
 }
 
 // controlLaw spaces drops by interval/√count.
@@ -231,12 +220,12 @@ func (q *CoDelQueue) controlLaw(t sim.Time) sim.Time {
 }
 
 // Pop moves the next deliverable packet into *dst, applying the CoDel
-// drop law; it returns false when the queue is empty (possibly after
-// dropping stragglers).
+// drop law to each packet once it lies in *dst; it returns false when
+// the queue is empty (possibly after dropping stragglers through *dst).
 func (q *CoDelQueue) Pop(dst *packet.Packet) bool {
 	now := q.now()
-	e, okToDrop := q.doDequeue(now)
-	if e == nil {
+	ok, okToDrop := q.doDequeue(now, dst)
+	if !ok {
 		q.dropping = false
 		return false
 	}
@@ -245,19 +234,18 @@ func (q *CoDelQueue) Pop(dst *packet.Packet) bool {
 			q.dropping = false
 		} else {
 			for now >= q.dropNext && q.dropping {
-				if q.markCE(&e.p) {
+				if q.markCE(dst) {
 					// ECN: the mark stands in for the drop; the control
 					// law advances as if one had happened and the marked
 					// packet is delivered.
 					q.count++
 					q.dropNext = q.controlLaw(q.dropNext)
-					*dst = e.p
 					return true
 				}
-				q.dropPacket(&e.p, now)
+				q.dropPacket(dst, now)
 				q.count++
-				e, okToDrop = q.doDequeue(now)
-				if e == nil {
+				ok, okToDrop = q.doDequeue(now, dst)
+				if !ok {
 					q.dropping = false
 					return false
 				}
@@ -269,9 +257,9 @@ func (q *CoDelQueue) Pop(dst *packet.Packet) bool {
 			}
 		}
 	} else if okToDrop {
-		marked := q.markCE(&e.p)
+		marked := q.markCE(dst)
 		if !marked {
-			q.dropPacket(&e.p, now)
+			q.dropPacket(dst, now)
 		}
 		q.dropping = true
 		// Resume drop spacing near the previous rate if we were
@@ -285,13 +273,12 @@ func (q *CoDelQueue) Pop(dst *packet.Packet) bool {
 		q.lastCount = q.count
 		q.dropNext = q.controlLaw(now)
 		if !marked {
-			if e, _ = q.doDequeue(now); e == nil {
+			if ok, _ = q.doDequeue(now, dst); !ok {
 				q.dropping = false
 				return false
 			}
 		}
 	}
-	*dst = e.p
 	return true
 }
 

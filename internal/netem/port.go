@@ -11,9 +11,9 @@ import (
 type Sink func(p packet.Packet)
 
 // RefSink consumes a packet by reference. p points at the slot the
-// packet waits in — a sender's packet slot, a queue ring, a port's tx
-// slot, a lane ring — and is valid only until the call returns; a sink
-// that keeps the packet copies it, and none writes through p. Every hop
+// packet waits in — a sender's packet slot, a port's tx slot, a lane
+// ring — and is valid only until the call returns; a sink that keeps
+// the packet copies it, and none writes through p. Every hop
 // from the sender to the receiver, and from the ACK lane to the sender,
 // is a RefSink, so a packet is copied only into the next place it waits.
 type RefSink func(p *packet.Packet)
@@ -28,9 +28,12 @@ type DropFunc func(now sim.Time, p packet.Packet)
 
 // Queue is the buffering discipline a Port drains: drop-tail
 // (DropTailQueue, the paper's configuration) or an AQM (CoDelQueue).
-// Push copies *p into the queue and reports acceptance; Pop may apply
-// dequeue-side policy (CoDel head drops) before moving the next
-// deliverable packet into *dst, and reports false when there is none.
+// Push copies the data segment *p into the queue and reports
+// acceptance; Pop may apply dequeue-side policy (CoDel head drops)
+// before moving the next deliverable packet into *dst, and reports
+// false when there is none, *dst then holding no packet to deliver.
+// A queue holds data only: the built-in ones panic on a Push of a
+// packet with an ACK field set.
 type Queue interface {
 	Push(p *packet.Packet) bool
 	Pop(dst *packet.Packet) bool
@@ -40,14 +43,11 @@ type Queue interface {
 }
 
 // OccupancyStats is the optional accounting interface both built-in
-// queues implement: high-water marks of occupancy and the realized
-// in-memory footprint. The run supervisor reports these per run, and
-// sweeps aggregate them into per-job peak-usage records that calibrate
-// the budget estimator against reality.
+// queues implement: high-water marks of occupancy, read by LinkStats
+// and Topology.QueuePeak.
 type OccupancyStats interface {
 	MaxBytes() units.ByteCount
 	MaxLen() int
-	MemBytes() int64
 }
 
 // ECNStats is the optional interface CE-marking queues implement: the

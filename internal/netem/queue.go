@@ -18,13 +18,14 @@ import (
 //
 // The backing store is a growable ring buffer: at CoreScale a full
 // buffer holds ~250k segments and the queue churns hundreds of millions
-// of times per run, so per-operation allocation is unacceptable.
+// of times per run, so per-operation allocation is unacceptable. A slot
+// holds a data segment's fields, not a whole packet (see segment).
 type DropTailQueue struct {
 	capacity units.ByteCount
 	bytes    units.ByteCount
 
-	ring []packet.Packet // length is always a power of two
-	mask int             // len(ring) - 1, for index masking
+	ring []segment // length is always a power of two
+	mask int       // len(ring) - 1, for index masking
 	head int
 	n    int
 
@@ -57,7 +58,7 @@ func NewDropTailQueue(capacity units.ByteCount) *DropTailQueue {
 	size := RingSlotsFor(capacity)
 	return &DropTailQueue{
 		capacity: capacity,
-		ring:     make([]packet.Packet, size),
+		ring:     make([]segment, size),
 		mask:     size - 1,
 	}
 }
@@ -115,20 +116,14 @@ func (q *DropTailQueue) MaxBytes() units.ByteCount { return q.maxBytes }
 // MaxLen returns the high-water mark of packet occupancy.
 func (q *DropTailQueue) MaxLen() int { return q.maxPackets }
 
-// MemBytes returns the queue's in-memory footprint: the ring's slot
-// count times the packet struct size. This is the number the budget
-// estimator predicts via RingSlotsFor; exposing the realized value lets
-// sweeps report actual peak usage next to the prediction.
-func (q *DropTailQueue) MemBytes() int64 {
-	return int64(len(q.ring)) * packet.StructBytes
-}
-
-// Push copies *p to the tail if its wire size fits within the remaining
-// capacity and reports whether it was accepted; a CE mark is set on the
-// queued copy. A false return is a tail drop; the caller is responsible
-// for logging it (the paper logs every drop at the bottleneck to compute
-// loss rates and burstiness).
+// Push copies the data segment *p to the tail if its wire size fits
+// within the remaining capacity and reports whether it was accepted; a
+// CE mark is set on the queued copy. A false return is a tail drop; the
+// caller is responsible for logging it (the paper logs every drop at the
+// bottleneck to compute loss rates and burstiness). Push panics on a
+// packet with an ACK field set (see segment).
 func (q *DropTailQueue) Push(p *packet.Packet) bool {
+	mustBeData(p)
 	wire := p.WireBytes()
 	if q.bytes+wire > q.capacity {
 		q.dropped++
@@ -138,7 +133,7 @@ func (q *DropTailQueue) Push(p *packet.Packet) bool {
 		q.grow()
 	}
 	slot := &q.ring[(q.head+q.n)&q.mask]
-	*slot = *p
+	slot.pack(p)
 	if q.markAt > 0 && slot.ECT && !slot.CE && q.bytes+wire >= q.markAt {
 		slot.CE = true
 		q.ceMarkWire += wire
@@ -159,13 +154,13 @@ func (q *DropTailQueue) Push(p *packet.Packet) bool {
 	return true
 }
 
-// Pop moves the oldest packet into *dst. It returns false, leaving *dst
-// alone, when the queue is empty.
+// Pop moves the oldest packet into *dst, writing every field. It returns
+// false, leaving *dst alone, when the queue is empty.
 func (q *DropTailQueue) Pop(dst *packet.Packet) bool {
 	if q.n == 0 {
 		return false
 	}
-	*dst = q.ring[q.head]
+	q.ring[q.head].unpack(dst)
 	q.head = (q.head + 1) & q.mask
 	q.n--
 	wire := dst.WireBytes()
@@ -177,7 +172,7 @@ func (q *DropTailQueue) Pop(dst *packet.Packet) bool {
 }
 
 func (q *DropTailQueue) grow() {
-	bigger := make([]packet.Packet, 2*len(q.ring))
+	bigger := make([]segment, 2*len(q.ring))
 	for i := 0; i < q.n; i++ {
 		bigger[i] = q.ring[(q.head+i)&q.mask]
 	}

@@ -3,15 +3,16 @@
 // sender→receiver and (selective) acknowledgments flowing back.
 //
 // Packets are plain values. At CoreScale a run moves hundreds of millions
-// of segments, so the representation is a small fixed-size struct that
-// lives in queues by value — no per-packet heap allocation, no pointer
+// of segments, so the representation is a small fixed-size struct held
+// by value wherever it waits — no per-packet heap allocation, no pointer
 // chasing on the hot path. A data segment is built in a slot its sender
 // owns. From there to the receiver, and for an ACK from the ACK lane to
 // the sender, a packet is copied only into the places where it waits (a
-// queue ring, a port's tx slot, a propagation lane) and passed between
-// them by reference. The by-value signatures that remain (tcp.Config's
-// Output, Sender.OnAck, Receiver.OnData, the netem Sink edges) are
-// adapters for the benchmark module.
+// queue ring, which keeps just a data segment's fields, a port's tx
+// slot, a propagation lane) and passed between them by reference. The
+// by-value signatures that remain (tcp.Config's Output, Sender.OnAck,
+// Receiver.OnData, the netem Sink edges) are adapters for the benchmark
+// module.
 package packet
 
 import (

@@ -55,12 +55,13 @@ func TestStringForms(t *testing.T) {
 }
 
 func TestPacketValueSizeStaysSmall(t *testing.T) {
-	// Queues hold packets by value; a size regression multiplies across
-	// hundreds of thousands of queued segments at CoreScale. The limit is
-	// the size itself: the benchmark ladder's packet.struct_bytes rung
-	// reads it, and the budget estimator prices every bottleneck queue
-	// slot at it, so a field that grows the struct must fail here and not
-	// as a peak_rss_mb regression on core-reno-2000.
+	// Every place a packet waits outside a queue holds it by value: the
+	// sender's slot, a port's two tx slots, the propagation lanes' rings
+	// and the jitter stage's pooled deliveries (a queue ring holds a
+	// data segment's fields only, netem's segment). The limit is the size
+	// itself: the benchmark ladder's packet.struct_bytes rung reads it,
+	// so a field that grows the struct must fail here and not as a
+	// regression on core-reno-2000.
 	//
 	// 136 is the fields' 129 bytes rounded to the 8-byte alignment, which
 	// holds only while they are declared widest first (see Packet): the
@@ -92,9 +93,9 @@ func TestPacketIsPointerFree(t *testing.T) {
 		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map, reflect.String,
 			reflect.Interface, reflect.Chan, reflect.Func:
 			t.Errorf("%s is a %s: a stale slot would keep what it references alive, so every slot "+
-				"that holds a packet by value must start clearing what it vacates: netem's DropTailQueue "+
-				"and CoDelQueue rings, Port's two tx slots and its Send stage, the jitter stage's pooled "+
-				"deliveries, and sim.Lane's ring",
+				"that holds a packet by value must start clearing what it vacates: tcp.Sender's packet "+
+				"slot, Port's two tx slots and its Send stage, the jitter stage's pooled deliveries, "+
+				"and sim.Lane's ring (queue rings hold netem's segment, which carries no such field)",
 				path, typ.Kind())
 		}
 	}

@@ -20,10 +20,13 @@
 # <seed> and <seconds> apply to benchmark workloads only.
 #
 # Each pair prints both runs' metric, the ratio parent/change (above 1:
-# the change is faster) and whether the pair is the same. The summary
-# gives each side's median [quartiles], the win count and the median
-# ratio. The same numbers — every pair (a benchmark run with its
-# setup_s and work_norm_per_s too), both sides' quartiles, the host
+# the change is faster), the second column (peak_rss_mb; events for a
+# document) and whether the pair is the same. The summary gives each
+# side's median [quartiles], the win count and the median ratio, then
+# each side's median [quartiles] of the second column and the number of
+# pairs where the change's is lower. The same numbers — every pair (a
+# benchmark run with its setup_s and work_norm_per_s too), both sides'
+# quartiles of both columns, the host
 # (nproc, CPU model), `go version` and both revisions — are appended as
 # one element of "pairSets" to the record (default
 # .bench_build/benchpairs.json; a new file is created, an existing one
@@ -148,8 +151,8 @@ else
 	metric=op_norm_p50_ms extra=peak_rss_mb ident=fingerprint
 fi
 printf '%-5s %12s %12s %7s %14s %14s %s\n' pair "parent_ms" "change_ms" ratio "parent_$extra" "change_$extra" "$ident"
-parents=() changes=() ratios=() rows=()
-wins=0
+parents=() changes=() ratios=() rows=() pextras=() cextras=()
+wins=0 lower=0
 for ((i = 1; i <= pairs; i++)); do
 	if ((i % 2)); then
 		p=$(run "$parent")
@@ -164,8 +167,12 @@ for ((i = 1; i <= pairs; i++)); do
 	read -r cms cextra cid cjson <<<"$c"
 	ratio=$(awk -v p="$pms" -v c="$cms" 'BEGIN { printf "%.3f", p / c }')
 	parents+=("$pms") changes+=("$cms") ratios+=("$ratio")
+	pextras+=("$pextra") cextras+=("$cextra")
 	if awk -v r="$ratio" 'BEGIN { exit !(r > 1) }'; then
 		wins=$((wins + 1))
+	fi
+	if awk -v p="$pextra" -v c="$cextra" 'BEGIN { exit !(c < p) }'; then
+		lower=$((lower + 1))
 	fi
 	same=true label=same
 	[[ $pid == "$cid" ]] || same=false label="DIFFERENT ($pid vs $cid)"
@@ -175,8 +182,12 @@ done
 read -r pm pq1 pq3 < <(printf '%s\n' "${parents[@]}" | quartiles)
 read -r cm cq1 cq3 < <(printf '%s\n' "${changes[@]}" | quartiles)
 read -r rm rq1 rq3 < <(printf '%s\n' "${ratios[@]}" | quartiles)
+read -r pxm pxq1 pxq3 < <(printf '%s\n' "${pextras[@]}" | quartiles)
+read -r cxm cxq1 cxq3 < <(printf '%s\n' "${cextras[@]}" | quartiles)
 echo "$workload $metric, median [quartiles]: parent $pm [$pq1, $pq3], change $cm [$cq1, $cq3]"
 echo "change faster in $wins/$pairs pairs; ratio parent/change $rm [$rq1, $rq3]"
+echo "$workload $extra, median [quartiles]: parent $pxm [$pxq1, $pxq3], change $cxm [$cxq1, $cxq3]"
+echo "change lower in $lower/$pairs pairs"
 
 # The pair set as one JSON object, appended to the record.
 cpu=$(awk -F': ' '/^model name/ { print $2; exit }' /proc/cpuinfo 2>/dev/null || true)
@@ -201,7 +212,9 @@ set_json=$(
 	printf '      "parent": {"median": %s, "q1": %s, "q3": %s},\n' "$pm" "$pq1" "$pq3"
 	printf '      "change": {"median": %s, "q1": %s, "q3": %s},\n' "$cm" "$cq1" "$cq3"
 	printf '      "ratio": {"median": %s, "q1": %s, "q3": %s},\n' "$rm" "$rq1" "$rq3"
-	printf '      "changeWins": %s\n' "$wins"
+	printf '      "changeWins": %s,\n' "$wins"
+	printf '      "%s": {"parent": {"median": %s, "q1": %s, "q3": %s}, "change": {"median": %s, "q1": %s, "q3": %s}, "changeLower": %s}\n' \
+		"$extra" "$pxm" "$pxq1" "$pxq3" "$cxm" "$cxq1" "$cxq3" "$lower"
 	printf '    }'
 )
 mkdir -p "$(dirname "$record")"
