@@ -121,6 +121,22 @@ func fleetTestConfig(dir string, env ...string) serverConfig {
 	return cfg
 }
 
+// tinySpecs builds a batch of 16 tiny jobs (a quarter second of
+// simulated time, one flow) whose seeds encode round, so no job of one
+// round dedupes against another's: every submission costs a real run.
+func tinySpecs(round int) []schema.JobSpec {
+	const n = 16
+	specs := make([]schema.JobSpec, n)
+	for i := range specs {
+		specs[i] = schema.JobSpec{
+			Name: fmt.Sprintf("tiny-%d-%d", round, i), Seed: uint64(round*n + i + 1),
+			RateMbps: 5, BufferBytes: 16384, DurationS: 0.25,
+			Flows: []schema.FlowGroup{{CCA: "reno", RTTMs: 20, Count: 1}},
+		}
+	}
+	return specs
+}
+
 func getHealth(t *testing.T, s *server) schema.HealthResponse {
 	t.Helper()
 	var h schema.HealthResponse
@@ -173,7 +189,7 @@ func assertPending(t *testing.T, dir string, spec schema.JobSpec) {
 // /healthz, serves resubmissions from the store without spawning, and
 // leaves no process after Drain.
 func TestFleetRunsBatchMatchesInprocess(t *testing.T) {
-	specs := append(benchSpecs(0), benchSpecs(1)...)
+	specs := append(tinySpecs(0), tinySpecs(1)...)
 	refCfg := chaosServerConfig(t.TempDir(), store.OSFS())
 	refCfg.slots = len(specs)
 	refSrv, err := newServer(refCfg)
@@ -305,7 +321,7 @@ func runBatchDone(t *testing.T, s *server, specs ...schema.JobSpec) schema.Batch
 // fresh processes — while the jobs the same process served before it,
 // and a new one served after it, complete in one attempt each.
 func TestFleetWarmCrashStrikesOnlyThatJob(t *testing.T) {
-	specs := benchSpecs(0)[:5]
+	specs := tinySpecs(0)[:5]
 	crash := specs[2].Name
 	cfg := fleetTestConfig(t.TempDir(), keyEnv(t, "CCSERVE_TEST_CRASH_KEY", specs[2]))
 	cfg.workers = 1 // one runner: the jobs reach its worker in submission order

@@ -8,8 +8,8 @@ import (
 )
 
 // Calibration constants of the footprint model. They are fitted against
-// the PR 3 performance baseline (BENCH_pr3.json: BenchmarkEngineThroughput
-// processed 384,935 events in 72.3 ms → ≈5.3M events/s) and a cmd/fprint
+// the PR 3 record (BENCH_pr3.json: a 20-flow NewReno run processed
+// 384,935 events in 72.3 ms → ≈5.3M events/s) and a cmd/fprint
 // reference run (4 NewReno flows at 50 Mbps for 10 virtual seconds:
 // 141,024 events over ≈41k full-size data packets → ≈3.4 events per data
 // packet, covering the packet's bottleneck enqueue/serialize/deliver hops
@@ -25,8 +25,8 @@ const (
 	// delayed-ACK and pacing timers) not proportional to packet count.
 	EventsPerFlowSecond = 64.0
 	// WallEventsPerSecond converts processed events into wall-clock time
-	// (BENCH_pr3: ≈5.3M events/s on the reference machine; 4M leaves
-	// margin for slower hosts and cache-unfriendly giant runs).
+	// (the PR 3 record: ≈5.3M events/s; 4M leaves margin for slower
+	// hosts). The benchmark's budget.est_wall_ratio rung checks it today.
 	WallEventsPerSecond = 4.0e6
 	// DropRetentionGuess predicts the fraction of data packets whose
 	// drop timestamps a run with unbounded MaxDropTimestamps retains.

@@ -212,3 +212,80 @@ func TestUnknownAQMRejected(t *testing.T) {
 		t.Fatal("unknown AQM accepted")
 	}
 }
+
+// TestAblationDirections runs DESIGN.md's ablations of the paper's
+// setup choices and asserts the direction that theory or the cited
+// literature gives each one. Every case is an ordered list of configs
+// that differ in the ablated knob only (seed 1), and its metric must
+// move strictly one way along that list.
+func TestAblationDirections(t *testing.T) {
+	if testing.Short() {
+		t.Skip("seven simulations of 20–40 virtual seconds")
+	}
+	// The edge tier with shortened windows.
+	edge := func() Setting {
+		s := EdgeScale()
+		s.Warmup, s.Duration, s.Stagger = 10*sim.Second, 30*sim.Second, 3*sim.Second
+		return s
+	}
+	seed := WithSeed(Seed(1))
+	delack := func(delay sim.Time) RunConfig {
+		cfg := edge().Build(UniformFlows(30, "reno", DefaultRTT), seed)
+		cfg.DelAckDelay = delay
+		return cfg
+	}
+	// The scaled core tier (200 Mbps) over a fraction of BDP(200 ms).
+	buffer := func(num, den units.ByteCount) RunConfig {
+		s := CoreScaleScaled(50)
+		s.Warmup, s.Duration, s.Stagger = 10*sim.Second, 30*sim.Second, 3*sim.Second
+		s.Buffer = units.BDP(s.Rate, 200*sim.Millisecond) * num / den
+		return s.Build(MixedFlows(20, "bbr", "reno", DefaultRTT), seed)
+	}
+	// Starts 10 s apart on the edge tier, so each slow start's overshoot
+	// shows. The edge tier on purpose: at scale, GRO's stretch ACKs
+	// starve HyStart of the RTT samples it needs per round.
+	hystart := func(cca string) RunConfig {
+		s := edge()
+		s.Warmup, s.Duration, s.Stagger = 5*sim.Second, 15*sim.Second, 10*sim.Second
+		return s.Build(UniformFlows(10, cca, DefaultRTT), seed)
+	}
+	for _, c := range []struct {
+		name   string
+		runs   []RunConfig
+		metric func(RunResult) float64
+		want   string // "rising" or "falling" along runs
+	}{
+		// Mathis's C = √(3/(2b)): without delayed ACKs b falls from 2
+		// to 1, so the fitted C(halving) rises.
+		{"DelayedACKOffRaisesCHalving", []RunConfig{delack(0), delack(-1)},
+			func(r RunResult) float64 { return MathisAnalyze("edge", 30, r).CHalve }, "rising"},
+		// Hock et al.: BBR takes most of a shallow buffer and loses share
+		// to loss-based flows as the buffer deepens.
+		{"BBRShareFallsWithBuffer", []RunConfig{buffer(1, 4), buffer(1, 2), buffer(1, 1)},
+			func(r RunResult) float64 { return r.ShareByCCA()["bbr"] }, "falling"},
+		// HyStart leaves slow start before it overshoots the pipe.
+		{"NoHyStartDropsMore", []RunConfig{hystart("cubic"), hystart("cubic-nohystart")},
+			func(r RunResult) float64 { return float64(r.TotalDrops) }, "rising"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			vals := make([]float64, len(c.runs))
+			for i, cfg := range c.runs {
+				res, err := Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				vals[i] = c.metric(res)
+			}
+			for i := 1; i < len(vals); i++ {
+				step := vals[i] - vals[i-1]
+				if c.want == "falling" {
+					step = -step
+				}
+				if step <= 0 {
+					t.Fatalf("metric along the ablation = %v; want it strictly %s", vals, c.want)
+				}
+			}
+			t.Logf("metric along the ablation: %v", vals)
+		})
+	}
+}

@@ -247,19 +247,14 @@ func (s *Store) quarantine(path string) error {
 	return s.fs.SyncDir(filepath.Dir(path))
 }
 
-// WriteFileAtomic writes data to path with full crash consistency on
-// the real filesystem: unique temp file in the same directory, write,
-// fsync(file), rename over path, fsync(dir). After it returns, the file
-// is durable; if the process dies at any earlier point, path holds its
-// previous content (or remains absent) — never a prefix.
-func WriteFileAtomic(path string, data []byte) error {
-	return WriteFileAtomicFS(OSFS(), path, data)
-}
-
 // tmpSeq tells apart the temp files of one process's concurrent writers.
 var tmpSeq atomic.Uint64
 
-// WriteFileAtomicFS is WriteFileAtomic on an explicit FS.
+// WriteFileAtomicFS writes data to path on fs with full crash
+// consistency: unique temp file in the same directory, write,
+// fsync(file), rename over path, fsync(dir). After it returns, the file
+// is durable; if the process dies at any earlier point, path holds its
+// previous content (or remains absent) — never a prefix.
 func WriteFileAtomicFS(fs FS, path string, data []byte) error {
 	dir := filepath.Dir(path)
 	// Unique temp name: O_EXCL retries are not needed because

@@ -135,10 +135,10 @@ func TestStoreRejectsHostileKeys(t *testing.T) {
 func TestWriteFileAtomicReplacesWholly(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "target.json")
-	if err := WriteFileAtomic(path, []byte("v1")); err != nil {
+	if err := WriteFileAtomicFS(OSFS(), path, []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFileAtomic(path, []byte("v2 is longer")); err != nil {
+	if err := WriteFileAtomicFS(OSFS(), path, []byte("v2 is longer")); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -156,7 +156,7 @@ func TestWriteFileAtomicReplacesWholly(t *testing.T) {
 		}
 	}
 	// Missing parent fails loudly instead of silently dropping data.
-	if err := WriteFileAtomic(filepath.Join(dir, "no/such/dir/x"), []byte("x")); err == nil {
+	if err := WriteFileAtomicFS(OSFS(), filepath.Join(dir, "no/such/dir/x"), []byte("x")); err == nil {
 		t.Fatal("write into missing directory succeeded")
 	}
 }
