@@ -80,7 +80,11 @@ func main() {
 		fmt.Printf("inter-event: mean %.6fs  median %.6fs  p95 %.6fs  stddev %.6fs\n",
 			metrics.Mean(gaps), metrics.Median(gaps), metrics.Quantile(gaps, 0.95), metrics.StdDev(gaps))
 	}
-	fmt.Printf("burstiness (Goh–Barabási): %.3f\n", metrics.Burstiness(times))
+	fmt.Printf("burstiness (Goh–Barabási): %.3f\n", metrics.BurstinessOfGaps(func(yield func(float64)) {
+		for _, g := range gaps {
+			yield(g)
+		}
+	}))
 }
 
 func parse(r io.Reader) ([]float64, error) {

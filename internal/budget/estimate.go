@@ -30,8 +30,12 @@ const (
 	WallEventsPerSecond = 4.0e6
 	// DropRetentionGuess predicts the fraction of data packets whose
 	// drop timestamps a run with unbounded MaxDropTimestamps retains.
-	// The paper's regimes run drop-tail buffers near 100% utilization;
-	// 2% is above every loss rate the reproduction measures.
+	// It is low for loss-heavy regimes: the shallow-buffer 200 BBR +
+	// 200 Cubic mix retains ≈132 k timestamps on ≈616 k bottleneck data
+	// packets (≈21 %), and the 10 Gbps 500 BBR + 500 NewReno scenario
+	// (examples/scenarios/paperscale_bbr_reno.json) 2.63 M. Re-pricing
+	// it is ROADMAP item 1(c): CI's budget smoke sets its 64M limit
+	// against today's drop-timestamp prices.
 	DropRetentionGuess = 0.02
 	// EventStructBytes is the in-memory cost of one engine event
 	// (struct + heap slot + free-list slot).

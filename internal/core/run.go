@@ -1003,7 +1003,7 @@ func (r *run) finish(stopAt sim.Time) (RunResult, error) {
 			})
 		}
 	}
-	res.DropBurstiness = metrics.Burstiness(r.qlog.TimesSeconds())
+	res.DropBurstiness = metrics.BurstinessOfGaps(r.qlog.EachGap)
 	if r.arrivals != nil {
 		r.arrivals.Drops = r.qlog.Total()
 		res.Arrivals = r.arrivals

@@ -4,6 +4,10 @@
 // 6–8), the Goh–Barabási burstiness score applied to bottleneck drop
 // times (§4, Finding 3's corroboration), and the summary statistics
 // (medians, quantiles) the figures report.
+//
+// A product that feeds a sum is written float64(x*y): the explicit
+// conversion forbids a fused multiply-add, so every GOARCH rounds as
+// amd64 does (root TestNoFusedMultiplyAdd checks the assembly).
 package metrics
 
 import (
@@ -23,7 +27,7 @@ func JFI(xs []float64) float64 {
 	var sum, sumSq float64
 	for _, x := range xs {
 		sum += x
-		sumSq += x * x
+		sumSq += float64(x * x)
 	}
 	if sumSq == 0 {
 		return 1
@@ -33,23 +37,44 @@ func JFI(xs []float64) float64 {
 
 // Burstiness computes the Goh–Barabási burstiness score
 // B = (σ − μ)/(σ + μ) over the inter-event times of the given event
-// timestamps (which need not be sorted; they are sorted internally).
+// timestamps (which need not be sorted; a sorted copy is taken).
 // B ranges from −1 (perfectly periodic) through 0 (Poisson) to 1
 // (maximally bursty). The paper measures B ≈ 0.2 for bottleneck drops
 // at EdgeScale and ≈ 0.35 at CoreScale. Fewer than three events return
 // 0 (no inter-arrival distribution to speak of).
 func Burstiness(times []float64) float64 {
-	if len(times) < 3 {
-		return 0
-	}
 	ts := append([]float64(nil), times...)
 	sort.Float64s(ts)
-	gaps := make([]float64, 0, len(ts)-1)
-	for i := 1; i < len(ts); i++ {
-		gaps = append(gaps, ts[i]-ts[i-1])
+	return BurstinessOfGaps(func(yield func(gap float64)) {
+		for i := 1; i < len(ts); i++ {
+			yield(ts[i] - ts[i-1])
+		}
+	})
+}
+
+// BurstinessOfGaps is Burstiness over the inter-event gaps that walk
+// yields, for a caller that holds its events in order and need not copy
+// them. walk is called twice and must yield the same gaps both times:
+// the first pass sums them as Mean does, the second sums the squared
+// deviations as StdDev does, so the score is bit-identical to
+// Burstiness over the events. Fewer than two gaps return 0.
+func BurstinessOfGaps(walk func(yield func(gap float64))) float64 {
+	var n int
+	var sum float64
+	walk(func(g float64) {
+		n++
+		sum += g
+	})
+	if n < 2 {
+		return 0
 	}
-	mu := Mean(gaps)
-	sigma := StdDev(gaps)
+	mu := sum / float64(n)
+	var ss float64
+	walk(func(g float64) {
+		d := g - mu
+		ss += float64(d * d)
+	})
+	sigma := math.Sqrt(ss / float64(n))
 	if sigma+mu == 0 {
 		return 0
 	}
@@ -78,7 +103,7 @@ func StdDev(xs []float64) float64 {
 	var ss float64
 	for _, x := range xs {
 		d := x - mu
-		ss += d * d
+		ss += float64(d * d)
 	}
 	return math.Sqrt(ss / float64(len(xs)))
 }
@@ -103,14 +128,14 @@ func Quantile(xs []float64, q float64) float64 {
 	}
 	s := append([]float64(nil), xs...)
 	sort.Float64s(s)
-	pos := q * float64(len(s)-1)
+	pos := float64(q * float64(len(s)-1))
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
 		return s[lo]
 	}
 	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
+	return float64(s[lo]*(1-frac)) + float64(s[hi]*frac)
 }
 
 // Share returns the fraction of total taken by part, 0 when total is 0.

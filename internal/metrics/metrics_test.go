@@ -2,6 +2,8 @@ package metrics
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -125,6 +127,46 @@ func TestBurstinessUnsortedInput(t *testing.T) {
 func TestBurstinessTooFewEvents(t *testing.T) {
 	if Burstiness([]float64{1, 2}) != 0 || Burstiness(nil) != 0 {
 		t.Fatal("short input should give 0")
+	}
+}
+
+// burstinessFromGaps is the score as Burstiness computed it before the
+// gap walk: a slice of the sorted times' gaps, then Mean and StdDev.
+func burstinessFromGaps(times []float64) float64 {
+	if len(times) < 3 {
+		return 0
+	}
+	ts := append([]float64(nil), times...)
+	sort.Float64s(ts)
+	gaps := make([]float64, 0, len(ts)-1)
+	for i := 1; i < len(ts); i++ {
+		gaps = append(gaps, ts[i]-ts[i-1])
+	}
+	mu, sigma := Mean(gaps), StdDev(gaps)
+	if sigma+mu == 0 {
+		return 0
+	}
+	return (sigma - mu) / (sigma + mu)
+}
+
+// TestBurstinessMatchesMeanAndStdDev pins BurstinessOfGaps's two
+// passes to the Mean/StdDev arithmetic bit for bit, over random event
+// times with ties, unsorted, and at the short lengths that return 0.
+func TestBurstinessMatchesMeanAndStdDev(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for _, n := range []int{0, 1, 2, 3, 4, 17, 1000, 5000} {
+		for trial := 0; trial < 20; trial++ {
+			times := make([]float64, n)
+			for i := range times {
+				times[i] = float64(rng.Intn(n+1)) * rng.ExpFloat64() // ties when the draws repeat
+			}
+			if got, want := Burstiness(times), burstinessFromGaps(times); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("n=%d trial %d: Burstiness %v, Mean/StdDev over the gaps %v", n, trial, got, want)
+			}
+		}
+	}
+	if got := Burstiness([]float64{5, 5, 5, 5}); got != 0 {
+		t.Fatalf("all ties: %v, want 0", got)
 	}
 }
 
