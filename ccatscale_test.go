@@ -34,7 +34,7 @@ func TestPublicRunAndShares(t *testing.T) {
 	// (with HyStart both leave slow start early), so give the run
 	// enough rounds for the cubic-vs-AIMD growth gap to show.
 	s.Duration = 60 * sim.Second
-	cfg := s.Build(core.MixedFlows(10, "cubic", "reno", 20*sim.Millisecond), core.WithSeed(1))
+	cfg := s.Build(core.MixedFlows(10, "cubic", "reno", 20*sim.Millisecond), 1)
 	res, err := core.RunCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +142,7 @@ func TestPublicSweeps(t *testing.T) {
 	if len(inter) != 1 {
 		t.Fatalf("inter-CCA rows: %+v", inter)
 	}
-	run("single", []core.RunConfig{s.Build(core.UniformFlows(2, "reno", 20*sim.Millisecond), core.WithSeed(1))})
+	run("single", []core.RunConfig{s.Build(core.UniformFlows(2, "reno", 20*sim.Millisecond), 1)})
 }
 
 func TestPublicChurn(t *testing.T) {

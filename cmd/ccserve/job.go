@@ -49,7 +49,7 @@ func buildJob(spec schema.JobSpec) (*job, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := setting.Build(flows, core.WithSeed(core.Seed(spec.Seed)))
+	cfg := setting.Build(flows, spec.Seed)
 	key, err := core.RunKey(cfg)
 	if err != nil {
 		return nil, err

@@ -159,7 +159,7 @@ func firstLine(data []byte) []byte {
 // Encode, ParseScenario, NewScenarioBuilder, RunConfig — returning the
 // config that path would run. Any drift between this and the direct
 // construction shows up as a fingerprint diff.
-func scenarioEquivalent(cfg core.RunConfig, cca string, seed uint64, coll telemetry.Collector) (core.RunConfig, error) {
+func scenarioEquivalent(cfg core.RunConfig, cca string, seed uint64) (core.RunConfig, error) {
 	doc := schema.Scenario{
 		JobSpec: schema.JobSpec{
 			Name:        "fprint",
@@ -185,7 +185,7 @@ func scenarioEquivalent(cfg core.RunConfig, cca string, seed uint64, coll teleme
 	if err != nil {
 		return core.RunConfig{}, err
 	}
-	return b.RunConfig(core.WithRunCollector(coll)), nil
+	return b.RunConfig(), nil
 }
 
 func totalEvents(snap telemetry.Snapshot) int64 {
@@ -222,11 +222,12 @@ func fingerprint(w io.Writer, coll telemetry.Collector, viaScenario bool) {
 			}
 			if viaScenario {
 				var err error
-				cfg, err = scenarioEquivalent(cfg, cca, seed, coll)
+				cfg, err = scenarioEquivalent(cfg, cca, seed)
 				if err != nil {
 					fmt.Fprintf(w, "%s/%d: ERR %v\n", cca, seed, err)
 					continue
 				}
+				cfg.Collector = coll
 			}
 			res, err := core.Run(cfg)
 			if err != nil {

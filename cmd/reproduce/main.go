@@ -245,7 +245,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	}
 
 	// The governance flags every job's Setting is overlaid with.
-	govern := core.Setting{WallLimit: *wallLimit, Audit: *auditPol}
+	govern := core.RunConfig{WallLimit: *wallLimit, Audit: *auditPol}
 	if *memBudget != "" || *eventBudget > 0 {
 		heapBytes := int64(0)
 		if *memBudget != "" {
@@ -281,7 +281,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 // buildJobs fills sw.jobs: the paper's tables over the two regimes, or
 // the one -scenario document. A scenario also sets the sweep's seed —
 // keys, the manifest, and table footers all record what actually ran.
-func (sw *sweep) buildJobs(govern core.Setting, scenarioPath string) error {
+func (sw *sweep) buildJobs(govern core.RunConfig, scenarioPath string) error {
 	// Governance flags overlay a scenario document like any other job;
 	// the document's own audit policy stands unless -audit is given.
 	overlay := func(s *core.Setting) {

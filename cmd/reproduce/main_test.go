@@ -31,12 +31,14 @@ var update = flag.Bool("update", false, "rewrite testdata/jobkeys.golden with th
 func testSetting() core.Setting {
 	return core.Setting{
 		Name:       "ReproduceTest",
-		Rate:       20 * units.MbitPerSec,
-		Buffer:     256 * units.KB,
 		FlowCounts: []int{2},
-		Warmup:     sim.Second,
-		Duration:   3 * sim.Second,
-		Stagger:    100 * sim.Millisecond,
+		RunConfig: core.RunConfig{
+			Rate:     20 * units.MbitPerSec,
+			Buffer:   256 * units.KB,
+			Warmup:   sim.Second,
+			Duration: 3 * sim.Second,
+			Stagger:  100 * sim.Millisecond,
+		},
 	}
 }
 
@@ -197,7 +199,7 @@ func TestJobNamesAndKeysGolden(t *testing.T) {
 		{"-quick -scale 50 -seed 7", 50, true},
 	} {
 		sw := &sweep{scale: tier.scale, seed: 7, quick: tier.quick}
-		if err := sw.buildJobs(core.Setting{}, ""); err != nil {
+		if err := sw.buildJobs(core.RunConfig{}, ""); err != nil {
 			t.Fatal(err)
 		}
 		fmt.Fprintf(&got, "== reproduce %s ==\n", tier.label)
@@ -246,7 +248,7 @@ func TestJobsRunTheirDeclaredLength(t *testing.T) {
 		base  sim.Time
 	}{{25, false, 60 * sim.Second}, {50, true, 20 * sim.Second}} {
 		sw := &sweep{scale: tier.scale, seed: 7, quick: tier.quick}
-		if err := sw.buildJobs(core.Setting{}, ""); err != nil {
+		if err := sw.buildJobs(core.RunConfig{}, ""); err != nil {
 			t.Fatal(err)
 		}
 		for name, want := range map[string]struct {
@@ -285,7 +287,7 @@ func TestJobsRunTheirDeclaredLength(t *testing.T) {
 // placeholder or a file no command regenerates fails here.
 func TestResultsAreTheJobs(t *testing.T) {
 	sw := &sweep{scale: 25, seed: 7}
-	if err := sw.buildJobs(core.Setting{}, ""); err != nil {
+	if err := sw.buildJobs(core.RunConfig{}, ""); err != nil {
 		t.Fatal(err)
 	}
 	var jobs []string
@@ -642,7 +644,7 @@ func TestChurnJobIsGoverned(t *testing.T) {
 // written by hand, as after a fix — replays to exit 0 and the run's
 // per-flow table.
 func TestReplayOfARepairedRun(t *testing.T) {
-	cfg := testSetting().Build(core.UniformFlows(2, "reno", core.DefaultRTT), core.WithSeed(7))
+	cfg := testSetting().Build(core.UniformFlows(2, "reno", core.DefaultRTT), 7)
 	record := filepath.Join(t.TempDir(), "run1-hand.failed.json")
 	f, err := os.Create(record)
 	if err != nil {
@@ -703,7 +705,7 @@ func TestModeFlagsDoNotCombine(t *testing.T) {
 // so its one run has that config's key. Nothing runs.
 func TestPaperScaleScenarioIsTheYardstick(t *testing.T) {
 	sw := &sweep{}
-	if err := sw.buildJobs(core.Setting{}, "../../examples/scenarios/paperscale_bbr_reno.json"); err != nil {
+	if err := sw.buildJobs(core.RunConfig{}, "../../examples/scenarios/paperscale_bbr_reno.json"); err != nil {
 		t.Fatal(err)
 	}
 	j := sw.jobs[0]
@@ -711,7 +713,7 @@ func TestPaperScaleScenarioIsTheYardstick(t *testing.T) {
 	s := core.CoreScale()
 	s.Warmup, s.Duration, s.Stagger = 5*sim.Second, 10*sim.Second, 2*sim.Second
 	flows := append(core.UniformFlows(500, "bbr", 20*sim.Millisecond), core.UniformFlows(500, "reno", 20*sim.Millisecond)...)
-	want, err := core.RunKey(s.Build(flows, core.WithSeed(7)))
+	want, err := core.RunKey(s.Build(flows, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -720,6 +722,73 @@ func TestPaperScaleScenarioIsTheYardstick(t *testing.T) {
 	}
 	if got, err := core.RunKey(cfgs[0]); err != nil || got != want {
 		t.Fatalf("scenario run key %s (%v), want the CoreScale yardstick's %s", got, err, want)
+	}
+}
+
+// TestScenarioIsGoverned: the governance flags overlay a scenario
+// document's compiled setting without dropping what the document
+// declares. Under a wall limit and a budget, and no -audit, the one
+// config keeps the document's seed, series interval and audit policy,
+// carries the governance, and has the ungoverned run's key; a non-empty
+// -audit then replaces the document's policy. The committed document
+// sets no series interval, so a copy that does runs the same checks.
+// Nothing runs.
+func TestScenarioIsGoverned(t *testing.T) {
+	const doc = "../../examples/scenarios/parkinglot.json"
+	data, err := os.ReadFile(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withSeries := filepath.Join(t.TempDir(), "parkinglot_series.json")
+	if err := os.WriteFile(withSeries, bytes.Replace(data, []byte(`"audit": "strict"`),
+		[]byte(`"seriesIntervalS": 0.5, "audit": "strict"`), 1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	build := func(t *testing.T, govern core.RunConfig, path string) core.RunConfig {
+		t.Helper()
+		sw := &sweep{}
+		if err := sw.buildJobs(govern, path); err != nil {
+			t.Fatal(err)
+		}
+		j := sw.jobs[0]
+		cfgs := j.entry.Configs(j.setting, j.args)
+		if len(cfgs) != 1 || sw.seed != 42 {
+			t.Fatalf("%d configs at sweep seed %d, want one at the document's 42", len(cfgs), sw.seed)
+		}
+		return cfgs[0]
+	}
+	govern := core.RunConfig{WallLimit: time.Minute, Budget: &budget.Budget{HeapBytes: 1 << 30, Events: 1e9}}
+	for _, tc := range []struct {
+		path   string
+		series sim.Time
+		key    string // "" = not pinned
+	}{
+		{doc, 0, "run2-5ae1c608f1d625758d9a105e"},
+		{withSeries, 500 * sim.Millisecond, ""},
+	} {
+		t.Run(filepath.Base(tc.path), func(t *testing.T) {
+			cfg := build(t, govern, tc.path)
+			if cfg.Seed != 42 || cfg.SeriesInterval != tc.series || cfg.Audit != "strict" {
+				t.Fatalf("seed %d, series interval %v, audit %q; want 42, %v, the document's \"strict\"",
+					cfg.Seed, cfg.SeriesInterval, cfg.Audit, tc.series)
+			}
+			if cfg.WallLimit != govern.WallLimit || cfg.Budget != govern.Budget {
+				t.Fatalf("wall limit %v, budget %v; want the governance's %v, %v",
+					cfg.WallLimit, cfg.Budget, govern.WallLimit, govern.Budget)
+			}
+			want, err := core.RunKey(build(t, core.RunConfig{}, tc.path))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := core.RunKey(cfg); err != nil || got != want || (tc.key != "" && got != tc.key) {
+				t.Fatalf("governed key %s (%v), ungoverned %s, committed %q", got, err, want, tc.key)
+			}
+			audited := govern
+			audited.Audit = "warn"
+			if got := build(t, audited, tc.path).Audit; got != "warn" {
+				t.Fatalf("-audit warn left audit %q", got)
+			}
+		})
 	}
 }
 
@@ -735,7 +804,7 @@ func quickEdge() core.Setting {
 // mirroring the sweep's config construction (the drop-timestamp cap is
 // the only knob it sets beyond the setting).
 func mathisHeapEstimate(s core.Setting, flows int) int64 {
-	cfg := s.Build(core.UniformFlows(flows, "reno", core.DefaultRTT), core.WithSeed(core.Seed(11)))
+	cfg := s.Build(core.UniformFlows(flows, "reno", core.DefaultRTT), 11)
 	cfg.MaxDropTimestamps = core.DefaultDropTimestampCap
 	return core.EstimateConfig(cfg).HeapBytes
 }

@@ -23,7 +23,7 @@ func trackedWeight(p plan) int64 {
 func TestJobWeightPricesThePlan(t *testing.T) {
 	sw := newTestSweep(t, t.TempDir(), store.OSFS())
 	sw.scale = 25
-	if err := sw.buildJobs(core.Setting{}, ""); err != nil {
+	if err := sw.buildJobs(core.RunConfig{}, ""); err != nil {
 		t.Fatal(err)
 	}
 	weights := map[string]int64{}

@@ -32,9 +32,7 @@ func ExampleRun() {
 	setting := core.CoreScaleScaled(100) // 100 Mbps tier
 	setting.Warmup = 5 * sim.Second
 	setting.Duration = 20 * sim.Second
-	cfg := setting.Build(
-		core.UniformFlows(4, "reno", 20*sim.Millisecond),
-		core.WithSeed(1))
+	cfg := setting.Build(core.UniformFlows(4, "reno", 20*sim.Millisecond), 1)
 	res, err := core.Run(cfg)
 	if err != nil {
 		fmt.Println(err)
@@ -59,10 +57,8 @@ func ExampleRun_telemetry() {
 			losses++
 		}
 	})
-	cfg := setting.Build(
-		core.UniformFlows(4, "reno", 20*sim.Millisecond),
-		core.WithSeed(1),
-		core.WithRunCollector(counter))
+	cfg := setting.Build(core.UniformFlows(4, "reno", 20*sim.Millisecond), 1)
+	cfg.Collector = counter
 	res, err := core.Run(cfg)
 	if err != nil {
 		fmt.Println(err)

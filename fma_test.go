@@ -14,7 +14,13 @@ import (
 // amd64 never does, arm64, ppc64le and s390x do. An explicit
 // float64(x*y) forbids it.
 var fusionFreePackages = []string{
+	"ccatscale/internal/cca",
+	"ccatscale/internal/core",
+	"ccatscale/internal/mathis",
 	"ccatscale/internal/metrics",
+	"ccatscale/internal/netem",
+	"ccatscale/internal/sim",
+	"ccatscale/internal/tcp",
 	"ccatscale/internal/trace",
 }
 

@@ -131,8 +131,6 @@ func ByName(name string) (Factory, bool) {
 		}, true
 	case "bbr":
 		return func(mss units.ByteCount, rng *sim.RNG) CCA { return NewBBR(mss, rng) }, true
-	case "vegas":
-		return func(mss units.ByteCount, _ *sim.RNG) CCA { return NewVegas(mss) }, true
 	case "bbr2":
 		return func(mss units.ByteCount, rng *sim.RNG) CCA { return NewBBR2(mss, rng) }, true
 	}
@@ -141,5 +139,5 @@ func ByName(name string) (Factory, bool) {
 
 // Names lists the registered CCA names.
 func Names() []string {
-	return []string{"reno", "cubic", "cubic-nohystart", "bbr", "vegas", "bbr2"}
+	return []string{"reno", "cubic", "cubic-nohystart", "bbr", "bbr2"}
 }

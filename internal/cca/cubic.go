@@ -196,7 +196,7 @@ func (c *Cubic) congestionAvoidance(now sim.Time, ackedSeg float64) {
 	// Target: where the cubic curve says the window should be one RTT
 	// from now (RFC 8312 §4.1).
 	dt := t + rtt - c.k
-	target := c.originSeg + cubicC*dt*dt*dt
+	target := c.originSeg + float64(cubicC*dt*dt*dt)
 	switch {
 	case target < c.cwnd:
 		target = c.cwnd // cubic never shrinks the window on an ACK
@@ -209,7 +209,7 @@ func (c *Cubic) congestionAvoidance(now sim.Time, ackedSeg float64) {
 
 	// TCP-friendly region (RFC 8312 §4.2): estimate what AIMD with the
 	// same β would achieve; never be slower than that.
-	wEst := c.wMax*cubicBeta + cubicAlpha*(t/rtt)
+	wEst := float64(c.wMax*cubicBeta) + float64(cubicAlpha*(t/rtt))
 	if wEst > c.cwnd {
 		c.cwnd = wEst
 	}

@@ -109,7 +109,9 @@ func (r *run) startArrivals() {
 			})
 			r.senders[id].Start(start)
 		}
-		gap := sim.Time(-math.Log(1-r.rng.Float64()) / a.PerSecond * float64(sim.Second))
+		// Float64 inlines to a product; float64() keeps it out of a
+		// fused multiply-subtract.
+		gap := sim.Time(-math.Log(1-float64(r.rng.Float64())) / a.PerSecond * float64(sim.Second))
 		if gap < sim.Microsecond {
 			gap = sim.Microsecond
 		}
@@ -132,7 +134,7 @@ const ChurnTransferBytes = 500 * units.KB
 func ChurnConfigs(s Setting, ccaName string, seed uint64) []RunConfig {
 	cfgs := make([]RunConfig, len(ChurnLoads))
 	for i, load := range ChurnLoads {
-		cfg := s.Build(nil, WithSeed(Seed(seed)))
+		cfg := s.Build(nil, seed)
 		// No population to warm up or stagger: arrivals start at t=0.
 		cfg.Warmup, cfg.Stagger = 0, 0
 		cfg.Arrivals = &ArrivalSpec{

@@ -17,7 +17,7 @@ func auditedTinyConfig(seed uint64) RunConfig {
 	s := tinySetting()
 	s.Warmup = 2 * sim.Second
 	s.Duration = 8 * sim.Second
-	cfg := s.Build(UniformFlows(4, "cubic", DefaultRTT), WithSeed(Seed(seed)))
+	cfg := s.Build(UniformFlows(4, "cubic", DefaultRTT), seed)
 	cfg.Audit = "strict"
 	return cfg
 }
@@ -194,7 +194,7 @@ func TestAuditCleanAcrossConfigurations(t *testing.T) {
 		{"outage hold", func(c *RunConfig) {
 			c.Outage = &OutageSpec{Start: 3 * sim.Second, Down: 200 * sim.Millisecond, Period: 2 * sim.Second, Count: 2, Hold: true}
 		}},
-		{"mixed ccas", func(c *RunConfig) { c.Flows = MixedFlows(6, "bbr2", "vegas", DefaultRTT) }},
+		{"mixed ccas", func(c *RunConfig) { c.Flows = MixedFlows(6, "bbr2", "reno", DefaultRTT) }},
 		{"burst loss + outage drop", func(c *RunConfig) {
 			c.BurstLoss = &BurstLossSpec{MeanLoss: 0.005, MeanBurstLen: 4}
 			c.Outage = &OutageSpec{Start: 3 * sim.Second, Down: 200 * sim.Millisecond, Period: 2 * sim.Second, Count: 2}

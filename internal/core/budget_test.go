@@ -186,9 +186,9 @@ func TestBudgetFreeDeterminism(t *testing.T) {
 // TestEstimateConfigScales: the estimator must separate the paper's
 // regimes by an order of magnitude — that is all admission needs.
 func TestEstimateConfigScales(t *testing.T) {
-	edge := EdgeScale().Build(UniformFlows(50, "reno", 20*sim.Millisecond), WithSeed(Seed(1)))
+	edge := EdgeScale().Build(UniformFlows(50, "reno", 20*sim.Millisecond), 1)
 	c := CoreScale()
-	coreCfg := c.Build(UniformFlows(5000, "reno", 200*sim.Millisecond), WithSeed(Seed(1)))
+	coreCfg := c.Build(UniformFlows(5000, "reno", 200*sim.Millisecond), 1)
 	fe, fc := EstimateConfig(edge), EstimateConfig(coreCfg)
 	if fc.HeapBytes < 4*fe.HeapBytes {
 		t.Fatalf("CoreScale heap %d not well above EdgeScale %d", fc.HeapBytes, fe.HeapBytes)

@@ -31,7 +31,7 @@ func IntraCCAConfigs(s Setting, ccaName string, rtts []sim.Time, seed uint64) []
 	var cfgs []RunConfig
 	for _, rtt := range rtts {
 		for _, n := range s.FlowCounts {
-			cfgs = append(cfgs, s.Build(UniformFlows(n, ccaName, rtt), WithSeed(Seed(seed+uint64(len(cfgs))))))
+			cfgs = append(cfgs, s.Build(UniformFlows(n, ccaName, rtt), seed+uint64(len(cfgs))))
 		}
 	}
 	return cfgs
@@ -62,7 +62,7 @@ func InterCCAConfigs(s Setting, mode InterCCAMode, ccaA, ccaB string, rtts []sim
 			case OneVersusMany:
 				flows = OneVersusFlows(n, ccaA, ccaB, rtt)
 			}
-			cfgs = append(cfgs, s.Build(flows, WithSeed(Seed(seed+uint64(len(cfgs))))))
+			cfgs = append(cfgs, s.Build(flows, seed+uint64(len(cfgs))))
 		}
 	}
 	return cfgs

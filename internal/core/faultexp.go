@@ -63,7 +63,7 @@ type BurstRow struct {
 func BurstLossConfigs(s Setting, seed uint64) []RunConfig {
 	cfgs := make([]RunConfig, len(BurstLens))
 	for i, blen := range BurstLens {
-		cfg := s.Build(UniformFlows(BurstFlows, "reno", DefaultRTT), WithSeed(Seed(seed+uint64(i))))
+		cfg := s.Build(UniformFlows(BurstFlows, "reno", DefaultRTT), seed+uint64(i))
 		cfg.BurstLoss = &BurstLossSpec{MeanLoss: BurstMeanLoss, MeanBurstLen: blen}
 		cfgs[i] = cfg
 	}
@@ -158,10 +158,10 @@ func OutageConfigs(s Setting, seed uint64) []RunConfig {
 	n := s.FlowCounts[0]
 	var cfgs []RunConfig
 	for ci, cca := range OutageCCAs {
-		base := s.Build(UniformFlows(n, cca, DefaultRTT), WithSeed(Seed(seed+uint64(100*ci))))
+		base := s.Build(UniformFlows(n, cca, DefaultRTT), seed+uint64(100*ci))
 		cfgs = append(cfgs, base)
 		for di, down := range OutageDowns {
-			cfg := s.Build(UniformFlows(n, cca, DefaultRTT), WithSeed(Seed(seed+uint64(100*ci+di+1))))
+			cfg := s.Build(UniformFlows(n, cca, DefaultRTT), seed+uint64(100*ci+di+1))
 			cfg.Outage = &OutageSpec{
 				Start:  s.Warmup + outagePeriod/2,
 				Down:   down,

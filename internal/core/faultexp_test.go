@@ -13,12 +13,14 @@ import (
 func faultSetting() Setting {
 	return Setting{
 		Name:       "FaultTest",
-		Rate:       100 * units.MbitPerSec,
-		Buffer:     512 * units.KB,
 		FlowCounts: []int{4},
-		Warmup:     sim.Second,
-		Duration:   8 * sim.Second,
-		Stagger:    500 * sim.Millisecond,
+		RunConfig: RunConfig{
+			Rate:     100 * units.MbitPerSec,
+			Buffer:   512 * units.KB,
+			Warmup:   sim.Second,
+			Duration: 8 * sim.Second,
+			Stagger:  500 * sim.Millisecond,
+		},
 	}
 }
 

@@ -20,7 +20,7 @@ var update = flag.Bool("update", false, "rewrite testdata/runresult_fields.golde
 // TestRunKeyUnmarshalable: a config that cannot be hashed has no key —
 // not a key every other unhashable config would share.
 func TestRunKeyUnmarshalable(t *testing.T) {
-	cfg := EdgeScale().Build(UniformFlows(2, "reno", DefaultRTT), WithSeed(Seed(7)))
+	cfg := EdgeScale().Build(UniformFlows(2, "reno", DefaultRTT), 7)
 	cfg.BurstLoss = &BurstLossSpec{MeanLoss: math.NaN(), MeanBurstLen: 4}
 	if key, err := RunKey(cfg); err == nil {
 		t.Fatalf("NaN config was keyed as %q", key)
@@ -55,7 +55,7 @@ func setNonZero(t *testing.T, f reflect.Value, name string) {
 // admitted under — and a live collector — never move it, while every
 // other field does.
 func TestRunKeyIgnoresGovernance(t *testing.T) {
-	cfg := EdgeScale().Build(UniformFlows(2, "reno", DefaultRTT), WithSeed(Seed(7)))
+	cfg := EdgeScale().Build(UniformFlows(2, "reno", DefaultRTT), 7)
 	base, err := RunKey(cfg)
 	if err != nil {
 		t.Fatal(err)

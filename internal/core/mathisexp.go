@@ -90,7 +90,7 @@ func MathisAnalyze(setting string, flowCount int, res RunResult) MathisRow {
 func MathisConfigs(s Setting, seed uint64) []RunConfig {
 	cfgs := make([]RunConfig, len(s.FlowCounts))
 	for i, n := range s.FlowCounts {
-		cfg := s.Build(UniformFlows(n, "reno", DefaultRTT), WithSeed(Seed(seed+uint64(i))))
+		cfg := s.Build(UniformFlows(n, "reno", DefaultRTT), seed+uint64(i))
 		cfg.MaxDropTimestamps = DefaultDropTimestampCap // bounds the burstiness analysis
 		cfgs[i] = cfg
 	}

@@ -73,7 +73,7 @@ func TestMetamorphicStartOrderPermutation(t *testing.T) {
 
 	average := func(flows []FlowSpec) (goodput, share float64) {
 		for _, seed := range seeds {
-			cfg := s.Build(flows, WithSeed(Seed(seed)))
+			cfg := s.Build(flows, seed)
 			cfg.Audit = "strict"
 			res, err := Run(cfg)
 			if err != nil {
@@ -109,7 +109,7 @@ func TestMetamorphicStartOrderPermutation(t *testing.T) {
 func TestMetamorphicHorizonPrefix(t *testing.T) {
 	s := tinySetting()
 	s.Warmup = 2 * sim.Second
-	short := s.Build(MixedFlows(4, "cubic", "bbr", DefaultRTT), WithSeed(Seed(17)))
+	short := s.Build(MixedFlows(4, "cubic", "bbr", DefaultRTT), 17)
 	short.Duration = 8 * sim.Second
 	short.SeriesInterval = sim.Second
 	short.Audit = "strict"

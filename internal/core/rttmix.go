@@ -81,7 +81,7 @@ func RTTMixAnalyze(setting string, ccaName string, short, long sim.Time, res Run
 func RTTMixConfigs(s Setting, ccaName string, short, long sim.Time, seed uint64) []RunConfig {
 	cfgs := make([]RunConfig, len(s.FlowCounts))
 	for i, n := range s.FlowCounts {
-		cfgs[i] = s.Build(RTTMixFlows(n, ccaName, short, long), WithSeed(Seed(seed+uint64(i))))
+		cfgs[i] = s.Build(RTTMixFlows(n, ccaName, short, long), seed+uint64(i))
 	}
 	return cfgs
 }

@@ -51,12 +51,14 @@ func TestRTTMixSweepRenoShortRTTAdvantage(t *testing.T) {
 	// long-RTT class at a shared drop-tail bottleneck.
 	s := Setting{
 		Name:       "rttmix-test",
-		Rate:       50 * units.MbitPerSec,
-		Buffer:     units.BDP(50*units.MbitPerSec, 200*sim.Millisecond),
 		FlowCounts: []int{8},
-		Warmup:     10 * sim.Second,
-		Duration:   60 * sim.Second,
-		Stagger:    2 * sim.Second,
+		RunConfig: RunConfig{
+			Rate:     50 * units.MbitPerSec,
+			Buffer:   units.BDP(50*units.MbitPerSec, 200*sim.Millisecond),
+			Warmup:   10 * sim.Second,
+			Duration: 60 * sim.Second,
+			Stagger:  2 * sim.Second,
+		},
 	}
 	short, long := 20*sim.Millisecond, 100*sim.Millisecond
 	rows := RTTMixRows(s, "reno", short, long, runPlan(t, RTTMixConfigs(s, "reno", short, long, 1)))

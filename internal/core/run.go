@@ -102,6 +102,8 @@ type RunConfig struct {
 	// Converge, when positive, enables the paper's early-stop rule:
 	// the run ends once aggregate goodput changes by less than
 	// ConvergeTolerance across consecutive windows of this length.
+	// Duration then acts as the maximum run length, like the paper's
+	// 3-hour cap.
 	Converge sim.Time
 	// ConvergeTolerance defaults to 0.01 (1 %).
 	ConvergeTolerance float64

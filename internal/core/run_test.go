@@ -17,12 +17,14 @@ import (
 func tinySetting() Setting {
 	return Setting{
 		Name:       "tiny",
-		Rate:       50 * units.MbitPerSec,
-		Buffer:     units.BDP(50*units.MbitPerSec, 200*sim.Millisecond) * 6 / 5,
 		FlowCounts: []int{4, 8},
-		Warmup:     5 * sim.Second,
-		Duration:   20 * sim.Second,
-		Stagger:    2 * sim.Second,
+		RunConfig: RunConfig{
+			Rate:     50 * units.MbitPerSec,
+			Buffer:   units.BDP(50*units.MbitPerSec, 200*sim.Millisecond) * 6 / 5,
+			Warmup:   5 * sim.Second,
+			Duration: 20 * sim.Second,
+			Stagger:  2 * sim.Second,
+		},
 	}
 }
 
@@ -49,7 +51,7 @@ func TestRunRenoUtilizationAndFairness(t *testing.T) {
 	// the run a couple of virtual minutes, as the paper's own
 	// convergence rule would.
 	s.Duration = 2 * sim.Minute
-	res, err := Run(s.Build(UniformFlows(8, "reno", DefaultRTT), WithSeed(Seed(1))))
+	res, err := Run(s.Build(UniformFlows(8, "reno", DefaultRTT), 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +98,7 @@ func TestRunDeterminism(t *testing.T) {
 			t.Parallel()
 			s := tinySetting()
 			s.Duration = 10 * sim.Second
-			cfg := s.Build(UniformFlows(4, name, DefaultRTT), WithSeed(Seed(42)))
+			cfg := s.Build(UniformFlows(4, name, DefaultRTT), 42)
 			a, err := Run(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -127,7 +129,7 @@ func TestRunDeterminism(t *testing.T) {
 func TestRunDeterminismUnperturbedByAudit(t *testing.T) {
 	s := tinySetting()
 	s.Duration = 10 * sim.Second
-	cfg := s.Build(MixedFlows(4, "cubic", "bbr", DefaultRTT), WithSeed(Seed(42)))
+	cfg := s.Build(MixedFlows(4, "cubic", "bbr", DefaultRTT), 42)
 	plain, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +149,7 @@ func TestRunDeterminismUnperturbedByAudit(t *testing.T) {
 
 func TestRunConvergenceEarlyStop(t *testing.T) {
 	s := tinySetting()
-	cfg := s.Build(UniformFlows(4, "reno", DefaultRTT), WithSeed(Seed(7)))
+	cfg := s.Build(UniformFlows(4, "reno", DefaultRTT), 7)
 	cfg.Duration = 5 * sim.Minute // far longer than needed
 	cfg.Converge = 5 * sim.Second
 	cfg.ConvergeTolerance = 0.05
@@ -172,9 +174,9 @@ func TestRunManyOrderAndParallel(t *testing.T) {
 	s.Duration = 8 * sim.Second
 	s.Warmup = 3 * sim.Second
 	cfgs := []RunConfig{
-		s.Build(UniformFlows(2, "reno", DefaultRTT), WithSeed(Seed(1))),
-		s.Build(UniformFlows(4, "reno", DefaultRTT), WithSeed(Seed(2))),
-		s.Build(UniformFlows(6, "reno", DefaultRTT), WithSeed(Seed(3))),
+		s.Build(UniformFlows(2, "reno", DefaultRTT), 1),
+		s.Build(UniformFlows(4, "reno", DefaultRTT), 2),
+		s.Build(UniformFlows(6, "reno", DefaultRTT), 3),
 	}
 	res := make([]RunResult, len(cfgs))
 	errs := make([]error, len(cfgs))

@@ -26,8 +26,7 @@ func CompileSpec(spec schema.JobSpec) (Setting, []FlowSpec, error) {
 	if err := spec.Validate(); err != nil {
 		return Setting{}, nil, err
 	}
-	s := Setting{
-		Name:         spec.Name,
+	s := Setting{Name: spec.Name, RunConfig: RunConfig{
 		Rate:         units.Bandwidth(spec.RateMbps * float64(units.MbitPerSec)),
 		Buffer:       units.ByteCount(spec.BufferBytes),
 		Warmup:       sim.Time(spec.WarmupS * float64(sim.Second)),
@@ -36,7 +35,7 @@ func CompileSpec(spec schema.JobSpec) (Setting, []FlowSpec, error) {
 		AQM:          spec.AQM,
 		ECN:          spec.ECN,
 		ECNMarkBytes: units.ByteCount(spec.ECNMarkBytes),
-	}
+	}}
 	var flows []FlowSpec
 	for _, g := range spec.Flows {
 		rtt := sim.Time(g.RTTMs * float64(sim.Millisecond))
@@ -108,9 +107,9 @@ func compileTopology(spec schema.JobSpec) (*netem.TopologySpec, error) {
 
 // ScenarioBuilder compiles one parsed scenario document into runnable
 // configuration. Build it once per document with NewScenarioBuilder;
-// every RunConfig it then builds carries the same compiled flows, seed
-// and series interval — reproduce builds one under its governed copy of
-// the Setting, fprint and the benchmark under the Setting as compiled.
+// every RunConfig it then builds carries the same compiled flows and
+// seed — reproduce builds one under its governed copy of the Setting,
+// fprint and the benchmark under the Setting as compiled.
 type ScenarioBuilder struct {
 	scn     *schema.Scenario
 	setting Setting
@@ -118,7 +117,8 @@ type ScenarioBuilder struct {
 }
 
 // NewScenarioBuilder compiles scn, surfacing every validation and
-// graph error at construction.
+// graph error at construction. The document envelope's knobs (audit
+// policy, series interval) go into the compiled setting.
 func NewScenarioBuilder(scn *schema.Scenario) (*ScenarioBuilder, error) {
 	if err := scn.Validate(); err != nil {
 		return nil, err
@@ -128,6 +128,7 @@ func NewScenarioBuilder(scn *schema.Scenario) (*ScenarioBuilder, error) {
 		return nil, err
 	}
 	setting.Audit = scn.Audit
+	setting.SeriesInterval = sim.Time(scn.SeriesIntervalS * float64(sim.Second))
 	return &ScenarioBuilder{scn: scn, setting: setting, flows: flows}, nil
 }
 
@@ -135,19 +136,11 @@ func NewScenarioBuilder(scn *schema.Scenario) (*ScenarioBuilder, error) {
 func (b *ScenarioBuilder) Setting() Setting { return b.setting }
 
 // RunConfig builds the scenario's RunConfig from the compiled setting.
-func (b *ScenarioBuilder) RunConfig(opts ...ConfigOption) RunConfig {
-	return b.Build(b.setting, opts...)
-}
+func (b *ScenarioBuilder) RunConfig() RunConfig { return b.Build(b.setting) }
 
 // Build builds the scenario's RunConfig under s — the compiled setting,
-// or a copy of it a front end has governed (audit, budgets, wall limit):
-// the document's flows, seed and series interval, then any options, so
-// WithSeed in opts overrides the document for seed sweeps.
-func (b *ScenarioBuilder) Build(s Setting, opts ...ConfigOption) RunConfig {
-	base := []ConfigOption{WithSeed(Seed(b.scn.Seed))}
-	if b.scn.SeriesIntervalS > 0 {
-		iv := sim.Time(b.scn.SeriesIntervalS * float64(sim.Second))
-		base = append(base, func(c *RunConfig) { c.SeriesInterval = iv })
-	}
-	return s.Build(b.flows, append(base, opts...)...)
+// or a copy of it a front end has governed (audit, budgets, wall limit) —
+// with the document's flows and seed.
+func (b *ScenarioBuilder) Build(s Setting) RunConfig {
+	return s.Build(b.flows, b.scn.Seed)
 }

@@ -109,7 +109,7 @@ func TestDumbbellECNStrictAudit(t *testing.T) {
 	s.Warmup = 2 * sim.Second
 	s.Duration = 8 * sim.Second
 	s.ECN = true
-	cfg := s.Build(UniformFlows(4, "cubic", DefaultRTT), WithSeed(3))
+	cfg := s.Build(UniformFlows(4, "cubic", DefaultRTT), 3)
 	cfg.Audit = "strict"
 	res, err := Run(cfg)
 	if err != nil {
@@ -140,7 +140,7 @@ func TestECNAuditBitIdentity(t *testing.T) {
 		s.Warmup = 2 * sim.Second
 		s.Duration = 8 * sim.Second
 		s.ECN = true
-		cfg := s.Build(MixedFlows(4, "cubic", "bbr2", DefaultRTT), WithSeed(11))
+		cfg := s.Build(MixedFlows(4, "cubic", "bbr2", DefaultRTT), 11)
 		cfg.Audit = audit
 		return cfg
 	}

@@ -2,71 +2,21 @@ package core
 
 import (
 	"fmt"
-	"time"
 
-	"ccatscale/internal/budget"
-	"ccatscale/internal/netem"
 	"ccatscale/internal/sim"
-	"ccatscale/internal/telemetry"
 	"ccatscale/internal/units"
 )
 
 // Setting is one of the paper's two evaluation regimes (§3.1), plus the
-// run-length parameters the methodology prescribes.
+// run-length parameters the methodology prescribes: a RunConfig template
+// with a name and the flow counts the figures sweep. Build adds a run's
+// flows and seed; every other field of the template reaches each run.
 type Setting struct {
 	// Name identifies the regime ("EdgeScale", "CoreScale", …).
 	Name string
-	// Rate is the bottleneck bandwidth.
-	Rate units.Bandwidth
-	// Buffer is the drop-tail capacity (≈1 BDP at 200 ms).
-	Buffer units.ByteCount
 	// FlowCounts are the x-axis points of the figures.
 	FlowCounts []int
-	// Warmup is the excluded start-up period.
-	Warmup sim.Time
-	// Duration is the measurement window after warm-up.
-	Duration sim.Time
-	// Stagger is the random start window.
-	Stagger sim.Time
-	// Converge, when positive, enables the paper's early-stop rule for
-	// every run of the setting: stop once aggregate goodput changes
-	// less than 1 % across consecutive windows of this length. Duration
-	// then acts as the maximum run length, like the paper's 3-hour cap.
-	Converge sim.Time
-	// AQM overrides the bottleneck discipline for every run of the
-	// setting ("" = drop-tail, the paper's configuration).
-	AQM string
-	// Topology replaces the dumbbell with an explicit link graph for
-	// every run of the setting (nil = dumbbell built from Rate/Buffer).
-	// See RunConfig.Topology.
-	Topology *netem.TopologySpec `json:",omitempty"`
-	// ECN enables RFC 3168 marking end to end for every run of the
-	// setting (dumbbell only; topology links carry their own ECN flag).
-	ECN bool `json:",omitempty"`
-	// ECNMarkBytes overrides the dumbbell's drop-tail CE-marking
-	// threshold (0 = Buffer/4; ignored without ECN).
-	ECNMarkBytes units.ByteCount `json:",omitempty"`
-	// BurstLoss applies Gilbert–Elliott burst loss to every run of the
-	// setting (nil = off).
-	BurstLoss *BurstLossSpec
-	// Outage applies a link outage schedule to every run of the setting
-	// (nil = none).
-	Outage *OutageSpec
-	// WallLimit bounds each run's wall-clock time (0 = unlimited).
-	WallLimit time.Duration
-	// StallEvents enables the virtual-time stall guard per run
-	// (0 = disabled).
-	StallEvents uint64
-	// FaultPanicAt, when positive, injects a panic into every run of
-	// the setting at this virtual time — the supervisor drill behind
-	// reproduce -panicjob.
-	FaultPanicAt sim.Time
-	// Audit selects the invariant-auditing policy for every run of the
-	// setting ("", "off", "warn", or "strict").
-	Audit string
-	// Budget bounds every run of the setting (nil = unlimited); see
-	// RunConfig.Budget.
-	Budget *budget.Budget
+	RunConfig
 }
 
 // RTTs are the three base round-trip times every fairness figure sweeps.
@@ -83,12 +33,14 @@ const DefaultRTT = 20 * sim.Millisecond
 func EdgeScale() Setting {
 	return Setting{
 		Name:       "EdgeScale",
-		Rate:       100 * units.MbitPerSec,
-		Buffer:     3 * units.MB,
 		FlowCounts: []int{10, 30, 50},
-		Warmup:     15 * sim.Second,
-		Duration:   60 * sim.Second,
-		Stagger:    5 * sim.Second,
+		RunConfig: RunConfig{
+			Rate:     100 * units.MbitPerSec,
+			Buffer:   3 * units.MB,
+			Warmup:   15 * sim.Second,
+			Duration: 60 * sim.Second,
+			Stagger:  5 * sim.Second,
+		},
 	}
 }
 
@@ -101,12 +53,14 @@ func EdgeScale() Setting {
 func CoreScale() Setting {
 	return Setting{
 		Name:       "CoreScale",
-		Rate:       10 * units.GbitPerSec,
-		Buffer:     375 * units.MB,
 		FlowCounts: []int{1000, 3000, 5000},
-		Warmup:     30 * sim.Second,
-		Duration:   120 * sim.Second,
-		Stagger:    10 * sim.Second,
+		RunConfig: RunConfig{
+			Rate:     10 * units.GbitPerSec,
+			Buffer:   375 * units.MB,
+			Warmup:   30 * sim.Second,
+			Duration: 120 * sim.Second,
+			Stagger:  10 * sim.Second,
+		},
 	}
 }
 
@@ -132,50 +86,9 @@ func CoreScaleScaled(divisor int) Setting {
 	return s
 }
 
-// Seed is a typed simulation seed. It exists so the options-based
-// config path cannot transpose a seed with a flow count or any other
-// bare integer: WithSeed(Seed(42)) reads as what it is at every call
-// site, and nothing else converts to it implicitly.
-type Seed uint64
-
-// ConfigOption customizes a RunConfig built by Setting.Build.
-type ConfigOption func(*RunConfig)
-
-// WithSeed sets the run's seed.
-func WithSeed(seed Seed) ConfigOption {
-	return func(c *RunConfig) { c.Seed = uint64(seed) }
-}
-
-// WithRunCollector attaches a telemetry collector to the built config.
-func WithRunCollector(coll telemetry.Collector) ConfigOption {
-	return func(c *RunConfig) { c.Collector = coll }
-}
-
-// Build constructs a RunConfig for this setting with the given flows,
-// customized by options (seed, telemetry, …).
-func (s Setting) Build(flows []FlowSpec, opts ...ConfigOption) RunConfig {
-	cfg := RunConfig{
-		Rate:         s.Rate,
-		Buffer:       s.Buffer,
-		Flows:        flows,
-		Warmup:       s.Warmup,
-		Duration:     s.Duration,
-		Stagger:      s.Stagger,
-		Converge:     s.Converge,
-		AQM:          s.AQM,
-		Topology:     s.Topology,
-		ECN:          s.ECN,
-		ECNMarkBytes: s.ECNMarkBytes,
-		BurstLoss:    s.BurstLoss,
-		Outage:       s.Outage,
-		WallLimit:    s.WallLimit,
-		StallEvents:  s.StallEvents,
-		FaultPanicAt: s.FaultPanicAt,
-		Audit:        s.Audit,
-		Budget:       s.Budget,
-	}
-	for _, opt := range opts {
-		opt(&cfg)
-	}
+// Build constructs the setting's RunConfig for the given flows and seed.
+func (s Setting) Build(flows []FlowSpec, seed uint64) RunConfig {
+	cfg := s.RunConfig
+	cfg.Flows, cfg.Seed = flows, seed
 	return cfg
 }

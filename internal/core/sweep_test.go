@@ -12,12 +12,14 @@ import (
 func sweepSetting() Setting {
 	return Setting{
 		Name:       "sweep-test",
-		Rate:       50 * units.MbitPerSec,
-		Buffer:     units.BDP(50*units.MbitPerSec, 200*sim.Millisecond) * 6 / 5,
 		FlowCounts: []int{4, 8},
-		Warmup:     5 * sim.Second,
-		Duration:   25 * sim.Second,
-		Stagger:    2 * sim.Second,
+		RunConfig: RunConfig{
+			Rate:     50 * units.MbitPerSec,
+			Buffer:   units.BDP(50*units.MbitPerSec, 200*sim.Millisecond) * 6 / 5,
+			Warmup:   5 * sim.Second,
+			Duration: 25 * sim.Second,
+			Stagger:  2 * sim.Second,
+		},
 	}
 }
 

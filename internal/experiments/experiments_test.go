@@ -34,12 +34,14 @@ func TestCatalogGolden(t *testing.T) {
 	}
 	s := core.Setting{
 		Name:       "CatalogTest",
-		Rate:       20 * units.MbitPerSec,
-		Buffer:     48 * units.KB,
 		FlowCounts: []int{4},
-		Warmup:     sim.Second,
-		Duration:   12 * sim.Second,
-		Stagger:    100 * sim.Millisecond,
+		RunConfig: core.RunConfig{
+			Rate:     20 * units.MbitPerSec,
+			Buffer:   48 * units.KB,
+			Warmup:   sim.Second,
+			Duration: 12 * sim.Second,
+			Stagger:  100 * sim.Millisecond,
+		},
 	}
 	// The golden's default args, then the two that pick a variant.
 	base := Args{Seed: 7, CCA: "reno", Vs: "reno", RTTs: core.RTTs}

@@ -50,7 +50,7 @@ func Predict(c float64, s Sample) float64 {
 	if !s.valid() {
 		return 0
 	}
-	return c * s.basis()
+	return float64(c * s.basis())
 }
 
 // ErrNoSamples indicates a fit over an empty or fully-degenerate
@@ -69,8 +69,8 @@ func FitC(samples []Sample) (float64, error) {
 			continue
 		}
 		b := s.basis()
-		num += s.ThroughputBps * b
-		den += b * b
+		num += float64(s.ThroughputBps * b)
+		den += float64(b * b)
 	}
 	if den == 0 {
 		return 0, ErrNoSamples

@@ -69,7 +69,7 @@ func (c GilbertElliottConfig) StationaryBad() float64 {
 // the state-occupancy-weighted mix of the two loss probabilities.
 func (c GilbertElliottConfig) StationaryLoss() float64 {
 	pb := c.StationaryBad()
-	return (1-pb)*c.LossGood + pb*c.LossBad
+	return float64((1-pb)*c.LossGood) + float64(pb*c.LossBad)
 }
 
 // SimpleGilbert builds the two-parameter special case from the target

@@ -42,7 +42,7 @@ func JobTerminal(state string) bool {
 // FlowGroup describes Count identical flows in a scenario.
 type FlowGroup struct {
 	// CCA is the congestion control algorithm ("reno", "cubic", "bbr",
-	// "vegas", "bbr2").
+	// "bbr2").
 	CCA string `json:"cca"`
 	// RTTMs is the flows' base round-trip time in milliseconds.
 	RTTMs float64 `json:"rttMs"`

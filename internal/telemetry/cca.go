@@ -39,7 +39,7 @@ func findStateMachine(ctrl cca.CCA) stateMachine {
 // controller, and the cca.RecoveryController marker is preserved so the
 // transport's recovery behavior is unchanged.
 //
-// CCAs without a named state (Reno, Cubic, Vegas), and any call with a
+// CCAs without a named state (Reno, Cubic), and any call with a
 // nil collector, return ctrl unwrapped — zero overhead.
 func WrapCCA(ctrl cca.CCA, flow int32, c Collector) cca.CCA {
 	if c == nil {

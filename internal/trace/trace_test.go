@@ -132,18 +132,30 @@ func TestDropLogBurstinessMatchesMetrics(t *testing.T) {
 // firstDropChunk to dropChunk and stay there, and the bytes allocated
 // are the chunks' and next to nothing else. Reading burstiness off the
 // log costs nothing that grows with the drop count.
+//
+// The recording is measured three times and the least is checked.
+// TotalAlloc is process-wide, and once in a while the runtime starts an
+// OS thread as ReadMemStats restarts the world, which allocates 5 248 B
+// of its own (the m, its g0 and signal g, two profiling stacks) inside
+// the window. That happens in one repeat at most; a log that allocates
+// too much does it in every repeat.
 func TestDropLogAllocs(t *testing.T) {
 	const k = 3
 	rampChunks, r := ramp()
 	n := r + k*dropChunk
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	l := NewQueueLog(0)
-	for i := 0; i < n; i++ {
-		l.OnDrop(sim.Time(i), packet.Packet{Flow: int32(i % 4)})
+	var l *QueueLog
+	got := uint64(math.MaxUint64)
+	for rep := 0; rep < 3; rep++ {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		l = NewQueueLog(0)
+		for i := 0; i < n; i++ {
+			l.OnDrop(sim.Time(i), packet.Packet{Flow: int32(i % 4)})
+		}
+		runtime.ReadMemStats(&after)
+		got = min(got, after.TotalAlloc-before.TotalAlloc)
 	}
-	runtime.ReadMemStats(&after)
 	size := firstDropChunk
 	for i, c := range l.chunks {
 		if len(c) != size || cap(c) != size {
@@ -155,7 +167,7 @@ func TestDropLogAllocs(t *testing.T) {
 		t.Fatalf("%d drops made %d chunks, want %d", n, len(l.chunks), rampChunks+k)
 	}
 	// The chunks, plus the log, its chunk list and its per-flow counters.
-	if got, chunkBytes := after.TotalAlloc-before.TotalAlloc, uint64(n)*8; got < chunkBytes || got > chunkBytes+2048 {
+	if chunkBytes := uint64(n) * 8; got < chunkBytes || got > chunkBytes+2048 {
 		t.Fatalf("recording %d drops allocated %d B, want %d B of chunks and at most 2 KiB else", n, got, chunkBytes)
 	}
 	l.OnDrop(sim.Time(n), packet.Packet{})
