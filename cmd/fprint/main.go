@@ -252,9 +252,9 @@ func fingerprint(w io.Writer, coll telemetry.Collector, viaScenario bool) {
 		mut  func(*core.RunConfig)
 	}{
 		{"jitter", func(c *core.RunConfig) { c.Jitter = 2 * sim.Millisecond; c.RandomLoss = 0.001 }},
-		{"burst", func(c *core.RunConfig) { c.BurstLoss = &core.BurstLossSpec{MeanLoss: 0.005, MeanBurstLen: 4} }},
+		{"burst", func(c *core.RunConfig) { c.BurstLoss = &netem.BurstLossSpec{MeanLoss: 0.005, MeanBurstLen: 4} }},
 		{"outage", func(c *core.RunConfig) {
-			c.Outage = &core.OutageSpec{Start: 3 * sim.Second, Down: 300 * sim.Millisecond, Period: 2 * sim.Second, Count: 2}
+			c.Outage = &netem.OutageSpec{Start: 3 * sim.Second, Down: 300 * sim.Millisecond, Period: 2 * sim.Second, Count: 2}
 		}},
 		{"codel", func(c *core.RunConfig) { c.AQM = "codel" }},
 		{"strict", func(c *core.RunConfig) { c.Audit = "strict" }},

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"ccatscale/internal/netem"
 	"ccatscale/internal/sim"
 	"ccatscale/internal/telemetry"
 	"ccatscale/internal/units"
@@ -41,8 +42,9 @@ func TestValidationErrorsAreDescriptive(t *testing.T) {
 		// command omitted it, a negative jitter was silently ignored.
 		{"random loss out of range", func(c *RunConfig) { c.RandomLoss = 1 }, `link "bottleneck" loss rate 1 outside [0, 1)`},
 		{"negative jitter", func(c *RunConfig) { c.Jitter = -sim.Millisecond }, `link "bottleneck" has negative jitter`},
-		{"burst loss out of range", func(c *RunConfig) { c.BurstLoss = &BurstLossSpec{MeanLoss: 0.1} }, "burst mean length 0 below 1 packet"},
-		{"empty outage", func(c *RunConfig) { c.Outage = &OutageSpec{Count: 1} }, "outage down-time 0s not positive"},
+		{"burst loss out of range", func(c *RunConfig) { c.BurstLoss = &netem.BurstLossSpec{MeanLoss: 0.1} }, "burst mean length 0 below 1 packet"},
+		{"empty outage", func(c *RunConfig) { c.Outage = &netem.OutageSpec{Count: 1} }, "outage down-time 0s not positive"},
+		{"negative ecn threshold", func(c *RunConfig) { c.ECN, c.ECNMarkBytes = true, -5 }, "negative ECN marking threshold"},
 		{"impairment beside a topology", func(c *RunConfig) {
 			spec, _ := c.fabricSpec(c.rtts())
 			c.Topology, c.RandomLoss = &spec, 0.01
@@ -187,30 +189,30 @@ func TestAuditCleanAcrossConfigurations(t *testing.T) {
 		{"codel", func(c *RunConfig) { c.AQM = "codel" }},
 		{"iid loss", func(c *RunConfig) { c.RandomLoss = 0.01 }},
 		{"jitter", func(c *RunConfig) { c.Jitter = 2 * sim.Millisecond }},
-		{"burst loss", func(c *RunConfig) { c.BurstLoss = &BurstLossSpec{MeanLoss: 0.005, MeanBurstLen: 4} }},
+		{"burst loss", func(c *RunConfig) { c.BurstLoss = &netem.BurstLossSpec{MeanLoss: 0.005, MeanBurstLen: 4} }},
 		{"outage drop", func(c *RunConfig) {
-			c.Outage = &OutageSpec{Start: 3 * sim.Second, Down: 200 * sim.Millisecond, Period: 2 * sim.Second, Count: 2}
+			c.Outage = &netem.OutageSpec{Start: 3 * sim.Second, Down: 200 * sim.Millisecond, Period: 2 * sim.Second, Count: 2}
 		}},
 		{"outage hold", func(c *RunConfig) {
-			c.Outage = &OutageSpec{Start: 3 * sim.Second, Down: 200 * sim.Millisecond, Period: 2 * sim.Second, Count: 2, Hold: true}
+			c.Outage = &netem.OutageSpec{Start: 3 * sim.Second, Down: 200 * sim.Millisecond, Period: 2 * sim.Second, Count: 2, Hold: true}
 		}},
 		{"mixed ccas", func(c *RunConfig) { c.Flows = MixedFlows(6, "bbr2", "reno", DefaultRTT) }},
 		{"burst loss + outage drop", func(c *RunConfig) {
-			c.BurstLoss = &BurstLossSpec{MeanLoss: 0.005, MeanBurstLen: 4}
-			c.Outage = &OutageSpec{Start: 3 * sim.Second, Down: 200 * sim.Millisecond, Period: 2 * sim.Second, Count: 2}
+			c.BurstLoss = &netem.BurstLossSpec{MeanLoss: 0.005, MeanBurstLen: 4}
+			c.Outage = &netem.OutageSpec{Start: 3 * sim.Second, Down: 200 * sim.Millisecond, Period: 2 * sim.Second, Count: 2}
 		}},
 		{"burst loss + outage hold + iid", func(c *RunConfig) {
 			c.RandomLoss = 0.005
-			c.BurstLoss = &BurstLossSpec{MeanLoss: 0.005, MeanBurstLen: 4}
-			c.Outage = &OutageSpec{Start: 3 * sim.Second, Down: 200 * sim.Millisecond, Period: 2 * sim.Second, Count: 2, Hold: true}
+			c.BurstLoss = &netem.BurstLossSpec{MeanLoss: 0.005, MeanBurstLen: 4}
+			c.Outage = &netem.OutageSpec{Start: 3 * sim.Second, Down: 200 * sim.Millisecond, Period: 2 * sim.Second, Count: 2, Hold: true}
 		}},
 		// CE-marked bytes dropped by, parked in and held by the stages:
 		// the ECN ledger's dropped and in-network terms.
 		{"ecn + every stage", func(c *RunConfig) {
 			c.ECN, c.ECNMarkBytes = true, 3000
 			c.RandomLoss, c.Jitter = 0.002, 200*sim.Microsecond // below the frame time: no reordering
-			c.BurstLoss = &BurstLossSpec{MeanLoss: 0.002, MeanBurstLen: 4}
-			c.Outage = &OutageSpec{Start: 3 * sim.Second, Down: 200 * sim.Millisecond, Period: 2 * sim.Second, Count: 3, Hold: true}
+			c.BurstLoss = &netem.BurstLossSpec{MeanLoss: 0.002, MeanBurstLen: 4}
+			c.Outage = &netem.OutageSpec{Start: 3 * sim.Second, Down: 200 * sim.Millisecond, Period: 2 * sim.Second, Count: 3, Hold: true}
 		}},
 	}
 	for _, tc := range mut {
@@ -241,8 +243,8 @@ func TestComposedImpairmentsAuditBitIdentity(t *testing.T) {
 		cfg.Audit = audit
 		cfg.Collector = coll
 		cfg.RandomLoss = 0.005
-		cfg.BurstLoss = &BurstLossSpec{MeanLoss: 0.01, MeanBurstLen: 4}
-		cfg.Outage = &OutageSpec{Start: 3 * sim.Second, Down: 200 * sim.Millisecond, Period: 2 * sim.Second, Count: 2, Hold: true}
+		cfg.BurstLoss = &netem.BurstLossSpec{MeanLoss: 0.01, MeanBurstLen: 4}
+		cfg.Outage = &netem.OutageSpec{Start: 3 * sim.Second, Down: 200 * sim.Millisecond, Period: 2 * sim.Second, Count: 2, Hold: true}
 		return cfg
 	}
 	plain, err := Run(compose("", plainColl))

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"ccatscale/internal/mathis"
+	"ccatscale/internal/netem"
 	"ccatscale/internal/sim"
 	"ccatscale/internal/units"
 )
@@ -64,7 +65,7 @@ func BurstLossConfigs(s Setting, seed uint64) []RunConfig {
 	cfgs := make([]RunConfig, len(BurstLens))
 	for i, blen := range BurstLens {
 		cfg := s.Build(UniformFlows(BurstFlows, "reno", DefaultRTT), seed+uint64(i))
-		cfg.BurstLoss = &BurstLossSpec{MeanLoss: BurstMeanLoss, MeanBurstLen: blen}
+		cfg.BurstLoss = &netem.BurstLossSpec{MeanLoss: BurstMeanLoss, MeanBurstLen: blen}
 		cfgs[i] = cfg
 	}
 	return cfgs
@@ -162,7 +163,7 @@ func OutageConfigs(s Setting, seed uint64) []RunConfig {
 		cfgs = append(cfgs, base)
 		for di, down := range OutageDowns {
 			cfg := s.Build(UniformFlows(n, cca, DefaultRTT), seed+uint64(100*ci+di+1))
-			cfg.Outage = &OutageSpec{
+			cfg.Outage = &netem.OutageSpec{
 				Start:  s.Warmup + outagePeriod/2,
 				Down:   down,
 				Period: outagePeriod,

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"ccatscale/internal/budget"
+	"ccatscale/internal/netem"
 	"ccatscale/internal/telemetry"
 )
 
@@ -21,7 +22,7 @@ var update = flag.Bool("update", false, "rewrite testdata/runresult_fields.golde
 // not a key every other unhashable config would share.
 func TestRunKeyUnmarshalable(t *testing.T) {
 	cfg := EdgeScale().Build(UniformFlows(2, "reno", DefaultRTT), 7)
-	cfg.BurstLoss = &BurstLossSpec{MeanLoss: math.NaN(), MeanBurstLen: 4}
+	cfg.BurstLoss = &netem.BurstLossSpec{MeanLoss: math.NaN(), MeanBurstLen: 4}
 	if key, err := RunKey(cfg); err == nil {
 		t.Fatalf("NaN config was keyed as %q", key)
 	}

@@ -84,9 +84,9 @@ type RunConfig struct {
 	// BurstLoss applies Gilbert–Elliott burst loss (nil = off). Unlike
 	// RandomLoss, drops arrive in correlated bursts — the regime where
 	// the independent-loss throughput models break.
-	BurstLoss *BurstLossSpec
+	BurstLoss *netem.BurstLossSpec
 	// Outage schedules deterministic link outages (nil = none).
-	Outage *OutageSpec
+	Outage *netem.OutageSpec
 	// FaultPanicAt, when positive, deliberately panics inside the event
 	// loop at this virtual time. It exists to drill the run supervisor
 	// end to end (tests, and reproduce -panicjob): the panic must
@@ -222,9 +222,6 @@ func (c *RunConfig) validate() error {
 	spec, _ := c.fabricSpec(rtts)
 	if err := (netem.TopologyConfig{Spec: spec, RTT: rtts}).Validate(); err != nil {
 		return err
-	}
-	if c.ECNMarkBytes < 0 {
-		return fmt.Errorf("core: negative ECN marking threshold")
 	}
 	if c.Duration <= 0 {
 		return fmt.Errorf("core: non-positive duration")

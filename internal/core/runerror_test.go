@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"ccatscale/internal/netem"
 	"ccatscale/internal/sim"
 	"ccatscale/internal/units"
 )
@@ -67,8 +68,8 @@ func TestInjectedPanicBecomesRunError(t *testing.T) {
 
 func TestRunErrorJSONRoundTrip(t *testing.T) {
 	cfg := smallConfig(9)
-	cfg.BurstLoss = &BurstLossSpec{MeanLoss: 0.01, MeanBurstLen: 4}
-	cfg.Outage = &OutageSpec{Start: sim.Second, Down: 100 * sim.Millisecond, Period: sim.Second, Count: 2}
+	cfg.BurstLoss = &netem.BurstLossSpec{MeanLoss: 0.01, MeanBurstLen: 4}
+	cfg.Outage = &netem.OutageSpec{Start: sim.Second, Down: 100 * sim.Millisecond, Period: sim.Second, Count: 2}
 	cfg.FaultPanicAt = 200 * sim.Millisecond
 	_, err := Run(cfg)
 	var re *RunError
@@ -163,7 +164,7 @@ func TestWatchdogOffByDefault(t *testing.T) {
 func TestBurstLossRunDeterministicAndCounted(t *testing.T) {
 	run := func() RunResult {
 		cfg := smallConfig(11)
-		cfg.BurstLoss = &BurstLossSpec{MeanLoss: 0.01, MeanBurstLen: 5}
+		cfg.BurstLoss = &netem.BurstLossSpec{MeanLoss: 0.01, MeanBurstLen: 5}
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -183,7 +184,7 @@ func TestBurstLossRunDeterministicAndCounted(t *testing.T) {
 func TestOutageRunDeterministicAndCounted(t *testing.T) {
 	run := func() RunResult {
 		cfg := smallConfig(13)
-		cfg.Outage = &OutageSpec{Start: 1500 * sim.Millisecond, Down: 200 * sim.Millisecond, Period: sim.Second, Count: 2}
+		cfg.Outage = &netem.OutageSpec{Start: 1500 * sim.Millisecond, Down: 200 * sim.Millisecond, Period: sim.Second, Count: 2}
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -230,8 +231,8 @@ func TestReplayCommandFallsBackForUnflaggableConfigs(t *testing.T) {
 		{"arrivals", func(c *RunConfig) { c.Arrivals = churnBase(5).Arrivals }},
 		{"plain dumbbell", func(*RunConfig) {}},
 		{"burst loss + outage", func(c *RunConfig) {
-			c.BurstLoss = &BurstLossSpec{MeanLoss: 0.005, MeanBurstLen: 8}
-			c.Outage = &OutageSpec{Start: 2 * sim.Second, Down: sim.Second, Period: 10 * sim.Second, Count: 1}
+			c.BurstLoss = &netem.BurstLossSpec{MeanLoss: 0.005, MeanBurstLen: 8}
+			c.Outage = &netem.OutageSpec{Start: 2 * sim.Second, Down: sim.Second, Period: 10 * sim.Second, Count: 1}
 		}},
 	}
 	for _, tc := range cases {

@@ -223,6 +223,14 @@ func TestCompileSpecTopologyErrors(t *testing.T) {
 			t.Fatalf("error %q does not name the scenario", err)
 		}
 	})
+	t.Run("negative ecn threshold", func(t *testing.T) {
+		doc := parkingLotDoc()
+		doc.Topology.Links[1].ECN, doc.Topology.Links[1].ECNMarkBytes = true, -5
+		_, _, err := CompileSpec(doc.JobSpec)
+		if err == nil || !strings.Contains(err.Error(), `link "bc" ecnMarkBytes -5 must be non-negative`) {
+			t.Fatalf("err = %v", err)
+		}
+	})
 	t.Run("dumbbell fields zeroed", func(t *testing.T) {
 		s, flows, err := CompileSpec(parkingLotDoc().JobSpec)
 		if err != nil {

@@ -19,15 +19,12 @@ type composedLink struct {
 	eng        *sim.Engine
 	topo       *Topology
 	aud        *audit.Auditor
-	outage     *Outage
-	ge         *GilbertElliott
-	got        []composedDelivery
+	outage     *outageStage
+	ge         *burstStage
+	got        []stageDelivery
 	queueDrops int
-}
-
-type composedDelivery struct {
-	At  sim.Time
-	Seq int64
+	// fwd holds the time of every packet the outage handed the channel.
+	fwd []sim.Time
 }
 
 func newComposedLink(seed uint64, burst BurstLossSpec, hold bool) *composedLink {
@@ -51,10 +48,12 @@ func newComposedLink(seed uint64, burst BurstLossSpec, hold bool) *composedLink 
 		OnDrop: func(sim.Time, packet.Packet) { c.queueDrops++ },
 	})
 	c.topo.SetEndpoints(
-		func(p packet.Packet) { c.got = append(c.got, composedDelivery{eng.Now(), p.Seq}) },
+		func(p packet.Packet) { c.got = append(c.got, stageDelivery{eng.Now(), p.Seq}) },
 		func(packet.Packet) {},
 	)
 	c.outage, c.ge = c.topo.links[0].outage, c.topo.links[0].burst
+	next := c.outage.next
+	c.outage.next = func(p *packet.Packet) { c.fwd = append(c.fwd, eng.Now()); next(p) }
 	return c
 }
 
@@ -86,13 +85,13 @@ func (c *composedLink) checkLedger(t *testing.T, offered int) {
 		t.Fatalf("byte ledger leaks: delivered %d + dropped %d != offered %d",
 			delivered, c.topo.DropWire(), units.ByteCount(offered)*wire)
 	}
-	if want := units.ByteCount(c.outage.Dropped()+c.ge.Dropped()) * wire; c.topo.DropWire() != want {
+	if want := units.ByteCount(c.outage.dropped+c.ge.dropped) * wire; c.topo.DropWire() != want {
 		t.Fatalf("fabric dropped %d wire bytes, stages dropped %d", c.topo.DropWire(), want)
 	}
 	st := c.topo.LinkStats()[0]
-	if st.OutageDrops != c.outage.Dropped() || st.BurstDrops != c.ge.Dropped() || st.RandomDrops != 0 {
+	if st.OutageDrops != c.outage.dropped || st.BurstDrops != c.ge.dropped || st.RandomDrops != 0 {
 		t.Fatalf("LinkStat reports %d outage / %d burst / %d iid drops, stages %d / %d / 0",
-			st.OutageDrops, st.BurstDrops, st.RandomDrops, c.outage.Dropped(), c.ge.Dropped())
+			st.OutageDrops, st.BurstDrops, st.RandomDrops, c.outage.dropped, c.ge.dropped)
 	}
 	if c.queueDrops != 0 || st.DropWire != 0 {
 		t.Fatalf("impairment loss reached the queue-drop observer (%d calls, %d wire bytes)", c.queueDrops, st.DropWire)
@@ -107,11 +106,38 @@ func (c *composedLink) checkLedger(t *testing.T, offered int) {
 func (c *composedLink) checkNoneDeliveredDark(t *testing.T) {
 	t.Helper()
 	for _, d := range c.got {
-		for i, w := range c.outage.cfg.Windows {
-			if d.At >= w.Start && d.At < w.End {
-				t.Fatalf("packet %d delivered at %v inside dark window %d", d.Seq, d.At, i)
+		for k := 0; k < c.outage.spec.Count; k++ {
+			if ws := c.outage.start(k); d.At >= ws && d.At < ws+c.outage.spec.Down {
+				t.Fatalf("packet %d delivered at %v inside dark window %d", d.Seq, d.At, k)
 			}
 		}
+	}
+}
+
+// flushed counts the packets a hold-mode outage released: those it
+// forwarded at a window's end, where no packet the port sends arrives.
+func (c *composedLink) flushed() uint64 {
+	n := uint64(0)
+	for _, at := range c.fwd {
+		for k := 0; k < c.outage.spec.Count; k++ {
+			if at == c.outage.start(k)+c.outage.spec.Down {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// checkChain requires that the outage forwarded exactly what it did not
+// drop, and that the channel saw exactly what the outage forwarded.
+func (c *composedLink) checkChain(t *testing.T, offered int) {
+	t.Helper()
+	fwd := uint64(len(c.fwd))
+	if fwd+c.outage.dropped != uint64(offered) {
+		t.Fatalf("outage leak: forwarded %d + dropped %d != %d offered", fwd, c.outage.dropped, offered)
+	}
+	if seen := uint64(len(c.got)) + c.ge.dropped; fwd != seen {
+		t.Fatalf("chain leak between stages: outage forwarded %d, channel saw %d", fwd, seen)
 	}
 }
 
@@ -126,21 +152,17 @@ func TestComposedChainConservation(t *testing.T) {
 	c.offerEveryMs(offered)
 
 	delivered := uint64(len(c.got))
-	if delivered+c.outage.Dropped()+c.ge.Dropped() != offered {
+	if delivered+c.outage.dropped+c.ge.dropped != offered {
 		t.Fatalf("packet ledger leaks: %d delivered + %d dark + %d burst != %d offered",
-			delivered, c.outage.Dropped(), c.ge.Dropped(), offered)
+			delivered, c.outage.dropped, c.ge.dropped, offered)
 	}
-	if c.outage.Dropped() == 0 {
+	if c.outage.dropped == 0 {
 		t.Fatal("no dark drops: the windows never saw traffic")
 	}
-	if c.ge.Dropped() == 0 {
+	if c.ge.dropped == 0 {
 		t.Fatal("no burst drops: the channel never fired")
 	}
-	// The outage hands exactly its survivors to the channel.
-	if c.outage.Passed() != c.ge.Passed()+c.ge.Dropped() {
-		t.Fatalf("chain leak between stages: outage passed %d, channel saw %d",
-			c.outage.Passed(), c.ge.Passed()+c.ge.Dropped())
-	}
+	c.checkChain(t, offered)
 	c.checkLedger(t, offered)
 	c.checkNoneDeliveredDark(t)
 }
@@ -161,25 +183,21 @@ func TestComposedChainHoldConservation(t *testing.T) {
 	if heldMid == 0 {
 		t.Fatal("held packets missing from InNetworkBytes while the link was dark")
 	}
-	if c.outage.Held() != 0 {
-		t.Fatalf("%d packets still parked after the last window", c.outage.Held())
+	if n := len(c.outage.held); n != 0 {
+		t.Fatalf("%d packets still parked after the last window", n)
 	}
-	if c.outage.Dropped() != 0 {
-		t.Fatalf("hold policy without a capacity dropped %d packets", c.outage.Dropped())
+	if c.outage.dropped != 0 {
+		t.Fatalf("hold policy dropped %d packets", c.outage.dropped)
 	}
-	if c.outage.Flushed() == 0 {
+	if c.flushed() == 0 {
 		t.Fatal("no packets were held and flushed: the windows never saw traffic")
 	}
 	delivered := uint64(len(c.got))
-	if delivered+c.ge.Dropped() != offered {
+	if delivered+c.ge.dropped != offered {
 		t.Fatalf("packet ledger leaks: %d delivered + %d burst != %d offered (flushed %d)",
-			delivered, c.ge.Dropped(), offered, c.outage.Flushed())
+			delivered, c.ge.dropped, offered, c.flushed())
 	}
-	// Up-link passes plus flushes is everything the channel saw.
-	if c.outage.Passed()+c.outage.Flushed() != c.ge.Passed()+c.ge.Dropped() {
-		t.Fatalf("chain leak between stages: outage forwarded %d, channel saw %d",
-			c.outage.Passed()+c.outage.Flushed(), c.ge.Passed()+c.ge.Dropped())
-	}
+	c.checkChain(t, offered)
 	// Deliveries stay in Seq order: the flush preserves FIFO and the
 	// channel never reorders.
 	for i := 1; i < len(c.got); i++ {
@@ -197,10 +215,10 @@ func TestComposedChainHoldConservation(t *testing.T) {
 // counters, for both policies; a different seed must change the burst
 // pattern (the outage schedule, being configuration, must not).
 func TestComposedChainDeterminism(t *testing.T) {
-	run := func(seed uint64, hold bool) ([]composedDelivery, uint64, uint64) {
+	run := func(seed uint64, hold bool) ([]stageDelivery, uint64, uint64) {
 		c := newComposedLink(seed, BurstLossSpec{MeanLoss: 0.1, MeanBurstLen: 4}, hold)
 		c.offerEveryMs(200)
-		return c.got, c.ge.Dropped(), c.outage.Dropped() + c.outage.Flushed()
+		return c.got, c.ge.dropped, c.outage.dropped + c.flushed()
 	}
 	for _, hold := range []bool{false, true} {
 		a, aGE, aOut := run(11, hold)

@@ -165,3 +165,74 @@ func FuzzDropTailDrillDetected(f *testing.F) {
 		}
 	})
 }
+
+// FuzzLinkStages drives one link that declares a fuzzed iid loss rate,
+// jitter, burst loss and outage schedule (up to eight windows, drop or
+// hold) with a fuzzed packet train under the auditor. Once the engine is
+// quiescent the fabric's ledger must close — every offered wire byte is
+// delivered, dropped (DropWire: queue and stage loss) or still in the
+// fabric (InNetworkBytes), which by then holds nothing, not even a
+// parked or jittered packet — and the auditor must have recorded
+// nothing.
+// Each train byte sets one packet's size and the gap before the next.
+func FuzzLinkStages(f *testing.F) {
+	// A seed train of 256 packets of every size class and gap, about 0.8
+	// virtual seconds long: long enough for every stage to fire.
+	train := make([]byte, 256)
+	for i := range train {
+		train[i] = byte(i * 37)
+	}
+	f.Add(uint16(0), uint16(0), uint16(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), train)
+	f.Add(uint16(50), uint16(3000), uint16(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), train)
+	f.Add(uint16(0), uint16(0), uint16(100), uint8(24), uint8(3), uint8(5), uint8(10), uint8(4), train)
+	f.Add(uint16(20), uint16(500), uint16(50), uint8(8), uint8(0x88), uint8(2), uint8(3), uint8(0), train)
+	f.Fuzz(func(t *testing.T, loss, jitterUs, burstLoss uint16, burstLen, outage, outStart, outDown, outGap uint8, train []byte) {
+		if len(train) > 4096 {
+			train = train[:4096]
+		}
+		ms := func(n uint8) sim.Time { return sim.Time(n) * sim.Millisecond }
+		ls := LinkSpec{
+			Name: "ab", From: "a", To: "b",
+			Rate: 10 * units.MbitPerSec, Delay: sim.Millisecond, Buffer: 8 * (units.MSS + packet.HeaderBytes),
+			LossRate: float64(loss%1000) / 1000,
+			Jitter:   sim.Time(jitterUs%20000) * sim.Microsecond,
+		}
+		if burstLoss > 0 {
+			ls.BurstLoss = &BurstLossSpec{MeanLoss: float64(burstLoss%1000) / 1000, MeanBurstLen: 1 + float64(burstLen)/8}
+		}
+		if n := int(outage&0x0f) % 9; n > 0 {
+			down := ms(outDown) + sim.Millisecond
+			ls.Outage = &OutageSpec{Start: ms(outStart), Down: down, Period: down + ms(outGap), Count: n, Hold: outage&0x80 != 0}
+		}
+		eng := sim.NewEngine()
+		aud := audit.New(audit.PolicyWarn, eng.Now)
+		topo := NewTopology(eng, sim.NewRNG(uint64(loss)<<16|uint64(burstLoss)), TopologyConfig{
+			Spec: TopologySpec{Nodes: []string{"a", "b"}, Links: []LinkSpec{ls}, Paths: [][]int{{0}}},
+			RTT:  []sim.Time{10 * sim.Millisecond}, Audit: aud,
+		})
+		var delivered units.ByteCount
+		topo.SetRefEndpoints(func(p *packet.Packet) { delivered += p.WireBytes() }, func(*packet.Packet) {})
+
+		var offered units.ByteCount
+		at := sim.Time(0)
+		for i, b := range train {
+			p := packet.Packet{Seq: int64(i), Len: int32(1 + (int(b)*97)%int(units.MSS))}
+			offered += p.WireBytes()
+			eng.Schedule(at, func() { topo.SendData(p) })
+			at += sim.Time(b&0x3f) * 100 * sim.Microsecond
+		}
+		eng.Run(at + 10*sim.Second)
+
+		in := topo.InNetworkBytes()
+		if offered != delivered+topo.DropWire()+in {
+			t.Fatalf("ledger: offered %d != delivered %d + dropped %d + in network %d (spec %+v)",
+				offered, delivered, topo.DropWire(), in, ls)
+		}
+		if in != 0 {
+			t.Fatalf("%d bytes still in the fabric after quiescence (spec %+v)", in, ls)
+		}
+		if n := aud.Total(); n != 0 {
+			t.Fatalf("auditor recorded %d violations: %+v", n, aud.Violations())
+		}
+	})
+}

@@ -119,6 +119,9 @@ func (s TopologySpec) Validate() error {
 		if l.Delay < 0 {
 			return fmt.Errorf("netem: link %q has negative delay %v", l.Name, l.Delay)
 		}
+		if l.ECNMarkBytes < 0 {
+			return fmt.Errorf("netem: link %q has negative ECN marking threshold %d", l.Name, int64(l.ECNMarkBytes))
+		}
 		if l.LossRate < 0 || l.LossRate >= 1 {
 			return fmt.Errorf("netem: link %q loss rate %v outside [0, 1)", l.Name, l.LossRate)
 		}
@@ -298,9 +301,9 @@ type topoLink struct {
 	// the head of the stage chain that ends in it. Bound once.
 	arrive RefSink
 	// The declared stages (nil = not declared).
-	outage *Outage
-	burst  *GilbertElliott
-	iid    *Impairment
+	outage *outageStage
+	burst  *burstStage
+	iid    *iidStage
 
 	// queueDropWire accumulates tail + AQM drops at this link (wire
 	// bytes), the per-bottleneck ledger's drop term. Maintained only
@@ -428,41 +431,10 @@ func (l *topoLink) checkConservation(op string) {
 	}
 }
 
-// buildStages chains the impairments the link declares (often none) in
-// front of arriveFn, innermost first: iid loss and jitter, then
-// Gilbert–Elliott burst loss, then the outage schedule outermost — a
-// dark link is dark for everything behind it, and packets a hold-mode
-// outage releases still cross the lossy channel. They sit at the far
-// end, after propagation, where netem on the receiving host sits in the
-// paper's testbed.
-func (l *topoLink) buildStages(rng *sim.RNG, coll telemetry.Collector) {
-	ls, eng := &l.spec, l.t.eng
-	if ls.LossRate > 0 || ls.Jitter > 0 {
-		l.iid = NewImpairment(eng, rng.Split(), ImpairmentConfig{
-			LossProb: ls.LossRate, Jitter: ls.Jitter, OnDrop: l.stageDrop,
-		}, l.arrive)
-		l.arrive = l.iid.Send
-	}
-	if ls.BurstLoss != nil {
-		geCfg := SimpleGilbert(ls.BurstLoss.MeanLoss, ls.BurstLoss.MeanBurstLen)
-		geCfg.OnDrop = l.stageDrop
-		l.burst = NewGilbertElliott(eng, rng.Split(), geCfg, l.arrive)
-		l.arrive = l.burst.Send
-	}
-	if o := ls.Outage; o != nil {
-		oCfg := OutageConfig{Windows: Flaps(o.Start, o.Down, o.Period, o.Count), OnDrop: l.stageDrop, Telemetry: coll}
-		if o.Hold {
-			oCfg.Policy = OutageHold
-		}
-		l.outage = NewOutage(eng, oCfg, l.arrive)
-		l.arrive = l.outage.Send
-	}
-}
-
 // stageDrop is every stage's drop hook: the packet moves from the
 // propagating term to the fabric's loss term. It deliberately does not
 // call the queue-drop observer.
-func (l *topoLink) stageDrop(_ sim.Time, p packet.Packet) {
+func (l *topoLink) stageDrop(p *packet.Packet) {
 	t, w, ce := l.t, p.WireBytes(), units.ByteCount(0)
 	if p.CE {
 		ce = w
@@ -600,13 +572,13 @@ func (t *Topology) LinkStats() []LinkStat {
 	for i, l := range t.links {
 		st := linkStat(l.spec.Name, l.port)
 		if l.iid != nil {
-			st.RandomDrops = l.iid.Dropped()
+			st.RandomDrops = l.iid.dropped
 		}
 		if l.burst != nil {
-			st.BurstDrops = l.burst.Dropped()
+			st.BurstDrops = l.burst.dropped
 		}
 		if l.outage != nil {
-			st.OutageDrops = l.outage.Dropped()
+			st.OutageDrops = l.outage.dropped
 		}
 		out[i] = st
 	}

@@ -45,7 +45,9 @@ func TestTopologySpecValidationErrors(t *testing.T) {
 		{"negative capacity", func(s *TopologySpec) { s.Links[0].Rate = -units.MbitPerSec }, "zero capacity"},
 		{"sub-frame buffer", func(s *TopologySpec) { s.Links[0].Buffer = 100 }, "cannot hold one full-size frame"},
 		{"negative delay", func(s *TopologySpec) { s.Links[0].Delay = -sim.Millisecond }, "negative delay"},
+		{"negative ecn threshold", func(s *TopologySpec) { s.Links[0].ECNMarkBytes = -5 }, `link "ab" has negative ECN marking threshold -5`},
 		{"loss rate too high", func(s *TopologySpec) { s.Links[0].LossRate = 1 }, "outside [0, 1)"},
+		{"negative loss rate", func(s *TopologySpec) { s.Links[1].LossRate = -0.1 }, `link "bc" loss rate -0.1 outside [0, 1)`},
 		{"negative jitter", func(s *TopologySpec) { s.Links[1].Jitter = -sim.Millisecond }, `link "bc" has negative jitter`},
 		{"burst loss out of range", func(s *TopologySpec) {
 			s.Links[1].BurstLoss = &BurstLossSpec{MeanLoss: 1, MeanBurstLen: 4}
@@ -56,6 +58,18 @@ func TestTopologySpecValidationErrors(t *testing.T) {
 		{"overlapping outages", func(s *TopologySpec) {
 			s.Links[1].Outage = &OutageSpec{Start: sim.Second, Down: sim.Second, Period: sim.Millisecond, Count: 2}
 		}, `link "bc": outage period 1ms shorter than down-time 1s`},
+		{"outage count 0", func(s *TopologySpec) {
+			s.Links[0].Outage = &OutageSpec{Down: sim.Second}
+		}, `link "ab": outage count 0 below 1`},
+		{"negative outage start", func(s *TopologySpec) {
+			s.Links[0].Outage = &OutageSpec{Start: -sim.Millisecond, Down: sim.Second, Count: 1}
+		}, `link "ab": outage start -1ms negative`},
+		{"empty outage window", func(s *TopologySpec) {
+			s.Links[1].Outage = &OutageSpec{Start: sim.Second, Count: 1}
+		}, `link "bc": outage down-time 0s not positive`},
+		{"negative outage window", func(s *TopologySpec) {
+			s.Links[1].Outage = &OutageSpec{Start: sim.Second, Down: -sim.Second, Count: 1}
+		}, `link "bc": outage down-time -1s not positive`},
 		{"no paths", func(s *TopologySpec) { s.Paths = nil }, "declares no flow paths"},
 		{"empty path", func(s *TopologySpec) { s.Paths[0] = nil }, "empty path"},
 		{"path index out of range", func(s *TopologySpec) { s.Paths[0] = []int{0, 5} }, "topology has 2 links"},

@@ -91,6 +91,9 @@ func (t *TopologyDoc) Validate() error {
 		if l.DelayMs < 0 {
 			return fmt.Errorf("schema: link %q delayMs %v must be non-negative", l.Name, l.DelayMs)
 		}
+		if l.ECNMarkBytes < 0 {
+			return fmt.Errorf("schema: link %q ecnMarkBytes %d must be non-negative", l.Name, l.ECNMarkBytes)
+		}
 		if l.LossRate < 0 || l.LossRate >= 1 {
 			return fmt.Errorf("schema: link %q lossRate %v outside [0, 1)", l.Name, l.LossRate)
 		}

@@ -128,6 +128,11 @@ func TestParseScenarioRejections(t *testing.T) {
 			s.Topology.Links[1].RateMbps = 0
 			return encode(t, s)
 		}, "could never drain"},
+		{"negative link ecn threshold", func(t *testing.T) []byte {
+			s := valid()
+			s.Topology.Links[0].ECNMarkBytes = -5
+			return encode(t, s)
+		}, `link "ab" ecnMarkBytes -5 must be non-negative`},
 		{"path over undeclared link", func(t *testing.T) []byte {
 			s := valid()
 			s.Flows[0].Path = []string{"ab", "cd"}

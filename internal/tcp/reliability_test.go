@@ -11,6 +11,16 @@ import (
 	"ccatscale/internal/units"
 )
 
+// lossyDumbbell is a one-flow dumbbell at a 20 ms base RTT whose link
+// drops each packet independently with probability loss, at its far
+// end: between the bottleneck and the receiver.
+func lossyDumbbell(eng *sim.Engine, rng *sim.RNG, rate units.Bandwidth, buffer units.ByteCount, loss float64) *netem.Topology {
+	rtt := []sim.Time{20 * sim.Millisecond}
+	spec := netem.DumbbellConfig{Rate: rate, Buffer: buffer, RTT: rtt}.Spec()
+	spec.Links[0].LossRate = loss
+	return netem.NewTopology(eng, rng, netem.TopologyConfig{Spec: spec, RTT: rtt})
+}
+
 // TestReliabilityUnderRandomLossProperty is the transport's end-to-end
 // correctness property: whatever independent random loss the forward
 // path applies, the receiver's delivered prefix keeps growing and every
@@ -23,18 +33,10 @@ func TestReliabilityUnderRandomLossProperty(t *testing.T) {
 		rng := sim.NewRNG(uint64(seed))
 
 		rate := 10 * units.MbitPerSec
-		db := netem.NewDumbbell(eng, netem.DumbbellConfig{
-			Rate:   rate,
-			Buffer: units.BDP(rate, 200*sim.Millisecond),
-			RTT:    []sim.Time{20 * sim.Millisecond},
-		})
+		db := lossyDumbbell(eng, rng, rate, units.BDP(rate, 200*sim.Millisecond), lossProb)
 		var recv *Receiver
 		var send *Sender
-
-		// Random loss sits between the bottleneck and the receiver.
-		imp := netem.NewImpairment(eng, rng.Split(), netem.ImpairmentConfig{LossProb: lossProb},
-			func(p *packet.Packet) { recv.OnData(*p) })
-		db.SetEndpoints(func(p packet.Packet) { imp.Send(&p) }, func(p packet.Packet) { send.OnAck(p) })
+		db.SetEndpoints(func(p packet.Packet) { recv.OnData(p) }, func(p packet.Packet) { send.OnAck(p) })
 
 		recv = NewReceiver(eng, 0, DefaultReceiverConfig(), db.SendAck)
 		send = NewSender(eng, 0, Config{CCA: cca.NewReno(units.MSS), Output: db.SendData})
@@ -71,16 +73,10 @@ func TestNoDuplicateDeliveryAccounting(t *testing.T) {
 	eng := sim.NewEngine()
 	rng := sim.NewRNG(9)
 	rate := 10 * units.MbitPerSec
-	db := netem.NewDumbbell(eng, netem.DumbbellConfig{
-		Rate:   rate,
-		Buffer: units.BDP(rate, 100*sim.Millisecond),
-		RTT:    []sim.Time{20 * sim.Millisecond},
-	})
+	db := lossyDumbbell(eng, rng, rate, units.BDP(rate, 100*sim.Millisecond), 0.05)
 	var recv *Receiver
 	var send *Sender
-	imp := netem.NewImpairment(eng, rng, netem.ImpairmentConfig{LossProb: 0.05},
-		func(p *packet.Packet) { recv.OnData(*p) })
-	db.SetEndpoints(func(p packet.Packet) { imp.Send(&p) }, func(p packet.Packet) { send.OnAck(p) })
+	db.SetEndpoints(func(p packet.Packet) { recv.OnData(p) }, func(p packet.Packet) { send.OnAck(p) })
 	recv = NewReceiver(eng, 0, DefaultReceiverConfig(), db.SendAck)
 	send = NewSender(eng, 0, Config{CCA: cca.NewReno(units.MSS), Output: db.SendData})
 	send.Start(0)

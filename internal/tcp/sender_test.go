@@ -342,17 +342,11 @@ func TestFiniteTransferCompletesUnderLoss(t *testing.T) {
 	eng := sim.NewEngine()
 	rng := sim.NewRNG(4)
 	rate := 10 * units.MbitPerSec
-	db := netem.NewDumbbell(eng, netem.DumbbellConfig{
-		Rate:   rate,
-		Buffer: units.BDP(rate, 100*sim.Millisecond),
-		RTT:    []sim.Time{20 * sim.Millisecond},
-	})
+	db := lossyDumbbell(eng, rng, rate, units.BDP(rate, 100*sim.Millisecond), 0.1)
 	var recv *Receiver
 	var send *Sender
 	done := false
-	imp := netem.NewImpairment(eng, rng, netem.ImpairmentConfig{LossProb: 0.1},
-		func(p *packet.Packet) { recv.OnData(*p) })
-	db.SetEndpoints(func(p packet.Packet) { imp.Send(&p) }, func(p packet.Packet) { send.OnAck(p) })
+	db.SetEndpoints(func(p packet.Packet) { recv.OnData(p) }, func(p packet.Packet) { send.OnAck(p) })
 	recv = NewReceiver(eng, 0, DefaultReceiverConfig(), db.SendAck)
 	size := units.ByteCount(200) * units.MSS
 	send = NewSender(eng, 0, Config{
