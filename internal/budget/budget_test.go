@@ -67,6 +67,21 @@ func TestEstimateTraceKnobs(t *testing.T) {
 	}
 }
 
+// TestEstimateChargesADropTimestampOnce: a retained drop timestamp is
+// priced at DropTimestampBytes and nowhere else, so raising the bound
+// by N raises the heap estimate by exactly N of them.
+func TestEstimateChargesADropTimestampOnce(t *testing.T) {
+	in := refInput()
+	in.MaxDropTimestamps = 1000
+	before := Estimate(in)
+	const more = 4096
+	in.MaxDropTimestamps += more
+	if got, want := Estimate(in).HeapBytes-before.HeapBytes, int64(more*DropTimestampBytes); got != want {
+		t.Fatalf("%d more drop timestamps raised the heap estimate by %d B, want %d (%d B each)",
+			more, got, want, DropTimestampBytes)
+	}
+}
+
 func TestCheckKinds(t *testing.T) {
 	f := Estimate(refInput())
 	horizon := refInput().Horizon

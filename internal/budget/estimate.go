@@ -34,7 +34,7 @@ const (
 	// 200 Cubic mix retains ≈132 k timestamps on ≈616 k bottleneck data
 	// packets (≈21 %), and the 10 Gbps 500 BBR + 500 NewReno scenario
 	// (examples/scenarios/paperscale_bbr_reno.json) 2.63 M. Re-pricing
-	// it is ROADMAP item 1(c): CI's budget smoke sets its 64M limit
+	// it is ROADMAP item 1(c): CI's budget smoke sets its 36M limit
 	// against today's drop-timestamp prices.
 	DropRetentionGuess = 0.02
 	// EventStructBytes is the in-memory cost of one engine event
@@ -153,7 +153,6 @@ func Estimate(in Input) Footprint {
 	if in.MaxDropTimestamps <= 0 {
 		dropTs = dataPackets * DropRetentionGuess
 	}
-	tracePoints += int64(dropTs)
 
 	// Queue ring: preallocated for a buffer full of full-size frames.
 	slots := in.QueueSlots

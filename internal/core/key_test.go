@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -79,15 +80,78 @@ func TestRunKeyIgnoresGovernance(t *testing.T) {
 		case "Budget", "WallLimit", "Collector":
 			continue
 		}
-		moved := cfg
+		from, want := cfg, base
+		if name == "ECNMarkBytes" {
+			// A marking threshold is read only where ECN marks
+			// (TestRunKeyIgnoresAnUnreadMarkThreshold).
+			from.ECN = true
+			want, _ = RunKey(from)
+		}
+		moved := from
 		f := reflect.ValueOf(&moved).Elem().Field(i)
 		if !f.IsZero() && f.Kind() != reflect.Slice {
 			f.Set(reflect.Zero(f.Type()))
 		} else {
 			setNonZero(t, f, name)
 		}
-		if k, err := RunKey(moved); err != nil || k == base {
+		if k, err := RunKey(moved); err != nil || k == want {
 			t.Errorf("changing %s did not move the run key (%v)", name, err)
+		}
+	}
+}
+
+// TestRunKeyIgnoresAnUnreadMarkThreshold: ECNMarkBytes moves the key
+// only where a drop-tail queue marks by it. With ECN off, or under
+// CoDel, which marks by its control law, the run never reads it, on the
+// dumbbell and on a declared topology's links alike; and keying a config
+// leaves the caller's topology as it was.
+func TestRunKeyIgnoresAnUnreadMarkThreshold(t *testing.T) {
+	key := func(cfg RunConfig) string {
+		t.Helper()
+		k, err := RunKey(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
+	dumbbell := EdgeScale().Build(UniformFlows(2, "reno", DefaultRTT), 7)
+	for _, tc := range []struct {
+		name   string
+		ecn    bool
+		aqm    string
+		unread bool
+	}{
+		{"ECN off", false, "", true},
+		{"CoDel with ECN", true, "codel", true},
+		{"drop-tail with ECN", true, "", false},
+	} {
+		cfg := dumbbell
+		cfg.ECN, cfg.AQM = tc.ecn, tc.aqm
+		marked := cfg
+		marked.ECNMarkBytes = 65536
+		if same := key(cfg) == key(marked); same != tc.unread {
+			t.Errorf("dumbbell, %s: thresholds 0 and 65536 keyed alike: %v, want %v", tc.name, same, tc.unread)
+		}
+
+		topo := cfg
+		topo.Topology = &netem.TopologySpec{
+			Nodes: []string{"a", "b"},
+			Links: []netem.LinkSpec{{Name: "ab", From: "a", To: "b", Rate: cfg.Rate, Buffer: cfg.Buffer, ECN: tc.ecn}},
+			Paths: [][]int{{0}, {0}},
+		}
+		if tc.aqm == "codel" {
+			topo.Topology.Links[0].Discipline = netem.CoDel
+		}
+		spec := *topo.Topology
+		spec.Links = slices.Clone(spec.Links)
+		spec.Links[0].ECNMarkBytes = 65536
+		linkMarked := topo
+		linkMarked.Topology = &spec
+		if same := key(topo) == key(linkMarked); same != tc.unread {
+			t.Errorf("topology link, %s: thresholds 0 and 65536 keyed alike: %v, want %v", tc.name, same, tc.unread)
+		}
+		if spec.Links[0].ECNMarkBytes != 65536 {
+			t.Errorf("topology link, %s: RunKey cleared the caller's threshold", tc.name)
 		}
 	}
 }

@@ -9,9 +9,8 @@ import (
 )
 
 // TestQueueSteadyStateZeroAlloc is the allocation budget for the
-// bottleneck ring buffer: the pre-sized power-of-two ring means
-// enqueue/dequeue in steady state — even at full occupancy — never
-// touches the allocator.
+// bottleneck ring buffer: the pre-sized ring means enqueue/dequeue in
+// steady state — even at full occupancy — never touches the allocator.
 func TestQueueSteadyStateZeroAlloc(t *testing.T) {
 	q := NewDropTailQueue(3 * units.MB)
 	p := dataPkt(0, 0, 1448)
@@ -32,50 +31,64 @@ func TestQueueSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestQueuePreSizedNeverGrows verifies the ring pre-sizing rule: a
-// queue filled to its byte capacity with full-size frames fits in the
-// initial ring, so grow is never called in the steady state the paper's
-// experiments run in.
+// TestQueuePreSizedNeverGrows verifies the ring pre-sizing rule: the
+// ring is exactly RingSlotsFor(capacity) long, and a queue filled to its
+// byte capacity with full-size frames, across the wrap seam, fits in it,
+// so grow is never called in the steady state the paper's experiments
+// run in.
 func TestQueuePreSizedNeverGrows(t *testing.T) {
 	capacity := 375 * units.MB / 100 // CoreScale buffer at the scaled tier
 	q := NewDropTailQueue(capacity)
-	ringBefore := len(q.ring)
-	if ringBefore&(ringBefore-1) != 0 {
-		t.Fatalf("ring size %d is not a power of two", ringBefore)
+	slots := RingSlotsFor(capacity)
+	if len(q.ring) != slots {
+		t.Fatalf("ring holds %d slots, RingSlotsFor(%d) = %d", len(q.ring), capacity, slots)
+	}
+	// Move the head off slot zero, so the full queue wraps.
+	for i := 0; i < slots/3; i++ {
+		push(q, dataPkt(0, 0, 1448))
+		pop(q)
 	}
 	n := 0
 	for push(q, dataPkt(0, int64(n)*1448, 1448)) {
 		n++
 	}
-	if len(q.ring) != ringBefore {
-		t.Fatalf("ring grew from %d to %d filling to byte capacity", ringBefore, len(q.ring))
+	if len(q.ring) != slots {
+		t.Fatalf("ring grew from %d to %d filling to byte capacity", slots, len(q.ring))
 	}
-	if n == 0 {
-		t.Fatal("no packets accepted")
+	if n != slots-1 {
+		t.Fatalf("%d full-size frames filled %d bytes, want %d", n, capacity, slots-1)
+	}
+	for i := 0; i < n; i++ {
+		if p, ok := pop(q); !ok || p.Seq != int64(i)*1448 {
+			t.Fatalf("pop %d = seq %d ok=%v, want seq %d", i, p.Seq, ok, int64(i)*1448)
+		}
 	}
 }
 
-// TestQueueGrowPreservesFIFOAndMask exercises the doubling path with
-// sub-MSS packets (the only way to exceed the pre-size) across a
-// wrapped head, checking FIFO order and mask consistency survive.
-func TestQueueGrowPreservesFIFOAndMask(t *testing.T) {
-	q := NewDropTailQueue(4 * units.MB) // byte capacity far beyond what tiny packets fill
+// TestQueueGrowPreservesFIFOAcrossWrap exercises the doubling path with
+// sub-MSS packets (the only way to exceed the pre-size) on a ring whose
+// length is not a power of two, with the head past the seam: FIFO order
+// survives two grows, and the ring doubles from RingSlotsFor each time.
+func TestQueueGrowPreservesFIFOAcrossWrap(t *testing.T) {
+	capacity := 1000 * (units.MSS + packet.HeaderBytes) // far beyond what tiny packets fill
+	q := NewDropTailQueue(capacity)
+	slots := RingSlotsFor(capacity)
+	if slots&(slots-1) == 0 {
+		t.Fatalf("RingSlotsFor(%d) = %d, want a length that is not a power of two", capacity, slots)
+	}
 	// Wrap the head first.
-	for i := 0; i < 100; i++ {
+	for i := 0; i < slots-7; i++ {
 		push(q, dataPkt(0, int64(i), 1))
 		pop(q)
 	}
-	total := len(q.ring)*2 + 10 // force two grows
+	total := slots*2 + 10 // force two grows
 	for i := 0; i < total; i++ {
 		if !push(q, dataPkt(0, int64(i), 1)) {
 			t.Fatalf("push %d rejected", i)
 		}
 	}
-	if len(q.ring)&(len(q.ring)-1) != 0 {
-		t.Fatalf("ring size %d not a power of two after grow", len(q.ring))
-	}
-	if q.mask != len(q.ring)-1 {
-		t.Fatalf("mask %d inconsistent with ring size %d", q.mask, len(q.ring))
+	if len(q.ring) != 4*slots {
+		t.Fatalf("ring holds %d slots after two grows from %d", len(q.ring), slots)
 	}
 	for i := 0; i < total; i++ {
 		p, ok := pop(q)

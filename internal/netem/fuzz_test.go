@@ -1,6 +1,7 @@
 package netem
 
 import (
+	"bytes"
 	"testing"
 
 	"ccatscale/internal/audit"
@@ -31,6 +32,15 @@ func FuzzQueueConservation(f *testing.F) {
 	for _, first := range []byte{1, 2, 3} {
 		f.Add(append([]byte{first}, standing...))
 	}
+	// The drop-tail ring holds RingSlotsFor(capacity) = 21 slots, not a
+	// power of two: 12 pushes and pops move its head to slot 12, then
+	// 30 runts of 8 bytes wrap it and grow it to 42 with the head past
+	// the seam, and the pops drain it in order.
+	wrap := []byte{0}
+	for _, run := range []struct{ op, n byte }{{15, 12}, {128, 12}, {15, 30}, {128, 30}} {
+		wrap = append(wrap, bytes.Repeat([]byte{run.op}, int(run.n))...)
+	}
+	f.Add(wrap)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return

@@ -19,13 +19,14 @@ import (
 // The backing store is a growable ring buffer: at CoreScale a full
 // buffer holds ~250k segments and the queue churns hundreds of millions
 // of times per run, so per-operation allocation is unacceptable. A slot
-// holds a data segment's fields, not a whole packet (see segment).
+// holds a data segment's fields, not a whole packet (see segment), and
+// the ring holds exactly as many slots as the buffer has full-size
+// frames, plus one (RingSlotsFor).
 type DropTailQueue struct {
 	capacity units.ByteCount
 	bytes    units.ByteCount
 
-	ring []segment // length is always a power of two
-	mask int       // len(ring) - 1, for index masking
+	ring []segment
 	head int
 	n    int
 
@@ -59,24 +60,18 @@ func NewDropTailQueue(capacity units.ByteCount) *DropTailQueue {
 	return &DropTailQueue{
 		capacity: capacity,
 		ring:     make([]segment, size),
-		mask:     size - 1,
 	}
 }
 
 // RingSlotsFor returns the ring preallocation NewDropTailQueue makes for
-// a byte capacity: the worst case for full-size traffic (capacity ÷ one
-// MSS frame, plus one slot of slack) rounded up to a power of two so
-// Push/Pop mask instead of dividing. Smaller-than-MSS packets can still
-// exceed this and trigger grow, which doubles (preserving the power of
-// two). Exported so the resource-budget estimator can price a buffer's
-// memory footprint without building the queue.
+// a byte capacity: the worst case for full-size traffic, capacity ÷ one
+// MSS frame plus one slot of slack, and not a slot more. Push and Pop
+// wrap by comparison, so the length need not be a power of two.
+// Smaller-than-MSS packets can still exceed it and trigger grow, which
+// doubles. Exported so the resource-budget estimator can price a
+// buffer's memory footprint without building the queue.
 func RingSlotsFor(capacity units.ByteCount) int {
-	frames := int(capacity/(units.MSS+packet.HeaderBytes)) + 1
-	size := 1024
-	for size < frames {
-		size <<= 1
-	}
-	return size
+	return int(capacity/(units.MSS+packet.HeaderBytes)) + 1
 }
 
 // Capacity returns the configured byte capacity.
@@ -121,7 +116,7 @@ func (q *DropTailQueue) MaxLen() int { return q.maxPackets }
 // CE mark is set on the queued copy. A false return is a tail drop; the
 // caller is responsible for logging it (the paper logs every drop at the
 // bottleneck to compute loss rates and burstiness). Push panics on a
-// packet with an ACK field set (see segment).
+// packet with an ACK field set or a Len beyond 16 bits (see segment).
 func (q *DropTailQueue) Push(p *packet.Packet) bool {
 	mustBeData(p)
 	wire := p.WireBytes()
@@ -132,14 +127,18 @@ func (q *DropTailQueue) Push(p *packet.Packet) bool {
 	if q.n == len(q.ring) {
 		q.grow()
 	}
-	slot := &q.ring[(q.head+q.n)&q.mask]
+	tail := q.head + q.n
+	if tail >= len(q.ring) {
+		tail -= len(q.ring)
+	}
+	slot := &q.ring[tail]
 	slot.pack(p)
-	if q.markAt > 0 && slot.ECT && !slot.CE && q.bytes+wire >= q.markAt {
-		slot.CE = true
+	if q.markAt > 0 && slot.flags&(flagECT|flagCE) == flagECT && q.bytes+wire >= q.markAt {
+		slot.flags |= flagCE
 		q.ceMarkWire += wire
 		q.ceMarks++
 	}
-	if slot.CE {
+	if slot.flags&flagCE != 0 {
 		q.ceBytes += wire
 	}
 	q.n++
@@ -161,7 +160,10 @@ func (q *DropTailQueue) Pop(dst *packet.Packet) bool {
 		return false
 	}
 	q.ring[q.head].unpack(dst)
-	q.head = (q.head + 1) & q.mask
+	q.head++
+	if q.head == len(q.ring) {
+		q.head = 0
+	}
 	q.n--
 	wire := dst.WireBytes()
 	q.bytes -= wire
@@ -171,13 +173,12 @@ func (q *DropTailQueue) Pop(dst *packet.Packet) bool {
 	return true
 }
 
+// grow doubles a full ring, unrolling it to start at slot zero.
 func (q *DropTailQueue) grow() {
 	bigger := make([]segment, 2*len(q.ring))
-	for i := 0; i < q.n; i++ {
-		bigger[i] = q.ring[(q.head+i)&q.mask]
-	}
+	n := copy(bigger, q.ring[q.head:])
+	copy(bigger[n:], q.ring[:q.head])
 	q.ring = bigger
-	q.mask = len(bigger) - 1
 	q.head = 0
 }
 

@@ -265,9 +265,16 @@ type Topology struct {
 	revDelay []sim.Time
 	// rev[flow] is the ACK lane of the flow's reverse delay. Flows with
 	// the same delay share one: a constant delay keeps their ACKs in
-	// firing order whichever flow sent them.
-	rev        []*sim.Lane[packet.Packet]
+	// firing order whichever flow sent them. A lane holds ACK records,
+	// not packets (see ackRecord).
+	rev        []*sim.Lane[ackRecord]
 	bottleneck int
+	// ack is the one slot every reverse lane unpacks an arriving ACK
+	// into before handing it to toSender. One slot serves them all: a
+	// lane delivers only from the engine loop, never from inside
+	// SendAck, so no ACK arrives while the sender still reads the last
+	// one, and the sender keeps nothing it is handed (RefSink).
+	ack packet.Packet
 
 	toReceiver RefSink
 	toSender   RefSink
@@ -325,15 +332,15 @@ func NewTopology(eng *sim.Engine, rng *sim.RNG, cfg TopologyConfig) *Topology {
 		eng:      eng,
 		spec:     cfg.Spec,
 		revDelay: make([]sim.Time, len(cfg.RTT)),
-		rev:      make([]*sim.Lane[packet.Packet], len(cfg.RTT)),
+		rev:      make([]*sim.Lane[ackRecord], len(cfg.RTT)),
 		onDrop:   cfg.OnDrop,
 		aud:      cfg.Audit,
 	}
-	lanes := map[sim.Time]*sim.Lane[packet.Packet]{}
+	lanes := map[sim.Time]*sim.Lane[ackRecord]{}
 	for f, rtt := range cfg.RTT {
 		rev := max(rtt-cfg.Spec.ForwardDelay(f), 0)
 		if lanes[rev] == nil {
-			lanes[rev] = sim.NewLane(eng, func(p *packet.Packet) { t.toSender(p) })
+			lanes[rev] = sim.NewLane(eng, t.ackArrived)
 		}
 		t.revDelay[f], t.rev[f] = rev, lanes[rev]
 	}
@@ -521,9 +528,18 @@ func (t *Topology) SendData(p packet.Packet) { t.links[t.entry[p.Flow]].port.Sen
 func (t *Topology) SendDataRef(p *packet.Packet) { t.links[t.entry[p.Flow]].port.send(p) }
 
 // SendAck is the receiver-side entry point: the ACK returns over the
-// uncongested reverse path after the flow's residual base-RTT delay.
+// uncongested reverse path after the flow's residual base-RTT delay. It
+// panics on a packet with a data field set (see ackRecord).
 func (t *Topology) SendAck(p packet.Packet) {
-	t.rev[p.Flow].After(t.revDelay[p.Flow], &p)
+	mustBeAck(&p)
+	t.rev[p.Flow].AfterSlot(t.revDelay[p.Flow]).pack(&p)
+}
+
+// ackArrived is every reverse lane's sink: the ACK reached its sender,
+// which reads it from the topology's ACK slot.
+func (t *Topology) ackArrived(a *ackRecord) {
+	a.unpack(&t.ack)
+	t.toSender(&t.ack)
 }
 
 // InNetworkBytes returns wire bytes queued, serializing, or in

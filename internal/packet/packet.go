@@ -9,7 +9,8 @@
 // owns. From there to the receiver, and for an ACK from the ACK lane to
 // the sender, a packet is copied only into the places where it waits (a
 // queue ring, which keeps just a data segment's fields, a port's tx
-// slot, a propagation lane) and passed between them by reference. The
+// slot, a propagation lane, an ACK lane, which keeps just an ACK's
+// fields) and passed between them by reference. The
 // by-value signatures that remain (tcp.Config's Output, Sender.OnAck,
 // Receiver.OnData, the netem Sink edges) are adapters for the benchmark
 // module.

@@ -16,11 +16,11 @@ import "fmt"
 // A stream that can reorder (per-packet jitter) is the heap's job and
 // stays on one-shot events.
 //
-// Values move by reference: After copies *v into the ring, and the sink
-// is handed a pointer to the ring slot itself, valid until the sink
-// returns. The ring keeps a fired entry's value until the slot is
-// reused, so a T holding pointers lives that much longer; the packets it
-// was built for hold none.
+// Values move by reference: After copies *v into the ring (AfterSlot
+// lets the caller build it there), and the sink is handed a pointer to
+// the ring slot itself, valid until the sink returns. The ring keeps a
+// fired entry's value until the slot is reused, so a T holding pointers
+// lives that much longer; the packets it was built for hold none.
 type Lane[T any] struct {
 	eng  *Engine
 	sink func(*T)
@@ -46,7 +46,14 @@ func NewLane[T any](eng *Engine, sink func(*T)) *Lane[T] {
 // After delivers a copy of *v to the sink after delay d (non-positive:
 // the current instant, behind what is already scheduled for it). An
 // entry due before its predecessor does not belong in a lane and panics.
-func (l *Lane[T]) After(d Time, v *T) {
+func (l *Lane[T]) After(d Time, v *T) { *l.AfterSlot(d) = *v }
+
+// AfterSlot is After for a value built in place: it schedules one entry
+// after delay d and returns the slot of its value, which still holds
+// whatever the slot held last. The caller writes the whole value before
+// it returns to the engine loop, which is the first that can deliver
+// it; a value built elsewhere and copied in costs a second write of it.
+func (l *Lane[T]) AfterSlot(d Time) *T {
 	e := l.eng
 	at := e.now + max(d, 0)
 	if l.size > 0 {
@@ -62,12 +69,13 @@ func (l *Lane[T]) After(d Time, v *T) {
 		l.grow()
 	}
 	slot := &l.ring[(l.head+l.size)&(len(l.ring)-1)]
-	slot.at, slot.seq, slot.v = at, seq, *v
+	slot.at, slot.seq = at, seq
 	l.size++
 	e.parked++
 	if l.size == 1 {
 		e.arm(&l.n, at, seq)
 	}
+	return &slot.v
 }
 
 // grow doubles the ring (from 8), unrolling it to start at slot zero;
