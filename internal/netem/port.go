@@ -99,9 +99,11 @@ type Port struct {
 	ceSerializing units.ByteCount
 
 	// The port transmits one packet at a time: tx[cur] is on the wire
-	// and the in-flight serialization is one timer. txDone pops the next
-	// packet straight into the other slot, re-arms the timer from inside
-	// its own callback (which leaves its heap node where it is), and
+	// and the in-flight serialization is one stream timer, whose node
+	// sits in the engine's small stream heap with the lanes rather than
+	// among the per-flow timers. txDone pops the next packet straight
+	// into the other slot, re-arms the timer from inside its own
+	// callback (which leaves its node where it is), and
 	// hands the finished packet to the sink where it lies. A send onto
 	// the idle port from inside that sink fills the new tx[cur], never
 	// the slot being delivered.
@@ -130,7 +132,7 @@ func newPort(eng *sim.Engine, rate units.Bandwidth, queue Queue, out RefSink, on
 		panic("netem: non-positive port rate")
 	}
 	p := &Port{eng: eng, rate: rate, queue: queue, out: out, onDrop: onDrop}
-	p.txTimer = sim.NewTimer(eng, p.txDone)
+	p.txTimer = sim.NewStreamTimer(eng, p.txDone)
 	return p
 }
 

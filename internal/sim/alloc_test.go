@@ -65,7 +65,8 @@ func TestCapReportsRawHeapSize(t *testing.T) {
 }
 
 // TestCapCountsLaneEntries: a lane's entries wait in its ring behind one
-// heap node, and Cap — what Budget.Events bounds — counts them.
+// node, which sits in the stream heap and not the main one, and Cap —
+// what Budget.Events bounds — counts them.
 func TestCapCountsLaneEntries(t *testing.T) {
 	eng := NewEngine()
 	lane := NewLane(eng, func(*int) {})
@@ -75,13 +76,63 @@ func TestCapCountsLaneEntries(t *testing.T) {
 	if eng.Len() != 100 {
 		t.Fatalf("Len = %d with 100 lane entries, want 100", eng.Len())
 	}
-	if len(eng.queue) != 1 || eng.Cap() != 101 {
-		t.Fatalf("heap holds %d nodes, Cap = %d; want 1 node and Cap 101 (node + 100 parked)", len(eng.queue), eng.Cap())
+	if len(eng.stream) != 1 || len(eng.queue) != 0 || eng.Cap() != 101 {
+		t.Fatalf("stream heap holds %d nodes, main heap %d, Cap = %d; want 1, 0 and Cap 101 (node + 100 parked)",
+			len(eng.stream), len(eng.queue), eng.Cap())
 	}
 	eng.Run(MaxTime)
 	if eng.Processed() != 100 || eng.Len() != 0 || eng.Cap() != 0 {
 		t.Fatalf("after drain: Processed %d Len %d Cap %d", eng.Processed(), eng.Len(), eng.Cap())
 	}
+}
+
+// TestStreamHeapKeepsLanesOffMainHeap pins the bottleneck pattern of a
+// link slower than its propagation delay: a port's serialization timer,
+// re-armed every 6 µs from its own callback, feeds a 5 µs lane, which
+// therefore empties after every packet and is re-armed by the next.
+// Beside 1000 far-future per-flow timers, none of that may touch the
+// main heap — its length never changes while the stream runs — and the
+// steady state allocates nothing.
+func TestStreamHeapKeepsLanesOffMainHeap(t *testing.T) {
+	eng := NewEngine()
+	for i := 0; i < 1000; i++ {
+		NewTimer(eng, func() {}).Reset(Hour + Time(i))
+	}
+	const mainLen = 1000
+	check := func(where string) {
+		if len(eng.queue) != mainLen {
+			t.Fatalf("main heap holds %d nodes %s, want %d", len(eng.queue), where, mainLen)
+		}
+	}
+	delivered := 0
+	lane := NewLane(eng, func(*[4]int64) {
+		check("in the lane's sink")
+		delivered++
+	})
+	var v [4]int64
+	var tx *Timer
+	tx = NewStreamTimer(eng, func() {
+		check("in the stream timer's callback")
+		lane.After(5*Microsecond, &v)
+		tx.Reset(6 * Microsecond)
+	})
+	tx.Reset(6 * Microsecond)
+	check("after arming the stream timer")
+	eng.Run(6 * Millisecond)
+	check("between slices")
+	if delivered < 990 {
+		t.Fatalf("lane delivered %d entries in 6 ms, want one per 6 µs", delivered)
+	}
+	if len(eng.stream) > 2 {
+		t.Fatalf("stream heap holds %d nodes, want at most the timer's and the lane's", len(eng.stream))
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		eng.Run(eng.Now() + 600*Microsecond)
+	})
+	if allocs != 0 {
+		t.Fatalf("stream timer + lane allocate %.1f objects per 100 packets, want 0", allocs)
+	}
+	check("after the steady state")
 }
 
 // TestHeapCompaction: stopped timers leave the heap as they surface,

@@ -21,6 +21,20 @@
 // of packet, timer, and sample events per run) this is the difference
 // between running at memory speed and running at garbage-collector
 // speed.
+//
+// There are two heaps under that one order. The stream heap holds the
+// few nodes that fire on every packet — each Lane and each stream timer
+// (NewStreamTimer, a port's serialization) — and the main heap holds
+// one-shot events and every other Timer, thousands of per-flow RTO,
+// TLP, pacing, GRO and delayed-ACK timers at scale. Run fires whichever
+// root is earlier. A lane whose ring empties leaves its heap and comes
+// back with the next entry; on a link whose serialization outlasts its
+// propagation delay it does so every packet, and in the main heap each
+// round trip would sift through every flow's timers (DESIGN.md, "Two
+// heaps, one order", has the census). TestEngineMatchesOracle checks
+// the firing order across both heaps against a reference, and
+// TestStreamHeapKeepsLanesOffMainHeap that a lane stays off the main
+// heap.
 package sim
 
 import (
@@ -81,21 +95,28 @@ type node struct {
 	at  Time
 	seq uint64
 	fn  func()
-	idx int // position in Engine.queue; -1 while a permanent node is out of the heap
+	idx int // position in its heap; -1 while a permanent node is out of it
 
 	perm   bool
 	armed  bool
+	stream bool // a permanent node of the stream heap
 	dueAt  Time
 	dueSeq uint64
 }
 
-func (n *node) initPerm(fn func()) { n.fn, n.perm, n.idx = fn, true, -1 }
+func (n *node) initPerm(fn func(), stream bool) {
+	n.fn, n.perm, n.stream, n.idx = fn, true, stream, -1
+}
+
+// heap is a binary min-heap of nodes ordered by (at, seq).
+type heap []*node
 
 // Engine is a discrete-event simulator. The zero value is not usable;
 // construct one with NewEngine.
 type Engine struct {
 	now     Time
-	queue   []*node // binary min-heap ordered by (at, seq)
+	queue   heap // one-shot events and timers
+	stream  heap // lanes and stream timers
 	nextSeq uint64
 	stopped bool
 
@@ -128,7 +149,7 @@ type Engine struct {
 
 // NewEngine returns an engine with the clock at zero and an empty queue.
 func NewEngine() *Engine {
-	return &Engine{queue: make([]*node, 0, 1024)}
+	return &Engine{queue: make(heap, 0, 1024), stream: make(heap, 0, 16)}
 }
 
 // Now returns the current virtual time.
@@ -143,10 +164,10 @@ func (e *Engine) Processed() uint64 { return e.processed }
 // estimate inflated by disarmed timer nodes still in the heap.
 func (e *Engine) Len() int { return e.live }
 
-// Cap reports the event slots held: heap nodes (disarmed timers not yet
-// dropped included) plus the entries parked in lanes — the engine's
-// memory footprint indicator.
-func (e *Engine) Cap() int { return len(e.queue) + e.parked }
+// Cap reports the event slots held: the nodes of both heaps (disarmed
+// timers not yet dropped included) plus the entries parked in lanes —
+// the engine's memory footprint indicator.
+func (e *Engine) Cap() int { return len(e.queue) + len(e.stream) + e.parked }
 
 // stamp admits one schedule at virtual time at and draws its seq.
 // Scheduling in the past panics: it always indicates a logic error in
@@ -178,7 +199,7 @@ func (e *Engine) Schedule(at Time, fn func()) {
 		n = new(node)
 	}
 	n.at, n.seq, n.fn = at, seq, fn
-	e.push(n)
+	e.queue.push(n)
 }
 
 // After runs fn after delay d. A non-positive delay schedules for the
@@ -187,18 +208,22 @@ func (e *Engine) Schedule(at Time, fn func()) {
 func (e *Engine) After(d Time, fn func()) { e.Schedule(e.now+max(d, 0), fn) }
 
 // arm gives a permanent node its next true key, freshly stamped (so no
-// seq in the heap is newer). The heap is touched only when the node is
-// absent or now due before the key it sits under; a later deadline
+// seq in either heap is newer). Its heap is touched only when the node
+// is absent or now due before the key it sits under; a later deadline
 // leaves the position stale for Run to correct.
 func (e *Engine) arm(n *node, at Time, seq uint64) {
 	n.armed, n.dueAt, n.dueSeq = true, at, seq
+	h := &e.queue
+	if n.stream {
+		h = &e.stream
+	}
 	switch {
 	case n.idx < 0:
 		n.at, n.seq = at, seq
-		e.push(n)
+		h.push(n)
 	case at < n.at:
 		n.at, n.seq = at, seq
-		e.up(n, n.idx)
+		h.up(n, n.idx)
 	}
 }
 
@@ -243,8 +268,18 @@ func (e *Engine) SetAudit(fn func(check, detail string)) { e.auditFn = fn }
 // Events scheduled exactly at the horizon are executed.
 func (e *Engine) Run(horizon Time) Time {
 	e.stopped = false
-	for len(e.queue) > 0 && !e.stopped {
-		n := e.queue[0]
+	for !e.stopped {
+		// Serve the earlier root. Every node of a heap sits under a key
+		// no later than its true key and no later than the keys below it,
+		// so the earlier root bounds every pending firing from below, and
+		// each heap's root is handled exactly as a single heap's would be.
+		h := &e.queue
+		if len(e.stream) > 0 && (len(e.queue) == 0 || less(e.stream[0], e.queue[0])) {
+			h = &e.stream
+		} else if len(e.queue) == 0 {
+			break
+		}
+		n := (*h)[0]
 		// The horizon test comes first: no node sits under a key later
 		// than its true key, so a root key beyond the horizon ends the
 		// run whatever state the root is in — and a sliced run does not
@@ -256,21 +291,22 @@ func (e *Engine) Run(horizon Time) Time {
 		fn := n.fn
 		if n.perm {
 			if !n.armed {
-				e.popRoot()
+				h.popRoot()
 				continue
 			}
 			if n.dueAt != n.at || n.dueSeq != n.seq {
 				n.at, n.seq = n.dueAt, n.dueSeq
-				e.down(n, 0)
+				h.down(n, 0)
 				continue
 			}
 			// Fire in place: nothing fn schedules can order before the
 			// key it fires under, so the node keeps the root for the
 			// next iteration to drop or re-key — a timer re-armed from
-			// its own callback never leaves the heap.
+			// its own callback never leaves its heap. A lane whose ring
+			// the firing empties does leave, at the next iteration.
 			n.armed = false
 		} else {
-			e.popRoot()
+			h.popRoot()
 			n.fn = nil // the pool must not extend closure lifetimes
 			e.free = append(e.free, n)
 		}
@@ -302,27 +338,27 @@ func less(a, b *node) bool {
 	return a.seq < b.seq
 }
 
-func (e *Engine) push(n *node) {
-	e.queue = append(e.queue, n)
-	e.up(n, len(e.queue)-1)
+func (h *heap) push(n *node) {
+	*h = append(*h, n)
+	h.up(n, len(*h)-1)
 }
 
-// popRoot removes the root entry (callers read e.queue[0] first) and
-// marks it absent.
-func (e *Engine) popRoot() {
-	e.queue[0].idx = -1
-	last := len(e.queue) - 1
-	n := e.queue[last]
-	e.queue[last] = nil
-	e.queue = e.queue[:last]
+// popRoot removes the root entry (callers read (*h)[0] first) and marks
+// it absent.
+func (h *heap) popRoot() {
+	q := *h
+	q[0].idx = -1
+	last := len(q) - 1
+	n := q[last]
+	q[last] = nil
+	*h = q[:last]
 	if last > 0 {
-		e.down(n, 0)
+		h.down(n, 0)
 	}
 }
 
 // up places n, whose slot i is free, at or above i.
-func (e *Engine) up(n *node, i int) {
-	q := e.queue
+func (q heap) up(n *node, i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
 		if !less(n, q[parent]) {
@@ -337,8 +373,7 @@ func (e *Engine) up(n *node, i int) {
 }
 
 // down places n, whose slot i is free, at or below i.
-func (e *Engine) down(n *node, i int) {
-	q := e.queue
+func (q heap) down(n *node, i int) {
 	for {
 		min := 2*i + 1
 		if min >= len(q) {
@@ -369,9 +404,21 @@ type Timer struct {
 }
 
 // NewTimer creates a stopped timer that will invoke fn when it expires.
+// Its node lives in the main heap, beside every other flow's timers.
 func NewTimer(eng *Engine, fn func()) *Timer {
 	t := &Timer{eng: eng}
-	t.n.initPerm(fn)
+	t.n.initPerm(fn, false)
+	return t
+}
+
+// NewStreamTimer is NewTimer for a timer that keeps pace with a packet
+// stream — a port's serialization, re-armed from its own callback once
+// per packet — whose node lives in the stream heap with the lanes. That
+// heap stays a few nodes deep only while it holds one timer per link,
+// not one per flow: a per-flow timer is NewTimer's.
+func NewStreamTimer(eng *Engine, fn func()) *Timer {
+	t := &Timer{eng: eng}
+	t.n.initPerm(fn, true)
 	return t
 }
 

@@ -6,9 +6,16 @@ import "fmt"
 // every packet crossing one link's propagation delay, every ACK
 // returning over one reverse delay — without a heap entry apiece. Each
 // After stamps its (at, seq) at the call exactly as Engine.After would
-// and appends (at, seq, v) to a ring; the lane's one permanent heap node
+// and appends (at, seq, v) to a ring; the lane's one permanent node
 // carries the head's key, so entries fire at the same (at, seq) they
-// would have as one-shot events while the heap holds one node per lane.
+// would have as one-shot events while the heaps hold one node per lane.
+//
+// That node lives in the engine's stream heap, away from the per-flow
+// timers (see the package doc): a lane whose ring empties leaves its
+// heap and its next entry brings it back, which on a link that takes
+// longer to serialize a packet than to carry it (a 1518-byte frame at
+// 2 Gb/s is 6.07 µs on the wire, the dumbbell's forward delay 5 µs)
+// happens every packet.
 //
 // What a lane may carry is anything whose entries cannot overtake each
 // other: seq only grows, so a stream whose at never decreases — a
@@ -39,7 +46,7 @@ type laneEntry[T any] struct {
 // NewLane creates an empty lane that delivers into sink.
 func NewLane[T any](eng *Engine, sink func(*T)) *Lane[T] {
 	l := &Lane[T]{eng: eng, sink: sink}
-	l.n.initPerm(l.fire)
+	l.n.initPerm(l.fire, true)
 	return l
 }
 

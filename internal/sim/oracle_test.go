@@ -62,14 +62,18 @@ func (r *refEngine) run(horizon Time) {
 	}
 }
 
-// Program vocabulary. Timers fire as ids [0, oracleTimers), constant-
-// delay streams as oracleStreamID+s, one-shot events as oraclePlainID.
+// Program vocabulary. Timers fire as ids [0, oracleTimers), the first
+// oracleMainTimers of them from the main heap and the rest stream timers
+// from the stream heap, constant-delay streams (lanes, also in the
+// stream heap) as oracleStreamID+s, one-shot events as oraclePlainID.
 // Delays sit on a grid of a few ticks so that equal-timestamp ties —
-// where only seq decides — are the common case.
+// where only seq decides, within a heap and across the two — are the
+// common case.
 const (
-	oracleTimers   = 4
-	oracleStreamID = 10
-	oraclePlainID  = 100
+	oracleMainTimers = 4
+	oracleTimers     = oracleMainTimers + 2
+	oracleStreamID   = 10
+	oraclePlainID    = 100
 )
 
 var oracleStreamDelay = [...]Time{0, 1, 3}
@@ -121,7 +125,11 @@ func newEngMachine(fire func(id int)) *engMachine {
 	m := &engMachine{eng: NewEngine(), fire: fire}
 	for k := range m.timers {
 		k := k
-		m.timers[k] = NewTimer(m.eng, func() { fire(k) })
+		if k < oracleMainTimers {
+			m.timers[k] = NewTimer(m.eng, func() { fire(k) })
+		} else {
+			m.timers[k] = NewStreamTimer(m.eng, func() { fire(k) })
+		}
 	}
 	for s := range m.lanes {
 		// The sink reads through the pointer it was handed after the
@@ -186,15 +194,15 @@ func (in *interp) step() bool {
 		return false
 	}
 	now, _, _ := in.m.state()
-	switch op % 8 {
+	switch op % 10 {
 	case 0:
 		in.m.after(Time(in.arg(4)), oraclePlainID)
 	case 1:
 		in.m.scheduleAt(now+Time(in.arg(4)), oraclePlainID+1)
 	case 2:
-		in.m.reset(in.arg(oracleTimers), Time(in.arg(6)))
+		in.m.reset(in.arg(oracleMainTimers), Time(in.arg(6)))
 	case 3:
-		in.m.stopTimer(in.arg(oracleTimers))
+		in.m.stopTimer(in.arg(oracleMainTimers))
 	case 4:
 		in.m.stream(in.arg(len(oracleStreamDelay)))
 	case 5, 6:
@@ -203,8 +211,17 @@ func (in *interp) step() bool {
 		k := in.arg(oracleTimers)
 		in.m.stopTimer(k)
 		in.m.reset(k, Time(in.arg(6)))
+	case 8:
+		in.m.reset(in.streamTimer(), Time(in.arg(6)))
+	case 9:
+		in.m.stopTimer(in.streamTimer())
 	}
 	return true
+}
+
+// streamTimer draws one of the stream timers.
+func (in *interp) streamTimer() int {
+	return oracleMainTimers + in.arg(oracleTimers-oracleMainTimers)
 }
 
 // fired is every callback: it records the firing and then acts from
@@ -217,7 +234,7 @@ func (in *interp) fired(id int) {
 		switch op := in.arg(256); op % 8 {
 		case 0:
 			in.m.after(Time(in.arg(4)), oraclePlainID+2)
-		case 1:
+		case 1: // any timer, main or stream
 			in.m.reset(in.arg(oracleTimers), Time(in.arg(6)))
 		case 2:
 			in.m.stopTimer(in.arg(oracleTimers))
@@ -237,6 +254,8 @@ func (in *interp) fired(id int) {
 			if op >= 192 {
 				in.m.halt()
 			}
+		case 7:
+			in.m.reset(in.streamTimer(), Time(in.arg(6)))
 		}
 	}
 }
@@ -302,9 +321,10 @@ func oracleProgram(seed uint64, n int) []byte {
 
 // TestEngineMatchesOracle runs random programs — Schedule/After,
 // Timer.Reset later, earlier and equal, Stop, stop-then-reset, reset
-// and stop from inside the timer's own callback, constant-delay
-// streams fed from outside and from their own sink, Engine.Stop
-// mid-run, Run in horizon slices — against the reference engine.
+// and stop from inside the timer's own callback, of main-heap and
+// stream-heap timers alike, constant-delay streams fed from outside and
+// from their own sink, Engine.Stop mid-run, Run in horizon slices —
+// against the reference engine.
 func TestEngineMatchesOracle(t *testing.T) {
 	for seed := uint64(1); seed <= 300; seed++ {
 		runOracle(t, oracleProgram(seed, 1500))
@@ -316,6 +336,8 @@ func FuzzEngineOracle(f *testing.F) {
 	f.Add([]byte{2, 0, 5, 7, 0, 3, 2, 0, 1, 5, 4})                     // reset later, stop-then-reset earlier, run past both
 	f.Add([]byte{4, 0, 4, 0, 5, 1, 2, 4, 4, 1, 4, 5, 4})               // a delay-0 stream fed from its own sink
 	f.Add([]byte{2, 1, 0, 5, 3, 1, 4, 3, 1, 5, 2, 1, 246, 5, 4, 5, 4}) // re-arm, stop and halt from inside callbacks
+	f.Add([]byte{2, 0, 3, 8, 0, 3, 4, 2, 0, 3, 5, 4})                  // a main timer, a stream timer, a lane and an event due at 3
+	f.Add([]byte{8, 1, 2, 2, 1, 2, 9, 1, 8, 1, 2, 2, 0, 2, 5, 4})      // stream timers stopped and re-armed across a main-heap tie
 	f.Add(oracleProgram(1, 400))
 	f.Add(oracleProgram(2, 400))
 	f.Fuzz(func(t *testing.T, prog []byte) {

@@ -24,9 +24,14 @@
 # document) and whether the pair is the same. The summary gives each
 # side's median [quartiles], the win count and the median ratio, then
 # each side's median [quartiles] of the second column and the number of
-# pairs where the change's is lower. The same numbers — every pair (a
-# benchmark run with its setup_s and work_norm_per_s too), both sides'
-# quartiles of both columns, the host
+# pairs where the change's is lower. For a benchmark workload it then
+# prints each side's median of all four end-to-end metrics (setup_s,
+# op_norm_p50_ms, work_norm_per_s, peak_rss_mb), by what share the
+# change's is worse, and that metric's bound in BENCHMARK.json, flagging
+# "OVER BOUND" where the change is worse by more: the comparison the
+# benchmark's gate makes of a parent and a change. The same numbers —
+# every pair (a benchmark run with its setup_s and work_norm_per_s too),
+# both sides' quartiles of both columns, the end-to-end medians, the host
 # (nproc, CPU model), `go version` and both revisions — are appended as
 # one element of "pairSets" to the record (default
 # .bench_build/benchpairs.json; a new file is created, an existing one
@@ -133,16 +138,36 @@ run() {
 	if [[ -n $scenario ]]; then scenario "$1"; else bench "$1"; fi
 }
 
-# quartiles: "<median> <lower quartile> <upper quartile>" of the numbers
-# on stdin.
+# quartiles [format]: "<median> <lower quartile> <upper quartile>" of
+# the numbers on stdin, each printed with format (default %.3f).
 quartiles() {
-	sort -g | awk '
+	sort -g | awk -v f="${1:-%.3f}" '
 		{ v[NR] = $1 }
 		END {
 			q = int((NR + 3) / 4)
 			m = NR % 2 ? v[(NR + 1) / 2] : (v[NR / 2] + v[NR / 2 + 1]) / 2
-			printf "%.3f %.3f %.3f\n", m, v[q], v[NR + 1 - q]
+			printf f " " f " " f "\n", m, v[q], v[NR + 1 - q]
 		}'
+}
+
+# field NAME: the number a side JSON on stdin holds under "NAME".
+field() {
+	awk -v key="\"$1\": " '{
+		i = index($0, key)
+		if (i == 0) { print "NaN"; next }
+		s = substr($0, i + length(key))
+		sub(/[,}].*/, "", s)
+		print s
+	}'
+}
+
+# bounds: "<name> <better> <bound>" for each of BENCHMARK.json's
+# end-to-end metrics.
+bounds() {
+	awk '/"end_to_end"/ { on = 1 } /"per_layer"/ { on = 0 }
+		on && /"name":/ { gsub(/[",]/, "", $2); name = $2 }
+		on && /"better":/ { gsub(/[",]/, "", $2); better = $2 }
+		on && /"bound":/ { gsub(/[",]/, "", $2); print name, better, $2 }' "$root/BENCHMARK.json"
 }
 
 if [[ -n $scenario ]]; then
@@ -151,7 +176,7 @@ else
 	metric=op_norm_p50_ms extra=peak_rss_mb ident=fingerprint
 fi
 printf '%-5s %12s %12s %7s %14s %14s %s\n' pair "parent_ms" "change_ms" ratio "parent_$extra" "change_$extra" "$ident"
-parents=() changes=() ratios=() rows=() pextras=() cextras=()
+parents=() changes=() ratios=() rows=() pextras=() cextras=() pjsons=() cjsons=()
 wins=0 lower=0
 for ((i = 1; i <= pairs; i++)); do
 	if ((i % 2)); then
@@ -168,6 +193,7 @@ for ((i = 1; i <= pairs; i++)); do
 	ratio=$(awk -v p="$pms" -v c="$cms" 'BEGIN { printf "%.3f", p / c }')
 	parents+=("$pms") changes+=("$cms") ratios+=("$ratio")
 	pextras+=("$pextra") cextras+=("$cextra")
+	pjsons+=("$pjson") cjsons+=("$cjson")
 	if awk -v r="$ratio" 'BEGIN { exit !(r > 1) }'; then
 		wins=$((wins + 1))
 	fi
@@ -188,6 +214,31 @@ echo "$workload $metric, median [quartiles]: parent $pm [$pq1, $pq3], change $cm
 echo "change faster in $wins/$pairs pairs; ratio parent/change $rm [$rq1, $rq3]"
 echo "$workload $extra, median [quartiles]: parent $pxm [$pxq1, $pxq3], change $cxm [$cxq1, $cxq3]"
 echo "change lower in $lower/$pairs pairs"
+
+# A benchmark workload's four end-to-end metrics: each side's median,
+# the change's share worse (negative: better) and the metric's bound.
+ends=()
+if [[ -z $scenario ]]; then
+	printf '%-16s %16s %16s %8s %6s\n' "$workload" "parent median" "change median" worse bound
+	over=0
+	while read -r name better bound; do
+		read -r pv _ < <(printf '%s\n' "${pjsons[@]}" | field "$name" | quartiles %.7g)
+		read -r cv _ < <(printf '%s\n' "${cjsons[@]}" | field "$name" | quartiles %.7g)
+		read -r worse flag < <(awk -v p="$pv" -v c="$cv" -v better="$better" -v bound="$bound" 'BEGIN {
+			w = p == 0 ? 0 : (better == "higher" ? (p - c) / p : (c - p) / p)
+			printf "%.4f %s\n", w, (w > bound ? "OVER BOUND" : "")
+		}')
+		printf '%-16s %16s %16s %7.1f%% %5.0f%%%s\n' "$name" "$pv" "$cv" \
+			"$(awk -v w="$worse" 'BEGIN { print 100 * w }')" "$(awk -v b="$bound" 'BEGIN { print 100 * b }')" "${flag:+ $flag}"
+		[[ -z $flag ]] || over=$((over + 1))
+		ends+=("\"$name\": {\"parent\": $pv, \"change\": $cv, \"worse\": $worse, \"bound\": $bound}")
+	done < <(bounds)
+	if ((over)); then
+		echo "$over end-to-end metric(s) worse than their bound"
+	else
+		echo "every end-to-end metric within its bound"
+	fi
+fi
 
 # The pair set as one JSON object, appended to the record.
 cpu=$(awk -F': ' '/^model name/ { print $2; exit }' /proc/cpuinfo 2>/dev/null || true)
@@ -213,6 +264,11 @@ set_json=$(
 	printf '      "change": {"median": %s, "q1": %s, "q3": %s},\n' "$cm" "$cq1" "$cq3"
 	printf '      "ratio": {"median": %s, "q1": %s, "q3": %s},\n' "$rm" "$rq1" "$rq3"
 	printf '      "changeWins": %s,\n' "$wins"
+	if ((${#ends[@]})); then
+		printf '      "endToEnd": {'
+		(IFS=,; printf '%s' "${ends[*]}")
+		printf '},\n'
+	fi
 	printf '      "%s": {"parent": {"median": %s, "q1": %s, "q3": %s}, "change": {"median": %s, "q1": %s, "q3": %s}, "changeLower": %s}\n' \
 		"$extra" "$pxm" "$pxq1" "$pxq3" "$cxm" "$cxq1" "$cxq3" "$lower"
 	printf '    }'
